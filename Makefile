@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race fuzz race-all crash-resume bench-kernels bench-infer bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay
+.PHONY: ci vet build test race fuzz race-all crash-resume bench-kernels bench-infer bench-serve bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay
 
 ci: vet build test race crash-resume fuzz bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay
 
@@ -81,18 +81,26 @@ quant-parity:
 	$(GO) test -count=1 -run 'TestQuantParity' ./internal/infer
 
 # Short fuzz smoke runs: the container decoder and the runtime loader must
-# reject arbitrary input without panicking, and the int8 quantizer must
-# round-trip arbitrary (value, scale) pairs within its saturation bounds.
+# reject arbitrary input without panicking, the int8 quantizer must
+# round-trip arbitrary (value, scale) pairs within its saturation bounds,
+# the predict-body scanner must agree with encoding/json on arbitrary bytes
+# (same accept/reject, same values, bit-exact floats), and the serving-trace
+# decoder must reject or round-trip whatever it is fed.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/infer
 	$(GO) test -run='^$$' -fuzz=FuzzQuantizeRoundTrip -fuzztime=$(FUZZTIME) ./internal/tensor
+	$(GO) test -run='^$$' -fuzz=FuzzReadPredict -fuzztime=$(FUZZTIME) ./internal/api
+	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Kernel benchmark selections: the GEMM shapes, the conv/training ablations,
 # and the batch-1 fused-inference path.
 KBENCH_TENSOR = ^(BenchmarkMM256|BenchmarkMM512|BenchmarkMMWide|BenchmarkGEMMKernelOnly)$$
 KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkAblation_BNFolding)$$
+SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
+SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
+SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$
 IBENCH        = ^(BenchmarkInterpretedBatch1|BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkInterpretedBatch8|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8)$$
 
 # Appends one run record (ns/op + GFLOP/s per shape, plus machine/kernel
@@ -109,12 +117,31 @@ bench-infer:
 	$(GO) test -run='^$$' -bench '$(IBENCH)' -benchmem ./internal/infer \
 	  | $(GO) run ./cmd/benchjson -out BENCH_infer.json
 
+# Request-path ladder, one rung per serving layer with the model stubbed
+# out: predict-body decode (the single-pass scanner on a JSON number array
+# and on data_b64, beside the encoding/json decode it replaced), the tenant
+# tier around a no-op handler, and the router→servd hop over loopback.
+# SERVE_NOTE is stored with the run and says what each timed region holds.
+SERVE_NOTE = ReadPredict*: body bytes in memory -> api.PredictRequest (read + decode; not Tensor(), no socket), \
+Stdlib = the json.Decoder decode both handlers ran before. TierWrapNoop: Tier.Wrap end to end (auth, quota, \
+ReadPredict, idle fair gate, audit line, stats) around an empty handler. HTTPReplicaLoopback/hop: HTTPReplica.Submit \
+(PredictFromTensor + json.Marshal + POST over kept-alive loopback) + servd access log, ReadPredict, Tensor(), \
+serve.Submit at max-batch 1 on a width-1 ResNet, answer encode + decode; /stub is that serve.Submit alone. Chips are 5xSxS.
+bench-serve:
+	{ $(GO) test -run='^$$' -bench '$(SBENCH_API)' -benchmem ./internal/api && \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_TIER)' -benchmem ./internal/tenant && \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_HOP)' -benchmem ./cmd/servd ; } \
+	  | $(GO) run ./cmd/benchjson -out BENCH_serve.json -note '$(SERVE_NOTE)'
+
 # CI stage: build the benchmarks and run each selected kernel benchmark once
 # (-benchtime=1x), through the same JSON harness, without touching the
 # checked-in trajectory.
 bench-smoke:
 	{ $(GO) test -run='^$$' -bench '$(KBENCH_TENSOR)' -benchtime=1x ./internal/tensor && \
 	  $(GO) test -run='^$$' -bench '$(KBENCH_ROOT)' -benchtime=1x . && \
-	  $(GO) test -run='^$$' -bench '$(IBENCH)' -benchtime=1x -benchmem ./internal/infer ; } \
+	  $(GO) test -run='^$$' -bench '$(IBENCH)' -benchtime=1x -benchmem ./internal/infer && \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_API)' -benchtime=1x -benchmem ./internal/api && \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_TIER)' -benchtime=1x -benchmem ./internal/tenant && \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_HOP)' -benchtime=1x -benchmem ./cmd/servd ; } \
 	  | $(GO) run ./cmd/benchjson -out .bench_smoke.json -note ci-smoke
 	rm -f .bench_smoke.json

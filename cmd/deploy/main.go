@@ -288,10 +288,10 @@ func driveRemote(data *dataset.Dataset, opts loadOptions, remote remoteOptions) 
 	reqs := make([]api.PredictRequest, opts.clients)
 	for i := range reqs {
 		x, _ := data.Batch([]int{i % data.Len()})
-		reqs[i] = api.PredictRequest{
-			Model: remote.model, Shape: x.Shape()[1:], Data: x.Data(),
-			SLO: remote.slo, Precision: remote.precision,
+		if reqs[i], err = api.PredictFromTensor(remote.model, remote.slo, x); err != nil {
+			log.Fatalf("deploy: %v", err)
 		}
+		reqs[i].Precision = remote.precision
 	}
 
 	hist := metrics.NewHistogram()

@@ -10,7 +10,7 @@
 // The API mirrors servd's /v1/ surface so clients and probes move between
 // tiers unchanged:
 //
-//	POST /v1/predict   {"model","shape","data","slo"?,"precision"?} ->
+//	POST /v1/predict   {"model","shape","data"|"data_b64","slo"?,"precision"?} ->
 //	                   {"model","precision","class","logits","batch_size",
 //	                    "queued_ms","total_ms","replica","hedged"?}
 //	POST /v1/scan      start a whole-watershed scan job whose tiles fan
@@ -46,7 +46,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -135,10 +134,16 @@ func main() {
 		locals = append(locals, lr)
 		reps = append(reps, lr)
 	}
+	// The HTTP replicas share one transport that keeps as many idle
+	// connections per backend as the router lets requests through at once;
+	// http.DefaultClient keeps 2 and redials for the rest.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = max(*maxInflight, *tenantInflight, http.DefaultMaxIdleConnsPerHost)
+	client := &http.Client{Transport: transport}
 	for _, base := range strings.Split(*backends, ",") {
 		base = strings.TrimSpace(strings.TrimSuffix(base, "/"))
 		if base != "" {
-			reps = append(reps, route.NewHTTPReplica("", base, nil))
+			reps = append(reps, route.NewHTTPReplica("", base, client))
 		}
 	}
 	if len(reps) == 0 {
@@ -259,9 +264,8 @@ func newAPIWithTenant(router *route.Router, serving *metrics.ServingStats, model
 	mux := http.NewServeMux()
 
 	var predict http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req api.PredictRequest
-		body := http.MaxBytesReader(w, r.Body, api.MaxPredictBodyBytes)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		req, r, err := api.ReadPredict(r)
+		if err != nil {
 			httpx.Error(w, http.StatusBadRequest, api.CodeBadInput, fmt.Sprintf("bad request body: %v", err))
 			return
 		}

@@ -591,3 +591,42 @@ func TestRouterServesInt8Precision(t *testing.T) {
 		t.Fatalf("malformed int8 routed prediction %+v", pr)
 	}
 }
+
+// TestRouterEchoesRemotePrecision: an int8 request served by a remote
+// replica is answered as int8. The HTTP adapter used to rebuild the serving
+// key from the replica's bare model name, so the router said "fp32" about a
+// request servd had run — and reported — as int8.
+func TestRouterEchoesRemotePrecision(t *testing.T) {
+	servd := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, _, err := api.ReadPredict(r)
+		if err != nil {
+			t.Errorf("hop body: %v", err)
+		}
+		key, err := req.ResolveKey()
+		if err != nil || key != "front@int8" {
+			t.Errorf("hop serving key %q, %v; want front@int8", key, err)
+		}
+		model, precision := api.SplitServedModel(key)
+		httpx.WriteJSON(w, http.StatusOK, api.PredictResponse{
+			Model: model, Precision: precision, Class: 1, Logits: []float32{0.1, 0.9}, BatchSize: 1,
+		})
+	}))
+	defer servd.Close()
+	router := route.New(route.Options{}, route.NewHTTPReplica("remote-0", servd.URL, nil))
+	defer router.Close()
+	ts := httptest.NewServer(newAPI(router, &metrics.ServingStats{}, t.TempDir()))
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(predictBody(t, "front@int8", "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var pr api.PredictResponse
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || pr.Model != "front" || pr.Precision != "int8" || pr.Replica != "remote-0" {
+		t.Fatalf("status %d, answer %+v; want model front at precision int8 from remote-0", resp.StatusCode, pr)
+	}
+}

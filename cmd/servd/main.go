@@ -16,7 +16,9 @@
 //	                       "batch_size","queued_ms","total_ms"}
 //	                   precision selects the deployment arithmetic: "int8"
 //	                   serves the post-training-quantized form of the same
-//	                   container (equivalently, model "name@int8")
+//	                   container (equivalently, model "name@int8"); the
+//	                   values may instead travel as "data_b64", base64 of
+//	                   little-endian float32 (what the router forwards)
 //	POST /v1/scan      start a whole-watershed scan job: every chip-sized
 //	                   window of a synthesized watershed is classified
 //	                   through the batcher and reassembled into an ordered
@@ -59,7 +61,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -250,9 +251,8 @@ func newAPIWithTenant(srv *serve.Server, modelDir string, rec *sim.TraceWriter, 
 	mux := http.NewServeMux()
 
 	var predict http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req predictRequest
-		body := http.MaxBytesReader(w, r.Body, api.MaxPredictBodyBytes)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		req, r, err := api.ReadPredict(r)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, codeBadInput, fmt.Sprintf("bad request body: %v", err))
 			return
 		}

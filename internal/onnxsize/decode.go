@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"drainnas/internal/tensor"
 )
 
 // Decoding bounds: a single initializer larger than 2^28 elements (1 GiB of
@@ -128,9 +129,7 @@ func Decode(r io.Reader) (*Decoded, error) {
 			return nil, fmt.Errorf("onnxsize: initializer %s payload: %w", init.Name, err)
 		}
 		vals := make([]float32, numel)
-		for j := range vals {
-			vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[j*4:]))
-		}
+		tensor.F32FromLE(vals, raw)
 		out.Graph.Initializers = append(out.Graph.Initializers, init)
 		out.Weights[init.Name] = vals
 	}

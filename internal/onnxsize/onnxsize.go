@@ -14,10 +14,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"drainnas/internal/nn"
 	"drainnas/internal/resnet"
+	"drainnas/internal/tensor"
 )
 
 // NodeSpec is one operator in the exported graph.
@@ -224,6 +224,7 @@ func encode(g GraphSpec, w io.Writer, values map[string][]float32) (int64, error
 		return cw.n, err
 	}
 	zeros := make([]byte, 1<<16)
+	var scratch []byte // packed weights; allocated on the first initializer with values
 	for _, init := range g.Initializers {
 		if err := writeString(cw, init.Name); err != nil {
 			return cw.n, err
@@ -241,12 +242,17 @@ func encode(g GraphSpec, w io.Writer, values map[string][]float32) (int64, error
 			return cw.n, err
 		}
 		if vals, ok := values[init.Name]; ok && len(vals) == init.Numel() {
-			var buf [4]byte
-			for _, v := range vals {
-				binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-				if err := writeAll(cw, buf[:]); err != nil {
+			// One Write per 64 KiB of weights, so a caller handing in an
+			// unbuffered *os.File pays a syscall per chunk, not per value.
+			if scratch == nil {
+				scratch = make([]byte, 0, len(zeros))
+			}
+			for len(vals) > 0 {
+				n := min(len(vals), cap(scratch)/4)
+				if err := writeAll(cw, tensor.AppendF32LE(scratch[:0], vals[:n])); err != nil {
 					return cw.n, err
 				}
+				vals = vals[n:]
 			}
 			continue
 		}

@@ -115,6 +115,60 @@ func TestExportSameSizeAsEncodeButDifferentBytes(t *testing.T) {
 	}
 }
 
+// writeCounter counts the Write calls an export makes; each is a syscall
+// when the writer is an unbuffered file.
+type writeCounter struct{ writes, bytes int64 }
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes++
+	c.bytes += int64(len(p))
+	return len(p), nil
+}
+
+// TestExportWritesWeightsInChunks: the weights leave in 64 KiB writes, not
+// four bytes at a time, so Export needs no bufio around an *os.File. The
+// bound is the per-initializer header writes plus one write per chunk.
+func TestExportWritesWeightsInChunks(t *testing.T) {
+	m, err := resnet.New(narrowConfig(), tensor.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c writeCounter
+	n, err := Export(m, &c)
+	if err != nil || n != c.bytes {
+		t.Fatalf("Export = %d, %v; writer saw %d bytes", n, err, c.bytes)
+	}
+	g, err := BuildGraphSpec(m.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Everything but weights is names, counts and dims: well under 16
+	// small writes per node or initializer.
+	bound := int64(16*(len(g.Nodes)+len(g.Initializers))) + n/(1<<16)
+	if c.writes > bound {
+		t.Fatalf("Export made %d writes for %d bytes, want at most %d", c.writes, n, bound)
+	}
+	var buf bytes.Buffer
+	if _, err := Export(m, &buf); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range m.Params() {
+		got, want := dec.Weights[p.Name], p.Data.Data()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", p.Name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, want %v", p.Name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestPoolNodeAddsBytesButNoParams(t *testing.T) {
 	noPool := narrowConfig()
 	withPool := noPool

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"drainnas/internal/api"
+	"drainnas/internal/infer"
 	"drainnas/internal/serve"
 	"drainnas/internal/tensor"
 )
@@ -89,13 +90,16 @@ func (r *HTTPReplica) ID() string { return r.id }
 // InFlight implements Replica.
 func (r *HTTPReplica) InFlight() int64 { return r.inflight.Load() }
 
-// Submit implements Replica.
+// Submit implements Replica. The chip travels as data_b64 (raw
+// little-endian float32, not decimal text), and the serving key is rebuilt
+// from the replica's model and precision echo, so what a remote replica
+// ran is what the router reports.
 func (r *HTTPReplica) Submit(ctx context.Context, model string, input *tensor.Tensor) (serve.Response, error) {
-	shape, data, err := chwPayload(input)
+	preq, err := api.PredictFromTensor(model, "", input)
 	if err != nil {
 		return serve.Response{}, err
 	}
-	body, err := json.Marshal(api.PredictRequest{Model: model, Shape: shape, Data: data})
+	body, err := json.Marshal(preq)
 	if err != nil {
 		return serve.Response{}, fmt.Errorf("route: encoding predict request: %w", err)
 	}
@@ -131,7 +135,7 @@ func (r *HTTPReplica) Submit(ctx context.Context, model string, input *tensor.Te
 		return serve.Response{}, fmt.Errorf("route: replica %s: decoding response: %w", r.id, err)
 	}
 	return serve.Response{
-		Model:     pr.Model,
+		Model:     infer.ModelKey(pr.Model, infer.Precision(pr.Precision)),
 		Class:     pr.Class,
 		Logits:    pr.Logits,
 		BatchSize: pr.BatchSize,
@@ -154,24 +158,5 @@ func replicaError(id string, status int, body api.ErrorBody) error {
 		return errors.Join(serve.ErrClosed, base)
 	default:
 		return base
-	}
-}
-
-// chwPayload flattens a (C,H,W) or (1,C,H,W) tensor into the predict wire
-// shape and data.
-func chwPayload(input *tensor.Tensor) ([]int, []float32, error) {
-	if input == nil {
-		return nil, nil, fmt.Errorf("route: nil input")
-	}
-	switch input.NDim() {
-	case 3:
-		return []int{input.Dim(0), input.Dim(1), input.Dim(2)}, input.Data(), nil
-	case 4:
-		if input.Dim(0) != 1 {
-			return nil, nil, fmt.Errorf("route: input batch dim %d, want 1", input.Dim(0))
-		}
-		return []int{input.Dim(1), input.Dim(2), input.Dim(3)}, input.Data(), nil
-	default:
-		return nil, nil, fmt.Errorf("route: input must be (C,H,W) or (1,C,H,W), got %v", input.Shape())
 	}
 }

@@ -1,9 +1,12 @@
 package route_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -16,20 +19,27 @@ import (
 	"drainnas/internal/tensor"
 )
 
-// TestHTTPReplicaRoundTrip pins the wire adapter: the request body carries
-// the flattened CHW payload, and the remote predict response maps back onto
-// serve.Response with millisecond fields rehydrated to durations.
+// TestHTTPReplicaRoundTrip pins the wire adapter: the hop body carries the
+// flattened CHW chip as data_b64 (little-endian float32, no decimal text)
+// that any encoding/json reader of api.PredictRequest turns back into the
+// same tensor, and the remote predict response maps back onto
+// serve.Response — serving key rebuilt from the model and precision echo,
+// millisecond fields rehydrated to durations.
 func TestHTTPReplicaRoundTrip(t *testing.T) {
-	var got api.PredictRequest
+	var (
+		got api.PredictRequest
+		raw []byte
+	)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost || r.URL.Path != "/v1/predict" {
 			t.Errorf("request = %s %s, want POST /v1/predict", r.Method, r.URL.Path)
 		}
-		if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
+		raw, _ = io.ReadAll(r.Body)
+		if err := json.Unmarshal(raw, &got); err != nil {
 			t.Errorf("decoding request: %v", err)
 		}
 		httpx.WriteJSON(w, http.StatusOK, api.PredictResponse{
-			Model: got.Model, Class: 1, Logits: []float32{0.2, 0.8},
+			Model: "tiny", Precision: "int8", Class: 1, Logits: []float32{0.2, 0.8},
 			BatchSize: 4, QueuedMS: 1.5, TotalMS: 12,
 		})
 	}))
@@ -39,19 +49,31 @@ func TestHTTPReplicaRoundTrip(t *testing.T) {
 	if rep.ID() != "remote-0" {
 		t.Fatalf("ID = %q", rep.ID())
 	}
-	in := tensor.New(1, 3, 4, 4) // batch form: must flatten to (3,4,4)
-	resp, err := rep.Submit(context.Background(), "tiny", in)
+	in := tensor.RandNormal(tensor.NewRNG(5), 1, 3, 4, 4) // batch form: must flatten to (3,4,4)
+	resp, err := rep.Submit(context.Background(), "tiny@int8", in)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if got.Model != "tiny" {
+	if got.Model != "tiny@int8" {
 		t.Fatalf("wire model = %q", got.Model)
 	}
 	if len(got.Shape) != 3 || got.Shape[0] != 3 || got.Shape[1] != 4 || got.Shape[2] != 4 {
 		t.Fatalf("wire shape = %v, want [3 4 4]", got.Shape)
 	}
-	if len(got.Data) != 48 {
-		t.Fatalf("wire data length = %d, want 48", len(got.Data))
+	if got.Data != nil || len(got.DataB64) != 4*48 || !bytes.Contains(raw, []byte(`"data_b64":"`)) || bytes.Contains(raw, []byte(`"data":`)) {
+		t.Fatalf("wire body %.120s: want 48 values as data_b64 and no data array", raw)
+	}
+	x, err := got.Tensor()
+	if err != nil {
+		t.Fatalf("wire tensor: %v", err)
+	}
+	for i, v := range in.Data() {
+		if math.Float32bits(x.Data()[i]) != math.Float32bits(v) {
+			t.Fatalf("wire value %d = %v, want %v", i, x.Data()[i], v)
+		}
+	}
+	if resp.Model != "tiny@int8" {
+		t.Fatalf("resp.Model = %q, want the serving key the replica ran, tiny@int8", resp.Model)
 	}
 	if resp.Class != 1 || resp.BatchSize != 4 {
 		t.Fatalf("resp = %+v", resp)

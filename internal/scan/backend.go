@@ -68,10 +68,11 @@ type ClientBackend struct {
 
 // Classify posts one chip to /v1/predict.
 func (b ClientBackend) Classify(ctx context.Context, model string, input *tensor.Tensor) (Result, error) {
-	shape := input.Shape()
-	resp, err := b.C.Predict(ctx, api.PredictRequest{
-		Model: model, Shape: shape[1:], Data: input.Data(), SLO: b.SLO,
-	})
+	req, err := api.PredictFromTensor(model, b.SLO, input)
+	if err != nil {
+		return Result{}, err
+	}
+	resp, err := b.C.Predict(ctx, req)
 	if err != nil {
 		return Result{}, err
 	}

@@ -276,14 +276,16 @@ func ReplayHTTP(ctx context.Context, client *http.Client, baseURL string, events
 				return ok, ctx.Err()
 			}
 		}
-		data := make([]float32, a.C*a.H*a.W)
+		x := tensor.New(a.C, a.H, a.W)
+		data := x.Data()
 		for i := range data {
 			data[i] = rng.Float32()
 		}
-		body, err := json.Marshal(api.PredictRequest{
-			Model: a.Model, Shape: []int{a.C, a.H, a.W}, Data: data,
-			SLO: a.Class.String(),
-		})
+		preq, err := api.PredictFromTensor(a.Model, a.Class.String(), x)
+		if err != nil {
+			return ok, err
+		}
+		body, err := json.Marshal(preq)
 		if err != nil {
 			return ok, err
 		}

@@ -1,10 +1,7 @@
 package tenant
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"io"
 	"log"
 	"net/http"
 	"strings"
@@ -177,31 +174,25 @@ func (t *Tier) bucketFor(tn Tenant) *route.TokenBucket {
 	return be.tb
 }
 
-// peekClass reads the request's SLO class from the JSON body without
-// consuming it: the body (bounded by the predict size cap) is buffered and
-// restored, so the inner handler sees the same bytes — including one byte
-// past the cap so its own MaxBytesReader still rejects oversized bodies.
-func peekClass(r *http.Request) route.SLOClass {
+// requestClass returns the SLO class r's predict body asks for, and the
+// request to hand to the wrapped handler: api.ReadPredict decodes the body
+// here, once, and the handler's own ReadPredict gets the same value back
+// (a handler that reads r.Body instead finds the original bytes). A body
+// that does not decode, or names no known class, queues as standard; the
+// handler reports what is wrong with it.
+func requestClass(r *http.Request) (route.SLOClass, *http.Request) {
 	if r.Body == nil || r.Method != http.MethodPost {
-		return route.ClassStandard
+		return route.ClassStandard, r
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxPredictBodyBytes+1))
-	r.Body.Close()
-	r.Body = io.NopCloser(bytes.NewReader(body))
+	req, r, err := api.ReadPredict(r)
 	if err != nil {
-		return route.ClassStandard
+		return route.ClassStandard, r
 	}
-	var probe struct {
-		SLO string `json:"slo"`
-	}
-	if json.Unmarshal(body, &probe) != nil {
-		return route.ClassStandard
-	}
-	class, err := route.ParseClass(probe.SLO)
+	class, err := route.ParseClass(req.SLO)
 	if err != nil {
-		return route.ClassStandard
+		return route.ClassStandard, r
 	}
-	return class
+	return class, r
 }
 
 // audit writes the structured per-request audit line. decision is one of
@@ -235,8 +226,11 @@ func (t *Tier) Wrap(h http.Handler) http.Handler {
 		}
 		t.stats.Admitted(tn.Name)
 
+		// The body is read and decoded before the clock starts: that time
+		// is the request's own, not a wait behind other tenants.
+		class, r := requestClass(r)
 		start := t.clock.Now()
-		if err := t.fair.Acquire(r.Context(), tn.Name, tn.Weight, peekClass(r)); err != nil {
+		if err := t.fair.Acquire(r.Context(), tn.Name, tn.Weight, class); err != nil {
 			wait := t.clock.Now().Sub(start)
 			t.stats.Failed(tn.Name, wait, wait)
 			t.audit(r, w, tn.Name, "admit", http.StatusServiceUnavailable)

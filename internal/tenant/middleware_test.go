@@ -176,7 +176,7 @@ func (b *syncLogBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestTierPreservesBody: peeking the SLO class must not consume the body
+// TestTierPreservesBody: reading the SLO class must not consume the body
 // the inner handler parses.
 func TestTierPreservesBody(t *testing.T) {
 	tier, _ := newTestTier(t, routetest.NewFakeClock(), 2)
@@ -220,7 +220,10 @@ func TestTierRecordsFailures(t *testing.T) {
 	}
 }
 
-func TestPeekClass(t *testing.T) {
+// TestRequestClass: the class comes out of the body api.ReadPredict
+// decodes, anything else queues as standard, and the body is handed on
+// byte for byte whether or not it decoded.
+func TestRequestClass(t *testing.T) {
 	cases := []struct {
 		body string
 		want string
@@ -228,24 +231,95 @@ func TestPeekClass(t *testing.T) {
 		{`{"slo": "interactive"}`, "interactive"},
 		{`{"slo": "batch"}`, "batch"},
 		{`{"slo": "standard"}`, "standard"},
+		{`{"model":"m","slo":"batch","shape":[1,1,1],"data_b64":"AACAPw=="}`, "batch"},
+		{`{"SLO": "inter\u0061ctive"}`, "interactive"},
 		{`{}`, "standard"},
 		{`not json`, "standard"},
 		{`{"slo": "bogus"}`, "standard"},
+		{`{"slo": "batch", "data": [1e999]}`, "standard"},
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(tc.body))
-		if got := peekClass(req).String(); got != tc.want {
-			t.Errorf("peekClass(%q) = %q, want %q", tc.body, got, tc.want)
+		class, next := requestClass(req)
+		if got := class.String(); got != tc.want {
+			t.Errorf("requestClass(%q) = %q, want %q", tc.body, got, tc.want)
 		}
-		// Body restored.
-		b, _ := io.ReadAll(req.Body)
+		b, _ := io.ReadAll(next.Body)
 		if string(b) != tc.body {
-			t.Errorf("peekClass consumed the body: %q", b)
+			t.Errorf("requestClass consumed the body: %q, want %q", b, tc.body)
 		}
 	}
-	// GET has no body to peek.
+	// GET has no body to read.
 	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
-	if peekClass(req).String() != "standard" {
-		t.Error("GET should default to standard")
+	if class, next := requestClass(req); class.String() != "standard" || next != req {
+		t.Error("GET should pass through as standard")
+	}
+}
+
+// TestTierDecodesBodyOnce: the tier needs the SLO class and the handler
+// needs the tensor, and between them the body is decoded once.
+func TestTierDecodesBodyOnce(t *testing.T) {
+	tier, _ := newTestTier(t, routetest.NewFakeClock(), 2)
+	var got *api.PredictRequest
+	h := tier.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, _, err := api.ReadPredict(r)
+		if err != nil {
+			t.Error(err)
+		}
+		got = req
+	}))
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict",
+		strings.NewReader(`{"model":"m","slo":"interactive","shape":[1,1,2],"data":[1,2]}`))
+	req.Header.Set("X-API-Key", "open-secret-key")
+	before := api.PredictDecodes()
+	h.ServeHTTP(httptest.NewRecorder(), req)
+	if n := api.PredictDecodes() - before; n != 1 {
+		t.Fatalf("body decoded %d times through tier + handler, want 1", n)
+	}
+	if got == nil || got.Model != "m" || len(got.Data) != 2 {
+		t.Fatalf("handler saw %+v", got)
+	}
+}
+
+// slowBody advances the fake clock as it is read, as a body arriving over
+// a slow link (or a large one being decoded) advances the real one.
+type slowBody struct {
+	io.Reader
+	clock *routetest.FakeClock
+	took  time.Duration
+}
+
+func (b *slowBody) Read(p []byte) (int, error) {
+	n, err := b.Reader.Read(p)
+	if err == io.EOF {
+		b.clock.Advance(b.took)
+		b.took = 0
+	}
+	return n, err
+}
+
+// TestTierIdleQueueWaitIsZero: reading and decoding the body is not
+// queueing. With free slots the recorded queue wait is zero however long
+// the body took to arrive.
+func TestTierIdleQueueWaitIsZero(t *testing.T) {
+	clock := routetest.NewFakeClock()
+	tier, stats := newTestTier(t, clock, 2)
+	h := tier.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		clock.Advance(3 * time.Millisecond) // the handler's own work
+	}))
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict",
+		&slowBody{Reader: strings.NewReader(`{"slo":"batch"}`), clock: clock, took: 8 * time.Millisecond})
+	req.Header.Set("X-API-Key", "open-secret-key")
+	h.ServeHTTP(httptest.NewRecorder(), req)
+
+	snap := stats.Snapshot().PerTenant["open"]
+	if snap.Completed != 1 || snap.QueueWait.Count != 1 {
+		t.Fatalf("counters %+v, want one completed request", snap)
+	}
+	if snap.QueueWait.Max != 0 {
+		t.Fatalf("idle tier recorded a queue wait of %v, want 0", snap.QueueWait.Max)
+	}
+	if snap.Latency.Max != 3*time.Millisecond {
+		t.Fatalf("latency %v, want the handler's 3ms", snap.Latency.Max)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"drainnas/internal/route/routetest"
 )
 
-func writeKeyFile(t *testing.T, dir, body string) string {
+func writeKeyFile(t testing.TB, dir, body string) string {
 	t.Helper()
 	path := filepath.Join(dir, "keys.json")
 	if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
