@@ -20,7 +20,7 @@ test:
 # The packages with dedicated concurrency suites. `race-all` widens this to
 # every internal package (slower; the numeric packages dominate).
 race:
-	$(GO) test -race ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/profiler/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./cmd/servd/... ./cmd/router/...
+	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/profiler/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./cmd/servd/... ./cmd/router/...
 
 race-all:
 	$(GO) test -race ./internal/...
@@ -67,12 +67,14 @@ scan-smoke:
 # Simulator determinism + replay gate: a seeded simulation must render
 # byte-identically across runs, a recorded trace must replay to the exact
 # report of the run that produced it (in the sim package and through the
-# capsim CLI and servd's -trace recorder), and calibrating against the
-# checked-in /v1/stats fixture must land within 15% MAPE.
+# capsim CLI and servd's -trace recorder), calibrating against the
+# checked-in /v1/stats fixture must land within 15% MAPE, and the simulator
+# must decide what the live router decides (same requests throttled, same
+# gate grant order, same latencies) for one scripted arrival sequence.
 sim-replay:
 	$(GO) test -race -count=1 \
-		-run 'SimDeterminism|TraceRoundTrip|Replay|Calibration|Capsim|TraceRecording|Fixture' \
-		./internal/sim ./cmd/capsim ./cmd/servd
+		-run 'SimDeterminism|TraceRoundTrip|Replay|Calibration|Capsim|TraceRecording|Fixture|SimMatchesLive' \
+		./internal/sim ./internal/route ./cmd/capsim ./cmd/servd
 
 # Int8 parity gate: randomized PaperSpace models trained on a miniature
 # drainage corpus, quantized plans held to the documented logit-error and

@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		schedName   = fs.String("sched", "fcfs", "gate scheduling: fcfs, priority or sjf")
 		policyName  = fs.String("policy", "round-robin", "placement: round-robin or least-loaded")
 		admitRate   = fs.Float64("admit-rate", 0, "token-bucket admission rate, req/s (0 = off)")
-		admitBurst  = fs.Float64("admit-burst", 0, "token-bucket burst (default: admit-rate)")
+		admitBurst  = fs.Float64("admit-burst", 1, "token-bucket burst capacity (default 1, as router -burst; below 1 is raised to 1)")
 		networkMS   = fs.Float64("network-ms", 0, "fixed per-request network overhead, milliseconds")
 
 		jsonOut = fs.Bool("json", false, "emit the report as JSON instead of text")

@@ -48,7 +48,7 @@ func BenchmarkHTTPReplicaLoopback(b *testing.B) {
 	if err := os.WriteFile(filepath.Join(dir, "stub.dnnx"), buf.Bytes(), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxBatch: 1})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxBatch: 1})
 	defer srv.Close()
 	x := tensor.RandNormal(tensor.NewRNG(1), 1, 5, 100, 100)
 	ctx := context.Background()

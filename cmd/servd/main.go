@@ -75,7 +75,6 @@ import (
 
 	"drainnas/internal/api"
 	"drainnas/internal/httpx"
-	"drainnas/internal/infer"
 	"drainnas/internal/metrics"
 	"drainnas/internal/scan"
 	"drainnas/internal/serve"
@@ -123,7 +122,7 @@ func main() {
 		log.Printf("servd: recording serving trace to %s", *traceOut)
 	}
 
-	srv := serve.NewServer(newDirLoader(*models), serve.Options{
+	srv := serve.NewServer(serve.DirLoader(*models), serve.Options{
 		MaxBatch: *maxBatch, MaxDelay: *maxDelay,
 		QueueCap: *queueCap, Workers: *workers, CacheCap: *cacheCap,
 	})
@@ -209,23 +208,6 @@ func registerPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// newDirLoader keeps servd's historical constructor name over the shared
-// directory loader in internal/serve.
-func newDirLoader(dir string) func(key string) (*infer.Plan, error) { return serve.DirLoader(dir) }
-
-// listModels returns the model keys available in dir, or the directory
-// error so /healthz can surface it.
-func listModels(dir string) ([]string, error) { return serve.ListModels(dir) }
-
-// The predict wire types and error envelope are shared with cmd/router via
-// internal/httpx; the aliases keep servd's handlers and tests on their
-// historical names.
-type (
-	predictRequest  = api.PredictRequest
-	predictResponse = api.PredictResponse
-	errorEnvelope   = api.ErrorEnvelope
-)
-
 // newAPI builds the HTTP handler over a serving core. Split from main so
 // tests drive it in-process. Canonical paths live under /v1/; /healthz and
 // /metrics are kept as aliases so existing probes and scrape configs keep
@@ -253,17 +235,17 @@ func newAPIWithTenant(srv *serve.Server, modelDir string, rec *sim.TraceWriter, 
 	var predict http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		req, r, err := api.ReadPredict(r)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, codeBadInput, fmt.Sprintf("bad request body: %v", err))
+			httpx.Error(w, http.StatusBadRequest, api.CodeBadInput, fmt.Sprintf("bad request body: %v", err))
 			return
 		}
 		input, err := req.Tensor()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, codeBadInput, err.Error())
+			httpx.Error(w, http.StatusBadRequest, api.CodeBadInput, err.Error())
 			return
 		}
 		key, err := req.ResolveKey()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, codeBadInput, err.Error())
+			httpx.Error(w, http.StatusBadRequest, api.CodeBadInput, err.Error())
 			return
 		}
 		if rec != nil {
@@ -271,24 +253,24 @@ func newAPIWithTenant(srv *serve.Server, modelDir string, rec *sim.TraceWriter, 
 		}
 		resp, err := srv.Submit(r.Context(), key, input)
 		if err != nil {
-			status, code := http.StatusInternalServerError, codeInternal
+			status, code := http.StatusInternalServerError, api.CodeInternal
 			switch {
 			case errors.Is(err, serve.ErrQueueFull):
-				status, code = http.StatusTooManyRequests, codeQueueFull
+				status, code = http.StatusTooManyRequests, api.CodeQueueFull
 				w.Header().Set("Retry-After", "1")
 			case errors.Is(err, serve.ErrClosed):
-				status, code = http.StatusServiceUnavailable, codeShuttingDown
+				status, code = http.StatusServiceUnavailable, api.CodeShuttingDown
 			case errors.Is(err, serve.ErrModelNotFound):
-				status, code = http.StatusNotFound, codeModelNotFound
+				status, code = http.StatusNotFound, api.CodeModelNotFound
 			case errors.Is(err, r.Context().Err()):
 				// Client went away; the status is moot but 503 is honest.
-				status, code = http.StatusServiceUnavailable, codeCanceled
+				status, code = http.StatusServiceUnavailable, api.CodeCanceled
 			}
-			httpError(w, status, code, err.Error())
+			httpx.Error(w, status, code, err.Error())
 			return
 		}
 		model, precision := api.SplitServedModel(resp.Model)
-		writeJSON(w, http.StatusOK, predictResponse{
+		httpx.WriteJSON(w, http.StatusOK, api.PredictResponse{
 			Model:     model,
 			Precision: precision,
 			Class:     resp.Class,
@@ -327,7 +309,7 @@ func newAPIWithTenant(srv *serve.Server, modelDir string, rec *sim.TraceWriter, 
 			fair := edge.Fair().SnapshotFair()
 			stats.Tenant, stats.Fair = &tn, &fair
 		}
-		writeJSON(w, http.StatusOK, stats)
+		httpx.WriteJSON(w, http.StatusOK, stats)
 	})
 
 	tenant.NewDashboard(edge, dashInterval, func() tenant.DashboardSnapshot {
@@ -358,17 +340,17 @@ func newAPIWithTenant(srv *serve.Server, modelDir string, rec *sim.TraceWriter, 
 	mux.HandleFunc("GET /metrics", httpx.Deprecated("servd", "/metrics", "/v1/metrics", handleMetrics))
 
 	handleHealthz := func(w http.ResponseWriter, r *http.Request) {
-		keys, err := listModels(modelDir)
+		keys, err := serve.ListModels(modelDir)
 		if err != nil {
 			// An unreadable model directory means every predict will 404 or
 			// 500: say so instead of reporting ok with zero models.
-			writeJSON(w, http.StatusServiceUnavailable, api.HealthResponse{
+			httpx.WriteJSON(w, http.StatusServiceUnavailable, api.HealthResponse{
 				Status: "degraded",
 				Error:  err.Error(),
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, api.HealthResponse{
+		httpx.WriteJSON(w, http.StatusOK, api.HealthResponse{
 			Status: "ok",
 			Models: keys,
 		})
@@ -389,21 +371,3 @@ func writeCacheProm(e *metrics.ExpositionWriter, cs serve.CacheStats) {
 	e.Counter("drainnas_model_cache_misses_total", "Model lookups that loaded from disk.", float64(cs.Misses))
 	e.Counter("drainnas_model_cache_evictions_total", "Models evicted to respect capacity.", float64(cs.Evictions))
 }
-
-// The stable error codes and the envelope writer live in internal/httpx,
-// shared with cmd/router; the aliases keep servd's handlers on their
-// historical names.
-const (
-	codeBadInput      = api.CodeBadInput
-	codeModelNotFound = api.CodeModelNotFound
-	codeQueueFull     = api.CodeQueueFull
-	codeShuttingDown  = api.CodeShuttingDown
-	codeCanceled      = api.CodeCanceled
-	codeInternal      = api.CodeInternal
-)
-
-func httpError(w http.ResponseWriter, status int, code, msg string) {
-	httpx.Error(w, status, code, msg)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) { httpx.WriteJSON(w, status, v) }

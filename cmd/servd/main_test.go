@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"drainnas/internal/api"
 	"drainnas/internal/metrics"
 	"drainnas/internal/onnxsize"
 	"drainnas/internal/resnet"
@@ -50,7 +51,7 @@ func writeTinyModel(t *testing.T, dir string) resnet.Config {
 func predictBody(t *testing.T, cfg resnet.Config, model string) []byte {
 	t.Helper()
 	x := tensor.RandNormal(tensor.NewRNG(5), 1, cfg.Channels, 16, 16)
-	req := predictRequest{Model: model, Shape: []int{cfg.Channels, 16, 16}, Data: x.Data()}
+	req := api.PredictRequest{Model: model, Shape: []int{cfg.Channels, 16, 16}, Data: x.Data()}
 	b, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func predictBody(t *testing.T, cfg resnet.Config, model string) []byte {
 func TestAPIPredictStatsHealth(t *testing.T) {
 	dir := t.TempDir()
 	cfg := writeTinyModel(t, dir)
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(newAPI(srv, dir))
 	defer ts.Close()
@@ -76,7 +77,7 @@ func TestAPIPredictStatsHealth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict status %d", resp.StatusCode)
 	}
-	var pr predictResponse
+	var pr api.PredictResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestAPIPredictStatsHealth(t *testing.T) {
 func TestAPIErrorMapping(t *testing.T) {
 	dir := t.TempDir()
 	cfg := writeTinyModel(t, dir)
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	ts := httptest.NewServer(newAPI(srv, dir))
 	defer ts.Close()
 
@@ -170,12 +171,12 @@ func TestAPIErrorMapping(t *testing.T) {
 	if got := post([]byte("{not json")); got != http.StatusBadRequest {
 		t.Fatalf("bad json -> %d", got)
 	}
-	bad := predictRequest{Model: "tiny", Shape: []int{3, 16}, Data: make([]float32, 48)}
+	bad := api.PredictRequest{Model: "tiny", Shape: []int{3, 16}, Data: make([]float32, 48)}
 	b, _ := json.Marshal(bad)
 	if got := post(b); got != http.StatusBadRequest {
 		t.Fatalf("bad shape -> %d", got)
 	}
-	mismatch := predictRequest{Model: "tiny", Shape: []int{3, 16, 16}, Data: make([]float32, 7)}
+	mismatch := api.PredictRequest{Model: "tiny", Shape: []int{3, 16, 16}, Data: make([]float32, 7)}
 	b, _ = json.Marshal(mismatch)
 	if got := post(b); got != http.StatusBadRequest {
 		t.Fatalf("data/shape mismatch -> %d", got)
@@ -198,18 +199,18 @@ func TestAPIErrorMapping(t *testing.T) {
 func TestErrorEnvelope(t *testing.T) {
 	dir := t.TempDir()
 	cfg := writeTinyModel(t, dir)
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	ts := httptest.NewServer(withAccessLog(newAPI(srv, dir)))
 	defer ts.Close()
 
-	postEnvelope := func(body []byte) (int, http.Header, errorEnvelope) {
+	postEnvelope := func(body []byte) (int, http.Header, api.ErrorEnvelope) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var env errorEnvelope
+		var env api.ErrorEnvelope
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 			t.Fatalf("error body is not the envelope: %v", err)
 		}
@@ -241,7 +242,7 @@ func TestErrorEnvelopeQueueFull(t *testing.T) {
 	cfg := writeTinyModel(t, dir)
 	// MaxDelay/MaxBatch hold the first request in the queue for the test's
 	// lifetime; srv.Close flushes it so the blocked poster below finishes.
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{
 		MaxBatch: 64, MaxDelay: time.Minute, QueueCap: 1,
 	})
 	ts := httptest.NewServer(withAccessLog(newAPI(srv, dir)))
@@ -276,7 +277,7 @@ func TestErrorEnvelopeQueueFull(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	var env errorEnvelope
+	var env api.ErrorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestErrorEnvelopeQueueFull(t *testing.T) {
 func TestV1Aliases(t *testing.T) {
 	dir := t.TempDir()
 	writeTinyModel(t, dir)
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(newAPI(srv, dir))
 	defer ts.Close()
@@ -328,7 +329,7 @@ func TestV1Aliases(t *testing.T) {
 // 404/500 to every predict and must not pass a readiness probe.
 func TestHealthzDegradedOnUnreadableModels(t *testing.T) {
 	dir := t.TempDir()
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	defer srv.Close()
 	gone := filepath.Join(dir, "does-not-exist")
 	ts := httptest.NewServer(newAPI(srv, gone))
@@ -359,7 +360,7 @@ func TestHealthzDegradedOnUnreadableModels(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	cfg := writeTinyModel(t, dir)
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(newAPI(srv, dir))
 	defer ts.Close()
@@ -408,7 +409,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestAccessLogRequestID(t *testing.T) {
 	dir := t.TempDir()
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(withAccessLog(newAPI(srv, dir)))
 	defer ts.Close()
@@ -533,7 +534,7 @@ func TestServdBinarySmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict status %d", resp.StatusCode)
 	}
-	var pr predictResponse
+	var pr api.PredictResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +579,7 @@ func TestServdGracefulShutdown(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		var pr predictResponse
+		var pr api.PredictResponse
 		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 			got <- predictResult{status: resp.StatusCode, err: err}
 			return
@@ -741,19 +742,19 @@ func waitForHealthy(t *testing.T, url string) {
 func TestAPIPredictPrecision(t *testing.T) {
 	dir := t.TempDir()
 	cfg := writeTinyModel(t, dir)
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(newAPI(srv, dir))
 	defer ts.Close()
 
-	post := func(body []byte) (*http.Response, predictResponse) {
+	post := func(body []byte) (*http.Response, api.PredictResponse) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var pr predictResponse
+		var pr api.PredictResponse
 		if resp.StatusCode == http.StatusOK {
 			if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 				t.Fatal(err)
@@ -764,7 +765,7 @@ func TestAPIPredictPrecision(t *testing.T) {
 
 	// Precision via the request field.
 	x := tensor.RandNormal(tensor.NewRNG(5), 1, cfg.Channels, 16, 16)
-	body, err := json.Marshal(predictRequest{
+	body, err := json.Marshal(api.PredictRequest{
 		Model: "tiny", Precision: "int8",
 		Shape: []int{cfg.Channels, 16, 16}, Data: x.Data(),
 	})
@@ -792,7 +793,7 @@ func TestAPIPredictPrecision(t *testing.T) {
 	}
 
 	// Conflicting selectors are a client error.
-	body, err = json.Marshal(predictRequest{
+	body, err = json.Marshal(api.PredictRequest{
 		Model: "tiny@int8", Precision: "fp32",
 		Shape: []int{cfg.Channels, 16, 16}, Data: x.Data(),
 	})
@@ -834,7 +835,7 @@ func TestAPIPredictPrecision(t *testing.T) {
 func TestAPITraceRecording(t *testing.T) {
 	dir := t.TempDir()
 	cfg := writeTinyModel(t, dir)
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	defer srv.Close()
 
 	var buf bytes.Buffer

@@ -25,7 +25,7 @@ import (
 func TestAPISurfaceRoutes(t *testing.T) {
 	dir := t.TempDir()
 	writeTinyModel(t, dir)
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(newAPI(srv, dir))
 	defer ts.Close()
@@ -133,7 +133,7 @@ func keysOf(m map[string]json.RawMessage) []string {
 func TestAPISurfaceErrorEnvelopes(t *testing.T) {
 	dir := t.TempDir()
 	cfg := writeTinyModel(t, dir)
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(newAPI(srv, dir))
 	defer ts.Close()
@@ -170,7 +170,7 @@ func TestAPISurfaceErrorEnvelopes(t *testing.T) {
 func TestAPISurfaceUnauthorizedEnvelope(t *testing.T) {
 	dir := t.TempDir()
 	writeTinyModel(t, dir)
-	srv := serve.NewServer(newDirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
+	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxDelay: time.Millisecond})
 	defer srv.Close()
 
 	keyPath := filepath.Join(dir, "keys.json")

@@ -61,7 +61,7 @@ func authedPredict(t *testing.T, url, key string, body []byte) *http.Response {
 func envelopeCode(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close()
-	var env errorEnvelope
+	var env api.ErrorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,20 @@
 package route
 
-import "sync"
+import (
+	"sync"
 
-// TokenBucket is the admission controller in front of the fleet: requests
-// spend one token each, tokens refill at Rate per second up to Burst, and a
-// request arriving to an empty bucket is rejected immediately (ErrThrottled
-// from the router) instead of queueing — shedding overload before it can
-// occupy dispatch slots or replica queues. Time comes from the injected
-// clock, so refill behavior is testable without wall-clock sleeps.
+	"drainnas/internal/sched"
+)
+
+// TokenBucket is the admission controller in front of the fleet: the shared
+// sched.Bucket behind a mutex, read off the injected clock so refill
+// behavior is testable without wall-clock sleeps. A request arriving to an
+// empty bucket is rejected immediately (ErrThrottled from the router)
+// instead of queueing.
 type TokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second; <= 0 disables limiting
-	burst  float64
-	tokens float64
-	last   int64 // clock.Now().UnixNano() of the last refill
-	clock  Clock
+	mu    sync.Mutex
+	b     sched.Bucket
+	clock Clock
 }
 
 // NewTokenBucket builds a bucket refilling at rate tokens/second with the
@@ -24,38 +24,15 @@ func NewTokenBucket(rate, burst float64, clock Clock) *TokenBucket {
 	if clock == nil {
 		clock = SystemClock
 	}
-	if burst < 1 {
-		burst = 1
-	}
-	return &TokenBucket{
-		rate: rate, burst: burst, tokens: burst,
-		last: clock.Now().UnixNano(), clock: clock,
-	}
+	return &TokenBucket{b: sched.NewBucket(rate, burst, clock.Now().UnixNano()), clock: clock}
 }
 
-// Allow spends one token if available. A nil or unlimited bucket always
-// admits.
+// Allow spends one token if available. A nil bucket always admits.
 func (tb *TokenBucket) Allow() bool {
-	if tb == nil || tb.rate <= 0 {
+	if tb == nil {
 		return true
 	}
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	now := tb.clock.Now().UnixNano()
-	if now > tb.last {
-		// last only ever advances. Setting it unconditionally would let a
-		// clock regression (a rewound fake clock, a non-monotonic wall
-		// source) drag last backward, and the next forward reading would
-		// re-credit the interval as refill a second time.
-		tb.tokens += tb.rate * float64(now-tb.last) / 1e9
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
-		}
-		tb.last = now
-	}
-	if tb.tokens < 1 {
-		return false
-	}
-	tb.tokens--
-	return true
+	return tb.b.Allow(tb.clock.Now().UnixNano())
 }

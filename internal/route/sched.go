@@ -1,53 +1,36 @@
 package route
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"sync"
 
 	"drainnas/internal/metrics"
+	"drainnas/internal/sched"
 )
 
-// SLOClass is a request's service-level class. It orders dispatch under the
-// Priority scheduler: Interactive preempts Standard preempts Batch when
-// dispatch slots are scarce. The zero value is ClassStandard so an
-// unannotated request gets middle-of-the-road treatment.
-type SLOClass int
+// SLOClass is a request's service-level class and SchedMode the order
+// waiting requests are dispatched in. Both live in internal/sched, beside
+// the heap that ranks by them; the routing tier keeps its historical names.
+type (
+	SLOClass  = sched.Class
+	SchedMode = sched.Mode
+)
 
-// The three classes, lowest priority first.
+// The three classes (interactive preempts standard preempts batch under
+// the Priority scheduler; the zero value is ClassStandard) and the three
+// dispatch orders.
 const (
-	ClassStandard SLOClass = iota
-	ClassBatch
-	ClassInteractive
+	ClassStandard    = sched.ClassStandard
+	ClassBatch       = sched.ClassBatch
+	ClassInteractive = sched.ClassInteractive
+
+	FCFS     = sched.FCFS
+	Priority = sched.Priority
+	// SJF estimates come from latmeter predictions seeded at startup,
+	// refined by a measured EWMA.
+	SJF = sched.SJF
 )
-
-// String names the class as it appears on the wire ("slo" field) and in
-// metrics labels.
-func (c SLOClass) String() string {
-	switch c {
-	case ClassBatch:
-		return "batch"
-	case ClassInteractive:
-		return "interactive"
-	case ClassStandard:
-		return "standard"
-	default:
-		return fmt.Sprintf("class(%d)", int(c))
-	}
-}
-
-// priority is the dispatch rank under the Priority scheduler; larger wins.
-func (c SLOClass) priority() int {
-	switch c {
-	case ClassInteractive:
-		return 2
-	case ClassStandard:
-		return 1
-	default:
-		return 0
-	}
-}
 
 // ParseClass maps the wire name to a class; empty means standard.
 func ParseClass(s string) (SLOClass, error) {
@@ -60,35 +43,6 @@ func ParseClass(s string) (SLOClass, error) {
 		return ClassInteractive, nil
 	default:
 		return ClassStandard, fmt.Errorf("route: unknown SLO class %q (want batch, standard or interactive)", s)
-	}
-}
-
-// SchedMode selects how waiting requests are ordered when dispatch slots
-// free up.
-type SchedMode int
-
-const (
-	// FCFS dispatches in arrival order.
-	FCFS SchedMode = iota
-	// Priority dispatches by SLO class (interactive > standard > batch),
-	// FCFS within a class.
-	Priority
-	// SJF dispatches the request with the smallest predicted latency first
-	// (estimates come from latmeter predictions seeded at startup, refined
-	// by a measured EWMA), FCFS among equals. Classic shortest-job-first:
-	// minimizes mean wait when job lengths differ by model.
-	SJF
-)
-
-// String names the mode as accepted by -sched.
-func (m SchedMode) String() string {
-	switch m {
-	case Priority:
-		return "priority"
-	case SJF:
-		return "sjf"
-	default:
-		return "fcfs"
 	}
 }
 
@@ -106,84 +60,19 @@ func ParseSchedMode(s string) (SchedMode, error) {
 	}
 }
 
-// waiter is one request parked at the dispatch gate.
-type waiter struct {
-	seq     uint64
-	class   SLOClass
-	estMS   float64
-	ready   chan struct{}
-	granted bool
-	// index is the waiter's current position in the gate heap, maintained by
-	// waiterHeap's Swap/Push/Pop so a canceled waiter can be heap.Removed
-	// eagerly; -1 once it has left the heap (granted or removed).
-	index int
-}
-
-// waiterHeap orders waiters by the gate's scheduling mode. It implements
-// heap.Interface; ties always break by arrival sequence so every mode is a
-// total, deterministic order — the property the golden scheduling tests pin.
-type waiterHeap struct {
-	mode SchedMode
-	ws   []*waiter
-}
-
-func (h *waiterHeap) Len() int { return len(h.ws) }
-
-func (h *waiterHeap) Less(i, j int) bool {
-	a, b := h.ws[i], h.ws[j]
-	switch h.mode {
-	case Priority:
-		if pa, pb := a.class.priority(), b.class.priority(); pa != pb {
-			return pa > pb
-		}
-	case SJF:
-		if a.estMS != b.estMS {
-			return a.estMS < b.estMS
-		}
-	}
-	return a.seq < b.seq
-}
-
-func (h *waiterHeap) Swap(i, j int) {
-	h.ws[i], h.ws[j] = h.ws[j], h.ws[i]
-	h.ws[i].index = i
-	h.ws[j].index = j
-}
-
-func (h *waiterHeap) Push(x any) {
-	w := x.(*waiter)
-	w.index = len(h.ws)
-	h.ws = append(h.ws, w)
-}
-
-func (h *waiterHeap) Pop() any {
-	old := h.ws
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.index = -1
-	h.ws = old[:n-1]
-	return w
-}
-
-// gate is a counting semaphore whose waiters are granted in scheduler order
-// rather than FIFO: this is where SLO classes and predicted latency shape
-// the dispatch sequence ("priority batch formation" at the fleet tier —
-// which requests reach the replicas' batchers first). A nil gate is
-// unlimited.
+// gate is the router's dispatch gate: the shared sched.Gate behind a mutex,
+// each parked request blocked on a ready channel that is closed when the
+// core grants it a slot. A nil gate is unlimited.
 type gate struct {
-	mu       sync.Mutex
-	capacity int
-	inUse    int
-	seq      uint64
-	heap     waiterHeap
+	mu   sync.Mutex
+	core *sched.Gate[chan struct{}]
 }
 
 func newGate(capacity int, mode SchedMode) *gate {
 	if capacity <= 0 {
 		return nil
 	}
-	return &gate{capacity: capacity, heap: waiterHeap{mode: mode}}
+	return &gate{core: sched.NewGate[chan struct{}](capacity, mode)}
 }
 
 // acquire blocks until the request is granted a dispatch slot in scheduler
@@ -194,52 +83,35 @@ func (g *gate) acquire(ctx context.Context, class SLOClass, estMS float64) error
 		return nil
 	}
 	g.mu.Lock()
-	if g.inUse < g.capacity && g.heap.Len() == 0 {
-		g.inUse++
+	w, granted := g.core.Acquire(class, estMS)
+	if granted {
 		g.mu.Unlock()
 		return nil
 	}
-	w := &waiter{seq: g.seq, class: class, estMS: estMS, ready: make(chan struct{})}
-	g.seq++
-	heap.Push(&g.heap, w)
+	w.Value = make(chan struct{})
 	g.mu.Unlock()
 
 	select {
-	case <-w.ready:
+	case <-w.Value:
 		return nil
 	case <-ctx.Done():
 		g.mu.Lock()
-		if w.granted {
-			// The grant raced the cancellation: pass the slot on.
-			g.mu.Unlock()
-			g.release()
-		} else {
-			// Eagerly remove the waiter instead of marking it abandoned for a
-			// lazy reap in release(): reaping only runs when a slot frees, so
-			// with every slot stuck on hung replicas the heap grew without
-			// bound under canceling clients. w.index is maintained by the
-			// heap, and !granted (checked under the same mutex release()
-			// grants under) means the waiter is still in it.
-			heap.Remove(&g.heap, w.index)
-			g.mu.Unlock()
+		if next := g.core.Cancel(w); next != nil {
+			close(next.Value)
 		}
+		g.mu.Unlock()
 		return ctx.Err()
 	}
 }
 
-// release returns a slot and grants it to the best waiter. Canceled waiters
-// are never seen here: they remove themselves from the heap eagerly.
+// release returns a slot and wakes the waiter the core grants it to.
 func (g *gate) release() {
 	if g == nil {
 		return
 	}
 	g.mu.Lock()
-	g.inUse--
-	for g.inUse < g.capacity && g.heap.Len() > 0 {
-		w := heap.Pop(&g.heap).(*waiter)
-		w.granted = true
-		g.inUse++
-		close(w.ready)
+	if next := g.core.Release(); next != nil {
+		close(next.Value)
 	}
 	g.mu.Unlock()
 }
@@ -251,7 +123,7 @@ func (g *gate) waiting() int {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.heap.Len()
+	return g.core.Waiting()
 }
 
 // latencyEstimator supplies the SJF scheduler's per-model latency estimate:

@@ -56,7 +56,7 @@ func TestGateCancelEagerlyRemovesWaiters(t *testing.T) {
 				t.Fatalf("waiting() = %d after canceling every waiter, want 0", n)
 			}
 			g.mu.Lock()
-			heapLen, inUse := len(g.heap.ws), g.inUse
+			heapLen, inUse := g.core.Waiting(), g.core.InUse()
 			g.mu.Unlock()
 			if heapLen != 0 {
 				t.Fatalf("heap holds %d waiters after cancellation, want 0", heapLen)
@@ -91,17 +91,12 @@ func TestGateGrantRacingCancelHandsSlotOn(t *testing.T) {
 	go func() { first <- g.acquire(ctx, ClassStandard, 0) }()
 	awaitWaiting(t, g, 1)
 
-	// Grant under the lock, then cancel before the waiter can observe the
-	// grant: simulate the race by marking granted the way release() does.
-	g.mu.Lock()
-	w := g.heap.ws[0]
-	g.mu.Unlock()
-	g.release() // grants w: inUse back to 1, heap empty
+	// Grant, then cancel before the waiter can observe the grant.
+	g.release() // grants the waiter: in-use back to 1, heap empty
 	cancel()
 	if err := <-first; err != nil && err != context.Canceled {
 		t.Fatalf("first waiter: %v", err)
 	}
-	_ = w
 
 	// Whether the waiter returned the grant (canceled) or kept it (won the
 	// select race), exactly one slot's worth of capacity must exist: a

@@ -38,6 +38,7 @@ import (
 	"drainnas/internal/metrics"
 	"drainnas/internal/parallel"
 	"drainnas/internal/profiler"
+	"drainnas/internal/sched"
 	"drainnas/internal/tensor"
 )
 
@@ -140,17 +141,6 @@ type groupKey struct {
 	h, w  int
 }
 
-type batchGroup struct {
-	reqs []*pending
-	// gen is drawn from the server-wide genSeq when the group is created, so
-	// it is unique across every incarnation of every key. A MaxDelay timer
-	// captures its group's gen; after the batch is cut (and the group deleted
-	// from the map) a stale timer finds either no group or a later
-	// incarnation with a different gen, and becomes a no-op either way —
-	// it can never flush a newer group's batch early.
-	gen uint64
-}
-
 // Server is the batching inference server. Construct with NewServer,
 // release with Close.
 type Server struct {
@@ -159,9 +149,8 @@ type Server struct {
 	pool  *parallel.Pool
 
 	mu     sync.Mutex
-	groups map[groupKey]*batchGroup
-	genSeq uint64 // next group generation; never reused across incarnations
-	depth  int    // admitted-but-unfinished requests
+	former *sched.Former[groupKey, *pending] // what to cut and when; guarded by mu
+	depth  int                               // admitted-but-unfinished requests
 	closed bool
 
 	// load mirrors depth as a lock-free counter so routing tiers can read a
@@ -185,7 +174,7 @@ func NewServer(loader func(key string) (*infer.Plan, error), opts Options) *Serv
 		opts:   opts,
 		cache:  NewModelCache(opts.CacheCap, loader),
 		pool:   parallel.NewPool(opts.Workers),
-		groups: make(map[groupKey]*batchGroup),
+		former: sched.NewFormer[groupKey, *pending](opts.MaxBatch),
 	}
 }
 
@@ -239,21 +228,14 @@ func (s *Server) Submit(ctx context.Context, model string, input *tensor.Tensor)
 	s.depth++
 	s.load.Add(1)
 	s.opts.Stats.Enqueued(model)
-	g := s.groups[key]
-	if g == nil {
-		// A fresh incarnation: unique generation, and exactly one MaxDelay
-		// timer armed for its lifetime (the group is deleted when its batch
-		// is cut, so a later request starts a new incarnation + timer).
-		g = &batchGroup{gen: s.genSeq}
-		s.genSeq++
-		s.groups[key] = g
-		gen := g.gen
+	cut, gen, fresh := s.former.Add(key, p)
+	if fresh {
+		// Exactly one MaxDelay timer per group incarnation (the group is
+		// gone once its batch is cut, so a later request starts a new
+		// incarnation + timer).
 		time.AfterFunc(s.opts.MaxDelay, func() { s.flushTimer(key, gen) })
 	}
-	g.reqs = append(g.reqs, p)
-	var cut []*pending
-	if len(g.reqs) >= s.opts.MaxBatch {
-		cut = s.takeLocked(key, g)
+	if cut != nil {
 		s.dispatchers.Add(1)
 	}
 	s.mu.Unlock()
@@ -278,27 +260,15 @@ func (s *Server) Submit(ctx context.Context, model string, input *tensor.Tensor)
 	}
 }
 
-// takeLocked cuts the group's current batch and deletes the group from the
-// queue map — a group only lives while it holds queued requests, so the map
-// stays bounded by live groups instead of growing with every distinct
-// (model, H, W) key ever seen. The caller holds s.mu.
-func (s *Server) takeLocked(key groupKey, g *batchGroup) []*pending {
-	batch := g.reqs
-	g.reqs = nil
-	delete(s.groups, key)
-	return batch
-}
-
 // flushTimer is the MaxDelay deadline for a group generation.
 func (s *Server) flushTimer(key groupKey, gen uint64) {
 	s.mu.Lock()
-	g := s.groups[key]
-	if g == nil || g.gen != gen || len(g.reqs) == 0 {
+	batch := s.former.Expire(key, gen)
+	if batch == nil {
 		// Already flushed (by size or Close), or a later incarnation.
 		s.mu.Unlock()
 		return
 	}
-	batch := s.takeLocked(key, g)
 	s.dispatchers.Add(1)
 	s.mu.Unlock()
 	s.dispatch(key, batch)
@@ -422,20 +392,11 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	type cutBatch struct {
-		key   groupKey
-		batch []*pending
-	}
-	var cuts []cutBatch
-	for key, g := range s.groups {
-		if len(g.reqs) > 0 {
-			cuts = append(cuts, cutBatch{key, s.takeLocked(key, g)})
-			s.dispatchers.Add(1)
-		}
-	}
+	cuts := s.former.Drain()
+	s.dispatchers.Add(len(cuts))
 	s.mu.Unlock()
-	for _, c := range cuts {
-		s.dispatch(c.key, c.batch)
+	for key, batch := range cuts {
+		s.dispatch(key, batch)
 	}
 	s.dispatchers.Wait()
 	s.pool.Close()

@@ -387,7 +387,7 @@ func TestCloseIsIdempotent(t *testing.T) {
 func groupCount(s *Server) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.groups)
+	return s.former.Len()
 }
 
 // TestGroupsDoNotLeak is the regression test for the unbounded-queue-map bug:
@@ -497,14 +497,14 @@ func TestStaleTimerCannotFlushLaterIncarnation(t *testing.T) {
 		done <- err
 	}()
 	key := groupKey{model: "m", h: 16, w: 16}
+	var gen uint64
 	waitFor(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.groups[key] != nil
+		var ok bool
+		gen, ok = s.former.Gen(key)
+		return ok
 	})
-	s.mu.Lock()
-	gen := s.groups[key].gen
-	s.mu.Unlock()
 
 	// A stale generation (as a timer from a previous incarnation would carry)
 	// must not cut the batch.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -9,6 +8,7 @@ import (
 
 	"drainnas/internal/latmeter"
 	"drainnas/internal/route"
+	"drainnas/internal/sched"
 )
 
 // Policy selects how the simulated router places a request on a replica.
@@ -51,9 +51,9 @@ type Config struct {
 	Replicas int
 	Workers  int
 
-	// MaxBatch / MaxDelay / QueueCap mirror serve.Options: a per-model
-	// batch flushes at MaxBatch requests or MaxDelay after its first, and
-	// each replica admits at most QueueCap unfinished requests.
+	// MaxBatch / MaxDelay / QueueCap are serve.Options' fields: a batch of
+	// one (model, H, W) flushes at MaxBatch requests or MaxDelay after its
+	// first, and each replica admits at most QueueCap unfinished requests.
 	MaxBatch int
 	MaxDelay time.Duration
 	QueueCap int
@@ -62,7 +62,8 @@ type Config struct {
 	Policy Policy
 
 	// AdmitRate / AdmitBurst configure router token-bucket admission
-	// (tokens per second / bucket size); AdmitRate <= 0 disables it.
+	// (tokens per second / bucket size, a burst below 1 is raised to 1
+	// exactly as route.Options.Burst is); AdmitRate <= 0 disables it.
 	AdmitRate, AdmitBurst float64
 	// MaxInFlight bounds concurrently dispatched requests at the router
 	// gate, granted in Sched order; 0 = unlimited.
@@ -113,98 +114,28 @@ func (c Config) withDefaults() Config {
 	if c.OverheadScale <= 0 {
 		c.OverheadScale = 1
 	}
-	if c.AdmitRate > 0 && c.AdmitBurst <= 0 {
-		c.AdmitBurst = c.AdmitRate
-	}
 	return c
 }
 
-// simReq is one request in flight through the simulated pipeline.
-type simReq struct {
-	arr   Arrival
-	seq   uint64  // global arrival order; the deterministic tie-break
-	estMS float64 // SJF estimate: the model's batch-1 service prediction
-	index int     // gate-heap index
-}
-
-// schedHeap orders gate waiters exactly as route.waiterHeap does: priority
-// (interactive > standard > batch) or shortest-job-first, FCFS within ties.
-type schedHeap struct {
-	mode route.SchedMode
-	ws   []*simReq
-}
-
-func (h *schedHeap) Len() int { return len(h.ws) }
-
-func (h *schedHeap) Less(i, j int) bool {
-	a, b := h.ws[i], h.ws[j]
-	switch h.mode {
-	case route.Priority:
-		if pa, pb := classRank(a.arr.Class), classRank(b.arr.Class); pa != pb {
-			return pa > pb
-		}
-	case route.SJF:
-		if a.estMS != b.estMS {
-			return a.estMS < b.estMS
-		}
-	}
-	return a.seq < b.seq
-}
-
-func (h *schedHeap) Swap(i, j int) {
-	h.ws[i], h.ws[j] = h.ws[j], h.ws[i]
-	h.ws[i].index = i
-	h.ws[j].index = j
-}
-
-func (h *schedHeap) Push(x any) {
-	r := x.(*simReq)
-	r.index = len(h.ws)
-	h.ws = append(h.ws, r)
-}
-
-func (h *schedHeap) Pop() any {
-	old := h.ws
-	n := len(old)
-	r := old[n-1]
-	old[n-1] = nil
-	r.index = -1
-	h.ws = old[:n-1]
-	return r
-}
-
-// classRank mirrors route.SLOClass.priority (unexported there).
-func classRank(c route.SLOClass) int {
-	switch c {
-	case route.ClassInteractive:
-		return 2
-	case route.ClassStandard:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// groupSim is one forming batch: same model key, generation-stamped so a
-// stale MaxDelay event cannot flush a later incarnation (the same
-// generation discipline serve.Server uses).
-type groupSim struct {
-	reqs []*simReq
-	gen  uint64
+// groupKey identifies one batchable stream, as in serve: same model, same
+// spatial size.
+type groupKey struct {
+	model string
+	h, w  int
 }
 
 type batchSim struct {
 	model string
-	reqs  []*simReq
+	reqs  []Arrival
 }
 
-// replicaSim models one serve.Server: bounded admission, per-model batch
-// formation, a bounded worker pool executing service-model durations.
+// replicaSim models one serve.Server: bounded admission, the batch former
+// serve.Server runs, a bounded worker pool executing service-model
+// durations.
 type replicaSim struct {
 	id       string
 	load     int // admitted-but-unfinished (QueueCap's denominator)
-	groups   map[string]*groupSim
-	genSeq   uint64
+	former   *sched.Former[groupKey, Arrival]
 	busy     int
 	backlog  []*batchSim // cut batches waiting for a worker, FIFO
 	requests uint64
@@ -219,13 +150,9 @@ type cluster struct {
 	loop *Loop
 	res  *collector
 
-	// token bucket state (virtual time).
-	tokens     float64
-	lastRefill time.Duration
-
-	// router gate.
-	inUse int
-	gate  schedHeap
+	// The router's admission bucket and dispatch gate, on virtual time.
+	bucket sched.Bucket
+	gate   *sched.Gate[Arrival]
 
 	reps   []*replicaSim
 	rrNext int
@@ -242,23 +169,26 @@ func Run(cfg Config, arrivals []Arrival) (Report, error) {
 		}
 	}
 
+	slots := cfg.MaxInFlight
+	if slots <= 0 {
+		slots = math.MaxInt // unlimited: nothing ever parks at the gate
+	}
 	c := &cluster{
 		cfg:    cfg,
 		loop:   NewLoop(),
 		res:    newCollector(),
-		tokens: cfg.AdmitBurst,
-		gate:   schedHeap{mode: cfg.Sched},
+		bucket: sched.NewBucket(cfg.AdmitRate, cfg.AdmitBurst, 0),
+		gate:   sched.NewGate[Arrival](slots, cfg.Sched),
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		c.reps = append(c.reps, &replicaSim{
 			id:     fmt.Sprintf("replica-%d", i),
-			groups: make(map[string]*groupSim),
+			former: sched.NewFormer[groupKey, Arrival](cfg.MaxBatch),
 		})
 	}
 
-	for i, a := range arrivals {
-		r := &simReq{arr: a, seq: uint64(i), estMS: cfg.Models[a.Model].BatchMS(1)}
-		c.loop.At(a.At, func() { c.arrive(r) })
+	for _, a := range arrivals {
+		c.loop.At(a.At, func() { c.arrive(a) })
 	}
 	c.loop.Run(0) // drain: every admitted request completes
 
@@ -270,38 +200,22 @@ func Run(cfg Config, arrivals []Arrival) (Report, error) {
 }
 
 // arrive runs the admission front: token bucket, then the scheduling gate.
-func (c *cluster) arrive(r *simReq) {
-	c.res.arrived(r.arr)
-	if !c.allow() {
-		c.res.throttled(r.arr)
+func (c *cluster) arrive(r Arrival) {
+	c.res.arrived(r)
+	if !c.bucket.Allow(int64(c.loop.Now())) {
+		c.res.throttled(r)
 		return
 	}
-	if c.cfg.MaxInFlight > 0 && c.inUse >= c.cfg.MaxInFlight {
-		heap.Push(&c.gate, r)
+	// The SJF estimate is the model's batch-1 service prediction.
+	if w, granted := c.gate.Acquire(r.Class, c.cfg.Models[r.Model].BatchMS(1)); !granted {
+		w.Value = r
 		return
 	}
-	c.inUse++
 	c.place(r)
 }
 
-// allow is the virtual-clock token bucket.
-func (c *cluster) allow() bool {
-	if c.cfg.AdmitRate <= 0 {
-		return true
-	}
-	now := c.loop.Now()
-	c.tokens = math.Min(c.cfg.AdmitBurst,
-		c.tokens+(now-c.lastRefill).Seconds()*c.cfg.AdmitRate)
-	c.lastRefill = now
-	if c.tokens >= 1 {
-		c.tokens--
-		return true
-	}
-	return false
-}
-
 // place picks a replica by policy and joins its batcher.
-func (c *cluster) place(r *simReq) {
+func (c *cluster) place(r Arrival) {
 	var rep *replicaSim
 	switch c.cfg.Policy {
 	case PolicyLeastLoaded:
@@ -317,44 +231,31 @@ func (c *cluster) place(r *simReq) {
 	}
 
 	if rep.load >= c.cfg.QueueCap {
-		c.res.rejected(r.arr)
+		c.res.rejected(r)
 		c.releaseGate(1)
 		return
 	}
 	rep.load++
 	rep.requests++
 
-	g := rep.groups[r.arr.Model]
-	if g == nil {
-		g = &groupSim{gen: rep.genSeq}
-		rep.genSeq++
-		rep.groups[r.arr.Model] = g
-		gen := g.gen
-		model := r.arr.Model
-		c.loop.After(c.cfg.MaxDelay, func() { c.flushTimer(rep, model, gen) })
+	key := groupKey{model: r.Model, h: r.H, w: r.W}
+	batch, gen, fresh := rep.former.Add(key, r)
+	if fresh {
+		c.loop.After(c.cfg.MaxDelay, func() {
+			if batch := rep.former.Expire(key, gen); batch != nil {
+				c.cut(rep, key.model, batch)
+			}
+		})
 	}
-	g.reqs = append(g.reqs, r)
-	if len(g.reqs) >= c.cfg.MaxBatch {
-		c.cut(rep, r.arr.Model, g)
+	if batch != nil {
+		c.cut(rep, key.model, batch)
 	}
 }
 
-// flushTimer is the MaxDelay deadline for a group generation; stale
-// generations are no-ops, exactly as in serve.Server.
-func (c *cluster) flushTimer(rep *replicaSim, model string, gen uint64) {
-	g := rep.groups[model]
-	if g == nil || g.gen != gen || len(g.reqs) == 0 {
-		return
-	}
-	c.cut(rep, model, g)
-}
-
-// cut takes the group's batch and hands it to the worker pool (or the
-// backlog when every worker is busy — the pool-saturation backpressure).
-func (c *cluster) cut(rep *replicaSim, model string, g *groupSim) {
-	delete(rep.groups, model)
-	b := &batchSim{model: model, reqs: g.reqs}
-	g.reqs = nil
+// cut hands a formed batch to the worker pool (or the backlog when every
+// worker is busy — the pool-saturation backpressure).
+func (c *cluster) cut(rep *replicaSim, model string, reqs []Arrival) {
+	b := &batchSim{model: model, reqs: reqs}
 	if rep.busy < c.cfg.Workers {
 		c.start(rep, b)
 	} else {
@@ -381,8 +282,8 @@ func (c *cluster) complete(rep *replicaSim, b *batchSim) {
 	now := c.loop.Now()
 	net := time.Duration(c.cfg.NetworkMS * float64(time.Millisecond))
 	for _, r := range b.reqs {
-		lat := now - r.arr.At + net
-		c.res.completed(r.arr, b.model, len(b.reqs), lat)
+		lat := now - r.At + net
+		c.res.completed(r, b.model, len(b.reqs), lat)
 		if c.cfg.OnComplete != nil {
 			c.cfg.OnComplete(b.model, lat)
 		}
@@ -396,17 +297,13 @@ func (c *cluster) complete(rep *replicaSim, b *batchSim) {
 	}
 }
 
-// releaseGate returns n dispatch slots and grants parked waiters in
-// scheduler order.
+// releaseGate returns n dispatch slots one at a time, placing the waiter
+// each is granted to before the next slot frees.
 func (c *cluster) releaseGate(n int) {
-	if c.cfg.MaxInFlight <= 0 {
-		return
-	}
-	c.inUse -= n
-	for c.inUse < c.cfg.MaxInFlight && c.gate.Len() > 0 {
-		r := heap.Pop(&c.gate).(*simReq)
-		c.inUse++
-		c.place(r)
+	for ; n > 0; n-- {
+		if w := c.gate.Release(); w != nil {
+			c.place(w.Value)
+		}
 	}
 }
 

@@ -1,18 +1,23 @@
 // Package sim is a deterministic discrete-event simulator of the
 // servd/router serving pipeline, closing the loop the paper leaves open
 // between predicted and measured latency at the *serving* tier: given the
-// analytic per-model cost models from internal/latmeter and the pipeline
-// semantics of internal/serve and internal/route, it answers capacity
-// questions — "how many replicas for this traffic at p99 < 50ms?" — without
-// hardware.
+// analytic per-model cost models from internal/latmeter and the scheduling
+// cores internal/serve and internal/route themselves run (internal/sched),
+// it answers capacity questions — "how many replicas for this traffic at
+// p99 < 50ms?" — without hardware.
 //
 // A simulated request flows through the same stages a real one does:
 //
 //	arrival → admission (token bucket + SLO scheduling gate)
 //	        → replica placement (round-robin / least-loaded)
-//	        → batch formation (MaxDelay / MaxBatch, per model key)
+//	        → batch formation (MaxDelay / MaxBatch, per model and chip size)
 //	        → plan execution (latmeter service models, fp32 and "@int8")
 //	        → response
+//
+// Admission, the gate and batch formation are the live tiers' own objects
+// (sched.Bucket, sched.Gate, sched.Former) called with virtual time.
+// Placement, QueueCap rejection and the worker pool with its backlog are
+// modelled here; tenant fairness and hedged retries are not simulated.
 //
 // Everything runs off a virtual clock (Loop): events are processed in
 // (time, schedule-order) sequence, all randomness comes from seeded

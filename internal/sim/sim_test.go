@@ -234,6 +234,37 @@ func TestSimSchedOrderAtGate(t *testing.T) {
 	}
 }
 
+// TestSimNeverBatchesAcrossChipSizes is the regression test for the
+// simulator forming batches per model where serve.Server forms them per
+// (model, H, W): four simultaneous requests for one model, alternating two
+// chip sizes, fill a MaxBatch-4 batch only if sizes mix. They must instead
+// form two batches of two, each flushed by its own MaxDelay timer — and the
+// same four requests at one size still fill the batch.
+func TestSimNeverBatchesAcrossChipSizes(t *testing.T) {
+	run := func(sizes [4]int) ReplicaReport {
+		t.Helper()
+		var arrivals []Arrival
+		for i, hw := range sizes {
+			arrivals = append(arrivals, Arrival{At: time.Duration(i) * time.Microsecond, Model: "paper", C: 5, H: hw, W: hw})
+		}
+		rep, err := Run(Config{MaxBatch: 4, MaxDelay: 2 * time.Millisecond, Models: testModels()}, arrivals)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if rep.Completed != 4 {
+			t.Fatalf("completed %d of 4", rep.Completed)
+		}
+		return rep.ReplicaStats[0]
+	}
+	if got := run([4]int{64, 128, 64, 128}); got.Batches != 2 || got.MeanBatch != 2 {
+		t.Fatalf("two chip sizes interleaved: %d batches of mean size %.1f, want 2 of 2 (a batch mixed sizes)",
+			got.Batches, got.MeanBatch)
+	}
+	if got := run([4]int{128, 128, 128, 128}); got.Batches != 1 || got.MeanBatch != 4 {
+		t.Fatalf("one chip size: %d batches of mean size %.1f, want 1 of 4", got.Batches, got.MeanBatch)
+	}
+}
+
 // TestSimUnknownModelErrors checks the upfront validation names the key.
 func TestSimUnknownModelErrors(t *testing.T) {
 	_, err := Run(Config{Models: testModels()}, []Arrival{{Model: "ghost"}})

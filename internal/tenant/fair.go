@@ -1,11 +1,11 @@
 package tenant
 
 import (
-	"container/heap"
 	"context"
 	"sync"
 
 	"drainnas/internal/route"
+	"drainnas/internal/sched"
 )
 
 // FairQueue is the weighted-fair admission gate in front of the serving
@@ -18,10 +18,10 @@ import (
 // to its weight no matter how deep another tenant's backlog grows: a noisy
 // tenant flooding 10x its share only queues behind itself.
 //
-// Within one tenant's queue, waiters are ordered by SLO class (interactive
-// > standard > batch, reusing route.SLOClass), then arrival — so the
-// fairness tier composes with the SLO scheduling the routing tier already
-// does, instead of fighting it.
+// Within one tenant's queue, waiters sit in the same sched.Heap the routing
+// tier's dispatch gate uses, in Priority order (interactive > standard >
+// batch, then arrival) — so the fairness tier composes with the SLO
+// scheduling the routing tier already does, instead of fighting it.
 //
 // A newly-active tenant starts at the queue's current virtual time (never
 // earlier), so idle periods bank no credit and cannot be weaponized into a
@@ -46,67 +46,9 @@ const passScale = 1.0
 type tenantQueue struct {
 	weight float64
 	pass   float64
-	pq     waiterPQ
-}
-
-// fairWaiter is one request parked at the fair gate.
-type fairWaiter struct {
-	seq     uint64
-	rank    int // SLO class rank; larger dispatches first
-	ready   chan struct{}
-	granted bool
-	// index is maintained by waiterPQ so a canceled waiter can be
-	// heap.Removed eagerly (same shape as route's gate heap); -1 once out.
-	index int
-}
-
-// classRank mirrors route's internal SLO priority: interactive preempts
-// standard preempts batch.
-func classRank(c route.SLOClass) int {
-	switch c {
-	case route.ClassInteractive:
-		return 2
-	case route.ClassStandard:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// waiterPQ orders one tenant's waiters by (class rank desc, arrival asc) —
-// a total, deterministic order.
-type waiterPQ struct{ ws []*fairWaiter }
-
-func (h *waiterPQ) Len() int { return len(h.ws) }
-
-func (h *waiterPQ) Less(i, j int) bool {
-	a, b := h.ws[i], h.ws[j]
-	if a.rank != b.rank {
-		return a.rank > b.rank
-	}
-	return a.seq < b.seq
-}
-
-func (h *waiterPQ) Swap(i, j int) {
-	h.ws[i], h.ws[j] = h.ws[j], h.ws[i]
-	h.ws[i].index = i
-	h.ws[j].index = j
-}
-
-func (h *waiterPQ) Push(x any) {
-	w := x.(*fairWaiter)
-	w.index = len(h.ws)
-	h.ws = append(h.ws, w)
-}
-
-func (h *waiterPQ) Pop() any {
-	old := h.ws
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.index = -1
-	h.ws = old[:n-1]
-	return w
+	// pq holds the tenant's parked requests, each blocked on its ready
+	// channel, by (class rank desc, arrival asc).
+	pq sched.Heap[chan struct{}]
 }
 
 // NewFairQueue builds a fair gate with the given number of concurrent
@@ -125,7 +67,7 @@ func NewFairQueue(capacity int) *FairQueue {
 func (q *FairQueue) tenantLocked(name string, weight float64) *tenantQueue {
 	tq := q.tenants[name]
 	if tq == nil {
-		tq = &tenantQueue{pass: q.vtime}
+		tq = &tenantQueue{pass: q.vtime, pq: sched.NewHeap[chan struct{}](sched.Priority)}
 		q.tenants[name] = tq
 	}
 	if weight <= 0 {
@@ -153,25 +95,25 @@ func (q *FairQueue) Acquire(ctx context.Context, tenantName string, weight float
 		q.mu.Unlock()
 		return nil
 	}
-	w := &fairWaiter{seq: q.seq, rank: classRank(class), ready: make(chan struct{})}
+	w := tq.pq.Push(q.seq, class, 0)
+	w.Value = make(chan struct{})
 	q.seq++
-	heap.Push(&tq.pq, w)
 	q.waiting++
 	q.mu.Unlock()
 
 	select {
-	case <-w.ready:
+	case <-w.Value:
 		return nil
 	case <-ctx.Done():
 		q.mu.Lock()
-		if w.granted {
+		if w.Queued() {
+			tq.pq.Remove(w)
+			q.waiting--
+			q.mu.Unlock()
+		} else {
 			// The grant raced the cancellation: pass the slot on.
 			q.mu.Unlock()
 			q.Release()
-		} else {
-			heap.Remove(&tq.pq, w.index)
-			q.waiting--
-			q.mu.Unlock()
 		}
 		return ctx.Err()
 	}
@@ -200,12 +142,11 @@ func (q *FairQueue) Release() {
 		if tq == nil {
 			break
 		}
-		w := heap.Pop(&tq.pq).(*fairWaiter)
+		w := tq.pq.Pop()
 		q.waiting--
 		q.chargeLocked(tq)
 		q.inUse++
-		w.granted = true
-		close(w.ready)
+		close(w.Value)
 	}
 	q.mu.Unlock()
 }
@@ -220,7 +161,7 @@ func (q *FairQueue) minPassLocked() *tenantQueue {
 		if tq.pq.Len() == 0 {
 			continue
 		}
-		headSeq := tq.pq.ws[0].seq
+		headSeq := tq.pq.Peek().Seq()
 		if best == nil || tq.pass < best.pass || (tq.pass == best.pass && headSeq < bestSeq) {
 			best = tq
 			bestSeq = headSeq

@@ -4,8 +4,8 @@
 // cannot starve the others. It composes as HTTP middleware over the
 // existing servd/router muxes (Tier.Wrap), reusing the shared envelope in
 // internal/httpx (codes unauthorized and quota_exceeded), the token bucket
-// and SLO classes in internal/route, and the capped per-tenant counters in
-// internal/metrics. A small live dashboard (WebSocket with SSE fallback)
+// and SLO classes in internal/route, the waiter heap in internal/sched, and
+// the capped per-tenant counters in internal/metrics. A small live dashboard (WebSocket with SSE fallback)
 // streams queue depth, batch shapes and per-tenant latency.
 //
 // The admission pipeline per request:
