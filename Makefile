@@ -96,14 +96,16 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadPredict -fuzztime=$(FUZZTIME) ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/sim
 
-# Kernel benchmark selections: the GEMM shapes, the conv/training ablations,
-# and the batch-1 fused-inference path.
-KBENCH_TENSOR = ^(BenchmarkMM256|BenchmarkMM512|BenchmarkMMWide|BenchmarkGEMMKernelOnly)$$
+# Kernel benchmark selections: the GEMM shapes and the deployed model's
+# convolution shapes (front32 at 5x100x100, batch 1 and 8), the conv/training
+# ablations, and the compiled-inference path on a 32x32 chip and at the
+# deployment size.
+KBENCH_TENSOR = ^(BenchmarkMM256|BenchmarkMM512|BenchmarkMMWide|BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes)$$
 KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkAblation_BNFolding)$$
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$
-IBENCH        = ^(BenchmarkInterpretedBatch1|BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkInterpretedBatch8|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8)$$
+IBENCH        = ^(BenchmarkInterpretedBatch1|BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkInterpretedBatch8|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8))$$
 
 # Appends one run record (ns/op + GFLOP/s per shape, plus machine/kernel
 # metadata) to the checked-in BENCH_kernels.json trajectory.
@@ -114,7 +116,8 @@ bench-kernels:
 
 # Compiled-plan inference trajectory: interpreted vs compiled forwards at
 # batch 1 and batch 8, with -benchmem so allocs/op and B/op land in the
-# record (the compiled path's arena claim is "steady-state allocs ≈ 0").
+# record (the compiled path's arena claim is "steady-state allocs ≈ 0"),
+# and front32 at 5x100x100, fp32 and int8, batch 1/4/8, in ms per sample.
 bench-infer:
 	$(GO) test -run='^$$' -bench '$(IBENCH)' -benchmem ./internal/infer \
 	  | $(GO) run ./cmd/benchjson -out BENCH_infer.json

@@ -24,68 +24,94 @@ type Prediction struct {
 // RunBatch is the serving-side entry point: the batcher in internal/serve
 // feeds it whole flush batches. It is safe for concurrent use — each call
 // draws a pooled session, and the per-request logits are copied out of the
-// session arena before the session is returned.
+// session arena before the session is returned. The chips are stacked into
+// a slab the session keeps per batch shape, so in the steady state a call
+// allocates only what it hands out: the result slice and each request's
+// logits.
 func (p *Plan) RunBatch(inputs []*tensor.Tensor) ([]Prediction, error) {
 	if len(inputs) == 0 {
 		return nil, nil
 	}
-	// Group input indices by spatial size, preserving submission order
-	// within each group.
-	type group struct{ idx []int }
-	groups := make(map[[2]int]*group)
-	var order [][2]int
 	for i, in := range inputs {
-		if in == nil {
-			return nil, fmt.Errorf("infer: batch input %d is nil", i)
+		if err := p.checkChip(i, in); err != nil {
+			return nil, err
 		}
-		var c, h, w int
-		switch in.NDim() {
-		case 3:
-			c, h, w = in.Dim(0), in.Dim(1), in.Dim(2)
-		case 4:
-			if in.Dim(0) != 1 {
-				return nil, fmt.Errorf("infer: batch input %d has batch dim %d, want 1", i, in.Dim(0))
-			}
-			c, h, w = in.Dim(1), in.Dim(2), in.Dim(3)
-		default:
-			return nil, fmt.Errorf("infer: batch input %d must be (C,H,W) or (1,C,H,W), got %v", i, in.Shape())
-		}
-		if c != p.inC {
-			return nil, fmt.Errorf("infer: batch input %d has %d channels, model wants %d", i, c, p.inC)
-		}
-		key := [2]int{h, w}
-		g, ok := groups[key]
-		if !ok {
-			g = &group{}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.idx = append(g.idx, i)
 	}
 	sess := p.getSession()
 	defer p.putSession(sess)
 	out := make([]Prediction, len(inputs))
-	for _, key := range order {
-		g := groups[key]
-		h, w := key[0], key[1]
+	// Groups run in order of first appearance; a request whose logits are
+	// set already ran with an earlier group.
+	for first, in := range inputs {
+		if out[first].Logits != nil {
+			continue
+		}
+		h, w := chipSize(in)
+		inGroup := func(t *tensor.Tensor) bool {
+			th, tw := chipSize(t)
+			return th == h && tw == w
+		}
+		rest := inputs[first:]
+		n := 0
+		for _, t := range rest {
+			if inGroup(t) {
+				n++
+			}
+		}
+		x := sess.staging(arenaKey{n: n, h: h, w: w})
 		plane := p.inC * h * w
-		x := tensor.New(len(g.idx), p.inC, h, w)
-		for bi, i := range g.idx {
-			copy(x.Data()[bi*plane:(bi+1)*plane], inputs[i].Data())
+		bi := 0
+		for _, t := range rest {
+			if inGroup(t) {
+				copy(x.Data()[bi*plane:(bi+1)*plane], t.Data())
+				bi++
+			}
 		}
 		logits, err := sess.Forward(x)
 		if err != nil {
 			return nil, err
 		}
-		classes := tensor.ArgMaxRows(logits)
 		nOut := logits.Dim(1)
-		for bi, i := range g.idx {
-			row := make([]float32, nOut)
-			copy(row, logits.Data()[bi*nOut:(bi+1)*nOut])
-			out[i] = Prediction{Logits: row, Class: classes[bi]}
+		bi = 0
+		for i, t := range rest {
+			if inGroup(t) {
+				row := make([]float32, nOut)
+				copy(row, logits.Data()[bi*nOut:(bi+1)*nOut])
+				out[first+i] = Prediction{Logits: row, Class: tensor.ArgMax(row)}
+				bi++
+			}
 		}
 	}
 	return out, nil
+}
+
+// checkChip validates batch input i: (C, H, W) or (1, C, H, W) with the
+// model's channel count.
+func (p *Plan) checkChip(i int, in *tensor.Tensor) error {
+	if in == nil {
+		return fmt.Errorf("infer: batch input %d is nil", i)
+	}
+	c := 0
+	switch in.NDim() {
+	case 3:
+		c = in.Dim(0)
+	case 4:
+		if in.Dim(0) != 1 {
+			return fmt.Errorf("infer: batch input %d has batch dim %d, want 1", i, in.Dim(0))
+		}
+		c = in.Dim(1)
+	default:
+		return fmt.Errorf("infer: batch input %d must be (C,H,W) or (1,C,H,W), got %v", i, in.Shape())
+	}
+	if c != p.inC {
+		return fmt.Errorf("infer: batch input %d has %d channels, model wants %d", i, c, p.inC)
+	}
+	return nil
+}
+
+// chipSize returns the spatial size of a checked batch input.
+func chipSize(in *tensor.Tensor) (h, w int) {
+	return in.Dim(in.NDim() - 2), in.Dim(in.NDim() - 1)
 }
 
 // RunBatch executes the model over independent single-image inputs.

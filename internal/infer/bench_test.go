@@ -155,3 +155,54 @@ func BenchmarkQuantizedBatch8(b *testing.B) {
 		}
 	}
 }
+
+// front32Config is the shape of the paper's Table 4 non-dominated models,
+// the one the end-to-end benchmark deploys; every row above runs a width-16
+// model on a 32×32 chip, these run it at the deployment size of 5×100×100.
+var front32Config = resnet.Config{
+	Channels: 5, Batch: 16, KernelSize: 3, Stride: 2, Padding: 1,
+	PoolChoice: 1, KernelSizePool: 3, StridePool: 2,
+	InitialOutputFeature: 32, NumClasses: 2,
+}
+
+// benchFront32 times warm-session forwards of front32 at 5×100×100 and
+// reports the per-sample time, the number a batch has to beat.
+func benchFront32(b *testing.B, int8 bool, batch int) {
+	m, err := resnet.New(front32Config, tensor.NewRNG(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := onnxsize.Export(m, &buf); err != nil {
+		b.Fatal(err)
+	}
+	plan, err := LoadPlan(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if int8 {
+		if plan, err = plan.QuantizeSynthetic(100); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sess := plan.NewSession()
+	x := tensor.RandNormal(tensor.NewRNG(9), 1, batch, front32Config.Channels, 100, 100)
+	if _, err := sess.Forward(x); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Forward(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N)/float64(batch), "ms_per_sample")
+}
+
+func BenchmarkFront32FP32Batch1(b *testing.B) { benchFront32(b, false, 1) }
+func BenchmarkFront32FP32Batch4(b *testing.B) { benchFront32(b, false, 4) }
+func BenchmarkFront32FP32Batch8(b *testing.B) { benchFront32(b, false, 8) }
+func BenchmarkFront32Int8Batch1(b *testing.B) { benchFront32(b, true, 1) }
+func BenchmarkFront32Int8Batch4(b *testing.B) { benchFront32(b, true, 4) }
+func BenchmarkFront32Int8Batch8(b *testing.B) { benchFront32(b, true, 8) }

@@ -93,6 +93,50 @@ func TestBatchedRuntimeParity(t *testing.T) {
 	}
 }
 
+// TestRunBatchMixedSizesBitwise interleaves five chips of one size with
+// three of another, so RunBatch runs a batch of five and a batch of three,
+// and demands each request's logits be the very bits a batch of one gives:
+// the convolution driver decides nothing by batch size, so a request cannot
+// tell what it was stacked with. Both precisions.
+func TestRunBatchMixedSizesBitwise(t *testing.T) {
+	cfg := resnet.Config{Channels: 5, Batch: 4, KernelSize: 3, Stride: 2, Padding: 1,
+		PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 8, NumClasses: 2}
+	_, container := exportModel(t, cfg, 37)
+	plan, err := LoadPlan(bytes.NewReader(container))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qplan, err := plan.QuantizeSynthetic(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(97)
+	var inputs []*tensor.Tensor
+	for _, side := range []int{40, 56, 40, 40, 56, 40, 56, 40} {
+		inputs = append(inputs, tensor.RandNormal(rng, 1, 1, cfg.Channels, side, side))
+	}
+	for _, p := range []*Plan{plan, qplan} {
+		preds, err := p.RunBatch(inputs)
+		if err != nil {
+			t.Fatalf("%s: RunBatch: %v", p.Precision(), err)
+		}
+		for i, in := range inputs {
+			alone, err := p.RunBatch([]*tensor.Tensor{in})
+			if err != nil {
+				t.Fatalf("%s input %d: %v", p.Precision(), i, err)
+			}
+			for j, want := range alone[0].Logits {
+				if got := preds[i].Logits[j]; math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%s input %d logit %d: %v in the mixed batch, %v alone", p.Precision(), i, j, got, want)
+				}
+			}
+			if preds[i].Class != alone[0].Class {
+				t.Fatalf("%s input %d: class %d in the mixed batch, %d alone", p.Precision(), i, preds[i].Class, alone[0].Class)
+			}
+		}
+	}
+}
+
 // TestRunBatchRejectsBadInputs pins the error contract of the batched
 // entry point.
 func TestRunBatchRejectsBadInputs(t *testing.T) {

@@ -311,7 +311,10 @@ func TestPlanSharedAcrossSessionsRace(t *testing.T) {
 }
 
 // TestSessionSteadyStateZeroAlloc is the arena acceptance check: once a
-// session has seen a shape, further forwards of that shape allocate nothing.
+// session has seen a shape, further forwards of that shape allocate nothing,
+// alone or in a batch of eight, and a RunBatch of that shape allocates only
+// what it hands out — the result slice and one logits row per request; the
+// slab it stacks the chips into is the session's.
 // Workers are pinned to 1 so goroutine spawns in the conv driver don't count
 // against the arena (the claim under test is about tensor buffers).
 func TestSessionSteadyStateZeroAlloc(t *testing.T) {
@@ -333,17 +336,35 @@ func TestSessionSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := plan.NewSession()
-	x := tensor.RandNormal(tensor.NewRNG(3), 1, 1, 3, 16, 16)
-	if _, err := sess.Forward(x); err != nil { // builds the arena
+	for _, batch := range []int{1, 8} {
+		x := tensor.RandNormal(tensor.NewRNG(3), 1, batch, 3, 16, 16)
+		if _, err := sess.Forward(x); err != nil { // builds the arena
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := sess.Forward(x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Forward at batch %d allocates %.1f objects/op, want 0", batch, allocs)
+		}
+	}
+
+	chips := make([]*tensor.Tensor, 8)
+	for i := range chips {
+		chips[i] = tensor.RandNormal(tensor.NewRNG(uint64(i)), 1, 3, 16, 16)
+	}
+	if _, err := plan.RunBatch(chips); err != nil { // builds the pooled session's slab and arena
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := sess.Forward(x); err != nil {
+		if _, err := plan.RunBatch(chips); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Forward allocates %.1f objects/op, want 0", allocs)
+	if want := float64(len(chips) + 1); allocs > want {
+		t.Fatalf("steady-state RunBatch of %d chips allocates %.1f objects/op, want at most %.0f (results + logits)", len(chips), allocs, want)
 	}
 }
 

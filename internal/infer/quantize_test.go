@@ -196,20 +196,22 @@ func TestQuantizedSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := qplan.NewSession()
-	x := tensor.RandNormal(tensor.NewRNG(3), 1, 1, 3, 16, 16)
-	if _, err := sess.Forward(x); err != nil { // builds the arena, packs panels
-		t.Fatal(err)
-	}
-	if _, err := sess.Forward(x); err != nil { // warms the scratch pools
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := sess.Forward(x); err != nil {
+	for _, batch := range []int{1, 8} {
+		x := tensor.RandNormal(tensor.NewRNG(3), 1, batch, 3, 16, 16)
+		if _, err := sess.Forward(x); err != nil { // builds the arena, packs panels
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state quantized Forward allocates %.1f objects/op, want 0", allocs)
+		if _, err := sess.Forward(x); err != nil { // warms the scratch pools
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := sess.Forward(x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state quantized Forward at batch %d allocates %.1f objects/op, want 0", batch, allocs)
+		}
 	}
 }
 

@@ -19,6 +19,11 @@ const maxArenaElems = 1 << 28
 type Session struct {
 	plan   *Plan
 	arenas map[arenaKey]*arena
+	// staged holds, per batch shape, the input slab RunBatch stacks a group
+	// of chips into: keyed like the arenas, and like them built on first
+	// sight of a shape and kept, so a steady-state batch stages into memory
+	// it already owns instead of a fresh zeroed tensor per call.
+	staged map[arenaKey]*tensor.Tensor
 }
 
 type arenaKey struct{ n, h, w int }
@@ -46,7 +51,19 @@ type arena struct {
 // NewSession creates an executor for the plan.
 func (p *Plan) NewSession() *Session {
 	metrics.Infer.SessionCreated()
-	return &Session{plan: p, arenas: make(map[arenaKey]*arena)}
+	return &Session{plan: p, arenas: make(map[arenaKey]*arena), staged: make(map[arenaKey]*tensor.Tensor)}
+}
+
+// staging returns the session's (n, C, h, w) input slab for the batch
+// shape. Its contents are whatever the last batch left; the caller
+// overwrites all of it.
+func (s *Session) staging(key arenaKey) *tensor.Tensor {
+	x := s.staged[key]
+	if x == nil {
+		x = tensor.New(key.n, s.plan.inC, key.h, key.w)
+		s.staged[key] = x
+	}
+	return x
 }
 
 // Plan returns the plan this session executes.

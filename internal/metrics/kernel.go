@@ -2,13 +2,14 @@ package metrics
 
 import "sync/atomic"
 
-// KernelStats counts what the tensor kernels actually did: which GEMM path
-// ran, how many output tiles the tiled kernel dispatched, how often a
+// KernelStats counts what the float tensor kernels actually did: which GEMM
+// path ran, how many output tiles the tiled kernel ran, how often a
 // prepacked weight panel was reused instead of rebuilt, and how the scratch
-// pool behaved. The counters are lock-free (one atomic add per kernel call
-// or pool round-trip, never per element) so the hot loops can afford them,
-// and they give /v1/stats a direct view of whether serving traffic is
-// hitting the fast path.
+// pools behaved. The counters are lock-free (one atomic add per layer call
+// or pool round-trip, never per tile or element) so the hot loops can
+// afford them, and they give /v1/stats a direct view of whether serving
+// traffic is hitting the fast path. The int8 convolution driver reports
+// only its scratch requests; its multiplies are not in these counts.
 type KernelStats struct {
 	gemmCalls       atomic.Uint64
 	naiveCalls      atomic.Uint64
@@ -21,19 +22,26 @@ type KernelStats struct {
 // Kernel is the process-wide sink the tensor package reports into.
 var Kernel KernelStats
 
-// GemmCall records one matrix multiply routed to the tiled kernel.
+// GemmCall records one multiply on the tiled kernel. A convolution is one
+// multiply per layer per batch — every output pixel of every sample is a
+// column of the same GEMM — so for a compiled plan this counts tiled layers
+// executed, not samples. MatMul and the backward pass count
+// one per call as before.
 func (k *KernelStats) GemmCall() { k.gemmCalls.Add(1) }
 
-// NaiveCall records one matrix multiply that stayed on the naive kernel
-// (below the serial cutoff).
+// NaiveCall records one multiply that stayed on the naive kernel (below the
+// serial cutoff). A convolution layer too small to tile runs it sample by
+// sample, so it counts one per sample there.
 func (k *KernelStats) NaiveCall() { k.naiveCalls.Add(1) }
 
-// TilesDispatched records n micro-tiles handed to the micro-kernel.
+// TilesDispatched records n micro-tiles run by the micro-kernel: for a
+// convolution, the weight pack's row tiles times the column panels of the
+// whole batch, each run once.
 func (k *KernelStats) TilesDispatched(n int) { k.tilesDispatched.Add(uint64(n)) }
 
-// PackReused records a packed weight panel being reused (a consumer after
-// the first of the same prepacked matrix, e.g. batch samples 2..N of a
-// convolution).
+// PackReused records a tiled multiply that found its weight panels already
+// packed: every call of a compiled plan's convolution after the first, and
+// samples 2..N of one backward pass.
 func (k *KernelStats) PackReused() { k.packsReused.Add(1) }
 
 // ScratchHit records a scratch-pool request served from a pooled buffer.

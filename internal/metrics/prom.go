@@ -294,10 +294,10 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // WriteProm renders the kernel counters.
 func (k KernelSnapshot) WriteProm(e *ExpositionWriter) {
-	e.Counter("drainnas_kernel_gemm_calls_total", "Matrix multiplies routed to the tiled kernel.", float64(k.GemmCalls))
-	e.Counter("drainnas_kernel_naive_calls_total", "Matrix multiplies kept on the naive kernel.", float64(k.NaiveCalls))
-	e.Counter("drainnas_kernel_tiles_dispatched_total", "Micro-tiles handed to the micro-kernel.", float64(k.TilesDispatched))
-	e.Counter("drainnas_kernel_packs_reused_total", "Packed weight panels reused instead of rebuilt.", float64(k.PacksReused))
+	e.Counter("drainnas_kernel_gemm_calls_total", "Multiplies run on the tiled kernel: one per tiled float convolution layer per batch, one per other tiled matmul.", float64(k.GemmCalls))
+	e.Counter("drainnas_kernel_naive_calls_total", "Multiplies kept on the naive kernel: one per sample of a float convolution layer too small to tile, one per other small matmul.", float64(k.NaiveCalls))
+	e.Counter("drainnas_kernel_tiles_dispatched_total", "Micro-tiles run by the float micro-kernel: weight row tiles times column panels.", float64(k.TilesDispatched))
+	e.Counter("drainnas_kernel_packs_reused_total", "Tiled multiplies that found their weight panels already packed.", float64(k.PacksReused))
 	e.Counter("drainnas_kernel_scratch_hits_total", "Scratch-pool requests served from a pooled buffer.", float64(k.ScratchHits))
 	e.Counter("drainnas_kernel_scratch_misses_total", "Scratch-pool requests that had to allocate.", float64(k.ScratchMisses))
 }

@@ -114,7 +114,7 @@ func SplitRange(n, chunks, i int) (lo, hi int) {
 // out dynamically through a shared atomic cursor, so workers that finish
 // cheap tiles immediately steal the next one — the right scheduling for
 // GEMM output tiles, whose cost varies with edge effects, and for
-// (sample × row-chunk) convolution grids where the two axes multiply into
+// (column block × row group) convolution grids where the two axes multiply into
 // more parallelism than either axis offers alone. For workers == 1 (or a
 // single cell) the grid runs inline with no goroutines.
 func ForTiles2D(m, n, workers int, body func(i, j int)) {

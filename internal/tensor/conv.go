@@ -2,7 +2,9 @@ package tensor
 
 import (
 	"fmt"
+	"math/bits"
 
+	"drainnas/internal/metrics"
 	"drainnas/internal/parallel"
 )
 
@@ -21,25 +23,15 @@ func ConvOut(in, kernel, stride, pad int) int {
 // Im2Col lowers one (C,H,W) image (given as a flat slice) into a column
 // matrix dst of shape (C*KH*KW, OH*OW), so that convolution becomes a matrix
 // multiply with the (OC, C*KH*KW) weight matrix. Out-of-bounds taps (from
-// padding) contribute zeros.
+// padding) contribute zeros. The inference path never builds this matrix
+// (see convpanel.go); it serves Conv2DBackward, the per-sample naive path of
+// layers too small to tile, and the tests as the lowering's oracle.
 func Im2Col(src []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
-	Im2ColRows(src, c, h, w, kh, kw, stride, pad, 0, ConvOut(h, kh, stride, pad), dst)
-}
-
-// Im2ColRows lowers only the output rows [oyLo, oyHi) of the image: dst has
-// shape (C*KH*KW, (oyHi-oyLo)*OW), the column window of the full Im2Col
-// matrix for those rows. It is the unit of intra-sample parallelism — each
-// convolution worker lowers and multiplies its own horizontal band, so a
-// batch-1 forward pass still spreads over every core.
-func Im2ColRows(src []float32, c, h, w, kh, kw, stride, pad, oyLo, oyHi int, dst []float32) {
 	oh := ConvOut(h, kh, stride, pad)
 	ow := ConvOut(w, kw, stride, pad)
-	if oyLo < 0 || oyHi > oh || oyLo > oyHi {
-		panic(fmt.Sprintf("tensor: Im2ColRows row range [%d,%d) outside [0,%d)", oyLo, oyHi, oh))
-	}
-	cols := (oyHi - oyLo) * ow
+	cols := oh * ow
 	if len(dst) != c*kh*kw*cols {
-		panic(fmt.Sprintf("tensor: Im2ColRows dst length %d, want %d", len(dst), c*kh*kw*cols))
+		panic(fmt.Sprintf("tensor: Im2Col dst length %d, want %d", len(dst), c*kh*kw*cols))
 	}
 	row := 0
 	for ch := 0; ch < c; ch++ {
@@ -49,7 +41,7 @@ func Im2ColRows(src []float32, c, h, w, kh, kw, stride, pad, oyLo, oyHi int, dst
 				drow := dst[row*cols : (row+1)*cols]
 				row++
 				i := 0
-				for oy := oyLo; oy < oyHi; oy++ {
+				for oy := 0; oy < oh; oy++ {
 					sy := oy*stride - pad + ky
 					if sy < 0 || sy >= h {
 						for ox := 0; ox < ow; ox++ {
@@ -122,12 +114,8 @@ func Col2Im(col []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
 //	bias:   (OC) or nil
 //	output: (N, OC, OH, OW)
 //
-// The work grid is (sample × output-row chunk): with a full batch each
-// sample is one chunk (the pre-existing batch parallelism), and when the
-// batch is smaller than the core count — the batch-1 serving case — each
-// sample's output rows are split so every core still contributes. All
-// chunks share one lazily packed copy of the weight matrix (weightPack), so
-// the GEMM A-panels are built once per call, not once per sample.
+// It runs the same column-panel driver as the compiled inference plans
+// (convInto), against a weight pack built for this call and released after.
 func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 	n, c, h, w := dims4("Conv2D input", input)
 	oc, wc, kh, kw := dims4("Conv2D weight", weight)
@@ -156,134 +144,276 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 }
 
 // convInto is the convolution driver shared by Conv2D (per-call pack) and
-// PackedConv (persistent pack): it runs the (sample × output-row chunk) grid
-// against an already-built weight pack, writing into a caller-provided
-// output tensor, with bias addition and an optional ReLU fused into the
-// per-chunk epilogue so activations are touched exactly once. Shapes must
-// already be validated by the caller.
+// PackedConv (persistent pack): one GEMM per layer per batch, its columns
+// packed straight from the input images (see convpanel.go), with bias and an
+// optional ReLU fused into the store of each finished tile so activations
+// are written exactly once. Shapes must already be validated by the caller.
+//
+// Whether a layer is tiled depends on its shape alone: one sample's
+// M·K·OH·OW against gemmSerialCutoff. A layer below it runs the naive
+// kernel sample by sample, whatever the batch folds to — the two kernels
+// round differently, so letting batch size or worker count pick between
+// them would make a sample's logits depend on the company it keeps.
 func convInto(out, input *Tensor, wp *weightPack, bias []float32, relu bool, kh, kw, stride, pad int) {
-	n := input.shape[0]
-	oh := out.shape[2]
-	chunks := 1
-	if workers := parallel.DefaultWorkers; n < workers {
-		chunks = (workers + n - 1) / n
-		if chunks > oh {
-			chunks = oh
-		}
+	job := convCall{
+		out: out.data, in: input.data, wp: wp, bias: bias, relu: relu,
+		g: convGeom{
+			n: input.shape[0], c: input.shape[1], h: input.shape[2], w: input.shape[3],
+			kh: kh, kw: kw, stride: stride, pad: pad,
+			oh: out.shape[2], ow: out.shape[3],
+		},
 	}
-	job := convJob{
-		out: out, input: input, wp: wp, bias: bias, relu: relu,
-		kh: kh, kw: kw, stride: stride, pad: pad, chunks: chunks,
+	g := &job.g
+	cellsI, cellsJ := g.n, 1
+	if job.naive = wp.m*wp.k*g.pixels() < gemmSerialCutoff; !job.naive {
+		metrics.Kernel.GemmCall()
+		pa := wp.panels()
+		nr := gemmNR
+		job.grid = planPanelGrid((g.n*g.pixels()+nr-1)/nr, pa.rowTiles, 4*len(pa.buf), 4*wp.k*nr)
+		metrics.Kernel.TilesDispatched(pa.rowTiles * job.grid.panels)
+		cellsI, cellsJ = job.grid.blocks, job.grid.rowGroups
 	}
-	if parallel.DefaultWorkers == 1 || n*chunks == 1 {
-		// Serial grid: calling the chunk body directly (rather than through
-		// a closure handed to the scheduler) keeps the steady-state inference
-		// path allocation-free.
-		for s := 0; s < n; s++ {
-			for ci := 0; ci < chunks; ci++ {
-				job.run(s, ci)
+	if parallel.DefaultWorkers == 1 || cellsI*cellsJ == 1 {
+		// Serial grid: calling the cell body directly (rather than through a
+		// method value handed to the scheduler) keeps the steady-state
+		// inference path allocation-free.
+		for i := 0; i < cellsI; i++ {
+			for j := 0; j < cellsJ; j++ {
+				job.run(i, j)
 			}
 		}
 		return
 	}
 	pjob := job // escapes via the method value; the serial job stays on the stack
-	parallel.ForTiles2D(n, chunks, 0, pjob.run)
+	parallel.ForTiles2D(cellsI, cellsJ, 0, pjob.run)
 }
 
-// convJob carries one convInto invocation's parameters so the per-chunk body
-// can be a method (direct-callable on the serial path) instead of a closure.
-type convJob struct {
-	out, input *Tensor
-	wp         *weightPack
-	bias       []float32
-	relu       bool
-	kh, kw     int
-	stride     int
-	pad        int
-	chunks     int
+// convCall carries one convInto invocation so the per-cell body can be a
+// method (direct-callable on the serial path) instead of a closure.
+type convCall struct {
+	out, in []float32
+	wp      *weightPack
+	bias    []float32
+	relu    bool
+	g       convGeom
+	naive   bool
+	grid    panelGrid
 }
 
-// run executes grid cell (sample s, row-chunk ci).
-func (j *convJob) run(s, ci int) {
-	c, h, w := j.input.shape[1], j.input.shape[2], j.input.shape[3]
-	oc, oh, ow := j.out.shape[1], j.out.shape[2], j.out.shape[3]
-	kdim := c * j.kh * j.kw
-	cols := oh * ow
-	// Fast path: a 1×1 kernel needs no patch lowering — the convolution is
-	// a plain channel-mixing matmul over (sub-sampled) pixels. ResNet's
-	// downsample projections hit this path on every block boundary.
-	pointwise := j.kh == 1 && j.kw == 1 && j.pad == 0
-	oyLo, oyHi := parallel.SplitRange(oh, j.chunks, ci)
-	if oyLo == oyHi {
+// run executes grid cell (column block b, row group grp) — or, for a naive
+// layer, sample b.
+func (j *convCall) run(b, grp int) {
+	if j.naive {
+		j.runNaive(b)
 		return
 	}
-	colLo := oyLo * ow
-	chunkCols := (oyHi - oyLo) * ow
-	sample := j.input.data[s*c*h*w : (s+1)*c*h*w]
-	var bsrc, scratch []float32
-	ldb := chunkCols
-	switch {
-	case pointwise && j.stride == 1:
-		// The column matrix is the image itself; the chunk is a column
-		// window of it, addressed in place via the leading dimension.
-		bsrc = sample[colLo:]
-		ldb = h * w
-	case pointwise:
-		scratch = getScratch(c * chunkCols)
-		pointwiseColumns(sample, c, h, w, j.stride, oyLo, oyHi, scratch)
-		bsrc = scratch
-	default:
-		scratch = getScratch(kdim * chunkCols)
-		Im2ColRows(sample, c, h, w, j.kh, j.kw, j.stride, j.pad, oyLo, oyHi, scratch)
-		bsrc = scratch
-	}
-	res := j.out.data[s*oc*cols : (s+1)*oc*cols]
-	j.wp.mulInto(res[colLo:], cols, bsrc, ldb, chunkCols, false)
-	if scratch != nil {
-		putScratch(scratch)
-	}
-	if j.bias != nil || j.relu {
-		for o := 0; o < oc; o++ {
-			var bv float32
-			if j.bias != nil {
-				bv = j.bias[o]
+	g, pa := &j.g, &j.wp.pa
+	mr, nr := gemmMR, gemmNR
+	pLo, pHi, rtLo, rtHi := j.grid.cell(b, grp, pa.rowTiles)
+	panel := g.kdim() * nr
+	block := getScratch((pHi - pLo) * panel)
+	packPanels(block, j.in, g, pLo*nr, pHi*nr, nr)
+	// The accumulator tile comes from the scratch pool rather than a local
+	// array: microKernel is a func variable, so escape analysis would move a
+	// local to the heap on every call.
+	cbuf := getScratch(mr * nr)
+	if j.grid.rowOuter {
+		for rt := rtLo; rt < rtHi; rt++ {
+			for p := pLo; p < pHi; p++ {
+				j.tile(rt, p, block[(p-pLo)*panel:], cbuf)
 			}
-			dst := res[o*cols+colLo : o*cols+colLo+chunkCols]
-			if j.relu {
-				for i, v := range dst {
-					v += bv
-					if v < 0 {
-						v = 0
+		}
+	} else {
+		for p := pLo; p < pHi; p++ {
+			for rt := rtLo; rt < rtHi; rt++ {
+				j.tile(rt, p, block[(p-pLo)*panel:], cbuf)
+			}
+		}
+	}
+	putScratch(cbuf)
+	putScratch(block)
+}
+
+// tile multiplies row tile rt of the weight pack by packed panel bp (global
+// panel p) and stores the finished tile: out = max(acc + bias, 0), or
+// acc + bias without the ReLU. A panel's columns are consecutive pixels, so
+// each row of the tile lands as one contiguous store per sample it touches.
+func (j *convCall) tile(rt, p int, bp, cbuf []float32) {
+	g, pa := &j.g, &j.wp.pa
+	mr, nr := gemmMR, gemmNR
+	for kb := 0; kb < pa.kBlocks; kb++ {
+		kc := pa.k - kb*gemmKC
+		if kc > gemmKC {
+			kc = gemmKC
+		}
+		microKernel(pa.buf[(rt*pa.kBlocks+kb)*gemmKC*mr:], bp[kb*gemmKC*nr:], cbuf, kc, kb > 0)
+	}
+	rows := pa.m - rt*mr
+	if rows > mr {
+		rows = mr
+	}
+	px := g.pixels()
+	col, end := p*nr, p*nr+nr
+	if total := g.n * px; end > total {
+		end = total
+	}
+	for col < end {
+		s, pix, n := g.stretch(col, end)
+		lane := col - p*nr
+		for ir := 0; ir < rows; ir++ {
+			o := rt*mr + ir
+			j.store(j.out[(s*pa.m+o)*px+pix:], cbuf[ir*nr+lane:ir*nr+lane+n], o)
+		}
+		col += n
+	}
+}
+
+// store is the fused epilogue: dst = max(src + bias[o], 0) for output
+// channel o, or src + bias[o] without the ReLU. The max is the builtin, not
+// a compare and branch — half of a layer's pre-activations are negative.
+func (j *convCall) store(dst, src []float32, o int) {
+	var bv float32
+	if j.bias != nil {
+		bv = j.bias[o]
+	}
+	dst = dst[:len(src)]
+	if j.relu {
+		for i, v := range src {
+			dst[i] = max(v+bv, 0)
+		}
+	} else {
+		for i, v := range src {
+			dst[i] = v + bv
+		}
+	}
+}
+
+// runNaive convolves sample s of a layer too small to tile: lower it with
+// Im2Col, multiply with the streaming kernel, apply the epilogue.
+func (j *convCall) runNaive(s int) {
+	g, wp := &j.g, j.wp
+	px := g.pixels()
+	size := g.c * g.h * g.w
+	col := getScratch(wp.k * px)
+	Im2Col(j.in[s*size:(s+1)*size], g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, col)
+	res := j.out[s*wp.m*px : (s+1)*wp.m*px]
+	metrics.Kernel.NaiveCall()
+	matmulNaive(res, px, wp.src, wp.lda, col, px, wp.m, wp.k, px, false)
+	putScratch(col)
+	if j.bias == nil && !j.relu {
+		return
+	}
+	for o := 0; o < wp.m; o++ {
+		row := res[o*px : (o+1)*px]
+		j.store(row, row, o)
+	}
+}
+
+// packPanels packs GEMM columns [lo, hi) of the lowered batch into dst,
+// panel after panel, each k-major (tap k of lane l at k·nr + l) — the layout
+// packB gives a materialised column matrix. lo and hi are panel-aligned; hi
+// may pass the last real column, and those lanes are zero. Taps that fall
+// in the padding are zero.
+func packPanels(dst, in []float32, g *convGeom, lo, hi, nr int) {
+	kdim := g.kdim()
+	end := hi
+	if total := g.n * g.pixels(); end > total {
+		end = total
+	}
+	var runs [gemmMaxNR]colRun
+	wk := g.walk(lo, end, nr)
+	for p := 0; p*nr < end-lo; p++ {
+		n := 0
+		for wk.next(&runs[n]) {
+			if n++; wk.lane == 0 {
+				break
+			}
+		}
+		packPanel(dst[p*kdim*nr:(p+1)*kdim*nr], in, g, runs[:n], nr)
+	}
+	if end < hi {
+		// Zero the tail panel's unused lanes (denormals from stale pool
+		// contents would poison throughput, not correctness).
+		tail := dst[(hi-lo-nr)*kdim:]
+		for k := 0; k < kdim; k++ {
+			row := tail[k*nr+(end-lo)%nr : (k+1)*nr]
+			for i := range row {
+				row[i] = 0
+			}
+		}
+	}
+}
+
+// packPanel packs one panel from the runs that make up its lanes.
+//
+// The loop nest is tap, run, channel: where a run reads and which of its
+// columns are inside the image depend on the tap and the run alone, so the
+// channel loop inside is a bare strided copy. For stride 1 a run's values
+// are contiguous in the input, and under the 16-wide kernel they move as
+// one fixed 64-byte block however short the run is — a block the compiler
+// expands in line, where a copy of the run's own length is a call — and
+// the few lanes whose tap is in the padding are zeroed after. The surplus
+// of the block lands on lanes written later: higher lanes of the same k row
+// belong to the panel's later runs, and what wraps into the next k row (same
+// channel, next tap) is that tap's turn next. The one row with no later
+// turn is a channel's last tap, so there a run not at lane 0 moves lane by
+// lane; so does a run too close to either end of the batch tensor for a
+// 16-value read, and every run of a strided convolution.
+func packPanel(dst, in []float32, g *convGeom, runs []colRun, nr int) {
+	hw, taps := g.h*g.w, g.kh*g.kw
+	for ky := 0; ky < g.kh; ky++ {
+		for kx := 0; kx < g.kw; kx++ {
+			t := ky*g.kw + kx
+			for ri := range runs {
+				r := &runs[ri]
+				mask := g.tapMask(r, ky, kx)
+				off := g.tapOffset(r, ky, kx)
+				d := dst[t*nr+r.lane:]
+				switch {
+				case mask == 0:
+					for ch := 0; ch < g.c; ch++ {
+						row := d[ch*taps*nr : ch*taps*nr+r.n]
+						for i := range row {
+							row[i] = 0
+						}
 					}
-					dst[i] = v
-				}
-			} else if bv != 0 {
-				for i := range dst {
-					dst[i] += bv
+				case g.stride == 1 && nr == 16 && (t < taps-1 || r.lane == 0) &&
+					off >= 0 && off+(g.c-1)*hw+16 <= len(in):
+					copyRows16(d, in[off:], taps*nr, hw, g.c, ^mask&(1<<r.n-1))
+				default:
+					for ch := 0; ch < g.c; ch++ {
+						row := d[ch*taps*nr : ch*taps*nr+r.n]
+						for i := range row {
+							row[i] = 0
+							if mask>>i&1 != 0 {
+								row[i] = in[off+ch*hw+i*g.stride]
+							}
+						}
+					}
 				}
 			}
 		}
 	}
 }
 
-// pointwiseColumns builds the column window for output rows [oyLo, oyHi) of
-// a strided 1×1 convolution into dst (shape C × (oyHi-oyLo)*OW): the
-// strided pixel subset of each channel plane. (The stride-1 case never gets
-// here — the image itself serves as the column matrix.)
-func pointwiseColumns(src []float32, c, h, w, stride, oyLo, oyHi int, dst []float32) {
-	ow := ConvOut(w, 1, stride, 0)
-	chunkCols := (oyHi - oyLo) * ow
-	for ch := 0; ch < c; ch++ {
-		plane := src[ch*h*w : (ch+1)*h*w]
-		drow := dst[ch*chunkCols : (ch+1)*chunkCols]
-		i := 0
-		for y := oyLo; y < oyHi; y++ {
-			row := plane[y*stride*w:]
-			for x := 0; x < ow; x++ {
-				drow[i] = row[x*stride]
-				i++
-			}
+// copyRows16 moves rows of 16 values: row i goes from src[i·srcStride:] to
+// dst[i·dstStride:], and the lanes set in zero are then cleared. It is its
+// own function so the loop's few variables stay in registers, and the four
+// 16-byte moves per row are fixed-size copies the compiler expands in line.
+func copyRows16(dst, src []float32, dstStride, srcStride, rows int, zero uint32) {
+	for {
+		d, s := (*[16]float32)(dst), (*[16]float32)(src)
+		copy(d[0:4], s[0:4])
+		copy(d[4:8], s[4:8])
+		copy(d[8:12], s[8:12])
+		copy(d[12:16], s[12:16])
+		for m := zero; m != 0; m &= m - 1 {
+			d[bits.TrailingZeros32(m)&15] = 0
 		}
+		if rows--; rows == 0 {
+			return
+		}
+		dst, src = dst[dstStride:], src[srcStride:]
 	}
 }
 

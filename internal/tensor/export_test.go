@@ -19,3 +19,14 @@ func disableScratchPool() (restore func()) {
 	scratchPoolDisabled = true
 	return func() { scratchPoolDisabled = prev }
 }
+
+// ConvBlockBytes is the packed column block budget, for the external test
+// that bounds what a real model's forward asks the scratch pools for.
+const ConvBlockBytes = convBlockBytes
+
+// ObserveScratch reports the size in bytes of every scratch request to fn
+// (called from whichever goroutine makes the request) until restore runs.
+func ObserveScratch(fn func(bytes int)) (restore func()) {
+	scratchObserver = fn
+	return func() { scratchObserver = nil }
+}

@@ -42,8 +42,9 @@ const (
 	// across every row tile, so it should be L2-resident.
 	gemmNC = 256
 	// gemmMaxTile bounds the accumulator tile buffer (6×16 for the AVX2
-	// kernel is the largest shape).
+	// kernel is the largest shape), gemmMaxNR the panel width.
 	gemmMaxTile = 96
+	gemmMaxNR   = 16
 	// gemmSerialCutoff is the m*k*n product below which packing cannot
 	// amortize and the naive streaming kernel runs instead (serially: the
 	// goroutine fan-out dominates at this size too).
@@ -179,8 +180,7 @@ type packedB struct {
 }
 
 // packB packs the k×n matrix b (leading dimension ldb ≥ n; ldb > n selects
-// a column window of a wider matrix, which is how convolution row-chunks
-// reuse an image in place).
+// a column window of a wider matrix).
 func packB(b []float32, ldb, k, n int) packedB {
 	nr := gemmNR
 	nPanels := (n + nr - 1) / nr
@@ -314,10 +314,9 @@ func matmulSerial(c []float32, ldc int, a []float32, lda int, b []float32, ldb i
 }
 
 // weightPack defers and caches the A-panel packing of a matrix that many
-// multiplies share — the weight matrix of a convolution, which every sample
-// in the batch (and every row chunk within a sample) multiplies by. The
-// first consumer above the tiled cutoff packs; the rest reuse the panels,
-// which is the batch-level amortization the per-call packB cannot give.
+// multiplies share — the weight matrix of a convolution, which every batch
+// through the layer multiplies by. The first consumer above the tiled cutoff
+// packs; the rest reuse the panels.
 type weightPack struct {
 	src  []float32
 	lda  int
@@ -332,8 +331,19 @@ func newWeightPack(src []float32, lda, m, k int) *weightPack {
 	return &weightPack{src: src, lda: lda, m: m, k: k}
 }
 
+// panels returns the packed row-tile panels, packing them on first use.
+// Safe for concurrent use.
+func (wp *weightPack) panels() *packedA {
+	wp.once.Do(func() { wp.pa = packA(wp.src, wp.lda, wp.m, wp.k) })
+	if wp.uses.Add(1) > 1 {
+		metrics.Kernel.PackReused()
+	}
+	return &wp.pa
+}
+
 // mulInto computes (or accumulates) c = W·b with c strided by ldc and b a
-// k×n matrix with leading dimension ldb. Safe for concurrent use.
+// materialised k×n matrix with leading dimension ldb — the backward pass's
+// Wᵀ·gradOut. Safe for concurrent use.
 func (wp *weightPack) mulInto(c []float32, ldc int, b []float32, ldb, n int, acc bool) {
 	if wp.m*wp.k*n < gemmSerialCutoff {
 		metrics.Kernel.NaiveCall()
@@ -341,18 +351,15 @@ func (wp *weightPack) mulInto(c []float32, ldc int, b []float32, ldb, n int, acc
 		return
 	}
 	metrics.Kernel.GemmCall()
-	wp.once.Do(func() { wp.pa = packA(wp.src, wp.lda, wp.m, wp.k) })
-	if wp.uses.Add(1) > 1 {
-		metrics.Kernel.PackReused()
-	}
+	pa := wp.panels()
 	pb := packB(b, ldb, wp.k, n)
-	metrics.Kernel.TilesDispatched(wp.pa.rowTiles * pb.nPanels)
-	computeTiles(wp.pa, pb, c, ldc, 0, wp.pa.rowTiles, 0, pb.nPanels, acc)
+	metrics.Kernel.TilesDispatched(pa.rowTiles * pb.nPanels)
+	computeTiles(*pa, pb, c, ldc, 0, pa.rowTiles, 0, pb.nPanels, acc)
 	pb.release()
 }
 
-// release returns the packed panels (if any multiply ever packed them) to
-// the scratch pool. Call only after all mulInto calls have returned.
+// release returns the packed panels (if anything ever packed them) to the
+// scratch pool. Call only after every consumer has returned.
 func (wp *weightPack) release() {
 	if wp.uses.Load() > 0 {
 		wp.pa.release()

@@ -61,8 +61,8 @@ func matmulInto(out, a, b *Tensor, m, k, n int, acc bool) {
 // activations the branch never fires and only costs the predictor.
 //
 // Operands are strided: c is m×n with leading dimension ldc, a is m×k with
-// lda, b is k×n with ldb, which lets convolution row-chunks address column
-// windows of wider matrices in place.
+// lda, b is k×n with ldb, so callers can address column windows of wider
+// matrices in place.
 func matmulNaive(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, k, n int, acc bool) {
 	for i := 0; i < m; i++ {
 		crow := c[i*ldc : i*ldc+n]

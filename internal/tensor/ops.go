@@ -251,16 +251,21 @@ func ArgMaxRows(t *Tensor) []int {
 	rows, cols := t.shape[0], t.shape[1]
 	out := make([]int, rows)
 	for r := 0; r < rows; r++ {
-		row := t.data[r*cols : (r+1)*cols]
-		best := 0
-		for c := 1; c < cols; c++ {
-			if row[c] > row[best] {
-				best = c
-			}
-		}
-		out[r] = best
+		out[r] = ArgMax(t.data[r*cols : (r+1)*cols])
 	}
 	return out
+}
+
+// ArgMax returns the index of the largest value of row, the first of equals
+// (0 for an empty row).
+func ArgMax(row []float32) int {
+	best := 0
+	for c := 1; c < len(row); c++ {
+		if row[c] > row[best] {
+			best = c
+		}
+	}
+	return best
 }
 
 // SoftmaxRows treats t as (rows, cols) and returns row-wise softmax,

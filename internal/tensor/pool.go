@@ -97,34 +97,90 @@ type maxPoolJob struct {
 }
 
 func (j *maxPoolJob) run(p int) {
-	h, w, oh, ow := j.h, j.w, j.oh, j.ow
-	plane := j.input.data[p*h*w : (p+1)*h*w]
-	dst := j.out.data[p*oh*ow : (p+1)*oh*ow]
-	i := 0
+	maxPoolPlane(j.out.data[p*j.oh*j.ow:(p+1)*j.oh*j.ow], j.input.data[p*j.h*j.w:(p+1)*j.h*j.w],
+		j.h, j.w, j.oh, j.ow, j.kernel, j.stride, j.pad)
+}
+
+// maxPoolPlane pools one H×W plane into its OH×OW output with MaxPool2D's
+// semantics — padding taps are left out of the max, a window with no valid
+// tap yields 0 — for both element types of the inference path. Output
+// pixels whose window lies wholly inside the plane (all but a frame of
+// ⌈pad/stride⌉ or so) read it with no bounds tests; the frame keeps the
+// tap-by-tap loop. The running maximum is the max builtin, not a compare and
+// branch: on activations the branch is a coin toss. (On the two inputs where
+// the builtin and MaxPool2D's v > best disagree, it returns NaN for a window
+// holding one and +0 for a window of mixed zeros.)
+func maxPoolPlane[T int8 | float32](dst, plane []T, h, w, oh, ow, kernel, stride, pad int) {
+	oyLo, oyHi := poolInterior(h, oh, kernel, stride, pad)
+	oxLo, oxHi := poolInterior(w, ow, kernel, stride, pad)
 	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			best := float32(0)
-			found := false
-			for ky := 0; ky < j.kernel; ky++ {
-				sy := oy*j.stride - j.pad + ky
-				if sy < 0 || sy >= h {
-					continue
-				}
-				for kx := 0; kx < j.kernel; kx++ {
-					sx := ox*j.stride - j.pad + kx
-					if sx < 0 || sx >= w {
-						continue
-					}
-					if v := plane[sy*w+sx]; !found || v > best {
-						best = v
-						found = true
-					}
+		row := dst[oy*ow : (oy+1)*ow]
+		if oy < oyLo || oy >= oyHi {
+			for ox := range row {
+				row[ox] = maxPoolBorder(plane, h, w, oy, ox, kernel, stride, pad)
+			}
+			continue
+		}
+		for ox := 0; ox < oxLo; ox++ {
+			row[ox] = maxPoolBorder(plane, h, w, oy, ox, kernel, stride, pad)
+		}
+		top := (oy*stride-pad)*w - pad
+		for ox := oxLo; ox < oxHi; ox++ {
+			win := plane[top+ox*stride:]
+			best := win[0]
+			for ky := 0; ky < kernel; ky++ {
+				for _, v := range win[ky*w : ky*w+kernel] {
+					best = max(best, v)
 				}
 			}
-			dst[i] = best
-			i++
+			row[ox] = best
+		}
+		for ox := oxHi; ox < ow; ox++ {
+			row[ox] = maxPoolBorder(plane, h, w, oy, ox, kernel, stride, pad)
 		}
 	}
+}
+
+// poolInterior returns the output positions [lo, hi) along one axis whose
+// window lies wholly inside the input: 0 ≤ o·stride − pad and
+// o·stride − pad + kernel ≤ size.
+func poolInterior(size, out, kernel, stride, pad int) (lo, hi int) {
+	lo = (pad + stride - 1) / stride
+	if size+pad >= kernel {
+		hi = (size+pad-kernel)/stride + 1
+	}
+	if hi > out {
+		hi = out
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
+}
+
+// maxPoolBorder pools one output pixel whose window reaches into the
+// padding, testing every tap.
+func maxPoolBorder[T int8 | float32](plane []T, h, w, oy, ox, kernel, stride, pad int) T {
+	var best T
+	found := false
+	for ky := 0; ky < kernel; ky++ {
+		sy := oy*stride - pad + ky
+		if sy < 0 || sy >= h {
+			continue
+		}
+		for kx := 0; kx < kernel; kx++ {
+			sx := ox*stride - pad + kx
+			if sx < 0 || sx >= w {
+				continue
+			}
+			if v := plane[sy*w+sx]; found {
+				best = max(best, v)
+			} else {
+				best, found = v, true
+			}
+		}
+	}
+	return best
 }
 
 // MaxPool2DBackward routes each output gradient to the input position that

@@ -47,6 +47,65 @@ func TestMaxPool2DStride1Pad1(t *testing.T) {
 	}
 }
 
+// TestMaxPoolIntoMatchesMaxPool2D holds the inference-path pools — float and
+// int8, which share one interior/border kernel — to the training op bit for
+// bit: windows wholly inside the plane, frames of every width (pad 0, pad at
+// and above kernel/2, windows that see nothing but padding), non-square
+// planes, kernels larger than the input, and stride above the kernel.
+func TestMaxPoolIntoMatchesMaxPool2D(t *testing.T) {
+	cases := []struct{ h, w, kernel, stride, pad int }{
+		{50, 50, 3, 2, 1}, // the deployed stem pool
+		{11, 9, 3, 2, 0},
+		{11, 9, 3, 2, 1},
+		{7, 13, 2, 2, 0},
+		{7, 13, 2, 2, 1},
+		{9, 6, 3, 1, 2}, // pad above kernel/2
+		{4, 5, 3, 1, 3}, // corner windows see only padding
+		{4, 4, 5, 1, 2}, // kernel larger than the input
+		{2, 3, 7, 2, 3},
+		{1, 1, 3, 1, 1},
+		{12, 10, 2, 3, 0}, // stride above the kernel
+		{6, 17, 5, 2, 2},
+	}
+	rng := NewRNG(77)
+	const n, c = 2, 3
+	for _, tc := range cases {
+		// Integer-valued data, so the same planes run through both types.
+		x := New(n, c, tc.h, tc.w)
+		q := make([]int8, len(x.data))
+		for i := range q {
+			q[i] = int8(rng.Intn(9) - 4)
+			x.data[i] = float32(q[i])
+		}
+		want, _ := MaxPool2D(x, tc.kernel, tc.stride, tc.pad)
+		got := New(want.Shape()...)
+		got.Fill(99)
+		MaxPool2DInto(got, x, tc.kernel, tc.stride, tc.pad)
+		gotQ := make([]int8, len(want.data))
+		QMaxPool2DInto(gotQ, q, n, c, tc.h, tc.w, tc.kernel, tc.stride, tc.pad)
+		for i, w := range want.data {
+			if math.Float32bits(got.data[i]) != math.Float32bits(w) {
+				t.Fatalf("%+v: MaxPool2DInto[%d] = %v, MaxPool2D %v", tc, i, got.data[i], w)
+			}
+			if float32(gotQ[i]) != w {
+				t.Fatalf("%+v: QMaxPool2DInto[%d] = %d, MaxPool2D %v", tc, i, gotQ[i], w)
+			}
+		}
+	}
+	// Real-valued planes through the float path alone.
+	for _, tc := range cases {
+		x := RandNormal(rng, 1, n, c, tc.h, tc.w)
+		want, _ := MaxPool2D(x, tc.kernel, tc.stride, tc.pad)
+		got := New(want.Shape()...)
+		MaxPool2DInto(got, x, tc.kernel, tc.stride, tc.pad)
+		for i, w := range want.data {
+			if math.Float32bits(got.data[i]) != math.Float32bits(w) {
+				t.Fatalf("%+v: MaxPool2DInto[%d] = %v, MaxPool2D %v", tc, i, got.data[i], w)
+			}
+		}
+	}
+}
+
 func TestMaxPool2DBackwardRouting(t *testing.T) {
 	in := FromSlice([]float32{
 		1, 2, 3, 4,

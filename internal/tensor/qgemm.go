@@ -1,7 +1,5 @@
 package tensor
 
-import "encoding/binary"
-
 // Packed int8 GEMM: the integer sibling of the float path in gemm.go,
 // shaped around the AVX2 VPMADDUBSW/VPMADDWD reduction.
 //
@@ -116,78 +114,3 @@ func packQA(w []int8, m, k int) packedQA {
 	}
 	return pa
 }
-
-// packedQB is the activation column matrix packed into qNR-column panels,
-// k-quad-major and offset to u8: quad q of column j occupies bytes
-// (q·qNR + j)·4 … +3 within the panel slot, so one 32-byte load covers
-// eight columns' quads. Padded columns and padded k taps hold 0x80 (the u8
-// image of activation 0); the matching weight taps are zero, so the bytes
-// are arithmetic don't-cares kept deterministic.
-type packedQB struct {
-	buf     []uint8
-	k, n    int
-	nPanels int
-	kQuads  int
-}
-
-// packQB packs the k×n window of the s8 matrix b (leading dimension
-// ldb ≥ n; ldb > n selects a column window, how stride-1 pointwise convs
-// reuse the image in place). The buffer comes from the u8 scratch pool;
-// release with release().
-//
-// Packing is the per-forward cost of the int8 path (weights pack once,
-// activations on every call), so the loop works a whole k-quad at a time:
-// the four taps of column j land as one dword store, with the +128 offset
-// folded in as a single 32-bit XOR, instead of four stride-4 byte stores.
-func packQB(b []int8, ldb, k, n int) packedQB {
-	nPanels := (n + qNR - 1) / qNR
-	kQuads := (k + 3) / 4
-	slot := kQuads * qNR * 4
-	pb := packedQB{
-		buf:     scratchU8.get(nPanels * slot),
-		k:       k,
-		n:       n,
-		nPanels: nPanels,
-		kQuads:  kQuads,
-	}
-	for p := 0; p < nPanels; p++ {
-		j0 := p * qNR
-		cols := n - j0
-		if cols > qNR {
-			cols = qNR
-		}
-		dst := pb.buf[p*slot : (p+1)*slot]
-		for q := 0; q < kQuads; q++ {
-			kk := q * 4
-			qdst := dst[q*qNR*4 : (q+1)*qNR*4]
-			if kk+4 <= k {
-				r0 := b[kk*ldb+j0 : kk*ldb+j0+cols]
-				r1 := b[(kk+1)*ldb+j0 : (kk+1)*ldb+j0+cols]
-				r2 := b[(kk+2)*ldb+j0 : (kk+2)*ldb+j0+cols]
-				r3 := b[(kk+3)*ldb+j0 : (kk+3)*ldb+j0+cols]
-				for j := 0; j < cols; j++ {
-					u := uint32(uint8(r0[j])) | uint32(uint8(r1[j]))<<8 |
-						uint32(uint8(r2[j]))<<16 | uint32(uint8(r3[j]))<<24
-					binary.LittleEndian.PutUint32(qdst[j*4:], u^0x80808080)
-				}
-			} else {
-				// k tail: the quad straddles the end of k; padded taps keep
-				// the u8 image of activation 0.
-				for j := 0; j < cols; j++ {
-					u := uint32(0x80808080)
-					for t := 0; t < k-kk; t++ {
-						shift := uint(8 * t)
-						u = u&^(0xff<<shift) | uint32(uint8(b[(kk+t)*ldb+j0+j])^0x80)<<shift
-					}
-					binary.LittleEndian.PutUint32(qdst[j*4:], u)
-				}
-			}
-			for j := cols; j < qNR; j++ {
-				binary.LittleEndian.PutUint32(qdst[j*4:], 0x80808080)
-			}
-		}
-	}
-	return pb
-}
-
-func (pb packedQB) release() { scratchU8.put(pb.buf) }

@@ -33,9 +33,11 @@ func qNaive(w []int8, b []int8, ldb, m, k, n int) []int32 {
 	return out
 }
 
-// TestQGemmPackedParity drives the packed path (packQA, packQB, qKernel)
-// over edge shapes and checks the offset-compensated tiles against the
-// naive int32 product. Shapes straddle qMR/qNR/k-quad boundaries.
+// TestQGemmPackedParity drives the packed path (packQA, packQPanels,
+// qKernel) over edge shapes and checks the offset-compensated tiles against
+// the naive int32 product. Shapes straddle qMR/qNR/k-quad boundaries. The
+// dense k×n operand reaches the packer as what it is to a convolution: a
+// 1×1 kernel over k channels of a one-row, n-pixel image.
 func TestQGemmPackedParity(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	shapes := []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 64}
@@ -47,13 +49,16 @@ func TestQGemmPackedParity(t *testing.T) {
 				want := qNaive(w, b, n, m, k, n)
 
 				qa := packQA(w, m, k)
-				pb := packQB(b, n, k, n)
-				cbuf := make([]int32, qMR*qNR)
+				g := convGeom{n: 1, c: k, h: 1, w: n, kh: 1, kw: 1, stride: 1, oh: 1, ow: n}
+				nPanels := (n + qNR - 1) / qNR
 				aslot := qa.kQuads * qMR * 4
-				bslot := pb.kQuads * qNR * 4
+				bslot := qa.kQuads * qNR * 4
+				pb := make([]uint8, nPanels*bslot)
+				packQPanels(pb, b, &g, 0, nPanels*qNR, make([]int32, 1))
+				cbuf := make([]int32, qMR*qNR)
 				for rt := 0; rt < qa.rowTiles; rt++ {
-					for p := 0; p < pb.nPanels; p++ {
-						qKernel(qa.buf[rt*aslot:], pb.buf[p*bslot:], cbuf, qa.kQuads)
+					for p := 0; p < nPanels; p++ {
+						qKernel(qa.buf[rt*aslot:], pb[p*bslot:], cbuf, qa.kQuads)
 						for rr := 0; rr < qMR; rr++ {
 							row := rt*qMR + rr
 							if row >= m {
@@ -76,7 +81,6 @@ func TestQGemmPackedParity(t *testing.T) {
 						}
 					}
 				}
-				pb.release()
 			}
 		}
 	}

@@ -62,46 +62,7 @@ func QMaxPool2DInto(out, in []int8, n, c, h, w, kernel, stride, pad int) {
 		panic(fmt.Sprintf("tensor: QMaxPool2DInto buffer lengths %d/%d, want %d/%d", len(in), len(out), n*c*h*w, n*c*oh*ow))
 	}
 	for p := 0; p < n*c; p++ {
-		plane := in[p*h*w : (p+1)*h*w]
-		dst := out[p*oh*ow : (p+1)*oh*ow]
-		i := 0
-		for oy := 0; oy < oh; oy++ {
-			// Valid tap rows for this output row, hoisted so the window
-			// loops below run without per-tap bounds tests.
-			syLo := oy*stride - pad
-			syHi := syLo + kernel
-			if syLo < 0 {
-				syLo = 0
-			}
-			if syHi > h {
-				syHi = h
-			}
-			for ox := 0; ox < ow; ox++ {
-				sxLo := ox*stride - pad
-				sxHi := sxLo + kernel
-				if sxLo < 0 {
-					sxLo = 0
-				}
-				if sxHi > w {
-					sxHi = w
-				}
-				if syLo >= syHi || sxLo >= sxHi {
-					dst[i] = 0 // window fully in padding
-					i++
-					continue
-				}
-				best := plane[syLo*w+sxLo]
-				for sy := syLo; sy < syHi; sy++ {
-					for _, v := range plane[sy*w+sxLo : sy*w+sxHi] {
-						if v > best {
-							best = v
-						}
-					}
-				}
-				dst[i] = best
-				i++
-			}
-		}
+		maxPoolPlane(out[p*oh*ow:(p+1)*oh*ow], in[p*h*w:(p+1)*h*w], h, w, oh, ow, kernel, stride, pad)
 	}
 }
 

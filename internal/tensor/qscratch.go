@@ -8,26 +8,29 @@ import (
 )
 
 // typedScratch is the generic sibling of the float32 scratch pool: the int8
-// inference path needs transient buffers of three more element types (int8
-// im2col lowerings, uint8 packed activation panels, int32 accumulator
-// tiles), and they recycle exactly the way the float buffers do — bucketed
+// inference path needs transient buffers of two more element types (uint8
+// packed activation panels, int32 accumulator tiles), and they recycle exactly the way the float buffers do — bucketed
 // by power-of-two capacity class, boxed behind pointers so a get/put round
 // trip allocates nothing. The float pool keeps its original concrete form;
 // sharing an implementation with it would churn the hottest allocation path
 // in the package for no behavioral gain.
 type typedScratch[T any] struct {
-	pools [28]sync.Pool
-	boxes sync.Pool
+	pools     [28]sync.Pool
+	boxes     sync.Pool
+	elemBytes int
 }
 
-func newTypedScratch[T any]() *typedScratch[T] {
-	return &typedScratch[T]{boxes: sync.Pool{New: func() any { return new([]T) }}}
+func newTypedScratch[T any](elemBytes int) *typedScratch[T] {
+	return &typedScratch[T]{boxes: sync.Pool{New: func() any { return new([]T) }}, elemBytes: elemBytes}
 }
 
 // get returns a length-n buffer with unspecified contents, like getScratch.
 func (p *typedScratch[T]) get(n int) []T {
 	if n <= 0 {
 		return nil
+	}
+	if scratchObserver != nil {
+		scratchObserver(p.elemBytes * n)
 	}
 	c := scratchClass(n)
 	if !scratchPoolDisabled {
@@ -58,7 +61,6 @@ func (p *typedScratch[T]) put(buf []T) {
 }
 
 var (
-	scratchI8  = newTypedScratch[int8]()
-	scratchU8  = newTypedScratch[uint8]()
-	scratchI32 = newTypedScratch[int32]()
+	scratchU8  = newTypedScratch[uint8](1)
+	scratchI32 = newTypedScratch[int32](4)
 )

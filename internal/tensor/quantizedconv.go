@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -130,8 +131,10 @@ func (qc *QuantizedConv) FloatOutput() bool { return qc.floatOut }
 // ForwardInto convolves the s8 input (n, C, h, w flat) into exactly one of
 // outQ (int8 mode) or outF (float32 mode), both flat (n, OC, OH, OW)
 // buffers the caller sized from OutSize. It allocates nothing beyond pooled
-// scratch. The work grid matches the float driver: sample × output-row
-// chunk, so a batch-1 forward still spreads over every core.
+// scratch. The lowering is the float driver's (convpanel.go): one GEMM over
+// the whole batch's output pixels, column blocks packed straight from the
+// images, so a batch-1 forward still spreads over every core and a sample's
+// output is the same bytes in any batch.
 func (qc *QuantizedConv) ForwardInto(outQ []int8, outF []float32, in []int8, n, h, w int) {
 	if (outQ == nil) == (outF == nil) {
 		panic("tensor: QuantizedConv wants exactly one of outQ/outF")
@@ -152,158 +155,214 @@ func (qc *QuantizedConv) ForwardInto(outQ []int8, outF []float32, in []int8, n, 
 	}
 	qc.once.Do(func() { qc.qa = packQA(qc.qw, qc.oc, qc.c*qc.kh*qc.kw) })
 
-	chunks := 1
-	if workers := parallel.DefaultWorkers; n < workers {
-		chunks = (workers + n - 1) / n
-		if chunks > oh {
-			chunks = oh
+	job := qconvCall{
+		qc: qc, outQ: outQ, outF: outF, in: in, qa: &qc.qa, comp: qc.comp,
+		g: convGeom{
+			n: n, c: qc.c, h: h, w: w, kh: qc.kh, kw: qc.kw,
+			stride: qc.stride, pad: qc.pad, oh: oh, ow: ow,
+		},
+	}
+	// Degenerate spatial case: a single output position whose receptive
+	// field covers the whole input (the deep tail of a PaperSpace backbone,
+	// where 3×3 convs run on 1×1 or 2×2 maps). Its columns would be mostly
+	// zero padding; the pruned weight pack holds just the valid taps, and
+	// against it the layer is a 1×1 convolution over C·h·w channels of a
+	// one-pixel image — the same driver with a 9× shorter K for a 3×3 on 1×1.
+	pointwise := qc.kh == 1 && qc.kw == 1 && qc.pad == 0
+	if !pointwise && oh == 1 && ow == 1 && qc.kh >= qc.pad+h && qc.kw >= qc.pad+w {
+		qc.degenOnce.Do(func() { qc.buildDegenerate(h, w) })
+		if qc.degenH == h && qc.degenW == w {
+			job.qa, job.comp = &qc.degenQA, qc.degenComp
+			job.g = convGeom{n: n, c: qc.c * h * w, h: 1, w: 1, kh: 1, kw: 1, stride: 1, oh: 1, ow: 1}
 		}
 	}
-	job := qconvJob{
-		qc: qc, outQ: outQ, outF: outF, in: in,
-		n: n, h: h, w: w, oh: oh, ow: ow, chunks: chunks,
-	}
-	if parallel.DefaultWorkers == 1 || n*chunks == 1 {
+	qa := job.qa
+	job.grid = planPanelGrid((n*oh*ow+qNR-1)/qNR, qa.rowTiles, len(qa.buf), qa.kQuads*qNR*4)
+	if parallel.DefaultWorkers == 1 || job.grid.blocks*job.grid.rowGroups == 1 {
 		// Serial grid: direct method calls keep the steady-state inference
 		// path allocation-free, as in convInto.
-		for s := 0; s < n; s++ {
-			for ci := 0; ci < chunks; ci++ {
-				job.run(s, ci)
+		for b := 0; b < job.grid.blocks; b++ {
+			for grp := 0; grp < job.grid.rowGroups; grp++ {
+				job.run(b, grp)
 			}
 		}
 		return
 	}
 	pjob := job // escapes via the method value; the serial job stays on the stack
-	parallel.ForTiles2D(n, chunks, 0, pjob.run)
+	parallel.ForTiles2D(job.grid.blocks, job.grid.rowGroups, 0, pjob.run)
 }
 
-// qconvJob carries one ForwardInto invocation's parameters so the per-chunk
-// body can be a method (direct-callable on the serial path).
-type qconvJob struct {
-	qc      *QuantizedConv
-	outQ    []int8
-	outF    []float32
-	in      []int8
-	n, h, w int
-	oh, ow  int
-	chunks  int
+// qconvCall carries one ForwardInto invocation so the per-cell body can be
+// a method (direct-callable on the serial path). qa and comp travel beside
+// qc because the degenerate path's pruned weight pack carries its own
+// offset compensation.
+type qconvCall struct {
+	qc   *QuantizedConv
+	outQ []int8
+	outF []float32
+	in   []int8
+	qa   *packedQA
+	comp []int32
+	g    convGeom
+	grid panelGrid
 }
 
-// run executes grid cell (sample s, row-chunk ci): lower the chunk to s8
-// columns, pack to u8 panels, run the micro-kernel over the row-tile ×
-// panel grid, and merge each int32 tile through the fused requantize /
-// dequantize epilogue.
-func (j *qconvJob) run(s, ci int) {
-	qc := j.qc
-	c, h, w := qc.c, j.h, j.w
-	oh, ow := j.oh, j.ow
-	kdim := c * qc.kh * qc.kw
-	cols := oh * ow
-	pointwise := qc.kh == 1 && qc.kw == 1 && qc.pad == 0
-	oyLo, oyHi := parallel.SplitRange(oh, j.chunks, ci)
-	if oyLo == oyHi {
-		return
-	}
-	colLo := oyLo * ow
-	chunkCols := (oyHi - oyLo) * ow
-	sample := j.in[s*c*h*w : (s+1)*c*h*w]
-	base := s * qc.oc * cols
-
-	// Degenerate spatial case: a single output position whose receptive
-	// field covers the whole input (the deep tail of a PaperSpace backbone,
-	// where 3×3 convs run on 1×1 or 2×2 maps). The im2col matrix would be a
-	// kdim×1 column that is mostly zero padding; the pruned weight pack
-	// multiplies just the valid taps against the sample itself, skipping the
-	// lowering entirely and shrinking the GEMV kdim (9× for a 3×3 on 1×1).
-	if !pointwise && oh == 1 && ow == 1 && qc.kh >= qc.pad+h && qc.kw >= qc.pad+w {
-		qc.degenOnce.Do(func() { qc.buildDegenerate(h, w) })
-		if qc.degenH == h && qc.degenW == w {
-			pb := packQB(sample, 1, c*h*w, 1)
-			j.tiles(qc.degenQA, qc.degenComp, pb, base, 1, 0)
-			pb.release()
-			return
-		}
-	}
-
-	var bsrc, scratch []int8
-	ldb := chunkCols
-	switch {
-	case pointwise && qc.stride == 1:
-		bsrc = sample[colLo:]
-		ldb = h * w
-	case pointwise:
-		scratch = scratchI8.get(c * chunkCols)
-		qpointwiseColumns(sample, c, h, w, qc.stride, oyLo, oyHi, scratch)
-		bsrc = scratch
-	default:
-		scratch = scratchI8.get(kdim * chunkCols)
-		QIm2ColRows(sample, c, h, w, qc.kh, qc.kw, qc.stride, qc.pad, oyLo, oyHi, scratch)
-		bsrc = scratch
-	}
-	pb := packQB(bsrc, ldb, kdim, chunkCols)
-	if scratch != nil {
-		scratchI8.put(scratch)
-	}
-	j.tiles(qc.qa, qc.comp, pb, base, cols, colLo)
-	pb.release()
-}
-
-// tiles runs the micro-kernel over the row-tile × panel grid of one packed
-// A/B pair and merges each int32 tile through the fused requantize /
-// dequantize epilogue. comp is passed alongside qa because the degenerate
-// path's pruned weight pack carries its own offset compensation.
-func (j *qconvJob) tiles(qa packedQA, comp []int32, pb packedQB, base, cols, colLo int) {
-	qc := j.qc
+// run executes grid cell (column block b, row group grp): pack the block's
+// panels from the images, run the micro-kernel over its row tiles, and
+// merge each int32 tile through the fused requantize / dequantize epilogue.
+func (j *qconvCall) run(b, grp int) {
+	qa := j.qa
+	pLo, pHi, rtLo, rtHi := j.grid.cell(b, grp, qa.rowTiles)
+	panel := qa.kQuads * qNR * 4
+	block := scratchU8.get((pHi - pLo) * panel)
+	masks := scratchI32.get(j.g.kh * j.g.kw)
+	packQPanels(block, j.in, &j.g, pLo*qNR, pHi*qNR, masks)
+	scratchI32.put(masks)
 	// The tile accumulator comes from the scratch pool: qKernel is a func
 	// variable, so a local array would escape on every call.
 	cbuf := scratchI32.get(qMR * qNR)
-	aslot := qa.kQuads * qMR * 4
-	bslot := pb.kQuads * qNR * 4
-	for rt := 0; rt < qa.rowTiles; rt++ {
-		rows := qa.m - rt*qMR
-		if rows > qMR {
-			rows = qMR
-		}
-		for p := 0; p < pb.nPanels; p++ {
-			pcols := pb.n - p*qNR
-			if pcols > qNR {
-				pcols = qNR
+	if j.grid.rowOuter {
+		for rt := rtLo; rt < rtHi; rt++ {
+			for p := pLo; p < pHi; p++ {
+				j.tile(rt, p, block[(p-pLo)*panel:], cbuf)
 			}
-			qKernel(qa.buf[rt*aslot:], pb.buf[p*bslot:], cbuf, qa.kQuads)
-			for r := 0; r < rows; r++ {
-				o := rt*qMR + r
-				mult, addend, co := qc.mult[o], qc.add[o], comp[o]
-				trow := cbuf[r*qNR : r*qNR+qNR]
-				off := base + o*cols + colLo + p*qNR
-				if qc.floatOut {
-					dst := j.outF[off : off+pcols]
-					for jj := 0; jj < pcols; jj++ {
-						v := mult*float32(trow[jj]-co) + addend
-						if qc.relu && v < 0 {
-							v = 0
-						}
-						dst[jj] = v
-					}
-				} else {
-					dst := j.outQ[off : off+pcols]
-					lo := float64(-QActMax)
-					if qc.relu {
-						lo = 0
-					}
-					for jj := 0; jj < pcols; jj++ {
-						v := math.RoundToEven(float64(mult*float32(trow[jj]-co) + addend))
-						if v < lo {
-							v = lo
-						} else if v > QActMax {
-							v = QActMax
-						}
-						dst[jj] = int8(v)
-					}
-				}
+		}
+	} else {
+		for p := pLo; p < pHi; p++ {
+			for rt := rtLo; rt < rtHi; rt++ {
+				j.tile(rt, p, block[(p-pLo)*panel:], cbuf)
 			}
 		}
 	}
 	scratchI32.put(cbuf)
+	scratchU8.put(block)
+}
+
+// tile multiplies row tile rt of the weight pack by packed panel bp (global
+// panel p) and merges the int32 tile through the epilogue into the
+// (sample, channel, pixel) addresses the panel's columns stand for.
+func (j *qconvCall) tile(rt, p int, bp []uint8, cbuf []int32) {
+	qc, qa, g := j.qc, j.qa, &j.g
+	qKernel(qa.buf[rt*qa.kQuads*qMR*4:], bp, cbuf, qa.kQuads)
+	rows := qa.m - rt*qMR
+	if rows > qMR {
+		rows = qMR
+	}
+	px := g.pixels()
+	col, end := p*qNR, p*qNR+qNR
+	if total := g.n * px; end > total {
+		end = total
+	}
+	for col < end {
+		s, pix, n := g.stretch(col, end)
+		lane := col - p*qNR
+		for r := 0; r < rows; r++ {
+			o := rt*qMR + r
+			mult, addend, co := qc.mult[o], qc.add[o], j.comp[o]
+			trow := cbuf[r*qNR+lane : r*qNR+lane+n]
+			off := (s*qa.m+o)*px + pix
+			// The clamps are min/max, not branches: after a ReLU-bound layer
+			// half the values are negative, and a compare-and-jump per value
+			// mispredicts on every other one.
+			if qc.floatOut {
+				dst := j.outF[off : off+n]
+				lo := float32(math.Inf(-1))
+				if qc.relu {
+					lo = 0
+				}
+				for jj, acc := range trow {
+					dst[jj] = max(mult*float32(acc-co)+addend, lo)
+				}
+			} else {
+				dst := j.outQ[off : off+n]
+				lo := float64(-QActMax)
+				if qc.relu {
+					lo = 0
+				}
+				for jj, acc := range trow {
+					v := math.RoundToEven(float64(mult*float32(acc-co) + addend))
+					dst[jj] = int8(min(max(v, lo), QActMax))
+				}
+			}
+		}
+		col += n
+	}
+}
+
+// packQPanels packs GEMM columns [lo, hi) of the lowered s8 batch into dst,
+// panel after panel, in the layout the int8 micro-kernel reads: k-quad-major
+// and offset to u8, quad q of lane l at bytes (q·qNR + l)·4 … +3. lo and hi
+// are panel-aligned; lanes past the last real column, taps in the padding
+// and k padding all hold 0x80, the u8 image of activation 0. masks is
+// caller-provided scratch of kh·kw values.
+//
+// Packing is the per-forward cost of the int8 path (weights pack once,
+// activations on every call), so the loop works a whole k-quad at a time:
+// the four taps of a column land as one dword store, with the +128 offset
+// folded in as a single 32-bit XOR, instead of four stride-4 byte stores.
+func packQPanels(dst []uint8, in []int8, g *convGeom, lo, hi int, masks []int32) {
+	const nr = qNR
+	kQuads := (g.kdim() + 3) / 4
+	panel := kQuads * nr * 4
+	hw := g.h * g.w
+	end := hi
+	if total := g.n * g.pixels(); end > total {
+		end = total
+	}
+	var r colRun
+	for wk := g.walk(lo, end, nr); wk.next(&r); {
+		// Which columns of the run see a tap inside the image depends on
+		// (ky, kx) only; every channel shares it.
+		for ky := 0; ky < g.kh; ky++ {
+			for kx := 0; kx < g.kw; kx++ {
+				masks[ky*g.kw+kx] = int32(g.tapMask(&r, ky, kx))
+			}
+		}
+		base := dst[r.col/nr*panel+r.lane*4:]
+		origin := g.tapOffset(&r, 0, 0)
+		ch, ky, kx := 0, 0, 0
+		for q := 0; q < kQuads; q++ {
+			// The quad's four taps: where column 0 reads (off) and which
+			// columns are inside the image (msk); k padding stays all-zero.
+			var off [4]int
+			var msk [4]uint32
+			for t := 0; t < 4 && ch < g.c; t++ {
+				off[t], msk[t] = origin+ch*hw+ky*g.w+kx, uint32(masks[ky*g.kw+kx])
+				if kx++; kx == g.kw {
+					kx = 0
+					if ky++; ky == g.kh {
+						ky = 0
+						ch++
+					}
+				}
+			}
+			all := msk[0] & msk[1] & msk[2] & msk[3]
+			qd := base[q*nr*4 : q*nr*4+r.n*4]
+			for i := 0; i < r.n; i++ {
+				var u uint32
+				if at := i * g.stride; all>>i&1 != 0 {
+					u = uint32(uint8(in[off[0]+at])) | uint32(uint8(in[off[1]+at]))<<8 |
+						uint32(uint8(in[off[2]+at]))<<16 | uint32(uint8(in[off[3]+at]))<<24
+				} else {
+					// Some tap of this column is in the padding: tap by tap.
+					for t := 0; t < 4; t++ {
+						if msk[t]>>i&1 != 0 {
+							u |= uint32(uint8(in[off[t]+at])) << (8 * t)
+						}
+					}
+				}
+				binary.LittleEndian.PutUint32(qd[i*4:], u^0x80808080)
+			}
+		}
+	}
+	if end < hi {
+		tail := dst[(hi-lo-nr)/nr*panel:]
+		for q := 0; q < kQuads; q++ {
+			for lane := (end - lo) % nr; lane < nr; lane++ {
+				binary.LittleEndian.PutUint32(tail[(q*nr+lane)*4:], 0x80808080)
+			}
+		}
+	}
 }
 
 // buildDegenerate packs the pruned weight matrix for 1×1-output forwards on
@@ -336,116 +395,4 @@ func (qc *QuantizedConv) buildDegenerate(h, w int) {
 	qc.degenQA = packQA(dw, qc.oc, dk)
 	qc.degenComp = comp
 	qc.degenH, qc.degenW = h, w
-}
-
-// QIm2ColRows lowers output rows [oyLo, oyHi) of one s8 (C,H,W) image into
-// the column window dst, the int8 twin of Im2ColRows. Out-of-bounds taps
-// contribute 0 — exact, since s8 activations are zero-point-0.
-func QIm2ColRows(src []int8, c, h, w, kh, kw, stride, pad, oyLo, oyHi int, dst []int8) {
-	oh := ConvOut(h, kh, stride, pad)
-	ow := ConvOut(w, kw, stride, pad)
-	if oyLo < 0 || oyHi > oh || oyLo > oyHi {
-		panic(fmt.Sprintf("tensor: QIm2ColRows row range [%d,%d) outside [0,%d)", oyLo, oyHi, oh))
-	}
-	cols := (oyHi - oyLo) * ow
-	if len(dst) != c*kh*kw*cols {
-		panic(fmt.Sprintf("tensor: QIm2ColRows dst length %d, want %d", len(dst), c*kh*kw*cols))
-	}
-	// The ox range whose tap sx = ox·stride − pad + kx stays in [0, w)
-	// depends only on kx; hoisting it (and its divisions) out of the channel
-	// loop matters because deep layers run this c·kh·kw times for a handful
-	// of pixels each. The same smallness argument replaces clear/copy calls
-	// with inline loops below: rows here are 2–32 bytes, where the fixed cost
-	// of a memclr/memmove call dominates the move itself.
-	var oxLos, oxHis [maxKW]int
-	if kw > maxKW {
-		panic(fmt.Sprintf("tensor: QIm2ColRows kernel width %d exceeds %d", kw, maxKW))
-	}
-	for kx := 0; kx < kw; kx++ {
-		oxLo := 0
-		if pad > kx {
-			oxLo = (pad - kx + stride - 1) / stride
-		}
-		oxHi := 0
-		// num < 0 means even ox = 0 taps past the right edge; the guard also
-		// keeps the division non-negative (Go's / truncates toward zero,
-		// which is not the floor this bound needs for negative numerators).
-		if num := w - 1 - kx + pad; num >= 0 {
-			oxHi = num/stride + 1
-			if oxHi > ow {
-				oxHi = ow
-			}
-		}
-		if oxHi < oxLo {
-			oxHi = oxLo
-		}
-		oxLos[kx], oxHis[kx] = oxLo, oxHi
-	}
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		plane := src[ch*h*w : (ch+1)*h*w]
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				oxLo, oxHi := oxLos[kx], oxHis[kx]
-				drow := dst[row*cols : (row+1)*cols]
-				row++
-				i := 0
-				for oy := oyLo; oy < oyHi; oy++ {
-					sy := oy*stride - pad + ky
-					if sy < 0 || sy >= h {
-						for t := 0; t < ow; t++ {
-							drow[i] = 0
-							i++
-						}
-						continue
-					}
-					srow := plane[sy*w : (sy+1)*w]
-					for t := 0; t < oxLo; t++ {
-						drow[i] = 0
-						i++
-					}
-					sx := oxLo*stride - pad + kx
-					if stride == 1 {
-						for _, v := range srow[sx : sx+oxHi-oxLo] {
-							drow[i] = v
-							i++
-						}
-					} else {
-						for ox := oxLo; ox < oxHi; ox++ {
-							drow[i] = srow[sx]
-							i++
-							sx += stride
-						}
-					}
-					for t := oxHi; t < ow; t++ {
-						drow[i] = 0
-						i++
-					}
-				}
-			}
-		}
-	}
-}
-
-// maxKW bounds the kernel width QIm2ColRows accepts; PaperSpace tops out at
-// 7 and the bound keeps the hoisted per-kx range tables off the heap.
-const maxKW = 16
-
-// qpointwiseColumns builds the column window for output rows [oyLo, oyHi)
-// of a strided 1×1 s8 convolution, the int8 twin of pointwiseColumns.
-func qpointwiseColumns(src []int8, c, h, w, stride, oyLo, oyHi int, dst []int8) {
-	ow := ConvOut(w, 1, stride, 0)
-	chunkCols := (oyHi - oyLo) * ow
-	for ch := 0; ch < c; ch++ {
-		plane := src[ch*h*w : (ch+1)*h*w]
-		drow := dst[ch*chunkCols : (ch+1)*chunkCols]
-		i := 0
-		for y := oyLo; y < oyHi; y++ {
-			row := plane[y*stride*w:]
-			for x := 0; x < ow; x++ {
-				drow[i] = row[x*stride]
-				i++
-			}
-		}
-	}
 }

@@ -35,6 +35,10 @@ var (
 // put drops); tests use it to compare pooled against fresh-buffer runs.
 var scratchPoolDisabled = false
 
+// scratchObserver, when a test sets it, is told the size in bytes of every
+// scratch request, pooled or not, from whichever goroutine makes it.
+var scratchObserver func(bytes int)
+
 func scratchClass(n int) int {
 	c := bits.Len(uint(n - 1)) // ceil(log2 n)
 	if c < scratchMinClass {
@@ -49,6 +53,9 @@ func scratchClass(n int) int {
 func getScratch(n int) []float32 {
 	if n <= 0 {
 		return nil
+	}
+	if scratchObserver != nil {
+		scratchObserver(4 * n)
 	}
 	c := scratchClass(n)
 	if !scratchPoolDisabled {
