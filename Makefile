@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: ci vet build test race fuzz race-all crash-resume bench-kernels bench-infer bench-serve bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay
+.PHONY: ci vet build test selectors race fuzz race-all crash-resume bench-kernels bench-infer bench-serve bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay
 
-ci: vet build test race crash-resume fuzz bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay
+ci: vet build test selectors race crash-resume fuzz bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay
 
 vet:
 	$(GO) vet ./...
@@ -20,7 +20,7 @@ test:
 # The packages with dedicated concurrency suites. `race-all` widens this to
 # every internal package (slower; the numeric packages dominate).
 race:
-	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/profiler/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./cmd/servd/... ./cmd/router/...
+	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/profiler/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./internal/frontend/... ./cmd/servd/... ./cmd/router/...
 
 race-all:
 	$(GO) test -race ./internal/...
@@ -28,30 +28,38 @@ race-all:
 # Sweep durability gate: the crash/resume, streaming-journal, cancellation
 # and retry suites under the race detector, including the binary-level
 # SIGINT → drain → -resume test.
+CRASH_RUN  = CrashResume|Journal|MapCtx|Retry|Resume|Sweep|Interrupt
+CRASH_PKGS = ./internal/nas ./internal/parallel ./internal/metrics ./cmd/nascli
 crash-resume:
-	$(GO) test -race -run 'CrashResume|Journal|MapCtx|Retry|Resume|Sweep|Interrupt' \
-		./internal/nas ./internal/parallel ./internal/metrics ./cmd/nascli
+	$(GO) test -race -run '$(CRASH_RUN)' $(CRASH_PKGS)
 
-# Observability smoke: build the real servd binary, scrape GET /metrics over
-# HTTP, and hold the page to the exposition validator (line grammar, family
-# contiguity, histogram bucket invariants); also exercises the SIGTERM drain.
+# Observability smoke: build the real servd binary, scrape GET /v1/metrics
+# over HTTP, and hold the page to the exposition validator (line grammar,
+# family contiguity, histogram bucket invariants); also exercises the SIGTERM
+# drain, and the in-process metrics rows of the surface table on both tiers.
+OBS_RUN  = ServdMetricsSmoke|ServdGracefulShutdown|MetricsEndpoint
+OBS_PKGS = ./cmd/servd ./cmd/router
 obs-smoke:
-	$(GO) test -race -run 'ServdMetricsSmoke|ServdGracefulShutdown|MetricsEndpoint' ./cmd/servd
+	$(GO) test -race -run '$(OBS_RUN)' $(OBS_PKGS)
 
 # Routing-tier smoke: build the real router binary over three in-process
 # replicas, push 200 mixed-model requests through it, require non-zero
 # traffic on every replica, and drain cleanly on SIGTERM. Also exercises
 # the plan→cost-graph SJF seeding path end to end.
+ROUTER_RUN = RouterSmoke|RouterBinarySJFSeeding
 router-smoke:
-	$(GO) test -race -count=1 -run 'RouterSmoke|RouterBinarySJFSeeding' ./cmd/router
+	$(GO) test -race -count=1 -run '$(ROUTER_RUN)' ./cmd/router
 
 # Multi-tenant edge gate: boot the real servd binary (built -race) with a
 # key file, assert 401 for bad keys and 429 quota_exceeded for a dry
 # bucket, require full compliant-tenant goodput under a two-tenant flood,
 # complete a live-dashboard WebSocket handshake + SSE stream, and run the
-# in-process tier suites (fairness pin included) under the race detector.
+# surface table's tenant rows on both tiers and the in-process tier suites
+# (fairness pin included) under the race detector.
+TENANT_RUN  = ServdTenantSmoke|TenantTier
+TENANT_PKGS = ./cmd/servd ./cmd/router
 tenant-smoke:
-	$(GO) test -race -count=1 -run 'ServdTenantSmoke|RouterTenantTier' ./cmd/servd ./cmd/router
+	$(GO) test -race -count=1 -run '$(TENANT_RUN)' $(TENANT_PKGS)
 	$(GO) test -race -count=1 ./internal/tenant
 
 # Whole-watershed scan gate: a race-built servd replica behind a
@@ -59,28 +67,54 @@ tenant-smoke:
 # through the /v1/scan job API (ordered gapless event stream, nonzero
 # crossings, byte-identical heat map across two runs, clean drain after a
 # mid-scan cancel, clean SIGTERM exits), plus the in-process scan engine
-# and API-surface golden suites under the race detector.
+# and API-surface golden suites (route walk, error envelopes, the captured
+# stats/metrics shapes, the README tables) under the race detector.
+SCAN_RUN  = RouterScanSmoke|APISurface|Readme
+SCAN_PKGS = ./cmd/router ./cmd/servd ./internal/api
 scan-smoke:
-	$(GO) test -race -count=1 -run 'RouterScanSmoke|APISurface|Readme' ./cmd/router ./cmd/servd ./internal/api
+	$(GO) test -race -count=1 -run '$(SCAN_RUN)' $(SCAN_PKGS)
 	$(GO) test -race -count=1 ./internal/scan
 
 # Simulator determinism + replay gate: a seeded simulation must render
 # byte-identically across runs, a recorded trace must replay to the exact
 # report of the run that produced it (in the sim package and through the
-# capsim CLI and servd's -trace recorder), calibrating against the
+# capsim CLI and the front end's -trace recorder), calibrating against the
 # checked-in /v1/stats fixture must land within 15% MAPE, and the simulator
 # must decide what the live router decides (same requests throttled, same
 # gate grant order, same latencies) for one scripted arrival sequence.
+SIM_RUN  = SimDeterminism|TraceRoundTrip|Replay|Calibration|Capsim|TraceRecording|Fixture|SimMatchesLive
+SIM_PKGS = ./internal/sim ./internal/route ./cmd/capsim ./cmd/servd ./cmd/router
 sim-replay:
-	$(GO) test -race -count=1 \
-		-run 'SimDeterminism|TraceRoundTrip|Replay|Calibration|Capsim|TraceRecording|Fixture|SimMatchesLive' \
-		./internal/sim ./internal/route ./cmd/capsim ./cmd/servd
+	$(GO) test -race -count=1 -run '$(SIM_RUN)' $(SIM_PKGS)
 
 # Int8 parity gate: randomized PaperSpace models trained on a miniature
 # drainage corpus, quantized plans held to the documented logit-error and
 # top-1-agreement bounds against the float oracle.
+QUANT_RUN = TestQuantParity
 quant-parity:
-	$(GO) test -count=1 -run 'TestQuantParity' ./internal/infer
+	$(GO) test -count=1 -run '$(QUANT_RUN)' ./internal/infer
+
+# go test -run X passes when X matches nothing, so a renamed or moved test
+# can hollow out a gate unnoticed: every selector above, and every benchmark
+# selector below, must list at least one name in each package it runs on.
+selectors:
+	@check() { pat=$$1; shift; for pkg in "$$@"; do \
+		out=$$($(GO) test -list "$$pat" $$pkg) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -qv '^ok' || { echo "selector '$$pat' matches no test in $$pkg"; exit 1; }; \
+	done; }; \
+	check '$(CRASH_RUN)' $(CRASH_PKGS) && \
+	check '$(OBS_RUN)' $(OBS_PKGS) && \
+	check '$(ROUTER_RUN)' ./cmd/router && \
+	check '$(TENANT_RUN)' $(TENANT_PKGS) && \
+	check '$(SCAN_RUN)' $(SCAN_PKGS) && \
+	check '$(SIM_RUN)' $(SIM_PKGS) && \
+	check '$(QUANT_RUN)' ./internal/infer && \
+	check '$(KBENCH_TENSOR)' ./internal/tensor && \
+	check '$(KBENCH_ROOT)' . && \
+	check '$(IBENCH)' ./internal/infer && \
+	check '$(SBENCH_API)' ./internal/api && \
+	check '$(SBENCH_TIER)' ./internal/tenant && \
+	check '$(SBENCH_HOP)' ./cmd/servd
 
 # Short fuzz smoke runs: the container decoder and the runtime loader must
 # reject arbitrary input without panicking, the int8 quantizer must
@@ -130,7 +164,7 @@ bench-infer:
 SERVE_NOTE = ReadPredict*: body bytes in memory -> api.PredictRequest (read + decode; not Tensor(), no socket), \
 Stdlib = the json.Decoder decode both handlers ran before. TierWrapNoop: Tier.Wrap end to end (auth, quota, \
 ReadPredict, idle fair gate, audit line, stats) around an empty handler. HTTPReplicaLoopback/hop: HTTPReplica.Submit \
-(PredictFromTensor + json.Marshal + POST over kept-alive loopback) + servd access log, ReadPredict, Tensor(), \
+(PredictFromTensor + json.Marshal + POST over kept-alive loopback) + frontend.New over servd: access log, ReadPredict, Tensor(), \
 serve.Submit at max-batch 1 on a width-1 ResNet, answer encode + decode; /stub is that serve.Submit alone. Chips are 5xSxS.
 bench-serve:
 	{ $(GO) test -run='^$$' -bench '$(SBENCH_API)' -benchmem ./internal/api && \

@@ -7,71 +7,45 @@
 // reached over HTTP (-backends url,url,...), interchangeable behind the
 // same routing tier.
 //
-// The API mirrors servd's /v1/ surface so clients and probes move between
-// tiers unchanged:
-//
-//	POST /v1/predict   {"model","shape","data"|"data_b64","slo"?,"precision"?} ->
-//	                   {"model","precision","class","logits","batch_size",
-//	                    "queued_ms","total_ms","replica","hedged"?}
-//	POST /v1/scan      start a whole-watershed scan job whose tiles fan
-//	                   across the fleet under the request's SLO class;
-//	                   GET /v1/scan/{id} polls, GET /v1/scan/{id}/events
-//	                   streams NDJSON (?from= resumes), DELETE cancels
-//	GET  /v1/stats     routing counters (per policy/class/replica) plus the
-//	                   fleet's aggregated serving counters
-//	GET  /v1/metrics   the same in Prometheus text exposition format
-//	GET  /v1/healthz   liveness + replica fleet size and policy
-//	GET  /v1/dashboard live dashboard (WebSocket at /v1/dashboard/ws, SSE
-//	                   fallback at /v1/dashboard/events)
-//
-// The unversioned /healthz and /metrics aliases are deprecated: responses
-// carry a Deprecation header and a Link to the successor, and the aliases
-// are scheduled for removal (see README).
-//
-// Errors reuse the shared envelope; the router adds two codes on top of
-// servd's set: throttled (429, token-bucket admission) and no_replicas
-// (503, empty fleet). With -keys the multi-tenant edge tier (shared with
-// servd) fronts /v1/predict, adding unauthorized (401) and quota_exceeded
-// (429) plus weighted-fair admission across tenants.
+// The /v1/ surface, its error envelope, the -keys tenant tier and the
+// SIGTERM drain are internal/frontend's, shared with cmd/servd, so clients
+// and probes move between tiers unchanged; the routes and codes are listed
+// in internal/api (and the README). What is the router's own: a predict
+// answer names its "replica" (and "hedged" when the hedge won), the "slo"
+// class orders dispatch under -max-inflight, scan tiles fan across the
+// fleet under the job's class, /v1/stats is an api.RouterStats (routing
+// counters per policy/class/replica plus the fleet's aggregated serving
+// counters), /v1/healthz reports fleet size and policy, and two error
+// codes: throttled (429, -rate admission) and no_replicas (503).
 //
 // With -sched sjf the dispatch order needs per-model latency estimates
 // before any traffic has flowed; the router seeds them by lowering each
 // deployed model's compiled plan into latmeter's kernel graph and pricing
 // it on the -predict-device cost model, then refines with a measured EWMA.
-//
-// On SIGINT/SIGTERM the router stops accepting connections, drains
-// in-flight requests for up to -drain, closes the routing tier and the
-// local replicas' serving cores, and exits 0.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"drainnas/internal/api"
-	"drainnas/internal/httpx"
+	"drainnas/internal/frontend"
 	"drainnas/internal/infer"
 	"drainnas/internal/latmeter"
 	"drainnas/internal/metrics"
 	"drainnas/internal/route"
 	"drainnas/internal/scan"
 	"drainnas/internal/serve"
-	"drainnas/internal/tenant"
+	"drainnas/internal/tensor"
 )
 
 func main() {
+	cfg, so := frontend.Flags(flag.CommandLine, "127.0.0.1:8090", "per-replica: ")
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8090", "listen address")
 		models      = flag.String("models", ".", "directory of exported .dnnx model containers (local replicas)")
 		replicas    = flag.Int("replicas", 3, "in-process serving replicas (0 with -backends for a pure proxy tier)")
 		backends    = flag.String("backends", "", "comma-separated base URLs of remote servd replicas")
@@ -84,28 +58,8 @@ func main() {
 		burst       = flag.Float64("burst", 1, "token-bucket burst capacity")
 		device      = flag.String("predict-device", "", "latmeter device for seeding sjf latency estimates (empty = no seed)")
 		predictSize = flag.Int("predict-size", latmeter.DefaultInputSize, "image side assumed for latency seeding")
-		maxBatch    = flag.Int("max-batch", 8, "per-replica: flush a batch at this many requests")
-		maxDelay    = flag.Duration("max-delay", 2*time.Millisecond, "per-replica: flush a non-empty batch after this delay")
-		queueCap    = flag.Int("queue", 256, "per-replica: bounded admission queue capacity")
-		workers     = flag.Int("workers", 0, "per-replica: worker pool size (0 = GOMAXPROCS)")
-		cacheCap    = flag.Int("cache", 4, "per-replica: resident model cache capacity")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-
-		keys           = flag.String("keys", "", "tenant API key file (JSON); enables the multi-tenant edge tier on /v1/predict")
-		keysRecheck    = flag.Duration("keys-recheck", 5*time.Second, "how often to re-stat the key file for hot reload")
-		tenantInflight = flag.Int("tenant-inflight", 0, "weighted-fair admission slots across tenants (0 = auth+quota only)")
-		dashInterval   = flag.Duration("dashboard-interval", time.Second, "live dashboard push interval")
 	)
 	flag.Parse()
-
-	var edge *tenant.Tier
-	if *keys != "" {
-		var err error
-		if edge, err = tenant.LoadTier(*keys, *keysRecheck, *tenantInflight, "router"); err != nil {
-			log.Fatalf("router: %v", err)
-		}
-		log.Printf("router: tenant tier enabled (%d tenants, fair slots %d)", edge.TenantCount(), *tenantInflight)
-	}
 
 	policy, err := route.PolicyByName(*policyName)
 	if err != nil {
@@ -115,47 +69,28 @@ func main() {
 	if err != nil {
 		log.Fatalf("router: %v", err)
 	}
-
-	// Local replicas share one ServingStats so the fleet's serving counters
-	// aggregate into a single exposition (per-replica traffic split comes
-	// from the router's own per-replica counters instead).
-	serving := &metrics.ServingStats{}
-	var (
-		reps   []route.Replica
-		locals []*route.LocalReplica
-	)
-	for i := 0; i < *replicas; i++ {
-		srv := serve.NewServer(serve.DirLoader(*models), serve.Options{
-			MaxBatch: *maxBatch, MaxDelay: *maxDelay,
-			QueueCap: *queueCap, Workers: *workers, CacheCap: *cacheCap,
-			Stats: serving,
-		})
-		lr := route.NewLocalReplica(fmt.Sprintf("local-%d", i), srv)
-		locals = append(locals, lr)
-		reps = append(reps, lr)
-	}
-	// The HTTP replicas share one transport that keeps as many idle
-	// connections per backend as the router lets requests through at once;
-	// http.DefaultClient keeps 2 and redials for the rest.
-	transport := http.DefaultTransport.(*http.Transport).Clone()
-	transport.MaxIdleConnsPerHost = max(*maxInflight, *tenantInflight, http.DefaultMaxIdleConnsPerHost)
-	client := &http.Client{Transport: transport}
-	for _, base := range strings.Split(*backends, ",") {
-		base = strings.TrimSpace(strings.TrimSuffix(base, "/"))
-		if base != "" {
-			reps = append(reps, route.NewHTTPReplica("", base, client))
-		}
-	}
-	if len(reps) == 0 {
-		log.Fatalf("router: no replicas (-replicas 0 and no -backends)")
-	}
-
 	seeds, err := seedEstimates(*device, *models, *predictSize)
 	if err != nil {
 		log.Fatalf("router: %v", err)
 	}
 
-	router := route.New(route.Options{
+	// The HTTP replicas share one transport that keeps as many idle
+	// connections per backend as the router lets requests through at once;
+	// http.DefaultClient keeps 2 and redials for the rest.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = max(*maxInflight, cfg.TenantInflight, http.DefaultMaxIdleConnsPerHost)
+	client := &http.Client{Transport: transport}
+	var remote []route.Replica
+	for _, base := range strings.Split(*backends, ",") {
+		base = strings.TrimSpace(strings.TrimSuffix(base, "/"))
+		if base != "" {
+			remote = append(remote, route.NewHTTPReplica("", base, client))
+		}
+	}
+	if *replicas <= 0 && len(remote) == 0 {
+		log.Fatalf("router: no replicas (-replicas 0 and no -backends)")
+	}
+	t := newTier(*models, *replicas, *so, route.Options{
 		Policy:         policy,
 		Sched:          sched,
 		MaxInFlight:    *maxInflight,
@@ -164,48 +99,12 @@ func main() {
 		Rate:           *rate,
 		Burst:          *burst,
 		EstimateSeedMS: seeds,
-	}, reps...)
+	}, remote...)
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	detail := fmt.Sprintf("%d local + %d remote replicas, policy %s, sched %s",
+		len(t.locals), len(remote), policy.Name(), sched)
+	if err := frontend.Serve(t, *cfg, detail); err != nil {
 		log.Fatalf("router: %v", err)
-	}
-	hs := &http.Server{
-		Handler:           httpx.AccessLog("router", newAPIWithTenant(router, serving, *models, edge, *dashInterval)),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       2 * time.Minute,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	log.Printf("router: listening on %s (%d local + %d remote replicas, policy %s, sched %s)",
-		ln.Addr(), len(locals), len(reps)-len(locals), policy.Name(), sched)
-
-	closeFleet := func() {
-		router.Close()
-		for _, lr := range locals {
-			lr.Server().Close()
-		}
-	}
-	select {
-	case err := <-serveErr:
-		closeFleet()
-		log.Fatalf("router: %v", err)
-	case <-ctx.Done():
-		stop() // a second signal kills immediately instead of re-draining
-		log.Printf("router: shutdown signal; draining for up to %s", *drain)
-		shCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(shCtx); err != nil {
-			log.Printf("router: drain incomplete: %v", err)
-		}
-		closeFleet()
-		log.Printf("router: drained, exiting")
 	}
 }
 
@@ -251,161 +150,82 @@ func seedEstimates(device, modelDir string, inputSize int) (map[string]float64, 
 	return seeds, nil
 }
 
-// newAPI builds the HTTP handler over the routing tier. Split from main so
-// tests drive it in-process.
-func newAPI(router *route.Router, serving *metrics.ServingStats, modelDir string) *http.ServeMux {
-	return newAPIWithTenant(router, serving, modelDir, nil, 0)
+// tier is the router as a frontend.Tier: a route.Router plus the local
+// replicas this process owns.
+type tier struct {
+	router *route.Router
+	// serving is shared by every local replica so the fleet's serving
+	// counters aggregate into one exposition; the per-replica traffic
+	// split comes from the router's own counters.
+	serving  *metrics.ServingStats
+	locals   []*route.LocalReplica
+	modelDir string
 }
 
-// newAPIWithTenant is newAPI plus the optional multi-tenant edge tier in
-// front of /v1/predict, mirroring servd's assembly so clients see the same
-// auth and quota surface at either tier.
-func newAPIWithTenant(router *route.Router, serving *metrics.ServingStats, modelDir string, edge *tenant.Tier, dashInterval time.Duration) *http.ServeMux {
-	mux := http.NewServeMux()
-
-	var predict http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		req, r, err := api.ReadPredict(r)
-		if err != nil {
-			httpx.Error(w, http.StatusBadRequest, api.CodeBadInput, fmt.Sprintf("bad request body: %v", err))
-			return
-		}
-		class, err := route.ParseClass(req.SLO)
-		if err != nil {
-			httpx.Error(w, http.StatusBadRequest, api.CodeBadInput, err.Error())
-			return
-		}
-		input, err := req.Tensor()
-		if err != nil {
-			httpx.Error(w, http.StatusBadRequest, api.CodeBadInput, err.Error())
-			return
-		}
-		key, err := req.ResolveKey()
-		if err != nil {
-			httpx.Error(w, http.StatusBadRequest, api.CodeBadInput, err.Error())
-			return
-		}
-		resp, err := router.SubmitClass(r.Context(), class, key, input)
-		if err != nil {
-			status, code := http.StatusInternalServerError, api.CodeInternal
-			switch {
-			case errors.Is(err, route.ErrThrottled):
-				status, code = http.StatusTooManyRequests, api.CodeThrottled
-				w.Header().Set("Retry-After", "1")
-			case errors.Is(err, route.ErrNoReplicas):
-				status, code = http.StatusServiceUnavailable, api.CodeNoReplicas
-			case errors.Is(err, route.ErrClosed), errors.Is(err, serve.ErrClosed):
-				status, code = http.StatusServiceUnavailable, api.CodeShuttingDown
-			case errors.Is(err, serve.ErrQueueFull):
-				status, code = http.StatusTooManyRequests, api.CodeQueueFull
-				w.Header().Set("Retry-After", "1")
-			case errors.Is(err, serve.ErrModelNotFound):
-				status, code = http.StatusNotFound, api.CodeModelNotFound
-			case errors.Is(err, r.Context().Err()):
-				status, code = http.StatusServiceUnavailable, api.CodeCanceled
-			}
-			httpx.Error(w, status, code, err.Error())
-			return
-		}
-		model, precision := api.SplitServedModel(resp.Model)
-		httpx.WriteJSON(w, http.StatusOK, api.PredictResponse{
-			Model:     model,
-			Precision: precision,
-			Class:     resp.Class,
-			Logits:    resp.Logits,
-			BatchSize: resp.BatchSize,
-			QueuedMS:  float64(resp.Queued) / float64(time.Millisecond),
-			TotalMS:   float64(resp.Total) / float64(time.Millisecond),
-			Replica:   resp.Replica,
-			Hedged:    resp.Hedged,
-		})
-	})
-	if edge != nil {
-		predict = edge.Wrap(predict)
+// newTier builds n local replicas over modelDir, each configured by so,
+// and routes over them and the remote replicas under opts.
+func newTier(modelDir string, n int, so serve.Options, opts route.Options, remote ...route.Replica) *tier {
+	t := &tier{serving: &metrics.ServingStats{}, modelDir: modelDir}
+	so.Stats = t.serving
+	var reps []route.Replica
+	for i := 0; i < n; i++ {
+		lr := route.NewLocalReplica(fmt.Sprintf("local-%d", i), serve.NewServer(serve.DirLoader(modelDir), so))
+		t.locals = append(t.locals, lr)
+		reps = append(reps, lr)
 	}
-	mux.Handle("POST /v1/predict", predict)
+	t.router = route.New(opts, append(reps, remote...)...)
+	return t
+}
 
-	// Whole-watershed scan jobs fan their tiles across the replica fleet;
-	// the job's SLO string picks the dispatch class (batch is the natural
-	// choice for a bulk scan).
-	scanStats := &metrics.ScanStats{}
-	scans := scan.NewManager(scanStats, scan.DefaultMaxRunning)
-	scan.Register(mux, scans, edge, func(req api.ScanRequest) (scan.Backend, error) {
-		class, err := route.ParseClass(req.SLO)
-		if err != nil {
-			return nil, err
-		}
-		return scan.RouterBackend{R: router, Class: class}, nil
-	})
+func (t *tier) Name() string { return "router" }
 
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		ids := make([]string, 0, 8)
-		for _, rep := range router.Replicas() {
-			ids = append(ids, rep.ID())
-		}
-		stats := api.RouterStats{
-			Router:   router.Stats().Snapshot(),
-			Serving:  serving.Snapshot(),
-			Replicas: ids,
-			Policy:   router.Policy().Name(),
-			Waiting:  router.Waiting(),
-		}
-		sc := scanStats.Snapshot()
-		stats.Scan = &sc
-		if edge != nil {
-			tn := edge.Stats().Snapshot()
-			fair := edge.Fair().SnapshotFair()
-			stats.Tenant, stats.Fair = &tn, &fair
-		}
-		httpx.WriteJSON(w, http.StatusOK, stats)
-	})
+func (t *tier) Submit(ctx context.Context, class route.SLOClass, key string, input *tensor.Tensor) (route.Response, error) {
+	return t.router.SubmitClass(ctx, class, key, input)
+}
 
-	tenant.NewDashboard(edge, dashInterval, func() tenant.DashboardSnapshot {
-		return tenant.DashboardSnapshot{
-			Service: "router",
-			Serving: serving.Snapshot(),
-			Tenants: edge.Stats().Snapshot(),
-			Fair:    edge.Fair().SnapshotFair(),
-		}
-	}).Register(mux)
+func (t *tier) ScanBackend(class route.SLOClass) scan.Backend {
+	return scan.RouterBackend{R: t.router, Class: class}
+}
 
-	handleMetrics := func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		e := metrics.NewExpositionWriter(w)
-		router.Stats().Snapshot().WriteProm(e)
-		serving.Snapshot().WriteProm(e)
-		scanStats.Snapshot().WriteProm(e)
-		if edge != nil {
-			edge.Stats().Snapshot().WriteProm(e)
-		}
-		if err := e.Flush(); err != nil {
-			log.Printf("router: writing /metrics: %v", err)
-		}
+func (t *tier) Stats(sec frontend.Sections) any {
+	reps := t.router.Replicas()
+	ids := make([]string, len(reps))
+	for i, rep := range reps {
+		ids[i] = rep.ID()
 	}
-	mux.HandleFunc("GET /v1/metrics", handleMetrics)
-	mux.HandleFunc("GET /metrics", httpx.Deprecated("router", "/metrics", "/v1/metrics", handleMetrics))
-
-	handleHealthz := func(w http.ResponseWriter, r *http.Request) {
-		reps := router.Replicas()
-		if len(reps) == 0 {
-			httpx.WriteJSON(w, http.StatusServiceUnavailable, api.HealthResponse{
-				Status: "degraded",
-				Error:  "no replicas",
-			})
-			return
-		}
-		keys, err := serve.ListModels(modelDir)
-		if err != nil {
-			keys = nil // a pure proxy tier has no local model directory
-		}
-		httpx.WriteJSON(w, http.StatusOK, api.HealthResponse{
-			Status:   "ok",
-			Replicas: len(reps),
-			Policy:   router.Policy().Name(),
-			Models:   keys,
-		})
+	return api.RouterStats{
+		Router:   t.router.Stats().Snapshot(),
+		Serving:  t.Serving(),
+		Replicas: ids,
+		Policy:   t.router.Policy().Name(),
+		Waiting:  t.router.Waiting(),
+		Tenant:   sec.Tenant,
+		Fair:     sec.Fair,
+		Scan:     sec.Scan,
 	}
-	mux.HandleFunc("GET /v1/healthz", handleHealthz)
-	mux.HandleFunc("GET /healthz", httpx.Deprecated("router", "/healthz", "/v1/healthz", handleHealthz))
+}
 
-	return mux
+func (t *tier) WriteProm(e *metrics.ExpositionWriter) {
+	t.router.Stats().Snapshot().WriteProm(e)
+	t.Serving().WriteProm(e)
+}
+
+func (t *tier) Health() api.HealthResponse {
+	reps := t.router.Replicas()
+	if len(reps) == 0 {
+		return api.HealthResponse{Status: "degraded", Error: "no replicas"}
+	}
+	// A pure proxy tier has no local model directory: Models stays empty.
+	keys, _ := serve.ListModels(t.modelDir)
+	return api.HealthResponse{Status: "ok", Replicas: len(reps), Policy: t.router.Policy().Name(), Models: keys}
+}
+
+func (t *tier) Serving() metrics.ServingSnapshot { return t.serving.Snapshot() }
+
+// Close drains the router, then the serving cores it owns.
+func (t *tier) Close() {
+	t.router.Close()
+	for _, lr := range t.locals {
+		lr.Server().Close()
+	}
 }

@@ -5,53 +5,13 @@ import (
 	"context"
 	"errors"
 	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"syscall"
 	"testing"
 	"time"
 
 	"drainnas/internal/api"
-	"drainnas/internal/onnxsize"
-	"drainnas/internal/resnet"
+	"drainnas/internal/fronttest"
 	"drainnas/internal/scan"
-	"drainnas/internal/tensor"
 )
-
-// writeScanModel exports a 5-channel container (the scan corpus depth)
-// named wet.dnnx into dir, so synthesized watershed chips feed it without
-// a shape mismatch.
-func writeScanModel(t *testing.T, dir string) {
-	t.Helper()
-	cfg := resnet.Config{
-		Channels: 5, Batch: 4, KernelSize: 3, Stride: 2, Padding: 1,
-		PoolChoice: 0, InitialOutputFeature: 4, NumClasses: 2,
-	}
-	m, err := resnet.New(cfg, tensor.NewRNG(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := onnxsize.Export(m, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "wet.dnnx"), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// buildRaceBinary builds pkg with the race detector into dir.
-func buildRaceBinary(t *testing.T, dir, name, pkg string) string {
-	t.Helper()
-	bin := filepath.Join(dir, name)
-	build := exec.Command("go", "build", "-race", "-o", bin, pkg)
-	build.Dir = "../.."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build -race %s: %v\n%s", pkg, err, out)
-	}
-	return bin
-}
 
 // streamScan starts req and consumes its full event stream, returning the
 // final job document, the heat map assembled from the streamed tiles, and
@@ -108,28 +68,12 @@ func TestRouterScanSmoke(t *testing.T) {
 		t.Skip("binary smoke test skipped in -short mode")
 	}
 	dir := t.TempDir()
-	writeScanModel(t, dir)
-	servdBin := buildRaceBinary(t, dir, "servd-race", "drainnas/cmd/servd")
-	routerBin := buildRaceBinary(t, dir, "router-race", "drainnas/cmd/router")
+	fronttest.WriteModels(t, dir)
+	servd := fronttest.StartProc(t, fronttest.Build(t, dir, "servd", true), "-models", dir)
+	router := fronttest.StartProc(t, fronttest.Build(t, dir, "router", true),
+		"-replicas", "0", "-backends", servd.URL, "-models", dir)
 
-	// startRouter only execs the binary and parses the logged listen
-	// address, so it boots servd just as well.
-	servdCmd, servdURL, servdLogs := startRouter(t, servdBin, "-models", dir)
-	defer func() {
-		servdCmd.Process.Kill()
-		servdCmd.Wait()
-	}()
-	waitForHealthy(t, servdURL)
-
-	routerCmd, routerURL, routerLogs := startRouter(t, routerBin,
-		"-replicas", "0", "-backends", servdURL, "-models", dir)
-	defer func() {
-		routerCmd.Process.Kill()
-		routerCmd.Wait()
-	}()
-	waitForHealthy(t, routerURL)
-
-	c := api.NewClient(routerURL, api.ClientOptions{Retries: 2})
+	c := api.NewClient(router.URL, api.ClientOptions{Retries: 2})
 	req := api.ScanRequest{
 		Model: "wet", SLO: "batch", Region: "Nebraska",
 		TileSize: 64, ChipSize: 16, Seed: 7,
@@ -233,23 +177,6 @@ func TestRouterScanSmoke(t *testing.T) {
 	}
 
 	// --- Both binaries drain cleanly on SIGTERM. ---
-	for _, p := range []struct {
-		name string
-		cmd  *exec.Cmd
-		logs *syncBuffer
-	}{{"router", routerCmd, routerLogs}, {"servd", servdCmd, servdLogs}} {
-		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatalf("SIGTERM %s: %v", p.name, err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- p.cmd.Wait() }()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s exited uncleanly after SIGTERM: %v\nlog:\n%s", p.name, err, p.logs.String())
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%s did not exit within 30s of SIGTERM; log:\n%s", p.name, p.logs.String())
-		}
-	}
+	router.Term(t)
+	servd.Term(t)
 }

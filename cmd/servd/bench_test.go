@@ -1,17 +1,15 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"drainnas/internal/onnxsize"
+	"drainnas/internal/frontend"
+	"drainnas/internal/fronttest"
 	"drainnas/internal/resnet"
 	"drainnas/internal/route"
 	"drainnas/internal/serve"
@@ -21,9 +19,9 @@ import (
 // BenchmarkHTTPReplicaLoopback is the router→servd hop at the paper's
 // 5×100×100 chip with the model all but stubbed out. Inside the timed
 // region: route.HTTPReplica.Submit on a kept-alive loopback connection —
-// api.PredictFromTensor, json.Marshal, the POST — and servd's real handler
-// chain behind an httptest.Server — access log (to io.Discard),
-// api.ReadPredict, Tensor(), serve.Submit with -max-batch 1 so nothing
+// api.PredictFromTensor, json.Marshal, the POST — and the real handler
+// chain (frontend.New over servd's tier) behind an httptest.Server — access
+// log (to io.Discard), api.ReadPredict, Tensor(), serve.Submit with -max-batch 1 so nothing
 // waits on the batch timer, a width-1 ResNet as the plan (the stub: the
 // "stub" sub-benchmark's share of the total is what it costs), the JSON
 // answer — and decoding that answer back into serve.Response. Outside:
@@ -34,20 +32,10 @@ func BenchmarkHTTPReplicaLoopback(b *testing.B) {
 	defer log.SetOutput(prev)
 
 	dir := b.TempDir()
-	m, err := resnet.New(resnet.Config{
+	fronttest.WriteModel(b, dir, "stub", resnet.Config{
 		Channels: 5, Batch: 1, KernelSize: 3, Stride: 2, Padding: 1,
 		PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 1, NumClasses: 2,
-	}, tensor.NewRNG(7))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := onnxsize.Export(m, &buf); err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "stub.dnnx"), buf.Bytes(), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	})
 	srv := serve.NewServer(serve.DirLoader(dir), serve.Options{MaxBatch: 1})
 	defer srv.Close()
 	x := tensor.RandNormal(tensor.NewRNG(1), 1, 5, 100, 100)
@@ -65,7 +53,7 @@ func BenchmarkHTTPReplicaLoopback(b *testing.B) {
 		}
 	})
 	b.Run("hop", func(b *testing.B) {
-		ts := httptest.NewServer(withAccessLog(newAPI(srv, dir)))
+		ts := httptest.NewServer(frontend.New(tier{srv: srv, modelDir: dir}, frontend.Config{}))
 		defer ts.Close()
 		client := &http.Client{Transport: &http.Transport{}}
 		defer client.CloseIdleConnections()

@@ -2,13 +2,11 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,6 +14,7 @@ import (
 	"time"
 
 	"drainnas/internal/api"
+	"drainnas/internal/fronttest"
 	"drainnas/internal/tenant"
 )
 
@@ -28,99 +27,32 @@ const smokeKeys = `{"tenants": [
 	{"name": "capped", "key": "capped-secret-key", "rate_rps": 0.001, "burst": 1}
 ]}`
 
-// buildServdRace builds the binary with the race detector, so the smoke
-// exercises the real multi-tenant admission path under -race.
-func buildServdRace(t *testing.T, dir string) string {
-	t.Helper()
-	bin := filepath.Join(dir, "servd-race")
-	build := exec.Command("go", "build", "-race", "-o", bin, "drainnas/cmd/servd")
-	build.Dir = "../.."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build -race: %v\n%s", err, out)
-	}
-	return bin
-}
-
-func authedPredict(t *testing.T, url, key string, body []byte) *http.Response {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/predict", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if key != "" {
-		req.Header.Set("Authorization", "Bearer "+key)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
-func envelopeCode(t *testing.T, resp *http.Response) string {
-	t.Helper()
-	defer resp.Body.Close()
-	var env api.ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	return env.Error.Code
-}
-
-// TestServdTenantSmoke boots the real binary with a key file and walks the
-// whole edge tier over actual HTTP: 401 for bad keys, 429 quota_exceeded
-// for a dry bucket, fair-share goodput for a compliant tenant under a
-// concurrent flood, and a live dashboard handshake over both WebSocket and
-// SSE.
+// TestServdTenantSmoke boots the real binary (built -race) with a key file
+// and walks the whole edge tier over actual HTTP: 401 for bad keys, 429
+// quota_exceeded for a dry bucket, fair-share goodput for a compliant
+// tenant under a concurrent flood, and a live dashboard handshake over both
+// WebSocket and SSE.
 func TestServdTenantSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("binary smoke test skipped in -short mode")
-	}
-	dir := t.TempDir()
-	cfg := writeTinyModel(t, dir)
-	keyPath := filepath.Join(dir, "keys.json")
+	keyPath := filepath.Join(t.TempDir(), "keys.json")
 	if err := os.WriteFile(keyPath, []byte(smokeKeys), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	bin := buildServdRace(t, dir)
-	cmd, url, logs := startServd(t, bin,
-		"-models", dir, "-keys", keyPath, "-tenant-inflight", "2", "-dashboard-interval", "50ms")
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
-	waitForHealthy(t, url)
-	body := predictBody(t, cfg, "tiny")
+	p := startServd(t, true, "-keys", keyPath, "-tenant-inflight", "2", "-dashboard-interval", "50ms")
+	url := p.URL + "/v1/predict"
+	body := fronttest.PredictBody(t, "tiny", "")
 
 	// --- 401: no key, then a wrong key. ---
 	for _, key := range []string{"", "not-a-real-key"} {
-		resp := authedPredict(t, url, key, body)
-		if resp.StatusCode != http.StatusUnauthorized {
-			t.Fatalf("key %q: status %d, want 401", key, resp.StatusCode)
-		}
-		if code := envelopeCode(t, resp); code != api.CodeUnauthorized {
-			t.Fatalf("key %q: code %q, want unauthorized", key, code)
-		}
+		resp, got := fronttest.Do(t, "POST", url, key, body)
+		fronttest.Envelope(t, resp, got, api.CodeUnauthorized)
 	}
 
 	// --- 429: the capped tenant's single-token bucket runs dry. ---
-	resp := authedPredict(t, url, "capped-secret-key", body)
-	if resp.StatusCode != http.StatusOK {
+	if resp, _ := fronttest.Do(t, "POST", url, "capped-secret-key", body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("capped tenant's first request: status %d, want 200", resp.StatusCode)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	resp = authedPredict(t, url, "capped-secret-key", body)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-quota status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	if code := envelopeCode(t, resp); code != api.CodeQuotaExceeded {
-		t.Fatalf("over-quota code %q, want quota_exceeded", code)
-	}
+	resp, got := fronttest.Do(t, "POST", url, "capped-secret-key", body)
+	fronttest.Envelope(t, resp, got, api.CodeQuotaExceeded)
 
 	// --- Fair share: bravo floods concurrently; every one of alpha's
 	// sequential requests must still complete successfully. ---
@@ -136,7 +68,9 @@ func TestServdTenantSmoke(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.DefaultClient.Do(mustRequest(url+"/v1/predict", "bravo-secret-key", body))
+				req, _ := http.NewRequest("POST", url, strings.NewReader(string(body)))
+				req.Header.Set("Authorization", "Bearer bravo-secret-key")
+				resp, err := http.DefaultClient.Do(req)
 				if err != nil {
 					return
 				}
@@ -148,22 +82,18 @@ func TestServdTenantSmoke(t *testing.T) {
 	const alphaReqs = 10
 	alphaOK := 0
 	for i := 0; i < alphaReqs; i++ {
-		resp := authedPredict(t, url, "alpha-secret-key", body)
-		if resp.StatusCode == http.StatusOK {
+		if resp, _ := fronttest.Do(t, "POST", url, "alpha-secret-key", body); resp.StatusCode == http.StatusOK {
 			alphaOK++
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
 	close(stopFlood)
 	flood.Wait()
 	if alphaOK != alphaReqs {
-		t.Fatalf("compliant tenant completed %d/%d requests under flood; log:\n%s",
-			alphaOK, alphaReqs, logs.String())
+		t.Fatalf("compliant tenant completed %d/%d requests under flood; log:\n%s", alphaOK, alphaReqs, p.Logs())
 	}
 
 	// --- Dashboard: WebSocket handshake (gated by key). ---
-	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	conn, err := net.Dial("tcp", strings.TrimPrefix(p.URL, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,17 +158,11 @@ func TestServdTenantSmoke(t *testing.T) {
 	}
 
 	// --- Dashboard gate: no key means 401, and the SSE fallback streams. ---
-	respNoKey, err := http.Get(url + "/v1/dashboard/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if respNoKey.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("ungated dashboard: status %d, want 401", respNoKey.StatusCode)
-	}
-	respNoKey.Body.Close()
+	resp, got = fronttest.Do(t, "GET", p.URL+"/v1/dashboard/events", "", nil)
+	fronttest.Envelope(t, resp, got, api.CodeUnauthorized)
 
-	sseReq := mustRequest(url+"/v1/dashboard/events", "alpha-secret-key", nil)
-	sseReq.Method = http.MethodGet
+	sseReq, _ := http.NewRequest("GET", p.URL+"/v1/dashboard/events", nil)
+	sseReq.Header.Set("Authorization", "Bearer alpha-secret-key")
 	sseResp, err := http.DefaultClient.Do(sseReq)
 	if err != nil {
 		t.Fatal(err)
@@ -262,24 +186,9 @@ func TestServdTenantSmoke(t *testing.T) {
 	}
 
 	// The audit trail recorded both denials and admits.
-	out := logs.String()
 	for _, want := range []string{"decision=deny_auth", "decision=deny_quota", "tenant=alpha decision=admit"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("audit log missing %q:\n%s", want, out)
+		if !strings.Contains(p.Logs(), want) {
+			t.Fatalf("audit log missing %q:\n%s", want, p.Logs())
 		}
 	}
-}
-
-func mustRequest(url, key string, body []byte) *http.Request {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(http.MethodPost, url, rd)
-	if err != nil {
-		panic(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Authorization", "Bearer "+key)
-	return req
 }

@@ -96,26 +96,17 @@ func TestScanRequestDefaultsAndValidate(t *testing.T) {
 
 func TestRoutesRegistry(t *testing.T) {
 	seen := map[string]bool{}
-	canonical := map[string]bool{}
 	for _, r := range Routes {
 		key := r.Method + " " + r.Path
 		if seen[key] {
 			t.Errorf("duplicate route %s", key)
 		}
 		seen[key] = true
-		if !r.Deprecated {
-			canonical[r.Path] = true
-		}
 		if len(r.Tiers) == 0 || r.Desc == "" {
 			t.Errorf("route %s missing tiers or description", key)
 		}
-	}
-	for _, r := range Routes {
-		if r.Deprecated && !canonical[r.Successor] {
-			t.Errorf("deprecated %s names successor %q which is not a canonical route", r.Path, r.Successor)
-		}
-		if !r.Deprecated && r.Successor != "" {
-			t.Errorf("non-deprecated %s has a successor", r.Path)
+		if !strings.HasPrefix(r.Path, "/v1/") {
+			t.Errorf("route %s is outside the versioned surface", key)
 		}
 	}
 	for _, tier := range []string{"servd", "router"} {

@@ -16,12 +16,7 @@ type Route struct {
 	Path string
 	// Tiers lists the front ends serving the route ("servd", "router").
 	Tiers []string
-	// Deprecated marks a legacy alias: still served, but with a
-	// Deprecation header and a successor Link, scheduled for removal.
-	Deprecated bool
-	// Successor is the canonical path replacing a deprecated alias.
-	Successor string
-	Desc      string
+	Desc  string
 }
 
 // Routes is the registry of every HTTP endpoint both front ends expose
@@ -50,12 +45,6 @@ var Routes = []Route{
 		Desc: "dashboard snapshot stream over WebSocket"},
 	{Method: "GET", Path: "/v1/dashboard/events", Tiers: []string{"servd", "router"},
 		Desc: "dashboard snapshot stream over SSE"},
-	{Method: "GET", Path: "/metrics", Tiers: []string{"servd", "router"},
-		Deprecated: true, Successor: "/v1/metrics",
-		Desc: "unversioned alias for scrapers configured before the /v1/ move"},
-	{Method: "GET", Path: "/healthz", Tiers: []string{"servd", "router"},
-		Deprecated: true, Successor: "/v1/healthz",
-		Desc: "unversioned alias for probes configured before the /v1/ move"},
 }
 
 // RoutesFor returns the registry filtered to one tier.
@@ -79,11 +68,7 @@ func EndpointTable() string {
 	b.WriteString("| Method | Path | Tiers | Description |\n")
 	b.WriteString("|--------|------|-------|-------------|\n")
 	for _, r := range Routes {
-		desc := r.Desc
-		if r.Deprecated {
-			desc = fmt.Sprintf("**deprecated** (use `%s`) — %s", r.Successor, desc)
-		}
-		fmt.Fprintf(&b, "| %s | `%s` | %s | %s |\n", r.Method, r.Path, strings.Join(r.Tiers, ", "), desc)
+		fmt.Fprintf(&b, "| %s | `%s` | %s | %s |\n", r.Method, r.Path, strings.Join(r.Tiers, ", "), r.Desc)
 	}
 	return b.String()
 }

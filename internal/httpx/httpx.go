@@ -1,7 +1,6 @@
 // Package httpx is the HTTP plumbing shared by the serving front ends
 // (cmd/servd and cmd/router): rendering the internal/api error envelope,
-// request-ID minting and propagation, the access-log middleware, and the
-// deprecation-header wrapper for legacy unversioned aliases. It was
+// request-ID minting and propagation, and the access-log middleware. It was
 // extracted from cmd/servd when the router tier arrived so both tiers speak
 // byte-identical JSON, and slimmed again when the wire types themselves
 // moved to internal/api — httpx is transport plumbing only; the structs on
@@ -17,7 +16,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,23 +31,6 @@ func Error(w http.ResponseWriter, status int, code, msg string) {
 		Message:   msg,
 		RequestID: w.Header().Get("X-Request-ID"),
 	}})
-}
-
-// Deprecated wraps a legacy alias handler: every response carries a
-// Deprecation header (RFC 8594 style) and a Link to the successor route,
-// and the first hit logs a one-time migration warning — so probes and
-// scrape configs keep working while their owners get a signal to move.
-func Deprecated(service, alias, successor string, h http.HandlerFunc) http.HandlerFunc {
-	var once sync.Once
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		once.Do(func() {
-			log.Printf("%s: deprecated alias %s was hit; clients should move to %s (alias scheduled for removal, see README)",
-				service, alias, successor)
-		})
-		h(w, r)
-	}
 }
 
 // WriteJSON writes v as a JSON response with the given status.

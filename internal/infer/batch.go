@@ -113,10 +113,3 @@ func (p *Plan) checkChip(i int, in *tensor.Tensor) error {
 func chipSize(in *tensor.Tensor) (h, w int) {
 	return in.Dim(in.NDim() - 2), in.Dim(in.NDim() - 1)
 }
-
-// RunBatch executes the model over independent single-image inputs.
-//
-// Compatibility wrapper over Plan.RunBatch.
-func (rt *Runtime) RunBatch(inputs []*tensor.Tensor) ([]Prediction, error) {
-	return rt.plan.RunBatch(inputs)
-}

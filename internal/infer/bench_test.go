@@ -40,15 +40,16 @@ func benchInput(batch int) *tensor.Tensor {
 // interpreter, which re-resolves topology, runs BN as its own pass and
 // allocates a tensor per op.
 func BenchmarkInterpretedBatch1(b *testing.B) {
-	rt, err := Load(bytes.NewReader(benchContainer(b)))
+	dec, err := onnxsize.Decode(bytes.NewReader(benchContainer(b)))
 	if err != nil {
 		b.Fatal(err)
 	}
+	rt := newInterpreter(dec)
 	x := benchInput(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.forwardInterpreted(x); err != nil {
+		if _, err := rt.forward(x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,15 +77,16 @@ func BenchmarkCompiledBatch1(b *testing.B) {
 }
 
 func BenchmarkInterpretedBatch8(b *testing.B) {
-	rt, err := Load(bytes.NewReader(benchContainer(b)))
+	dec, err := onnxsize.Decode(bytes.NewReader(benchContainer(b)))
 	if err != nil {
 		b.Fatal(err)
 	}
+	rt := newInterpreter(dec)
 	x := benchInput(8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.forwardInterpreted(x); err != nil {
+		if _, err := rt.forward(x); err != nil {
 			b.Fatal(err)
 		}
 	}

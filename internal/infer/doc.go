@@ -19,22 +19,4 @@
 //   - Session is the per-goroutine executor: it owns shape-keyed activation
 //     arenas, so a steady-state Forward allocates nothing and returns
 //     arena-owned logits (valid until that session's next Forward).
-//
-// # Migrating from Load/Runtime to Compile/Plan
-//
-// Old (per-call interpreter era):
-//
-//	rt, err := infer.Load(f)
-//	logits, err := rt.Forward(x) // fresh allocations every call
-//
-// New:
-//
-//	plan, err := infer.LoadPlan(f) // or infer.Compile(dec)
-//	sess := plan.NewSession()      // one per goroutine
-//	logits, err := sess.Forward(x) // zero-alloc steady state; logits valid
-//	                               // until sess's next Forward
-//
-// Runtime (and its Forward/Classify/RunBatch) remains as a thin
-// compatibility wrapper that compiles eagerly and runs pooled sessions
-// internally; it costs one logits copy per call over the session API.
 package infer

@@ -9,9 +9,9 @@ import (
 	"drainnas/internal/tensor"
 )
 
-// FuzzLoad feeds arbitrary byte streams to the runtime loader. Malformed,
+// FuzzLoad feeds arbitrary byte streams to the plan loader. Malformed,
 // truncated or hostile containers must surface as errors, never as panics,
-// and any container Load accepts must yield a runtime with a sane input
+// and any container LoadPlan accepts must yield a plan with a sane input
 // contract.
 func FuzzLoad(f *testing.F) {
 	cfg := resnet.Config{
@@ -38,20 +38,15 @@ func FuzzLoad(f *testing.F) {
 	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rt, err := Load(bytes.NewReader(data))
+		plan, err := LoadPlan(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if rt == nil {
-			t.Fatal("nil runtime without error")
+		if plan == nil {
+			t.Fatal("nil plan without error")
 		}
-		if rt.InputChannels() <= 0 {
-			t.Fatalf("accepted container with %d input channels", rt.InputChannels())
-		}
-		if rt.GraphName() == "" {
-			// Legal but worth distinguishing: Load only validates conv1, a
-			// nameless graph is fine.
-			return
+		if plan.InputChannels() <= 0 {
+			t.Fatalf("accepted container with %d input channels", plan.InputChannels())
 		}
 	})
 }

@@ -46,7 +46,7 @@ func TestRuntimeMatchesTrainingModel(t *testing.T) {
 			PoolChoice: 1, KernelSizePool: 2, StridePool: 2, InitialOutputFeature: 8, NumClasses: 2},
 	} {
 		m, container := exportModel(t, cfg, 11)
-		rt, err := Load(bytes.NewReader(container))
+		rt, err := LoadPlan(bytes.NewReader(container))
 		if err != nil {
 			t.Fatalf("cfg %s: %v", cfg.Key(), err)
 		}
@@ -77,7 +77,7 @@ func TestRuntimeClassifyAgreesWithModel(t *testing.T) {
 	cfg := resnet.Config{Channels: 5, Batch: 4, KernelSize: 3, Stride: 2, Padding: 1,
 		PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 8, NumClasses: 2}
 	m, container := exportModel(t, cfg, 17)
-	rt, err := Load(bytes.NewReader(container))
+	rt, err := LoadPlan(bytes.NewReader(container))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRuntimeRejectsBadInput(t *testing.T) {
 	cfg := resnet.Config{Channels: 5, Batch: 4, KernelSize: 3, Stride: 2, Padding: 1,
 		PoolChoice: 0, InitialOutputFeature: 8, NumClasses: 2}
 	_, container := exportModel(t, cfg, 3)
-	rt, err := Load(bytes.NewReader(container))
+	rt, err := LoadPlan(bytes.NewReader(container))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRuntimeRejectsBadInput(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a container"))); err == nil {
+	if _, err := LoadPlan(bytes.NewReader([]byte("not a container"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -124,8 +124,8 @@ func TestGraphNameExposed(t *testing.T) {
 	cfg := resnet.Config{Channels: 5, Batch: 4, KernelSize: 3, Stride: 2, Padding: 1,
 		PoolChoice: 0, InitialOutputFeature: 8, NumClasses: 2}
 	_, container := exportModel(t, cfg, 4)
-	rt, _ := Load(bytes.NewReader(container))
-	if rt.GraphName() == "" {
+	rt, _ := LoadPlan(bytes.NewReader(container))
+	if rt.Name() == "" {
 		t.Fatal("empty graph name")
 	}
 }

@@ -9,21 +9,23 @@ import (
 	"drainnas/internal/tensor"
 )
 
-// This file is the original per-call graph interpreter, kept as the
+// interpreter is the original per-call graph interpreter, kept as the
 // differential oracle for the compiled plan (the three-way parity tests) and
 // as the "before" baseline the infer benchmarks measure the compiler
 // against. It re-derives residual topology from node names on every call,
 // runs BatchNorm as a separate pass and allocates a fresh tensor per op —
-// exactly the costs Compile removes.
+// exactly the costs Compile removes. Nothing outside this package's tests
+// runs it.
+type interpreter struct{ dec *onnxsize.Decoded }
 
-// forwardInterpreted executes the graph on an (N, C, H, W) input by walking
-// the node list, returning the (N, classes) logits.
-func (rt *Runtime) forwardInterpreted(x *tensor.Tensor) (*tensor.Tensor, error) {
+func newInterpreter(dec *onnxsize.Decoded) *interpreter { return &interpreter{dec: dec} }
+
+// forward executes the graph on an (N, C, H, W) input by walking the node
+// list, returning the (N, classes) logits. A channel mismatch is the first
+// convolution's to report.
+func (rt *interpreter) forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.NDim() != 4 {
 		return nil, fmt.Errorf("infer: input must be (N,C,H,W), got %v", x.Shape())
-	}
-	if x.Dim(1) != rt.plan.inC {
-		return nil, fmt.Errorf("infer: input has %d channels, model wants %d", x.Dim(1), rt.plan.inC)
 	}
 	cur := x
 	var blockIn *tensor.Tensor // input of the residual block in flight
@@ -102,7 +104,7 @@ func (rt *Runtime) forwardInterpreted(x *tensor.Tensor) (*tensor.Tensor, error) 
 	return cur, nil
 }
 
-func (rt *Runtime) initializerDims(name string) []int {
+func (rt *interpreter) initializerDims(name string) []int {
 	for _, init := range rt.dec.Graph.Initializers {
 		if init.Name == name {
 			return init.Dims
@@ -111,7 +113,7 @@ func (rt *Runtime) initializerDims(name string) []int {
 	return nil
 }
 
-func (rt *Runtime) tensorOf(name string, wantLen int) ([]float32, error) {
+func (rt *interpreter) tensorOf(name string, wantLen int) ([]float32, error) {
 	v, ok := rt.dec.Weights[name]
 	if !ok {
 		return nil, fmt.Errorf("infer: missing initializer %s", name)
@@ -122,7 +124,7 @@ func (rt *Runtime) tensorOf(name string, wantLen int) ([]float32, error) {
 	return v, nil
 }
 
-func (rt *Runtime) conv(node onnxsize.NodeSpec, x *tensor.Tensor) (*tensor.Tensor, error) {
+func (rt *interpreter) conv(node onnxsize.NodeSpec, x *tensor.Tensor) (*tensor.Tensor, error) {
 	dims := rt.initializerDims(node.Name + ".weight")
 	if len(dims) != 4 {
 		return nil, fmt.Errorf("infer: conv %s weight dims %v", node.Name, dims)
@@ -145,7 +147,7 @@ func (rt *Runtime) conv(node onnxsize.NodeSpec, x *tensor.Tensor) (*tensor.Tenso
 	return tensor.Conv2D(x, weight, nil, s, p), nil
 }
 
-func (rt *Runtime) batchNorm(node onnxsize.NodeSpec, x *tensor.Tensor) (*tensor.Tensor, error) {
+func (rt *interpreter) batchNorm(node onnxsize.NodeSpec, x *tensor.Tensor) (*tensor.Tensor, error) {
 	c := x.Dim(1)
 	gamma, err := rt.tensorOf(node.Name+".gamma", c)
 	if err != nil {
@@ -185,7 +187,7 @@ func (rt *Runtime) batchNorm(node onnxsize.NodeSpec, x *tensor.Tensor) (*tensor.
 	return out, nil
 }
 
-func (rt *Runtime) gemm(node onnxsize.NodeSpec, x *tensor.Tensor) (*tensor.Tensor, error) {
+func (rt *interpreter) gemm(node onnxsize.NodeSpec, x *tensor.Tensor) (*tensor.Tensor, error) {
 	dims := rt.initializerDims(node.Name + ".weight")
 	if len(dims) != 2 {
 		return nil, fmt.Errorf("infer: gemm %s weight dims %v", node.Name, dims)

@@ -39,7 +39,7 @@ func TestBatchedRuntimeParity(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		m, container := exportModel(t, cfg, 23)
-		rt, err := Load(bytes.NewReader(container))
+		rt, err := LoadPlan(bytes.NewReader(container))
 		if err != nil {
 			t.Fatalf("cfg %s: %v", cfg.Key(), err)
 		}
@@ -143,7 +143,7 @@ func TestRunBatchRejectsBadInputs(t *testing.T) {
 	cfg := resnet.Config{Channels: 5, Batch: 4, KernelSize: 3, Stride: 2, Padding: 1,
 		PoolChoice: 0, InitialOutputFeature: 8, NumClasses: 2}
 	_, container := exportModel(t, cfg, 13)
-	rt, err := Load(bytes.NewReader(container))
+	rt, err := LoadPlan(bytes.NewReader(container))
 	if err != nil {
 		t.Fatal(err)
 	}

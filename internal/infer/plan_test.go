@@ -33,15 +33,19 @@ func TestThreeWayParityRandomConfigs(t *testing.T) {
 		cfg.InitialOutputFeature = 8
 		t.Run(cfg.Key(), func(t *testing.T) {
 			m, container := exportModel(t, cfg, 100+uint64(d))
-			rt, err := Load(bytes.NewReader(container))
+			dec, err := onnxsize.Decode(bytes.NewReader(container))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess := rt.Plan().NewSession()
+			plan, err := Compile(dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := plan.NewSession()
 
 			x := tensor.RandNormal(tensor.NewRNG(uint64(7+d)), 1, 2, cfg.Channels, 32, 32)
 			want := m.Forward(x, false)
-			interp, err := rt.forwardInterpreted(x)
+			interp, err := newInterpreter(dec).forward(x)
 			if err != nil {
 				t.Fatalf("interpreted: %v", err)
 			}
@@ -200,9 +204,8 @@ func TestCompileRejectsMissingPoolPad(t *testing.T) {
 	if _, err := Compile(dec); err == nil || !strings.Contains(err.Error(), "pad") {
 		t.Fatalf("Compile error = %v, want missing-pad rejection", err)
 	}
-	rt := &Runtime{dec: dec, plan: &Plan{inC: 1}}
 	x := tensor.RandNormal(tensor.NewRNG(5), 1, 1, 1, 5, 5)
-	if _, err := rt.forwardInterpreted(x); err == nil || !strings.Contains(err.Error(), "pad") {
+	if _, err := newInterpreter(dec).forward(x); err == nil || !strings.Contains(err.Error(), "pad") {
 		t.Fatalf("interpreter error = %v, want missing-pad rejection", err)
 	}
 }

@@ -68,21 +68,7 @@ func (s *RouterStats) classLocked(class string) *classRouteStats {
 }
 
 func (s *RouterStats) replicaLocked(id string) *replicaRouteStats {
-	if s.perReplica == nil {
-		s.perReplica = make(map[string]*replicaRouteStats)
-	}
-	r := s.perReplica[id]
-	if r == nil {
-		if len(s.perReplica) >= maxTrackedReplicas {
-			id = OverflowModelKey
-			if r = s.perReplica[id]; r != nil {
-				return r
-			}
-		}
-		r = &replicaRouteStats{}
-		s.perReplica[id] = r
-	}
-	return r
+	return tracked(&s.perReplica, maxTrackedReplicas, id)
 }
 
 // Submitted records one request entering the router under an SLO class.

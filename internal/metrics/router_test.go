@@ -68,23 +68,6 @@ func TestRouterStatsLifecycle(t *testing.T) {
 	}
 }
 
-// TestRouterStatsReplicaCapOverflow pins the anti-leak cap on the
-// per-replica map, mirroring the per-model cap in serving stats.
-func TestRouterStatsReplicaCapOverflow(t *testing.T) {
-	s := &RouterStats{}
-	for i := 0; i < maxTrackedReplicas+30; i++ {
-		s.Decision("round-robin", fmt.Sprintf("ephemeral-%d", i), time.Microsecond)
-	}
-	snap := s.Snapshot()
-	if len(snap.PerReplica) != maxTrackedReplicas+1 {
-		t.Fatalf("per-replica map has %d entries, want cap %d + overflow", len(snap.PerReplica), maxTrackedReplicas)
-	}
-	over, ok := snap.PerReplica[OverflowModelKey]
-	if !ok || over.Picked != 30 {
-		t.Fatalf("overflow bucket %+v (present=%v), want 30 picks", over, ok)
-	}
-}
-
 func TestRouterStatsNilReceiverIsSafe(t *testing.T) {
 	var s *RouterStats
 	s.Submitted("standard")

@@ -14,7 +14,7 @@ const maxTrackedModels = 32
 
 // OverflowModelKey is the per-model bucket absorbing traffic once
 // maxTrackedModels distinct model names have been seen.
-const OverflowModelKey = "_other"
+const OverflowModelKey = OverflowKey
 
 // ServingStats aggregates request-level counters for the inference serving
 // layer: admission outcomes, queue depth, batch shape and latency — the
@@ -66,21 +66,7 @@ type modelStats struct {
 // modelLocked returns the per-model sink for name, creating it under the
 // tracking cap; the caller holds s.mu.
 func (s *ServingStats) modelLocked(name string) *modelStats {
-	if s.perModel == nil {
-		s.perModel = make(map[string]*modelStats)
-	}
-	m := s.perModel[name]
-	if m == nil {
-		if len(s.perModel) >= maxTrackedModels {
-			name = OverflowModelKey
-			if m = s.perModel[name]; m != nil {
-				return m
-			}
-		}
-		m = &modelStats{}
-		s.perModel[name] = m
-	}
-	return m
+	return tracked(&s.perModel, maxTrackedModels, name)
 }
 
 // Enqueued records an admitted request for model entering the queue.

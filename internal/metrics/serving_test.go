@@ -94,25 +94,6 @@ func TestServingStatsPerModel(t *testing.T) {
 	}
 }
 
-// TestServingStatsModelCapOverflow pins the anti-leak cap: arbitrary
-// client-chosen model names must not grow the per-model map without bound.
-func TestServingStatsModelCapOverflow(t *testing.T) {
-	s := &ServingStats{}
-	for i := 0; i < maxTrackedModels+50; i++ {
-		model := fmt.Sprintf("junk-%d", i)
-		s.Enqueued(model)
-		s.Failed(model)
-	}
-	snap := s.Snapshot()
-	if len(snap.PerModel) != maxTrackedModels+1 {
-		t.Fatalf("per-model map has %d entries, want cap %d + overflow", len(snap.PerModel), maxTrackedModels)
-	}
-	over, ok := snap.PerModel[OverflowModelKey]
-	if !ok || over.Failed != 50 {
-		t.Fatalf("overflow bucket %+v (present=%v), want 50 failures", over, ok)
-	}
-}
-
 func TestServingStatsNilReceiverIsSafe(t *testing.T) {
 	var s *ServingStats
 	s.Enqueued("m")

@@ -15,7 +15,7 @@ const maxTrackedTenants = 64
 
 // OverflowTenantKey is the per-tenant bucket absorbing traffic once
 // maxTrackedTenants distinct tenants have been seen.
-const OverflowTenantKey = "_other"
+const OverflowTenantKey = OverflowKey
 
 // TenantStats aggregates the multi-tenant edge tier's counters: admission
 // outcomes per tenant (admitted past auth+quota, quota-rejected, completed,
@@ -44,21 +44,7 @@ type tenantCounters struct {
 // tenantLocked returns the sink for name, creating it under the tracking
 // cap; the caller holds s.mu.
 func (s *TenantStats) tenantLocked(name string) *tenantCounters {
-	if s.perTenant == nil {
-		s.perTenant = make(map[string]*tenantCounters)
-	}
-	c := s.perTenant[name]
-	if c == nil {
-		if len(s.perTenant) >= maxTrackedTenants {
-			name = OverflowTenantKey
-			if c = s.perTenant[name]; c != nil {
-				return c
-			}
-		}
-		c = &tenantCounters{}
-		s.perTenant[name] = c
-	}
-	return c
+	return tracked(&s.perTenant, maxTrackedTenants, name)
 }
 
 // Unauthorized records a request that presented no key or an unknown one.

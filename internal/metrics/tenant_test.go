@@ -43,37 +43,6 @@ func TestTenantStatsLifecycle(t *testing.T) {
 	}
 }
 
-// TestTenantStatsCapOverflow pins the anti-growth cap, mirroring the
-// per-model maxTrackedModels tests: tenants beyond the cap blend into the
-// overflow key and the map never grows past cap+1.
-func TestTenantStatsCapOverflow(t *testing.T) {
-	s := &TenantStats{}
-	for i := 0; i < maxTrackedTenants+50; i++ {
-		name := fmt.Sprintf("tenant-%d", i)
-		s.Admitted(name)
-		s.QuotaExceeded(name)
-	}
-	snap := s.Snapshot()
-	if len(snap.PerTenant) != maxTrackedTenants+1 {
-		t.Fatalf("per-tenant map has %d entries, want cap %d + overflow", len(snap.PerTenant), maxTrackedTenants)
-	}
-	over, ok := snap.PerTenant[OverflowTenantKey]
-	if !ok || over.Admitted != 50 || over.QuotaExceeded != 50 {
-		t.Fatalf("overflow bucket %+v (present=%v), want 50 admitted + 50 quota-rejected", over, ok)
-	}
-	// A tenant tracked before the cap keeps its own counters.
-	first := snap.PerTenant["tenant-0"]
-	if first.Admitted != 1 {
-		t.Fatalf("pre-cap tenant lost its counters: %+v", first)
-	}
-	// Histograms blend into the overflow key the same way.
-	s.Completed("tenant-9999", time.Millisecond, time.Millisecond)
-	snap = s.Snapshot()
-	if got := snap.PerTenant[OverflowTenantKey].Latency.Count; got != 1 {
-		t.Fatalf("overflow latency count %d, want 1", got)
-	}
-}
-
 func TestTenantStatsNilReceiverIsSafe(t *testing.T) {
 	var s *TenantStats
 	s.Unauthorized()

@@ -170,19 +170,15 @@ func (e *latencyEstimator) estimateMS(model string) float64 {
 		// A real per-model prediction beats the blended overflow bucket.
 		return ms
 	}
-	if len(e.ewma) >= maxTrackedEstimates {
-		return e.ewma[metrics.OverflowModelKey]
-	}
-	return 0
+	// Zero for a model the map still has room for, the blended overflow
+	// estimate once it does not.
+	return e.ewma[metrics.CapKey(e.ewma, maxTrackedEstimates, model)]
 }
 
 func (e *latencyEstimator) observeMS(model string, ms float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key := model
-	if _, ok := e.ewma[key]; !ok && len(e.ewma) >= maxTrackedEstimates {
-		key = metrics.OverflowModelKey
-	}
+	key := metrics.CapKey(e.ewma, maxTrackedEstimates, model)
 	if prev, ok := e.ewma[key]; ok {
 		e.ewma[key] = prev + ewmaAlpha*(ms-prev)
 	} else {

@@ -54,10 +54,9 @@ type keyFile struct {
 const minKeyLen = 8
 
 // ParseKeyFile decodes and validates a key file: unique non-empty tenant
-// names, unique keys of at least minKeyLen bytes, positive weights
-// (defaulted to 1), and burst raised to at least 1 whenever a rate limit is
-// set (mirroring route.NewTokenBucket so a conforming request can ever
-// pass).
+// names, unique keys of at least minKeyLen bytes, and positive weights
+// (defaulted to 1). A burst below 1 is left as written: sched.NewBucket
+// raises it when the tenant's bucket is built.
 func ParseKeyFile(data []byte) ([]Tenant, error) {
 	var kf keyFile
 	if err := json.Unmarshal(data, &kf); err != nil {
@@ -89,9 +88,6 @@ func ParseKeyFile(data []byte) ([]Tenant, error) {
 		}
 		if tn.Weight == 0 {
 			tn.Weight = 1
-		}
-		if tn.Rate > 0 && tn.Burst < 1 {
-			tn.Burst = 1
 		}
 		out = append(out, tn)
 	}

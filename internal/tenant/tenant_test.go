@@ -58,14 +58,16 @@ func TestParseKeyFile(t *testing.T) {
 		}
 	}
 
-	// A rate limit with burst < 1 is raised to 1 so a conforming request
-	// can ever pass.
-	tenants, err = ParseKeyFile([]byte(`{"tenants": [{"name":"a","key":"long-enough-key","rate_rps":2}]}`))
+	// A rate-limited tenant written without a burst can still send: its
+	// first request is admitted, its second finds the bucket dry.
+	dir := t.TempDir()
+	auth, err := LoadAuthenticator(writeKeyFile(t, dir, `{"tenants": [{"name":"a","key":"long-enough-key","rate_rps":0.001,"burst":0}]}`), time.Minute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tenants[0].Burst != 1 {
-		t.Fatalf("burst %v, want raised to 1", tenants[0].Burst)
+	tier := NewTier(TierOptions{Auth: auth, Clock: routetest.NewFakeClock()})
+	if a := auth.Tenants()[0]; !tier.Allow(a) || tier.Allow(a) {
+		t.Fatal("burst 0 tenant: want the first request admitted and the second refused")
 	}
 }
 
