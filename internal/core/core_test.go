@@ -77,6 +77,32 @@ func TestFrontIsNonDominatedAndSmall(t *testing.T) {
 	}
 }
 
+// TestReproCheckFront is the reproduction's pin (make repro-check): the full
+// sweep attempts 1,728 trials and keeps 1,717, and its front is exactly the
+// five solutions EXPERIMENTS.md tabulates — kernel 3, stride 2, width 32,
+// padding at most 2, all on the 11.21 MB memory floor. The looser tests
+// around it say the front is small and paper-shaped; this one says it has
+// not moved, whichever of accuracy, latency or export size a change touched.
+func TestReproCheckFront(t *testing.T) {
+	res := fullRun(t)
+	if res.RawTrials != 1728 || len(res.Trials) != nas.PaperValidTrialCount {
+		t.Fatalf("%d raw / %d valid trials, want 1728 / %d", res.RawTrials, len(res.Trials), nas.PaperValidTrialCount)
+	}
+	front := res.NonDominated()
+	if len(front) != 5 {
+		t.Fatalf("%d non-dominated solutions, want exactly 5", len(front))
+	}
+	for _, trial := range front {
+		c := trial.Config
+		if c.KernelSize != 3 || c.Stride != 2 || c.InitialOutputFeature != 32 || c.Padding > 2 {
+			t.Errorf("front member %s: want kernel 3, stride 2, width 32, padding ≤ 2", c.Key())
+		}
+		if math.Abs(trial.MemoryMB-11.21) >= 0.005 {
+			t.Errorf("front member %s: %.4f MB, want the 11.21 MB floor", c.Key(), trial.MemoryMB)
+		}
+	}
+}
+
 func TestFrontSharesPaperTraits(t *testing.T) {
 	// Paper §4/Figure 4: all non-dominated models use the smallest kernel,
 	// and the minimal-memory width (32 features).

@@ -2,14 +2,18 @@ package nas
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"drainnas/internal/dataset"
 	"drainnas/internal/geodata"
+	"drainnas/internal/nn"
+	"drainnas/internal/parallel"
 	"drainnas/internal/resnet"
 	"drainnas/internal/surrogate"
+	"drainnas/internal/tensor"
 )
 
 func TestPaperSpaceCounts(t *testing.T) {
@@ -357,6 +361,61 @@ func TestParallelFoldsMatchSerial(t *testing.T) {
 	// Fold seeds are positional, so parallel and serial runs are identical.
 	if a != b {
 		t.Fatalf("parallel folds diverged: %.4f vs %.4f", a, b)
+	}
+}
+
+// TestTrainedModelIndependentOfWorkers: a trial's result must not depend on
+// the core count of the box that ran it. Three SGD steps leave every
+// parameter with the same bits under one and under two kernel workers (the
+// forward has been worker-invariant since the panel driver; the backward
+// summed weight gradients per worker until it moved there too), and so the
+// evaluator's cross-validated accuracy is the same number.
+func TestTrainedModelIndependentOfWorkers(t *testing.T) {
+	prev := parallel.DefaultWorkers
+	defer func() { parallel.DefaultWorkers = prev }()
+	corpus := geodata.GenerateCorpus(geodata.CorpusOptions{ChipSize: 32, Scale: 300, Seed: 13})
+	x, labels := corpus.Tensors(5)
+	data := dataset.New(x, labels)
+	cfg := resnet.Config{Channels: 5, Batch: 8, KernelSize: 3, Stride: 2, Padding: 1,
+		PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 32, NumClasses: 2}
+
+	train := func(workers int) *resnet.Model {
+		parallel.DefaultWorkers = workers
+		rng := tensor.NewRNG(3)
+		model, err := resnet.New(cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := nn.NewSGD(model.Params(), 0.02, 0.9, 1e-4)
+		for _, idxs := range data.Batches(cfg.Batch, rng)[:3] {
+			bx, by := data.Batch(idxs)
+			_, grad := nn.CrossEntropy(model.Forward(bx, true), by)
+			nn.ZeroGrad(model.Params())
+			model.Backward(grad)
+			opt.Step()
+		}
+		return model
+	}
+	one, two := train(1).Params(), train(2).Params()
+	for i, p := range one {
+		for j, v := range p.Data.Data() {
+			if w := two[i].Data.Data()[j]; math.Float32bits(v) != math.Float32bits(w) {
+				t.Fatalf("%s[%d] = %v under one worker, %v under two", p.Name, j, v, w)
+			}
+		}
+	}
+
+	eval := TrainEvaluator{Data: data, Opts: TrainOptions{Epochs: 1, Folds: 2, LR: 0.02, Momentum: 0.9, Seed: 5}}
+	var acc [2]float64
+	for i := range acc {
+		parallel.DefaultWorkers = i + 1
+		var err error
+		if acc[i], err = eval.Evaluate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if acc[0] != acc[1] {
+		t.Fatalf("accuracy %v under one worker, %v under two", acc[0], acc[1])
 	}
 }
 

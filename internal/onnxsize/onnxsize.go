@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"drainnas/internal/nn"
 	"drainnas/internal/resnet"
@@ -271,15 +272,41 @@ func encode(g GraphSpec, w io.Writer, values map[string][]float32) (int64, error
 }
 
 // SizeBytes returns the exact encoded size of the configuration's export
-// without materializing the payload.
+// without materializing the payload: it adds up what encode would write.
 func SizeBytes(cfg resnet.Config) (int64, error) {
 	g, err := BuildGraphSpec(cfg)
 	if err != nil {
 		return 0, err
 	}
-	n, err := Encode(g, io.Discard)
-	return n, err
+	return g.encodedSize(), nil
 }
+
+// encodedSize mirrors encode field for field: header bytes, uvarint lengths
+// and 4 bytes per weight.
+func (g GraphSpec) encodedSize() int64 {
+	n := int64(len(magic)) + stringSize(g.Name) + uvarintSize(len(g.Nodes))
+	for _, node := range g.Nodes {
+		n += stringSize(node.OpType) + stringSize(node.Name) + uvarintSize(len(node.Attrs))
+		for key, v := range node.Attrs {
+			n += stringSize(key) + uvarintSize(v)
+		}
+	}
+	n += uvarintSize(len(g.Initializers))
+	for _, init := range g.Initializers {
+		n += stringSize(init.Name) + uvarintSize(len(init.Dims))
+		for _, d := range init.Dims {
+			n += uvarintSize(d)
+		}
+		payload := 4 * init.Numel()
+		n += uvarintSize(payload) + int64(payload)
+	}
+	return n
+}
+
+// uvarintSize is the length of binary.PutUvarint's encoding of v.
+func uvarintSize(v int) int64 { return int64(bits.Len64(uint64(v)|1)+6) / 7 }
+
+func stringSize(s string) int64 { return uvarintSize(len(s)) + int64(len(s)) }
 
 // SizeMB returns the export size in megabytes (10^6 bytes, the paper's
 // unit).

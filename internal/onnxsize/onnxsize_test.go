@@ -2,10 +2,12 @@ package onnxsize
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"drainnas/internal/nas"
 	"drainnas/internal/resnet"
 	"drainnas/internal/tensor"
 )
@@ -83,6 +85,40 @@ func TestEncodeSizeMatchesSizeBytes(t *testing.T) {
 	sz, _ := SizeBytes(cfg)
 	if sz != n {
 		t.Fatalf("SizeBytes %d != Encode %d", sz, n)
+	}
+}
+
+// TestSizeBytesMatchesExport holds SizeBytes' arithmetic to what Export
+// really writes for a trained model: every 149th configuration of the
+// paper's 1,728 (all three widths, both channel counts, pool on and off) and
+// the stock ResNet-18. Encode, which streams zeros, must agree too.
+func TestSizeBytesMatchesExport(t *testing.T) {
+	cfgs := []resnet.Config{resnet.StockResNet18(5, 8), resnet.StockResNet18(7, 32)}
+	all := nas.PaperSpace().EnumerateAll(nas.PaperInputCombos())
+	for i := 0; i < len(all); i += 149 {
+		cfgs = append(cfgs, all[i])
+	}
+	widths := map[int]bool{}
+	for _, cfg := range cfgs {
+		widths[cfg.InitialOutputFeature] = true
+		want, err := SizeBytes(cfg)
+		if err != nil {
+			continue // one of the sweep's invalid geometries: nothing to export
+		}
+		m, err := resnet.New(cfg, tensor.NewRNG(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Export(m, io.Discard); err != nil || got != want {
+			t.Fatalf("%s: Export wrote %d bytes (%v), SizeBytes says %d", cfg.Key(), got, err, want)
+		}
+		g, _ := BuildGraphSpec(cfg)
+		if got, err := Encode(g, io.Discard); err != nil || got != want {
+			t.Fatalf("%s: Encode wrote %d bytes (%v), SizeBytes says %d", cfg.Key(), got, err, want)
+		}
+	}
+	if len(widths) != 3 {
+		t.Fatalf("sample covers widths %v, want all three", widths)
 	}
 }
 

@@ -23,9 +23,9 @@ func ConvOut(in, kernel, stride, pad int) int {
 // Im2Col lowers one (C,H,W) image (given as a flat slice) into a column
 // matrix dst of shape (C*KH*KW, OH*OW), so that convolution becomes a matrix
 // multiply with the (OC, C*KH*KW) weight matrix. Out-of-bounds taps (from
-// padding) contribute zeros. The inference path never builds this matrix
-// (see convpanel.go); it serves Conv2DBackward, the per-sample naive path of
-// layers too small to tile, and the tests as the lowering's oracle.
+// padding) contribute zeros. Neither the tiled forward (convpanel.go) nor the
+// backward pass (convgrad.go) builds this matrix; it serves the per-sample
+// forward of layers too small to tile, and the tests as the lowering's oracle.
 func Im2Col(src []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
 	oh := ConvOut(h, kh, stride, pad)
 	ow := ConvOut(w, kw, stride, pad)
@@ -57,47 +57,6 @@ func Im2Col(src []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
 							drow[i] = 0
 						} else {
 							drow[i] = srow[sx]
-						}
-						i++
-					}
-				}
-			}
-		}
-	}
-}
-
-// Col2Im scatters a column matrix (the gradient w.r.t. the im2col output)
-// back into an image gradient of shape (C,H,W), accumulating overlapping
-// taps. dst must be pre-zeroed by the caller if a fresh gradient is wanted.
-func Col2Im(col []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
-	oh := ConvOut(h, kh, stride, pad)
-	ow := ConvOut(w, kw, stride, pad)
-	cols := oh * ow
-	if len(col) != c*kh*kw*cols {
-		panic(fmt.Sprintf("tensor: Col2Im col length %d, want %d", len(col), c*kh*kw*cols))
-	}
-	if len(dst) != c*h*w {
-		panic(fmt.Sprintf("tensor: Col2Im dst length %d, want %d", len(dst), c*h*w))
-	}
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		plane := dst[ch*h*w : (ch+1)*h*w]
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				crow := col[row*cols : (row+1)*cols]
-				row++
-				i := 0
-				for oy := 0; oy < oh; oy++ {
-					sy := oy*stride - pad + ky
-					if sy < 0 || sy >= h {
-						i += ow
-						continue
-					}
-					srow := plane[sy*w : (sy+1)*w]
-					for ox := 0; ox < ow; ox++ {
-						sx := ox*stride - pad + kx
-						if sx >= 0 && sx < w {
-							srow[sx] += crow[i]
 						}
 						i++
 					}
@@ -159,18 +118,15 @@ func convInto(out, input *Tensor, wp *weightPack, bias []float32, relu bool, kh,
 		out: out.data, in: input.data, wp: wp, bias: bias, relu: relu,
 		g: convGeom{
 			n: input.shape[0], c: input.shape[1], h: input.shape[2], w: input.shape[3],
-			kh: kh, kw: kw, stride: stride, pad: pad,
+			kh: kh, kw: kw, stride: stride, padY: pad, padX: pad,
 			oh: out.shape[2], ow: out.shape[3],
 		},
 	}
 	g := &job.g
 	cellsI, cellsJ := g.n, 1
 	if job.naive = wp.m*wp.k*g.pixels() < gemmSerialCutoff; !job.naive {
-		metrics.Kernel.GemmCall()
-		pa := wp.panels()
-		nr := gemmNR
-		job.grid = planPanelGrid((g.n*g.pixels()+nr-1)/nr, pa.rowTiles, 4*len(pa.buf), 4*wp.k*nr)
-		metrics.Kernel.TilesDispatched(pa.rowTiles * job.grid.panels)
+		wp.panels()
+		job.plan()
 		cellsI, cellsJ = job.grid.blocks, job.grid.rowGroups
 	}
 	if parallel.DefaultWorkers == 1 || cellsI*cellsJ == 1 {
@@ -188,7 +144,15 @@ func convInto(out, input *Tensor, wp *weightPack, bias []float32, relu bool, kh,
 	parallel.ForTiles2D(cellsI, cellsJ, 0, pjob.run)
 }
 
-// convCall carries one convInto invocation so the per-cell body can be a
+// plan sizes the grid of a tiled call whose weight panels are packed.
+func (j *convCall) plan() {
+	metrics.Kernel.GemmCall()
+	pa, nr := &j.wp.pa, gemmNR
+	j.grid = planPanelGrid((j.g.n*j.g.pixels()+nr-1)/nr, pa.rowTiles, 4*len(pa.buf), 4*pa.k*nr)
+	metrics.Kernel.TilesDispatched(pa.rowTiles * j.grid.panels)
+}
+
+// convCall carries one lowered convolution so the per-cell body can be a
 // method (direct-callable on the serial path) instead of a closure.
 type convCall struct {
 	out, in []float32
@@ -198,6 +162,7 @@ type convCall struct {
 	g       convGeom
 	naive   bool
 	grid    panelGrid
+	lattice lattice // step > 1: out is one phase of a strided layer's input gradient
 }
 
 // run executes grid cell (column block b, row group grp) — or, for a naive
@@ -262,7 +227,11 @@ func (j *convCall) tile(rt, p int, bp, cbuf []float32) {
 		lane := col - p*nr
 		for ir := 0; ir < rows; ir++ {
 			o := rt*mr + ir
-			j.store(j.out[(s*pa.m+o)*px+pix:], cbuf[ir*nr+lane:ir*nr+lane+n], o)
+			if src := cbuf[ir*nr+lane : ir*nr+lane+n]; j.lattice.step <= 1 {
+				j.store(j.out[(s*pa.m+o)*px+pix:], src, o)
+			} else {
+				j.lattice.scatter(j.out, s*pa.m+o, pix, g.ow, src)
+			}
 		}
 		col += n
 	}
@@ -295,7 +264,7 @@ func (j *convCall) runNaive(s int) {
 	px := g.pixels()
 	size := g.c * g.h * g.w
 	col := getScratch(wp.k * px)
-	Im2Col(j.in[s*size:(s+1)*size], g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, col)
+	Im2Col(j.in[s*size:(s+1)*size], g.c, g.h, g.w, g.kh, g.kw, g.stride, g.padY, col)
 	res := j.out[s*wp.m*px : (s+1)*wp.m*px]
 	metrics.Kernel.NaiveCall()
 	matmulNaive(res, px, wp.src, wp.lda, col, px, wp.m, wp.k, px, false)
@@ -415,146 +384,6 @@ func copyRows16(dst, src []float32, dstStride, srcStride, rows int, zero uint32)
 		}
 		dst, src = dst[dstStride:], src[srcStride:]
 	}
-}
-
-// transposeInto writes srcᵀ (n×m) of the m×n matrix src into dst, blocked
-// for cache locality. Serial: it runs inside per-sample workers.
-func transposeInto(src []float32, m, n int, dst []float32) {
-	const block = 32
-	for i0 := 0; i0 < m; i0 += block {
-		iMax := i0 + block
-		if iMax > m {
-			iMax = m
-		}
-		for j0 := 0; j0 < n; j0 += block {
-			jMax := j0 + block
-			if jMax > n {
-				jMax = n
-			}
-			for i := i0; i < iMax; i++ {
-				for j := j0; j < jMax; j++ {
-					dst[j*m+i] = src[i*n+j]
-				}
-			}
-		}
-	}
-}
-
-// Conv2DBackward computes the gradients of Conv2D.
-//
-// Given gradOut (N, OC, OH, OW) it returns gradIn (N, C, H, W), accumulates
-// weight gradients into gradW (OC, C, KH, KW) and, when gradB is non-nil,
-// bias gradients into gradB (OC). gradW/gradB are accumulated (+=) so a
-// caller can sum gradients over micro-batches.
-//
-// Every per-worker transient — the im2col buffer, its transpose, the
-// column-gradient buffer and the weight/bias gradient partials — comes from
-// the scratch pool, so a training step allocates nothing here after warmup.
-func Conv2DBackward(input, weight, gradOut, gradW, gradB *Tensor, stride, pad int) *Tensor {
-	n, c, h, w := dims4("Conv2DBackward input", input)
-	oc, _, kh, kw := dims4("Conv2DBackward weight", weight)
-	_, goc, oh, ow := dims4("Conv2DBackward gradOut", gradOut)
-	if goc != oc {
-		panic(fmt.Sprintf("tensor: Conv2DBackward OC mismatch %d vs %d", goc, oc))
-	}
-	kdim := c * kh * kw
-	cols := oh * ow
-	gradIn := New(n, c, h, w)
-	wmat := weight.Reshape(oc, kdim)
-	wmatT := Transpose2D(wmat)
-	// Wᵀ is shared by every sample's gradCol multiply; pack it once.
-	wtp := newWeightPack(wmatT.data, oc, kdim, oc)
-	gwMat := gradW.Reshape(oc, kdim)
-
-	// Per-sample weight-gradient partials are accumulated into worker-local
-	// buffers and reduced serially, keeping the parallel phase lock-free.
-	workers := parallel.DefaultWorkers
-	if workers > n {
-		workers = n
-	}
-	partialW := make([][]float32, workers)
-	partialB := make([][]float32, workers)
-	parallel.ForChunked(n, workers, func(lo, hi int) {
-		// Identify this worker's slot by its range start; ranges are disjoint.
-		slot := workerSlot(lo, n, workers)
-		gw := getScratch(oc * kdim)
-		for i := range gw {
-			gw[i] = 0
-		}
-		var gb []float32
-		if gradB != nil {
-			gb = getScratch(oc)
-			for i := range gb {
-				gb[i] = 0
-			}
-		}
-		col := getScratch(kdim * cols)
-		colT := getScratch(kdim * cols)
-		gcol := getScratch(kdim * cols)
-		for s := lo; s < hi; s++ {
-			Im2Col(input.data[s*c*h*w:(s+1)*c*h*w], c, h, w, kh, kw, stride, pad, col)
-			gout := gradOut.data[s*oc*cols : (s+1)*oc*cols]
-			// gradW += gout · colᵀ
-			transposeInto(col, kdim, cols, colT)
-			matmulSerial(gw, kdim, gout, cols, colT, kdim, oc, cols, kdim, true)
-			// gradCol = Wᵀ · gout, then scatter back to image space.
-			wtp.mulInto(gcol, cols, gout, cols, cols, false)
-			Col2Im(gcol, c, h, w, kh, kw, stride, pad, gradIn.data[s*c*h*w:(s+1)*c*h*w])
-			if gb != nil {
-				for o := 0; o < oc; o++ {
-					grow := gout[o*cols : (o+1)*cols]
-					sum := float32(0)
-					for _, v := range grow {
-						sum += v
-					}
-					gb[o] += sum
-				}
-			}
-		}
-		putScratch(gcol)
-		putScratch(colT)
-		putScratch(col)
-		partialW[slot] = gw
-		partialB[slot] = gb
-	})
-	wtp.release()
-	for _, gw := range partialW {
-		if gw == nil {
-			continue
-		}
-		for i, v := range gw {
-			gwMat.data[i] += v
-		}
-		putScratch(gw)
-	}
-	for _, gb := range partialB {
-		if gb == nil {
-			continue
-		}
-		if gradB != nil {
-			for i, v := range gb {
-				gradB.data[i] += v
-			}
-		}
-		putScratch(gb)
-	}
-	return gradIn
-}
-
-// workerSlot recovers the chunk index of the range starting at lo when n
-// items are split across `workers` chunks the way parallel.ForChunked splits
-// them (first n%workers chunks get one extra element).
-func workerSlot(lo, n, workers int) int {
-	if workers <= 1 {
-		return 0
-	}
-	base := n / workers
-	extra := n % workers
-	bigSpan := (base + 1) * extra
-	if lo < bigSpan {
-		return lo / (base + 1)
-	}
-	return extra + (lo-bigSpan)/base
 }
 
 func dims4(what string, t *Tensor) (a, b, c, d int) {

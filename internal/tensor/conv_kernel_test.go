@@ -122,7 +122,6 @@ func TestConv2DIntraSampleRace(t *testing.T) {
 // first, so any element the pooled path fails to overwrite or zero shows up
 // as a NaN diff, not a silent match on stale zeros.
 func TestConv2DBackwardPooledParity(t *testing.T) {
-	nan := float32(math.NaN())
 	for _, tc := range convCases {
 		input, weight, _ := makeConvInputs(tc, 41)
 		ohh := ConvOut(tc.h, tc.kh, tc.stride, tc.pad)
@@ -141,15 +140,7 @@ func TestConv2DBackwardPooledParity(t *testing.T) {
 		wantIn, wantW, wantB := run()
 		restore()
 
-		// Poison: push NaN buffers of the sizes backward will request.
-		kdim := tc.c * tc.kh * tc.kw
-		for _, sz := range []int{tc.oc * kdim, tc.oc, kdim * ohh * oww} {
-			buf := getScratch(sz)
-			for i := range buf {
-				buf[i] = nan
-			}
-			putScratch(buf)
-		}
+		poisonScratchPool()
 		gotIn, gotW, gotB := run()
 
 		for name, pair := range map[string][2]*Tensor{

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"drainnas/internal/parallel"
 )
 
 // naiveConv2D is a direct reference implementation used to validate the
@@ -219,26 +221,30 @@ func TestConv2DBackwardAccumulates(t *testing.T) {
 	}
 }
 
+// TestWorkerSlot holds the weight gradient's reduction split to the layer
+// alone (the name is the pinned one of the per-worker slots it replaced):
+// the batch's pixels are cut into blocks whose length follows from the
+// output channels, whatever the worker count, and every gradW element adds
+// the blocks in order.
 func TestWorkerSlot(t *testing.T) {
-	// workerSlot must invert ForChunked's chunk layout for every range start.
-	for _, n := range []int{1, 5, 16, 97} {
-		for _, workers := range []int{1, 2, 4, 7} {
-			w := workers
-			if w > n {
-				w = n
-			}
-			base, extra := n/w, n%w
-			lo, slot := 0, 0
-			for slot < w {
-				size := base
-				if slot < extra {
-					size++
-				}
-				if got := workerSlot(lo, n, w); got != slot {
-					t.Fatalf("workerSlot(%d,%d,%d)=%d want %d", lo, n, w, got, slot)
-				}
-				lo += size
-				slot++
+	prev := parallel.DefaultWorkers
+	defer func() { parallel.DefaultWorkers = prev }()
+	for _, rows := range []int{4, 6, 36, 64, 132, 258, 516, 2052} {
+		parallel.DefaultWorkers = 1
+		kc := gradWBlock(rows)
+		if kc < 1 || kc > gemmKC {
+			t.Fatalf("gradWBlock(%d) = %d, outside [1, %d]", rows, kc, gemmKC)
+		}
+		if kc < gemmKC && 4*2*kc*rows <= convBlockBytes {
+			t.Fatalf("gradWBlock(%d) = %d, but a block twice as long fits the budget", rows, kc)
+		}
+		if kc > 1 && 4*kc*rows > convBlockBytes {
+			t.Fatalf("gradWBlock(%d) = %d: %d bytes of packed gradOut, over the %d-byte budget", rows, kc, 4*kc*rows, convBlockBytes)
+		}
+		for _, workers := range []int{2, 4, 7} {
+			parallel.DefaultWorkers = workers
+			if got := gradWBlock(rows); got != kc {
+				t.Fatalf("gradWBlock(%d) = %d under %d workers, %d under one", rows, got, workers, kc)
 			}
 		}
 	}

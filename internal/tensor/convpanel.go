@@ -39,12 +39,14 @@ const (
 )
 
 // convGeom is the geometry of one convolution call: the batch of input
-// planes, the kernel window and the output map.
+// planes, the kernel window and the output map. The padding is per axis, and
+// may be negative (a crop), for the phases of an input gradient (convgrad.go).
 type convGeom struct {
-	n, c, h, w  int
-	kh, kw      int
-	stride, pad int
-	oh, ow      int
+	n, c, h, w int
+	kh, kw     int
+	stride     int
+	padY, padX int
+	oh, ow     int
 }
 
 // kdim returns K, the number of taps per output value.
@@ -69,7 +71,13 @@ type panelGrid struct {
 // than there are workers (a deep layer at batch 1); each group then packs
 // the block for itself, which costs 1/rows-per-group of its multiply.
 func planPanelGrid(panels, rowTiles, weightBytes, panelBytes int) panelGrid {
-	g := panelGrid{panels: panels, rowGroups: 1, rowOuter: weightBytes > convWeightBytes}
+	return planGrid(panels, rowTiles, panelBytes, weightBytes > convWeightBytes)
+}
+
+// planGrid is planPanelGrid given the walk order. rowOuter aims at one cell
+// per worker: each fetches (the weight gradient: packs) all the weights.
+func planGrid(panels, rowTiles, panelBytes int, rowOuter bool) panelGrid {
+	g := panelGrid{panels: panels, rowGroups: 1, rowOuter: rowOuter}
 	maxPanels := convBlockBytes / panelBytes
 	if maxPanels < 1 {
 		maxPanels = 1
@@ -197,9 +205,9 @@ func (g *convGeom) tapMask(r *colRun, ky, kx int) (mask uint32) {
 		if m > r.n-i {
 			m = r.n - i
 		}
-		if sy := oy*g.stride - g.pad + ky; sy >= 0 && sy < g.h {
+		if sy := oy*g.stride - g.padY + ky; sy >= 0 && sy < g.h {
 			// Column t of the row reads input column x0 + t·stride.
-			x0 := ox*g.stride - g.pad + kx
+			x0 := ox*g.stride - g.padX + kx
 			lo, hi := 0, 0
 			if x0 < 0 {
 				lo = (-x0 + g.stride - 1) / g.stride
@@ -225,5 +233,5 @@ func (g *convGeom) tapMask(r *colRun, ky, kx int) (mask uint32) {
 // further on, channel ch another ch·h·w. For a column whose tap is in the
 // padding the index is meaningless (it may even be negative).
 func (g *convGeom) tapOffset(r *colRun, ky, kx int) int {
-	return r.sample*g.c*g.h*g.w + (r.oy*g.stride-g.pad+ky)*g.w + r.ox*g.stride - g.pad + kx
+	return r.sample*g.c*g.h*g.w + (r.oy*g.stride-g.padY+ky)*g.w + r.ox*g.stride - g.padX + kx
 }

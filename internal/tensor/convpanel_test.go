@@ -22,7 +22,7 @@ func (tc convGeomCase) String() string {
 
 func (tc convGeomCase) geom() convGeom {
 	return convGeom{
-		n: tc.n, c: tc.c, h: tc.h, w: tc.w, kh: tc.kh, kw: tc.kw, stride: tc.stride, pad: tc.pad,
+		n: tc.n, c: tc.c, h: tc.h, w: tc.w, kh: tc.kh, kw: tc.kw, stride: tc.stride, padY: tc.pad, padX: tc.pad,
 		oh: ConvOut(tc.h, tc.kh, tc.stride, tc.pad), ow: ConvOut(tc.w, tc.kw, tc.stride, tc.pad),
 	}
 }
@@ -111,7 +111,7 @@ func TestPackPanelsMatchesIm2Col(t *testing.T) {
 		col := make([]float32, g.n*kdim*px)
 		size := g.c * g.h * g.w
 		for s := 0; s < g.n; s++ {
-			Im2Col(in.data[s*size:(s+1)*size], g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, col[s*kdim*px:(s+1)*kdim*px])
+			Im2Col(in.data[s*size:(s+1)*size], g.c, g.h, g.w, g.kh, g.kw, g.stride, g.padY, col[s*kdim*px:(s+1)*kdim*px])
 		}
 		for _, nr := range []int{4, 16} {
 			panels := (g.n*px + nr - 1) / nr
@@ -158,7 +158,7 @@ func TestPackQPanelsMatchesQIm2Col(t *testing.T) {
 		in := randQ8(r, g.n*size, QActMax)
 		col := make([]int8, g.n*kdim*px)
 		for s := 0; s < g.n; s++ {
-			QIm2ColRows(in[s*size:(s+1)*size], g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, 0, g.oh, col[s*kdim*px:(s+1)*kdim*px])
+			QIm2ColRows(in[s*size:(s+1)*size], g.c, g.h, g.w, g.kh, g.kw, g.stride, g.padY, 0, g.oh, col[s*kdim*px:(s+1)*kdim*px])
 		}
 		panels := (g.n*px + qNR - 1) / qNR
 		panel := kQuads * qNR * 4
@@ -200,7 +200,7 @@ func convOracle(input, weight *Tensor, bias []float32, relu bool, g *convGeom) *
 	col := make([]float32, kdim*px)
 	size := g.c * g.h * g.w
 	for s := 0; s < g.n; s++ {
-		Im2Col(input.data[s*size:(s+1)*size], g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, col)
+		Im2Col(input.data[s*size:(s+1)*size], g.c, g.h, g.w, g.kh, g.kw, g.stride, g.padY, col)
 		res := out.data[s*oc*px : (s+1)*oc*px]
 		matmulNaive(res, px, weight.data, kdim, col, px, oc, kdim, px, false)
 		for o := 0; o < oc; o++ {

@@ -12,6 +12,12 @@ func forceScalarKernel() (restore func()) {
 	return func() { gemmMR, gemmNR, microKernel, gemmKernelName = mr, nr, k, name }
 }
 
+// RaceEnabled is raceEnabled for the external tests.
+const RaceEnabled = raceEnabled
+
+// ForceScalarKernel is forceScalarKernel for the external tests.
+func ForceScalarKernel() (restore func()) { return forceScalarKernel() }
+
 // disableScratchPool makes every scratch request allocate fresh (and every
 // return drop), so pooled runs can be compared against unpooled ones.
 func disableScratchPool() (restore func()) {

@@ -125,18 +125,16 @@ type packedA struct {
 	kBlocks  int
 }
 
+// newPackedA sizes the panels of an m×k matrix; the caller fills them.
+func newPackedA(m, k int) packedA {
+	pa := packedA{m: m, k: k, rowTiles: (m + gemmMR - 1) / gemmMR, kBlocks: (k + gemmKC - 1) / gemmKC}
+	pa.buf = getScratch(pa.rowTiles * pa.kBlocks * gemmKC * gemmMR)
+	return pa
+}
+
 func packA(a []float32, lda, m, k int) packedA {
-	mr := gemmMR
-	rowTiles := (m + mr - 1) / mr
-	kBlocks := (k + gemmKC - 1) / gemmKC
-	slot := gemmKC * mr
-	pa := packedA{
-		buf:      getScratch(rowTiles * kBlocks * slot),
-		m:        m,
-		k:        k,
-		rowTiles: rowTiles,
-		kBlocks:  kBlocks,
-	}
+	pa := newPackedA(m, k)
+	mr, rowTiles, kBlocks, slot := gemmMR, pa.rowTiles, pa.kBlocks, gemmKC*gemmMR
 	for rt := 0; rt < rowTiles; rt++ {
 		rows := m - rt*mr
 		if rows > mr {
@@ -295,24 +293,6 @@ func gemmParallel(c, a, b []float32, m, k, n int, acc bool) {
 	pb.release()
 }
 
-// matmulSerial is the strided, single-goroutine entry for callers that are
-// already running inside a parallel region (per-sample convolution workers):
-// tiled above the cutoff, naive below, never spawning goroutines of its own.
-func matmulSerial(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, k, n int, acc bool) {
-	if m*k*n < gemmSerialCutoff {
-		metrics.Kernel.NaiveCall()
-		matmulNaive(c, ldc, a, lda, b, ldb, m, k, n, acc)
-		return
-	}
-	metrics.Kernel.GemmCall()
-	pa := packA(a, lda, m, k)
-	pb := packB(b, ldb, k, n)
-	metrics.Kernel.TilesDispatched(pa.rowTiles * pb.nPanels)
-	computeTiles(pa, pb, c, ldc, 0, pa.rowTiles, 0, pb.nPanels, acc)
-	pa.release()
-	pb.release()
-}
-
 // weightPack defers and caches the A-panel packing of a matrix that many
 // multiplies share — the weight matrix of a convolution, which every batch
 // through the layer multiplies by. The first consumer above the tiled cutoff
@@ -339,23 +319,6 @@ func (wp *weightPack) panels() *packedA {
 		metrics.Kernel.PackReused()
 	}
 	return &wp.pa
-}
-
-// mulInto computes (or accumulates) c = W·b with c strided by ldc and b a
-// materialised k×n matrix with leading dimension ldb — the backward pass's
-// Wᵀ·gradOut. Safe for concurrent use.
-func (wp *weightPack) mulInto(c []float32, ldc int, b []float32, ldb, n int, acc bool) {
-	if wp.m*wp.k*n < gemmSerialCutoff {
-		metrics.Kernel.NaiveCall()
-		matmulNaive(c, ldc, wp.src, wp.lda, b, ldb, wp.m, wp.k, n, acc)
-		return
-	}
-	metrics.Kernel.GemmCall()
-	pa := wp.panels()
-	pb := packB(b, ldb, wp.k, n)
-	metrics.Kernel.TilesDispatched(pa.rowTiles * pb.nPanels)
-	computeTiles(*pa, pb, c, ldc, 0, pa.rowTiles, 0, pb.nPanels, acc)
-	pb.release()
 }
 
 // release returns the packed panels (if anything ever packed them) to the

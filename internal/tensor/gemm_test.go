@@ -119,57 +119,30 @@ func TestGEMMParityParallelTiles(t *testing.T) {
 	}
 }
 
-func TestMatmulSerialStridedWindows(t *testing.T) {
-	// matmulSerial must honor lda/ldb/ldc: multiply a column window of a
-	// wider B into a column window of a wider C, as convolution row chunks
-	// do.
-	rng := NewRNG(13)
-	m, k, n := 37, 150, 90
-	ldb, ldc := 137, 201
-	colOff := 19
-	a := RandNormal(rng, 1, m, k)
-	bWide := RandNormal(rng, 1, k, ldb)
-	cWide := New(m, ldc)
-	// Reference: extract the window densely and multiply naively.
-	bDense := New(k, n)
-	for kk := 0; kk < k; kk++ {
-		copy(bDense.data[kk*n:(kk+1)*n], bWide.data[kk*ldb+colOff:kk*ldb+colOff+n])
-	}
-	want := naiveOracle(a, bDense, m, k, n, false, nil)
-	matmulSerial(cWide.data[colOff:], ldc, a.data, k, bWide.data[colOff:], ldb, m, k, n, false)
-	got := New(m, n)
-	for i := 0; i < m; i++ {
-		copy(got.data[i*n:(i+1)*n], cWide.data[i*ldc+colOff:i*ldc+colOff+n])
-	}
-	if d := maxKernelDiff(got, want); d > parityTol(k, false) {
-		t.Fatalf("strided window: max blended diff %g", d)
-	}
-	// Untouched columns of the wide C must remain zero.
-	for i := 0; i < m; i++ {
-		for j := 0; j < ldc; j++ {
-			if j >= colOff && j < colOff+n {
-				continue
-			}
-			if cWide.data[i*ldc+j] != 0 {
-				t.Fatalf("write outside window at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestWeightPackReuse(t *testing.T) {
+	// A weight pack is packed by its first multiply and reused, not
+	// re-packed, by the rest: three batches through one pointwise layer.
 	rng := NewRNG(17)
 	m, k, n := 48, 288, 256
 	a := RandNormal(rng, 1, m, k)
 	wp := newWeightPack(a.data, k, m, k)
 	defer wp.release()
+	var packed *float32
 	for i := 0; i < 3; i++ {
-		b := RandNormal(rng, 1, k, n)
-		out := New(m, n)
-		wp.mulInto(out.data, n, b.data, n, n, false)
-		want := naiveOracle(a, b, m, k, n, false, nil)
-		if d := maxKernelDiff(out, want); d > parityTol(k, false) {
+		// (k, n) read as one image of k channels and n pixels: a 1×1
+		// convolution over it is the plain product.
+		b := RandNormal(rng, 1, 1, k, 1, n)
+		out := New(1, m, 1, n)
+		convInto(out, b, wp, nil, false, 1, 1, 1, 0)
+		want := naiveOracle(a, b.Reshape(k, n), m, k, n, false, nil)
+		if d := maxKernelDiff(out.Reshape(m, n), want); d > parityTol(k, false) {
 			t.Fatalf("reuse %d: max blended diff %g", i, d)
+		}
+		if i == 0 {
+			packed = &wp.pa.buf[0]
+		}
+		if got := wp.uses.Load(); got != int64(i+1) || &wp.pa.buf[0] != packed {
+			t.Fatalf("multiply %d: %d uses, panels moved = %v", i, got, &wp.pa.buf[0] != packed)
 		}
 	}
 }

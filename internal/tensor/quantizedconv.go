@@ -159,7 +159,7 @@ func (qc *QuantizedConv) ForwardInto(outQ []int8, outF []float32, in []int8, n, 
 		qc: qc, outQ: outQ, outF: outF, in: in, qa: &qc.qa, comp: qc.comp,
 		g: convGeom{
 			n: n, c: qc.c, h: h, w: w, kh: qc.kh, kw: qc.kw,
-			stride: qc.stride, pad: qc.pad, oh: oh, ow: ow,
+			stride: qc.stride, padY: qc.pad, padX: qc.pad, oh: oh, ow: ow,
 		},
 	}
 	// Degenerate spatial case: a single output position whose receptive

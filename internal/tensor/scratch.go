@@ -8,7 +8,7 @@ import (
 )
 
 // The scratch pool recycles the package's transient float32 buffers —
-// im2col lowerings, GEMM packing panels, transposes, gradient partials.
+// packed GEMM panels and column blocks, and the naive path's im2col.
 // These are the training and serving loops' dominant transient allocations,
 // and reuse keeps GC pressure flat across epochs.
 //
@@ -49,7 +49,7 @@ func scratchClass(n int) int {
 
 // getScratch returns a length-n float32 buffer, reusing a pooled one when
 // available. Contents are unspecified: callers either overwrite every
-// element (im2col, packing) or zero it explicitly (gradient accumulators).
+// element (im2col, packing) or zero it explicitly.
 func getScratch(n int) []float32 {
 	if n <= 0 {
 		return nil
