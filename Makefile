@@ -36,9 +36,11 @@ crash-resume:
 # Observability smoke: build the real servd binary, scrape GET /v1/metrics
 # over HTTP, and hold the page to the exposition validator (line grammar,
 # family contiguity, histogram bucket invariants); also exercises the SIGTERM
-# drain, and the in-process metrics rows of the surface table on both tiers.
-OBS_RUN  = ServdMetricsSmoke|ServdGracefulShutdown|MetricsEndpoint
-OBS_PKGS = ./cmd/servd ./cmd/router
+# drain, the in-process metrics rows of the surface table on both tiers, and
+# the two checks that every tagged field of the stats documents is declared
+# consistently and reaches the rendered page.
+OBS_RUN  = ServdMetricsSmoke|ServdGracefulShutdown|MetricsEndpoint|MetricDeclarations|EveryTaggedFieldIsRendered
+OBS_PKGS = ./cmd/servd ./cmd/router ./internal/metrics
 obs-smoke:
 	$(GO) test -race -run '$(OBS_RUN)' $(OBS_PKGS)
 

@@ -199,15 +199,10 @@ func (t *tier) Stats(sec frontend.Sections) any {
 		Replicas: ids,
 		Policy:   t.router.Policy().Name(),
 		Waiting:  t.router.Waiting(),
+		Scan:     sec.Scan,
 		Tenant:   sec.Tenant,
 		Fair:     sec.Fair,
-		Scan:     sec.Scan,
 	}
-}
-
-func (t *tier) WriteProm(e *metrics.ExpositionWriter) {
-	t.router.Stats().Snapshot().WriteProm(e)
-	t.Serving().WriteProm(e)
 }
 
 func (t *tier) Health() api.HealthResponse {

@@ -81,24 +81,10 @@ func (t tier) Stats(sec frontend.Sections) any {
 		Kernel:  metrics.Kernel.Snapshot(),
 		Gemm:    tensor.GemmKernelName(),
 		QGemm:   tensor.QGemmKernelName(),
+		Scan:    sec.Scan,
 		Tenant:  sec.Tenant,
 		Fair:    sec.Fair,
-		Scan:    sec.Scan,
 	}
-}
-
-func (t tier) WriteProm(e *metrics.ExpositionWriter) {
-	t.Serving().WriteProm(e)
-	// The cache lives in internal/serve, which imports metrics, so its
-	// exposition mapping sits here rather than in an import cycle.
-	cs := t.srv.Cache().Stats()
-	e.Gauge("drainnas_model_cache_resident", "Resident model runtimes.", float64(cs.Len))
-	e.Gauge("drainnas_model_cache_capacity", "Model cache capacity.", float64(cs.Capacity))
-	e.Counter("drainnas_model_cache_hits_total", "Model lookups served from cache.", float64(cs.Hits))
-	e.Counter("drainnas_model_cache_misses_total", "Model lookups that loaded from disk.", float64(cs.Misses))
-	e.Counter("drainnas_model_cache_evictions_total", "Models evicted to respect capacity.", float64(cs.Evictions))
-	metrics.Infer.Snapshot().WriteProm(e)
-	metrics.Kernel.Snapshot().WriteProm(e)
 }
 
 // Health degrades on an unreadable model directory: every predict would

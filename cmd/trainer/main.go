@@ -11,8 +11,8 @@ import (
 
 	"drainnas/internal/dataset"
 	"drainnas/internal/geodata"
-	"drainnas/internal/metrics"
 	"drainnas/internal/nn"
+	"drainnas/internal/report"
 	"drainnas/internal/resnet"
 	"drainnas/internal/tensor"
 )
@@ -99,7 +99,7 @@ func main() {
 	// Full classification report on the validation split: a culvert
 	// detector is judged on recall and AUC, not accuracy alone.
 	scores, valLabels := positiveScores(model, val, cfg.Batch)
-	rep := metrics.Evaluate(scores, valLabels, 0.5)
+	rep := report.Evaluate(scores, valLabels, 0.5)
 	fmt.Printf("validation report: %s\n", rep)
 }
 

@@ -25,7 +25,9 @@ type FairStats struct {
 	Depths   map[string]int `json:"depths,omitempty"`
 }
 
-// ServdStats is servd's GET /v1/stats document.
+// ServdStats is servd's GET /v1/stats document, and — through the prom
+// tags of the snapshots it is composed of, rendered in field order by
+// metrics.ExpositionWriter.Write — its GET /v1/metrics page.
 type ServdStats struct {
 	Serving metrics.ServingSnapshot `json:"serving"`
 	Cache   serve.CacheStats        `json:"cache"`
@@ -34,21 +36,22 @@ type ServdStats struct {
 	Kernel  metrics.KernelSnapshot  `json:"kernel"`
 	Gemm    string                  `json:"gemm"`
 	QGemm   string                  `json:"qgemm"`
+	Scan    *metrics.ScanSnapshot   `json:"scan,omitempty"`
 	Tenant  *metrics.TenantSnapshot `json:"tenant,omitempty"`
 	Fair    *FairStats              `json:"fair,omitempty"`
-	Scan    *metrics.ScanSnapshot   `json:"scan,omitempty"`
 }
 
-// RouterStats is the router's GET /v1/stats document.
+// RouterStats is the router's GET /v1/stats document and, the same way,
+// its GET /v1/metrics page.
 type RouterStats struct {
 	Router   metrics.RouterSnapshot  `json:"router"`
 	Serving  metrics.ServingSnapshot `json:"serving"`
 	Replicas []string                `json:"replicas"`
 	Policy   string                  `json:"policy"`
 	Waiting  int                     `json:"waiting"`
+	Scan     *metrics.ScanSnapshot   `json:"scan,omitempty"`
 	Tenant   *metrics.TenantSnapshot `json:"tenant,omitempty"`
 	Fair     *FairStats              `json:"fair,omitempty"`
-	Scan     *metrics.ScanSnapshot   `json:"scan,omitempty"`
 }
 
 // DashboardSnapshot is one live-dashboard frame (WebSocket at

@@ -42,10 +42,9 @@ type Tier interface {
 	// ScanBackend is where a scan job's tiles go.
 	ScanBackend(class route.SLOClass) scan.Backend
 	// Stats is the tier's /v1/stats document (api.ServdStats or
-	// api.RouterStats) with the shared sections filled in from sec.
+	// api.RouterStats) with the shared sections filled in from sec; its
+	// prom tags make it the /v1/metrics page as well.
 	Stats(sec Sections) any
-	// WriteProm writes the tier's own metric families.
-	WriteProm(e *metrics.ExpositionWriter)
 	// Health is the /v1/healthz body; any Status but "ok" answers 503.
 	Health() api.HealthResponse
 	// Serving is the dashboard frame's serving snapshot.
@@ -202,24 +201,24 @@ func New(t Tier, cfg Config) http.Handler {
 			return t.ScanBackend(class), nil
 		})
 
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	// One document serves both endpoints: /v1/stats marshals it, /v1/metrics
+	// renders the prom tags of the same value.
+	stats := func() any {
 		sc := scanStats.Snapshot()
 		sec := Sections{Scan: &sc}
 		if edge != nil {
 			tn, fair := edge.Stats().Snapshot(), edge.Fair().SnapshotFair()
 			sec.Tenant, sec.Fair = &tn, &fair
 		}
-		httpx.WriteJSON(w, http.StatusOK, t.Stats(sec))
+		return t.Stats(sec)
+	}
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		httpx.WriteJSON(w, http.StatusOK, stats())
 	})
-
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		e := metrics.NewExpositionWriter(w)
-		t.WriteProm(e)
-		scanStats.Snapshot().WriteProm(e)
-		if edge != nil {
-			edge.Stats().Snapshot().WriteProm(e)
-		}
+		e.Write(stats())
 		if err := e.Flush(); err != nil {
 			log.Printf("%s: writing /v1/metrics: %v", t.Name(), err)
 		}

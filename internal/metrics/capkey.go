@@ -31,3 +31,16 @@ func tracked[V any](m *map[string]*V, max int, key string) *V {
 	}
 	return v
 }
+
+// copyMap is a live breakdown as its snapshot: every sink through snap, and
+// nil for an empty breakdown so the JSON field is omitted.
+func copyMap[L, S any](m map[string]L, snap func(L) S) map[string]S {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]S, len(m))
+	for k, v := range m {
+		out[k] = snap(v)
+	}
+	return out
+}

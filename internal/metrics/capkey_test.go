@@ -48,7 +48,7 @@ func TestCapKeyOverflow(t *testing.T) {
 	if len(rm) != maxTrackedReplicas+1 || rm[OverflowKey].Picked != extra {
 		t.Errorf("per-replica: %d entries, overflow %+v; want cap %d + overflow with %d picks", len(rm), rm[OverflowKey], maxTrackedReplicas, extra)
 	}
-	over := tm[OverflowTenantKey]
+	over := tm[OverflowKey]
 	if len(tm) != maxTrackedTenants+1 || over.Admitted != extra || over.QuotaExceeded != extra || over.Latency.Count != 1 {
 		t.Errorf("per-tenant: %d entries, overflow %+v; want cap %d + overflow with %d admitted, %d quota-rejected, 1 latency sample",
 			len(tm), over, maxTrackedTenants, extra, extra)

@@ -1,3 +1,6 @@
+// Package metrics is the telemetry of the serving stack and the NAS sweep:
+// latency histograms, and one stats sink per tier whose Snapshot is a section
+// of /v1/stats and, through its prom tags, a set of /v1/metrics families.
 package metrics
 
 import (

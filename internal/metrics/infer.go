@@ -34,10 +34,10 @@ func (s *InferStats) ArenaMiss() { s.arenaMisses.Add(1) }
 
 // InferSnapshot is a point-in-time copy of the inference-runtime counters.
 type InferSnapshot struct {
-	PlanCompiles uint64 `json:"plan_compiles"`
-	Sessions     uint64 `json:"sessions"`
-	ArenaHits    uint64 `json:"arena_hits"`
-	ArenaMisses  uint64 `json:"arena_misses"`
+	PlanCompiles uint64 `json:"plan_compiles" prom:"drainnas_infer_plan_compiles_total" help:"Model containers compiled into execution plans."`
+	Sessions     uint64 `json:"sessions" prom:"drainnas_infer_sessions_total" help:"Inference sessions created."`
+	ArenaHits    uint64 `json:"arena_hits" prom:"drainnas_infer_arena_hits_total" help:"Forward passes served by a prebuilt activation arena."`
+	ArenaMisses  uint64 `json:"arena_misses" prom:"drainnas_infer_arena_misses_total" help:"Forward passes that built an arena for a new input shape."`
 }
 
 // Snapshot returns a copy of the counters. Each value is exact; the set is
@@ -49,20 +49,4 @@ func (s *InferStats) Snapshot() InferSnapshot {
 		ArenaHits:    s.arenaHits.Load(),
 		ArenaMisses:  s.arenaMisses.Load(),
 	}
-}
-
-// Reset zeroes all counters (test support).
-func (s *InferStats) Reset() {
-	s.planCompiles.Store(0)
-	s.sessions.Store(0)
-	s.arenaHits.Store(0)
-	s.arenaMisses.Store(0)
-}
-
-// WriteProm emits the counters in Prometheus text exposition format.
-func (s InferSnapshot) WriteProm(e *ExpositionWriter) {
-	e.Counter("drainnas_infer_plan_compiles_total", "Model containers compiled into execution plans.", float64(s.PlanCompiles))
-	e.Counter("drainnas_infer_sessions_total", "Inference sessions created.", float64(s.Sessions))
-	e.Counter("drainnas_infer_arena_hits_total", "Forward passes served by a prebuilt activation arena.", float64(s.ArenaHits))
-	e.Counter("drainnas_infer_arena_misses_total", "Forward passes that built an arena for a new input shape.", float64(s.ArenaMisses))
 }

@@ -52,12 +52,12 @@ func (k *KernelStats) ScratchMiss() { k.scratchMisses.Add(1) }
 
 // KernelSnapshot is a point-in-time copy of the kernel counters.
 type KernelSnapshot struct {
-	GemmCalls       uint64 `json:"gemm_calls"`
-	NaiveCalls      uint64 `json:"naive_calls"`
-	TilesDispatched uint64 `json:"tiles_dispatched"`
-	PacksReused     uint64 `json:"packs_reused"`
-	ScratchHits     uint64 `json:"scratch_hits"`
-	ScratchMisses   uint64 `json:"scratch_misses"`
+	GemmCalls       uint64 `json:"gemm_calls" prom:"drainnas_kernel_gemm_calls_total" help:"Multiplies run on the tiled kernel: one per tiled float convolution layer per batch, one per other tiled matmul."`
+	NaiveCalls      uint64 `json:"naive_calls" prom:"drainnas_kernel_naive_calls_total" help:"Multiplies kept on the naive kernel: one per sample of a float convolution layer too small to tile, one per other small matmul."`
+	TilesDispatched uint64 `json:"tiles_dispatched" prom:"drainnas_kernel_tiles_dispatched_total" help:"Micro-tiles run by the float micro-kernel: weight row tiles times column panels."`
+	PacksReused     uint64 `json:"packs_reused" prom:"drainnas_kernel_packs_reused_total" help:"Tiled multiplies that found their weight panels already packed."`
+	ScratchHits     uint64 `json:"scratch_hits" prom:"drainnas_kernel_scratch_hits_total" help:"Scratch-pool requests served from a pooled buffer."`
+	ScratchMisses   uint64 `json:"scratch_misses" prom:"drainnas_kernel_scratch_misses_total" help:"Scratch-pool requests that had to allocate."`
 }
 
 // Snapshot returns a copy of the counters. Values are read individually
@@ -72,14 +72,4 @@ func (k *KernelStats) Snapshot() KernelSnapshot {
 		ScratchHits:     k.scratchHits.Load(),
 		ScratchMisses:   k.scratchMisses.Load(),
 	}
-}
-
-// Reset zeroes all counters (test support).
-func (k *KernelStats) Reset() {
-	k.gemmCalls.Store(0)
-	k.naiveCalls.Store(0)
-	k.tilesDispatched.Store(0)
-	k.packsReused.Store(0)
-	k.scratchHits.Store(0)
-	k.scratchMisses.Store(0)
 }

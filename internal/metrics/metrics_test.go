@@ -1,6 +1,7 @@
-// External test package: these tests drive random data through
-// tensor.NewRNG, and tensor itself reports into metrics (kernel counters),
-// so an in-package test would be an import cycle.
+// The classification-evaluation suite of internal/report (Confusion,
+// ROCAUC, ROCCurve, Evaluate — moved there with the code they test). The
+// file stays in this directory because the test floor pins its nine names
+// under drainnas/internal/metrics; it moves when that budget allows.
 package metrics_test
 
 import (
@@ -8,7 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	. "drainnas/internal/metrics"
+	. "drainnas/internal/report"
 	"drainnas/internal/tensor"
 )
 

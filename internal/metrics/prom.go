@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // ExpositionWriter emits Prometheus text exposition format (version 0.0.4)
@@ -17,9 +19,9 @@ import (
 // triplet for histograms. Errors are sticky: the first write failure is
 // remembered and returned by Flush, so callers check one error at the end.
 //
-// The caller is responsible for keeping samples of one family contiguous
-// (emit all label variants of a family before moving on), as the format
-// requires; ValidateExposition enforces it.
+// Write renders a tagged snapshot struct or stats document; Counter, Gauge
+// and Histogram emit single series, whose caller keeps the samples of one
+// family contiguous, as the format requires. ValidateExposition enforces it.
 type ExpositionWriter struct {
 	w    *bufio.Writer
 	err  error
@@ -55,9 +57,9 @@ func (e *ExpositionWriter) Histogram(name, help string, h HistogramSnapshot, lab
 		}
 		cum += b.Count
 		le := strconv.FormatFloat(b.Upper.Seconds(), 'g', -1, 64)
-		e.sample(name+"_bucket", append(append([]string{}, labels...), "le", le), float64(cum))
+		e.sample(name+"_bucket", with(labels, "le", le), float64(cum))
 	}
-	e.sample(name+"_bucket", append(append([]string{}, labels...), "le", "+Inf"), float64(h.Count))
+	e.sample(name+"_bucket", with(labels, "le", "+Inf"), float64(h.Count))
 	e.sample(name+"_sum", labels, h.Sum.Seconds())
 	e.sample(name+"_count", labels, float64(h.Count))
 }
@@ -76,7 +78,7 @@ func (e *ExpositionWriter) header(name, help string, typ string) {
 	}
 	e.seen[name] = true
 	if help != "" {
-		e.printf("# HELP %s %s\n", name, escapeHelp(help))
+		e.printf("# HELP %s %s\n", name, helpEscaper.Replace(help))
 	}
 	e.printf("# TYPE %s %s\n", name, typ)
 }
@@ -92,11 +94,11 @@ func (e *ExpositionWriter) sample(name string, labels []string, value float64) {
 			if i > 0 {
 				e.printf(",")
 			}
-			e.printf(`%s="%s"`, labels[i], escapeLabel(labels[i+1]))
+			e.printf(`%s="%s"`, labels[i], labelEscaper.Replace(labels[i+1]))
 		}
 		e.printf("}")
 	}
-	e.printf(" %s\n", formatValue(value))
+	e.printf(" %s\n", strconv.FormatFloat(value, 'g', -1, 64)) // spells +Inf, -Inf, NaN as the format does
 }
 
 func (e *ExpositionWriter) printf(format string, args ...any) {
@@ -106,212 +108,131 @@ func (e *ExpositionWriter) printf(format string, args ...any) {
 	_, e.err = fmt.Fprintf(e.w, format, args...)
 }
 
-func formatValue(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
+
+// Write renders v — a snapshot struct, or a stats document composed of
+// them — from its field tags, walking fields in declaration order:
+//
+//   - prom:"name[,label=value…]" help:"…" makes the field one series of the
+//     family name: a histogram when the field is a HistogramSnapshot
+//     (quantiles:"name" qhelp:"…" adds its p50–p99 as a gauge family), a
+//     counter when name ends in _total, a gauge otherwise; a time.Duration
+//     is exported in seconds.
+//   - label:"key" on a map adds key="<map key>" per sorted key. The element's
+//     fields are the outer loop and the keys the inner one, so a family stays
+//     contiguous however many keys there are.
+//   - untagged structs and non-nil struct pointers are descended; any other
+//     untagged field belongs to the JSON document only.
+//
+// The document /v1/stats marshals is therefore the /v1/metrics page: a
+// metric is declared once, on the field that carries it.
+func (e *ExpositionWriter) Write(v any) {
+	e.fields([]series{{v: reflect.ValueOf(v)}})
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+// series is one value of a field under the labels its enclosing maps gave it.
+type series struct {
+	labels []string
+	v      reflect.Value
 }
 
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+var (
+	histogramType = reflect.TypeOf(HistogramSnapshot{})
+	durationType  = reflect.TypeOf(time.Duration(0))
+	float64Type   = reflect.TypeOf(float64(0))
+)
 
-// WriteProm renders the serving counters, the three global latency
-// histograms, per-quantile summary gauges, and the per-model breakdown.
-func (s ServingSnapshot) WriteProm(e *ExpositionWriter) {
-	const reqs = "drainnas_serving_requests_total"
-	for _, o := range []struct {
-		outcome string
-		v       uint64
-	}{
-		{"accepted", s.Accepted}, {"rejected", s.Rejected}, {"canceled", s.Canceled},
-		{"failed", s.Failed}, {"completed", s.Completed},
-	} {
-		e.Counter(reqs, "Requests by admission/lifecycle outcome.", float64(o.v), "outcome", o.outcome)
-	}
-	e.Counter("drainnas_serving_batches_total", "Executed batches.", float64(s.Batches))
-	e.Gauge("drainnas_serving_batch_mean", "Mean executed batch size.", s.MeanBatch)
-	e.Gauge("drainnas_serving_batch_max", "Largest executed batch.", float64(s.MaxBatch))
-	e.Gauge("drainnas_serving_queue_depth", "Admitted-but-unfinished requests.", float64(s.QueueDepth))
-	e.Gauge("drainnas_serving_queue_depth_max", "High-water mark of the admission queue.", float64(s.MaxQueueDepth))
-
-	e.Histogram("drainnas_serving_queue_wait_seconds", "Time from admission to batch start.", s.QueueWait)
-	e.Histogram("drainnas_serving_exec_seconds", "Batch forward-pass duration.", s.Exec)
-	e.Histogram("drainnas_serving_latency_seconds", "End-to-end request latency (admission to response).", s.Latency)
-	writeQuantileGauges(e, "drainnas_serving_latency_quantile_seconds",
-		"End-to-end latency quantiles from the streaming histogram.", s.Latency)
-
-	for _, name := range sortedModelKeys(s.PerModel) {
-		m := s.PerModel[name]
-		for _, o := range []struct {
-			outcome string
-			v       uint64
-		}{{"accepted", m.Accepted}, {"completed", m.Completed}, {"failed", m.Failed}, {"canceled", m.Canceled}} {
-			e.Counter("drainnas_serving_model_requests_total", "Per-model requests by outcome.",
-				float64(o.v), "model", name, "outcome", o.outcome)
+// fields renders the structs of col — one document, or the elements of one
+// breakdown map, so all of one type — field by field across the column.
+func (e *ExpositionWriter) fields(col []series) {
+	var structs []series
+	for _, s := range col {
+		for s.v.Kind() == reflect.Pointer && !s.v.IsNil() {
+			s.v = s.v.Elem()
+		}
+		if s.v.Kind() == reflect.Struct {
+			structs = append(structs, s)
 		}
 	}
-	for _, name := range sortedModelKeys(s.PerModel) {
-		e.Histogram("drainnas_serving_model_latency_seconds", "Per-model end-to-end latency.",
-			s.PerModel[name].Latency, "model", name)
+	if len(structs) == 0 {
+		return
+	}
+	t := structs[0].v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		if !t.Field(i).IsExported() {
+			continue
+		}
+		sub := make([]series, len(structs))
+		for j, s := range structs {
+			sub[j] = series{s.labels, s.v.Field(i)}
+		}
+		e.field(t.Field(i), sub)
 	}
 }
 
-func writeQuantileGauges(e *ExpositionWriter, name, help string, h HistogramSnapshot) {
-	for _, q := range []struct {
-		label string
-		ms    float64
-	}{{"0.5", h.P50MS}, {"0.9", h.P90MS}, {"0.95", h.P95MS}, {"0.99", h.P99MS}} {
-		e.Gauge(name, help, q.ms/1e3, "quantile", q.label)
+func (e *ExpositionWriter) field(f reflect.StructField, col []series) {
+	if label, ok := f.Tag.Lookup("label"); ok {
+		var perKey []series
+		for _, s := range col {
+			keys := s.v.MapKeys()
+			sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+			for _, k := range keys {
+				perKey = append(perKey, series{with(s.labels, label, k.String()), s.v.MapIndex(k)})
+			}
+		}
+		f.Type, col = f.Type.Elem(), perKey
 	}
-}
-
-func sortedModelKeys(m map[string]ModelServingSnapshot) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	tag, ok := f.Tag.Lookup("prom")
+	if !ok {
+		e.fields(col)
+		return
 	}
-	sort.Strings(keys)
-	return keys
-}
-
-// WriteProm renders the routing-tier counters: request outcomes, hedging,
-// per-policy decisions, per-class queue-wait/latency histograms and the
-// per-replica breakdown.
-func (s RouterSnapshot) WriteProm(e *ExpositionWriter) {
-	const reqs = "drainnas_router_requests_total"
-	for _, o := range []struct {
-		outcome string
-		v       uint64
-	}{
-		{"submitted", s.Submitted}, {"throttled", s.Throttled},
-		{"no_replicas", s.NoReplicas}, {"completed", s.Completed}, {"failed", s.Failed},
-	} {
-		e.Counter(reqs, "Routed requests by outcome.", float64(o.v), "outcome", o.outcome)
+	name, rest, _ := strings.Cut(tag, ",")
+	var fixed []string
+	for _, kv := range strings.FieldsFunc(rest, func(r rune) bool { return r == ',' }) {
+		k, v, _ := strings.Cut(kv, "=")
+		fixed = append(fixed, k, v)
 	}
-	e.Counter("drainnas_router_hedges_total", "Hedge attempts launched at straggler deadlines.", float64(s.HedgesLaunched))
-	e.Counter("drainnas_router_hedge_wins_total", "Hedge attempts that beat their primary.", float64(s.HedgeWins))
-	e.Counter("drainnas_router_losers_canceled_total", "Losing attempts canceled after a winner.", float64(s.LosersCanceled))
-	e.Counter("drainnas_router_retries_total", "Immediate error-retries dispatched.", float64(s.Retries))
-
-	e.Histogram("drainnas_router_decide_seconds", "Policy decision latency.", s.Decide)
-	e.Histogram("drainnas_router_latency_seconds", "End-to-end latency through the router.", s.Latency)
-	writeQuantileGauges(e, "drainnas_router_latency_quantile_seconds",
-		"Router end-to-end latency quantiles from the streaming histogram.", s.Latency)
-
-	for _, policy := range sortedKeys(s.PerPolicy) {
-		e.Counter("drainnas_router_decisions_total", "Routing decisions by policy.",
-			float64(s.PerPolicy[policy]), "policy", policy)
-	}
-
-	classes := sortedKeys(s.PerClass)
-	for _, class := range classes {
-		c := s.PerClass[class]
-		for _, o := range []struct {
-			outcome string
-			v       uint64
-		}{{"submitted", c.Submitted}, {"completed", c.Completed}, {"failed", c.Failed}} {
-			e.Counter("drainnas_router_class_requests_total", "Per-SLO-class requests by outcome.",
-				float64(o.v), "class", class, "outcome", o.outcome)
+	help := f.Tag.Get("help")
+	for _, s := range col {
+		labels := with(s.labels, fixed...)
+		switch {
+		case f.Type == histogramType:
+			e.Histogram(name, help, s.v.Interface().(HistogramSnapshot), labels...)
+		case strings.HasSuffix(name, "_total"):
+			e.Counter(name, help, number(s.v), labels...)
+		default:
+			e.Gauge(name, help, number(s.v), labels...)
 		}
 	}
-	for _, class := range classes {
-		e.Histogram("drainnas_router_class_queue_wait_seconds", "Per-SLO-class wait at the scheduling gate.",
-			s.PerClass[class].QueueWait, "class", class)
-	}
-	for _, class := range classes {
-		e.Histogram("drainnas_router_class_latency_seconds", "Per-SLO-class end-to-end latency.",
-			s.PerClass[class].Latency, "class", class)
-	}
-
-	for _, id := range sortedKeys(s.PerReplica) {
-		r := s.PerReplica[id]
-		for _, o := range []struct {
-			outcome string
-			v       uint64
-		}{
-			{"picked", r.Picked}, {"completed", r.Completed}, {"failed", r.Failed},
-			{"hedged", r.Hedges}, {"retried", r.Retries},
-		} {
-			e.Counter("drainnas_router_replica_attempts_total", "Per-replica attempts by outcome.",
-				float64(o.v), "replica", id, "outcome", o.outcome)
+	if qname := f.Tag.Get("quantiles"); qname != "" {
+		for _, s := range col {
+			h := s.v.Interface().(HistogramSnapshot)
+			for _, q := range []struct {
+				label string
+				ms    float64
+			}{{"0.5", h.P50MS}, {"0.9", h.P90MS}, {"0.95", h.P95MS}, {"0.99", h.P99MS}} {
+				e.Gauge(qname, f.Tag.Get("qhelp"), q.ms/1e3, with(s.labels, "quantile", q.label)...)
+			}
 		}
 	}
 }
 
-// WriteProm renders the multi-tenant edge-tier counters: the global
-// unauthorized count and per-tenant request outcomes, fair-queue wait and
-// end-to-end latency.
-func (s TenantSnapshot) WriteProm(e *ExpositionWriter) {
-	e.Counter("drainnas_tenant_unauthorized_total",
-		"Requests rejected for a missing or unknown API key.", float64(s.Unauthorized))
-
-	tenants := sortedKeys(s.PerTenant)
-	for _, name := range tenants {
-		t := s.PerTenant[name]
-		for _, o := range []struct {
-			outcome string
-			v       uint64
-		}{
-			{"admitted", t.Admitted}, {"quota_exceeded", t.QuotaExceeded},
-			{"completed", t.Completed}, {"failed", t.Failed},
-		} {
-			e.Counter("drainnas_tenant_requests_total", "Per-tenant requests by outcome.",
-				float64(o.v), "tenant", name, "outcome", o.outcome)
-		}
-	}
-	for _, name := range tenants {
-		e.Histogram("drainnas_tenant_queue_wait_seconds", "Per-tenant wait at the weighted-fair admission gate.",
-			s.PerTenant[name].QueueWait, "tenant", name)
-	}
-	for _, name := range tenants {
-		e.Histogram("drainnas_tenant_latency_seconds", "Per-tenant end-to-end latency through the edge tier.",
-			s.PerTenant[name].Latency, "tenant", name)
-	}
+// with returns labels followed by more, never aliasing labels' array.
+func with(labels []string, more ...string) []string {
+	return append(labels[:len(labels):len(labels)], more...)
 }
 
-// sortedKeys returns m's keys in sorted order for deterministic exposition.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// number is a tagged scalar as a sample value; a prom tag on anything but a
+// number panics in Convert.
+func number(v reflect.Value) float64 {
+	if v.Type() == durationType {
+		return time.Duration(v.Int()).Seconds()
 	}
-	sort.Strings(keys)
-	return keys
-}
-
-// WriteProm renders the kernel counters.
-func (k KernelSnapshot) WriteProm(e *ExpositionWriter) {
-	e.Counter("drainnas_kernel_gemm_calls_total", "Multiplies run on the tiled kernel: one per tiled float convolution layer per batch, one per other tiled matmul.", float64(k.GemmCalls))
-	e.Counter("drainnas_kernel_naive_calls_total", "Multiplies kept on the naive kernel: one per sample of a float convolution layer too small to tile, one per other small matmul.", float64(k.NaiveCalls))
-	e.Counter("drainnas_kernel_tiles_dispatched_total", "Micro-tiles run by the float micro-kernel: weight row tiles times column panels.", float64(k.TilesDispatched))
-	e.Counter("drainnas_kernel_packs_reused_total", "Tiled multiplies that found their weight panels already packed.", float64(k.PacksReused))
-	e.Counter("drainnas_kernel_scratch_hits_total", "Scratch-pool requests served from a pooled buffer.", float64(k.ScratchHits))
-	e.Counter("drainnas_kernel_scratch_misses_total", "Scratch-pool requests that had to allocate.", float64(k.ScratchMisses))
-}
-
-// WriteProm renders the sweep counters and the trial-duration histogram.
-func (s SweepSnapshot) WriteProm(e *ExpositionWriter) {
-	e.Gauge("drainnas_sweep_trials_planned", "Full plan size, journal-reused trials included.", float64(s.Total))
-	e.Gauge("drainnas_sweep_trials_reused", "Trials satisfied from a resumed journal.", float64(s.Reused))
-	e.Gauge("drainnas_sweep_trials_remaining", "Trials not yet completed.", float64(s.Remaining))
-	e.Counter("drainnas_sweep_trials_succeeded_total", "Trials that completed successfully.", float64(s.Succeeded))
-	e.Counter("drainnas_sweep_trials_failed_total", "Trials that exhausted their attempts.", float64(s.Failed))
-	e.Counter("drainnas_sweep_trial_retries_total", "Retries of transiently-failed trials.", float64(s.Retried))
-	e.Histogram("drainnas_sweep_trial_seconds", "Wall time of completed trials.", s.Trials)
-	e.Gauge("drainnas_sweep_eta_seconds", "Extrapolated remaining wall time.", s.ETA.Seconds())
+	return v.Convert(float64Type).Float()
 }
 
 var (
@@ -450,7 +371,7 @@ func ValidateExposition(r io.Reader) error {
 				if !ok {
 					return fmt.Errorf("line %d: %s_bucket without le label", line, fam)
 				}
-				leV := parseLE(le)
+				leV := parseValue(le)
 				if math.IsNaN(leV) {
 					return fmt.Errorf("line %d: bad le %q", line, le)
 				}
@@ -542,26 +463,9 @@ func labelValue(labels, key string) (string, bool) {
 	return "", false
 }
 
-func parseLE(s string) float64 {
-	if s == "+Inf" {
-		return math.Inf(1)
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return math.NaN()
-	}
-	return v
-}
-
+// parseValue reads a sample value or an le bound; ParseFloat knows +Inf,
+// -Inf and NaN.
 func parseValue(s string) float64 {
-	switch s {
-	case "+Inf":
-		return math.Inf(1)
-	case "-Inf":
-		return math.Inf(-1)
-	case "NaN":
-		return math.NaN()
-	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return math.NaN()

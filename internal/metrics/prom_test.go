@@ -58,9 +58,9 @@ func TestExpositionWriterHistogram(t *testing.T) {
 	}
 }
 
-// TestWritePromRoundTrip feeds every snapshot family through its WriteProm and
-// requires the combined page to pass the validator — the same check
-// make obs-smoke runs against a live servd.
+// TestWritePromRoundTrip renders a document of several snapshot families
+// from their tags and requires the page to pass the validator — the same
+// check make obs-smoke runs against a live servd.
 func TestWritePromRoundTrip(t *testing.T) {
 	serving := &ServingStats{}
 	for i := 0; i < 5; i++ {
@@ -82,9 +82,12 @@ func TestWritePromRoundTrip(t *testing.T) {
 
 	var sb strings.Builder
 	e := NewExpositionWriter(&sb)
-	serving.Snapshot().WriteProm(e)
-	KernelSnapshot{GemmCalls: 7, TilesDispatched: 9}.WriteProm(e)
-	sweep.Snapshot().WriteProm(e)
+	e.Write(struct {
+		Serving ServingSnapshot
+		Kernel  *KernelSnapshot
+		Absent  *TenantSnapshot
+		Sweep   SweepSnapshot
+	}{Serving: serving.Snapshot(), Kernel: &KernelSnapshot{GemmCalls: 7, TilesDispatched: 9}, Sweep: sweep.Snapshot()})
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +103,7 @@ func TestWritePromRoundTrip(t *testing.T) {
 		"drainnas_kernel_gemm_calls_total 7",
 		"drainnas_sweep_trials_succeeded_total 1",
 		"drainnas_sweep_trial_seconds_count 2",
+		"drainnas_sweep_trials_remaining 6",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)

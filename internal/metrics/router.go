@@ -1,7 +1,8 @@
 package metrics
 
 import (
-	"fmt"
+	"maps"
+	"math"
 	"sync"
 	"time"
 )
@@ -19,301 +20,194 @@ const maxTrackedReplicas = 64
 // are safe for concurrent use and no-ops on a nil receiver.
 type RouterStats struct {
 	mu sync.Mutex
+	// c is the snapshot's counters and PerPolicy; Snapshot fills in the rest.
+	c RouterSnapshot
 
-	submitted  uint64
-	throttled  uint64
-	noReplicas uint64
-	completed  uint64
-	failed     uint64
+	decide, latency Histogram
 
-	hedgesLaunched uint64
-	hedgeWins      uint64
-	losersCanceled uint64
-	retries        uint64
-
-	decide  Histogram // policy decision latency
-	latency Histogram // admission-to-response latency through the router
-
-	perPolicy  map[string]uint64
-	perClass   map[string]*classRouteStats
-	perReplica map[string]*replicaRouteStats
+	perClass   map[string]*classRoute
+	perReplica map[string]*ReplicaRouteSnapshot
 }
 
-type classRouteStats struct {
-	submitted uint64
-	completed uint64
-	failed    uint64
-	queueWait Histogram
-	latency   Histogram
+// classRoute is one SLO class's counters with the live histograms behind
+// their QueueWait and Latency.
+type classRoute struct {
+	ClassRouteSnapshot
+	queueWait, latency Histogram
 }
 
-type replicaRouteStats struct {
-	picked    uint64
-	completed uint64
-	failed    uint64
-	hedges    uint64
-	retries   uint64
+func (c *classRoute) snapshot() ClassRouteSnapshot {
+	snap := c.ClassRouteSnapshot
+	snap.QueueWait, snap.Latency = c.queueWait.Snapshot(), c.latency.Snapshot()
+	return snap
 }
 
-func (s *RouterStats) classLocked(class string) *classRouteStats {
-	if s.perClass == nil {
-		s.perClass = make(map[string]*classRouteStats)
+// locked runs f under the lock; a nil sink runs nothing.
+func (s *RouterStats) locked(f func()) {
+	if s == nil {
+		return
 	}
-	c := s.perClass[class]
-	if c == nil {
-		c = &classRouteStats{}
-		s.perClass[class] = c
-	}
-	return c
+	s.mu.Lock()
+	f()
+	s.mu.Unlock()
 }
 
-func (s *RouterStats) replicaLocked(id string) *replicaRouteStats {
+// class and replica return the sink for one key; the caller holds s.mu.
+// Classes are a closed set and need no cap.
+func (s *RouterStats) class(class string) *classRoute {
+	return tracked(&s.perClass, math.MaxInt, class)
+}
+
+func (s *RouterStats) replica(id string) *ReplicaRouteSnapshot {
 	return tracked(&s.perReplica, maxTrackedReplicas, id)
 }
 
 // Submitted records one request entering the router under an SLO class.
 func (s *RouterStats) Submitted(class string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.submitted++
-	s.classLocked(class).submitted++
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.Submitted++
+		s.class(class).Submitted++
+	})
 }
 
 // Throttled records a request rejected by token-bucket admission.
 func (s *RouterStats) Throttled() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.throttled++
-	s.mu.Unlock()
+	s.locked(func() { s.c.Throttled++ })
 }
 
 // NoReplicas records a request that found an empty (or fully declined)
 // replica set.
 func (s *RouterStats) NoReplicas() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.noReplicas++
-	s.mu.Unlock()
+	s.locked(func() { s.c.NoReplicas++ })
 }
 
 // QueueWait records how long a request waited at the scheduling gate.
 func (s *RouterStats) QueueWait(class string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.classLocked(class).queueWait.Observe(d)
-	s.mu.Unlock()
+	s.locked(func() { s.class(class).queueWait.Observe(d) })
 }
 
 // Decision records one primary routing decision: the policy that made it,
 // the replica it picked, and how long the pick took.
 func (s *RouterStats) Decision(policy, replica string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.perPolicy == nil {
-		s.perPolicy = make(map[string]uint64)
-	}
-	s.perPolicy[policy]++
-	s.decide.Observe(d)
-	s.replicaLocked(replica).picked++
-	s.mu.Unlock()
+	s.locked(func() {
+		if s.c.PerPolicy == nil {
+			s.c.PerPolicy = make(map[string]uint64)
+		}
+		s.c.PerPolicy[policy]++
+		s.decide.Observe(d)
+		s.replica(replica).Picked++
+	})
 }
 
 // HedgeLaunched records a hedge attempt fired at a straggler deadline.
 func (s *RouterStats) HedgeLaunched(replica string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.hedgesLaunched++
-	r := s.replicaLocked(replica)
-	r.picked++
-	r.hedges++
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.HedgesLaunched++
+		r := s.replica(replica)
+		r.Picked++
+		r.Hedges++
+	})
 }
 
 // HedgeWon records a hedge attempt beating its primary.
 func (s *RouterStats) HedgeWon(replica string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.hedgeWins++
-	s.mu.Unlock()
+	s.locked(func() { s.c.HedgeWins++ })
 }
 
 // LosersCanceled records n losing attempts canceled after a winner.
 func (s *RouterStats) LosersCanceled(n int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.losersCanceled += uint64(n)
-	s.mu.Unlock()
+	s.locked(func() { s.c.LosersCanceled += uint64(n) })
 }
 
 // Retried records an immediate error-retry dispatched to a replica.
 func (s *RouterStats) Retried(replica string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.retries++
-	r := s.replicaLocked(replica)
-	r.picked++
-	r.retries++
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.Retries++
+		r := s.replica(replica)
+		r.Picked++
+		r.Retries++
+	})
 }
 
 // AttemptDone records one replica attempt's outcome (success or failure),
 // independent of whether the request as a whole succeeded.
 func (s *RouterStats) AttemptDone(replica string, ok bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	r := s.replicaLocked(replica)
-	if ok {
-		r.completed++
-	} else {
-		r.failed++
-	}
-	s.mu.Unlock()
+	s.locked(func() {
+		if r := s.replica(replica); ok {
+			r.Completed++
+		} else {
+			r.Failed++
+		}
+	})
 }
 
 // Completed records one request served through the router end to end.
 func (s *RouterStats) Completed(class string, total time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.completed++
-	s.latency.Observe(total)
-	c := s.classLocked(class)
-	c.completed++
-	c.latency.Observe(total)
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.Completed++
+		s.latency.Observe(total)
+		c := s.class(class)
+		c.Completed++
+		c.latency.Observe(total)
+	})
 }
 
 // Failed records one request that left the router with an error (including
 // gate cancellation, dispatch failure on every attempt, or no replicas).
 func (s *RouterStats) Failed(class string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.failed++
-	s.classLocked(class).failed++
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.Failed++
+		s.class(class).Failed++
+	})
 }
 
 // ClassRouteSnapshot is the per-SLO-class slice of a router snapshot.
 type ClassRouteSnapshot struct {
-	Submitted uint64            `json:"submitted"`
-	Completed uint64            `json:"completed"`
-	Failed    uint64            `json:"failed"`
-	QueueWait HistogramSnapshot `json:"queue_wait"`
-	Latency   HistogramSnapshot `json:"latency"`
+	Submitted uint64            `json:"submitted" prom:"drainnas_router_class_requests_total,outcome=submitted" help:"Per-SLO-class requests by outcome."`
+	Completed uint64            `json:"completed" prom:"drainnas_router_class_requests_total,outcome=completed"`
+	Failed    uint64            `json:"failed" prom:"drainnas_router_class_requests_total,outcome=failed"`
+	QueueWait HistogramSnapshot `json:"queue_wait" prom:"drainnas_router_class_queue_wait_seconds" help:"Per-SLO-class wait at the scheduling gate."`
+	Latency   HistogramSnapshot `json:"latency" prom:"drainnas_router_class_latency_seconds" help:"Per-SLO-class end-to-end latency."`
 }
 
 // ReplicaRouteSnapshot is the per-replica slice of a router snapshot.
 type ReplicaRouteSnapshot struct {
-	Picked    uint64 `json:"picked"`
-	Completed uint64 `json:"completed"`
-	Failed    uint64 `json:"failed"`
-	Hedges    uint64 `json:"hedges"`
-	Retries   uint64 `json:"retries"`
+	Picked    uint64 `json:"picked" prom:"drainnas_router_replica_attempts_total,outcome=picked" help:"Per-replica attempts by outcome."`
+	Completed uint64 `json:"completed" prom:"drainnas_router_replica_attempts_total,outcome=completed"`
+	Failed    uint64 `json:"failed" prom:"drainnas_router_replica_attempts_total,outcome=failed"`
+	Hedges    uint64 `json:"hedges" prom:"drainnas_router_replica_attempts_total,outcome=hedged"`
+	Retries   uint64 `json:"retries" prom:"drainnas_router_replica_attempts_total,outcome=retried"`
 }
 
 // RouterSnapshot is a point-in-time copy of the routing counters.
 type RouterSnapshot struct {
-	Submitted  uint64 `json:"submitted"`
-	Throttled  uint64 `json:"throttled"`
-	NoReplicas uint64 `json:"no_replicas"`
-	Completed  uint64 `json:"completed"`
-	Failed     uint64 `json:"failed"`
+	Submitted  uint64 `json:"submitted" prom:"drainnas_router_requests_total,outcome=submitted" help:"Routed requests by outcome."`
+	Throttled  uint64 `json:"throttled" prom:"drainnas_router_requests_total,outcome=throttled"`
+	NoReplicas uint64 `json:"no_replicas" prom:"drainnas_router_requests_total,outcome=no_replicas"`
+	Completed  uint64 `json:"completed" prom:"drainnas_router_requests_total,outcome=completed"`
+	Failed     uint64 `json:"failed" prom:"drainnas_router_requests_total,outcome=failed"`
 
-	HedgesLaunched uint64 `json:"hedges_launched"`
-	HedgeWins      uint64 `json:"hedge_wins"`
-	LosersCanceled uint64 `json:"losers_canceled"`
-	Retries        uint64 `json:"retries"`
+	HedgesLaunched uint64 `json:"hedges_launched" prom:"drainnas_router_hedges_total" help:"Hedge attempts launched at straggler deadlines."`
+	HedgeWins      uint64 `json:"hedge_wins" prom:"drainnas_router_hedge_wins_total" help:"Hedge attempts that beat their primary."`
+	LosersCanceled uint64 `json:"losers_canceled" prom:"drainnas_router_losers_canceled_total" help:"Losing attempts canceled after a winner."`
+	Retries        uint64 `json:"retries" prom:"drainnas_router_retries_total" help:"Immediate error-retries dispatched."`
 
-	Decide  HistogramSnapshot `json:"decide"`
-	Latency HistogramSnapshot `json:"latency"`
+	Decide  HistogramSnapshot `json:"decide" prom:"drainnas_router_decide_seconds" help:"Policy decision latency."`
+	Latency HistogramSnapshot `json:"latency" prom:"drainnas_router_latency_seconds" help:"End-to-end latency through the router." quantiles:"drainnas_router_latency_quantile_seconds" qhelp:"Router end-to-end latency quantiles from the streaming histogram."`
 
-	PerPolicy  map[string]uint64               `json:"per_policy,omitempty"`
-	PerClass   map[string]ClassRouteSnapshot   `json:"per_class,omitempty"`
-	PerReplica map[string]ReplicaRouteSnapshot `json:"per_replica,omitempty"`
+	PerPolicy  map[string]uint64               `json:"per_policy,omitempty" label:"policy" prom:"drainnas_router_decisions_total" help:"Routing decisions by policy."`
+	PerClass   map[string]ClassRouteSnapshot   `json:"per_class,omitempty" label:"class"`
+	PerReplica map[string]ReplicaRouteSnapshot `json:"per_replica,omitempty" label:"replica"`
 }
 
 // Snapshot returns a consistent copy of the counters.
-func (s *RouterStats) Snapshot() RouterSnapshot {
-	if s == nil {
-		return RouterSnapshot{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := RouterSnapshot{
-		Submitted:      s.submitted,
-		Throttled:      s.throttled,
-		NoReplicas:     s.noReplicas,
-		Completed:      s.completed,
-		Failed:         s.failed,
-		HedgesLaunched: s.hedgesLaunched,
-		HedgeWins:      s.hedgeWins,
-		LosersCanceled: s.losersCanceled,
-		Retries:        s.retries,
-		Decide:         s.decide.Snapshot(),
-		Latency:        s.latency.Snapshot(),
-	}
-	if len(s.perPolicy) > 0 {
-		snap.PerPolicy = make(map[string]uint64, len(s.perPolicy))
-		for k, v := range s.perPolicy {
-			snap.PerPolicy[k] = v
-		}
-	}
-	if len(s.perClass) > 0 {
-		snap.PerClass = make(map[string]ClassRouteSnapshot, len(s.perClass))
-		for k, c := range s.perClass {
-			snap.PerClass[k] = ClassRouteSnapshot{
-				Submitted: c.submitted,
-				Completed: c.completed,
-				Failed:    c.failed,
-				QueueWait: c.queueWait.Snapshot(),
-				Latency:   c.latency.Snapshot(),
-			}
-		}
-	}
-	if len(s.perReplica) > 0 {
-		snap.PerReplica = make(map[string]ReplicaRouteSnapshot, len(s.perReplica))
-		for k, r := range s.perReplica {
-			snap.PerReplica[k] = ReplicaRouteSnapshot{
-				Picked:    r.picked,
-				Completed: r.completed,
-				Failed:    r.failed,
-				Hedges:    r.hedges,
-				Retries:   r.retries,
-			}
-		}
-	}
+func (s *RouterStats) Snapshot() (snap RouterSnapshot) {
+	s.locked(func() {
+		snap = s.c
+		snap.Decide, snap.Latency = s.decide.Snapshot(), s.latency.Snapshot()
+		snap.PerPolicy = maps.Clone(s.c.PerPolicy)
+		snap.PerClass = copyMap(s.perClass, (*classRoute).snapshot)
+		snap.PerReplica = copyMap(s.perReplica, func(r *ReplicaRouteSnapshot) ReplicaRouteSnapshot { return *r })
+	})
 	return snap
-}
-
-// String renders the snapshot on one line.
-func (s RouterSnapshot) String() string {
-	return fmt.Sprintf(
-		"sub=%d thr=%d done=%d fail=%d hedges=%d/%d retries=%d lat=%.2f/%.2fms",
-		s.Submitted, s.Throttled, s.Completed, s.Failed,
-		s.HedgesLaunched, s.HedgeWins, s.Retries,
-		s.Latency.P50MS, s.Latency.P99MS)
 }

@@ -33,13 +33,13 @@ func TestRouterStatsLifecycle(t *testing.T) {
 
 	snap := s.Snapshot()
 	if snap.Submitted != 4 || snap.Throttled != 1 || snap.NoReplicas != 1 {
-		t.Fatalf("admission counters: %s", snap)
+		t.Fatalf("admission counters: %+v", snap)
 	}
 	if snap.Completed != 2 || snap.Failed != 1 {
-		t.Fatalf("lifecycle counters: %s", snap)
+		t.Fatalf("lifecycle counters: %+v", snap)
 	}
 	if snap.HedgesLaunched != 1 || snap.HedgeWins != 1 || snap.LosersCanceled != 1 || snap.Retries != 1 {
-		t.Fatalf("hedge counters: %s", snap)
+		t.Fatalf("hedge counters: %+v", snap)
 	}
 	if snap.PerPolicy["round-robin"] != 2 {
 		t.Fatalf("per-policy: %v", snap.PerPolicy)
@@ -83,7 +83,7 @@ func TestRouterStatsNilReceiverIsSafe(t *testing.T) {
 	s.Completed("standard", time.Millisecond)
 	s.Failed("standard")
 	if snap := s.Snapshot(); snap.Submitted != 0 {
-		t.Fatalf("nil snapshot %s", snap)
+		t.Fatalf("nil snapshot %+v", snap)
 	}
 }
 
@@ -118,7 +118,7 @@ func TestRouterStatsConcurrent(t *testing.T) {
 		t.Fatalf("submitted %d, want %d", snap.Submitted, goroutines*per)
 	}
 	if snap.Completed+snap.Failed != snap.Submitted {
-		t.Fatalf("accounting broken: %s", snap)
+		t.Fatalf("accounting broken: %+v", snap)
 	}
 	var perClass uint64
 	for _, c := range snap.PerClass {
@@ -155,7 +155,7 @@ func TestRouterSnapshotWriteProm(t *testing.T) {
 
 	var sb strings.Builder
 	e := NewExpositionWriter(&sb)
-	s.Snapshot().WriteProm(e)
+	e.Write(s.Snapshot())
 	if err := e.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -180,14 +180,5 @@ func TestRouterSnapshotWriteProm(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestRouterSnapshotString(t *testing.T) {
-	s := &RouterStats{}
-	s.Submitted("standard")
-	s.Completed("standard", time.Millisecond)
-	if str := s.Snapshot().String(); !strings.Contains(str, "done=1") {
-		t.Fatalf("snapshot string %q", str)
 	}
 }

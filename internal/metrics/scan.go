@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -13,127 +12,82 @@ import (
 // other stats sinks.
 type ScanStats struct {
 	mu sync.Mutex
-
-	jobsStarted   uint64
-	jobsCompleted uint64
-	jobsCanceled  uint64
-	jobsFailed    uint64
-
-	tiles        uint64
-	tileRetries  uint64
-	tileFailures uint64
-	crossings    uint64
-
+	// c is the snapshot's counters; Snapshot fills in TileLatency.
+	c           ScanSnapshot
 	tileLatency Histogram
 }
 
-// JobStarted counts one scan job entering the running state.
-func (s *ScanStats) JobStarted() {
+// locked runs f under the lock; a nil sink runs nothing.
+func (s *ScanStats) locked(f func()) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.jobsStarted++
+	f()
 	s.mu.Unlock()
+}
+
+// JobStarted counts one scan job entering the running state.
+func (s *ScanStats) JobStarted() {
+	s.locked(func() { s.c.JobsStarted++ })
 }
 
 // JobFinished counts a job leaving the running state in the given terminal
 // state ("done", "canceled" or "failed").
 func (s *ScanStats) JobFinished(state string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	switch state {
-	case "canceled":
-		s.jobsCanceled++
-	case "failed":
-		s.jobsFailed++
-	default:
-		s.jobsCompleted++
-	}
-	s.mu.Unlock()
+	s.locked(func() {
+		switch state {
+		case "canceled":
+			s.c.JobsCanceled++
+		case "failed":
+			s.c.JobsFailed++
+		default:
+			s.c.JobsCompleted++
+		}
+	})
 }
 
 // Tile records one classified tile: its end-to-end latency, how many
 // retries it took, and whether it scored as a crossing.
 func (s *ScanStats) Tile(latency time.Duration, retries int, crossing bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.tiles++
-	s.tileRetries += uint64(retries)
-	if crossing {
-		s.crossings++
-	}
-	s.mu.Unlock()
-	s.tileLatency.Observe(latency)
+	s.locked(func() {
+		s.c.Tiles++
+		s.c.TileRetries += uint64(retries)
+		if crossing {
+			s.c.Crossings++
+		}
+		s.tileLatency.Observe(latency)
+	})
 }
 
 // TileFailed records a tile that exhausted its retries.
 func (s *ScanStats) TileFailed(retries int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.tileFailures++
-	s.tileRetries += uint64(retries)
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.TileFailures++
+		s.c.TileRetries += uint64(retries)
+	})
 }
 
 // ScanSnapshot is a point-in-time copy of the scan counters.
 type ScanSnapshot struct {
-	JobsStarted   uint64 `json:"jobs_started"`
-	JobsCompleted uint64 `json:"jobs_completed"`
-	JobsCanceled  uint64 `json:"jobs_canceled"`
-	JobsFailed    uint64 `json:"jobs_failed"`
+	JobsStarted   uint64 `json:"jobs_started" prom:"drainnas_scan_jobs_started_total" help:"Scan jobs admitted."`
+	JobsCompleted uint64 `json:"jobs_completed" prom:"drainnas_scan_jobs_completed_total" help:"Scan jobs that finished every tile."`
+	JobsCanceled  uint64 `json:"jobs_canceled" prom:"drainnas_scan_jobs_canceled_total" help:"Scan jobs canceled mid-scan."`
+	JobsFailed    uint64 `json:"jobs_failed" prom:"drainnas_scan_jobs_failed_total" help:"Scan jobs that aborted on error."`
 
-	Tiles        uint64 `json:"tiles"`
-	TileRetries  uint64 `json:"tile_retries"`
-	TileFailures uint64 `json:"tile_failures"`
-	Crossings    uint64 `json:"crossings"`
+	Tiles        uint64 `json:"tiles" prom:"drainnas_scan_tiles_total" help:"Tiles classified across all scans."`
+	TileRetries  uint64 `json:"tile_retries" prom:"drainnas_scan_tile_retries_total" help:"Per-tile retries of retryable serving errors."`
+	TileFailures uint64 `json:"tile_failures" prom:"drainnas_scan_tile_failures_total" help:"Tiles that exhausted their retries."`
+	Crossings    uint64 `json:"crossings" prom:"drainnas_scan_crossings_total" help:"Tiles scored as drainage crossings."`
 
-	TileLatency HistogramSnapshot `json:"tile_latency"`
+	TileLatency HistogramSnapshot `json:"tile_latency" prom:"drainnas_scan_tile_latency_ms" help:"Per-tile end-to-end latency."`
 }
 
 // Snapshot returns a consistent copy of the counters.
-func (s *ScanStats) Snapshot() ScanSnapshot {
-	if s == nil {
-		return ScanSnapshot{}
-	}
-	s.mu.Lock()
-	snap := ScanSnapshot{
-		JobsStarted:   s.jobsStarted,
-		JobsCompleted: s.jobsCompleted,
-		JobsCanceled:  s.jobsCanceled,
-		JobsFailed:    s.jobsFailed,
-		Tiles:         s.tiles,
-		TileRetries:   s.tileRetries,
-		TileFailures:  s.tileFailures,
-		Crossings:     s.crossings,
-	}
-	s.mu.Unlock()
-	snap.TileLatency = s.tileLatency.Snapshot()
+func (s *ScanStats) Snapshot() (snap ScanSnapshot) {
+	s.locked(func() {
+		snap = s.c
+		snap.TileLatency = s.tileLatency.Snapshot()
+	})
 	return snap
-}
-
-// String renders the snapshot on one line.
-func (s ScanSnapshot) String() string {
-	return fmt.Sprintf("jobs=%d/%d/%d/%d tiles=%d retries=%d fail=%d crossings=%d lat p50=%.2fms",
-		s.JobsStarted, s.JobsCompleted, s.JobsCanceled, s.JobsFailed,
-		s.Tiles, s.TileRetries, s.TileFailures, s.Crossings, s.TileLatency.P50MS)
-}
-
-// WriteProm exports the snapshot as the drainnas_scan_* families.
-func (s ScanSnapshot) WriteProm(e *ExpositionWriter) {
-	e.Counter("drainnas_scan_jobs_started_total", "Scan jobs admitted.", float64(s.JobsStarted))
-	e.Counter("drainnas_scan_jobs_completed_total", "Scan jobs that finished every tile.", float64(s.JobsCompleted))
-	e.Counter("drainnas_scan_jobs_canceled_total", "Scan jobs canceled mid-scan.", float64(s.JobsCanceled))
-	e.Counter("drainnas_scan_jobs_failed_total", "Scan jobs that aborted on error.", float64(s.JobsFailed))
-	e.Counter("drainnas_scan_tiles_total", "Tiles classified across all scans.", float64(s.Tiles))
-	e.Counter("drainnas_scan_tile_retries_total", "Per-tile retries of retryable serving errors.", float64(s.TileRetries))
-	e.Counter("drainnas_scan_tile_failures_total", "Tiles that exhausted their retries.", float64(s.TileFailures))
-	e.Counter("drainnas_scan_crossings_total", "Tiles scored as drainage crossings.", float64(s.Crossings))
-	e.Histogram("drainnas_scan_tile_latency_ms", "Per-tile end-to-end latency.", s.TileLatency)
 }

@@ -33,9 +33,6 @@ func TestScanStatsLifecycle(t *testing.T) {
 	if snap.TileLatency.Count != 2 || snap.TileLatency.Max != 4*time.Millisecond {
 		t.Fatalf("latency histogram %+v", snap.TileLatency)
 	}
-	if str := snap.String(); !strings.Contains(str, "tiles=2") {
-		t.Fatalf("snapshot string %q", str)
-	}
 }
 
 func TestScanStatsNilSafe(t *testing.T) {
@@ -82,7 +79,7 @@ func TestScanSnapshotWriteProm(t *testing.T) {
 
 	var buf bytes.Buffer
 	e := NewExpositionWriter(&buf)
-	s.Snapshot().WriteProm(e)
+	e.Write(s.Snapshot())
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -29,226 +28,159 @@ const OverflowModelKey = OverflowKey
 // the bounded queue refused outright.
 type ServingStats struct {
 	mu sync.Mutex
-
-	accepted  uint64
-	rejected  uint64
-	canceled  uint64
-	failed    uint64
-	completed uint64
-
-	batches      uint64
+	// c is the snapshot's counters; Snapshot fills in everything else.
+	c            ServingSnapshot
 	batchSizeSum uint64
-	maxBatch     int
 
-	queueDepth    int
-	maxQueueDepth int
+	queueWait, exec, latency Histogram
 
-	queueWaitSum time.Duration
-	latencySum   time.Duration
-	latencyMax   time.Duration
-	execSum      time.Duration
-
-	queueWait Histogram
-	latency   Histogram
-	exec      Histogram
-
-	perModel map[string]*modelStats
+	perModel map[string]*modelServing
 }
 
-type modelStats struct {
-	accepted  uint64
-	canceled  uint64
-	failed    uint64
-	completed uint64
-	latency   Histogram
+// modelServing is one model's counters with the live histogram behind
+// their Latency.
+type modelServing struct {
+	ModelServingSnapshot
+	latency Histogram
 }
 
-// modelLocked returns the per-model sink for name, creating it under the
+func (m *modelServing) snapshot() ModelServingSnapshot {
+	snap := m.ModelServingSnapshot
+	snap.Latency = m.latency.Snapshot()
+	return snap
+}
+
+// locked runs f under the lock; a nil sink runs nothing.
+func (s *ServingStats) locked(f func()) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	f()
+	s.mu.Unlock()
+}
+
+// model returns the per-model sink for name, creating it under the
 // tracking cap; the caller holds s.mu.
-func (s *ServingStats) modelLocked(name string) *modelStats {
+func (s *ServingStats) model(name string) *modelServing {
 	return tracked(&s.perModel, maxTrackedModels, name)
 }
 
 // Enqueued records an admitted request for model entering the queue.
 func (s *ServingStats) Enqueued(model string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.accepted++
-	s.queueDepth++
-	if s.queueDepth > s.maxQueueDepth {
-		s.maxQueueDepth = s.queueDepth
-	}
-	s.modelLocked(model).accepted++
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.Accepted++
+		s.c.QueueDepth++
+		s.c.MaxQueueDepth = max(s.c.MaxQueueDepth, s.c.QueueDepth)
+		s.model(model).Accepted++
+	})
 }
 
 // Rejected records a request refused by the bounded queue.
 func (s *ServingStats) Rejected(model string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.rejected++
-	s.mu.Unlock()
+	s.locked(func() { s.c.Rejected++ })
 }
 
 // Canceled records an enqueued request whose caller gave up (context
 // cancellation) before a batch claimed it.
 func (s *ServingStats) Canceled(model string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.canceled++
-	s.queueDepth--
-	s.modelLocked(model).canceled++
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.Canceled++
+		s.c.QueueDepth--
+		s.model(model).Canceled++
+	})
 }
 
 // Failed records an enqueued request that ended in an execution or model
 // load error.
 func (s *ServingStats) Failed(model string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.failed++
-	s.queueDepth--
-	s.modelLocked(model).failed++
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.Failed++
+		s.c.QueueDepth--
+		s.model(model).Failed++
+	})
 }
 
 // Completed records one successfully served request: how long it sat in the
 // queue before its batch started, and its total latency from admission to
 // response.
 func (s *ServingStats) Completed(model string, queueWait, total time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.completed++
-	s.queueDepth--
-	s.queueWaitSum += queueWait
-	s.latencySum += total
-	if total > s.latencyMax {
-		s.latencyMax = total
-	}
-	s.queueWait.Observe(queueWait)
-	s.latency.Observe(total)
-	m := s.modelLocked(model)
-	m.completed++
-	m.latency.Observe(total)
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.Completed++
+		s.c.QueueDepth--
+		s.queueWait.Observe(queueWait)
+		s.latency.Observe(total)
+		m := s.model(model)
+		m.Completed++
+		m.latency.Observe(total)
+	})
 }
 
 // BatchDone records one executed batch: its size (requests actually run)
 // and the forward-pass duration.
 func (s *ServingStats) BatchDone(model string, size int, exec time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.batches++
-	s.batchSizeSum += uint64(size)
-	if size > s.maxBatch {
-		s.maxBatch = size
-	}
-	s.execSum += exec
-	s.exec.Observe(exec)
-	s.mu.Unlock()
+	s.locked(func() {
+		s.c.Batches++
+		s.batchSizeSum += uint64(size)
+		s.c.MaxBatch = max(s.c.MaxBatch, size)
+		s.exec.Observe(exec)
+	})
 }
 
 // ModelServingSnapshot is the per-model slice of a serving snapshot.
 type ModelServingSnapshot struct {
-	Accepted  uint64            `json:"accepted"`
-	Canceled  uint64            `json:"canceled"`
-	Failed    uint64            `json:"failed"`
-	Completed uint64            `json:"completed"`
-	Latency   HistogramSnapshot `json:"latency"`
+	Accepted  uint64            `json:"accepted" prom:"drainnas_serving_model_requests_total,outcome=accepted" help:"Per-model requests by outcome."`
+	Canceled  uint64            `json:"canceled" prom:"drainnas_serving_model_requests_total,outcome=canceled"`
+	Failed    uint64            `json:"failed" prom:"drainnas_serving_model_requests_total,outcome=failed"`
+	Completed uint64            `json:"completed" prom:"drainnas_serving_model_requests_total,outcome=completed"`
+	Latency   HistogramSnapshot `json:"latency" prom:"drainnas_serving_model_latency_seconds" help:"Per-model end-to-end latency."`
 }
 
 // ServingSnapshot is a point-in-time copy of the counters, with the derived
-// means and latency-distribution summaries a dashboard wants.
+// means and latency-distribution summaries a dashboard wants. The mean_*_ms
+// and max_latency_ms fields restate their histogram for JSON readers and
+// are not exported again as series.
 type ServingSnapshot struct {
-	Accepted  uint64 `json:"accepted"`
-	Rejected  uint64 `json:"rejected"`
-	Canceled  uint64 `json:"canceled"`
-	Failed    uint64 `json:"failed"`
-	Completed uint64 `json:"completed"`
+	Accepted  uint64 `json:"accepted" prom:"drainnas_serving_requests_total,outcome=accepted" help:"Requests by admission/lifecycle outcome."`
+	Rejected  uint64 `json:"rejected" prom:"drainnas_serving_requests_total,outcome=rejected"`
+	Canceled  uint64 `json:"canceled" prom:"drainnas_serving_requests_total,outcome=canceled"`
+	Failed    uint64 `json:"failed" prom:"drainnas_serving_requests_total,outcome=failed"`
+	Completed uint64 `json:"completed" prom:"drainnas_serving_requests_total,outcome=completed"`
 
-	Batches   uint64  `json:"batches"`
-	MeanBatch float64 `json:"mean_batch"`
-	MaxBatch  int     `json:"max_batch"`
+	Batches   uint64  `json:"batches" prom:"drainnas_serving_batches_total" help:"Executed batches."`
+	MeanBatch float64 `json:"mean_batch" prom:"drainnas_serving_batch_mean" help:"Mean executed batch size."`
+	MaxBatch  int     `json:"max_batch" prom:"drainnas_serving_batch_max" help:"Largest executed batch."`
 
-	QueueDepth    int `json:"queue_depth"`
-	MaxQueueDepth int `json:"max_queue_depth"`
+	QueueDepth    int `json:"queue_depth" prom:"drainnas_serving_queue_depth" help:"Admitted-but-unfinished requests."`
+	MaxQueueDepth int `json:"max_queue_depth" prom:"drainnas_serving_queue_depth_max" help:"High-water mark of the admission queue."`
 
 	MeanQueueWaitMS float64 `json:"mean_queue_wait_ms"`
 	MeanLatencyMS   float64 `json:"mean_latency_ms"`
 	MaxLatencyMS    float64 `json:"max_latency_ms"`
 	MeanExecMS      float64 `json:"mean_exec_ms"`
 
-	QueueWait HistogramSnapshot `json:"queue_wait"`
-	Latency   HistogramSnapshot `json:"latency"`
-	Exec      HistogramSnapshot `json:"exec"`
+	QueueWait HistogramSnapshot `json:"queue_wait" prom:"drainnas_serving_queue_wait_seconds" help:"Time from admission to batch start."`
+	Exec      HistogramSnapshot `json:"exec" prom:"drainnas_serving_exec_seconds" help:"Batch forward-pass duration."`
+	Latency   HistogramSnapshot `json:"latency" prom:"drainnas_serving_latency_seconds" help:"End-to-end request latency (admission to response)." quantiles:"drainnas_serving_latency_quantile_seconds" qhelp:"End-to-end latency quantiles from the streaming histogram."`
 
-	PerModel map[string]ModelServingSnapshot `json:"per_model,omitempty"`
+	PerModel map[string]ModelServingSnapshot `json:"per_model,omitempty" label:"model"`
 }
 
 // Snapshot returns a consistent copy of the counters.
-func (s *ServingStats) Snapshot() ServingSnapshot {
-	if s == nil {
-		return ServingSnapshot{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := ServingSnapshot{
-		Accepted:      s.accepted,
-		Rejected:      s.rejected,
-		Canceled:      s.canceled,
-		Failed:        s.failed,
-		Completed:     s.completed,
-		Batches:       s.batches,
-		MaxBatch:      s.maxBatch,
-		QueueDepth:    s.queueDepth,
-		MaxQueueDepth: s.maxQueueDepth,
-		MaxLatencyMS:  ms(s.latencyMax),
-		QueueWait:     s.queueWait.Snapshot(),
-		Latency:       s.latency.Snapshot(),
-		Exec:          s.exec.Snapshot(),
-	}
-	if s.batches > 0 {
-		snap.MeanBatch = float64(s.batchSizeSum) / float64(s.batches)
-		snap.MeanExecMS = ms(s.execSum) / float64(s.batches)
-	}
-	if s.completed > 0 {
-		snap.MeanQueueWaitMS = ms(s.queueWaitSum) / float64(s.completed)
-		snap.MeanLatencyMS = ms(s.latencySum) / float64(s.completed)
-	}
-	if len(s.perModel) > 0 {
-		snap.PerModel = make(map[string]ModelServingSnapshot, len(s.perModel))
-		for name, m := range s.perModel {
-			snap.PerModel[name] = ModelServingSnapshot{
-				Accepted:  m.accepted,
-				Canceled:  m.canceled,
-				Failed:    m.failed,
-				Completed: m.completed,
-				Latency:   m.latency.Snapshot(),
-			}
+func (s *ServingStats) Snapshot() (snap ServingSnapshot) {
+	s.locked(func() {
+		snap = s.c
+		snap.QueueWait, snap.Exec, snap.Latency = s.queueWait.Snapshot(), s.exec.Snapshot(), s.latency.Snapshot()
+		if snap.Batches > 0 {
+			snap.MeanBatch = float64(s.batchSizeSum) / float64(snap.Batches)
 		}
-	}
+		// Every Completed observes queueWait and latency, every BatchDone
+		// exec, so the histograms' sums and counts are the totals.
+		snap.MeanQueueWaitMS, snap.MeanExecMS = snap.QueueWait.MeanMS, snap.Exec.MeanMS
+		snap.MeanLatencyMS, snap.MaxLatencyMS = snap.Latency.MeanMS, snap.Latency.MaxMS
+		snap.PerModel = copyMap(s.perModel, (*modelServing).snapshot)
+	})
 	return snap
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// String renders the snapshot on one line.
-func (s ServingSnapshot) String() string {
-	return fmt.Sprintf(
-		"acc=%d rej=%d can=%d fail=%d done=%d batches=%d meanBatch=%.2f depth=%d/%d lat=%.2f/%.2f/%.2fms",
-		s.Accepted, s.Rejected, s.Canceled, s.Failed, s.Completed,
-		s.Batches, s.MeanBatch, s.QueueDepth, s.MaxQueueDepth,
-		s.Latency.P50MS, s.Latency.P99MS, s.MaxLatencyMS)
-}

@@ -2,7 +2,7 @@ package metrics
 
 import (
 	"fmt"
-	"strings"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -21,16 +21,16 @@ func TestServingStatsLifecycle(t *testing.T) {
 
 	snap := s.Snapshot()
 	if snap.Accepted != 3 || snap.Rejected != 1 || snap.Canceled != 1 || snap.Completed != 2 {
-		t.Fatalf("counters wrong: %s", snap)
+		t.Fatalf("counters wrong: %+v", snap)
 	}
 	if snap.QueueDepth != 0 || snap.MaxQueueDepth != 3 {
 		t.Fatalf("depth %d max %d, want 0/3", snap.QueueDepth, snap.MaxQueueDepth)
 	}
 	if snap.Batches != 1 || snap.MeanBatch != 2 || snap.MaxBatch != 2 {
-		t.Fatalf("batch stats wrong: %s", snap)
+		t.Fatalf("batch stats wrong: %+v", snap)
 	}
 	if snap.MeanLatencyMS != 10 || snap.MaxLatencyMS != 15 || snap.MeanQueueWaitMS != 3 {
-		t.Fatalf("latency stats wrong: %s", snap)
+		t.Fatalf("latency stats wrong: %+v", snap)
 	}
 	if snap.MeanExecMS != 3 {
 		t.Fatalf("exec ms %v, want 3", snap.MeanExecMS)
@@ -103,7 +103,7 @@ func TestServingStatsNilReceiverIsSafe(t *testing.T) {
 	s.Completed("m", time.Millisecond, time.Millisecond)
 	s.BatchDone("m", 1, time.Millisecond)
 	if snap := s.Snapshot(); snap.Accepted != 0 {
-		t.Fatalf("nil snapshot %s", snap)
+		t.Fatalf("nil snapshot %+v", snap)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestServingStatsConcurrent(t *testing.T) {
 		t.Fatalf("accepted %d, want %d", snap.Accepted, goroutines*per)
 	}
 	if snap.Completed+snap.Canceled != snap.Accepted || snap.QueueDepth != 0 {
-		t.Fatalf("accounting broken: %s", snap)
+		t.Fatalf("accounting broken: %+v", snap)
 	}
 	if snap.Latency.Count != snap.Completed {
 		t.Fatalf("latency histogram %d observations, completed %d", snap.Latency.Count, snap.Completed)
@@ -149,11 +149,51 @@ func TestServingStatsConcurrent(t *testing.T) {
 	}
 }
 
-func TestServingSnapshotString(t *testing.T) {
-	s := &ServingStats{}
-	s.Enqueued("m")
-	s.Completed("m", time.Millisecond, 2*time.Millisecond)
-	if str := s.Snapshot().String(); !strings.Contains(str, "done=1") {
-		t.Fatalf("snapshot string %q", str)
+// TestDerivedMeansMatchAccumulators pins mean_queue_wait_ms,
+// mean_latency_ms, max_latency_ms, mean_exec_ms and the sweep's
+// mean_trial_ms, now read off the neighbouring histogram, to the values the
+// dedicated sum/max accumulators they replaced produced for this exact event
+// sequence — computed at the commit before the accumulators were removed,
+// and compared bit for bit.
+func TestDerivedMeansMatchAccumulators(t *testing.T) {
+	sv := &ServingStats{}
+	for i := 0; i < 7; i++ {
+		sv.Enqueued("cnn-a")
+		sv.Completed("cnn-a", time.Duration(i*137+13)*time.Microsecond, time.Duration(i*i*911+301)*time.Microsecond)
+	}
+	sv.Enqueued("cnn-b")
+	sv.Failed("cnn-b")
+	sv.Enqueued("cnn-b")
+	sv.Canceled("cnn-b")
+	sv.Enqueued("cnn-b")
+	sv.Completed("cnn-b", 3*time.Nanosecond, 777777*time.Nanosecond)
+	sv.Rejected("cnn-a")
+	sv.BatchDone("cnn-a", 5, 2123*time.Microsecond)
+	sv.BatchDone("cnn-a", 2, 977*time.Microsecond)
+	sv.BatchDone("cnn-b", 1, 31*time.Microsecond)
+
+	sw := &SweepStats{}
+	sw.Begin(10, 2)
+	sw.TrialDone(1234567 * time.Microsecond)
+	sw.TrialDone(7654321 * time.Nanosecond)
+	sw.TrialFailed(2 * time.Second)
+
+	s := sv.Snapshot()
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"mean_queue_wait_ms", s.MeanQueueWaitMS, 0.371000375},
+		{"mean_latency_ms", s.MeanLatencyMS, 10.723222125},
+		{"max_latency_ms", s.MaxLatencyMS, 33.097},
+		{"mean_exec_ms", s.MeanExecMS, 1.0436666666666665},
+		{"mean_trial_ms", sw.Snapshot().MeanTrialMS, 1080.7404403333333},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("%s = %v (%#x), want %v (%#x)", c.name, c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+		}
+	}
+	if empty := (&ServingStats{}).Snapshot(); empty.MeanLatencyMS != 0 || empty.MaxLatencyMS != 0 || empty.MeanExecMS != 0 {
+		t.Errorf("derived fields of an empty sink: %+v", empty)
 	}
 }

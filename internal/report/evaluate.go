@@ -1,9 +1,9 @@
-// Package metrics provides binary-classification evaluation beyond plain
-// accuracy — precision, recall, F1, ROC-AUC and the reliability-oriented
-// summaries a hydrography user needs before trusting a drainage-crossing
-// detector ("did we miss culverts?" is a recall question, not an accuracy
-// question).
-package metrics
+package report
+
+// Binary-classification evaluation beyond plain accuracy — precision,
+// recall, F1, ROC-AUC and the reliability-oriented summaries a hydrography
+// user needs before trusting a drainage-crossing detector ("did we miss
+// culverts?" is a recall question, not an accuracy question).
 
 import (
 	"fmt"

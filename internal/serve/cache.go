@@ -109,11 +109,11 @@ func (c *ModelCache) Len() int {
 
 // CacheStats is a point-in-time copy of the cache counters.
 type CacheStats struct {
-	Len       int    `json:"len"`
-	Capacity  int    `json:"capacity"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
+	Len       int    `json:"len" prom:"drainnas_model_cache_resident" help:"Resident model runtimes."`
+	Capacity  int    `json:"capacity" prom:"drainnas_model_cache_capacity" help:"Model cache capacity."`
+	Hits      uint64 `json:"hits" prom:"drainnas_model_cache_hits_total" help:"Model lookups served from cache."`
+	Misses    uint64 `json:"misses" prom:"drainnas_model_cache_misses_total" help:"Model lookups that loaded from disk."`
+	Evictions uint64 `json:"evictions" prom:"drainnas_model_cache_evictions_total" help:"Models evicted to respect capacity."`
 }
 
 // Stats returns the cache counters.

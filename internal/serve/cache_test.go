@@ -130,6 +130,6 @@ func TestCacheEvictionUnderServingLoad(t *testing.T) {
 		t.Fatalf("5 models through a 2-slot cache evicted nothing: %+v", st)
 	}
 	if snap := stats.Snapshot(); snap.Completed != goroutines*perG {
-		t.Fatalf("completed %d, want %d (%s)", snap.Completed, goroutines*perG, snap)
+		t.Fatalf("completed %d, want %d (%+v)", snap.Completed, goroutines*perG, snap)
 	}
 }

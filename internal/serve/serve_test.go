@@ -117,7 +117,7 @@ func TestFlushOnMaxBatch(t *testing.T) {
 	}
 	snap := stats.Snapshot()
 	if snap.Completed != 4 {
-		t.Fatalf("completed %d, want 4 (%s)", snap.Completed, snap)
+		t.Fatalf("completed %d, want 4 (%+v)", snap.Completed, snap)
 	}
 	// All four waited on the same group, so at least one response rode in a
 	// multi-request batch.
@@ -172,7 +172,7 @@ func TestQueueFullRejection(t *testing.T) {
 	wg.Wait()
 	snap := stats.Snapshot()
 	if snap.Completed != 3 || snap.Rejected != 1 {
-		t.Fatalf("completed=%d rejected=%d, want 3/1 (%s)", snap.Completed, snap.Rejected, snap)
+		t.Fatalf("completed=%d rejected=%d, want 3/1 (%+v)", snap.Completed, snap.Rejected, snap)
 	}
 	if _, err := s.Submit(context.Background(), "m", testInput(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close submit: err %v, want ErrClosed", err)
@@ -192,12 +192,12 @@ func TestContextCancellation(t *testing.T) {
 	}
 	snap := stats.Snapshot()
 	if snap.Canceled != 1 {
-		t.Fatalf("canceled %d, want 1 (%s)", snap.Canceled, snap)
+		t.Fatalf("canceled %d, want 1 (%+v)", snap.Canceled, snap)
 	}
 	// The stale flush must skip the canceled request without executing it.
 	time.Sleep(80 * time.Millisecond)
 	if got := stats.Snapshot(); got.Completed != 0 || got.Batches != 0 {
-		t.Fatalf("canceled request was executed: %s", got)
+		t.Fatalf("canceled request was executed: %+v", got)
 	}
 	if s.QueueDepth() != 0 {
 		t.Fatalf("queue depth %d after cancellation", s.QueueDepth())
@@ -303,7 +303,7 @@ func TestConcurrentSubmitFlushClose(t *testing.T) {
 		t.Fatalf("served %d + closed %d != %d submitted", served.Load(), closedErrs.Load(), goroutines*perG)
 	}
 	if snap.Accepted != snap.Completed {
-		t.Fatalf("accepted %d != completed %d: requests lost or duplicated (%s)",
+		t.Fatalf("accepted %d != completed %d: requests lost or duplicated (%+v)",
 			snap.Accepted, snap.Completed, snap)
 	}
 	// Batch accounting must agree with per-request accounting: summed batch
@@ -347,7 +347,7 @@ func TestConcurrentCancellationStorm(t *testing.T) {
 	s.Close()
 	snap := stats.Snapshot()
 	if snap.Completed+snap.Canceled != snap.Accepted {
-		t.Fatalf("completed %d + canceled %d != accepted %d (%s)",
+		t.Fatalf("completed %d + canceled %d != accepted %d (%+v)",
 			snap.Completed, snap.Canceled, snap.Accepted, snap)
 	}
 	if snap.QueueDepth != 0 {
@@ -421,7 +421,7 @@ func TestGroupsDoNotLeak(t *testing.T) {
 		t.Fatalf("pre-expired submissions created %d groups", n)
 	}
 	if snap := stats.Snapshot(); snap.Accepted != 0 || snap.Canceled != 0 || snap.QueueDepth != 0 {
-		t.Fatalf("pre-expired submissions touched stats: %s", snap)
+		t.Fatalf("pre-expired submissions touched stats: %+v", snap)
 	}
 
 	// Leg 2: requests canceled while queued. Each submitter blocks until its
@@ -455,7 +455,7 @@ func TestGroupsDoNotLeak(t *testing.T) {
 	}
 	snap := stats.Snapshot()
 	if snap.Canceled != queued || snap.QueueDepth != 0 {
-		t.Fatalf("canceled=%d depth=%d, want %d/0 (%s)", snap.Canceled, snap.QueueDepth, queued, snap)
+		t.Fatalf("canceled=%d depth=%d, want %d/0 (%+v)", snap.Canceled, snap.QueueDepth, queued, snap)
 	}
 }
 
