@@ -80,7 +80,7 @@ type ScanSnapshot struct {
 	TileFailures uint64 `json:"tile_failures" prom:"drainnas_scan_tile_failures_total" help:"Tiles that exhausted their retries."`
 	Crossings    uint64 `json:"crossings" prom:"drainnas_scan_crossings_total" help:"Tiles scored as drainage crossings."`
 
-	TileLatency HistogramSnapshot `json:"tile_latency" prom:"drainnas_scan_tile_latency_ms" help:"Per-tile end-to-end latency."`
+	TileLatency HistogramSnapshot `json:"tile_latency" prom:"drainnas_scan_tile_latency_seconds" help:"Per-tile end-to-end latency."`
 }
 
 // Snapshot returns a consistent copy of the counters.

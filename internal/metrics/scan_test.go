@@ -89,7 +89,7 @@ func TestScanSnapshotWriteProm(t *testing.T) {
 		"drainnas_scan_jobs_completed_total 1",
 		"drainnas_scan_tiles_total 1",
 		"drainnas_scan_crossings_total 1",
-		"drainnas_scan_tile_latency_ms",
+		"drainnas_scan_tile_latency_seconds",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
