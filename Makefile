@@ -147,10 +147,11 @@ fuzz:
 # Kernel benchmark selections: the GEMM shapes and the deployed model's
 # convolution shapes (front32 at 5x100x100, batch 1 and 8; their backward at
 # 32x32 batch 16, what NAS trains, and 100x100 batch 8), the conv/training
-# ablations, and the compiled-inference path on a 32x32 chip and at the
-# deployment size.
+# ablations, one surrogate-sweep trial measurement (core.Measure over the
+# enumerated PaperSpace, with allocs/op), and the compiled-inference path on
+# a 32x32 chip and at the deployment size.
 KBENCH_TENSOR = ^(BenchmarkMM256|BenchmarkMM512|BenchmarkMMWide|BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkConvBackwardShapes)$$
-KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkAblation_BNFolding)$$
+KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkAblation_BNFolding|BenchmarkSweepMeasure)$$
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$

@@ -346,6 +346,20 @@ func BenchmarkLatencyPrediction(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepMeasure is the per-trial cost of the surrogate sweep's
+// measurement phase: one core.Measure per op, cycling through the
+// enumerated PaperSpace so every stem, pool and width is in the mean.
+func BenchmarkSweepMeasure(b *testing.B) {
+	configs := nas.PaperSpace().EnumerateAll(nas.PaperInputCombos())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Measure(configs[i%len(configs)], 90, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCorpusTraining measures a one-epoch real-training pass over a
 // miniature corpus — the cost unit behind the paper's 9h20m / 29h3m NNI
 // wall times (§5), at our reduced scale.

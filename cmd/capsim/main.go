@@ -33,6 +33,7 @@ import (
 	"strings"
 	"time"
 
+	"drainnas/internal/infer"
 	"drainnas/internal/latmeter"
 	"drainnas/internal/resnet"
 	"drainnas/internal/route"
@@ -341,24 +342,26 @@ func printVerdict(stdout io.Writer, replicas int, rep sim.Report, target time.Du
 }
 
 // buildModels assembles the service-model table the arrival stream needs:
-// from a model directory (each container's compiled cost graph, fp32 and
-// @int8) or the built-in paper baseline. Only keys the stream references
-// are required, so a trace recorded against a larger fleet still replays.
+// from a model directory (each container's compiled cost graph, and that
+// graph at int8 under the "@int8" key — no plan is quantized to price one)
+// or the built-in paper baseline. Only keys the stream references are
+// required, so a trace recorded against a larger fleet still replays.
 func buildModels(dir, deviceName string, inputSize int, arrivals []sim.Arrival) (map[string]latmeter.ServiceModel, error) {
 	dev, err := latmeter.DeviceByName(deviceName)
 	if err != nil {
 		return nil, err
 	}
 	models := make(map[string]latmeter.ServiceModel)
+	add := func(key string, g latmeter.Graph) {
+		models[key] = dev.Service(g)
+		models[infer.ModelKey(key, infer.PrecisionInt8)] = dev.Service(g.Int8())
+	}
 	if dir == "" {
 		g, err := latmeter.Decompose(resnet.StockResNet18(5, 1), inputSize)
 		if err != nil {
 			return nil, err
 		}
-		models["paper"] = dev.Service(g)
-		gi := g
-		gi.CostScale = latmeter.Int8CostScale
-		models["paper@int8"] = dev.Service(gi)
+		add("paper", g)
 	} else {
 		keys, err := serve.ListModels(dir)
 		if err != nil {
@@ -366,17 +369,15 @@ func buildModels(dir, deviceName string, inputSize int, arrivals []sim.Arrival) 
 		}
 		load := serve.DirLoader(dir)
 		for _, key := range keys {
-			for _, k := range []string{key, key + "@int8"} {
-				plan, err := load(k)
-				if err != nil {
-					return nil, fmt.Errorf("loading %s: %w", k, err)
-				}
-				g, err := plan.CostGraph(inputSize)
-				if err != nil {
-					return nil, fmt.Errorf("cost graph for %s: %w", k, err)
-				}
-				models[k] = dev.Service(g)
+			plan, err := load(key)
+			if err != nil {
+				return nil, fmt.Errorf("loading %s: %w", key, err)
 			}
+			g, err := plan.CostGraph(inputSize)
+			if err != nil {
+				return nil, fmt.Errorf("cost graph for %s: %w", key, err)
+			}
+			add(key, g)
 		}
 	}
 	for _, a := range arrivals {

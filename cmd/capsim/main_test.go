@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"drainnas/internal/fronttest"
+	"drainnas/internal/metrics"
 )
 
 func capsim(t *testing.T, args ...string) string {
@@ -183,5 +186,22 @@ func TestCapsimFlagErrors(t *testing.T) {
 		if err := run(full, io.Discard, io.Discard); err == nil {
 			t.Errorf("args %v accepted, want error", args)
 		}
+	}
+}
+
+// TestCapsimModelDirCompilesEachContainerOnce: pricing a model directory
+// needs one compiled plan per container — the "@int8" key is the same cost
+// graph at latmeter's int8 scale, not a second load plus a calibration run.
+func TestCapsimModelDirCompilesEachContainerOnce(t *testing.T) {
+	dir := t.TempDir()
+	fronttest.WriteModels(t, dir)
+	before := metrics.Infer.Snapshot().PlanCompiles
+	out := capsim(t, "-models", dir, "-chip", "3x32x32", "-mix", "tiny=1,wide@int8=1",
+		"-seed", "2", "-rate", "80", "-duration", "500ms")
+	if got := metrics.Infer.Snapshot().PlanCompiles - before; got != 3 {
+		t.Errorf("pricing 3 containers compiled %d plans", got)
+	}
+	if !strings.Contains(out, "model tiny ") || !strings.Contains(out, "model wide@int8") {
+		t.Fatalf("report misses a priced model:\n%s", out)
 	}
 }

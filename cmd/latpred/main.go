@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"drainnas/internal/latmeter"
+	"drainnas/internal/nas"
 	"drainnas/internal/resnet"
 )
 
@@ -42,11 +43,11 @@ func main() {
 		return
 	}
 
-	pred, err := latmeter.Predict(cfg, *inputSize)
+	g, err := latmeter.Decompose(cfg, *inputSize)
 	if err != nil {
 		log.Fatalf("latpred: %v", err)
 	}
-	g, _ := latmeter.Decompose(cfg, *inputSize)
+	pred := latmeter.PredictGraph(g)
 	fmt.Printf("config: %s  (input %dx%d, %d kernels, %.2f GFLOPs, %.1f MB traffic)\n\n",
 		cfg.Key(), *inputSize, *inputSize, len(g.Kernels),
 		g.TotalFLOPs()/1e9, g.TotalBytes()/1e6)
@@ -73,29 +74,9 @@ func runValidation(inputSize, samples int) {
 	// Validate over the full per-combo search space so the accuracy figure
 	// averages over many per-model bias draws, like nn-Meter's published
 	// corpus-level numbers.
-	var space []resnet.Config
-	for _, ks := range []int{3, 7} {
-		for _, st := range []int{1, 2} {
-			for _, pad := range []int{1, 2, 3} {
-				for _, pool := range []int{0, 1} {
-					for _, kp := range []int{2, 3} {
-						for _, sp := range []int{1, 2} {
-							for _, f := range []int{32, 48, 64} {
-								space = append(space, resnet.Config{
-									Channels: 5, Batch: 1, KernelSize: ks, Stride: st, Padding: pad,
-									PoolChoice: pool, KernelSizePool: kp, StridePool: sp,
-									InitialOutputFeature: f, NumClasses: 2,
-								})
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 	var graphs []latmeter.Graph
 	var keys []string
-	for _, cfg := range space {
+	for _, cfg := range nas.PaperSpace().Enumerate(nas.InputCombo{Channels: 5, Batch: 1}) {
 		g, err := latmeter.Decompose(cfg, inputSize)
 		if err != nil {
 			log.Fatalf("latpred: %v", err)

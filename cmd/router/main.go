@@ -143,9 +143,7 @@ func seedEstimates(device, modelDir string, inputSize int) (map[string]float64, 
 			continue
 		}
 		seeds[key] = dev.LatencyMS(g)
-		qg := g
-		qg.CostScale = latmeter.Int8CostScale
-		seeds[infer.ModelKey(key, infer.PrecisionInt8)] = dev.LatencyMS(qg)
+		seeds[infer.ModelKey(key, infer.PrecisionInt8)] = dev.LatencyMS(g.Int8())
 	}
 	return seeds, nil
 }

@@ -246,7 +246,7 @@ func runSim(ctx context.Context, deviceName string, scale float64, req api.ScanR
 		return api.ScanJob{}, nil, err
 	}
 	if req.Precision == "int8" {
-		g.CostScale = latmeter.Int8CostScale
+		g = g.Int8()
 	}
 	be := scan.SimBackend{Service: dev.Service(g), Replica: deviceName, SleepScale: scale}
 	fmt.Fprintf(os.Stderr, "scan: simulating %s (%.2f ms per chip at batch 1)\n",

@@ -84,9 +84,6 @@ func Run(opts Options) (*Result, error) {
 	if opts.Combos == nil {
 		opts.Combos = nas.PaperInputCombos()
 	}
-	if opts.InputSize <= 0 {
-		opts.InputSize = latmeter.DefaultInputSize
-	}
 
 	configs := opts.Space.EnumerateAll(opts.Combos)
 	results := nas.Experiment(configs, opts.Evaluator, nas.ExperimentOptions{
@@ -108,35 +105,44 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// Measure attaches the latency and memory objectives to one configuration
-// whose accuracy is already known.
+// Measure attaches the latency, memory and energy objectives to one
+// configuration whose accuracy is already known, deployed in fp32.
 func Measure(cfg resnet.Config, accuracy float64, inputSize int) (Trial, error) {
+	return measure(cfg, accuracy, inputSize, PrecisionFP32)
+}
+
+// measure lowers the configuration once and reads every objective off that
+// one layer list: the kernel graph for latency and energy, the export for
+// memory. An int8 deployment is the same graph at latmeter's int8 cost
+// scale, memory at the packed-weight ratio and accuracy derated by the
+// parity-harness-calibrated drop.
+func measure(cfg resnet.Config, accuracy float64, inputSize int, precision string) (Trial, error) {
 	if inputSize <= 0 {
 		inputSize = latmeter.DefaultInputSize
 	}
-	pred, err := latmeter.Predict(cfg, inputSize)
+	layers, err := cfg.LayersAt(inputSize)
 	if err != nil {
 		return Trial{}, err
 	}
-	mem, err := onnxsize.SizeMB(cfg)
-	if err != nil {
-		return Trial{}, err
+	g := latmeter.Lower(layers)
+	t := Trial{
+		Config: cfg, Accuracy: accuracy,
+		MemoryMB:  float64(onnxsize.SizeBytesOf(cfg, layers)) / 1e6,
+		Precision: PrecisionFP32, PrecisionBits: 32,
 	}
-	energy, err := latmeter.PredictEnergy(cfg, inputSize)
-	if err != nil {
-		return Trial{}, err
+	if precision == PrecisionInt8 {
+		g = g.Int8()
+		t.Accuracy -= int8AccuracyDropPct(cfg)
+		if t.Accuracy < 0 {
+			t.Accuracy = 0
+		}
+		t.MemoryMB *= Int8MemoryScale
+		t.Precision, t.PrecisionBits = PrecisionInt8, 8
 	}
-	return Trial{
-		Config:        cfg,
-		Accuracy:      accuracy,
-		LatencyMS:     pred.MeanMS,
-		LatStdMS:      pred.StdMS,
-		PerDevice:     pred.PerDevice,
-		MemoryMB:      mem,
-		EnergyMJ:      energy.MeanMJ,
-		Precision:     PrecisionFP32,
-		PrecisionBits: 32,
-	}, nil
+	pred := latmeter.PredictGraph(g)
+	t.LatencyMS, t.LatStdMS, t.PerDevice = pred.MeanMS, pred.StdMS, pred.PerDevice
+	t.EnergyMJ = latmeter.PredictEnergyGraph(g).MeanMJ
+	return t, nil
 }
 
 // Points exposes the trials as Pareto points in objective order

@@ -283,3 +283,19 @@ func TestEnergyFrontContainsThreeObjectiveFront(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureLowersOnce bounds what one trial's measurement allocates. Three
+// lowerings per trial — two kernel graphs and a full export graph only to
+// add up its bytes — cost 483 allocations; one layer list feeding all three
+// objectives must stay under half of that.
+func TestMeasureLowersOnce(t *testing.T) {
+	cfg := resnet.StockResNet18(5, 8)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Measure(cfg, 90, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 240 {
+		t.Errorf("Measure allocates %.0f times per trial, want at most 240", allocs)
+	}
+}

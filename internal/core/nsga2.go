@@ -37,7 +37,7 @@ type NSGA2Options struct {
 	// the classic 3-objective behavior bit-for-bit. With more than one
 	// entry each individual is a (config, precision) pair, objectives grow
 	// a fourth axis (precision bits, minimized), and int8 individuals are
-	// measured through MeasureQuantized. Accuracy evaluation is shared
+	// measured as MeasureQuantized does. Accuracy evaluation is shared
 	// across precisions of the same config — the expensive part of the
 	// budget is spent once.
 	Precisions []string
@@ -149,12 +149,7 @@ func NSGA2(opts NSGA2Options) (*NSGA2Result, error) {
 			t, ok := cache[ind]
 			if !ok {
 				var err error
-				if ind.prec == PrecisionInt8 {
-					t, err = MeasureQuantized(ind.cfg, accCache[ind.cfg], opts.InputSize)
-				} else {
-					t, err = Measure(ind.cfg, accCache[ind.cfg], opts.InputSize)
-				}
-				if err != nil {
+				if t, err = measure(ind.cfg, accCache[ind.cfg], opts.InputSize, ind.prec); err != nil {
 					return nil, err
 				}
 				cache[ind] = t

@@ -3,8 +3,6 @@ package core
 import (
 	"sort"
 
-	"drainnas/internal/latmeter"
-	"drainnas/internal/onnxsize"
 	"drainnas/internal/pareto"
 	"drainnas/internal/resnet"
 )
@@ -33,47 +31,12 @@ const Int8MemoryScale = 0.26
 // and narrower stems sit closer to the bound — so the drop floors at 0.2
 // points and grows as the initial feature width shrinks.
 func int8AccuracyDropPct(cfg resnet.Config) float64 {
-	iof := cfg.InitialOutputFeature
-	if iof <= 0 {
-		iof = 32
-	}
-	return 0.2 + 1.6/float64(iof)
+	return 0.2 + 1.6/float64(cfg.InitialOutputFeature)
 }
 
-// MeasureQuantized attaches objectives to a configuration deployed in int8:
-// the same cost-model graph with latmeter's int8 cost scale applied to the
-// work term, memory at the packed-weight ratio, and accuracy derated by the
-// parity-harness-calibrated drop.
+// MeasureQuantized is Measure for a configuration deployed in int8.
 func MeasureQuantized(cfg resnet.Config, accuracy float64, inputSize int) (Trial, error) {
-	if inputSize <= 0 {
-		inputSize = latmeter.DefaultInputSize
-	}
-	g, err := latmeter.Decompose(cfg, inputSize)
-	if err != nil {
-		return Trial{}, err
-	}
-	g.CostScale = latmeter.Int8CostScale
-	pred := latmeter.PredictGraph(g)
-	mem, err := onnxsize.SizeMB(cfg)
-	if err != nil {
-		return Trial{}, err
-	}
-	energy := latmeter.PredictEnergyGraph(g)
-	acc := accuracy - int8AccuracyDropPct(cfg)
-	if acc < 0 {
-		acc = 0
-	}
-	return Trial{
-		Config:        cfg,
-		Accuracy:      acc,
-		LatencyMS:     pred.MeanMS,
-		LatStdMS:      pred.StdMS,
-		PerDevice:     pred.PerDevice,
-		MemoryMB:      mem * Int8MemoryScale,
-		EnergyMJ:      energy.MeanMJ,
-		Precision:     PrecisionInt8,
-		PrecisionBits: 8,
-	}, nil
+	return measure(cfg, accuracy, inputSize, PrecisionInt8)
 }
 
 // precisionBits reads the trial's numeric precision axis, treating

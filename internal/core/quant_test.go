@@ -106,8 +106,7 @@ func TestNSGA2PrecisionAxis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.CostScale = latmeter.Int8CostScale
-		if got := latmeter.PredictGraph(g).MeanMS; f.LatencyMS != got {
+		if got := latmeter.PredictGraph(g.Int8()).MeanMS; f.LatencyMS != got {
 			t.Fatalf("int8 trial latency %.4f, cost model says %.4f (fp32 %.4f)", f.LatencyMS, got, want)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"drainnas/internal/latmeter"
-	"drainnas/internal/tensor"
 )
 
 // CostGraph lowers the compiled plan into latmeter's fused kernel graph for
@@ -23,86 +22,50 @@ func (p *Plan) CostGraph(inputSize int) (latmeter.Graph, error) {
 	if inputSize <= 0 {
 		return latmeter.Graph{}, fmt.Errorf("infer: cost graph input size %d", inputSize)
 	}
-	side := make([]int, p.numVals)
-	chans := make([]int, p.numVals)
-	for v := range side {
-		side[v], chans[v] = -1, -1
+	shapes, err := p.shapes(1, inputSize, inputSize)
+	if err != nil {
+		return latmeter.Graph{}, err
 	}
-	side[0], chans[0] = inputSize, p.inC
-
+	// The spatial side of a value; pooled (N, C) features count as 1×1.
+	side := func(v int) int {
+		if len(shapes[v]) == 4 {
+			return shapes[v][2]
+		}
+		return 1
+	}
 	ks := make([]latmeter.Kernel, 0, len(p.ops))
 	for _, op := range p.ops {
-		hw, ch := side[op.in], chans[op.in]
-		if hw <= 0 {
-			return latmeter.Graph{}, fmt.Errorf("infer: op %s reads a value with unresolved spatial size", op.name)
-		}
+		k := latmeter.Kernel{Name: op.name, InC: shapes[op.in][1], OutC: shapes[op.out][1],
+			HW: side(op.in), OutHW: side(op.out)}
 		switch op.kind {
 		case opConv:
 			kh, kw := op.conv.KernelSize()
 			if kh != kw {
 				return latmeter.Graph{}, fmt.Errorf("infer: op %s has non-square kernel %dx%d, cost model wants square", op.name, kh, kw)
 			}
-			oh, ow := op.conv.OutSize(hw, hw)
-			if oh <= 0 || oh != ow {
-				return latmeter.Graph{}, fmt.Errorf("infer: op %s collapses a %d input to %dx%d", op.name, hw, oh, ow)
-			}
-			typ := latmeter.KConvBN
+			k.Type, k.K, k.S = latmeter.KConvBN, kh, op.conv.Stride()
 			if op.conv.HasReLU() {
-				typ = latmeter.KConvBNReLU
+				k.Type = latmeter.KConvBNReLU
 			}
-			ks = append(ks, latmeter.Kernel{
-				Type: typ, Name: op.name,
-				InC: op.conv.InChannels(), OutC: op.conv.OutChannels(),
-				HW: hw, OutHW: oh, K: kh, S: op.conv.Stride(),
-			})
-			side[op.out], chans[op.out] = oh, op.conv.OutChannels()
-
 		case opRelu:
 			// A standalone ReLU only arises when the exporter's fusion chains
 			// were broken; it is elementwise and contributes no kernel of its
 			// own in the cost model.
-			side[op.out], chans[op.out] = hw, ch
-
+			continue
 		case opMaxPool:
-			out := tensor.ConvOut(hw, op.kernel, op.stride, op.pad)
-			if out <= 0 {
-				return latmeter.Graph{}, fmt.Errorf("infer: op %s collapses a %d input", op.name, hw)
-			}
-			ks = append(ks, latmeter.Kernel{
-				Type: latmeter.KMaxPool, Name: op.name,
-				InC: ch, OutC: ch, HW: hw, OutHW: out, K: op.kernel, S: op.stride,
-			})
-			side[op.out], chans[op.out] = out, ch
-
+			k.Type, k.K, k.S = latmeter.KMaxPool, op.kernel, op.stride
 		case opAdd:
-			ks = append(ks, latmeter.Kernel{
-				Type: latmeter.KAddReLU, Name: op.name,
-				InC: ch, OutC: ch, HW: hw, OutHW: hw,
-			})
-			side[op.out], chans[op.out] = hw, ch
-
+			k.Type = latmeter.KAddReLU
 		case opGlobalAvgPool:
-			ks = append(ks, latmeter.Kernel{
-				Type: latmeter.KGlobalAvgPool, Name: op.name,
-				InC: ch, OutC: ch, HW: hw, OutHW: 1,
-			})
-			side[op.out], chans[op.out] = 1, ch
-
+			k.Type = latmeter.KGlobalAvgPool
 		case opFC:
-			ks = append(ks, latmeter.Kernel{
-				Type: latmeter.KFC, Name: op.name,
-				InC: op.conv.InChannels(), OutC: op.conv.OutChannels(),
-				HW: 1, OutHW: 1,
-			})
-			side[op.out], chans[op.out] = 1, op.conv.OutChannels()
-
-		default:
-			return latmeter.Graph{}, fmt.Errorf("infer: op %s has no cost-model kernel", op.name)
+			k.Type = latmeter.KFC
 		}
+		ks = append(ks, k)
 	}
 	g := latmeter.Graph{Kernels: ks, InputSize: inputSize}
 	if p.Precision() == PrecisionInt8 {
-		g.CostScale = latmeter.Int8CostScale
+		g = g.Int8()
 	}
 	return g, nil
 }

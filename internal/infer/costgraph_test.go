@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"drainnas/internal/latmeter"
+	"drainnas/internal/nas"
+	"drainnas/internal/onnxsize"
 	"drainnas/internal/resnet"
+	"drainnas/internal/tensor"
 )
 
 // TestCostGraphMatchesDecompose pins the parity that makes plan-derived
@@ -23,42 +26,67 @@ func TestCostGraphMatchesDecompose(t *testing.T) {
 		{Channels: 5, Batch: 4, KernelSize: 5, Stride: 1, Padding: 2,
 			PoolChoice: 1, KernelSizePool: 2, StridePool: 2, InitialOutputFeature: 16, NumClasses: 4},
 	}
+	// Every stem kernel, stride, pool off / 2x2 / 3x3 and two widths at 5
+	// and 7 channels: one plan per distinct stem and shortcut shape.
+	cfgs = append(cfgs, nas.UniqueConfigs(nas.Space{
+		KernelSizes: []int{3, 5, 7}, Strides: []int{1, 2}, Paddings: []int{1},
+		PoolChoices: []int{0, 1}, KernelSizePools: []int{2, 3}, StridePools: []int{2},
+		InitialFeatures: []int{4, 8}, NumClasses: 2,
+	}.EnumerateAll([]nas.InputCombo{{Channels: 5, Batch: 8}, {Channels: 7, Batch: 8}}))...)
 	for i, cfg := range cfgs {
-		_, container := exportModel(t, cfg, uint64(100+i))
-		p, err := LoadPlan(bytes.NewReader(container))
+		m, err := resnet.New(cfg, tensor.NewRNG(uint64(100+i)))
 		if err != nil {
-			t.Fatalf("cfg %d: LoadPlan: %v", i, err)
+			t.Fatal(err)
+		}
+		var container bytes.Buffer
+		if _, err := onnxsize.Export(m, &container); err != nil {
+			t.Fatal(err)
+		}
+		p, err := LoadPlan(&container)
+		if err != nil {
+			t.Fatalf("%s: LoadPlan: %v", cfg.Key(), err)
+		}
+		q, err := p.Quantize([]*tensor.Tensor{tensor.RandNormal(tensor.NewRNG(7), 1, 2, cfg.Channels, 32, 32)})
+		if err != nil {
+			t.Fatalf("%s: Quantize: %v", cfg.Key(), err)
 		}
 		for _, size := range []int{64, latmeter.DefaultInputSize} {
 			want, err := latmeter.Decompose(cfg, size)
 			if err != nil {
-				t.Fatalf("cfg %d size %d: Decompose: %v", i, size, err)
+				t.Fatalf("%s size %d: Decompose: %v", cfg.Key(), size, err)
 			}
-			got, err := p.CostGraph(size)
-			if err != nil {
-				t.Fatalf("cfg %d size %d: CostGraph: %v", i, size, err)
-			}
-			if got.InputSize != size {
-				t.Fatalf("cfg %d: InputSize = %d, want %d", i, got.InputSize, size)
-			}
-			if len(got.Kernels) != len(want.Kernels) {
-				t.Fatalf("cfg %d size %d: %d kernels, want %d\ngot:  %v\nwant: %v",
-					i, size, len(got.Kernels), len(want.Kernels), got.Kernels, want.Kernels)
-			}
-			for j := range want.Kernels {
-				g, w := got.Kernels[j], want.Kernels[j]
-				g.Name, w.Name = "", ""
-				if g != w {
-					t.Errorf("cfg %d size %d kernel %d (%s): %+v, want %+v",
-						i, size, j, want.Kernels[j].Name, g, w)
+			// The int8 plan runs the same kernels at the int8 cost scale.
+			for _, side := range []struct {
+				plan *Plan
+				want latmeter.Graph
+			}{{p, want}, {q, want.Int8()}} {
+				got, err := side.plan.CostGraph(size)
+				if err != nil {
+					t.Fatalf("%s size %d %s: CostGraph: %v", cfg.Key(), size, side.plan.Precision(), err)
 				}
-			}
-			// Identical geometry must give identical predicted latency — the
-			// quantity the router actually seeds SJF with.
-			for _, dev := range latmeter.Devices() {
-				if g, w := dev.LatencyMS(got), dev.LatencyMS(want); g != w {
-					t.Errorf("cfg %d size %d device %s: plan-predicted %.4fms, config-predicted %.4fms",
-						i, size, dev.Name, g, w)
+				if got.InputSize != size || got.CostScale != side.want.CostScale {
+					t.Fatalf("%s %s: InputSize %d CostScale %v, want %d and %v", cfg.Key(), side.plan.Precision(),
+						got.InputSize, got.CostScale, size, side.want.CostScale)
+				}
+				if len(got.Kernels) != len(want.Kernels) {
+					t.Fatalf("%s size %d: %d kernels, want %d\ngot:  %v\nwant: %v",
+						cfg.Key(), size, len(got.Kernels), len(want.Kernels), got.Kernels, want.Kernels)
+				}
+				for j := range want.Kernels {
+					g, w := got.Kernels[j], want.Kernels[j]
+					g.Name, w.Name = "", ""
+					if g != w {
+						t.Errorf("%s size %d kernel %d (%s): %+v, want %+v",
+							cfg.Key(), size, j, want.Kernels[j].Name, g, w)
+					}
+				}
+				// Identical geometry must give identical predicted latency — the
+				// quantity the router actually seeds SJF with.
+				for _, dev := range latmeter.Devices() {
+					if g, w := dev.LatencyMS(got), dev.LatencyMS(side.want); g != w {
+						t.Errorf("%s size %d device %s: plan-predicted %.4fms, config-predicted %.4fms",
+							cfg.Key(), size, dev.Name, g, w)
+					}
 				}
 			}
 		}

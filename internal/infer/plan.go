@@ -410,10 +410,6 @@ func (p *Plan) Precision() Precision {
 	return p.precision
 }
 
-// InputScale returns the input activation scale of an int8 plan (0 for
-// fp32 plans).
-func (p *Plan) InputScale() float32 { return p.inScale }
-
 // OpCount returns the number of fused ops the plan executes per forward —
 // observably smaller than the node count thanks to Conv+BN+ReLU and
 // Add+ReLU fusion.
@@ -451,9 +447,5 @@ func (p *Plan) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 func (p *Plan) Classify(x *tensor.Tensor) ([]int, error) {
 	s := p.getSession()
 	defer p.putSession(s)
-	logits, err := s.Forward(x)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.ArgMaxRows(logits), nil
+	return s.Classify(x)
 }

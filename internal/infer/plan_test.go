@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -403,5 +404,93 @@ func TestSessionArenaReusedAcrossShapes(t *testing.T) {
 	}
 	if &outA2.Data()[0] != dataA1 {
 		t.Fatal("re-seen shape did not reuse its arena buffer")
+	}
+}
+
+// TestShapesMatchForward holds the plan's one shape inference to what a
+// forward pass really produces. Each fp32 value is recomputed from the
+// arena's own inputs by the tensor package's allocating operator, which
+// sizes its output itself; an int8 plan must hold exactly that many s8
+// elements per value, and a float head of that shape. Logits from the
+// keep-everything arena this reads must equal the ordinary recycling
+// session's bit for bit.
+func TestShapesMatchForward(t *testing.T) {
+	cfg := resnet.Config{Channels: 5, Batch: 4, KernelSize: 5, Stride: 2, Padding: 1,
+		PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 8, NumClasses: 3}
+	_, container := exportModel(t, cfg, 41)
+	plan, err := LoadPlan(bytes.NewReader(container))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qplan, err := plan.QuantizeSynthetic(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Plan{plan, qplan} {
+		for _, tc := range []struct{ n, h, w int }{{1, 32, 32}, {8, 32, 32}, {1, 40, 24}, {8, 24, 40}} {
+			shapes, err := p.shapes(tc.n, tc.h, tc.w)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", p.Precision(), tc, err)
+			}
+			x := tensor.RandNormal(tensor.NewRNG(3), 1, tc.n, cfg.Channels, tc.h, tc.w)
+			sess := p.NewSession()
+			sess.keepValues = true
+			logits, err := sess.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(logits.Shape(), want.Shape()) || !reflect.DeepEqual(logits.Data(), want.Data()) {
+				t.Errorf("%s %+v: keep-everything arena logits %v %v, recycling arena %v %v",
+					p.Precision(), tc, logits.Shape(), logits.Data(), want.Shape(), want.Data())
+			}
+			ar := sess.arenas[arenaKey{tc.n, tc.h, tc.w}]
+			value := func(v int) *tensor.Tensor {
+				if v == 0 {
+					return x
+				}
+				return ar.vals[v]
+			}
+			for idx, op := range p.ops {
+				inferred := shapes[op.out]
+				if p.Precision() == PrecisionInt8 && op.kind != opGlobalAvgPool && op.kind != opFC {
+					if got := len(ar.qvals[op.out]); got != numel(inferred) {
+						t.Errorf("int8 %+v op %s: %d s8 elements, inferred shape %v", tc, op.name, got, inferred)
+					}
+					continue
+				}
+				if got := ar.vals[op.out].Shape(); !reflect.DeepEqual(got, inferred) {
+					t.Errorf("%s %+v op %s: arena tensor %v, inferred %v", p.Precision(), tc, op.name, got, inferred)
+				}
+				if p.Precision() == PrecisionInt8 {
+					continue // the float head's inputs are s8; its shapes are checked above
+				}
+				var ref *tensor.Tensor
+				switch in := value(op.in); op.kind {
+				case opConv:
+					var bias *tensor.Tensor
+					if b := op.conv.Bias(); b != nil {
+						bias = tensor.FromSlice(b, len(b))
+					}
+					ref = tensor.Conv2D(in, op.conv.Weights(), bias, op.conv.Stride(), op.conv.Pad())
+				case opRelu:
+					ref = tensor.ReLU(in)
+				case opMaxPool:
+					ref, _ = tensor.MaxPool2D(in, op.kernel, op.stride, op.pad)
+				case opAdd:
+					ref = tensor.Add(in, value(op.in2))
+				case opGlobalAvgPool:
+					ref = tensor.GlobalAvgPool2D(in)
+				case opFC:
+					ref = tensor.Conv2D(ar.fcIn[idx], op.conv.Weights(), nil, 1, 0).Reshape(tc.n, -1)
+				}
+				if !reflect.DeepEqual(ref.Shape(), inferred) {
+					t.Errorf("fp32 %+v op %s: operator produces %v, inferred %v", tc, op.name, ref.Shape(), inferred)
+				}
+			}
+		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 // compiled float plan. Weights quantize per output channel from the
 // BN-folded values the PackedConvs already hold; activation scales come from
 // calibration — running representative inputs through the float plan and
-// recording each arena value's max-abs. The quantized plan is a *Plan like
-// any other (same Session machinery, same CostGraph), just with integer op
-// payloads and a latency cost scale.
+// reading each arena value's max-abs afterwards. The quantized plan is a
+// *Plan like any other (same Session machinery, same CostGraph), just with
+// integer op payloads and a latency cost scale.
 
 // Quantize returns the int8 form of the plan, calibrating activation ranges
 // on the given (N, C, H, W) sample batches. The receiver is unchanged and
@@ -31,16 +31,23 @@ func (p *Plan) Quantize(calib []*tensor.Tensor) (*Plan, error) {
 		return nil, fmt.Errorf("infer: quantization needs at least one calibration batch")
 	}
 
+	// Calibration is the ordinary float forward over arenas that recycle
+	// nothing, so every intermediate value is still there to measure when
+	// the pass returns.
+	sess := p.NewSession()
+	sess.keepValues = true
 	maxAbs := make([]float32, p.numVals)
 	for i, x := range calib {
-		if x == nil || x.NDim() != 4 {
-			return nil, fmt.Errorf("infer: calibration batch %d must be (N,C,H,W)", i)
+		if x == nil {
+			return nil, fmt.Errorf("infer: calibration batch %d is nil", i)
 		}
-		if x.Dim(1) != p.inC {
-			return nil, fmt.Errorf("infer: calibration batch %d has %d channels, model wants %d", i, x.Dim(1), p.inC)
+		if _, err := sess.Forward(x); err != nil {
+			return nil, fmt.Errorf("infer: calibration batch %d: %w", i, err)
 		}
-		if err := p.runRecording(x, maxAbs); err != nil {
-			return nil, err
+		ar := sess.arenas[arenaKey{n: x.Dim(0), h: x.Dim(2), w: x.Dim(3)}]
+		maxAbs[0] = max(maxAbs[0], tensor.MaxAbs(x.Data()))
+		for v := 1; v < p.numVals; v++ {
+			maxAbs[v] = max(maxAbs[v], tensor.MaxAbs(ar.vals[v].Data()))
 		}
 	}
 
@@ -117,65 +124,6 @@ func (p *Plan) Quantize(calib []*tensor.Tensor) (*Plan, error) {
 	}
 	metrics.Infer.PlanCompiled()
 	return q, nil
-}
-
-// runRecording executes one float forward with per-value allocation (no
-// arena recycling — every intermediate must stay inspectable) and folds each
-// value's max-abs into maxAbs.
-func (p *Plan) runRecording(x *tensor.Tensor, maxAbs []float32) error {
-	record := func(v int, data []float32) {
-		if m := tensor.MaxAbs(data); m > maxAbs[v] {
-			maxAbs[v] = m
-		}
-	}
-	record(0, x.Data())
-	n := x.Dim(0)
-	vals := make([]*tensor.Tensor, p.numVals)
-	vals[0] = x
-	for idx := range p.ops {
-		op := &p.ops[idx]
-		in := vals[op.in]
-		var out *tensor.Tensor
-		switch op.kind {
-		case opConv:
-			oh, ow := op.conv.OutSize(in.Dim(2), in.Dim(3))
-			if oh <= 0 || ow <= 0 {
-				return fmt.Errorf("infer: calibration input %dx%d too small for conv %s", x.Dim(2), x.Dim(3), op.name)
-			}
-			out = tensor.New(n, op.conv.OutChannels(), oh, ow)
-			op.conv.ForwardInto(out, in)
-		case opRelu:
-			out = tensor.New(in.Shape()...)
-			tensor.ReLUInto(out, in)
-		case opMaxPool:
-			oh := tensor.ConvOut(in.Dim(2), op.kernel, op.stride, op.pad)
-			ow := tensor.ConvOut(in.Dim(3), op.kernel, op.stride, op.pad)
-			if oh <= 0 || ow <= 0 {
-				return fmt.Errorf("infer: calibration input %dx%d too small for pool %s", x.Dim(2), x.Dim(3), op.name)
-			}
-			out = tensor.New(n, in.Dim(1), oh, ow)
-			tensor.MaxPool2DInto(out, in, op.kernel, op.stride, op.pad)
-		case opAdd:
-			in2 := vals[op.in2]
-			out = tensor.New(in.Shape()...)
-			if op.relu {
-				tensor.AddReLUInto(out, in, in2)
-			} else {
-				tensor.AddInto(out, in, in2)
-			}
-		case opGlobalAvgPool:
-			out = tensor.New(n, in.Dim(1))
-			tensor.GlobalAvgPool2DInto(out, in)
-		case opFC:
-			out = tensor.New(n, op.conv.OutChannels())
-			fcIn := tensor.FromSlice(in.Data(), n, in.Dim(1), 1, 1)
-			fcOut := tensor.FromSlice(out.Data(), n, op.conv.OutChannels(), 1, 1)
-			op.conv.ForwardInto(fcOut, fcIn)
-		}
-		vals[op.out] = out
-		record(op.out, out.Data())
-	}
-	return nil
 }
 
 // SyntheticCalibration builds a deterministic calibration set for a model

@@ -2,6 +2,9 @@ package infer
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"sync"
 	"testing"
@@ -356,5 +359,55 @@ func TestParsePrecisionAndModelKey(t *testing.T) {
 	}
 	if PrecisionInt8.Bits() != 8 || PrecisionFP32.Bits() != 32 {
 		t.Error("Precision.Bits mismatch")
+	}
+}
+
+// quantizedPlanPin is the sha256 of an int8 plan calibrated at the commit
+// before calibration moved onto Session.Forward (it ran a private executor
+// of its own): the input scale, every residual join's and the global pool's
+// scale ratios, and the logits the plan gives one fixed batch. Any
+// activation scale that moves moves one of those. The float forwards behind
+// the scales are only reproducible bit for bit on the kernel they were
+// captured with.
+const (
+	quantizedPlanPin       = "7a47bbb9827c4cc72bbc711edf9dd9b34d4515fa4df597260116ef6cca6459f4"
+	quantizedPlanPinKernel = "avx2-6x16"
+)
+
+func TestQuantizedPlanPin(t *testing.T) {
+	if k := tensor.GemmKernelName(); k != quantizedPlanPinKernel {
+		t.Skipf("pin captured on the %s kernel, this process runs %s", quantizedPlanPinKernel, k)
+	}
+	h := sha256.New()
+	for i, cfg := range []resnet.Config{
+		{Channels: 5, Batch: 4, KernelSize: 7, Stride: 2, Padding: 3,
+			PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 8, NumClasses: 2},
+		{Channels: 7, Batch: 4, KernelSize: 3, Stride: 1, Padding: 1,
+			PoolChoice: 1, KernelSizePool: 2, StridePool: 2, InitialOutputFeature: 4, NumClasses: 2},
+		{Channels: 3, Batch: 4, KernelSize: 5, Stride: 2, Padding: 2,
+			PoolChoice: 0, InitialOutputFeature: 8, NumClasses: 3},
+	} {
+		_, container := exportModel(t, cfg, uint64(700+i))
+		plan, err := LoadPlan(bytes.NewReader(container))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := plan.QuantizeSynthetic(32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scales := []float32{q.inScale}
+		for _, op := range q.ops {
+			scales = append(scales, op.ra, op.rb, op.ratio)
+		}
+		logits, err := q.Forward(tensor.RandNormal(tensor.NewRNG(uint64(800+i)), 1, 3, cfg.Channels, 40, 24))
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.Write(h, binary.LittleEndian, scales)
+		binary.Write(h, binary.LittleEndian, logits.Data())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != quantizedPlanPin {
+		t.Errorf("quantized plans hash to %s, captured %s", got, quantizedPlanPin)
 	}
 }

@@ -24,6 +24,8 @@ type Session struct {
 	// sight of a shape and kept, so a steady-state batch stages into memory
 	// it already owns instead of a fresh zeroed tensor per call.
 	staged map[arenaKey]*tensor.Tensor
+	// keepValues builds arenas that recycle nothing (calibration sessions).
+	keepValues bool
 }
 
 type arenaKey struct{ n, h, w int }
@@ -84,7 +86,7 @@ func (s *Session) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	ar := s.arenas[key]
 	if ar == nil {
 		var err error
-		ar, err = s.plan.buildArena(key)
+		ar, err = s.plan.buildArena(key, !s.keepValues)
 		if err != nil {
 			return nil, err
 		}
@@ -140,43 +142,16 @@ func (s *Session) Classify(x *tensor.Tensor) ([]int, error) {
 	return tensor.ArgMaxRows(logits), nil
 }
 
-// buildArena runs shape inference for one input shape and preallocates every
-// activation. This is the only allocating step of the compiled path; it runs
-// once per (session, input shape). All spatial validation lives here — after
-// a successful build, executing the ops for the same input shape cannot
-// fail.
-func (p *Plan) buildArena(key arenaKey) (*arena, error) {
-	if key.n <= 0 || key.h <= 0 || key.w <= 0 {
-		return nil, fmt.Errorf("infer: input shape [%d %d %d %d] has non-positive dims", key.n, p.inC, key.h, key.w)
-	}
-	if p.Precision() == PrecisionInt8 {
-		return p.buildQuantArena(key)
+// shapes infers every value's shape for an (n, inC, h, w) input, indexed by
+// value id. It is the plan's only shape inference — arenas, calibration and
+// the cost graph all read it — and all spatial validation lives here: once
+// it succeeds, executing the ops on that input shape cannot fail.
+func (p *Plan) shapes(n, h, w int) ([][]int, error) {
+	if n <= 0 || h <= 0 || w <= 0 {
+		return nil, fmt.Errorf("infer: input shape [%d %d %d %d] has non-positive dims", n, p.inC, h, w)
 	}
 	shapes := make([][]int, p.numVals)
-	shapes[0] = []int{key.n, p.inC, key.h, key.w}
-	ar := &arena{
-		vals:  make([]*tensor.Tensor, p.numVals),
-		fcIn:  make([]*tensor.Tensor, len(p.ops)),
-		fcOut: make([]*tensor.Tensor, len(p.ops)),
-	}
-	// Free slabs, reusable for later values; smallest-fitting slab wins.
-	var free [][]float32
-	alloc := func(numel int) []float32 {
-		best := -1
-		for i, sl := range free {
-			if cap(sl) >= numel && (best < 0 || cap(free[best]) > cap(sl)) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			sl := free[best][:numel]
-			free[best] = free[len(free)-1]
-			free = free[:len(free)-1]
-			return sl
-		}
-		return make([]float32, numel)
-	}
-
+	shapes[0] = []int{n, p.inC, h, w}
 	for idx := range p.ops {
 		op := &p.ops[idx]
 		in := shapes[op.in]
@@ -185,16 +160,16 @@ func (p *Plan) buildArena(key arenaKey) (*arena, error) {
 		case opConv:
 			oh, ow := op.conv.OutSize(in[2], in[3])
 			if oh <= 0 || ow <= 0 {
-				return nil, fmt.Errorf("infer: input %dx%d too small for conv %s", key.h, key.w, op.name)
+				return nil, fmt.Errorf("infer: input %dx%d too small for conv %s", h, w, op.name)
 			}
 			out = []int{in[0], op.conv.OutChannels(), oh, ow}
 		case opRelu:
-			out = append([]int(nil), in...)
+			out = in
 		case opMaxPool:
 			oh := tensor.ConvOut(in[2], op.kernel, op.stride, op.pad)
 			ow := tensor.ConvOut(in[3], op.kernel, op.stride, op.pad)
 			if oh <= 0 || ow <= 0 {
-				return nil, fmt.Errorf("infer: input %dx%d too small for pool %s", key.h, key.w, op.name)
+				return nil, fmt.Errorf("infer: input %dx%d too small for pool %s", h, w, op.name)
 			}
 			out = []int{in[0], in[1], oh, ow}
 		case opAdd:
@@ -207,130 +182,103 @@ func (p *Plan) buildArena(key arenaKey) (*arena, error) {
 					return nil, fmt.Errorf("infer: Add %s shape mismatch %v vs %v", op.name, in, in2)
 				}
 			}
-			out = append([]int(nil), in...)
+			out = in
 		case opGlobalAvgPool:
 			out = []int{in[0], in[1]}
 		case opFC:
 			out = []int{in[0], op.conv.OutChannels()}
 		}
-		numel := 1
-		for _, d := range out {
-			numel *= d
-			if numel <= 0 || numel > maxArenaElems {
-				return nil, fmt.Errorf("infer: op %s output shape %v exceeds the arena bound", op.name, out)
-			}
+		if numel(out) < 0 {
+			return nil, fmt.Errorf("infer: op %s output shape %v exceeds the arena bound", op.name, out)
 		}
 		shapes[op.out] = out
-		ar.vals[op.out] = tensor.FromSlice(alloc(numel), out...)
+	}
+	return shapes, nil
+}
+
+// numel is the element count of a shape, or -1 once it passes maxArenaElems
+// (so a hostile shape cannot overflow the product).
+func numel(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+		if n <= 0 || n > maxArenaElems {
+			return -1
+		}
+	}
+	return n
+}
+
+// slabs is the free list activation buffers are drawn from and returned
+// to; the smallest slab that fits wins.
+type slabs[T float32 | int8] struct{ free [][]T }
+
+func (s *slabs[T]) get(numel int) []T {
+	best := -1
+	for i, sl := range s.free {
+		if cap(sl) >= numel && (best < 0 || cap(s.free[best]) > cap(sl)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]T, numel)
+	}
+	sl := s.free[best][:numel]
+	last := len(s.free) - 1
+	s.free[best] = s.free[last]
+	s.free = s.free[:last]
+	return sl
+}
+
+func (s *slabs[T]) put(sl []T) { s.free = append(s.free, sl) }
+
+// buildArena preallocates every activation for one input shape. This is the
+// only allocating step of the compiled path; it runs once per (session,
+// input shape). An fp32 plan's values are all float tensors; an int8 plan
+// keeps s8 slabs up to the dequantizing head (global pool and FC), whose
+// outputs are float. Without recycle every value keeps a slab of its own,
+// so calibration can read them all after the pass.
+func (p *Plan) buildArena(key arenaKey, recycle bool) (*arena, error) {
+	shapes, err := p.shapes(key.n, key.h, key.w)
+	if err != nil {
+		return nil, err
+	}
+	ar := &arena{
+		vals:  make([]*tensor.Tensor, p.numVals),
+		fcIn:  make([]*tensor.Tensor, len(p.ops)),
+		fcOut: make([]*tensor.Tensor, len(p.ops)),
+	}
+	quantized := p.Precision() == PrecisionInt8
+	if quantized {
+		ar.qvals = make([][]int8, p.numVals)
+		ar.qdims = shapes
+		ar.qin = make([]int8, key.n*p.inC*key.h*key.w)
+	}
+	var freeF slabs[float32]
+	var freeQ slabs[int8]
+	for idx := range p.ops {
+		op := &p.ops[idx]
+		in, out := shapes[op.in], shapes[op.out]
+		if quantized && op.kind != opGlobalAvgPool && op.kind != opFC {
+			ar.qvals[op.out] = freeQ.get(numel(out))
+		} else {
+			ar.vals[op.out] = tensor.FromSlice(freeF.get(numel(out)), out...)
+		}
 		if op.kind == opFC {
 			// op.in is never value 0 here: Compile requires a rank-2 input,
 			// and the caller input is rank 4.
 			ar.fcIn[idx] = tensor.FromSlice(ar.vals[op.in].Data(), in[0], in[1], 1, 1)
 			ar.fcOut[idx] = tensor.FromSlice(ar.vals[op.out].Data(), out[0], out[1], 1, 1)
 		}
-		// Recycle the slabs of values this op read for the last time. The
-		// output above was allocated first, so it can never share a slab with
-		// one of its own inputs.
-		for _, v := range []int{op.in, op.in2} {
-			if v > 0 && v != op.out && p.lastUse[v] == idx && (v != op.in2 || op.in2 != op.in) {
-				free = append(free, ar.vals[v].Data())
+		// Recycle the slabs of values this op read for the last time.
+		for i, v := range [2]int{op.in, op.in2} {
+			if !recycle || v <= 0 || v == op.out || p.lastUse[v] != idx || (i == 1 && v == op.in) {
+				continue
 			}
-		}
-	}
-	return ar, nil
-}
-
-// buildQuantArena is buildArena for int8 plans: the same shape inference and
-// liveness-driven slab recycling, with s8 slabs for every intermediate value
-// and a float tensor only for the terminal (dequantized) output.
-func (p *Plan) buildQuantArena(key arenaKey) (*arena, error) {
-	shapes := make([][]int, p.numVals)
-	shapes[0] = []int{key.n, p.inC, key.h, key.w}
-	ar := &arena{
-		vals:  make([]*tensor.Tensor, p.numVals),
-		fcIn:  make([]*tensor.Tensor, len(p.ops)),
-		fcOut: make([]*tensor.Tensor, len(p.ops)),
-		qvals: make([][]int8, p.numVals),
-		qdims: shapes,
-		qin:   make([]int8, key.n*p.inC*key.h*key.w),
-	}
-	var free [][]int8
-	alloc := func(numel int) []int8 {
-		best := -1
-		for i, sl := range free {
-			if cap(sl) >= numel && (best < 0 || cap(free[best]) > cap(sl)) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			sl := free[best][:numel]
-			free[best] = free[len(free)-1]
-			free = free[:len(free)-1]
-			return sl
-		}
-		return make([]int8, numel)
-	}
-
-	for idx := range p.ops {
-		op := &p.ops[idx]
-		in := shapes[op.in]
-		var out []int
-		switch op.kind {
-		case opConv:
-			oh, ow := op.conv.OutSize(in[2], in[3])
-			if oh <= 0 || ow <= 0 {
-				return nil, fmt.Errorf("infer: input %dx%d too small for conv %s", key.h, key.w, op.name)
-			}
-			out = []int{in[0], op.conv.OutChannels(), oh, ow}
-		case opRelu:
-			out = append([]int(nil), in...)
-		case opMaxPool:
-			oh := tensor.ConvOut(in[2], op.kernel, op.stride, op.pad)
-			ow := tensor.ConvOut(in[3], op.kernel, op.stride, op.pad)
-			if oh <= 0 || ow <= 0 {
-				return nil, fmt.Errorf("infer: input %dx%d too small for pool %s", key.h, key.w, op.name)
-			}
-			out = []int{in[0], in[1], oh, ow}
-		case opAdd:
-			in2 := shapes[op.in2]
-			if len(in) != len(in2) {
-				return nil, fmt.Errorf("infer: Add %s rank mismatch %v vs %v", op.name, in, in2)
-			}
-			for d := range in {
-				if in[d] != in2[d] {
-					return nil, fmt.Errorf("infer: Add %s shape mismatch %v vs %v", op.name, in, in2)
-				}
-			}
-			out = append([]int(nil), in...)
-		case opGlobalAvgPool:
-			out = []int{in[0], in[1]}
-		case opFC:
-			out = []int{in[0], op.conv.OutChannels()}
-		}
-		numel := 1
-		for _, d := range out {
-			numel *= d
-			if numel <= 0 || numel > maxArenaElems {
-				return nil, fmt.Errorf("infer: op %s output shape %v exceeds the arena bound", op.name, out)
-			}
-		}
-		shapes[op.out] = out
-		// The dequantizing head (global pool and FC) produces float values;
-		// everything else lives in the s8 slabs.
-		if op.kind == opGlobalAvgPool || op.kind == opFC {
-			ar.vals[op.out] = tensor.New(out...)
-		} else {
-			ar.qvals[op.out] = alloc(numel)
-		}
-		if op.kind == opFC {
-			ar.fcIn[idx] = tensor.FromSlice(ar.vals[op.in].Data(), in[0], in[1], 1, 1)
-			ar.fcOut[idx] = tensor.FromSlice(ar.vals[op.out].Data(), out[0], out[1], 1, 1)
-		}
-		// Recycle int8 slabs only — float head values never re-enter the
-		// s8 free list (ar.qvals[v] is nil for them).
-		for _, v := range []int{op.in, op.in2} {
-			if v > 0 && v != op.out && ar.qvals[v] != nil && p.lastUse[v] == idx && (v != op.in2 || op.in2 != op.in) {
-				free = append(free, ar.qvals[v])
+			if quantized && ar.qvals[v] != nil {
+				freeQ.put(ar.qvals[v])
+			} else {
+				freeF.put(ar.vals[v].Data())
 			}
 		}
 	}

@@ -1,84 +1,39 @@
 package latmeter
 
-import (
-	"fmt"
-
-	"drainnas/internal/resnet"
-	"drainnas/internal/tensor"
-)
+import "drainnas/internal/resnet"
 
 // Decompose lowers a ResNet configuration into the fused kernel graph an
 // edge runtime would execute for batch-1 inference on an
-// inputSize×inputSize image. It mirrors resnet.New's structure exactly
-// (stem, four stages of two basic blocks, head) without building weights.
+// inputSize×inputSize image, without building weights.
 func Decompose(cfg resnet.Config, inputSize int) (Graph, error) {
-	if err := cfg.Validate(); err != nil {
+	layers, err := cfg.LayersAt(inputSize)
+	if err != nil {
 		return Graph{}, err
 	}
-	if _, err := cfg.CheckSpatial(inputSize); err != nil {
-		return Graph{}, err
-	}
-	w := cfg.StageWidths()
-	var ks []Kernel
+	return Lower(layers), nil
+}
 
-	// Stem conv (+BN+ReLU).
-	s := inputSize
-	out := tensor.ConvOut(s, cfg.KernelSize, cfg.Stride, cfg.Padding)
-	ks = append(ks, Kernel{
-		Type: KConvBNReLU, Name: "conv1",
-		InC: cfg.Channels, OutC: w[0], HW: s, OutHW: out, K: cfg.KernelSize, S: cfg.Stride,
-	})
-	s = out
+// kernelTypes maps a layer kind to the kernel that executes it; a
+// convolution without a fused activation is KConvBN.
+var kernelTypes = [...]KernelType{
+	resnet.LayerConv:          KConvBNReLU,
+	resnet.LayerMaxPool:       KMaxPool,
+	resnet.LayerAdd:           KAddReLU,
+	resnet.LayerGlobalAvgPool: KGlobalAvgPool,
+	resnet.LayerFC:            KFC,
+}
 
-	if cfg.PoolChoice == 1 {
-		poolPad := 0
-		if cfg.KernelSizePool >= 3 {
-			poolPad = 1
+// Lower turns a layer list from Config.LayersAt into the kernel graph: every
+// fused layer is one schedulable kernel, in order.
+func Lower(layers []resnet.Layer) Graph {
+	ks := make([]Kernel, len(layers))
+	for i, l := range layers {
+		typ := kernelTypes[l.Kind]
+		if l.Kind == resnet.LayerConv && l.Act == "" {
+			typ = KConvBN
 		}
-		out = tensor.ConvOut(s, cfg.KernelSizePool, cfg.StridePool, poolPad)
-		ks = append(ks, Kernel{
-			Type: KMaxPool, Name: "maxpool",
-			InC: w[0], OutC: w[0], HW: s, OutHW: out, K: cfg.KernelSizePool, S: cfg.StridePool,
-		})
-		s = out
+		ks[i] = Kernel{Type: typ, Name: l.Name,
+			InC: l.InC, OutC: l.OutC, HW: l.In, OutHW: l.Out, K: l.K, S: l.S}
 	}
-
-	inC := w[0]
-	for stage := 0; stage < 4; stage++ {
-		outC := w[stage]
-		stride := 1
-		if stage > 0 {
-			stride = 2
-		}
-		for block := 0; block < 2; block++ {
-			bs := stride
-			bInC := inC
-			if block == 1 {
-				bs = 1
-				bInC = outC
-			}
-			o1 := tensor.ConvOut(s, 3, bs, 1)
-			name := fmt.Sprintf("layer%d.%d", stage+1, block)
-			ks = append(ks,
-				Kernel{Type: KConvBNReLU, Name: name + ".conv1",
-					InC: bInC, OutC: outC, HW: s, OutHW: o1, K: 3, S: bs},
-				Kernel{Type: KConvBN, Name: name + ".conv2",
-					InC: outC, OutC: outC, HW: o1, OutHW: o1, K: 3, S: 1},
-			)
-			if bs != 1 || bInC != outC {
-				ks = append(ks, Kernel{Type: KConvBN, Name: name + ".down",
-					InC: bInC, OutC: outC, HW: s, OutHW: o1, K: 1, S: bs})
-			}
-			ks = append(ks, Kernel{Type: KAddReLU, Name: name + ".add",
-				InC: outC, OutC: outC, HW: o1, OutHW: o1})
-			s = o1
-		}
-		inC = outC
-	}
-
-	ks = append(ks,
-		Kernel{Type: KGlobalAvgPool, Name: "avgpool", InC: w[3], OutC: w[3], HW: s, OutHW: 1},
-		Kernel{Type: KFC, Name: "fc", InC: w[3], OutC: cfg.NumClasses, HW: 1, OutHW: 1},
-	)
-	return Graph{Kernels: ks, InputSize: inputSize}, nil
+	return Graph{Kernels: ks, InputSize: layers[0].In}
 }

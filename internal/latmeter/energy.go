@@ -61,8 +61,8 @@ func PredictEnergy(cfg resnet.Config, inputSize int) (EnergyPrediction, error) {
 }
 
 // PredictEnergyGraph estimates energy for an already-decomposed graph on all
-// devices — the entry point for callers that adjust the graph first (e.g.
-// setting CostScale for an int8 deployment).
+// devices — the entry point for callers that hold or adjust the graph first
+// (e.g. Graph.Int8 for an int8 deployment).
 func PredictEnergyGraph(g Graph) EnergyPrediction {
 	devices := Devices()
 	p := EnergyPrediction{PerDevice: make(map[string]float64, len(devices))}

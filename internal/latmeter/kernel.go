@@ -126,6 +126,13 @@ type Graph struct {
 	CostScale float64
 }
 
+// Int8 returns the graph as an int8 deployment executes it: the same
+// kernels with Int8CostScale on their work term.
+func (g Graph) Int8() Graph {
+	g.CostScale = Int8CostScale
+	return g
+}
+
 // TotalFLOPs sums FLOPs over the graph.
 func (g Graph) TotalFLOPs() float64 {
 	s := 0.0

@@ -439,8 +439,7 @@ func TestServiceModelDecomposesLatency(t *testing.T) {
 	}
 
 	// An int8 graph scales work, not overhead.
-	qg := g
-	qg.CostScale = Int8CostScale
+	qg := g.Int8()
 	d := Devices()[0]
 	fp, q := d.Service(g), d.Service(qg)
 	if q.PerBatchMS != fp.PerBatchMS {

@@ -82,9 +82,6 @@ func (m *MaxPool2d) Params() []*Param { return nil }
 // Name returns the layer name.
 func (m *MaxPool2d) Name() string { return m.name }
 
-// OutSize returns the spatial output size for a given input size.
-func (m *MaxPool2d) OutSize(in int) int { return tensor.ConvOut(in, m.Kernel, m.Stride, m.Pad) }
-
 // GlobalAvgPool reduces (N, C, H, W) to (N, C) by averaging each plane —
 // ResNet's adaptive average pooling to 1×1 plus flatten, fused.
 type GlobalAvgPool struct {
@@ -118,22 +115,3 @@ func (g *GlobalAvgPool) Params() []*Param { return nil }
 
 // Name returns the layer name.
 func (g *GlobalAvgPool) Name() string { return g.name }
-
-// Identity passes its input through unchanged; used as the shortcut branch
-// of residual blocks when no projection is needed.
-type Identity struct{ name string }
-
-// NewIdentity constructs the layer.
-func NewIdentity(name string) *Identity { return &Identity{name: name} }
-
-// Forward returns x.
-func (i *Identity) Forward(x *tensor.Tensor, train bool) *tensor.Tensor { return x }
-
-// Backward returns grad.
-func (i *Identity) Backward(grad *tensor.Tensor) *tensor.Tensor { return grad }
-
-// Params returns nil.
-func (i *Identity) Params() []*Param { return nil }
-
-// Name returns the layer name.
-func (i *Identity) Name() string { return i.name }

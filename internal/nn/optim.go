@@ -6,17 +6,6 @@ import (
 	"drainnas/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using each Param's Grad. Gradients are not
-	// cleared; call ZeroGrad before the next accumulation.
-	Step()
-	// SetLR changes the learning rate (for schedules).
-	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
-}
-
 // SGD is stochastic gradient descent with classical momentum and decoupled
 // L2 weight decay.
 type SGD struct {

@@ -12,7 +12,6 @@ package onnxsize
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math/bits"
 
@@ -52,89 +51,101 @@ type GraphSpec struct {
 	Initializers []InitializerSpec
 }
 
-// BuildGraphSpec lowers a ResNet configuration to its exported graph:
-// the node list mirrors the runtime ops (Conv, BatchNormalization, Relu,
-// MaxPool, Add, GlobalAveragePool, Gemm) and the initializers carry every
-// parameter tensor including BatchNorm running statistics, as a real ONNX
-// export does.
+// attr is one integer node attribute (kernel, stride, padding, ...).
+type attr struct {
+	key string
+	val int
+}
+
+// exporter receives a network's nodes and weight tensors in file order and
+// adds up what encode writes for each — string and uvarint lengths, 4 bytes
+// per weight. With spec set it also materializes them into the graph;
+// without, sizing a configuration builds no names, attribute maps or dims.
+type exporter struct {
+	spec           *GraphSpec
+	size           int64
+	nodes, tensors int
+}
+
+func (e *exporter) node(op, name string, attrs ...attr) {
+	e.nodes++
+	e.size += stringSize(len(op)) + stringSize(len(name)) + uvarintSize(len(attrs))
+	for _, a := range attrs {
+		e.size += stringSize(len(a.key)) + uvarintSize(a.val)
+	}
+	if e.spec != nil {
+		m := make(map[string]int, len(attrs))
+		for _, a := range attrs {
+			m[a.key] = a.val
+		}
+		e.spec.Nodes = append(e.spec.Nodes, NodeSpec{OpType: op, Name: name, Attrs: m})
+	}
+}
+
+// tensor adds the initializer named node+suffix.
+func (e *exporter) tensor(node, suffix string, dims ...int) {
+	e.tensors++
+	e.size += stringSize(len(node)+len(suffix)) + uvarintSize(len(dims))
+	payload := 4
+	for _, d := range dims {
+		e.size += uvarintSize(d)
+		payload *= d
+	}
+	e.size += uvarintSize(payload) + int64(payload)
+	if e.spec != nil {
+		e.spec.Initializers = append(e.spec.Initializers,
+			InitializerSpec{Name: node + suffix, Dims: append([]int(nil), dims...)})
+	}
+}
+
+// layers exports a layer list: each fused layer as the runtime's unfused
+// ops (Conv, BatchNormalization, Relu, MaxPool, Add, GlobalAveragePool,
+// Gemm) with every parameter tensor including BatchNorm running statistics,
+// as a real ONNX export does.
+func (e *exporter) layers(layers []resnet.Layer) {
+	for _, l := range layers {
+		switch l.Kind {
+		case resnet.LayerConv:
+			e.node("Conv", l.Node, attr{"kernel", l.K}, attr{"stride", l.S}, attr{"pad", l.P})
+			e.tensor(l.Node, ".weight", l.OutC, l.InC, l.K, l.K)
+			e.node("BatchNormalization", l.BN, attr{"epsilon_e9", 10000})
+			for _, suffix := range [...]string{".gamma", ".beta", ".running_mean", ".running_var"} {
+				e.tensor(l.BN, suffix, l.OutC)
+			}
+		case resnet.LayerMaxPool:
+			// The pad attribute is explicit so the runtime reads the real
+			// padding instead of guessing it back from the kernel size.
+			e.node("MaxPool", l.Node, attr{"kernel", l.K}, attr{"stride", l.S}, attr{"pad", l.P})
+		case resnet.LayerAdd:
+			e.node("Add", l.Node)
+		case resnet.LayerGlobalAvgPool:
+			e.node("GlobalAveragePool", l.Node)
+		case resnet.LayerFC:
+			e.node("Gemm", l.Node)
+			e.tensor(l.Node, ".weight", l.OutC, l.InC)
+			e.tensor(l.Node, ".bias", l.OutC)
+		}
+		if l.Act != "" {
+			e.node("Relu", l.Act)
+		}
+	}
+}
+
+// graphName carries only architectural identity: batch size is a runtime
+// choice and must not perturb the serialized size.
+func graphName(cfg resnet.Config) string {
+	arch := cfg.Canonical()
+	arch.Batch = 1
+	return "resnet18-" + arch.Key()
+}
+
+// BuildGraphSpec lowers a ResNet configuration to its exported graph.
 func BuildGraphSpec(cfg resnet.Config) (GraphSpec, error) {
 	if err := cfg.Validate(); err != nil {
 		return GraphSpec{}, err
 	}
-	w := cfg.StageWidths()
-	// The graph name carries only architectural identity: batch size is a
-	// runtime choice and must not perturb the serialized size.
-	arch := cfg.Canonical()
-	arch.Batch = 1
-	g := GraphSpec{Name: "resnet18-" + arch.Key()}
-
-	addConv := func(name string, inC, outC, k, s, p int) {
-		g.Nodes = append(g.Nodes, NodeSpec{OpType: "Conv", Name: name,
-			Attrs: map[string]int{"kernel": k, "stride": s, "pad": p}})
-		g.Initializers = append(g.Initializers,
-			InitializerSpec{Name: name + ".weight", Dims: []int{outC, inC, k, k}})
-	}
-	addBN := func(name string, c int) {
-		g.Nodes = append(g.Nodes, NodeSpec{OpType: "BatchNormalization", Name: name,
-			Attrs: map[string]int{"epsilon_e9": 10000}})
-		for _, suffix := range []string{".gamma", ".beta", ".running_mean", ".running_var"} {
-			g.Initializers = append(g.Initializers,
-				InitializerSpec{Name: name + suffix, Dims: []int{c}})
-		}
-	}
-	addRelu := func(name string) {
-		g.Nodes = append(g.Nodes, NodeSpec{OpType: "Relu", Name: name, Attrs: map[string]int{}})
-	}
-
-	addConv("conv1", cfg.Channels, w[0], cfg.KernelSize, cfg.Stride, cfg.Padding)
-	addBN("bn1", w[0])
-	addRelu("relu1")
-	if cfg.PoolChoice == 1 {
-		// The pad attribute mirrors resnet.New's convention (kernel >= 3 pads
-		// by 1, smaller kernels pad 0) so the runtime reads the real padding
-		// instead of guessing it back from the kernel size.
-		poolPad := 0
-		if cfg.KernelSizePool >= 3 {
-			poolPad = 1
-		}
-		g.Nodes = append(g.Nodes, NodeSpec{OpType: "MaxPool", Name: "maxpool",
-			Attrs: map[string]int{"kernel": cfg.KernelSizePool, "stride": cfg.StridePool, "pad": poolPad}})
-	}
-
-	inC := w[0]
-	for stage := 0; stage < 4; stage++ {
-		outC := w[stage]
-		stride := 1
-		if stage > 0 {
-			stride = 2
-		}
-		for block := 0; block < 2; block++ {
-			bs, bInC := stride, inC
-			if block == 1 {
-				bs, bInC = 1, outC
-			}
-			name := fmt.Sprintf("layer%d.%d", stage+1, block)
-			addConv(name+".conv1", bInC, outC, 3, bs, 1)
-			addBN(name+".bn1", outC)
-			addRelu(name + ".relu1")
-			addConv(name+".conv2", outC, outC, 3, 1, 1)
-			addBN(name+".bn2", outC)
-			if bs != 1 || bInC != outC {
-				addConv(name+".down.conv", bInC, outC, 1, bs, 0)
-				addBN(name+".down.bn", outC)
-			}
-			g.Nodes = append(g.Nodes, NodeSpec{OpType: "Add", Name: name + ".add", Attrs: map[string]int{}})
-			addRelu(name + ".relu2")
-		}
-		inC = outC
-	}
-
-	g.Nodes = append(g.Nodes, NodeSpec{OpType: "GlobalAveragePool", Name: "avgpool", Attrs: map[string]int{}})
-	g.Nodes = append(g.Nodes, NodeSpec{OpType: "Gemm", Name: "fc", Attrs: map[string]int{}})
-	g.Initializers = append(g.Initializers,
-		InitializerSpec{Name: "fc.weight", Dims: []int{cfg.NumClasses, w[3]}},
-		InitializerSpec{Name: "fc.bias", Dims: []int{cfg.NumClasses}},
-	)
+	g := GraphSpec{Name: graphName(cfg)}
+	(&exporter{spec: &g}).layers(cfg.Layers())
 	return g, nil
 }
 
@@ -160,24 +171,10 @@ func Export(m *resnet.Model, w io.Writer) (int64, error) {
 	for _, p := range m.Params() {
 		values[p.Name] = p.Data.Data()
 	}
-	collectRunningStats(m.Stem, values)
-	for _, b := range m.Stages {
-		for _, bn := range []*nn.BatchNorm2d{b.BN1, b.BN2, b.DownBN} {
-			if bn != nil {
-				addRunningStats(bn, values)
-			}
-		}
+	for _, bn := range m.BatchNorms() {
+		addRunningStats(bn, values)
 	}
-	collectRunningStats(m.Head, values)
 	return encode(g, w, values)
-}
-
-func collectRunningStats(seq *nn.Sequential, values map[string][]float32) {
-	for _, l := range seq.Layers {
-		if bn, ok := l.(*nn.BatchNorm2d); ok {
-			addRunningStats(bn, values)
-		}
-	}
 }
 
 func addRunningStats(bn *nn.BatchNorm2d, values map[string][]float32) {
@@ -272,41 +269,27 @@ func encode(g GraphSpec, w io.Writer, values map[string][]float32) (int64, error
 }
 
 // SizeBytes returns the exact encoded size of the configuration's export
-// without materializing the payload: it adds up what encode would write.
+// without materializing the graph or the payload.
 func SizeBytes(cfg resnet.Config) (int64, error) {
-	g, err := BuildGraphSpec(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	return g.encodedSize(), nil
+	return SizeBytesOf(cfg, cfg.Layers()), nil
 }
 
-// encodedSize mirrors encode field for field: header bytes, uvarint lengths
-// and 4 bytes per weight.
-func (g GraphSpec) encodedSize() int64 {
-	n := int64(len(magic)) + stringSize(g.Name) + uvarintSize(len(g.Nodes))
-	for _, node := range g.Nodes {
-		n += stringSize(node.OpType) + stringSize(node.Name) + uvarintSize(len(node.Attrs))
-		for key, v := range node.Attrs {
-			n += stringSize(key) + uvarintSize(v)
-		}
-	}
-	n += uvarintSize(len(g.Initializers))
-	for _, init := range g.Initializers {
-		n += stringSize(init.Name) + uvarintSize(len(init.Dims))
-		for _, d := range init.Dims {
-			n += uvarintSize(d)
-		}
-		payload := 4 * init.Numel()
-		n += uvarintSize(payload) + int64(payload)
-	}
-	return n
+// SizeBytesOf is SizeBytes for a caller that already holds cfg's layer list.
+func SizeBytesOf(cfg resnet.Config, layers []resnet.Layer) int64 {
+	var e exporter
+	e.layers(layers)
+	return int64(len(magic)) + stringSize(len(graphName(cfg))) +
+		uvarintSize(e.nodes) + uvarintSize(e.tensors) + e.size
 }
 
 // uvarintSize is the length of binary.PutUvarint's encoding of v.
 func uvarintSize(v int) int64 { return int64(bits.Len64(uint64(v)|1)+6) / 7 }
 
-func stringSize(s string) int64 { return uvarintSize(len(s)) + int64(len(s)) }
+// stringSize is the length of writeString's encoding of an n-byte string.
+func stringSize(n int) int64 { return uvarintSize(n) + int64(n) }
 
 // SizeMB returns the export size in megabytes (10^6 bytes, the paper's
 // unit).

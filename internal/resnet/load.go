@@ -73,20 +73,9 @@ func LoadWeights(m *Model, weights map[string][]float32) error {
 		}
 		return nil
 	}
-	for _, l := range m.Stem.Layers {
-		if bn, ok := l.(*nn.BatchNorm2d); ok {
-			if err := loadBN(bn); err != nil {
-				return err
-			}
-		}
-	}
-	for _, b := range m.Stages {
-		for _, bn := range []*nn.BatchNorm2d{b.BN1, b.BN2, b.DownBN} {
-			if bn != nil {
-				if err := loadBN(bn); err != nil {
-					return err
-				}
-			}
+	for _, bn := range m.BatchNorms() {
+		if err := loadBN(bn); err != nil {
+			return err
 		}
 	}
 	return nil

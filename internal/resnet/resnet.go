@@ -126,60 +126,39 @@ type Model struct {
 }
 
 // New builds the network for the given configuration with weights drawn
-// from rng. Spatial validity for a specific input size is checked lazily at
-// the first Forward (the tensor package panics on empty feature maps); use
-// CheckSpatial to validate eagerly.
+// from rng, layer by layer from cfg.Layers. Spatial validity for a specific
+// input size is checked lazily at the first Forward (the tensor package
+// panics on empty feature maps); use CheckSpatial to validate eagerly.
 func New(cfg Config, rng *tensor.RNG) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	widths := cfg.StageWidths()
-
-	stem := nn.NewSequential("stem",
-		nn.NewConv2d("conv1", rng, cfg.Channels, widths[0], cfg.KernelSize, cfg.Stride, cfg.Padding, false),
-		nn.NewBatchNorm2d("bn1", widths[0]),
-		nn.NewReLU("relu1"),
-	)
-	if cfg.PoolChoice == 1 {
-		// Pool padding follows the ResNet convention kernel/2 for k=3 and 0
-		// for k=2, keeping window coverage sensible for both options.
-		poolPad := 0
-		if cfg.KernelSizePool >= 3 {
-			poolPad = 1
+	m := &Model{Config: cfg, Stem: nn.NewSequential("stem"), Head: nn.NewSequential("head")}
+	for _, l := range cfg.Layers() {
+		switch {
+		case l.Opens:
+			// nn.BasicBlock builds the block's other layers — second conv,
+			// projection, join — from the same three numbers.
+			m.Stages = append(m.Stages, nn.NewBasicBlock(blockTable[l.Block].block, rng, l.InC, l.OutC, l.S))
+		case l.Block >= 0:
+		case l.Kind == LayerConv:
+			m.Stem.Layers = append(m.Stem.Layers,
+				nn.NewConv2d(l.Node, rng, l.InC, l.OutC, l.K, l.S, l.P, false),
+				nn.NewBatchNorm2d(l.BN, l.OutC), nn.NewReLU(l.Act))
+		case l.Kind == LayerMaxPool:
+			m.Stem.Add(nn.NewMaxPool2d(l.Node, l.K, l.S, l.P))
+		case l.Kind == LayerGlobalAvgPool:
+			m.Head.Add(nn.NewGlobalAvgPool(l.Node))
+		case l.Kind == LayerFC:
+			m.Head.Add(nn.NewLinear(l.Node, rng, l.InC, l.OutC))
 		}
-		stem.Add(nn.NewMaxPool2d("maxpool", cfg.KernelSizePool, cfg.StridePool, poolPad))
 	}
-
-	// Four stages of two basic blocks each = 16 conv layers; with the stem
-	// conv and the final fully connected layer the network has the
-	// conventional 18 weighted layers of ResNet-18.
-	var stages []*nn.BasicBlock
-	inC := widths[0]
-	for stage := 0; stage < 4; stage++ {
-		outC := widths[stage]
-		stride := 1
-		if stage > 0 {
-			stride = 2
-		}
-		b1 := nn.NewBasicBlock(fmt.Sprintf("layer%d.0", stage+1), rng, inC, outC, stride)
-		b2 := nn.NewBasicBlock(fmt.Sprintf("layer%d.1", stage+1), rng, outC, outC, 1)
-		stages = append(stages, b1, b2)
-		inC = outC
+	m.net = nn.NewSequential("resnet18", m.Stem)
+	for _, b := range m.Stages {
+		m.net.Add(b)
 	}
-
-	head := nn.NewSequential("head",
-		nn.NewGlobalAvgPool("avgpool"),
-		nn.NewLinear("fc", rng, widths[3], cfg.NumClasses),
-	)
-
-	all := nn.NewSequential("resnet18")
-	all.Add(stem)
-	for _, b := range stages {
-		all.Add(b)
-	}
-	all.Add(head)
-
-	return &Model{Config: cfg, Stem: stem, Stages: stages, Head: head, net: all}, nil
+	m.net.Add(m.Head)
+	return m, nil
 }
 
 // Forward runs the network on a (N, Channels, H, W) batch, returning
@@ -199,34 +178,33 @@ func (m *Model) Params() []*nn.Param { return m.net.Params() }
 // NumParams returns the learnable element count.
 func (m *Model) NumParams() int { return nn.NumParams(m.Params()) }
 
+// BatchNorms returns every BatchNorm of the network in layer order: the
+// modules whose running statistics travel with the weights.
+func (m *Model) BatchNorms() []*nn.BatchNorm2d {
+	var bns []*nn.BatchNorm2d
+	for _, l := range m.Stem.Layers {
+		if bn, ok := l.(*nn.BatchNorm2d); ok {
+			bns = append(bns, bn)
+		}
+	}
+	for _, b := range m.Stages {
+		bns = append(bns, b.BN1, b.BN2)
+		if b.DownBN != nil {
+			bns = append(bns, b.DownBN)
+		}
+	}
+	return bns
+}
+
 // CheckSpatial verifies that an inputSize×inputSize image survives all the
 // downsampling stages with at least a 1×1 feature map, returning the final
 // spatial size.
 func (c Config) CheckSpatial(inputSize int) (int, error) {
-	if err := c.Validate(); err != nil {
+	ls, err := c.LayersAt(inputSize)
+	if err != nil {
 		return 0, err
 	}
-	s := tensor.ConvOut(inputSize, c.KernelSize, c.Stride, c.Padding)
-	if s < 1 {
-		return 0, fmt.Errorf("resnet: stem conv collapses %d px input", inputSize)
-	}
-	if c.PoolChoice == 1 {
-		poolPad := 0
-		if c.KernelSizePool >= 3 {
-			poolPad = 1
-		}
-		s = tensor.ConvOut(s, c.KernelSizePool, c.StridePool, poolPad)
-		if s < 1 {
-			return 0, fmt.Errorf("resnet: stem pool collapses feature map")
-		}
-	}
-	for stage := 1; stage < 4; stage++ {
-		s = tensor.ConvOut(s, 3, 2, 1)
-		if s < 1 {
-			return 0, fmt.Errorf("resnet: stage %d collapses feature map", stage+1)
-		}
-	}
-	return s, nil
+	return ls[len(ls)-2].In, nil // what the global pool reads
 }
 
 // Describe renders a human-readable architecture summary (the textual
@@ -234,25 +212,26 @@ func (c Config) CheckSpatial(inputSize int) (int, error) {
 func (m *Model) Describe() string {
 	var b strings.Builder
 	c := m.Config
-	w := c.StageWidths()
 	fmt.Fprintf(&b, "ResNet-18 (drainage-crossing classifier)\n")
 	fmt.Fprintf(&b, "  input: (N, %d, H, W)  batch=%d\n", c.Channels, c.Batch)
-	fmt.Fprintf(&b, "  conv1: %dx%d s=%d p=%d -> %d ch, BN, ReLU\n",
-		c.KernelSize, c.KernelSize, c.Stride, c.Padding, w[0])
-	if c.PoolChoice == 1 {
-		fmt.Fprintf(&b, "  maxpool: %dx%d s=%d\n", c.KernelSizePool, c.KernelSizePool, c.StridePool)
-	} else {
-		fmt.Fprintf(&b, "  maxpool: (none)\n")
-	}
-	for stage := 0; stage < 4; stage++ {
-		stride := 1
-		if stage > 0 {
-			stride = 2
+	for _, l := range c.Layers() {
+		switch {
+		case l.Opens && l.Block%2 == 0:
+			fmt.Fprintf(&b, "  layer%d: 2 x BasicBlock(%d ch, first stride %d)\n", l.Block/2+1, l.OutC, l.S)
+		case l.Block >= 0:
+		case l.Kind == LayerConv:
+			fmt.Fprintf(&b, "  %s: %dx%d s=%d p=%d -> %d ch, BN, ReLU\n", l.Name, l.K, l.K, l.S, l.P, l.OutC)
+			if c.PoolChoice == 0 {
+				fmt.Fprintf(&b, "  maxpool: (none)\n")
+			}
+		case l.Kind == LayerMaxPool:
+			fmt.Fprintf(&b, "  %s: %dx%d s=%d\n", l.Name, l.K, l.K, l.S)
+		case l.Kind == LayerGlobalAvgPool:
+			fmt.Fprintf(&b, "  %s: global -> (N, %d)\n", l.Name, l.OutC)
+		case l.Kind == LayerFC:
+			fmt.Fprintf(&b, "  %s: %d -> %d\n", l.Name, l.InC, l.OutC)
 		}
-		fmt.Fprintf(&b, "  layer%d: 2 x BasicBlock(%d ch, first stride %d)\n", stage+1, w[stage], stride)
 	}
-	fmt.Fprintf(&b, "  avgpool: global -> (N, %d)\n", w[3])
-	fmt.Fprintf(&b, "  fc: %d -> %d\n", w[3], c.NumClasses)
 	fmt.Fprintf(&b, "  parameters: %d\n", m.NumParams())
 	return b.String()
 }

@@ -48,9 +48,6 @@ func NewPackedConv(weight *Tensor, bias []float32, stride, pad int, relu bool) *
 	}
 }
 
-// InChannels returns the input channel count the convolution expects.
-func (pc *PackedConv) InChannels() int { return pc.c }
-
 // OutChannels returns the output channel count.
 func (pc *PackedConv) OutChannels() int { return pc.oc }
 

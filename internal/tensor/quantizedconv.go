@@ -102,31 +102,10 @@ func NewQuantizedConv(weight *Tensor, bias []float32, stride, pad int, relu bool
 	return qc
 }
 
-// InChannels returns the input channel count the convolution expects.
-func (qc *QuantizedConv) InChannels() int { return qc.c }
-
-// OutChannels returns the output channel count.
-func (qc *QuantizedConv) OutChannels() int { return qc.oc }
-
 // OutSize returns the output spatial size for an H×W input.
 func (qc *QuantizedConv) OutSize(h, w int) (oh, ow int) {
 	return ConvOut(h, qc.kh, qc.stride, qc.pad), ConvOut(w, qc.kw, qc.stride, qc.pad)
 }
-
-// KernelSize returns the filter's spatial extent (KH, KW).
-func (qc *QuantizedConv) KernelSize() (kh, kw int) { return qc.kh, qc.kw }
-
-// Stride returns the convolution stride.
-func (qc *QuantizedConv) Stride() int { return qc.stride }
-
-// Pad returns the spatial zero-padding applied to each border.
-func (qc *QuantizedConv) Pad() int { return qc.pad }
-
-// HasReLU reports whether a ReLU epilogue is fused into the convolution.
-func (qc *QuantizedConv) HasReLU() bool { return qc.relu }
-
-// FloatOutput reports whether the epilogue dequantizes to float32.
-func (qc *QuantizedConv) FloatOutput() bool { return qc.floatOut }
 
 // ForwardInto convolves the s8 input (n, C, h, w flat) into exactly one of
 // outQ (int8 mode) or outF (float32 mode), both flat (n, OC, OH, OW)
