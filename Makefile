@@ -20,7 +20,7 @@ test:
 # The packages with dedicated concurrency suites. `race-all` widens this to
 # every internal package (slower; the numeric packages dominate).
 race:
-	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/profiler/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./internal/frontend/... ./cmd/servd/... ./cmd/router/...
+	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./internal/frontend/... ./cmd/servd/... ./cmd/router/...
 
 race-all:
 	$(GO) test -race ./internal/...
@@ -55,8 +55,8 @@ router-smoke:
 # Multi-tenant edge gate: boot the real servd binary (built -race) with a
 # key file, assert 401 for bad keys and 429 quota_exceeded for a dry
 # bucket, require full compliant-tenant goodput under a two-tenant flood,
-# complete a live-dashboard WebSocket handshake + SSE stream, and run the
-# surface table's tenant rows on both tiers and the in-process tier suites
+# read a snapshot off the live-dashboard SSE stream, and run the surface
+# table's tenant rows on both tiers and the in-process tier suites
 # (fairness pin included) under the race detector.
 TENANT_RUN  = ServdTenantSmoke|TenantTier
 TENANT_PKGS = ./cmd/servd ./cmd/router
@@ -182,7 +182,7 @@ bench-infer:
 SERVE_NOTE = ReadPredict*: body bytes in memory -> api.PredictRequest (read + decode; not Tensor(), no socket), \
 Stdlib = the json.Decoder decode both handlers ran before. TierWrapNoop: Tier.Wrap end to end (auth, quota, \
 ReadPredict, idle fair gate, audit line, stats) around an empty handler. HTTPReplicaLoopback/hop: HTTPReplica.Submit \
-(PredictFromTensor + json.Marshal + POST over kept-alive loopback) + frontend.New over servd: access log, ReadPredict, Tensor(), \
+(PredictFromTensor + api.Client.Predict: json.Marshal + POST over kept-alive loopback) + frontend.New over servd: access log, ReadPredict, Tensor(), \
 serve.Submit at max-batch 1 on a width-1 ResNet, answer encode + decode; /stub is that serve.Submit alone. Chips are 5xSxS.
 bench-serve:
 	{ $(GO) test -run='^$$' -bench '$(SBENCH_API)' -benchmem ./internal/api && \

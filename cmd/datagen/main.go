@@ -21,7 +21,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "generation seed")
 		stats    = flag.Bool("stats", false, "print per-band statistics of a sample chip")
 		pngDir   = flag.String("png", "", "write sample chip PNGs (RGB/DEM/NDVI/NDWI/false-color) to this directory")
-		savePath = flag.String("save", "", "cache the generated corpus to this file (reload with geodata.LoadCorpus)")
 	)
 	flag.Parse()
 
@@ -47,24 +46,6 @@ func main() {
 			mean, std := chip.Stats(b)
 			fmt.Printf("  %-6s mean %+.3f  std %.3f\n", geodata.BandNames[b], mean, std)
 		}
-	}
-
-	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
-			os.Exit(1)
-		}
-		if err := corpus.SaveCorpus(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("corpus cached to %s\n", *savePath)
 	}
 
 	if *pngDir != "" {

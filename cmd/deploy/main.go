@@ -197,12 +197,9 @@ type loadOptions struct {
 }
 
 // driveLoad stands up the batching serving layer over the exported
-// container and fires a concurrent request stream at it, reporting the
-// metrics that matter for deployment sizing: throughput, latency
-// percentiles, achieved batch size and backpressure counts. Client-side
-// latencies stream into a lock-free metrics.Histogram — the same machinery
-// servd exports on /metrics — so the drive itself adds no mutex contention
-// to the measured path.
+// container and drives it in process, reporting the metrics that matter for
+// deployment sizing: throughput, latency percentiles, achieved batch size
+// and backpressure counts.
 func driveLoad(container []byte, cfg resnet.Config, data *dataset.Dataset, opts loadOptions) {
 	fmt.Printf("\nload test: %d requests, %d clients (max-batch %d, max-delay %s)\n",
 		opts.requests, opts.clients, opts.maxBatch, opts.maxDelay)
@@ -218,66 +215,33 @@ func driveLoad(container []byte, cfg resnet.Config, data *dataset.Dataset, opts 
 	// Pre-slice single-sample inputs so client goroutines only submit.
 	inputs := make([]*tensor.Tensor, opts.clients)
 	for i := range inputs {
-		x, _ := data.Batch([]int{i % data.Len()})
-		inputs[i] = x
+		inputs[i], _ = data.Batch([]int{i % data.Len()})
 	}
-
-	hist := metrics.NewHistogram()
-	var served, rejected, failed atomic.Int64
-	var wg sync.WaitGroup
-	next := make(chan int)
-	start := time.Now()
-	for c := 0; c < opts.clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for range next {
-				t0 := time.Now()
-				_, err := srv.Submit(context.Background(), cfg.Key(), inputs[c])
-				switch {
-				case err == nil:
-					served.Add(1)
-					hist.Observe(time.Since(t0))
-				case errors.Is(err, serve.ErrQueueFull):
-					rejected.Add(1)
-				default:
-					failed.Add(1)
-				}
-			}
-		}(c)
-	}
-	for i := 0; i < opts.requests; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	wall := time.Since(start)
+	drive(opts, func(ctx context.Context, c int) error {
+		_, err := srv.Submit(ctx, cfg.Key(), inputs[c])
+		return err
+	}, func(err error) bool { return errors.Is(err, serve.ErrQueueFull) })
 
 	snap := stats.Snapshot()
-	fmt.Printf("  served %d/%d in %s (%.1f req/s), rejected %d, failed %d\n",
-		served.Load(), opts.requests, wall.Round(time.Millisecond),
-		float64(served.Load())/wall.Seconds(), rejected.Load(), failed.Load())
 	fmt.Printf("  batches %d  mean batch %.2f  max queue depth %d  queue wait p99 %.2fms\n",
 		snap.Batches, snap.MeanBatch, snap.MaxQueueDepth, snap.QueueWait.P99MS)
-	fmt.Print(report.LatencyBars("  client-observed latency", hist.Snapshot(), 40))
 }
 
 type remoteOptions struct {
 	url, model, apiKey, slo, precision string
 }
 
-// driveRemote fires the same concurrent request stream at a running tier
-// over HTTP through the typed api.Client — the deployment-sizing drill for a
-// fleet you cannot link into the process. The client retries transient
-// capacity rejections (queue_full, throttled, quota_exceeded) twice with
-// backoff, so the reported rejection count is what survives the retry
-// policy, matching what a production caller would see.
+// driveRemote drives a running tier over HTTP through the typed api.Client
+// — the deployment-sizing drill for a fleet you cannot link into the
+// process. The client retries transient capacity rejections (queue_full,
+// throttled, quota_exceeded) twice with backoff, so the reported rejection
+// count is what survives the retry policy, matching what a production
+// caller would see.
 func driveRemote(data *dataset.Dataset, opts loadOptions, remote remoteOptions) {
 	client := api.NewClient(remote.url, api.ClientOptions{
 		APIKey: remote.apiKey, Retries: 2, RetryBackoff: 50 * time.Millisecond,
 	})
-	ctx := context.Background()
-	health, err := client.Health(ctx)
+	health, err := client.Health(context.Background())
 	if err != nil {
 		log.Fatalf("deploy: remote health check: %v", err)
 	}
@@ -293,11 +257,30 @@ func driveRemote(data *dataset.Dataset, opts loadOptions, remote remoteOptions) 
 		}
 		reqs[i].Precision = remote.precision
 	}
+	drive(opts, func(ctx context.Context, c int) error {
+		_, err := client.Predict(ctx, reqs[c])
+		return err
+	}, func(err error) bool {
+		switch api.ErrorCode(err) {
+		case api.CodeQueueFull, api.CodeThrottled, api.CodeQuotaExceeded:
+			return true
+		}
+		return false
+	})
+}
 
+// drive fires opts.requests requests from opts.clients concurrent clients
+// through submit (client c reuses its own pre-built input) and prints the
+// served/rejected/failed split, the throughput and the client-observed
+// latency distribution; rejected tells capacity backpressure apart from
+// failure. Latencies stream into a lock-free metrics.Histogram — the same
+// machinery the tiers export on /v1/metrics — so the drive itself adds no
+// mutex contention to the measured path.
+func drive(opts loadOptions, submit func(ctx context.Context, client int) error, rejected func(error) bool) {
 	hist := metrics.NewHistogram()
-	var served, rejected, failed atomic.Int64
+	var served, rejects, failed atomic.Int64
 	var wg sync.WaitGroup
-	next := make(chan int)
+	next := make(chan struct{})
 	start := time.Now()
 	for c := 0; c < opts.clients; c++ {
 		wg.Add(1)
@@ -305,13 +288,12 @@ func driveRemote(data *dataset.Dataset, opts loadOptions, remote remoteOptions) 
 			defer wg.Done()
 			for range next {
 				t0 := time.Now()
-				_, err := client.Predict(ctx, reqs[c])
-				switch code := api.ErrorCode(err); {
+				switch err := submit(context.Background(), c); {
 				case err == nil:
 					served.Add(1)
 					hist.Observe(time.Since(t0))
-				case code == api.CodeQueueFull || code == api.CodeThrottled || code == api.CodeQuotaExceeded:
-					rejected.Add(1)
+				case rejected(err):
+					rejects.Add(1)
 				default:
 					failed.Add(1)
 				}
@@ -319,7 +301,7 @@ func driveRemote(data *dataset.Dataset, opts loadOptions, remote remoteOptions) 
 		}(c)
 	}
 	for i := 0; i < opts.requests; i++ {
-		next <- i
+		next <- struct{}{}
 	}
 	close(next)
 	wg.Wait()
@@ -327,6 +309,6 @@ func driveRemote(data *dataset.Dataset, opts loadOptions, remote remoteOptions) 
 
 	fmt.Printf("  served %d/%d in %s (%.1f req/s), rejected %d, failed %d\n",
 		served.Load(), opts.requests, wall.Round(time.Millisecond),
-		float64(served.Load())/wall.Seconds(), rejected.Load(), failed.Load())
+		float64(served.Load())/wall.Seconds(), rejects.Load(), failed.Load())
 	fmt.Print(report.LatencyBars("  client-observed latency", hist.Snapshot(), 40))
 }

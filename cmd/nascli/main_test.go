@@ -63,8 +63,11 @@ func TestOpenJournalRepairsTruncatedTail(t *testing.T) {
 	cfgs := nas.PaperSpace().Enumerate(nas.InputCombo{Channels: 5, Batch: 8})[:6]
 	results := nas.Experiment(cfgs, surrogateEval(), nas.ExperimentOptions{Workers: 1})
 	var buf bytes.Buffer
-	if err := nas.WriteJournal(&buf, results); err != nil {
-		t.Fatal(err)
+	jw := nas.NewJournalWriter(&buf, nas.JournalWriterOptions{})
+	for _, r := range results {
+		if err := jw.Append(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	full := buf.Bytes()
 	if err := os.WriteFile(path, full[:len(full)-20], 0o644); err != nil {

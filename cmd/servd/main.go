@@ -76,7 +76,7 @@ func (t tier) Stats(sec frontend.Sections) any {
 	return api.ServdStats{
 		Serving: t.Serving(),
 		Cache:   t.srv.Cache().Stats(),
-		Queue:   t.srv.QueueDepth(),
+		Queue:   int(t.srv.Load()),
 		Infer:   metrics.Infer.Snapshot(),
 		Kernel:  metrics.Kernel.Snapshot(),
 		Gemm:    tensor.GemmKernelName(),

@@ -4,14 +4,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"drainnas/internal/api"
 	"drainnas/internal/fronttest"
@@ -30,8 +28,7 @@ const smokeKeys = `{"tenants": [
 // TestServdTenantSmoke boots the real binary (built -race) with a key file
 // and walks the whole edge tier over actual HTTP: 401 for bad keys, 429
 // quota_exceeded for a dry bucket, fair-share goodput for a compliant
-// tenant under a concurrent flood, and a live dashboard handshake over both
-// WebSocket and SSE.
+// tenant under a concurrent flood, and a live dashboard stream over SSE.
 func TestServdTenantSmoke(t *testing.T) {
 	keyPath := filepath.Join(t.TempDir(), "keys.json")
 	if err := os.WriteFile(keyPath, []byte(smokeKeys), 0o600); err != nil {
@@ -92,72 +89,8 @@ func TestServdTenantSmoke(t *testing.T) {
 		t.Fatalf("compliant tenant completed %d/%d requests under flood; log:\n%s", alphaOK, alphaReqs, p.Logs())
 	}
 
-	// --- Dashboard: WebSocket handshake (gated by key). ---
-	conn, err := net.Dial("tcp", strings.TrimPrefix(p.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	handshake := "GET /v1/dashboard/ws?key=alpha-secret-key HTTP/1.1\r\n" +
-		"Host: servd\r\n" +
-		"Upgrade: websocket\r\n" +
-		"Connection: Upgrade\r\n" +
-		"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n" +
-		"Sec-WebSocket-Version: 13\r\n\r\n"
-	if _, err := conn.Write([]byte(handshake)); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	status, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(status, "101") {
-		t.Fatalf("dashboard handshake status %q, want 101", strings.TrimSpace(status))
-	}
-	sawAccept := false
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if line == "\r\n" {
-			break
-		}
-		if strings.HasPrefix(line, "Sec-WebSocket-Accept: s3pPLMBiTxaQ9kYGzzhZRbK+xOo=") {
-			sawAccept = true
-		}
-	}
-	if !sawAccept {
-		t.Fatal("handshake missing the RFC 6455 accept value")
-	}
-	// First frame: a JSON snapshot that has seen our traffic.
-	var hdr [2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	length := int(hdr[1] & 0x7f)
-	if length == 126 {
-		var ext [2]byte
-		if _, err := io.ReadFull(br, ext[:]); err != nil {
-			t.Fatal(err)
-		}
-		length = int(ext[0])<<8 | int(ext[1])
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		t.Fatal(err)
-	}
-	var snap tenant.DashboardSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		t.Fatalf("dashboard frame is not a snapshot: %v\n%s", err, payload)
-	}
-	if snap.Service != "servd" || snap.Tenants.PerTenant["alpha"].Completed == 0 {
-		t.Fatalf("dashboard snapshot missing tenant traffic: %+v", snap.Tenants)
-	}
-
-	// --- Dashboard gate: no key means 401, and the SSE fallback streams. ---
+	// --- Dashboard gate: no key means 401, and the SSE stream carries a
+	// snapshot that has seen our traffic. ---
 	resp, got = fronttest.Do(t, "GET", p.URL+"/v1/dashboard/events", "", nil)
 	fronttest.Envelope(t, resp, got, api.CodeUnauthorized)
 
@@ -172,6 +105,7 @@ func TestServdTenantSmoke(t *testing.T) {
 		t.Fatalf("sse status %d", sseResp.StatusCode)
 	}
 	sbr := bufio.NewReader(sseResp.Body)
+	var snap tenant.DashboardSnapshot
 	for {
 		line, err := sbr.ReadString('\n')
 		if err != nil {
@@ -183,6 +117,9 @@ func TestServdTenantSmoke(t *testing.T) {
 			}
 			break
 		}
+	}
+	if snap.Service != "servd" || snap.Tenants.PerTenant["alpha"].Completed == 0 {
+		t.Fatalf("dashboard snapshot missing tenant traffic: %+v", snap.Tenants)
 	}
 
 	// The audit trail recorded both denials and admits.

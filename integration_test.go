@@ -9,11 +9,11 @@ import (
 	"drainnas/internal/dataset"
 	"drainnas/internal/geodata"
 	"drainnas/internal/latmeter"
+	"drainnas/internal/metrics"
 	"drainnas/internal/nas"
 	"drainnas/internal/nn"
 	"drainnas/internal/onnxsize"
 	"drainnas/internal/pareto"
-	"drainnas/internal/profiler"
 	"drainnas/internal/resnet"
 	"drainnas/internal/surrogate"
 	"drainnas/internal/tensor"
@@ -41,12 +41,13 @@ func TestEndToEndTrainingPipeline(t *testing.T) {
 		PoolChoices: []int{1}, KernelSizePools: []int{3}, StridePools: []int{2},
 		InitialFeatures: []int{16}, NumClasses: 2,
 	}
-	prof := profiler.New()
+	stats := &metrics.SweepStats{}
 	configs := space.Enumerate(nas.InputCombo{Channels: 5, Batch: 16})
 	if len(configs) != 2 {
 		t.Fatalf("tiny space size %d", len(configs))
 	}
-	results := nas.Experiment(configs, eval, nas.ExperimentOptions{Workers: 2, Profiler: prof})
+	stats.Begin(len(configs), 0)
+	results := nas.Experiment(configs, eval, nas.ExperimentOptions{Workers: 2, Stats: stats})
 
 	// Plumbing assertions per trial; the learning assertion applies to the
 	// best trial only (the 7x7 stem underfits badly at this tiny budget,
@@ -76,10 +77,9 @@ func TestEndToEndTrainingPipeline(t *testing.T) {
 	if front := pareto.NonDominated(pts, core.Objectives); len(front) == 0 {
 		t.Fatal("empty front")
 	}
-	// Profiler saw both trials.
-	sum := prof.Summary()
-	if len(sum) == 0 || sum[0].Count != 2 {
-		t.Fatalf("profiler summary %+v", sum)
+	// The sweep's trial-time distribution saw both trials.
+	if snap := stats.Snapshot(); snap.Trials.Count != 2 || snap.Trials.Max <= 0 {
+		t.Fatalf("sweep trial timings %+v", snap.Trials)
 	}
 }
 

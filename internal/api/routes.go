@@ -41,8 +41,6 @@ var Routes = []Route{
 		Desc: "liveness + models (HealthResponse); 503 degraded when the model dir is unreadable"},
 	{Method: "GET", Path: "/v1/dashboard", Tiers: []string{"servd", "router"},
 		Desc: "live dashboard HTML shell"},
-	{Method: "GET", Path: "/v1/dashboard/ws", Tiers: []string{"servd", "router"},
-		Desc: "dashboard snapshot stream over WebSocket"},
 	{Method: "GET", Path: "/v1/dashboard/events", Tiers: []string{"servd", "router"},
 		Desc: "dashboard snapshot stream over SSE"},
 }

@@ -54,8 +54,8 @@ type RouterStats struct {
 	Fair     *FairStats              `json:"fair,omitempty"`
 }
 
-// DashboardSnapshot is one live-dashboard frame (WebSocket at
-// /v1/dashboard/ws, SSE at /v1/dashboard/events): what the serving mux is
+// DashboardSnapshot is one live-dashboard frame (SSE at
+// /v1/dashboard/events): what the serving mux is
 // doing, the per-tenant edge counters, and the fair gate's backlog,
 // stamped with the emitting service.
 type DashboardSnapshot struct {

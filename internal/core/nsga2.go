@@ -36,8 +36,8 @@ type NSGA2Options struct {
 	// an architecture ("fp32", "int8"). Default is fp32 only, which keeps
 	// the classic 3-objective behavior bit-for-bit. With more than one
 	// entry each individual is a (config, precision) pair, objectives grow
-	// a fourth axis (precision bits, minimized), and int8 individuals are
-	// measured as MeasureQuantized does. Accuracy evaluation is shared
+	// a fourth axis (precision bits, minimized), and int8 individuals carry
+	// the int8 cost model's latency, energy and size. Accuracy evaluation is shared
 	// across precisions of the same config — the expensive part of the
 	// budget is spent once.
 	Precisions []string

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"drainnas/internal/pareto"
 	"drainnas/internal/resnet"
 )
@@ -34,11 +32,6 @@ func int8AccuracyDropPct(cfg resnet.Config) float64 {
 	return 0.2 + 1.6/float64(cfg.InitialOutputFeature)
 }
 
-// MeasureQuantized is Measure for a configuration deployed in int8.
-func MeasureQuantized(cfg resnet.Config, accuracy float64, inputSize int) (Trial, error) {
-	return measure(cfg, accuracy, inputSize, PrecisionInt8)
-}
-
 // precisionBits reads the trial's numeric precision axis, treating
 // unlabelled trials (pre-quantization journals) as fp32.
 func precisionBits(t Trial) float64 {
@@ -56,18 +49,4 @@ func quantTrialPoints(trials []Trial) []pareto.Point {
 		pts[i] = pareto.Point{ID: i, Values: []float64{t.Accuracy, t.LatencyMS, t.MemoryMB, precisionBits(t)}}
 	}
 	return pts
-}
-
-// NonDominatedWithPrecision returns the Pareto set over
-// (accuracy, latency, memory, precision bits), best accuracy first. On
-// all-fp32 trial sets the constant fourth axis never discriminates and the
-// result equals the 3-objective front.
-func NonDominatedWithPrecision(trials []Trial) []Trial {
-	idx := pareto.NonDominated(quantTrialPoints(trials), QuantObjectives)
-	out := make([]Trial, len(idx))
-	for i, id := range idx {
-		out[i] = trials[id]
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Accuracy > out[b].Accuracy })
-	return out
 }

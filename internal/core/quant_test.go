@@ -16,7 +16,7 @@ func TestMeasureQuantizedScalesObjectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := MeasureQuantized(cfg, acc, 0)
+	q, err := measure(cfg, acc, 0, PrecisionInt8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestMeasureQuantizedScalesObjectives(t *testing.T) {
 
 func TestMeasureQuantizedAccuracyFloorsAtZero(t *testing.T) {
 	cfg := resnet.StockResNet18(5, 8)
-	q, err := MeasureQuantized(cfg, 0.1, 0)
+	q, err := measure(cfg, 0.1, 0, PrecisionInt8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestNSGA2PrecisionAxis(t *testing.T) {
 		}
 	}
 	// Re-deriving the front from the trials must be a fixed point.
-	if again := NonDominatedWithPrecision(res.Front); len(again) != len(res.Front) {
-		t.Fatalf("front not closed under NonDominatedWithPrecision: %d -> %d", len(res.Front), len(again))
+	if again := pareto.NonDominated(pts, QuantObjectives); len(again) != len(res.Front) {
+		t.Fatalf("front not closed under a 4-objective re-derivation: %d -> %d", len(res.Front), len(again))
 	}
 	// Trials carry the scaled measurements end to end.
 	for _, f := range res.Front {
@@ -139,7 +139,7 @@ func TestNSGA2DefaultPrecisionStaysThreeObjective(t *testing.T) {
 		}
 	}
 	// With bits constant, the 4-D front equals the 3-D front.
-	if got, want := len(NonDominatedWithPrecision(res.Front)), len(res.Front); got != want {
+	if got, want := len(pareto.NonDominated(quantTrialPoints(res.Front), QuantObjectives)), len(res.Front); got != want {
 		t.Fatalf("constant-bits 4-D front size %d, want %d", got, want)
 	}
 }

@@ -13,11 +13,6 @@ type AugmentOptions struct {
 	NoiseStd float64 // additive Gaussian sensor noise; 0 disables
 }
 
-// DefaultAugment enables the full dihedral group plus light sensor noise.
-func DefaultAugment() AugmentOptions {
-	return AugmentOptions{FlipH: true, FlipV: true, Rot90: true, NoiseStd: 0.01}
-}
-
 // enabled reports whether any augmentation is active.
 func (a AugmentOptions) enabled() bool {
 	return a.FlipH || a.FlipV || a.Rot90 || a.NoiseStd > 0

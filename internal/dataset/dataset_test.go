@@ -213,15 +213,6 @@ func TestTrainTestSplit(t *testing.T) {
 	}
 }
 
-func TestClassCounts(t *testing.T) {
-	rng := tensor.NewRNG(9)
-	d := toyDataset(10, 1, rng)
-	counts := d.ClassCounts()
-	if counts[0] != 5 || counts[1] != 5 {
-		t.Fatalf("counts %v", counts)
-	}
-}
-
 func TestKFoldPanicsOnBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {

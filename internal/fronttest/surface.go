@@ -377,6 +377,12 @@ var Table = []Group{
 				}
 			}
 		}},
+		{"the WebSocket dashboard route is gone", func(t *testing.T, s *Stack) {
+			resp, _ := Do(t, "GET", s.URL+"/v1/dashboard/ws", "", nil)
+			if resp.StatusCode != http.StatusNotFound || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
+				t.Errorf("GET /v1/dashboard/ws -> %d %s, want ServeMux's 404", resp.StatusCode, resp.Header.Get("Content-Type"))
+			}
+		}},
 	}},
 
 	{Name: "SurfaceErrorEnvelopes", Rows: []Row{

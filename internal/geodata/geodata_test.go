@@ -153,21 +153,6 @@ func TestFlowAccumulationMassConservation(t *testing.T) {
 	}
 }
 
-func TestChannelCellsThreshold(t *testing.T) {
-	size := 16
-	tr := NewTerrain(size)
-	for y := 0; y < size; y++ {
-		for x := 0; x < size; x++ {
-			tr.Elev[y*size+x] = float64(x)
-		}
-	}
-	tr.FlowAccumulation()
-	cells := tr.ChannelCells(float64(size))
-	if len(cells) != size {
-		t.Fatalf("channel cells = %d, want %d (the low edge)", len(cells), size)
-	}
-}
-
 func TestGenerateChipBandsSane(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	chip := GenerateChip(StudyRegions[0], 1, 32, rng)

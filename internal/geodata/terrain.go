@@ -85,18 +85,6 @@ func (t *Terrain) FlowAccumulation() {
 	}
 }
 
-// ChannelCells returns the indices whose flow accumulation meets the
-// threshold — the extracted drainage network of the DEM.
-func (t *Terrain) ChannelCells(threshold float64) []int {
-	var cells []int
-	for i, a := range t.FlowAcc {
-		if a >= threshold {
-			cells = append(cells, i)
-		}
-	}
-	return cells
-}
-
 // polyline is a sequence of continuous points tracing a channel or road.
 type polyline []struct{ X, Y float64 }
 

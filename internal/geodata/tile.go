@@ -22,7 +22,7 @@ type Tile struct {
 // GenerateTile synthesizes a size×size watershed with several meandering
 // channels, several roads, and a crossing stamped at every road–channel
 // intersection. The terrain's flow accumulation is computed so the drainage
-// network is extractable (ChannelCells), mirroring the paper's
+// network is extractable (DrainageDensity), mirroring the paper's
 // HRDEM-derived hydrography.
 func GenerateTile(region Region, size, nChannels, nRoads int, rng *tensor.RNG) *Tile {
 	if size < 32 {
@@ -154,11 +154,17 @@ func (t *Tile) ExtractChips(chipSize, nNeg int, rng *tensor.RNG) (positives, neg
 }
 
 // DrainageDensity returns the fraction of tile cells whose flow
-// accumulation exceeds the threshold — a hydrography summary statistic for
-// validating the synthesized network.
+// accumulation meets the threshold — the extracted drainage network of the
+// DEM, as a hydrography summary statistic for validating the synthesized
+// network.
 func (t *Tile) DrainageDensity(threshold float64) float64 {
-	cells := t.Terrain.ChannelCells(threshold)
-	return float64(len(cells)) / float64(t.Terrain.Size*t.Terrain.Size)
+	cells := 0
+	for _, a := range t.Terrain.FlowAcc {
+		if a >= threshold {
+			cells++
+		}
+	}
+	return float64(cells) / float64(len(t.Terrain.FlowAcc))
 }
 
 func clampInt(v, lo, hi int) int {

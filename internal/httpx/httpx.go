@@ -8,13 +8,11 @@
 package httpx
 
 import (
-	"bufio"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -108,14 +106,13 @@ func AccessLog(service string, h http.Handler) http.Handler {
 
 // StatusRecorder wraps a ResponseWriter to capture the status code and body
 // size a handler wrote, for access and audit logging. It forwards the
-// optional http.Flusher and http.Hijacker capabilities of the underlying
-// writer — a streaming (SSE) or WebSocket handler behind the middleware must
-// not silently lose flush/upgrade support — and exposes Unwrap for
-// http.ResponseController users.
+// optional http.Flusher capability of the underlying writer — a streaming
+// (SSE, NDJSON) handler behind the middleware must not silently lose flush
+// support — and exposes Unwrap for http.ResponseController users.
 type StatusRecorder struct {
 	http.ResponseWriter
 	// Status is the first status code written (200 if the handler never
-	// called WriteHeader, 101 after a successful Hijack).
+	// called WriteHeader).
 	Status int
 	// Bytes counts body bytes written through the recorder.
 	Bytes int64
@@ -151,24 +148,6 @@ func (r *StatusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// Hijack forwards to the underlying writer's Hijacker (WebSocket upgrades
-// behind the access log depend on this); it errors when the underlying
-// writer cannot hijack, matching http.ResponseController's behavior.
-func (r *StatusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	h, ok := r.ResponseWriter.(http.Hijacker)
-	if !ok {
-		return nil, nil, fmt.Errorf("httpx: underlying ResponseWriter (%T) does not support hijacking", r.ResponseWriter)
-	}
-	c, rw, err := h.Hijack()
-	if err == nil && !r.wrote {
-		// The connection now belongs to the handler (typically a 101 upgrade
-		// written by hand); record that instead of a fictitious 200.
-		r.Status = http.StatusSwitchingProtocols
-		r.wrote = true
-	}
-	return c, rw, err
 }
 
 // Unwrap exposes the underlying writer to http.ResponseController.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -153,85 +152,17 @@ func TestStatusRecorderForwardsFlusher(t *testing.T) {
 	}
 }
 
-// TestStatusRecorderForwardsHijacker is the regression test for WebSocket
-// upgrades behind AccessLog: Hijack must reach the underlying connection,
-// and raw bytes written on it must arrive at the client.
-func TestStatusRecorderForwardsHijacker(t *testing.T) {
-	h := AccessLog("test", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hj, ok := w.(http.Hijacker)
-		if !ok {
-			t.Error("ResponseWriter behind AccessLog lost http.Hijacker")
-			http.Error(w, "no hijack", http.StatusInternalServerError)
-			return
-		}
-		conn, rw, err := hj.Hijack()
-		if err != nil {
-			t.Errorf("hijack failed through middleware: %v", err)
-			return
-		}
-		defer conn.Close()
-		rw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\n\r\nraw-bytes")
-		rw.Flush()
-	}))
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "GET / HTTP/1.1\r\nHost: x\r\n\r\n")
-	raw, err := io.ReadAll(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(raw, []byte("101 Switching Protocols")) || !bytes.HasSuffix(raw, []byte("raw-bytes")) {
-		t.Fatalf("hijacked response corrupted:\n%q", raw)
-	}
-}
-
-// TestStatusRecorderHijackStatus pins the audit value: a successful hijack
-// records 101 rather than a fictitious 200.
-func TestStatusRecorderHijackStatus(t *testing.T) {
-	var rec *StatusRecorder
-	done := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer close(done)
-		rec = NewStatusRecorder(w)
-		conn, _, err := rec.Hijack()
-		if err != nil {
-			t.Errorf("hijack: %v", err)
-			return
-		}
-		conn.Close()
-	}))
-	defer ts.Close()
-	resp, err := http.Get(ts.URL)
-	if err == nil {
-		resp.Body.Close()
-	}
-	<-done
-	if rec.Status != http.StatusSwitchingProtocols {
-		t.Fatalf("status after hijack = %d, want 101", rec.Status)
-	}
-}
-
 // bareWriter is a ResponseWriter with no optional capabilities at all.
 type bareWriter struct{ header http.Header }
 
-func (w *bareWriter) Header() http.Header        { return w.header }
+func (w *bareWriter) Header() http.Header         { return w.header }
 func (w *bareWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (w *bareWriter) WriteHeader(int)            {}
+func (w *bareWriter) WriteHeader(int)             {}
 
-// TestStatusRecorderHijackUnsupported pins the degraded path: wrapping a
-// writer with neither Hijacker nor Flusher yields a clear error (not a
-// panic) on Hijack and a safe no-op on Flush.
-func TestStatusRecorderHijackUnsupported(t *testing.T) {
+// TestStatusRecorderFlushUnsupported pins the degraded path: wrapping a
+// writer without http.Flusher makes Flush a safe no-op, not a panic.
+func TestStatusRecorderFlushUnsupported(t *testing.T) {
 	rec := NewStatusRecorder(&bareWriter{header: http.Header{}})
-	if _, _, err := rec.Hijack(); err == nil {
-		t.Fatal("Hijack over a non-Hijacker writer did not error")
-	}
 	rec.Flush() // no-op, must not panic
 }
 

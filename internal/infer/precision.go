@@ -17,15 +17,6 @@ const (
 	PrecisionInt8 Precision = "int8"
 )
 
-// Bits returns the activation width of the precision mode — the value the
-// search tier minimizes as its fourth objective.
-func (p Precision) Bits() int {
-	if p == PrecisionInt8 {
-		return 8
-	}
-	return 32
-}
-
 // ParsePrecision normalizes a user-supplied precision selector. The empty
 // string means fp32, keeping every pre-quantization client request valid.
 func ParsePrecision(s string) (Precision, error) {

@@ -357,9 +357,6 @@ func TestParsePrecisionAndModelKey(t *testing.T) {
 	if got := ModelKey("m", PrecisionFP32); got != "m" {
 		t.Errorf("ModelKey fp32 = %q", got)
 	}
-	if PrecisionInt8.Bits() != 8 || PrecisionFP32.Bits() != 32 {
-		t.Error("Precision.Bits mismatch")
-	}
 }
 
 // quantizedPlanPin is the sha256 of an int8 plan calibrated at the commit

@@ -1,7 +1,5 @@
 package latmeter
 
-import "drainnas/internal/resnet"
-
 // Energy modeling: for battery-powered field deployments (the drainage
 // survey drones and data loggers the paper's introduction motivates),
 // energy per inference matters as much as latency. The model combines a
@@ -47,22 +45,9 @@ type EnergyPrediction struct {
 	MeanMJ    float64
 }
 
-// PredictEnergy estimates per-inference energy for a configuration on all
-// devices.
-func PredictEnergy(cfg resnet.Config, inputSize int) (EnergyPrediction, error) {
-	if inputSize <= 0 {
-		inputSize = DefaultInputSize
-	}
-	g, err := Decompose(cfg, inputSize)
-	if err != nil {
-		return EnergyPrediction{}, err
-	}
-	return PredictEnergyGraph(g), nil
-}
-
-// PredictEnergyGraph estimates energy for an already-decomposed graph on all
-// devices — the entry point for callers that hold or adjust the graph first
-// (e.g. Graph.Int8 for an int8 deployment).
+// PredictEnergyGraph estimates per-inference energy for a decomposed graph
+// on all devices; callers may adjust the graph first (e.g. Graph.Int8 for an
+// int8 deployment).
 func PredictEnergyGraph(g Graph) EnergyPrediction {
 	devices := Devices()
 	p := EnergyPrediction{PerDevice: make(map[string]float64, len(devices))}

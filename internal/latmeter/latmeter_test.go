@@ -335,14 +335,15 @@ func TestKernelTypeString(t *testing.T) {
 }
 
 func TestEnergyModelOrderings(t *testing.T) {
-	small, err := PredictEnergy(smallConfig(), 0)
-	if err != nil {
-		t.Fatal(err)
+	energy := func(cfg resnet.Config) EnergyPrediction {
+		t.Helper()
+		g, err := Decompose(cfg, DefaultInputSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return PredictEnergyGraph(g)
 	}
-	stock, err := PredictEnergy(resnet.StockResNet18(5, 8), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small, stock := energy(smallConfig()), energy(resnet.StockResNet18(5, 8))
 	if small.MeanMJ <= 0 || stock.MeanMJ <= 0 {
 		t.Fatal("non-positive energy")
 	}
@@ -363,12 +364,6 @@ func TestEnergyModelOrderings(t *testing.T) {
 	if stock.PerDevice["myriadvpu"] >= stock.PerDevice["cortexA76cpu"] {
 		t.Fatalf("VPU %.2f mJ not below CPU %.2f mJ",
 			stock.PerDevice["myriadvpu"], stock.PerDevice["cortexA76cpu"])
-	}
-}
-
-func TestEnergyRejectsInvalid(t *testing.T) {
-	if _, err := PredictEnergy(resnet.Config{}, 0); err == nil {
-		t.Fatal("expected error")
 	}
 }
 

@@ -59,11 +59,6 @@ type TrainOptions struct {
 	ParallelFolds bool
 }
 
-// DefaultTrainOptions mirrors the paper's protocol (5 epochs, 5 folds).
-func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{Epochs: 5, Folds: 5, LR: 0.01, Momentum: 0.9, WeightDecay: 1e-4, Seed: 1}
-}
-
 // TrainEvaluator trains each candidate for real on a dataset with
 // stratified k-fold cross-validation and reports the mean validation
 // accuracy — the paper's NNI evaluation protocol, at whatever scale the

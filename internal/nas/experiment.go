@@ -8,7 +8,6 @@ import (
 
 	"drainnas/internal/metrics"
 	"drainnas/internal/parallel"
-	"drainnas/internal/profiler"
 	"drainnas/internal/resnet"
 )
 
@@ -58,10 +57,6 @@ type ExperimentOptions struct {
 	// Stats, when non-nil, receives per-trial outcome counters (retries are
 	// counted by RetryEvaluator.OnRetry, which the caller wires up).
 	Stats *metrics.SweepStats
-	// Profiler, when non-nil, records a per-trial "trial" span (plus a
-	// "trial-failed" span for attrition/evaluator failures) — the §5
-	// resource-profiling hook.
-	Profiler *profiler.Profiler
 }
 
 // progressTotal resolves the total reported to the Progress callback.
@@ -97,10 +92,6 @@ func ExperimentContext(ctx context.Context, configs []resnet.Config, eval Evalua
 	ctxErr := parallel.MapCtx(ctx, len(configs), opts.Workers, func(i int) {
 		cfg := configs[i]
 		start := time.Now()
-		var stop func()
-		if opts.Profiler != nil {
-			stop = opts.Profiler.Start("trial")
-		}
 		res := TrialResult{ID: i, Config: cfg}
 		if opts.SimulateAttrition && Attrition(i, cfg) {
 			res.Status = TrialFailed
@@ -113,12 +104,6 @@ func ExperimentContext(ctx context.Context, configs []resnet.Config, eval Evalua
 			res.Accuracy = acc
 		}
 		res.Duration = time.Since(start)
-		if stop != nil {
-			stop()
-			if res.Status == TrialFailed {
-				opts.Profiler.Record("trial-failed", res.Duration)
-			}
-		}
 		if res.Status == TrialSucceeded {
 			opts.Stats.TrialDone(res.Duration)
 		} else {
@@ -218,45 +203,4 @@ func MergeResults(configs []resnet.Config, sets ...[]TrialResult) []TrialResult 
 		out = append(out, r)
 	}
 	return out
-}
-
-// ResumeExperiment continues an interrupted sweep: journaled successes are
-// reused, the remainder re-runs through the evaluator, and the merged
-// results come back in the order of configs. Progress reports against the
-// full plan (done includes the reused trials).
-func ResumeExperiment(configs []resnet.Config, journal []TrialResult, eval Evaluator, opts ExperimentOptions) []TrialResult {
-	results, _ := ResumeExperimentContext(context.Background(), configs, journal, eval, opts)
-	return results
-}
-
-// ResumeExperimentContext is ResumeExperiment with cooperative
-// cancellation: a resumed sweep that is itself interrupted returns the
-// journal-reused results plus whatever fresh trials completed, merged in
-// plan order, alongside ctx.Err().
-func ResumeExperimentContext(ctx context.Context, configs []resnet.Config, journal []TrialResult, eval Evaluator, opts ExperimentOptions) ([]TrialResult, error) {
-	remaining, completed := FilterCompleted(configs, journal)
-	if opts.ProgressOffset == 0 {
-		opts.ProgressOffset = len(completed)
-	}
-	if opts.ProgressTotal == 0 {
-		opts.ProgressTotal = len(configs)
-	}
-	fresh, err := ExperimentContext(ctx, remaining, eval, opts)
-	return MergeResults(configs, completed, fresh), err
-}
-
-// EstimateFullScale extrapolates full-paper wall time from a measured
-// sample, the §5 planning exercise: given the measured mean seconds per
-// trial at this machine's scale and the cost ratio to the paper's scale
-// (corpus size × image area × epochs), estimate hours for a full input
-// combination (288 trials) at a given trial concurrency.
-func EstimateFullScale(measuredSecPerTrial, scaleRatio float64, trials, concurrency int) (hours float64) {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	if trials < 1 {
-		trials = 288
-	}
-	total := measuredSecPerTrial * scaleRatio * float64(trials) / float64(concurrency)
-	return total / 3600
 }

@@ -156,25 +156,6 @@ func (jw *JournalWriter) fail(err error) error {
 	return jw.err
 }
 
-// WriteJournal streams results as JSON lines (one trial per line). For
-// incremental durability during a sweep, use JournalWriter instead.
-func WriteJournal(w io.Writer, results []TrialResult) error {
-	jw := NewJournalWriter(w, JournalWriterOptions{})
-	for _, r := range results {
-		if err := jw.Append(r); err != nil {
-			return err
-		}
-	}
-	// Flush without closing: WriteJournal never owned w.
-	jw.mu.Lock()
-	err := jw.bw.Flush()
-	jw.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("nas: flushing journal: %w", err)
-	}
-	return nil
-}
-
 // JournalTailError reports a journal whose tail could not be parsed — the
 // expected aftermath of a crash mid-append. Offset is the byte offset where
 // the bad tail starts; truncating the file there yields a clean journal

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -27,6 +28,21 @@ func journalFixture(t *testing.T, n int) []TrialResult {
 	cfgs := PaperSpace().Enumerate(InputCombo{7, 16})[:n]
 	eval := SurrogateEvaluator{Model: surrogate.Default()}
 	return Experiment(cfgs, eval, ExperimentOptions{Workers: 1})
+}
+
+// writeJournal streams results into w through a JournalWriter, the way a
+// sweep journals its trials.
+func writeJournal(t *testing.T, w io.Writer, results []TrialResult) {
+	t.Helper()
+	jw := NewJournalWriter(w, JournalWriterOptions{})
+	for _, r := range results {
+		if err := jw.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestJournalWriterStreamsAndSyncs(t *testing.T) {
@@ -142,9 +158,7 @@ func TestJournalWriterStickyErrorSurfacesAtClose(t *testing.T) {
 func TestReadJournalRecoversTruncatedTail(t *testing.T) {
 	results := journalFixture(t, 5)
 	var buf bytes.Buffer
-	if err := WriteJournal(&buf, results); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, &buf, results)
 	full := buf.Bytes()
 	lines := bytes.SplitAfter(full, []byte("\n"))
 	// lines has a trailing empty element after the final newline.
@@ -181,9 +195,7 @@ func TestReadJournalRecoversTruncatedTail(t *testing.T) {
 func TestReadJournalAcceptsMissingFinalNewline(t *testing.T) {
 	results := journalFixture(t, 3)
 	var buf bytes.Buffer
-	if err := WriteJournal(&buf, results); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, &buf, results)
 	// A complete record whose terminating newline was lost still counts.
 	data := bytes.TrimRight(buf.Bytes(), "\n")
 	got, err := ReadJournal(bytes.NewReader(data))
@@ -199,13 +211,9 @@ func TestReadJournalSkipsBlankLines(t *testing.T) {
 	results := journalFixture(t, 2)
 	var buf bytes.Buffer
 	buf.WriteString("\n")
-	if err := WriteJournal(&buf, results[:1]); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, &buf, results[:1])
 	buf.WriteString("\n\n")
-	if err := WriteJournal(&buf, results[1:]); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, &buf, results[1:])
 	got, err := ReadJournal(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -150,9 +150,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	eval := SurrogateEvaluator{Model: surrogate.Default()}
 	results := Experiment(cfgs, eval, ExperimentOptions{})
 	var buf bytes.Buffer
-	if err := WriteJournal(&buf, results); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, &buf, results)
 	back, err := ReadJournal(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +278,7 @@ func TestTrainEvaluatorLearnsRealCorpus(t *testing.T) {
 func TestTrainEvaluatorRejectsChannelMismatch(t *testing.T) {
 	corpus := geodata.GenerateCorpus(geodata.CorpusOptions{ChipSize: 16, Scale: 800, Seed: 1})
 	x, labels := corpus.Tensors(5)
-	eval := TrainEvaluator{Data: dataset.New(x, labels), Opts: DefaultTrainOptions()}
+	eval := TrainEvaluator{Data: dataset.New(x, labels), Opts: TrainOptions{Epochs: 1, Folds: 2, LR: 0.01, Seed: 1}}
 	cfg := resnet.StockResNet18(7, 8)
 	if _, err := eval.Evaluate(cfg); err == nil {
 		t.Fatal("expected channel mismatch error")
@@ -297,8 +295,14 @@ func TestResumeExperimentReusesJournal(t *testing.T) {
 	journal := append([]TrialResult{}, full[:12]...)
 	journal[3].Status = TrialFailed
 	journal[7].Status = TrialFailed
+	var buf bytes.Buffer
+	writeJournal(t, &buf, journal)
+	prior, err := ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	remaining, completed := FilterCompleted(cfgs, journal)
+	remaining, completed := FilterCompleted(cfgs, prior)
 	if len(completed) != 10 {
 		t.Fatalf("completed %d, want 10", len(completed))
 	}
@@ -308,7 +312,8 @@ func TestResumeExperimentReusesJournal(t *testing.T) {
 
 	evalCount := 0
 	counting := countingEvaluator{inner: eval, count: &evalCount}
-	resumed := ResumeExperiment(cfgs, journal, counting, ExperimentOptions{Workers: 1})
+	fresh := Experiment(remaining, counting, ExperimentOptions{Workers: 1})
+	resumed := MergeResults(cfgs, completed, fresh)
 	if evalCount != 20 {
 		t.Fatalf("resume evaluated %d trials, want 20", evalCount)
 	}
@@ -416,22 +421,5 @@ func TestTrainedModelIndependentOfWorkers(t *testing.T) {
 	}
 	if acc[0] != acc[1] {
 		t.Fatalf("accuracy %v under one worker, %v under two", acc[0], acc[1])
-	}
-}
-
-func TestEstimateFullScale(t *testing.T) {
-	// 2 s/trial at 1/400 of the paper's per-trial cost, 288 trials, one
-	// worker → 2*400*288/3600 = 64 hours; the paper's 9h20m-29h A100 runs
-	// sit within an order of magnitude of CPU-extrapolated figures.
-	h := EstimateFullScale(2, 400, 288, 1)
-	if h < 63.9 || h > 64.1 {
-		t.Fatalf("estimate %.2f h, want 64", h)
-	}
-	// Concurrency divides linearly; defaults guard degenerate inputs.
-	if EstimateFullScale(2, 400, 288, 4) != h/4 {
-		t.Fatal("concurrency scaling broken")
-	}
-	if EstimateFullScale(1, 1, 0, 0) <= 0 {
-		t.Fatal("defaults broken")
 	}
 }

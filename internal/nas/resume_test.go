@@ -126,10 +126,12 @@ func TestCrashResumeMatchesUninterrupted(t *testing.T) {
 
 	// Resume: journaled successes reused, the rest re-run (fresh fault
 	// injection, so remaining trials fail once and retry again).
-	resumed, err := ResumeExperimentContext(context.Background(), cfgs, recovered, mkEval(), ExperimentOptions{Workers: 4})
+	remaining, reused := FilterCompleted(cfgs, recovered)
+	fresh, err := ExperimentContext(context.Background(), remaining, mkEval(), ExperimentOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	resumed := MergeResults(cfgs, reused, fresh)
 	if len(resumed) != len(cfgs) {
 		t.Fatalf("resumed sweep has %d/%d results", len(resumed), len(cfgs))
 	}
@@ -144,13 +146,23 @@ func TestResumeProgressReportsFullPlan(t *testing.T) {
 	cfgs := PaperSpace().Enumerate(InputCombo{5, 8})[:30]
 	eval := SurrogateEvaluator{Model: surrogate.Default()}
 	full := Experiment(cfgs, eval, ExperimentOptions{})
-	journal := append([]TrialResult{}, full[:12]...)
+	var buf bytes.Buffer
+	writeJournal(t, &buf, full[:12])
+	prior, err := ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	// Progress reports against the full plan, as cmd/nascli wires it: done
+	// counts the reused trials, total is every configuration.
+	remaining, reused := FilterCompleted(cfgs, prior)
 	var mu sync.Mutex
 	var dones []int
 	totals := map[int]bool{}
-	ResumeExperiment(cfgs, journal, eval, ExperimentOptions{
-		Workers: 3,
+	Experiment(remaining, eval, ExperimentOptions{
+		Workers:        3,
+		ProgressOffset: len(reused),
+		ProgressTotal:  len(cfgs),
 		Progress: func(done, total int) {
 			mu.Lock()
 			dones = append(dones, done)

@@ -7,16 +7,10 @@ import (
 	"drainnas/internal/tensor"
 )
 
-// Strategy selects which configurations to evaluate from a space — the
-// NNI "search strategy" axis. The paper uses exhaustive grid search; random
-// and evolutionary strategies are provided for the sample-efficiency
-// ablation.
-type Strategy interface {
-	// Select returns the configurations to run for one input combination.
-	Select(space Space, combo InputCombo) []resnet.Config
-	// Name identifies the strategy.
-	Name() string
-}
+// The search strategies select which configurations to evaluate from a
+// space — the NNI "search strategy" axis. The paper uses exhaustive grid
+// search; random and evolutionary strategies are provided for the
+// sample-efficiency ablation.
 
 // GridStrategy enumerates the whole space (the paper's approach).
 type GridStrategy struct{}
@@ -25,9 +19,6 @@ type GridStrategy struct{}
 func (GridStrategy) Select(space Space, combo InputCombo) []resnet.Config {
 	return space.Enumerate(combo)
 }
-
-// Name returns "grid".
-func (GridStrategy) Name() string { return "grid" }
 
 // RandomStrategy samples N distinct configurations uniformly.
 type RandomStrategy struct {
@@ -50,9 +41,6 @@ func (s RandomStrategy) Select(space Space, combo InputCombo) []resnet.Config {
 	return out
 }
 
-// Name returns "random".
-func (s RandomStrategy) Name() string { return "random" }
-
 // EvolutionStrategy implements regularized evolution (Real et al., 2019)
 // over the discrete space: a sliding population where each step tournaments
 // a parent, mutates one axis, and retires the oldest member. It needs an
@@ -65,9 +53,6 @@ type EvolutionStrategy struct {
 	Seed       uint64
 	Evaluator  Evaluator
 }
-
-// Name returns "evolution".
-func (s EvolutionStrategy) Name() string { return "evolution" }
 
 type evoMember struct {
 	cfg resnet.Config

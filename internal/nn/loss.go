@@ -57,20 +57,6 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 	return float64(correct) / float64(len(labels))
 }
 
-// ConfusionMatrix tallies predictions into a k×k matrix indexed
-// [true][predicted].
-func ConfusionMatrix(logits *tensor.Tensor, labels []int, k int) [][]int {
-	preds := tensor.ArgMaxRows(logits)
-	m := make([][]int, k)
-	for i := range m {
-		m[i] = make([]int, k)
-	}
-	for i, p := range preds {
-		m[labels[i]][p]++
-	}
-	return m
-}
-
 // CrossEntropyLS is cross-entropy with label smoothing: the target
 // distribution puts 1-ε on the true class and ε/(K-1) on the rest. Light
 // smoothing (ε ≈ 0.1) regularizes the short 5-epoch training runs the

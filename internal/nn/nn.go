@@ -1,7 +1,7 @@
 // Package nn implements the neural-network layers, losses and optimizers
 // needed to train the paper's configurable ResNet-18 on CPU: Conv2d,
 // BatchNorm2d, ReLU, MaxPool2d, global average pooling, Linear, residual
-// basic blocks, cross-entropy loss, and SGD/Adam.
+// basic blocks, cross-entropy loss, and SGD with momentum.
 //
 // Differentiation is layer-level reverse mode: each layer caches what its
 // backward pass needs during Forward and exposes Backward(gradOut) → gradIn,

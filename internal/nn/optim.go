@@ -57,74 +57,6 @@ func (s *SGD) SetLR(lr float64) { s.lr = lr }
 // LR returns the learning rate.
 func (s *SGD) LR() float64 { return s.lr }
 
-// Adam is the Adam optimizer (Kingma & Ba) with bias correction.
-type Adam struct {
-	params       []*Param
-	lr           float64
-	beta1, beta2 float64
-	eps          float64
-	weightDecay  float64
-	step         int
-	moment1      []*tensor.Tensor
-	moment2      []*tensor.Tensor
-}
-
-// NewAdam builds an Adam optimizer with the usual defaults
-// (β1=0.9, β2=0.999, ε=1e-8).
-func NewAdam(params []*Param, lr float64) *Adam {
-	a := &Adam{
-		params: params, lr: lr,
-		beta1: 0.9, beta2: 0.999, eps: 1e-8,
-		moment1: make([]*tensor.Tensor, len(params)),
-		moment2: make([]*tensor.Tensor, len(params)),
-	}
-	for i, p := range params {
-		a.moment1[i] = tensor.New(p.Data.Shape()...)
-		a.moment2[i] = tensor.New(p.Data.Shape()...)
-	}
-	return a
-}
-
-// Step applies one Adam update.
-func (a *Adam) Step() {
-	a.step++
-	bc1 := 1 - math.Pow(a.beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.beta2, float64(a.step))
-	for i, p := range a.params {
-		w := p.Data.Data()
-		g := p.Grad.Data()
-		m := a.moment1[i].Data()
-		v := a.moment2[i].Data()
-		for j := range w {
-			gj := float64(g[j]) + a.weightDecay*float64(w[j])
-			mj := a.beta1*float64(m[j]) + (1-a.beta1)*gj
-			vj := a.beta2*float64(v[j]) + (1-a.beta2)*gj*gj
-			m[j] = float32(mj)
-			v[j] = float32(vj)
-			mHat := mj / bc1
-			vHat := vj / bc2
-			w[j] -= float32(a.lr * mHat / (math.Sqrt(vHat) + a.eps))
-		}
-	}
-}
-
-// SetLR sets the learning rate.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// LR returns the learning rate.
-func (a *Adam) LR() float64 { return a.lr }
-
-// StepLRSchedule decays lr0 by gamma every `every` epochs:
-// lr(e) = lr0 * gamma^floor(e/every).
-func StepLRSchedule(lr0, gamma float64, every int) func(epoch int) float64 {
-	return func(epoch int) float64 {
-		if every <= 0 {
-			return lr0
-		}
-		return lr0 * math.Pow(gamma, float64(epoch/every))
-	}
-}
-
 // CosineLRSchedule anneals lr0 to lrMin over total epochs.
 func CosineLRSchedule(lr0, lrMin float64, total int) func(epoch int) float64 {
 	return func(epoch int) float64 {

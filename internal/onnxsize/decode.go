@@ -10,12 +10,14 @@ import (
 )
 
 // Decoding bounds: a single initializer larger than 2^28 elements (1 GiB of
-// fp32) or an attribute above 2^20 is rejected as corrupt rather than
-// attempted. The bounds are far above anything the exporter produces and
-// exist to keep hostile containers from driving huge allocations or integer
-// overflow.
+// fp32), a node with more than 64 attributes or an attribute above 2^20 is
+// rejected as corrupt rather than attempted. The bounds are far above
+// anything the exporter produces and exist to keep hostile containers from
+// driving huge allocations or integer overflow; for the same reason no
+// buffer is sized from a declared count before the bytes behind it arrive.
 const (
 	maxInitializerElems = 1 << 28
+	maxNodeAttrs        = 64
 	maxAttrValue        = 1 << 20
 )
 
@@ -61,6 +63,9 @@ func Decode(r io.Reader) (*Decoded, error) {
 		nAttrs, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("onnxsize: node %d attrs: %w", i, err)
+		}
+		if nAttrs > maxNodeAttrs {
+			return nil, fmt.Errorf("onnxsize: node %d has %d attrs", i, nAttrs)
 		}
 		node.Attrs = make(map[string]int, nAttrs)
 		for a := uint64(0); a < nAttrs; a++ {
@@ -124,9 +129,12 @@ func Decode(r io.Reader) (*Decoded, error) {
 			return nil, fmt.Errorf("onnxsize: initializer %s payload %d bytes, dims imply %d",
 				init.Name, payload, numel*4)
 		}
-		raw := make([]byte, payload)
-		if _, err := io.ReadFull(br, raw); err != nil {
+		raw, err := io.ReadAll(io.LimitReader(br, int64(payload)))
+		if err != nil {
 			return nil, fmt.Errorf("onnxsize: initializer %s payload: %w", init.Name, err)
+		}
+		if uint64(len(raw)) != payload {
+			return nil, fmt.Errorf("onnxsize: initializer %s payload: %w", init.Name, io.ErrUnexpectedEOF)
 		}
 		vals := make([]float32, numel)
 		tensor.F32FromLE(vals, raw)

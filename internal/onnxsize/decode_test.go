@@ -2,6 +2,8 @@ package onnxsize
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -106,5 +108,43 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// Empty input.
 	if _, err := Decode(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input not rejected")
+	}
+}
+
+// TestDecodeRejectsHostileCounts pins that declared counts never size an
+// allocation before the bytes behind them arrive: a node claiming 2^40
+// attributes is refused outright, and an initializer declaring the largest
+// legal payload (1 GiB) in a container that ends right after the header
+// fails on the short read having allocated next to nothing.
+func TestDecodeRejectsHostileCounts(t *testing.T) {
+	header := func(b []byte, vals ...uint64) []byte {
+		for _, v := range vals {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	str := func(b []byte, s string) []byte { return append(header(b, uint64(len(s))), s...) }
+
+	attrs := str([]byte(magic), "g")
+	attrs = header(attrs, 1)
+	attrs = str(str(attrs, "Conv"), "conv1")
+	attrs = header(attrs, 1<<40)
+	if _, err := Decode(bytes.NewReader(attrs)); err == nil || !strings.Contains(err.Error(), "attrs") {
+		t.Fatalf("2^40 attributes: err %v, want an attr-count rejection", err)
+	}
+
+	payload := str([]byte(magic), "g")
+	payload = header(payload, 0, 1)
+	payload = str(payload, "w")
+	payload = header(payload, 1, maxInitializerElems, 4*maxInitializerElems)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(payload))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("1 GiB payload with no bytes behind it decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("short payload allocated %d MiB before failing", grew>>20)
 	}
 }

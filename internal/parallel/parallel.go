@@ -1,6 +1,6 @@
 // Package parallel provides small, dependency-free building blocks for
-// data-parallel execution: chunked parallel-for loops, a reusable worker
-// pool, and deterministic tree reductions.
+// data-parallel execution: chunked and dynamically scheduled parallel-for
+// loops, and a reusable worker pool.
 //
 // All helpers are synchronous from the caller's point of view: they return
 // only when every spawned unit of work has finished. Work is split into
@@ -34,27 +34,6 @@ func clampWorkers(workers, n int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// For executes body(i) for every i in [0, n) using up to `workers`
-// goroutines (DefaultWorkers if workers <= 0). Iterations are distributed in
-// contiguous chunks. For small n or workers == 1 the loop runs inline.
-func For(n, workers int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	ForChunked(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
 }
 
 // ForChunked splits [0, n) into `workers` near-equal contiguous ranges and
@@ -147,50 +126,4 @@ func ForTiles2D(m, n, workers int, body func(i, j int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// SumChunked computes a float64 sum over [0, n) in parallel with a
-// deterministic reduction order: each chunk accumulates locally and the
-// per-chunk partials are added in chunk order, so the result does not depend
-// on goroutine scheduling.
-func SumChunked(n, workers int, term func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += term(i)
-		}
-		return s
-	}
-	partials := make([]float64, workers)
-	base := n / workers
-	extra := n % workers
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	lo := 0
-	for w := 0; w < workers; w++ {
-		size := base
-		if w < extra {
-			size++
-		}
-		hi := lo + size
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += term(i)
-			}
-			partials[w] = s
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	total := 0.0
-	for _, p := range partials {
-		total += p
-	}
-	return total
 }

@@ -1,25 +1,9 @@
 package parallel
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
-
-func TestForCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		for _, workers := range []int{0, 1, 2, 3, 16, 2000} {
-			seen := make([]int32, n)
-			For(n, workers, func(i int) { atomic.AddInt32(&seen[i], 1) })
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, c)
-				}
-			}
-		}
-	}
-}
 
 func TestForChunkedPartition(t *testing.T) {
 	// Chunks must be disjoint, contiguous, ordered by worker, and cover [0, n).
@@ -68,36 +52,6 @@ func TestForChunkedBalance(t *testing.T) {
 	}
 }
 
-func TestSumChunkedMatchesSerial(t *testing.T) {
-	n := 1234
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Sin(float64(i)) * 3.7
-	}
-	want := 0.0
-	for _, v := range vals {
-		want += v
-	}
-	for _, workers := range []int{1, 2, 5, 32} {
-		got := SumChunked(n, workers, func(i int) float64 { return vals[i] })
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("workers=%d: got %v want %v", workers, got, want)
-		}
-	}
-}
-
-func TestSumChunkedDeterministic(t *testing.T) {
-	// Fixed reduction order: repeated runs yield bit-identical results.
-	n := 4096
-	term := func(i int) float64 { return 1.0 / float64(i+1) }
-	first := SumChunked(n, 7, term)
-	for r := 0; r < 20; r++ {
-		if got := SumChunked(n, 7, term); got != first {
-			t.Fatalf("run %d: nondeterministic sum %v != %v", r, got, first)
-		}
-	}
-}
-
 func TestPoolRunsAllTasks(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -136,23 +90,6 @@ func TestMapCoversAllIndices(t *testing.T) {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
 			}
 		}
-	}
-}
-
-func TestForPropertySumEqualsSerial(t *testing.T) {
-	// Property: for random n and worker counts the parallel accumulation of
-	// i^2 equals the closed form.
-	f := func(nRaw uint16, wRaw uint8) bool {
-		n := int(nRaw%2000) + 1
-		workers := int(wRaw%17) + 1
-		var sum atomic.Int64
-		For(n, workers, func(i int) { sum.Add(int64(i) * int64(i)) })
-		m := int64(n - 1)
-		want := m * (m + 1) * (2*m + 1) / 6
-		return sum.Load() == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -135,55 +135,6 @@ func ROCAUC(scores []float64, labels []int) float64 {
 	return u / (float64(nPos) * float64(nNeg))
 }
 
-// ROCPoint is one (FPR, TPR) point of the ROC curve.
-type ROCPoint struct {
-	FPR, TPR  float64
-	Threshold float64
-}
-
-// ROCCurve returns the ROC curve points sweeping the threshold from +inf
-// down, starting at (0,0) and ending at (1,1).
-func ROCCurve(scores []float64, labels []int) []ROCPoint {
-	n := len(scores)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
-	var nPos, nNeg int
-	for _, l := range labels {
-		if l == 1 {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	curve := []ROCPoint{{FPR: 0, TPR: 0, Threshold: math.Inf(1)}}
-	tp, fp := 0, 0
-	for i := 0; i < n; {
-		j := i
-		thr := scores[order[i]]
-		for j < n && scores[order[j]] == thr {
-			if labels[order[j]] == 1 {
-				tp++
-			} else {
-				fp++
-			}
-			j++
-		}
-		pt := ROCPoint{Threshold: thr}
-		if nPos > 0 {
-			pt.TPR = float64(tp) / float64(nPos)
-		}
-		if nNeg > 0 {
-			pt.FPR = float64(fp) / float64(nNeg)
-		}
-		curve = append(curve, pt)
-		i = j
-	}
-	return curve
-}
-
 // Report is the full evaluation summary of a classifier on a dataset.
 type Report struct {
 	Confusion Confusion

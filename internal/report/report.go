@@ -253,31 +253,3 @@ func Histogram(title string, values []float64, bins, width int) string {
 	}
 	return b.String()
 }
-
-// Markdown renders the table as GitHub-flavored Markdown, for embedding in
-// EXPERIMENTS.md-style documents.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	writeRow := func(cells []string) {
-		b.WriteByte('|')
-		for _, c := range cells {
-			b.WriteByte(' ')
-			b.WriteString(strings.ReplaceAll(c, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	b.WriteByte('|')
-	for range t.Header {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}

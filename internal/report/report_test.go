@@ -141,21 +141,6 @@ func TestFigureEmitters(t *testing.T) {
 			}
 		}
 	}
-	conns := NormalizedFrontConnections(res)
-	if len(conns) != len(res.FrontIdx) {
-		t.Fatalf("connections %d", len(conns))
-	}
-}
-
-func TestTable2Render(t *testing.T) {
-	rows := []Table2Row{
-		{Name: "cortexA76cpu", Device: "Pixel4", Framework: "TFLite v2.1", Within10Pct: 0.99},
-		{Name: "myriadvpu", Device: "NCS2", Framework: "OpenVINO", Within10Pct: 0.834},
-	}
-	out := Table2(rows).Render()
-	if !strings.Contains(out, "99.00 %") || !strings.Contains(out, "83.40 %") {
-		t.Fatalf("Table2:\n%s", out)
-	}
 }
 
 func TestHistogramBasics(t *testing.T) {
@@ -180,16 +165,5 @@ func TestHistogramBasics(t *testing.T) {
 	flat := Histogram("flat", []float64{5, 5, 5}, 3, 10)
 	if !strings.Contains(flat, "3") {
 		t.Fatalf("flat histogram:\n%s", flat)
-	}
-}
-
-func TestMarkdownRendering(t *testing.T) {
-	tb := NewTable("demo", "a", "b")
-	tb.AddRow("1", "x|y")
-	md := tb.Markdown()
-	for _, want := range []string{"**demo**", "| a | b |", "|---|---|", `x\|y`} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, md)
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"drainnas/internal/core"
-	"drainnas/internal/pareto"
 )
 
 // Table3 renders the objective value ranges over all valid trials.
@@ -132,34 +131,4 @@ func Figure4Radars(res *core.Result) []Radar {
 		})
 	}
 	return radars
-}
-
-// Table2 renders the latency-predictor validation results.
-func Table2(rows []Table2Row) *Table {
-	t := NewTable("Table 2: hardware performance of the latency predictors",
-		"Hardware name", "Device", "Framework", "±10% Accuracy")
-	for _, r := range rows {
-		t.AddRow(r.Name, r.Device, r.Framework, F(r.Within10Pct*100, 2)+" %")
-	}
-	return t
-}
-
-// Table2Row is one device's validation summary.
-type Table2Row struct {
-	Name        string
-	Device      string
-	Framework   string
-	Within10Pct float64
-}
-
-// NormalizedFrontConnections returns the normalized objective vectors of
-// the front members (the red-dot connections of Figure 3).
-func NormalizedFrontConnections(res *core.Result) []pareto.Point {
-	pts := res.Points()
-	norm := pareto.Normalize(pts)
-	var out []pareto.Point
-	for _, i := range res.FrontIdx {
-		out = append(out, norm[i])
-	}
-	return out
 }

@@ -1,12 +1,9 @@
 package route
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -66,8 +63,7 @@ func (r *LocalReplica) Server() *serve.Server { return r.srv }
 // depth is not consulted per pick; one atomic counter per replica is).
 type HTTPReplica struct {
 	id       string
-	base     string
-	client   *http.Client
+	client   *api.Client
 	inflight atomic.Int64
 }
 
@@ -78,10 +74,9 @@ func NewHTTPReplica(id, baseURL string, client *http.Client) *HTTPReplica {
 	if id == "" {
 		id = baseURL
 	}
-	if client == nil {
-		client = http.DefaultClient
-	}
-	return &HTTPReplica{id: id, base: baseURL, client: client}
+	// No client-side retries: a rejected attempt goes back to the router,
+	// whose own retry and hedging policy decides what happens next.
+	return &HTTPReplica{id: id, client: api.NewClient(baseURL, api.ClientOptions{HTTPClient: client})}
 }
 
 // ID implements Replica.
@@ -99,40 +94,11 @@ func (r *HTTPReplica) Submit(ctx context.Context, model string, input *tensor.Te
 	if err != nil {
 		return serve.Response{}, err
 	}
-	body, err := json.Marshal(preq)
-	if err != nil {
-		return serve.Response{}, fmt.Errorf("route: encoding predict request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+"/v1/predict", bytes.NewReader(body))
-	if err != nil {
-		return serve.Response{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
-	resp, err := r.client.Do(req)
+	pr, err := r.client.Predict(ctx, preq)
 	if err != nil {
-		if ctx.Err() != nil {
-			return serve.Response{}, ctx.Err()
-		}
-		return serve.Response{}, fmt.Errorf("route: replica %s: %w", r.id, err)
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-
-	if resp.StatusCode != http.StatusOK {
-		var env api.ErrorEnvelope
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			return serve.Response{}, fmt.Errorf("route: replica %s: status %d", r.id, resp.StatusCode)
-		}
-		return serve.Response{}, replicaError(r.id, resp.StatusCode, env.Error)
-	}
-	var pr api.PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return serve.Response{}, fmt.Errorf("route: replica %s: decoding response: %w", r.id, err)
+		return serve.Response{}, r.replicaError(ctx, err)
 	}
 	return serve.Response{
 		Model:     infer.ModelKey(pr.Model, infer.Precision(pr.Precision)),
@@ -144,12 +110,21 @@ func (r *HTTPReplica) Submit(ctx context.Context, model string, input *tensor.Te
 	}, nil
 }
 
-// replicaError maps a remote error envelope back onto the typed sentinels
-// local submission produces, so the router (and its clients) get identical
-// error semantics from both transports.
-func replicaError(id string, status int, body api.ErrorBody) error {
-	base := fmt.Errorf("route: replica %s: %s (%s)", id, body.Message, body.Code)
-	switch body.Code {
+// replicaError maps a failed remote call back onto the errors local
+// submission produces, so the router (and its clients) get identical error
+// semantics from both transports: the caller's own cancellation stays
+// ctx.Err, and an error envelope's code becomes the matching typed
+// sentinel.
+func (r *HTTPReplica) replicaError(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	var e *api.Error
+	if !errors.As(err, &e) {
+		return fmt.Errorf("route: replica %s: %w", r.id, err)
+	}
+	base := fmt.Errorf("route: replica %s: %s (%s)", r.id, e.Message, e.Code)
+	switch e.Code {
 	case api.CodeQueueFull:
 		return errors.Join(serve.ErrQueueFull, base)
 	case api.CodeModelNotFound:

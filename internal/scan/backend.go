@@ -57,28 +57,6 @@ func (b RouterBackend) Classify(ctx context.Context, model string, input *tensor
 	return Result{Class: resp.Class, Logits: resp.Logits, BatchSize: resp.BatchSize, Replica: resp.Replica}, nil
 }
 
-// ClientBackend scans a remote tier over HTTP through the typed API client
-// (cmd/scan's live mode). The model key carries any precision suffix;
-// per-tile retries belong to the runner, so configure the client with
-// Retries: 0 unless transport-level retry is wanted too.
-type ClientBackend struct {
-	C   *api.Client
-	SLO string
-}
-
-// Classify posts one chip to /v1/predict.
-func (b ClientBackend) Classify(ctx context.Context, model string, input *tensor.Tensor) (Result, error) {
-	req, err := api.PredictFromTensor(model, b.SLO, input)
-	if err != nil {
-		return Result{}, err
-	}
-	resp, err := b.C.Predict(ctx, req)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Class: resp.Class, Logits: resp.Logits, BatchSize: resp.BatchSize, Replica: resp.Replica}, nil
-}
-
 // SimBackend is a latmeter-simulated replica: per-tile latency comes from
 // the device's analytical service model and classification from a
 // deterministic heuristic, so the whole pipeline (window, ordering, retry,
@@ -181,7 +159,7 @@ func HeuristicScore(x *tensor.Tensor) float64 {
 
 // retryable reports whether a tile's serving error is worth retrying
 // against the same backend: transient capacity rejections in any of the
-// forms the three backend families produce. Context expiry and input or
+// forms the backends produce, including a remote replica's wire codes. Context expiry and input or
 // lookup errors are not.
 func retryable(err error) bool {
 	switch {

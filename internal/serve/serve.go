@@ -17,8 +17,7 @@
 //     instance serve several Pareto-front models within a bounded
 //     weight-memory budget.
 //   - Counters (queue depth, batch shape, latency) land in
-//     metrics.ServingStats; per-batch phases can be recorded into a
-//     profiler.Profiler.
+//     metrics.ServingStats.
 //
 // Exactly-once execution: each request is claimed either by the batch
 // executor or by its canceling waiter via an atomic compare-and-swap, so a
@@ -37,7 +36,6 @@ import (
 	"drainnas/internal/infer"
 	"drainnas/internal/metrics"
 	"drainnas/internal/parallel"
-	"drainnas/internal/profiler"
 	"drainnas/internal/sched"
 	"drainnas/internal/tensor"
 )
@@ -72,9 +70,6 @@ type Options struct {
 	// Stats receives request/batch counters; a fresh ServingStats is
 	// created when nil.
 	Stats *metrics.ServingStats
-	// Profiler, when non-nil, records per-batch model-load and forward
-	// phases.
-	Profiler *profiler.Profiler
 }
 
 func (o Options) withDefaults() Options {
@@ -150,13 +145,13 @@ type Server struct {
 
 	mu     sync.Mutex
 	former *sched.Former[groupKey, *pending] // what to cut and when; guarded by mu
-	depth  int                               // admitted-but-unfinished requests
 	closed bool
 
-	// load mirrors depth as a lock-free counter so routing tiers can read a
-	// replica's in-flight count on every pick without contending on mu or
-	// allocating a stats snapshot. It moves in lockstep with depth: +1 on
-	// admission, -1 when the request leaves (completed, failed or canceled).
+	// load counts admitted-but-unfinished requests: +1 on admission (only
+	// under mu, so the QueueCap check against it holds), -1 when the request
+	// leaves (completed, failed or canceled). It is atomic so routing tiers
+	// can read a replica's in-flight count on every pick without contending
+	// on mu or allocating a stats snapshot.
 	load atomic.Int64
 
 	// dispatchers tracks flushes between taking a batch and handing it to
@@ -220,12 +215,11 @@ func (s *Server) Submit(ctx context.Context, model string, input *tensor.Tensor)
 		s.mu.Unlock()
 		return Response{}, ErrClosed
 	}
-	if s.depth >= s.opts.QueueCap {
+	if s.load.Load() >= int64(s.opts.QueueCap) {
 		s.mu.Unlock()
 		s.opts.Stats.Rejected(model)
 		return Response{}, ErrQueueFull
 	}
-	s.depth++
 	s.load.Add(1)
 	s.opts.Stats.Enqueued(model)
 	cut, gen, fresh := s.former.Add(key, p)
@@ -251,9 +245,6 @@ func (s *Server) Submit(ctx context.Context, model string, input *tensor.Tensor)
 		if p.state.CompareAndSwap(stateQueued, stateCanceled) {
 			// We won the claim: the executor will skip this request.
 			s.opts.Stats.Canceled(model)
-			s.mu.Lock()
-			s.depth--
-			s.mu.Unlock()
 			s.load.Add(-1)
 		}
 		return Response{}, ctx.Err()
@@ -299,14 +290,7 @@ func (s *Server) execute(key groupKey, batch []*pending) {
 		return
 	}
 
-	var stopLoad func()
-	if s.opts.Profiler != nil {
-		stopLoad = s.opts.Profiler.Start("serve/load")
-	}
 	plan, err := s.cache.Get(key.model)
-	if stopLoad != nil {
-		stopLoad()
-	}
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) && !errors.Is(err, ErrModelNotFound) {
 			// Normalize filesystem-level absence to the typed sentinel so
@@ -321,25 +305,15 @@ func (s *Server) execute(key groupKey, batch []*pending) {
 	for i, p := range claimed {
 		inputs[i] = p.input
 	}
-	var stopFwd func()
-	if s.opts.Profiler != nil {
-		stopFwd = s.opts.Profiler.Start("serve/forward")
-	}
 	start := time.Now()
 	preds, err := plan.RunBatch(inputs)
 	exec := time.Since(start)
-	if stopFwd != nil {
-		stopFwd()
-	}
 	if err != nil {
 		s.fail(key.model, claimed, err)
 		return
 	}
 	s.opts.Stats.BatchDone(key.model, len(claimed), exec)
 
-	s.mu.Lock()
-	s.depth -= len(claimed)
-	s.mu.Unlock()
 	s.load.Add(-int64(len(claimed)))
 	for i, p := range claimed {
 		resp := Response{
@@ -356,9 +330,6 @@ func (s *Server) execute(key groupKey, batch []*pending) {
 }
 
 func (s *Server) fail(model string, claimed []*pending, err error) {
-	s.mu.Lock()
-	s.depth -= len(claimed)
-	s.mu.Unlock()
 	s.load.Add(-int64(len(claimed)))
 	for _, p := range claimed {
 		s.opts.Stats.Failed(model)
@@ -366,18 +337,11 @@ func (s *Server) fail(model string, claimed []*pending, err error) {
 	}
 }
 
-// QueueDepth returns the number of admitted-but-unfinished requests.
-func (s *Server) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.depth
-}
-
-// Load is the lock-free equivalent of QueueDepth: the number of
-// admitted-but-unfinished requests, readable on every routing decision
-// without taking the server mutex. It is incremented exactly once per
-// admitted Submit and decremented exactly once when the request completes,
-// fails, or is canceled, so at quiescence it always reads 0.
+// Load is the number of admitted-but-unfinished requests, readable on every
+// routing decision without taking the server mutex. It is incremented
+// exactly once per admitted Submit and decremented exactly once when the
+// request completes, fails, or is canceled, so at quiescence it always
+// reads 0.
 func (s *Server) Load() int64 { return s.load.Load() }
 
 // Close flushes every pending batch, waits for in-flight work, and shuts

@@ -26,9 +26,8 @@
 // the property the `make sim-replay` CI gate diffs for.
 //
 // The package also owns the serving-trace format (trace.go): servd records
-// live arrivals as JSONL with -trace, and the same file replays either into
-// the simulator (TraceArrivals + Run) or against a live server (ReplayHTTP)
-// for deterministic load tests. calibrate.go fits the simulator's two
+// live arrivals as JSONL with -trace, and the same file replays into the
+// simulator (TraceArrivals + Run) against any candidate configuration. calibrate.go fits the simulator's two
 // service-time scales to measured /v1/stats histograms and reports MAPE and
 // Pearson r of simulated vs measured p50/p95/p99.
 package sim
@@ -98,9 +97,6 @@ func (l *Loop) At(t time.Duration, fn func()) {
 
 // After schedules fn d past the current virtual time.
 func (l *Loop) After(d time.Duration, fn func()) { l.At(l.now+d, fn) }
-
-// Pending reports how many events are queued.
-func (l *Loop) Pending() int { return l.pq.Len() }
 
 // Run processes events in order until the queue empties or the next event
 // lies beyond until (until 0 = drain everything). The clock finishes at

@@ -3,18 +3,14 @@ package sim
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sync"
 	"time"
 
-	"drainnas/internal/api"
 	"drainnas/internal/route"
-	"drainnas/internal/tensor"
 )
 
 // TraceEvent is one recorded arrival, one JSONL line in a -trace file:
@@ -244,68 +240,4 @@ func EventsFromArrivals(arrivals []Arrival) []TraceEvent {
 		})
 	}
 	return out
-}
-
-// ReplayHTTP replays a trace against a live server at baseURL, preserving
-// recorded pacing scaled by speed (2 = twice as fast; <= 0 means 1).
-// Request payloads are synthesized deterministically from seed, so two
-// replays of the same trace send byte-identical bodies. It returns the
-// number of successful responses and the first transport error, pushing on
-// through per-request HTTP failures (a 429 under overload is data, not a
-// reason to stop).
-func ReplayHTTP(ctx context.Context, client *http.Client, baseURL string, events []TraceEvent, speed float64, seed uint64) (int, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	if speed <= 0 {
-		speed = 1
-	}
-	arrivals, err := TraceArrivals(events)
-	if err != nil {
-		return 0, err
-	}
-	rng := tensor.NewRNG(seed)
-	start := time.Now()
-	ok := 0
-	for _, a := range arrivals {
-		due := start.Add(time.Duration(float64(a.At) / speed))
-		if d := time.Until(due); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return ok, ctx.Err()
-			}
-		}
-		x := tensor.New(a.C, a.H, a.W)
-		data := x.Data()
-		for i := range data {
-			data[i] = rng.Float32()
-		}
-		preq, err := api.PredictFromTensor(a.Model, a.Class.String(), x)
-		if err != nil {
-			return ok, err
-		}
-		body, err := json.Marshal(preq)
-		if err != nil {
-			return ok, err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/predict", bytes.NewReader(body))
-		if err != nil {
-			return ok, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ok, ctx.Err()
-			}
-			return ok, err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			ok++
-		}
-	}
-	return ok, nil
 }

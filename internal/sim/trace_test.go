@@ -2,17 +2,13 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"drainnas/internal/api"
 	"drainnas/internal/latmeter"
+	"drainnas/internal/route"
 )
 
 // TestTraceRoundTripIdentity is the replay acceptance property: generate a
@@ -127,61 +123,38 @@ func TestReadTraceRejectsCorruptLines(t *testing.T) {
 	}
 }
 
-// TestReplayHTTPPacesAndPosts replays a 3-event trace against a stub server
-// and checks the bodies decode, the model keys survive, and two replays send
-// identical payloads (deterministic synthesis).
-func TestReplayHTTPPacesAndPosts(t *testing.T) {
+// TestReplaySortsTraceStably checks what replaying a recorded file feeds the
+// simulator: events stored out of order come back sorted by time, ties keep
+// file order (the recorder's observation order), serving keys keep their
+// precision suffix, and an event without an SLO replays as standard.
+func TestReplaySortsTraceStably(t *testing.T) {
 	events := []TraceEvent{
-		{TMS: 0, Model: "paper", SLO: "interactive", C: 2, H: 4, W: 4},
-		{TMS: 1, Model: "paper@int8", C: 2, H: 4, W: 4},
 		{TMS: 2, Model: "paper", SLO: "batch", C: 2, H: 4, W: 4},
+		{TMS: 1, Model: "paper@int8", C: 2, H: 4, W: 4},
+		{TMS: 1, Model: "lean", SLO: "interactive", C: 5, H: 8, W: 8},
+		{TMS: 0, Model: "paper", C: 2, H: 4, W: 4},
 	}
-	var mu atomic.Int64
-	var got [][]byte
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req api.PredictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("replay body: %v", err)
-		}
-		b, _ := json.Marshal(req)
-		got = append(got, b)
-		if mu.Add(1) == 2 {
-			w.WriteHeader(http.StatusTooManyRequests) // overload is data, not fatal
-			return
-		}
-		w.Write([]byte("{}"))
-	}))
-	defer srv.Close()
-
-	ok, err := ReplayHTTP(context.Background(), srv.Client(), srv.URL, events, 100, 7)
+	arr, err := TraceArrivals(events)
 	if err != nil {
-		t.Fatalf("replay: %v", err)
+		t.Fatal(err)
 	}
-	if ok != 2 {
-		t.Fatalf("%d successes, want 2 (one stubbed 429)", ok)
+	want := []Arrival{
+		{At: 0, Model: "paper", Class: route.ClassStandard, C: 2, H: 4, W: 4},
+		{At: time.Millisecond, Model: "paper@int8", Class: route.ClassStandard, C: 2, H: 4, W: 4},
+		{At: time.Millisecond, Model: "lean", Class: route.ClassInteractive, C: 5, H: 8, W: 8},
+		{At: 2 * time.Millisecond, Model: "paper", Class: route.ClassBatch, C: 2, H: 4, W: 4},
 	}
-	if len(got) != 3 {
-		t.Fatalf("server saw %d requests, want 3", len(got))
+	if len(arr) != len(want) {
+		t.Fatalf("%d arrivals, want %d", len(arr), len(want))
 	}
-	first := append([][]byte(nil), got...)
-
-	got = nil
-	mu.Store(0)
-	if _, err := ReplayHTTP(context.Background(), srv.Client(), srv.URL, events, 100, 7); err != nil {
-		t.Fatalf("second replay: %v", err)
-	}
-	for i := range first {
-		if !bytes.Equal(first[i], got[i]) {
-			t.Fatalf("replay %d not deterministic across runs", i)
+	for i := range want {
+		if arr[i] != want[i] {
+			t.Fatalf("arrival %d = %+v, want %+v", i, arr[i], want[i])
 		}
 	}
-
-	// Cancellation stops the pacer promptly.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	slow := []TraceEvent{{TMS: 60000, Model: "paper", C: 1, H: 1, W: 1}}
-	if _, err := ReplayHTTP(ctx, srv.Client(), srv.URL, slow, 1, 7); err != context.Canceled {
-		t.Fatalf("canceled replay returned %v, want context.Canceled", err)
+	bad := append(events, TraceEvent{TMS: 3, Model: "", C: 1, H: 1, W: 1})
+	if _, err := TraceArrivals(bad); err == nil {
+		t.Fatal("an invalid event replayed")
 	}
 }
 

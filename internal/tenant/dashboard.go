@@ -31,12 +31,11 @@ func (q *FairQueue) SnapshotFair() FairSnapshot {
 // in internal/api with the rest of the wire surface.
 type DashboardSnapshot = api.DashboardSnapshot
 
-// Dashboard serves the live view: an HTML shell at /v1/dashboard, a
-// WebSocket stream at /v1/dashboard/ws, and a Server-Sent-Events fallback
-// at /v1/dashboard/events for clients (or proxies) that cannot upgrade.
-// When a Tier is attached the endpoints require a valid API key — via the
-// usual headers or, for browser WebSocket/EventSource clients that cannot
-// set headers, a ?key= query parameter.
+// Dashboard serves the live view: an HTML shell at /v1/dashboard and a
+// Server-Sent-Events stream at /v1/dashboard/events. When a Tier is
+// attached the endpoints require a valid API key — via the usual headers
+// or, for browser EventSource clients that cannot set headers, a ?key=
+// query parameter.
 type Dashboard struct {
 	tier     *Tier
 	snapshot func() DashboardSnapshot
@@ -74,40 +73,12 @@ func (d *Dashboard) authorize(w http.ResponseWriter, r *http.Request) bool {
 // Register mounts the dashboard endpoints on mux.
 func (d *Dashboard) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/dashboard", d.handlePage)
-	mux.HandleFunc("/v1/dashboard/ws", d.handleWS)
 	mux.HandleFunc("/v1/dashboard/events", d.handleSSE)
 }
 
-// handleWS upgrades and streams one JSON frame per tick until the client
-// goes away. The first frame is sent immediately so a probe can validate
-// the stream without waiting out an interval.
-func (d *Dashboard) handleWS(w http.ResponseWriter, r *http.Request) {
-	if !d.authorize(w, r) {
-		return
-	}
-	conn, err := UpgradeWebSocket(w, r)
-	if err != nil {
-		return // UpgradeWebSocket already wrote the error
-	}
-	defer conn.Close()
-	done := make(chan struct{})
-	go conn.serveRead(done)
-	ticker := time.NewTicker(d.interval)
-	defer ticker.Stop()
-	for {
-		frame, err := json.Marshal(d.snapshot())
-		if err != nil || conn.WriteText(frame) != nil {
-			return
-		}
-		select {
-		case <-done:
-			return
-		case <-ticker.C:
-		}
-	}
-}
-
-// handleSSE streams the same frames as text/event-stream. It needs the
+// handleSSE streams one JSON frame per tick as text/event-stream until the
+// client goes away. The first frame is sent immediately so a probe can
+// validate the stream without waiting out an interval. It needs the
 // http.Flusher that StatusRecorder forwards; without per-frame flushes the
 // events would sit in the response buffer until the connection closed.
 func (d *Dashboard) handleSSE(w http.ResponseWriter, r *http.Request) {
@@ -142,8 +113,8 @@ func (d *Dashboard) handleSSE(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handlePage serves the static HTML shell; it connects over WebSocket and
-// falls back to SSE if the upgrade fails.
+// handlePage serves the static HTML shell; it subscribes to the SSE
+// stream.
 func (d *Dashboard) handlePage(w http.ResponseWriter, r *http.Request) {
 	if !d.authorize(w, r) {
 		return
@@ -197,18 +168,9 @@ function render(snap) {
 const key = new URLSearchParams(location.search).get("key");
 const qs = key ? "?key=" + encodeURIComponent(key) : "";
 const state = document.getElementById("state");
-function sse() {
-  const es = new EventSource("/v1/dashboard/events" + qs);
-  es.addEventListener("snapshot", e => { state.textContent = "live (sse)"; render(JSON.parse(e.data)); });
-  es.onerror = () => { state.textContent = "disconnected"; state.className = "stale"; };
-}
-try {
-  const ws = new WebSocket((location.protocol === "https:" ? "wss://" : "ws://") +
-                           location.host + "/v1/dashboard/ws" + qs);
-  ws.onmessage = e => { state.textContent = "live (ws)"; render(JSON.parse(e.data)); };
-  ws.onerror = () => { ws.close(); sse(); };
-  ws.onclose = () => { state.textContent = "disconnected"; state.className = "stale"; };
-} catch (e) { sse(); }
+const es = new EventSource("/v1/dashboard/events" + qs);
+es.addEventListener("snapshot", e => { state.textContent = "live"; render(JSON.parse(e.data)); });
+es.onerror = () => { state.textContent = "disconnected"; state.className = "stale"; };
 </script>
 </body>
 </html>

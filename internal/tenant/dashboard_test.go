@@ -2,10 +2,8 @@ package tenant
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,8 +17,8 @@ import (
 )
 
 // newDashboardServer stands up the dashboard behind httpx.AccessLog — the
-// production wrapping — so these tests exercise the Hijacker and Flusher
-// forwarding through StatusRecorder end to end.
+// production wrapping — so these tests exercise the Flusher forwarding
+// through StatusRecorder end to end.
 func newDashboardServer(t *testing.T, withTier bool) (*httptest.Server, *Tier) {
 	t.Helper()
 	var tier *Tier
@@ -47,117 +45,6 @@ func newDashboardServer(t *testing.T, withTier bool) (*httptest.Server, *Tier) {
 	ts := httptest.NewServer(httpx.AccessLog("test", mux))
 	t.Cleanup(ts.Close)
 	return ts, tier
-}
-
-// readServerFrame parses one unmasked server→client WebSocket frame.
-func readServerFrame(t *testing.T, r *bufio.Reader) (opcode byte, payload []byte) {
-	t.Helper()
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	if hdr[1]&0x80 != 0 {
-		t.Fatal("server frame is masked; RFC 6455 forbids that")
-	}
-	length := uint64(hdr[1] & 0x7f)
-	switch length {
-	case 126:
-		var ext [2]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			t.Fatal(err)
-		}
-		length = uint64(binary.BigEndian.Uint16(ext[:]))
-	case 127:
-		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			t.Fatal(err)
-		}
-		length = binary.BigEndian.Uint64(ext[:])
-	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		t.Fatal(err)
-	}
-	return hdr[0] & 0x0f, payload
-}
-
-func TestDashboardWebSocketHandshake(t *testing.T) {
-	ts, _ := newDashboardServer(t, false)
-
-	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	const clientKey = "dGhlIHNhbXBsZSBub25jZQ==" // the RFC 6455 example key
-	req := "GET /v1/dashboard/ws HTTP/1.1\r\n" +
-		"Host: dashboard\r\n" +
-		"Upgrade: websocket\r\n" +
-		"Connection: keep-alive, Upgrade\r\n" +
-		"Sec-WebSocket-Key: " + clientKey + "\r\n" +
-		"Sec-WebSocket-Version: 13\r\n\r\n"
-	if _, err := conn.Write([]byte(req)); err != nil {
-		t.Fatal(err)
-	}
-
-	br := bufio.NewReader(conn)
-	status, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(status, "101") {
-		t.Fatalf("handshake status %q, want 101", strings.TrimSpace(status))
-	}
-	var acceptHdr string
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if line == "\r\n" {
-			break
-		}
-		if v, ok := strings.CutPrefix(line, "Sec-WebSocket-Accept: "); ok {
-			acceptHdr = strings.TrimSpace(v)
-		}
-	}
-	// The fixed accept value for the RFC's sample key (RFC 6455 §1.3).
-	if want := "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="; acceptHdr != want {
-		t.Fatalf("Sec-WebSocket-Accept %q, want %q", acceptHdr, want)
-	}
-	if got := wsAcceptKey(clientKey); got != acceptHdr {
-		t.Fatalf("wsAcceptKey %q disagrees with handshake %q", got, acceptHdr)
-	}
-
-	// The first frame arrives immediately and is a JSON snapshot.
-	opcode, payload := readServerFrame(t, br)
-	if opcode != opText {
-		t.Fatalf("opcode %#x, want text", opcode)
-	}
-	var snap DashboardSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		t.Fatalf("frame is not a snapshot: %v\n%s", err, payload)
-	}
-	if snap.Service != "test" {
-		t.Fatalf("snapshot service %q", snap.Service)
-	}
-
-	// A second frame follows on the tick — the stream is live, not one-shot.
-	if opcode, _ = readServerFrame(t, br); opcode != opText {
-		t.Fatalf("second frame opcode %#x", opcode)
-	}
-}
-
-func TestDashboardWebSocketRejectsPlainGET(t *testing.T) {
-	ts, _ := newDashboardServer(t, false)
-	resp, err := http.Get(ts.URL + "/v1/dashboard/ws")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUpgradeRequired {
-		t.Fatalf("status %d, want 426", resp.StatusCode)
-	}
 }
 
 func TestDashboardSSEStream(t *testing.T) {
@@ -211,7 +98,7 @@ func TestDashboardAuthGate(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// ?key= works for browser EventSource/WebSocket clients.
+	// ?key= works for browser EventSource clients.
 	resp, err = http.Get(ts.URL + "/v1/dashboard?key=open-secret-key")
 	if err != nil {
 		t.Fatal(err)

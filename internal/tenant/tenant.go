@@ -5,8 +5,9 @@
 // existing servd/router muxes (Tier.Wrap), reusing the shared envelope in
 // internal/httpx (codes unauthorized and quota_exceeded), the token bucket
 // and SLO classes in internal/route, the waiter heap in internal/sched, and
-// the capped per-tenant counters in internal/metrics. A small live dashboard (WebSocket with SSE fallback)
-// streams queue depth, batch shapes and per-tenant latency.
+// the capped per-tenant counters in internal/metrics. A small live
+// dashboard (Server-Sent Events) streams queue depth, batch shapes and
+// per-tenant latency.
 //
 // The admission pipeline per request:
 //

@@ -111,23 +111,3 @@ func Transpose2D(a *Tensor) *Tensor {
 	})
 	return out
 }
-
-// MatVec computes a (m×k) times v (k) → (m).
-func MatVec(a, v *Tensor) *Tensor {
-	if a.NDim() != 2 || v.NDim() != 1 || a.shape[1] != v.shape[0] {
-		panic(fmt.Sprintf("tensor: MatVec shape mismatch %v x %v", a.shape, v.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	out := New(m)
-	forEach(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a.data[i*k : (i+1)*k]
-			s := float32(0)
-			for j, av := range row {
-				s += av * v.data[j]
-			}
-			out.data[i] = s
-		}
-	})
-	return out
-}

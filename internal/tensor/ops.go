@@ -112,18 +112,6 @@ func Sub(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	binaryCheck("Mul", a, b)
-	out := New(a.shape...)
-	forEach(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = a.data[i] * b.data[i]
-		}
-	})
-	return out
-}
-
 // Scale returns s * a.
 func Scale(a *Tensor, s float32) *Tensor {
 	out := New(a.shape...)

@@ -318,19 +318,12 @@ func TestQOpsAgainstFloat(t *testing.T) {
 
 	t.Run("gap", func(t *testing.T) {
 		in := randQ8(rand.New(rand.NewSource(7)), n*c*h*w, QActMax)
-		ratio := float32(0.8)
-		gotQ := make([]int8, n*c)
-		QGlobalAvgPoolInto(gotQ, in, n, c, h, w, ratio)
 		gotF := make([]float32, n*c)
 		QGlobalAvgPoolFloatInto(gotF, in, n, c, h, w, 0.01)
 		for p := 0; p < n*c; p++ {
 			s := int32(0)
 			for _, v := range in[p*h*w : (p+1)*h*w] {
 				s += int32(v)
-			}
-			wantQ := math.Round(float64(ratio) * float64(s) / float64(h*w))
-			if float64(gotQ[p]) != wantQ {
-				t.Fatalf("gapQ[%d] = %d, want %v", p, gotQ[p], wantQ)
 			}
 			wantF := float32(float64(0.01) * float64(s) / float64(h*w))
 			if math.Abs(float64(gotF[p]-wantF)) > 1e-7 {

@@ -66,31 +66,6 @@ func QMaxPool2DInto(out, in []int8, n, c, h, w, kernel, stride, pad int) {
 	}
 }
 
-// QGlobalAvgPoolInto averages each s8 (H, W) plane into one int8 output
-// value on a new scale: dst[p] = clamp(round(ratio·mean(plane p))) with
-// ratio = inScale/outScale. The int32 plane sum is exact (H·W·127 is far
-// inside int32 for any plan shape).
-func QGlobalAvgPoolInto(dst, src []int8, n, c, h, w int, ratio float32) {
-	if len(src) != n*c*h*w || len(dst) != n*c {
-		panic(fmt.Sprintf("tensor: QGlobalAvgPoolInto buffer lengths %d/%d, want %d/%d", len(src), len(dst), n*c*h*w, n*c))
-	}
-	inv := float64(ratio) / float64(h*w)
-	for p := 0; p < n*c; p++ {
-		plane := src[p*h*w : (p+1)*h*w]
-		s := int32(0)
-		for _, v := range plane {
-			s += int32(v)
-		}
-		v := math.RoundToEven(float64(s) * inv)
-		if v < -QActMax {
-			v = -QActMax
-		} else if v > QActMax {
-			v = QActMax
-		}
-		dst[p] = int8(v)
-	}
-}
-
 // QGlobalAvgPoolFloatInto averages each s8 (H, W) plane into a float32
 // output — the dequantizing variant for plans whose terminal op is the
 // global pool itself. scale is the input activation scale.

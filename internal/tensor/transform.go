@@ -74,57 +74,3 @@ func AddNoiseInPlace(t *Tensor, rng *RNG, std float64) {
 		t.data[i] += float32(rng.NormFloat64() * std)
 	}
 }
-
-// ResizeBilinear rescales each (H, W) plane of an (N, C, H, W) tensor to
-// (outH, outW) with bilinear interpolation (align-corners=false, the
-// torchvision convention). It supports both down- and up-scaling and is
-// used to train or evaluate at a different resolution than the corpus was
-// synthesized at.
-func ResizeBilinear(t *Tensor, outH, outW int) *Tensor {
-	n, c, h, w := dims4("ResizeBilinear input", t)
-	if outH <= 0 || outW <= 0 {
-		panic(fmt.Sprintf("tensor: ResizeBilinear to %dx%d", outH, outW))
-	}
-	if outH == h && outW == w {
-		return t.Clone()
-	}
-	out := New(n, c, outH, outW)
-	scaleY := float64(h) / float64(outH)
-	scaleX := float64(w) / float64(outW)
-	forEach(n*c, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			src := t.data[p*h*w : (p+1)*h*w]
-			dst := out.data[p*outH*outW : (p+1)*outH*outW]
-			for oy := 0; oy < outH; oy++ {
-				sy := (float64(oy)+0.5)*scaleY - 0.5
-				y0 := int(sy)
-				if sy < 0 {
-					y0 = 0
-					sy = 0
-				}
-				y1 := y0 + 1
-				if y1 >= h {
-					y1 = h - 1
-				}
-				fy := float32(sy - float64(y0))
-				for ox := 0; ox < outW; ox++ {
-					sx := (float64(ox)+0.5)*scaleX - 0.5
-					x0 := int(sx)
-					if sx < 0 {
-						x0 = 0
-						sx = 0
-					}
-					x1 := x0 + 1
-					if x1 >= w {
-						x1 = w - 1
-					}
-					fx := float32(sx - float64(x0))
-					top := src[y0*w+x0]*(1-fx) + src[y0*w+x1]*fx
-					bot := src[y1*w+x0]*(1-fx) + src[y1*w+x1]*fx
-					dst[oy*outW+ox] = top*(1-fy) + bot*fy
-				}
-			}
-		}
-	})
-	return out
-}

@@ -150,71 +150,3 @@ func TestTransformsPreserveBatchChannelStructure(t *testing.T) {
 		}
 	}
 }
-
-func TestResizeBilinearIdentity(t *testing.T) {
-	r := NewRNG(13)
-	x := RandNormal(r, 1, 2, 2, 6, 6)
-	y := ResizeBilinear(x, 6, 6)
-	for i := range x.Data() {
-		if x.Data()[i] != y.Data()[i] {
-			t.Fatal("identity resize changed values")
-		}
-	}
-}
-
-func TestResizeBilinearConstantField(t *testing.T) {
-	// Property: resizing a constant image yields the same constant.
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		v := float32(r.Uniform(-5, 5))
-		x := Full(v, 1, 1, 7, 5)
-		for _, dims := range [][2]int{{3, 3}, {14, 10}, {5, 9}} {
-			y := ResizeBilinear(x, dims[0], dims[1])
-			for _, got := range y.Data() {
-				if d := got - v; d > 1e-5 || d < -1e-5 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResizeBilinearDownUpBounds(t *testing.T) {
-	// Bilinear interpolation never exceeds the input's value range.
-	r := NewRNG(14)
-	x := RandUniform(r, -1, 1, 1, 3, 16, 16)
-	lo, hi := x.Min(), x.Max()
-	for _, dims := range [][2]int{{8, 8}, {32, 32}, {11, 23}} {
-		y := ResizeBilinear(x, dims[0], dims[1])
-		if y.Min() < lo-1e-5 || y.Max() > hi+1e-5 {
-			t.Fatalf("resize to %v escaped range: [%v,%v] vs [%v,%v]",
-				dims, y.Min(), y.Max(), lo, hi)
-		}
-		if y.Dim(2) != dims[0] || y.Dim(3) != dims[1] {
-			t.Fatalf("shape %v", y.Shape())
-		}
-	}
-}
-
-func TestResizeBilinearMeanPreservedOnDownscale(t *testing.T) {
-	// Halving resolution approximately preserves the image mean.
-	r := NewRNG(15)
-	x := RandUniform(r, 0, 1, 1, 1, 32, 32)
-	y := ResizeBilinear(x, 16, 16)
-	if d := x.Mean() - y.Mean(); d > 0.02 || d < -0.02 {
-		t.Fatalf("mean drifted by %v", d)
-	}
-}
-
-func TestResizeBilinearPanicsOnBadDims(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ResizeBilinear(New(1, 1, 4, 4), 0, 4)
-}
