@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: ci vet build test selectors race fuzz race-all crash-resume bench-kernels bench-infer bench-serve bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay repro-check
+.PHONY: ci vet build test examples-smoke selectors race fuzz race-all crash-resume bench-kernels bench-infer bench-serve bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay repro-check
 
-ci: vet build test selectors race crash-resume fuzz bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay repro-check
+ci: vet build test examples-smoke selectors race crash-resume fuzz bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay repro-check
 
 vet:
 	$(GO) vet ./...
@@ -16,6 +16,20 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Example smoke: run the README's quick examples (each well under a second
+# once built) so a rotted example fails a gate. Each must exit 0, and
+# quickstart's last line must be the one README quotes. examples/nas_search
+# trains for minutes, so only `build` covers it.
+examples-smoke:
+	$(GO) run ./examples/latency_compare > /dev/null
+	$(GO) run ./examples/multiobjective_search > /dev/null
+	$(GO) run ./examples/quantized_serving > /dev/null
+	@out=$$($(GO) run ./examples/quickstart) || exit 1; \
+	last=$$(printf '%s\n' "$$out" | tail -n 1); \
+	want='best efficient front member vs stock ResNet-18: 3.28x faster, 4.00x smaller, +2.40 accuracy points'; \
+	[ "$$last" = "$$want" ] || { echo "quickstart ends with '$$last', want '$$want'"; exit 1; }; \
+	grep -qxF "$$want" README.md || { echo "README no longer quotes '$$want'"; exit 1; }
 
 # The packages with dedicated concurrency suites. `race-all` widens this to
 # every internal package (slower; the numeric packages dominate).
@@ -151,11 +165,11 @@ fuzz:
 # enumerated PaperSpace, with allocs/op), and the compiled-inference path on
 # a 32x32 chip and at the deployment size.
 KBENCH_TENSOR = ^(BenchmarkMM256|BenchmarkMM512|BenchmarkMMWide|BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkConvBackwardShapes)$$
-KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkAblation_BNFolding|BenchmarkSweepMeasure)$$
+KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure)$$
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$
-IBENCH        = ^(BenchmarkInterpretedBatch1|BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkInterpretedBatch8|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8))$$
+IBENCH        = ^(BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8))$$
 
 # Appends one run record (ns/op + GFLOP/s per shape, plus machine/kernel
 # metadata) to the checked-in BENCH_kernels.json trajectory; KERNEL_NOTE is
@@ -166,10 +180,10 @@ bench-kernels:
 	  $(GO) test -run='^$$' -bench '$(KBENCH_ROOT)' . ; } \
 	  | $(GO) run ./cmd/benchjson -out BENCH_kernels.json -note '$(KERNEL_NOTE)'
 
-# Compiled-plan inference trajectory: interpreted vs compiled forwards at
-# batch 1 and batch 8, with -benchmem so allocs/op and B/op land in the
-# record (the compiled path's arena claim is "steady-state allocs ≈ 0"),
-# and front32 at 5x100x100, fp32 and int8, batch 1/4/8, in ms per sample.
+# Compiled-plan inference trajectory: fp32 and int8 forwards at batch 1 and
+# batch 8, with -benchmem so allocs/op and B/op land in the record (the
+# arena claim is "steady-state allocs ≈ 0"), and front32 at 5x100x100, fp32
+# and int8, batch 1/4/8, in ms per sample.
 bench-infer:
 	$(GO) test -run='^$$' -bench '$(IBENCH)' -benchmem ./internal/infer \
 	  | $(GO) run ./cmd/benchjson -out BENCH_infer.json

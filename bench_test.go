@@ -410,34 +410,6 @@ func BenchmarkHypervolume(b *testing.B) {
 	b.ReportMetric(float64(len(frontPts)), "front_size")
 }
 
-// BenchmarkAblation_BNFolding compares eval-mode inference of the training
-// model against its BN-folded deployment form — the transform the fused
-// conv-bn latency kernels assume.
-func BenchmarkAblation_BNFolding(b *testing.B) {
-	cfg := resnet.Config{Channels: 5, Batch: 8, KernelSize: 3, Stride: 2, Padding: 1,
-		PoolChoice: 0, InitialOutputFeature: 32, NumClasses: 2}
-	rng := tensor.NewRNG(1)
-	model, err := resnet.New(cfg, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fused, err := resnet.Fuse(model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.RandNormal(rng, 1, 1, 5, 64, 64)
-	b.Run("training-model-eval", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			model.Forward(x, false)
-		}
-	})
-	b.Run("fused-deployment", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fused.Forward(x)
-		}
-	})
-}
-
 // BenchmarkAblation_SuccessiveHalving compares grid search with
 // multi-fidelity successive halving on found-accuracy per budget.
 func BenchmarkAblation_SuccessiveHalving(b *testing.B) {

@@ -106,12 +106,7 @@ func main() {
 		fmt.Printf("%.1f-%.1f mJ\n\n", loE, hiE)
 	}
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			log.Fatalf("paretoviz: %v", err)
-		}
-		defer f.Close()
-		if _, err := f.WriteString(report.Figure3Data(res).CSV()); err != nil {
+		if err := os.WriteFile(*csvPath, []byte(report.Figure3Data(res).CSV()), 0o666); err != nil {
 			log.Fatalf("paretoviz: %v", err)
 		}
 		fmt.Printf("Figure 3 data written to %s\n", *csvPath)

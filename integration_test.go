@@ -8,6 +8,7 @@ import (
 	"drainnas/internal/core"
 	"drainnas/internal/dataset"
 	"drainnas/internal/geodata"
+	"drainnas/internal/infer"
 	"drainnas/internal/latmeter"
 	"drainnas/internal/metrics"
 	"drainnas/internal/nas"
@@ -83,9 +84,11 @@ func TestEndToEndTrainingPipeline(t *testing.T) {
 	}
 }
 
-// TestTrainedModelDeploymentPath trains one model briefly, fuses its BNs,
-// exports it through the ONNX-like container, decodes it back, and checks
-// the file size matches the memory objective — the full deployment story.
+// TestTrainedModelDeploymentPath trains one model briefly, exports it
+// through the ONNX-like container, checks the file size matches the memory
+// objective, and loads the container as the compiled plan every binary
+// serves, which must reproduce the training model's eval forward — the full
+// deployment story.
 func TestTrainedModelDeploymentPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training is slow")
@@ -105,19 +108,6 @@ func TestTrainedModelDeploymentPath(t *testing.T) {
 	}
 	trainBatches(t, model, data, cfg.Batch, 8, rng)
 
-	fused, err := resnet.Fuse(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xb, _ := data.Batch([]int{0, 1, 2})
-	want := model.Forward(xb, false)
-	got := fused.Forward(xb)
-	for i := range got.Data() {
-		if math.Abs(float64(got.Data()[i]-want.Data()[i])) > 1e-2*(1+math.Abs(float64(want.Data()[i]))) {
-			t.Fatalf("fused logit %d: %v vs %v", i, got.Data()[i], want.Data()[i])
-		}
-	}
-
 	var buf bytes.Buffer
 	n, err := onnxsize.Export(model, &buf)
 	if err != nil {
@@ -127,12 +117,20 @@ func TestTrainedModelDeploymentPath(t *testing.T) {
 	if n != sz {
 		t.Fatalf("export %d bytes, SizeBytes %d", n, sz)
 	}
-	dec, err := onnxsize.Decode(&buf)
+	plan, err := infer.LoadPlan(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dec.Graph.Nodes) == 0 {
-		t.Fatal("decoded graph empty")
+	xb, _ := data.Batch([]int{0, 1, 2})
+	want := model.Forward(xb, false)
+	got, err := plan.Forward(xb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got.Data() {
+		if math.Abs(float64(got.Data()[i]-want.Data()[i])) > 1e-4*(1+math.Abs(float64(want.Data()[i]))) {
+			t.Fatalf("plan logit %d: %v vs %v", i, got.Data()[i], want.Data()[i])
+		}
 	}
 }
 

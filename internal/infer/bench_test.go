@@ -36,27 +36,8 @@ func benchInput(batch int) *tensor.Tensor {
 	return tensor.RandNormal(tensor.NewRNG(9), 1, batch, benchConfig.Channels, 32, 32)
 }
 
-// BenchmarkInterpretedBatch1 is the "before" number: the per-call graph
-// interpreter, which re-resolves topology, runs BN as its own pass and
-// allocates a tensor per op.
-func BenchmarkInterpretedBatch1(b *testing.B) {
-	dec, err := onnxsize.Decode(bytes.NewReader(benchContainer(b)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt := newInterpreter(dec)
-	x := benchInput(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.forward(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompiledBatch1 is the "after" number: the compiled plan through a
-// warm session (arena built, weights packed).
+// BenchmarkCompiledBatch1 is the compiled plan through a warm session (arena
+// built, weights packed).
 func BenchmarkCompiledBatch1(b *testing.B) {
 	plan, err := LoadPlan(bytes.NewReader(benchContainer(b)))
 	if err != nil {
@@ -71,22 +52,6 @@ func BenchmarkCompiledBatch1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sess.Forward(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInterpretedBatch8(b *testing.B) {
-	dec, err := onnxsize.Decode(bytes.NewReader(benchContainer(b)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt := newInterpreter(dec)
-	x := benchInput(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.forward(x); err != nil {
 			b.Fatal(err)
 		}
 	}

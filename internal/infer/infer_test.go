@@ -129,44 +129,3 @@ func TestGraphNameExposed(t *testing.T) {
 		t.Fatal("empty graph name")
 	}
 }
-
-func TestCheckpointRestoresTrainableModel(t *testing.T) {
-	// Full checkpoint cycle: train → export → decode → rebuild config from
-	// the graph name → load weights into a fresh model → identical
-	// eval-mode behaviour. This is the resume-training path.
-	cfg := resnet.Config{Channels: 5, Batch: 4, KernelSize: 3, Stride: 2, Padding: 1,
-		PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 8, NumClasses: 2}
-	src, container := exportModel(t, cfg, 31)
-	dec, err := onnxsize.Decode(bytes.NewReader(container))
-	if err != nil {
-		t.Fatal(err)
-	}
-	numClasses := 0
-	for _, init := range dec.Graph.Initializers {
-		if init.Name == "fc.bias" {
-			numClasses = init.Dims[0]
-		}
-	}
-	restoredCfg, err := resnet.ConfigFromGraphName(dec.Graph.Name, numClasses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restoredCfg.Batch = cfg.Batch
-	restored, err := resnet.New(restoredCfg, tensor.NewRNG(777))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resnet.LoadWeights(restored, dec.Weights); err != nil {
-		t.Fatal(err)
-	}
-	rng := tensor.NewRNG(8)
-	x := tensor.RandNormal(rng, 1, 2, 5, 32, 32)
-	want := src.Forward(x, false)
-	got := restored.Forward(x, false)
-	for i := range got.Data() {
-		diff := float64(got.Data()[i] - want.Data()[i])
-		if diff > 1e-4 || diff < -1e-4 {
-			t.Fatalf("restored logit %d: %v vs %v", i, got.Data()[i], want.Data()[i])
-		}
-	}
-}

@@ -58,9 +58,8 @@ type planOp struct {
 // Forward/Classify/RunBatch convenience methods draw Sessions from an
 // internal pool, so a Plan is also directly usable as a concurrent executor.
 type Plan struct {
-	name    string
-	inC     int
-	classes int
+	name string
+	inC  int
 
 	ops     []planOp
 	numVals int
@@ -75,8 +74,7 @@ type Plan struct {
 	sessions sync.Pool
 }
 
-// LoadPlan decodes a container and compiles it. It is the plan-level
-// equivalent of Load.
+// LoadPlan decodes a container and compiles it.
 func LoadPlan(r io.Reader) (*Plan, error) {
 	dec, err := onnxsize.Decode(r)
 	if err != nil {
@@ -156,8 +154,8 @@ func Compile(dec *onnxsize.Decoded) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The weights are copied before folding: the decoded container is
-			// shared with the interpreted oracle and must stay pristine.
+			// The weights are copied before folding: Compile leaves its input
+			// untouched.
 			wf := make([]float32, len(w))
 			copy(wf, w)
 			var bias []float32
@@ -309,7 +307,6 @@ func Compile(dec *onnxsize.Decoded) (*Plan, error) {
 	if ranks[cur] != 2 {
 		return nil, fmt.Errorf("infer: graph ends with a rank-%d value, want (N, classes)", ranks[cur])
 	}
-	p.classes = chans[cur]
 	p.outVal = cur
 	p.numVals = nextVal
 
@@ -356,8 +353,9 @@ func (c *compiler) tensorOf(name string, wantLen int) ([]float32, error) {
 
 // foldBN folds a BatchNormalization node into the preceding conv's weights
 // (in place, wf is the conv's private copy) and returns the resulting bias:
-// w' = w·γ/√(σ²+ε) per output channel, b' = β − γ·μ/√(σ²+ε). Float64
-// intermediates match the interpreted BN pass bit-for-bit close.
+// w' = w·γ/√(σ²+ε) per output channel, b' = β − γ·μ/√(σ²+ε). The scale and
+// shift are formed in float64, as the training stack's eval-mode BatchNorm
+// forms them.
 func (c *compiler) foldBN(node onnxsize.NodeSpec, wf []float32, oc, kdim int) ([]float32, error) {
 	gamma, err := c.tensorOf(node.Name+".gamma", oc)
 	if err != nil {
@@ -397,9 +395,6 @@ func (p *Plan) Name() string { return p.name }
 
 // InputChannels returns the channel count the model expects.
 func (p *Plan) InputChannels() int { return p.inC }
-
-// Classes returns the logit width the plan produces.
-func (p *Plan) Classes() int { return p.classes }
 
 // Precision returns the plan's numeric mode. Plans predating the field
 // (zero value) are fp32.

@@ -17,11 +17,11 @@ import (
 )
 
 // TestThreeWayParityRandomConfigs draws stem configurations from the paper's
-// search space and checks all three execution paths against each other at
-// 1e-4: the training stack's eval-mode forward (golden), the per-call graph
-// interpreter (the pre-compilation runtime kept as oracle), and the compiled
-// plan executed through a session. Any BN-folding or fusion mistake in
-// Compile shows up here as a compiled-vs-interpreted split.
+// search space and checks three execution paths against each other at 1e-4:
+// the training stack's eval-mode forward (golden), the compiled plan run as
+// one stacked batch through a session, and the same plan fed chip by chip
+// through RunBatch. Any BN-folding or fusion mistake in Compile shows up here
+// as a split from the training forward.
 func TestThreeWayParityRandomConfigs(t *testing.T) {
 	space := nas.PaperSpace()
 	rng := tensor.NewRNG(1234)
@@ -44,24 +44,31 @@ func TestThreeWayParityRandomConfigs(t *testing.T) {
 			}
 			sess := plan.NewSession()
 
-			x := tensor.RandNormal(tensor.NewRNG(uint64(7+d)), 1, 2, cfg.Channels, 32, 32)
+			const n = 2
+			x := tensor.RandNormal(tensor.NewRNG(uint64(7+d)), 1, n, cfg.Channels, 32, 32)
 			want := m.Forward(x, false)
-			interp, err := newInterpreter(dec).forward(x)
-			if err != nil {
-				t.Fatalf("interpreted: %v", err)
-			}
 			compiled, err := sess.Forward(x)
 			if err != nil {
-				t.Fatalf("compiled: %v", err)
+				t.Fatalf("session: %v", err)
 			}
-			if !compiled.SameShape(want) || !interp.SameShape(want) {
-				t.Fatalf("shapes: compiled %v interp %v training %v",
-					compiled.Shape(), interp.Shape(), want.Shape())
+			if !compiled.SameShape(want) {
+				t.Fatalf("shapes: session %v training %v", compiled.Shape(), want.Shape())
 			}
+			chips := make([]*tensor.Tensor, n)
+			chip := x.Numel() / n
+			for s := range chips {
+				chips[s] = tensor.FromSlice(x.Data()[s*chip:(s+1)*chip], cfg.Channels, 32, 32)
+			}
+			preds, err := plan.RunBatch(chips)
+			if err != nil {
+				t.Fatalf("RunBatch: %v", err)
+			}
+			classes := want.Dim(1)
 			for i, wv := range want.Data() {
-				closeTo(t, "compiled vs training", compiled.Data()[i], wv, 1e-4)
-				closeTo(t, "interpreted vs training", interp.Data()[i], wv, 1e-4)
-				closeTo(t, "compiled vs interpreted", compiled.Data()[i], interp.Data()[i], 1e-4)
+				batched := preds[i/classes].Logits[i%classes]
+				closeTo(t, "session vs training", compiled.Data()[i], wv, 1e-4)
+				closeTo(t, "RunBatch vs training", batched, wv, 1e-4)
+				closeTo(t, "session vs RunBatch", compiled.Data()[i], batched, 1e-4)
 			}
 		})
 	}
@@ -198,16 +205,11 @@ func TestPoolPadZeroHonored(t *testing.T) {
 
 // TestCompileRejectsMissingPoolPad: a container whose MaxPool lacks the pad
 // attribute predates the explicit-padding exporter; guessing is what caused
-// the original bug, so Compile must refuse outright. The interpreter oracle
-// holds the same line.
+// the original bug, so Compile must refuse outright.
 func TestCompileRejectsMissingPoolPad(t *testing.T) {
 	dec := planPadDecoded(0, false)
 	if _, err := Compile(dec); err == nil || !strings.Contains(err.Error(), "pad") {
 		t.Fatalf("Compile error = %v, want missing-pad rejection", err)
-	}
-	x := tensor.RandNormal(tensor.NewRNG(5), 1, 1, 1, 5, 5)
-	if _, err := newInterpreter(dec).forward(x); err == nil || !strings.Contains(err.Error(), "pad") {
-		t.Fatalf("interpreter error = %v, want missing-pad rejection", err)
 	}
 }
 

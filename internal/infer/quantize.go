@@ -65,7 +65,7 @@ func (p *Plan) Quantize(calib []*tensor.Tensor) (*Plan, error) {
 	}
 
 	q := &Plan{
-		name: p.name, inC: p.inC, classes: p.classes,
+		name: p.name, inC: p.inC,
 		numVals: p.numVals, outVal: p.outVal,
 		lastUse:   append([]int(nil), p.lastUse...),
 		ops:       make([]planOp, len(p.ops)),

@@ -68,9 +68,6 @@ func (s *Session) staging(key arenaKey) *tensor.Tensor {
 	return x
 }
 
-// Plan returns the plan this session executes.
-func (s *Session) Plan() *Plan { return s.plan }
-
 // Forward executes the plan on an (N, C, H, W) input. The returned
 // (N, classes) logits tensor is owned by the session's arena: it stays valid
 // until the session's next Forward call. Callers that need the logits past

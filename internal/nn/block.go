@@ -34,14 +34,14 @@ type BasicBlock struct {
 func NewBasicBlock(name string, rng *tensor.RNG, inC, outC, stride int) *BasicBlock {
 	b := &BasicBlock{
 		name:  name,
-		Conv1: NewConv2d(name+".conv1", rng, inC, outC, 3, stride, 1, false),
+		Conv1: NewConv2d(name+".conv1", rng, inC, outC, 3, stride, 1),
 		BN1:   NewBatchNorm2d(name+".bn1", outC),
-		Conv2: NewConv2d(name+".conv2", rng, outC, outC, 3, 1, 1, false),
+		Conv2: NewConv2d(name+".conv2", rng, outC, outC, 3, 1, 1),
 		BN2:   NewBatchNorm2d(name+".bn2", outC),
 		relu1: NewReLU(name + ".relu1"),
 	}
 	if stride != 1 || inC != outC {
-		b.DownConv = NewConv2d(name+".down.conv", rng, inC, outC, 1, stride, 0, false)
+		b.DownConv = NewConv2d(name+".down.conv", rng, inC, outC, 1, stride, 0)
 		b.DownBN = NewBatchNorm2d(name+".down.bn", outC)
 	}
 	return b

@@ -14,29 +14,25 @@ type Conv2d struct {
 	Kernel, Stride, Pad int
 
 	Weight *Param
-	Bias   *Param // nil when the layer is bias-free (conv before BatchNorm)
 
 	cachedInput *tensor.Tensor
 }
 
-// NewConv2d constructs a convolution layer with Kaiming-normal initialized
-// weights (fan-in mode, gain for ReLU). Set withBias=false for convolutions
-// followed by BatchNorm, matching the ResNet reference implementation.
-func NewConv2d(name string, rng *tensor.RNG, inC, outC, kernel, stride, pad int, withBias bool) *Conv2d {
+// NewConv2d constructs a bias-free convolution layer with Kaiming-normal
+// initialized weights (fan-in mode, gain for ReLU). Every convolution here is
+// followed by BatchNorm, whose shift makes a bias redundant, matching the
+// ResNet reference implementation.
+func NewConv2d(name string, rng *tensor.RNG, inC, outC, kernel, stride, pad int) *Conv2d {
 	if kernel <= 0 || stride <= 0 || pad < 0 || inC <= 0 || outC <= 0 {
 		panic(fmt.Sprintf("nn: invalid Conv2d geometry in=%d out=%d k=%d s=%d p=%d", inC, outC, kernel, stride, pad))
 	}
 	fanIn := inC * kernel * kernel
 	std := math.Sqrt(2.0 / float64(fanIn))
-	c := &Conv2d{
+	return &Conv2d{
 		name: name, InC: inC, OutC: outC,
 		Kernel: kernel, Stride: stride, Pad: pad,
 		Weight: newParam(name+".weight", tensor.RandNormal(rng, std, outC, inC, kernel, kernel)),
 	}
-	if withBias {
-		c.Bias = newParam(name+".bias", tensor.New(outC))
-	}
-	return c
 }
 
 // Forward computes the convolution; in training mode the input is cached
@@ -48,39 +44,22 @@ func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		c.cachedInput = nil
 	}
-	var bias *tensor.Tensor
-	if c.Bias != nil {
-		bias = c.Bias.Data
-	}
-	return tensor.Conv2D(x, c.Weight.Data, bias, c.Stride, c.Pad)
+	return tensor.Conv2D(x, c.Weight.Data, nil, c.Stride, c.Pad)
 }
 
-// Backward propagates gradients, accumulating into Weight.Grad (and
-// Bias.Grad when present).
+// Backward propagates gradients, accumulating into Weight.Grad.
 func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.cachedInput == nil {
 		panic(fmt.Sprintf("nn: %s Backward without a training Forward", c.name))
 	}
-	var gb *tensor.Tensor
-	if c.Bias != nil {
-		gb = c.Bias.Grad
-	}
-	return tensor.Conv2DBackward(c.cachedInput, c.Weight.Data, grad, c.Weight.Grad, gb, c.Stride, c.Pad)
+	return tensor.Conv2DBackward(c.cachedInput, c.Weight.Data, grad, c.Weight.Grad, nil, c.Stride, c.Pad)
 }
 
-// Params returns the layer's learnable parameters.
-func (c *Conv2d) Params() []*Param {
-	if c.Bias != nil {
-		return []*Param{c.Weight, c.Bias}
-	}
-	return []*Param{c.Weight}
-}
+// Params returns the layer's learnable parameters: the weight alone.
+func (c *Conv2d) Params() []*Param { return []*Param{c.Weight} }
 
 // Name returns the layer name.
 func (c *Conv2d) Name() string { return c.name }
-
-// OutSize returns the spatial output size for a given input size.
-func (c *Conv2d) OutSize(in int) int { return tensor.ConvOut(in, c.Kernel, c.Stride, c.Pad) }
 
 // Linear is a fully connected layer: y = x·Wᵀ + b for x of shape (N, in).
 type Linear struct {

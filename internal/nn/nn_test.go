@@ -14,7 +14,7 @@ func almostEqual(a, b, tol float64) bool {
 
 func TestConv2dShapes(t *testing.T) {
 	r := tensor.NewRNG(1)
-	c := NewConv2d("c", r, 3, 8, 3, 2, 1, true)
+	c := NewConv2d("c", r, 3, 8, 3, 2, 1)
 	x := tensor.RandNormal(r, 1, 2, 3, 16, 16)
 	y := c.Forward(x, false)
 	want := []int{2, 8, 8, 8}
@@ -23,21 +23,13 @@ func TestConv2dShapes(t *testing.T) {
 			t.Fatalf("shape %v want %v", y.Shape(), want)
 		}
 	}
-	if c.OutSize(16) != 8 {
-		t.Fatalf("OutSize=%d", c.OutSize(16))
-	}
 }
 
 func TestConv2dParamCount(t *testing.T) {
 	r := tensor.NewRNG(1)
-	c := NewConv2d("c", r, 3, 8, 3, 1, 1, true)
-	n := NumParams(c.Params())
-	if n != 8*3*3*3+8 {
-		t.Fatalf("param count %d", n)
-	}
-	cnb := NewConv2d("c2", r, 3, 8, 3, 1, 1, false)
-	if NumParams(cnb.Params()) != 8*3*3*3 {
-		t.Fatalf("bias-free param count %d", NumParams(cnb.Params()))
+	c := NewConv2d("c", r, 3, 8, 3, 1, 1)
+	if n := NumParams(c.Params()); n != 8*3*3*3 {
+		t.Fatalf("bias-free param count %d, want %d", n, 8*3*3*3)
 	}
 }
 
@@ -355,7 +347,7 @@ func TestClipGradNorm(t *testing.T) {
 func TestSequentialComposesAndBackprops(t *testing.T) {
 	r := tensor.NewRNG(9)
 	seq := NewSequential("net",
-		NewConv2d("c1", r, 2, 4, 3, 1, 1, false),
+		NewConv2d("c1", r, 2, 4, 3, 1, 1),
 		NewBatchNorm2d("bn1", 4),
 		NewReLU("r1"),
 		NewMaxPool2d("p1", 2, 2, 0),
@@ -386,7 +378,7 @@ func TestTinyNetworkLearnsSeparableTask(t *testing.T) {
 	// bright-center vs bright-corner 8×8 images.
 	r := tensor.NewRNG(10)
 	seq := NewSequential("net",
-		NewConv2d("c1", r, 1, 4, 3, 1, 1, false),
+		NewConv2d("c1", r, 1, 4, 3, 1, 1),
 		NewBatchNorm2d("bn1", 4),
 		NewReLU("r1"),
 		NewGlobalAvgPool("gap"),
@@ -430,7 +422,7 @@ func TestTinyNetworkLearnsSeparableTask(t *testing.T) {
 func TestBackwardWithoutForwardPanics(t *testing.T) {
 	r := tensor.NewRNG(11)
 	layers := []Layer{
-		NewConv2d("c", r, 1, 1, 3, 1, 1, false),
+		NewConv2d("c", r, 1, 1, 3, 1, 1),
 		NewBatchNorm2d("bn", 1),
 		NewReLU("r"),
 		NewMaxPool2d("p", 2, 2, 0),

@@ -205,51 +205,3 @@ func (r Radar) Render() string {
 	}
 	return b.String()
 }
-
-// Histogram renders an ASCII histogram of values over `bins` equal-width
-// buckets, one line per bucket with a proportional bar — used for the
-// accuracy distribution over the 1,717 outcomes.
-func Histogram(title string, values []float64, bins, width int) string {
-	if bins < 1 {
-		bins = 10
-	}
-	if width < 10 {
-		width = 40
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s  (n=%d)\n", title, len(values))
-	if len(values) == 0 {
-		return b.String()
-	}
-	lo, hi := minMax(values)
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts := make([]int, bins)
-	for _, v := range values {
-		idx := int((v - lo) / (hi - lo) * float64(bins))
-		if idx >= bins {
-			idx = bins - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		counts[idx]++
-	}
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	for i, c := range counts {
-		bucketLo := lo + (hi-lo)*float64(i)/float64(bins)
-		bucketHi := lo + (hi-lo)*float64(i+1)/float64(bins)
-		bars := 0
-		if maxCount > 0 {
-			bars = c * width / maxCount
-		}
-		fmt.Fprintf(&b, "%9.2f-%-9.2f %6d %s\n", bucketLo, bucketHi, c, strings.Repeat("#", bars))
-	}
-	return b.String()
-}

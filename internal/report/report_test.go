@@ -142,28 +142,3 @@ func TestFigureEmitters(t *testing.T) {
 		}
 	}
 }
-
-func TestHistogramBasics(t *testing.T) {
-	values := []float64{1, 1, 1, 2, 2, 9}
-	out := Histogram("accs", values, 4, 20)
-	if !strings.Contains(out, "n=6") {
-		t.Fatalf("missing count:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 { // title + 4 buckets
-		t.Fatalf("lines %d:\n%s", len(lines), out)
-	}
-	// First bucket holds the three 1s → the longest bar.
-	if !strings.Contains(lines[1], "####################") {
-		t.Fatalf("first bucket bar:\n%s", out)
-	}
-	// Empty input must not panic.
-	if got := Histogram("empty", nil, 4, 20); !strings.Contains(got, "n=0") {
-		t.Fatalf("empty histogram:\n%s", got)
-	}
-	// Constant values land in one bucket.
-	flat := Histogram("flat", []float64{5, 5, 5}, 3, 10)
-	if !strings.Contains(flat, "3") {
-		t.Fatalf("flat histogram:\n%s", flat)
-	}
-}

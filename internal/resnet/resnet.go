@@ -143,7 +143,7 @@ func New(cfg Config, rng *tensor.RNG) (*Model, error) {
 		case l.Block >= 0:
 		case l.Kind == LayerConv:
 			m.Stem.Layers = append(m.Stem.Layers,
-				nn.NewConv2d(l.Node, rng, l.InC, l.OutC, l.K, l.S, l.P, false),
+				nn.NewConv2d(l.Node, rng, l.InC, l.OutC, l.K, l.S, l.P),
 				nn.NewBatchNorm2d(l.BN, l.OutC), nn.NewReLU(l.Act))
 		case l.Kind == LayerMaxPool:
 			m.Stem.Add(nn.NewMaxPool2d(l.Node, l.K, l.S, l.P))
