@@ -148,8 +148,10 @@ selectors:
 # reject arbitrary input without panicking, the int8 quantizer must
 # round-trip arbitrary (value, scale) pairs within its saturation bounds,
 # the predict-body scanner must agree with encoding/json on arbitrary bytes
-# (same accept/reject, same values, bit-exact floats), and the serving-trace
-# decoder must reject or round-trip whatever it is fed.
+# (same accept/reject, same values, bit-exact floats), the serving-trace
+# decoder must reject or round-trip whatever it is fed, and the trial-journal
+# reader must report a bad tail where cutting the input leaves a clean
+# journal and round-trip every entry it recovers.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/onnxsize
@@ -157,14 +159,15 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzQuantizeRoundTrip -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzReadPredict -fuzztime=$(FUZZTIME) ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzReadJournal -fuzztime=$(FUZZTIME) ./internal/nas
 
-# Kernel benchmark selections: the GEMM shapes and the deployed model's
+# Kernel benchmark selections: the micro-kernel alone and the deployed model's
 # convolution shapes (front32 at 5x100x100, batch 1 and 8; their backward at
 # 32x32 batch 16, what NAS trains, and 100x100 batch 8), the conv/training
 # ablations, one surrogate-sweep trial measurement (core.Measure over the
 # enumerated PaperSpace, with allocs/op), and the compiled-inference path on
 # a 32x32 chip and at the deployment size.
-KBENCH_TENSOR = ^(BenchmarkMM256|BenchmarkMM512|BenchmarkMMWide|BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkConvBackwardShapes)$$
+KBENCH_TENSOR = ^(BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkConvBackwardShapes)$$
 KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure)$$
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$

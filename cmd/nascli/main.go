@@ -86,13 +86,14 @@ func selectConfigs(space nas.Space, strategy string, combos []nas.InputCombo, ev
 
 // openJournal prepares the trial journal for streaming appends. In resume
 // mode it loads prior entries first, repairing a crash-truncated tail by
-// truncating the file at the reported offset so appends start on a clean
-// line boundary; otherwise the file is created fresh.
+// truncating the file at the reported offset and ending a last record that
+// lost its newline, so appends start on a clean line boundary; otherwise the
+// file is created fresh.
 func openJournal(path string, resume bool, syncEvery int) (*nas.JournalWriter, []nas.TrialResult, error) {
 	var prior []nas.TrialResult
 	flags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
 	if resume {
-		flags = os.O_WRONLY | os.O_CREATE | os.O_APPEND
+		flags = os.O_RDWR | os.O_CREATE | os.O_APPEND
 		f, err := os.Open(path)
 		switch {
 		case errors.Is(err, os.ErrNotExist):
@@ -118,7 +119,31 @@ func openJournal(path string, resume bool, syncEvery int) (*nas.JournalWriter, [
 	if err != nil {
 		return nil, nil, err
 	}
+	if resume {
+		if err := endLastLine(f); err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+	}
 	return nas.NewJournalWriter(f, nas.JournalWriterOptions{SyncEvery: syncEvery}), prior, nil
+}
+
+// endLastLine appends a newline to a journal whose last byte is not one:
+// ReadJournal keeps a final record that lost its newline, and the first
+// append would otherwise run on after it, on the same line.
+func endLastLine(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return err
+	}
+	if last[0] != '\n' {
+		_, err = f.Write([]byte{'\n'})
+	}
+	return err
 }
 
 // delayEvaluator stretches every trial by a fixed delay, simulating the

@@ -54,50 +54,61 @@ func TestSelectConfigsLimitAppliesToEveryStrategy(t *testing.T) {
 }
 
 // TestOpenJournalRepairsTruncatedTail covers the resume path against a
-// crash-truncated file: the bad tail is cut off at the reported offset and
-// appends continue on a clean line boundary.
+// journal whose end a crash left behind: a cut record is cut off at the
+// reported offset, a whole record that lost its newline is kept, and in both
+// cases appends continue on a clean line boundary.
 func TestOpenJournalRepairsTruncatedTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-
-	cfgs := nas.PaperSpace().Enumerate(nas.InputCombo{Channels: 5, Batch: 8})[:6]
+	cfgs := nas.PaperSpace().Enumerate(nas.InputCombo{Channels: 5, Batch: 8})[:8]
 	results := nas.Experiment(cfgs, surrogateEval(), nas.ExperimentOptions{Workers: 1})
 	var buf bytes.Buffer
 	jw := nas.NewJournalWriter(&buf, nas.JournalWriterOptions{})
-	for _, r := range results {
+	for _, r := range results[:6] {
 		if err := jw.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	full := buf.Bytes()
-	if err := os.WriteFile(path, full[:len(full)-20], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	jw, prior, err := openJournal(path, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prior) != len(results)-1 {
-		t.Fatalf("recovered %d entries, want %d", len(prior), len(results)-1)
-	}
-	// Re-append the lost trial; the journal must read back clean and whole.
-	if err := jw.Append(results[len(results)-1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := nas.ReadJournal(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("repaired journal unreadable: %v", err)
-	}
-	if len(back) != len(results) {
-		t.Fatalf("repaired journal has %d entries, want %d", len(back), len(results))
+	for _, tc := range []struct {
+		name      string
+		file      []byte
+		recovered int
+	}{
+		{"cut-record", full[:len(full)-20], 5},
+		{"lost-newline", full[:len(full)-1], 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			jw, prior, err := openJournal(path, true, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prior) != tc.recovered {
+				t.Fatalf("recovered %d entries, want %d", len(prior), tc.recovered)
+			}
+			// Append the trials the journal lacks; it must read back clean and whole.
+			for _, r := range results[tc.recovered:] {
+				if err := jw.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := jw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := nas.ReadJournal(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("repaired journal unreadable: %v", err)
+			}
+			if len(back) != len(results) {
+				t.Fatalf("repaired journal has %d entries, want %d", len(back), len(results))
+			}
+		})
 	}
 }
 

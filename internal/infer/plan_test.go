@@ -189,10 +189,14 @@ func TestPoolPadZeroHonored(t *testing.T) {
 	}
 	pooled, _ := tensor.MaxPool2D(tensor.ReLU(bn), 3, 2, 0)
 	gap := tensor.GlobalAvgPool2D(pooled)
-	fcW := tensor.FromSlice(dec.Weights["fc.weight"], 2, 2)
-	want := tensor.MatMul(gap, tensor.Transpose2D(fcW))
+	fcW := dec.Weights["fc.weight"] // (out 2, in 2)
+	want := tensor.New(1, 2)
 	for j := 0; j < 2; j++ {
-		want.Data()[j] += dec.Weights["fc.bias"][j]
+		s := dec.Weights["fc.bias"][j]
+		for i := 0; i < 2; i++ {
+			s += gap.Data()[i] * fcW[j*2+i]
+		}
+		want.Data()[j] = s
 	}
 
 	if !got.SameShape(want) {

@@ -365,9 +365,12 @@ func TestParsePrecisionAndModelKey(t *testing.T) {
 // scale ratios, and the logits the plan gives one fixed batch. Any
 // activation scale that moves moves one of those. The float forwards behind
 // the scales are only reproducible bit for bit on the kernel they were
-// captured with.
+// captured with. Re-captured when the training FC head moved onto the
+// convolution driver: exportModel's SGD steps run through the head's
+// backward, so the trained weights moved; the containers trained before
+// that move still hash to the earlier pin, 7a47bbb9….
 const (
-	quantizedPlanPin       = "7a47bbb9827c4cc72bbc711edf9dd9b34d4515fa4df597260116ef6cca6459f4"
+	quantizedPlanPin       = "ec1a57202b54d6c9b1abd3daa547ccaf48e364e6a4c19d8ba65b47f8723d9e2b"
 	quantizedPlanPinKernel = "avx2-6x16"
 )
 

@@ -25,8 +25,8 @@ var Kernel KernelStats
 // GemmCall records one multiply on the tiled kernel. A convolution is one
 // multiply per layer per batch — every output pixel of every sample is a
 // column of the same GEMM — so for a compiled plan this counts tiled layers
-// executed, not samples. MatMul and the backward pass count
-// one per call as before.
+// executed, not samples. A training layer's backward counts one for its
+// weight gradient and one per stride phase of its input gradient.
 func (k *KernelStats) GemmCall() { k.gemmCalls.Add(1) }
 
 // NaiveCall records one multiply that stayed on the naive kernel (below the
@@ -40,8 +40,8 @@ func (k *KernelStats) NaiveCall() { k.naiveCalls.Add(1) }
 func (k *KernelStats) TilesDispatched(n int) { k.tilesDispatched.Add(uint64(n)) }
 
 // PackReused records a tiled multiply that found its weight panels already
-// packed: every call of a compiled plan's convolution after the first, and
-// samples 2..N of one backward pass.
+// packed: every call of a compiled plan's convolution after the first. A
+// training layer packs its weights afresh on every call, so it never counts.
 func (k *KernelStats) PackReused() { k.packsReused.Add(1) }
 
 // ScratchHit records a scratch-pool request served from a pooled buffer.

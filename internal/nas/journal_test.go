@@ -2,9 +2,11 @@ package nas
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -23,7 +25,7 @@ func (b *syncCountingBuffer) Sync() error {
 	return nil
 }
 
-func journalFixture(t *testing.T, n int) []TrialResult {
+func journalFixture(t testing.TB, n int) []TrialResult {
 	t.Helper()
 	cfgs := PaperSpace().Enumerate(InputCombo{7, 16})[:n]
 	eval := SurrogateEvaluator{Model: surrogate.Default()}
@@ -32,7 +34,7 @@ func journalFixture(t *testing.T, n int) []TrialResult {
 
 // writeJournal streams results into w through a JournalWriter, the way a
 // sweep journals its trials.
-func writeJournal(t *testing.T, w io.Writer, results []TrialResult) {
+func writeJournal(t testing.TB, w io.Writer, results []TrialResult) {
 	t.Helper()
 	jw := NewJournalWriter(w, JournalWriterOptions{})
 	for _, r := range results {
@@ -228,4 +230,52 @@ func TestReadJournalEmpty(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty journal: %v, %d entries", err, len(got))
 	}
+}
+
+// FuzzReadJournal feeds the journal reader arbitrary bytes, seeded with the
+// journals above: a clean one, one cut mid-record, one whose last newline
+// was lost, one with blank lines, an empty one. It must never panic; a bad
+// tail must be reported at an offset inside the input, before which the
+// journal reads back the same entries cleanly (the repair -resume makes);
+// and every entry it recovers must survive json.Marshal and a second read.
+func FuzzReadJournal(f *testing.F) {
+	var buf bytes.Buffer
+	writeJournal(f, &buf, journalFixture(f, 3))
+	full := buf.Bytes()
+	f.Add(full)
+	f.Add(full[:len(full)-20])
+	f.Add(bytes.TrimRight(full, "\n"))
+	f.Add(append([]byte("\n"), bytes.ReplaceAll(full, []byte("\n"), []byte("\n\n"))...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadJournal(bytes.NewReader(data))
+		var tail *JournalTailError
+		if errors.As(err, &tail) {
+			if tail.Offset < 0 || tail.Offset > int64(len(data)) {
+				t.Fatalf("tail offset %d outside a %d-byte input", tail.Offset, len(data))
+			}
+			prefix, perr := ReadJournal(bytes.NewReader(data[:tail.Offset]))
+			if perr != nil || !sameEntries(prefix, got) {
+				t.Fatalf("input cut at the tail offset %d: %v, %d entries, want nil and %d", tail.Offset, perr, len(prefix), len(got))
+			}
+		} else if err != nil {
+			t.Fatalf("error other than a bad tail: %v", err)
+		}
+		var again bytes.Buffer
+		for _, r := range got {
+			line, merr := json.Marshal(r)
+			if merr != nil {
+				t.Fatalf("recovered entry %+v does not marshal: %v", r, merr)
+			}
+			again.Write(append(line, '\n'))
+		}
+		back, err := ReadJournal(&again)
+		if err != nil || !sameEntries(back, got) {
+			t.Fatalf("recovered entries do not round-trip: %v, %d entries, want %d", err, len(back), len(got))
+		}
+	})
+}
+
+func sameEntries(a, b []TrialResult) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }

@@ -62,12 +62,16 @@ func (c *Conv2d) Params() []*Param { return []*Param{c.Weight} }
 func (c *Conv2d) Name() string { return c.name }
 
 // Linear is a fully connected layer: y = x·Wᵀ + b for x of shape (N, in).
+// It runs as the 1×1 convolution of the (N, In, 1, 1) view of x with the
+// (Out, In, 1, 1) view of W: the lowering the compiled plans give the head,
+// on a driver whose kernel choice depends on the layer's shape alone, so a
+// sample's output does not depend on the batch it rides in.
 type Linear struct {
 	name     string
 	In, Out  int
-	Weight   *Param // (Out, In)
-	Bias     *Param // (Out)
-	cachedIn *tensor.Tensor
+	Weight   *Param         // (Out, In)
+	Bias     *Param         // (Out)
+	cachedIn *tensor.Tensor // (N, In, 1, 1)
 }
 
 // NewLinear constructs a fully connected layer with Kaiming-uniform-style
@@ -84,40 +88,26 @@ func NewLinear(name string, rng *tensor.RNG, in, out int) *Linear {
 // Forward computes the affine map.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkShape(l.name, x, -1, l.In)
+	n := x.Dim(0)
+	x4 := x.Reshape(n, l.In, 1, 1)
 	if train {
-		l.cachedIn = x
+		l.cachedIn = x4
 	} else {
 		l.cachedIn = nil
 	}
-	wT := tensor.Transpose2D(l.Weight.Data)
-	out := tensor.MatMul(x, wT) // (N, Out)
-	n := x.Dim(0)
-	for r := 0; r < n; r++ {
-		row := out.Data()[r*l.Out : (r+1)*l.Out]
-		for j := range row {
-			row[j] += l.Bias.Data.Data()[j]
-		}
-	}
-	return out
+	return tensor.Conv2D(x4, l.Weight.Data.Reshape(l.Out, l.In, 1, 1), l.Bias.Data, 1, 0).Reshape(n, l.Out)
 }
 
 // Backward accumulates dW = gradᵀ·x and db = Σ grad rows, returning
-// gradIn = grad·W.
+// gradIn = grad·W, as the 1×1 convolution's backward.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.cachedIn == nil {
 		panic(fmt.Sprintf("nn: %s Backward without a training Forward", l.name))
 	}
-	gT := tensor.Transpose2D(grad) // (Out, N)
-	tensor.MatMulAcc(l.Weight.Grad, gT, l.cachedIn)
 	n := grad.Dim(0)
-	gb := l.Bias.Grad.Data()
-	for r := 0; r < n; r++ {
-		row := grad.Data()[r*l.Out : (r+1)*l.Out]
-		for j, v := range row {
-			gb[j] += v
-		}
-	}
-	return tensor.MatMul(grad, l.Weight.Data)
+	gradIn := tensor.Conv2DBackward(l.cachedIn, l.Weight.Data.Reshape(l.Out, l.In, 1, 1),
+		grad.Reshape(n, l.Out, 1, 1), l.Weight.Grad.Reshape(l.Out, l.In, 1, 1), l.Bias.Grad, 1, 0)
+	return gradIn.Reshape(n, l.In)
 }
 
 // Params returns weight and bias.

@@ -12,6 +12,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"drainnas/internal/tensor"
 )
@@ -112,19 +113,7 @@ func GradNorm(params []*Param) float64 {
 		n := p.Grad.Norm2()
 		s += n * n
 	}
-	return sqrt(s)
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton iterations are plenty here and avoid importing math for one call.
-	z := x
-	for i := 0; i < 32; i++ {
-		z = 0.5 * (z + x/z)
-	}
-	return z
+	return math.Sqrt(s)
 }
 
 // checkShape panics with a descriptive message unless got matches want.

@@ -342,6 +342,19 @@ func TestClipGradNorm(t *testing.T) {
 	if post := GradNorm([]*Param{p}); !almostEqual(post, 1, 1e-5) {
 		t.Fatalf("post-clip norm %v", post)
 	}
+	// An exploding and a vanishing gradient: the norm is read right at any
+	// magnitude, and clipping lands the exploding one on maxNorm.
+	for _, norm := range []float64{1e12, 1e-15} {
+		p.Grad.Fill(float32(norm / 2)) // four elements of norm/2: norm
+		if got := GradNorm([]*Param{p}); math.Abs(got-norm) > 1e-6*norm {
+			t.Fatalf("GradNorm of a %g gradient = %g", norm, got)
+		}
+	}
+	p.Grad.Fill(5e11)
+	ClipGradNorm([]*Param{p}, 5)
+	if post := GradNorm([]*Param{p}); !almostEqual(post, 5, 1e-5) {
+		t.Fatalf("a 1e12 gradient clipped to norm %v, want 5", post)
+	}
 }
 
 func TestSequentialComposesAndBackprops(t *testing.T) {

@@ -256,6 +256,22 @@ func TestEvalForwardIsPure(t *testing.T) {
 			t.Fatal("eval forward not deterministic")
 		}
 	}
+	// Nor may a sample's logits depend on the batch it rides in. At width 64
+	// the head multiplies 32·512·2 = 2¹⁵ values at batch 32: a driver that
+	// picked its kernel by that product would round full batches and a
+	// lone sample differently.
+	wide, _ := New(StockResNet18(5, 32), tensor.NewRNG(5))
+	const n, size = 32, 5 * 32 * 32
+	batch := tensor.RandNormal(r, 1, n, 5, 32, 32)
+	logits := wide.Forward(batch, false).Data()
+	for s := 0; s < n; s++ {
+		alone := wide.Forward(tensor.FromSlice(batch.Data()[s*size:(s+1)*size], 1, 5, 32, 32), false).Data()
+		for j, v := range alone {
+			if v != logits[s*len(alone)+j] {
+				t.Fatalf("sample %d logit %d: %v alone, %v at batch %d", s, j, v, logits[s*len(alone)+j], n)
+			}
+		}
+	}
 }
 
 func TestParamsCountMatchesLayerSum(t *testing.T) {

@@ -278,9 +278,39 @@ func (j *convCall) runNaive(s int) {
 	}
 }
 
+// matmulNaive is the dense i-k-j streaming kernel: the innermost loop walks
+// one B row and one C row sequentially, the cache-friendliest layout for
+// row-major data without packing. It is the kernel of layers too small to
+// tile (below gemmSerialCutoff, where packing cannot amortize) and the
+// oracle the tiled driver's parity tests compare against. It deliberately
+// has no zero-skip branch: on dense activations the branch never fires and
+// only costs the predictor.
+//
+// Operands are strided: c is m×n with leading dimension ldc, a is m×k with
+// lda, b is k×n with ldb, so callers can address column windows of wider
+// matrices in place. acc accumulates into c instead of overwriting it.
+func matmulNaive(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, k, n int, acc bool) {
+	for i := 0; i < m; i++ {
+		crow := c[i*ldc : i*ldc+n]
+		if !acc {
+			for j := range crow {
+				crow[j] = 0
+			}
+		}
+		arow := a[i*lda : i*lda+k]
+		for kk := 0; kk < k; kk++ {
+			av := arow[kk]
+			brow := b[kk*ldb : kk*ldb+n]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+}
+
 // packPanels packs GEMM columns [lo, hi) of the lowered batch into dst,
-// panel after panel, each k-major (tap k of lane l at k·nr + l) — the layout
-// packB gives a materialised column matrix. lo and hi are panel-aligned; hi
+// panel after panel, each k-major (tap k of lane l at k·nr + l), the
+// micro-kernel's B-side layout. lo and hi are panel-aligned; hi
 // may pass the last real column, and those lanes are zero. Taps that fall
 // in the padding are zero.
 func packPanels(dst, in []float32, g *convGeom, lo, hi, nr int) {

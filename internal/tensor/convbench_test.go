@@ -5,23 +5,6 @@ import (
 	"testing"
 )
 
-func benchMM(b *testing.B, m, k, n int) {
-	r := NewRNG(1)
-	a := RandNormal(r, 1, m, k)
-	bb := RandNormal(r, 1, k, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(a, bb)
-	}
-	b.SetBytes(int64(m*k*n) * 2 * 4)
-	flops := 2 * float64(m) * float64(k) * float64(n)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-}
-
-func BenchmarkMM256(b *testing.B)  { benchMM(b, 256, 256, 256) }
-func BenchmarkMM512(b *testing.B)  { benchMM(b, 512, 512, 512) }
-func BenchmarkMMWide(b *testing.B) { benchMM(b, 64, 288, 2500) }
-
 // planShapes are the distinct convolution shapes of the deployed front32
 // model at a 5×100×100 chip: the stride-2 stem and the 3×3 block
 // convolution of each stage, on the map size that stage sees.

@@ -62,12 +62,12 @@ func backwardOracle(input, weight, gradOut, gradW, gradB *Tensor, stride, pad in
 	oc, _, kh, kw := dims4("oracle weight", weight)
 	kdim, cols := c*kh*kw, gradOut.shape[2]*gradOut.shape[3]
 	gradIn := New(n, c, h, w)
-	wT := Transpose2D(weight.Reshape(oc, kdim))
+	wT := transposed(weight.Reshape(oc, kdim))
 	col, colT, gcol := New(kdim, cols), New(cols, kdim), New(kdim, cols)
 	for s := 0; s < n; s++ {
 		Im2Col(input.data[s*c*h*w:(s+1)*c*h*w], c, h, w, kh, kw, stride, pad, col.data)
 		gout := gradOut.data[s*oc*cols : (s+1)*oc*cols]
-		colT.CopyFrom(Transpose2D(col))
+		colT.CopyFrom(transposed(col))
 		matmulNaive(gradW.data, kdim, gout, cols, colT.data, kdim, oc, cols, kdim, true)
 		matmulNaive(gcol.data, cols, wT.data, oc, gout, cols, kdim, oc, cols, false)
 		Col2Im(gcol.data, c, h, w, kh, kw, stride, pad, gradIn.data[s*c*h*w:(s+1)*c*h*w])

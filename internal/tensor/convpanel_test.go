@@ -255,7 +255,7 @@ func TestConvDriverMatchesOracle(t *testing.T) {
 				got.Fill(float32(math.NaN()))
 				pc.ForwardInto(got, input)
 				parallel.DefaultWorkers = prev
-				if d := maxKernelDiff(got, want); !(d <= parityTol(g.kdim(), false)) {
+				if d := maxKernelDiff(got, want); !(d <= parityTol(g.kdim())) {
 					t.Fatalf("%v oc=%d relu=%v workers=%d kernel=%s: max blended diff %g", tc, oc, relu, workers, gemmKernelName, d)
 				}
 			}

@@ -1,53 +1,42 @@
 package tensor
 
-// Cache-blocked, register-tiled GEMM.
+// The float GEMM's micro-kernels and A-side packing.
 //
-// The multiply C = A·B is driven as three nested blockings, the classic
-// Goto/BLIS decomposition scaled to this package's shapes (weights × im2col
-// columns, a few hundred per side):
+// Every float multiply in the package — a convolution forward, both halves
+// of its backward, a fully connected head as a 1×1 convolution — runs on one
+// driver, convInto and its panel packers (convpanel.go, convgrad.go). What it
+// shares lives here:
 //
-//   - A is packed into row panels of gemmMR rows, laid out k-major so the
-//     micro-kernel reads one contiguous gemmMR-wide column per k step.
-//   - B is packed into column panels of gemmNR columns, also k-major, so
-//     each k step reads one contiguous gemmNR-wide row.
-//   - The k dimension is cut into gemmKC-sized blocks; one A panel block
-//     (gemmMR×gemmKC) plus one B panel block (gemmKC×gemmNR) fit in L1/L2
-//     while the gemmMR×gemmNR accumulator tile lives in registers.
-//
-// Parallelism is over output tiles — an (m/MR) × (n/NC) grid scheduled
-// dynamically by parallel.ForTiles2D — instead of raw output rows, so a
-// single tall-or-wide multiply still fans out across every core.
-//
-// The micro-kernel itself is selected at init: an AVX2+FMA 6×16 assembly
-// kernel on capable amd64 hardware (see gemm_amd64.s), otherwise a pure-Go
-// 4×4 register-tiled kernel. Both accumulate into a small contiguous tile
-// buffer; the driver merges the tile into C, which keeps edge handling (m, n
-// not multiples of the tile) out of the hot loop entirely.
+//   - the micro-kernel, selected at init: an AVX2+FMA 6×16 assembly kernel
+//     on capable amd64 hardware (see gemm_amd64.s), otherwise a pure-Go 4×4
+//     register-tiled kernel. Both accumulate one gemmMR×gemmNR tile into a
+//     small contiguous buffer; the driver merges it into the output, which
+//     keeps edge handling out of the hot loop entirely.
+//   - packA, which packs the weights into row panels of gemmMR rows, laid
+//     out k-major so the micro-kernel reads one contiguous gemmMR-wide
+//     column per k step, the k dimension cut into gemmKC-sized blocks.
+//   - weightPack, which packs a layer's weights once and shares the panels
+//     with every batch through the layer.
 
 import (
 	"sync"
 	"sync/atomic"
 
 	"drainnas/internal/metrics"
-	"drainnas/internal/parallel"
 )
 
 const (
 	// gemmKC is the k-block size: one packed A block (gemmMR×gemmKC) and
-	// one packed B block (gemmKC×gemmNR) together stay well inside L1/L2
-	// while the accumulator tile stays in registers.
+	// one packed panel block (gemmKC×gemmNR) together stay well inside
+	// L1/L2 while the accumulator tile stays in registers.
 	gemmKC = 256
-	// gemmNC is the number of output columns per parallel grid cell; the
-	// packed B slice a cell touches (gemmKC×gemmNC ≈ 256 KiB) is reused
-	// across every row tile, so it should be L2-resident.
-	gemmNC = 256
 	// gemmMaxTile bounds the accumulator tile buffer (6×16 for the AVX2
 	// kernel is the largest shape), gemmMaxNR the panel width.
 	gemmMaxTile = 96
 	gemmMaxNR   = 16
-	// gemmSerialCutoff is the m*k*n product below which packing cannot
-	// amortize and the naive streaming kernel runs instead (serially: the
-	// goroutine fan-out dominates at this size too).
+	// gemmSerialCutoff is the per-sample m*k*n product below which packing
+	// cannot amortize and the naive streaming kernel runs instead (serially:
+	// the goroutine fan-out dominates at this size too).
 	gemmSerialCutoff = 1 << 15
 )
 
@@ -164,134 +153,6 @@ func packA(a []float32, lda, m, k int) packedA {
 }
 
 func (pa packedA) release() { putScratch(pa.buf) }
-
-// packedB is matrix B packed into column panels: slot (p, kb) holds the
-// kcLen×gemmNR block of columns [p*NR, p*NR+NR) and the kb-th k block,
-// stored k-major (element (kk, jr) at kk*NR+jr). For a fixed panel the kb
-// slots are contiguous, so the per-tile k loop streams sequentially.
-// Padded columns are zero-filled for the same denormal reason as packedA.
-type packedB struct {
-	buf     []float32
-	k, n    int
-	nPanels int
-	kBlocks int
-}
-
-// packB packs the k×n matrix b (leading dimension ldb ≥ n; ldb > n selects
-// a column window of a wider matrix).
-func packB(b []float32, ldb, k, n int) packedB {
-	nr := gemmNR
-	nPanels := (n + nr - 1) / nr
-	kBlocks := (k + gemmKC - 1) / gemmKC
-	slot := gemmKC * nr
-	pb := packedB{
-		buf:     getScratch(nPanels * kBlocks * slot),
-		k:       k,
-		n:       n,
-		nPanels: nPanels,
-		kBlocks: kBlocks,
-	}
-	for p := 0; p < nPanels; p++ {
-		j0 := p * nr
-		cols := n - j0
-		if cols > nr {
-			cols = nr
-		}
-		for kb := 0; kb < kBlocks; kb++ {
-			k0 := kb * gemmKC
-			kcLen := k - k0
-			if kcLen > gemmKC {
-				kcLen = gemmKC
-			}
-			dst := pb.buf[(p*kBlocks+kb)*slot:]
-			for kk := 0; kk < kcLen; kk++ {
-				src := b[(k0+kk)*ldb+j0:]
-				drow := dst[kk*nr : kk*nr+nr]
-				for j := 0; j < cols; j++ {
-					drow[j] = src[j]
-				}
-				for j := cols; j < nr; j++ {
-					drow[j] = 0
-				}
-			}
-		}
-	}
-	return pb
-}
-
-func (pb packedB) release() { putScratch(pb.buf) }
-
-// computeTiles runs the micro-kernel over row tiles [rtLo, rtHi) × column
-// panels [pLo, pHi), serially. For each output tile the k blocks accumulate
-// in the register tile (via cbuf between blocks) and the finished tile is
-// merged into C exactly once, masked to the valid rows/columns.
-func computeTiles(pa packedA, pb packedB, c []float32, ldc int, rtLo, rtHi, pLo, pHi int, acc bool) {
-	mr, nr := gemmMR, gemmNR
-	aslot := gemmKC * mr
-	bslot := gemmKC * nr
-	kBlocks := pa.kBlocks
-	// The accumulator tile comes from the scratch pool rather than a local
-	// array: microKernel is a func variable, so escape analysis would move a
-	// local to the heap on every call — the pool round trip is allocation-free.
-	cbuf := getScratch(mr * nr)
-	defer putScratch(cbuf)
-	for rt := rtLo; rt < rtHi; rt++ {
-		rows := pa.m - rt*mr
-		if rows > mr {
-			rows = mr
-		}
-		for p := pLo; p < pHi; p++ {
-			cols := pb.n - p*nr
-			if cols > nr {
-				cols = nr
-			}
-			for kb := 0; kb < kBlocks; kb++ {
-				kcLen := pa.k - kb*gemmKC
-				if kcLen > gemmKC {
-					kcLen = gemmKC
-				}
-				microKernel(
-					pa.buf[(rt*kBlocks+kb)*aslot:],
-					pb.buf[(p*kBlocks+kb)*bslot:],
-					cbuf, kcLen, kb > 0)
-			}
-			for ir := 0; ir < rows; ir++ {
-				crow := c[(rt*mr+ir)*ldc+p*nr:]
-				trow := cbuf[ir*nr:]
-				if acc {
-					for j := 0; j < cols; j++ {
-						crow[j] += trow[j]
-					}
-				} else {
-					for j := 0; j < cols; j++ {
-						crow[j] = trow[j]
-					}
-				}
-			}
-		}
-	}
-}
-
-// gemmParallel computes (or accumulates, acc) c = a·b for row-major
-// operands, parallelizing over the output-tile grid. c has leading
-// dimension n (dense), a is m×k, b is k×n.
-func gemmParallel(c, a, b []float32, m, k, n int, acc bool) {
-	pa := packA(a, k, m, k)
-	pb := packB(b, n, k, n)
-	metrics.Kernel.TilesDispatched(pa.rowTiles * pb.nPanels)
-	ncPanels := gemmNC / gemmNR
-	nBlocks := (pb.nPanels + ncPanels - 1) / ncPanels
-	parallel.ForTiles2D(pa.rowTiles, nBlocks, 0, func(rt, nb int) {
-		pLo := nb * ncPanels
-		pHi := pLo + ncPanels
-		if pHi > pb.nPanels {
-			pHi = pb.nPanels
-		}
-		computeTiles(pa, pb, c, n, rt, rt+1, pLo, pHi, acc)
-	})
-	pa.release()
-	pb.release()
-}
 
 // weightPack defers and caches the A-panel packing of a matrix that many
 // multiplies share — the weight matrix of a convolution, which every batch

@@ -28,8 +28,8 @@ type PackedConv struct {
 // optional bias (nil or length OC), stride, padding, and an optional fused
 // ReLU epilogue. A fully-connected layer is the degenerate case: reshape its
 // (OUT, IN) weight to (OUT, IN, 1, 1) and feed (N, IN, 1, 1) inputs — the
-// pointwise fast path then runs it as a plain matmul with no per-call
-// transpose or repacking.
+// same lowering nn.Linear trains on, with no per-call transpose or
+// repacking.
 func NewPackedConv(weight *Tensor, bias []float32, stride, pad int, relu bool) *PackedConv {
 	oc, c, kh, kw := dims4("NewPackedConv weight", weight)
 	if bias != nil && len(bias) != oc {

@@ -1,8 +1,8 @@
 // Package tensor implements dense float32 tensors with the operations a CNN
-// training loop needs: elementwise arithmetic, parallel matrix multiplication,
-// 2-D convolution lowered to one GEMM per layer with its columns packed
-// straight from the images (forward and backward; no im2col matrix is built),
-// pooling, padding, and reductions.
+// training loop needs: elementwise arithmetic, 2-D convolution lowered to one
+// GEMM per layer with its columns packed straight from the images (forward
+// and backward; no im2col matrix is built; a fully connected layer is a 1×1
+// convolution), pooling, padding, and reductions.
 //
 // Tensors are row-major and contiguous. The package favors explicit shapes
 // and loud failures: shape mismatches panic, because inside a training loop

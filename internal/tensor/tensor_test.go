@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewAndShape(t *testing.T) {
@@ -142,90 +141,6 @@ func TestSoftmaxRows(t *testing.T) {
 	// The large-value row must be handled stably (uniform 1/3 each).
 	if math.Abs(float64(s.At(1, 0))-1.0/3) > 1e-5 {
 		t.Fatalf("unstable softmax: %v", s.At(1, 0))
-	}
-}
-
-func TestMatMulSmall(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
-	want := []float32{58, 64, 139, 154}
-	for i, v := range c.Data() {
-		if v != want[i] {
-			t.Fatalf("MatMul=%v want %v", c.Data(), want)
-		}
-	}
-}
-
-func TestMatMulAccAccumulates(t *testing.T) {
-	a := Ones(2, 2)
-	b := Ones(2, 2)
-	out := Full(5, 2, 2)
-	MatMulAcc(out, a, b)
-	for _, v := range out.Data() {
-		if v != 7 {
-			t.Fatalf("MatMulAcc=%v", out.Data())
-		}
-	}
-}
-
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	// Large enough to trigger the parallel path; compare against a naive
-	// triple loop.
-	r := NewRNG(42)
-	m, k, n := 65, 33, 47
-	a := RandNormal(r, 1, m, k)
-	b := RandNormal(r, 1, k, n)
-	got := MatMul(a, b)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			want := float32(0)
-			for kk := 0; kk < k; kk++ {
-				want += a.At(i, kk) * b.At(kk, j)
-			}
-			if diff := math.Abs(float64(got.At(i, j) - want)); diff > 1e-3 {
-				t.Fatalf("(%d,%d): got %v want %v", i, j, got.At(i, j), want)
-			}
-		}
-	}
-}
-
-func TestTranspose2D(t *testing.T) {
-	r := NewRNG(7)
-	a := RandNormal(r, 1, 37, 53)
-	b := Transpose2D(a)
-	if b.Dim(0) != 53 || b.Dim(1) != 37 {
-		t.Fatalf("transpose shape %v", b.Shape())
-	}
-	for i := 0; i < 37; i++ {
-		for j := 0; j < 53; j++ {
-			if a.At(i, j) != b.At(j, i) {
-				t.Fatal("transpose value mismatch")
-			}
-		}
-	}
-}
-
-func TestMatMulPropertyAssociativityWithIdentity(t *testing.T) {
-	// Property: A·I == A for random square A.
-	f := func(seed uint64, szRaw uint8) bool {
-		sz := int(szRaw%20) + 1
-		r := NewRNG(seed)
-		a := RandNormal(r, 1, sz, sz)
-		id := New(sz, sz)
-		for i := 0; i < sz; i++ {
-			id.Set(1, i, i)
-		}
-		c := MatMul(a, id)
-		for i := range c.Data() {
-			if math.Abs(float64(c.Data()[i]-a.Data()[i])) > 1e-5 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 
