@@ -8,8 +8,11 @@ FUZZTIME ?= 5s
 
 ci: vet build test examples-smoke selectors race crash-resume fuzz bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay repro-check
 
+# bench/ is its own module (no dependencies, so this runs offline); it is
+# frozen, and vetting it here keeps it compiling against the library.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

@@ -26,7 +26,7 @@ import (
 	"drainnas/internal/infer"
 	"drainnas/internal/latmeter"
 	"drainnas/internal/metrics"
-	"drainnas/internal/nn"
+	"drainnas/internal/nas"
 	"drainnas/internal/onnxsize"
 	"drainnas/internal/report"
 	"drainnas/internal/resnet"
@@ -83,16 +83,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("deploy: %v", err)
 	}
-	opt := nn.NewSGD(model.Params(), 0.02, 0.9, 1e-4)
+	tr := nas.NewTrainer(model, nas.TrainOptions{Epochs: *epochs, LR: 0.02, Momentum: 0.9, WeightDecay: 1e-4})
 	for e := 0; e < *epochs; e++ {
-		for _, idxs := range data.Batches(cfg.Batch, rng) {
-			bx, by := data.Batch(idxs)
-			logits := model.Forward(bx, true)
-			_, grad := nn.CrossEntropy(logits, by)
-			nn.ZeroGrad(model.Params())
-			model.Backward(grad)
-			opt.Step()
-		}
+		tr.Epoch(e, data, rng)
 	}
 
 	var buf bytes.Buffer

@@ -11,7 +11,7 @@ import (
 
 	"drainnas/internal/dataset"
 	"drainnas/internal/geodata"
-	"drainnas/internal/nn"
+	"drainnas/internal/nas"
 	"drainnas/internal/report"
 	"drainnas/internal/resnet"
 	"drainnas/internal/tensor"
@@ -72,29 +72,16 @@ func main() {
 	fmt.Printf("train %d / val %d samples, %d channels\n", train.Len(), val.Len(), *channels)
 	fmt.Printf("model: %d parameters\n\n", model.NumParams())
 
-	opt := nn.NewSGD(model.Params(), *lr, 0.9, 1e-4)
-	sched := nn.CosineLRSchedule(*lr, *lr/10, *epochs)
-	for epoch := 0; epoch < *epochs; epoch++ {
-		opt.SetLR(sched(epoch))
+	opts := nas.TrainOptions{Epochs: *epochs, LR: *lr, Momentum: 0.9, WeightDecay: 1e-4}
+	tr := nas.NewTrainer(model, opts)
+	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		start := time.Now()
-		totalLoss, batches := 0.0, 0
-		for _, idxs := range train.Batches(cfg.Batch, rng) {
-			bx, by := train.Batch(idxs)
-			logits := model.Forward(bx, true)
-			loss, grad := nn.CrossEntropy(logits, by)
-			nn.ZeroGrad(model.Params())
-			model.Backward(grad)
-			nn.ClipGradNorm(model.Params(), 5)
-			opt.Step()
-			totalLoss += loss
-			batches++
-		}
+		loss := tr.Epoch(epoch, train, rng)
 		fmt.Printf("epoch %d: loss %.4f  val acc %.2f%%  (%.1fs, lr %.4f)\n",
-			epoch+1, totalLoss/float64(batches), 100*accuracy(model, val, cfg.Batch),
-			time.Since(start).Seconds(), opt.LR())
+			epoch+1, loss, 100*nas.Accuracy(model, val), time.Since(start).Seconds(), tr.LR())
 	}
 	fmt.Printf("\nfinal: train acc %.2f%%  val acc %.2f%%\n",
-		100*accuracy(model, train, cfg.Batch), 100*accuracy(model, val, cfg.Batch))
+		100*nas.Accuracy(model, train), 100*nas.Accuracy(model, val))
 
 	// Full classification report on the validation split: a culvert
 	// detector is judged on recall and AUC, not accuracy alone.
@@ -117,22 +104,4 @@ func positiveScores(m *resnet.Model, d *dataset.Dataset, batch int) ([]float64, 
 		}
 	}
 	return scores, labels
-}
-
-func accuracy(m *resnet.Model, d *dataset.Dataset, batch int) float64 {
-	correct, total := 0, 0
-	for _, idxs := range d.Batches(batch, nil) {
-		x, labels := d.Batch(idxs)
-		preds := tensor.ArgMaxRows(m.Forward(x, false))
-		for i, p := range preds {
-			if p == labels[i] {
-				correct++
-			}
-			total++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
 }

@@ -35,7 +35,6 @@ func TestEndToEndTrainingPipeline(t *testing.T) {
 
 	eval := nas.TrainEvaluator{Data: data, Opts: nas.TrainOptions{
 		Epochs: 3, Folds: 2, LR: 0.02, Momentum: 0.9, WeightDecay: 1e-4, Seed: 3,
-		Augment: dataset.AugmentOptions{FlipH: true, FlipV: true},
 	}}
 	space := nas.Space{
 		KernelSizes: []int{3, 7}, Strides: []int{2}, Paddings: []int{1},

@@ -5,7 +5,6 @@ import (
 
 	"drainnas/internal/dataset"
 	"drainnas/internal/nn"
-	"drainnas/internal/parallel"
 	"drainnas/internal/resnet"
 	"drainnas/internal/surrogate"
 	"drainnas/internal/tensor"
@@ -44,19 +43,6 @@ type TrainOptions struct {
 	WeightDecay float64
 	// Seed drives weight init and batch shuffling.
 	Seed uint64
-	// MaxTrainBatches caps the number of batches per epoch (0 = all); used
-	// to bound CPU cost in tests and examples.
-	MaxTrainBatches int
-	// Augment applies label-preserving geometric/noise augmentation to
-	// training batches (validation batches are never augmented).
-	Augment dataset.AugmentOptions
-	// LabelSmoothing is the ε of the smoothed cross-entropy (0 = plain CE).
-	LabelSmoothing float64
-	// ParallelFolds trains the cross-validation folds concurrently. Folds
-	// are independent models, so this composes with (and multiplies) the
-	// batch-level parallelism inside each fold; enable it when the trial
-	// level is not already saturating the machine.
-	ParallelFolds bool
 }
 
 // TrainEvaluator trains each candidate for real on a dataset with
@@ -71,7 +57,8 @@ type TrainEvaluator struct {
 }
 
 // Evaluate runs k-fold training and returns the mean validation accuracy in
-// percent.
+// percent. A corpus too small to give every fold both a training and a
+// validation sample is an error, so the trial fails instead of the sweep.
 func (e TrainEvaluator) Evaluate(cfg resnet.Config) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
@@ -96,28 +83,25 @@ func (e TrainEvaluator) Evaluate(cfg resnet.Config) (float64, error) {
 	if opts.LR <= 0 {
 		opts.LR = 0.01
 	}
+	if n := e.Data.Len(); n < opts.Folds {
+		return 0, fmt.Errorf("nas: %d samples cannot fill %d folds", n, opts.Folds)
+	}
 
 	foldRNG := tensor.NewRNG(opts.Seed ^ 0xF01D)
 	folds := dataset.StratifiedKFold(e.Data.Labels, opts.Folds, foldRNG)
-	accs := make([]float64, len(folds))
-	errs := make([]error, len(folds))
-	runFold := func(fi int) {
-		acc, err := e.trainOneFold(cfg, folds[fi], opts, uint64(fi))
-		accs[fi], errs[fi] = acc, err
-	}
-	if opts.ParallelFolds {
-		parallel.Map(len(folds), len(folds), runFold)
-	} else {
-		for fi := range folds {
-			runFold(fi)
+	for fi, fold := range folds {
+		if len(fold.Train) == 0 || len(fold.Val) == 0 {
+			return 0, fmt.Errorf("nas: fold %d of %d has %d training and %d validation samples",
+				fi, len(folds), len(fold.Train), len(fold.Val))
 		}
 	}
 	sum := 0.0
-	for fi := range folds {
-		if errs[fi] != nil {
-			return 0, fmt.Errorf("nas: fold %d: %w", fi, errs[fi])
+	for fi, fold := range folds {
+		acc, err := e.trainOneFold(cfg, fold, opts, uint64(fi))
+		if err != nil {
+			return 0, fmt.Errorf("nas: fold %d: %w", fi, err)
 		}
-		sum += accs[fi]
+		sum += acc
 	}
 	return 100 * sum / float64(len(folds)), nil
 }
@@ -136,37 +120,64 @@ func (e TrainEvaluator) trainOneFold(cfg resnet.Config, fold dataset.Fold, opts 
 	if err != nil {
 		return 0, err
 	}
-	opt := nn.NewSGD(model.Params(), opts.LR, opts.Momentum, opts.WeightDecay)
-	sched := nn.CosineLRSchedule(opts.LR, opts.LR/10, opts.Epochs)
-
+	tr := NewTrainer(model, opts)
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		opt.SetLR(sched(epoch))
-		batches := train.Batches(cfg.Batch, rng)
-		if opts.MaxTrainBatches > 0 && len(batches) > opts.MaxTrainBatches {
-			batches = batches[:opts.MaxTrainBatches]
-		}
-		for _, idxs := range batches {
-			x, labels := train.Batch(idxs)
-			x = opts.Augment.Apply(x, rng)
-			logits := model.Forward(x, true)
-			_, grad := nn.CrossEntropyLS(logits, labels, opts.LabelSmoothing)
-			nn.ZeroGrad(model.Params())
-			model.Backward(grad)
-			nn.ClipGradNorm(model.Params(), 5)
-			opt.Step()
-		}
+		tr.Epoch(epoch, train, rng)
 	}
-	return evalAccuracy(model, val, cfg.Batch), nil
+	return Accuracy(model, val), nil
 }
 
-// evalAccuracy measures accuracy of a model over a dataset in eval mode.
-func evalAccuracy(model *resnet.Model, d *dataset.Dataset, batch int) float64 {
-	correct, total := 0, 0
-	for _, idxs := range d.Batches(batch, nil) {
+// Trainer is the paper's training protocol for one model, and the one SGD
+// loop TrainEvaluator's folds, cmd/trainer and cmd/deploy all run: the
+// learning rate on a cosine from opts.LR down to opts.LR/10 across
+// opts.Epochs, SGD with opts.Momentum and opts.WeightDecay, and every
+// step's gradient clipped to norm 5.
+type Trainer struct {
+	model *resnet.Model
+	opt   *nn.SGD
+	lr    func(epoch int) float64
+}
+
+// NewTrainer starts model under opts' Epochs, LR, Momentum and WeightDecay.
+func NewTrainer(model *resnet.Model, opts TrainOptions) *Trainer {
+	return &Trainer{
+		model: model,
+		opt:   nn.NewSGD(model.Params(), opts.LR, opts.Momentum, opts.WeightDecay),
+		lr:    nn.CosineLRSchedule(opts.LR, opts.LR/10, opts.Epochs),
+	}
+}
+
+// Epoch runs epoch e (counted from 0): it sets the epoch's learning rate,
+// then takes one step per batch of d — batches of the model's Config.Batch,
+// shuffled by rng — on the cross-entropy loss, and returns the epoch's mean
+// batch loss.
+func (t *Trainer) Epoch(e int, d *dataset.Dataset, rng *tensor.RNG) float64 {
+	t.opt.SetLR(t.lr(e))
+	params := t.model.Params()
+	total, batches := 0.0, 0
+	for _, idxs := range d.Batches(t.model.Config.Batch, rng) {
 		x, labels := d.Batch(idxs)
-		logits := model.Forward(x, false)
-		preds := tensor.ArgMaxRows(logits)
-		for i, p := range preds {
+		loss, grad := nn.CrossEntropy(t.model.Forward(x, true), labels)
+		nn.ZeroGrad(params)
+		t.model.Backward(grad)
+		nn.ClipGradNorm(params, 5)
+		t.opt.Step()
+		total += loss
+		batches++
+	}
+	return total / float64(batches)
+}
+
+// LR returns the learning rate of the last epoch run.
+func (t *Trainer) LR() float64 { return t.opt.LR() }
+
+// Accuracy is the share of d's samples the model classifies correctly in
+// eval mode, in [0, 1], run in batches of the model's Config.Batch.
+func Accuracy(model *resnet.Model, d *dataset.Dataset) float64 {
+	correct, total := 0, 0
+	for _, idxs := range d.Batches(model.Config.Batch, nil) {
+		x, labels := d.Batch(idxs)
+		for i, p := range tensor.ArgMaxRows(model.Forward(x, false)) {
 			if p == labels[i] {
 				correct++
 			}

@@ -285,6 +285,95 @@ func TestTrainEvaluatorRejectsChannelMismatch(t *testing.T) {
 	}
 }
 
+// TestTrainEvaluatorRejectsEmptyFold: with fewer samples per class than
+// folds, stratified dealing leaves the last folds without a validation
+// sample. That must fail the trial with an error naming the fold, not panic
+// the sweep inside Subset.
+func TestTrainEvaluatorRejectsEmptyFold(t *testing.T) {
+	labels := []int{0, 1, 0, 1, 0, 1}
+	eval := TrainEvaluator{
+		Data: dataset.New(tensor.New(len(labels), 5, 32, 32), labels),
+		Opts: TrainOptions{Epochs: 1, Folds: 5, LR: 0.02, Seed: 1},
+	}
+	cfg := resnet.Config{Channels: 5, Batch: 8, KernelSize: 3, Stride: 2, Padding: 1,
+		PoolChoice: 0, InitialOutputFeature: 32, NumClasses: 2}
+	_, err := eval.Evaluate(cfg)
+	if err == nil || !strings.Contains(err.Error(), "fold 3 of 5") {
+		t.Fatalf("Evaluate on 3+3 samples with 5 folds: %v, want an error naming fold 3", err)
+	}
+}
+
+// TestTrainEvaluatorPin holds the exact float64 bits TrainEvaluator.Evaluate
+// returns for three PaperSpace stems on a 26-chip corpus, captured before
+// the SGD epoch was shared with cmd/trainer and cmd/deploy. Any change to
+// the training protocol or to its RNG draw order (weight init, then one
+// Batches shuffle per epoch) moves at least one of them. The forwards
+// behind the accuracies are only reproducible bit for bit on the kernel
+// they were captured with.
+func TestTrainEvaluatorPin(t *testing.T) {
+	if k := tensor.GemmKernelName(); k != "avx2-6x16" {
+		t.Skipf("pin captured on the avx2-6x16 kernel, this process runs %s", k)
+	}
+	corpus := geodata.GenerateCorpus(geodata.CorpusOptions{ChipSize: 32, Scale: 400, Seed: 1})
+	x, labels := corpus.Tensors(5)
+	if len(labels) != 26 {
+		t.Fatalf("corpus has %d chips, the pin was captured on 26", len(labels))
+	}
+	eval := TrainEvaluator{Data: dataset.New(x, labels), Opts: TrainOptions{
+		Epochs: 1, Folds: 2, LR: 0.02, Momentum: 0.9, WeightDecay: 1e-4, Seed: 4,
+	}}
+	for _, pin := range []struct {
+		cfg  resnet.Config
+		bits uint64
+	}{
+		{resnet.Config{Channels: 5, Batch: 8, KernelSize: 3, Stride: 2, Padding: 1,
+			PoolChoice: 0, InitialOutputFeature: 32, NumClasses: 2}, 0x404c924924924924},
+		{resnet.Config{Channels: 5, Batch: 8, KernelSize: 7, Stride: 2, Padding: 3,
+			PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 48, NumClasses: 2}, 0x4046eaaaaaaaaaab},
+		{resnet.Config{Channels: 5, Batch: 8, KernelSize: 3, Stride: 1, Padding: 1,
+			PoolChoice: 1, KernelSizePool: 2, StridePool: 2, InitialOutputFeature: 64, NumClasses: 2}, 0x4046eaaaaaaaaaab},
+	} {
+		acc, err := eval.Evaluate(pin.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(acc); got != pin.bits {
+			t.Errorf("%s: accuracy %v (%#016x), pinned %v (%#016x)",
+				pin.cfg.Key(), acc, got, math.Float64frombits(pin.bits), pin.bits)
+		}
+	}
+}
+
+// TestTrainerFollowsCosineSchedule: the shared epoch starts at opts.LR,
+// ends at opts.LR/10, and reports a finite mean loss.
+func TestTrainerFollowsCosineSchedule(t *testing.T) {
+	corpus := geodata.GenerateCorpus(geodata.CorpusOptions{ChipSize: 16, Scale: 800, Seed: 2})
+	x, labels := corpus.Tensors(5)
+	data := dataset.New(x, labels)
+	cfg := resnet.Config{Channels: 5, Batch: 4, KernelSize: 3, Stride: 1, Padding: 1,
+		PoolChoice: 0, InitialOutputFeature: 4, NumClasses: 2}
+	rng := tensor.NewRNG(1)
+	model, err := resnet.New(cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := TrainOptions{Epochs: 3, LR: 0.05, Momentum: 0.9}
+	tr := NewTrainer(model, opts)
+	want := []float64{0.05, 0.0275, 0.005}
+	for e := range want {
+		loss := tr.Epoch(e, data, rng)
+		if math.IsNaN(loss) || math.IsInf(loss, 0) || loss <= 0 {
+			t.Fatalf("epoch %d: mean loss %v", e, loss)
+		}
+		if math.Abs(tr.LR()-want[e]) > 1e-12 {
+			t.Fatalf("epoch %d: lr %v, want %v", e, tr.LR(), want[e])
+		}
+	}
+	if acc := Accuracy(model, data); acc < 0 || acc > 1 {
+		t.Fatalf("accuracy %v outside [0, 1]", acc)
+	}
+}
+
 func TestResumeExperimentReusesJournal(t *testing.T) {
 	cfgs := PaperSpace().Enumerate(InputCombo{5, 8})[:30]
 	eval := SurrogateEvaluator{Model: surrogate.Default()}
@@ -341,32 +430,6 @@ type countingEvaluator struct {
 func (c countingEvaluator) Evaluate(cfg resnet.Config) (float64, error) {
 	*c.count++
 	return c.inner.Evaluate(cfg)
-}
-
-func TestParallelFoldsMatchSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real training is slow")
-	}
-	corpus := geodata.GenerateCorpus(geodata.CorpusOptions{ChipSize: 24, Scale: 300, Seed: 13})
-	x, labels := corpus.Tensors(5)
-	data := dataset.New(x, labels)
-	cfg := resnet.Config{Channels: 5, Batch: 8, KernelSize: 3, Stride: 2, Padding: 1,
-		PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 8, NumClasses: 2}
-	serial := TrainEvaluator{Data: data, Opts: TrainOptions{Epochs: 1, Folds: 2, LR: 0.02, Momentum: 0.9, Seed: 5}}
-	par := serial
-	par.Opts.ParallelFolds = true
-	a, err := serial.Evaluate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := par.Evaluate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fold seeds are positional, so parallel and serial runs are identical.
-	if a != b {
-		t.Fatalf("parallel folds diverged: %.4f vs %.4f", a, b)
-	}
 }
 
 // TestTrainedModelIndependentOfWorkers: a trial's result must not depend on

@@ -452,80 +452,3 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestCrossEntropyLSReducesToPlainAtZero(t *testing.T) {
-	r := tensor.NewRNG(31)
-	logits := tensor.RandNormal(r, 2, 4, 3)
-	labels := []int{0, 2, 1, 1}
-	l1, g1 := CrossEntropy(logits, labels)
-	l2, g2 := CrossEntropyLS(logits, labels, 0)
-	if l1 != l2 {
-		t.Fatalf("loss %v vs %v", l1, l2)
-	}
-	for i := range g1.Data() {
-		if g1.Data()[i] != g2.Data()[i] {
-			t.Fatal("gradients differ at epsilon 0")
-		}
-	}
-}
-
-func TestCrossEntropyLSGradientNumerical(t *testing.T) {
-	r := tensor.NewRNG(32)
-	logits := tensor.RandNormal(r, 1, 3, 4)
-	labels := []int{1, 3, 0}
-	const eps = 0.1
-	_, grad := CrossEntropyLS(logits, labels, eps)
-	const h = 1e-3
-	for _, idx := range []int{0, 5, 11} {
-		orig := logits.Data()[idx]
-		logits.Data()[idx] = orig + h
-		up, _ := CrossEntropyLS(logits, labels, eps)
-		logits.Data()[idx] = orig - h
-		down, _ := CrossEntropyLS(logits, labels, eps)
-		logits.Data()[idx] = orig
-		want := (up - down) / (2 * h)
-		got := float64(grad.Data()[idx])
-		if math.Abs(got-want) > 1e-3*(1+math.Abs(want)) {
-			t.Fatalf("grad[%d]: got %v want %v", idx, got, want)
-		}
-	}
-}
-
-func TestCrossEntropyLSGradRowsSumZero(t *testing.T) {
-	// Smoothed targets still sum to 1, so gradient rows still sum to zero.
-	r := tensor.NewRNG(33)
-	logits := tensor.RandNormal(r, 3, 5, 3)
-	labels := []int{0, 1, 2, 0, 1}
-	_, grad := CrossEntropyLS(logits, labels, 0.2)
-	for row := 0; row < 5; row++ {
-		s := 0.0
-		for c := 0; c < 3; c++ {
-			s += float64(grad.At(row, c))
-		}
-		if math.Abs(s) > 1e-5 {
-			t.Fatalf("row %d sums to %v", row, s)
-		}
-	}
-}
-
-func TestCrossEntropyLSHigherLossOnConfidentCorrect(t *testing.T) {
-	// Smoothing penalizes over-confidence: for a very confident correct
-	// prediction, the smoothed loss exceeds the plain loss.
-	logits := tensor.FromSlice([]float32{10, -10}, 1, 2)
-	labels := []int{0}
-	plain, _ := CrossEntropy(logits, labels)
-	smooth, _ := CrossEntropyLS(logits, labels, 0.1)
-	if smooth <= plain {
-		t.Fatalf("smoothed %v not above plain %v", smooth, plain)
-	}
-}
-
-func TestCrossEntropyLSRejectsBadEpsilon(t *testing.T) {
-	logits := tensor.New(1, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	CrossEntropyLS(logits, []int{0}, 1.0)
-}
