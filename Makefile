@@ -100,7 +100,8 @@ scan-smoke:
 # capsim CLI and the front end's -trace recorder), calibrating against the
 # checked-in /v1/stats fixture must land within 15% MAPE, and the simulator
 # must decide what the live router decides (same requests throttled, same
-# gate grant order, same latencies) for one scripted arrival sequence.
+# gate grant order, same latencies, the same request count per replica under
+# each placement policy) for one scripted arrival sequence.
 SIM_RUN  = SimDeterminism|TraceRoundTrip|Replay|Calibration|Capsim|TraceRecording|Fixture|SimMatchesLive
 SIM_PKGS = ./internal/sim ./internal/route ./cmd/capsim ./cmd/servd ./cmd/router
 sim-replay:
@@ -152,9 +153,10 @@ selectors:
 # round-trip arbitrary (value, scale) pairs within its saturation bounds,
 # the predict-body scanner must agree with encoding/json on arbitrary bytes
 # (same accept/reject, same values, bit-exact floats), the serving-trace
-# decoder must reject or round-trip whatever it is fed, and the trial-journal
+# decoder must reject or round-trip whatever it is fed, the trial-journal
 # reader must report a bad tail where cutting the input leaves a clean
-# journal and round-trip every entry it recovers.
+# journal and round-trip every entry it recovers, and every tenant key file
+# the parser accepts must hold its name/key/weight invariants and round-trip.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/onnxsize
@@ -163,6 +165,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadPredict -fuzztime=$(FUZZTIME) ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzReadJournal -fuzztime=$(FUZZTIME) ./internal/nas
+	$(GO) test -run='^$$' -fuzz=FuzzParseKeyFile -fuzztime=$(FUZZTIME) ./internal/tenant
 
 # Kernel benchmark selections: the micro-kernel alone and the deployed model's
 # convolution shapes (front32 at 5x100x100, batch 1 and 8; their backward at

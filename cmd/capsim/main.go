@@ -79,13 +79,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sweep     = fs.String("sweep", "", "capacity sweep, e.g. replicas=1..8")
 		targetP99 = fs.Duration("target-p99", 0, "p99 target for the sweep verdict, e.g. 50ms")
 
-		workers     = fs.Int("workers", 1, "per-replica worker pool size")
+		workers     = fs.Int("workers", 1, "batches executing at once per replica")
 		maxBatch    = fs.Int("max-batch", 8, "flush a batch at this many requests")
 		maxDelay    = fs.Duration("max-delay", 2*time.Millisecond, "flush a non-empty batch after this delay")
 		queueCap    = fs.Int("queue", 256, "per-replica admission queue capacity")
 		maxInFlight = fs.Int("max-inflight", 0, "router dispatch concurrency bound (0 = unlimited)")
 		schedName   = fs.String("sched", "fcfs", "gate scheduling: fcfs, priority or sjf")
-		policyName  = fs.String("policy", "round-robin", "placement: round-robin or least-loaded")
+		policyName  = fs.String("policy", route.PolicyRoundRobin, "placement policy: round-robin, least-loaded or affinity")
 		admitRate   = fs.Float64("admit-rate", 0, "token-bucket admission rate, req/s (0 = off)")
 		admitBurst  = fs.Float64("admit-burst", 1, "token-bucket burst capacity (default 1, as router -burst; below 1 is raised to 1)")
 		networkMS   = fs.Float64("network-ms", 0, "fixed per-request network overhead, milliseconds")
@@ -116,8 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	policy, err := sim.ParsePolicy(*policyName)
-	if err != nil {
+	if _, err := route.PolicyByName(*policyName); err != nil {
 		return err
 	}
 
@@ -201,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg := sim.Config{
 		Replicas: *replicas, Workers: *workers,
 		MaxBatch: *maxBatch, MaxDelay: *maxDelay, QueueCap: *queueCap,
-		Policy: policy, Sched: sched, MaxInFlight: *maxInFlight,
+		Policy: *policyName, Sched: sched, MaxInFlight: *maxInFlight,
 		AdmitRate: *admitRate, AdmitBurst: *admitBurst,
 		Models: models, WorkScale: *workScale, OverheadScale: *overScale,
 		NetworkMS: *networkMS, Horizon: *duration,

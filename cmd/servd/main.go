@@ -3,8 +3,8 @@
 // models the NAS pipeline selects. Containers live in a model directory
 // (one .dnnx file per model, written by cmd/deploy -out or any
 // onnxsize.Export caller); requests are admitted into internal/serve's
-// bounded queue, batched per (model, spatial size), and executed on a
-// worker pool through the compiled inference plans.
+// bounded queue, batched per (model, spatial size), and executed at most
+// -workers batches at a time through the compiled inference plans.
 //
 // The /v1/ surface, its error envelope, the -keys tenant tier and the
 // SIGTERM drain are internal/frontend's, shared with cmd/router; the

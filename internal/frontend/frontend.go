@@ -91,7 +91,7 @@ func Flags(fs *flag.FlagSet, addr, per string) (*Config, *serve.Options) {
 	fs.IntVar(&so.MaxBatch, "max-batch", 8, per+"flush a batch at this many requests")
 	fs.DurationVar(&so.MaxDelay, "max-delay", 2*time.Millisecond, per+"flush a non-empty batch after this delay")
 	fs.IntVar(&so.QueueCap, "queue", 256, per+"bounded admission queue capacity")
-	fs.IntVar(&so.Workers, "workers", 0, per+"worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&so.Workers, "workers", 0, per+"batches executing at once (0 = GOMAXPROCS)")
 	fs.IntVar(&so.CacheCap, "cache", 4, per+"resident model cache capacity")
 	return cfg, so
 }

@@ -1,6 +1,6 @@
 // Package parallel provides small, dependency-free building blocks for
 // data-parallel execution: chunked and dynamically scheduled parallel-for
-// loops, and a reusable worker pool.
+// loops.
 //
 // All helpers are synchronous from the caller's point of view: they return
 // only when every spawned unit of work has finished. Work is split into
@@ -125,5 +125,39 @@ func ForTiles2D(m, n, workers int, body func(i, j int)) {
 			}
 		}()
 	}
+	wg.Wait()
+}
+
+// Map runs fn(i) for every i in [0, n) on a transient pool of `workers`
+// goroutines and returns when all calls are done. It is a convenience for
+// coarse-grained fan-out where each call may take a very different amount of
+// time (dynamic load balancing via the shared queue, in contrast to the
+// static chunking of For).
+func Map(n, workers int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	workers = clampWorkers(workers, n)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
 	wg.Wait()
 }

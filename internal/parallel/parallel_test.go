@@ -52,34 +52,6 @@ func TestForChunkedBalance(t *testing.T) {
 	}
 }
 
-func TestPoolRunsAllTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count atomic.Int64
-	for i := 0; i < 100; i++ {
-		p.Submit(func() { count.Add(1) })
-	}
-	p.Wait()
-	if count.Load() != 100 {
-		t.Fatalf("ran %d tasks, want 100", count.Load())
-	}
-	// Pool stays usable after Wait.
-	for i := 0; i < 50; i++ {
-		p.Submit(func() { count.Add(1) })
-	}
-	p.Wait()
-	if count.Load() != 150 {
-		t.Fatalf("ran %d tasks after reuse, want 150", count.Load())
-	}
-}
-
-func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(2)
-	p.Submit(func() {})
-	p.Close()
-	p.Close() // must not panic or deadlock
-}
-
 func TestMapCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 9} {
 		n := 257

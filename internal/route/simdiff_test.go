@@ -75,6 +75,21 @@ type decisions struct {
 // and never queues behind a worker, so the only waiting is at the gate.
 func simulate(t *testing.T, reqs []scripted, mode route.SchedMode, maxInFlight int, rate, burst float64) decisions {
 	t.Helper()
+	workers := maxInFlight
+	if workers <= 0 {
+		workers = len(reqs)
+	}
+	d, _ := simulateFleet(t, reqs, sim.Config{
+		Replicas: 1, Workers: workers,
+		AdmitRate: rate, AdmitBurst: burst, MaxInFlight: maxInFlight, Sched: mode,
+	})
+	return d
+}
+
+// simulateFleet runs the script through sim.Run under cfg, on replicas that
+// never batch (MaxBatch 1) and never reject (QueueCap above the script).
+func simulateFleet(t *testing.T, reqs []scripted, cfg sim.Config) (decisions, sim.Report) {
+	t.Helper()
 	models := make(map[string]latmeter.ServiceModel, len(reqs))
 	arrivals := make([]sim.Arrival, len(reqs))
 	for i, q := range reqs {
@@ -82,16 +97,9 @@ func simulate(t *testing.T, reqs []scripted, mode route.SchedMode, maxInFlight i
 		arrivals[i] = sim.Arrival{At: q.at, Model: modelKey(i), Class: q.class, C: 3, H: 8, W: 8}
 	}
 	d := decisions{latency: map[int]time.Duration{}}
-	workers := maxInFlight
-	if workers <= 0 {
-		workers = len(reqs)
-	}
-	rep, err := sim.Run(sim.Config{
-		Replicas: 1, Workers: workers, MaxBatch: 1, QueueCap: len(reqs) + 1,
-		AdmitRate: rate, AdmitBurst: burst, MaxInFlight: maxInFlight, Sched: mode,
-		Models:     models,
-		OnComplete: func(model string, lat time.Duration) { d.latency[modelIndex(t, model)] = lat },
-	}, arrivals)
+	cfg.MaxBatch, cfg.QueueCap, cfg.Models = 1, len(reqs)+1, models
+	cfg.OnComplete = func(model string, lat time.Duration) { d.latency[modelIndex(t, model)] = lat }
+	rep, err := sim.Run(cfg, arrivals)
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}
@@ -116,28 +124,39 @@ func simulate(t *testing.T, reqs []scripted, mode route.SchedMode, maxInFlight i
 	grantedAt := func(i int) time.Duration { return reqs[i].at + d.latency[i] - reqs[i].service }
 	sort.Slice(parked, func(a, b int) bool { return grantedAt(parked[a]) < grantedAt(parked[b]) })
 	d.grants = parked
-	return d
+	return d, rep
 }
 
 // serveLive runs the script through a real route.Router over one
-// FakeReplica, stepping a FakeClock from event to event: each arrival is
-// submitted at its instant and followed until the router has throttled,
-// dispatched or parked it; each completion is the replica's latency timer
-// firing.
+// FakeReplica.
 func serveLive(t *testing.T, reqs []scripted, mode route.SchedMode, maxInFlight int, rate, burst float64) decisions {
 	t.Helper()
 	clock := routetest.NewFakeClock()
-	rep := routetest.NewFakeReplica("r0", clock)
-	rep.Received = make(chan string, len(reqs))
-	rep.Latency = func(_ int, model string) time.Duration { return reqs[modelIndex(t, model)].service }
+	return serveFleet(t, reqs, clock, route.Options{
+		MaxInFlight: maxInFlight, Sched: mode, Rate: rate, Burst: burst,
+	}, routetest.NewFakeReplica("r0", clock))
+}
+
+// serveFleet runs the script through a real route.Router under opts over
+// the given FakeReplicas, stepping clock from event to event: each arrival
+// is submitted at its instant and followed until the router has throttled,
+// dispatched or parked it; each completion is a replica's latency timer
+// firing.
+func serveFleet(t *testing.T, reqs []scripted, clock *routetest.FakeClock, opts route.Options, fleet ...*routetest.FakeReplica) decisions {
+	t.Helper()
+	received := make(chan string, len(reqs))
+	replicas := make([]route.Replica, len(fleet))
+	for i, rep := range fleet {
+		rep.Received = received
+		rep.Latency = func(_ int, model string) time.Duration { return reqs[modelIndex(t, model)].service }
+		replicas[i] = rep
+	}
 	seeds := make(map[string]float64, len(reqs))
 	for i, q := range reqs {
 		seeds[modelKey(i)] = float64(q.service) / float64(time.Millisecond)
 	}
-	r := route.New(route.Options{
-		Clock: clock, MaxInFlight: maxInFlight, Sched: mode,
-		Rate: rate, Burst: burst, EstimateSeedMS: seeds,
-	}, rep)
+	opts.Clock, opts.EstimateSeedMS = clock, seeds
+	r := route.New(opts, replicas...)
 	defer r.Close()
 
 	type outcome struct {
@@ -183,7 +202,7 @@ func serveLive(t *testing.T, reqs []scripted, mode route.SchedMode, maxInFlight 
 					}
 					d.throttled = append(d.throttled, i)
 					settled = true
-				case m := <-rep.Received:
+				case m := <-received:
 					if got := dispatched(m); got != i {
 						t.Fatalf("request %d dispatched while request %d was arriving", got, i)
 					}
@@ -216,7 +235,7 @@ func serveLive(t *testing.T, reqs []scripted, mode route.SchedMode, maxInFlight 
 		if waiting > 0 {
 			// The freed slot goes to a parked request at once.
 			select {
-			case m := <-rep.Received:
+			case m := <-received:
 				waiting--
 				d.grants = append(d.grants, dispatched(m))
 			case <-giveUp:
@@ -286,6 +305,43 @@ func TestSimMatchesLiveTokenBucket(t *testing.T) {
 			}
 			if !reflect.DeepEqual(live, simd) {
 				t.Errorf("throttled requests differ:\n live %v\n sim  %v", live, simd)
+			}
+		})
+	}
+}
+
+// TestSimMatchesLivePlacement holds the simulator's placement to the live
+// router's for each of the router's policies: the same scripted arrivals
+// over three replicas with the simulator's IDs, none batching or queueing,
+// must reach each replica the same number of times in both worlds, and
+// every request must take the same time.
+func TestSimMatchesLivePlacement(t *testing.T) {
+	for _, name := range []string{route.PolicyRoundRobin, route.PolicyLeastLoaded, route.PolicyAffinity} {
+		t.Run(name, func(t *testing.T) {
+			reqs := script(11, 80)
+			policy, err := route.PolicyByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock := routetest.NewFakeClock()
+			fleet := make([]*routetest.FakeReplica, 3)
+			for i := range fleet {
+				fleet[i] = routetest.NewFakeReplica(fmt.Sprintf("replica-%d", i), clock)
+			}
+			live := serveFleet(t, reqs, clock, route.Options{Policy: policy}, fleet...)
+			simd, rep := simulateFleet(t, reqs, sim.Config{Replicas: len(fleet), Workers: len(reqs), Policy: name})
+
+			if len(live.latency) != len(reqs) {
+				t.Fatalf("live served %d of %d requests", len(live.latency), len(reqs))
+			}
+			for i, f := range fleet {
+				got := rep.ReplicaStats[i]
+				if got.ID != f.ID() || got.Requests != uint64(f.CallCount()) {
+					t.Errorf("%s got %d requests live, simulated %s got %d", f.ID(), f.CallCount(), got.ID, got.Requests)
+				}
+			}
+			if !reflect.DeepEqual(live.latency, simd.latency) {
+				t.Errorf("per-request latency differs:\n live %v\n sim  %v", live.latency, simd.latency)
 			}
 		})
 	}

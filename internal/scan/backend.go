@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"drainnas/internal/api"
 	"drainnas/internal/latmeter"
 	"drainnas/internal/route"
 	"drainnas/internal/serve"
@@ -158,33 +157,20 @@ func HeuristicScore(x *tensor.Tensor) float64 {
 }
 
 // retryable reports whether a tile's serving error is worth retrying
-// against the same backend: transient capacity rejections in any of the
-// forms the backends produce, including a remote replica's wire codes. Context expiry and input or
-// lookup errors are not.
+// against the same backend: the transient capacity rejections, which every
+// backend reports as serve or route sentinels (route.HTTPReplica maps a
+// remote replica's queue_full onto serve.ErrQueueFull). Context expiry and
+// input or lookup errors are not.
 func retryable(err error) bool {
-	switch {
-	case err == nil, errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
-	case errors.Is(err, serve.ErrQueueFull), errors.Is(err, route.ErrThrottled), errors.Is(err, route.ErrNoReplicas):
-		return true
 	}
-	switch api.ErrorCode(err) {
-	case api.CodeQueueFull, api.CodeThrottled, api.CodeQuotaExceeded, api.CodeNoReplicas:
-		return true
-	}
-	return false
+	return errors.Is(err, serve.ErrQueueFull) || errors.Is(err, route.ErrThrottled) || errors.Is(err, route.ErrNoReplicas)
 }
 
 // fatalErr reports an error that dooms every remaining tile (the model is
 // gone or the tier is shutting down), so the job aborts instead of burning
 // retries tile by tile.
 func fatalErr(err error) bool {
-	if errors.Is(err, serve.ErrModelNotFound) || errors.Is(err, serve.ErrClosed) || errors.Is(err, route.ErrClosed) {
-		return true
-	}
-	switch api.ErrorCode(err) {
-	case api.CodeModelNotFound, api.CodeShuttingDown:
-		return true
-	}
-	return false
+	return errors.Is(err, serve.ErrModelNotFound) || errors.Is(err, serve.ErrClosed) || errors.Is(err, route.ErrClosed)
 }

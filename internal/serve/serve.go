@@ -3,8 +3,8 @@
 // internal/infer. It is the step from the paper's single-image
 // edge-deployment story toward the ROADMAP north star of serving heavy
 // request traffic: incoming requests are collected into batches (flushed
-// when a batch fills or a deadline expires), executed by a bounded worker
-// pool through Plan.RunBatch so conv/matmul overhead amortizes, and
+// when a batch fills or a deadline expires), executed at most Workers at a
+// time through Plan.RunBatch so conv/matmul overhead amortizes, and
 // admission-controlled by a bounded queue with typed backpressure errors.
 //
 // The pieces:
@@ -63,7 +63,9 @@ type Options struct {
 	// QueueCap bounds the number of admitted-but-unfinished requests;
 	// Submit returns ErrQueueFull beyond it (default 256).
 	QueueCap int
-	// Workers sizes the execution pool (default parallel.DefaultWorkers).
+	// Workers bounds the batches executing at once; a batch cut while every
+	// slot is busy parks until one frees, in cut order (default
+	// parallel.DefaultWorkers).
 	Workers int
 	// CacheCap bounds the number of resident model runtimes (default 4).
 	CacheCap int
@@ -141,10 +143,12 @@ type groupKey struct {
 type Server struct {
 	opts  Options
 	cache *ModelCache
-	pool  *parallel.Pool
 
 	mu     sync.Mutex
 	former *sched.Former[groupKey, *pending] // what to cut and when; guarded by mu
+	// slots holds the Workers execution slots; a parked waiter's Value is
+	// the batch that runs once a slot is handed to it. Guarded by mu.
+	slots  *sched.Gate[func()]
 	closed bool
 
 	// load counts admitted-but-unfinished requests: +1 on admission (only
@@ -154,8 +158,8 @@ type Server struct {
 	// on mu or allocating a stats snapshot.
 	load atomic.Int64
 
-	// dispatchers tracks flushes between taking a batch and handing it to
-	// the pool, so Close can drain them before closing the pool.
+	// dispatchers counts the goroutines executing batches, so Close can
+	// wait for every admitted request to finish.
 	dispatchers sync.WaitGroup
 }
 
@@ -168,8 +172,8 @@ func NewServer(loader func(key string) (*infer.Plan, error), opts Options) *Serv
 	return &Server{
 		opts:   opts,
 		cache:  NewModelCache(opts.CacheCap, loader),
-		pool:   parallel.NewPool(opts.Workers),
 		former: sched.NewFormer[groupKey, *pending](opts.MaxBatch),
+		slots:  sched.NewGate[func()](opts.Workers, sched.FCFS),
 	}
 }
 
@@ -230,13 +234,9 @@ func (s *Server) Submit(ctx context.Context, model string, input *tensor.Tensor)
 		time.AfterFunc(s.opts.MaxDelay, func() { s.flushTimer(key, gen) })
 	}
 	if cut != nil {
-		s.dispatchers.Add(1)
-	}
-	s.mu.Unlock()
-
-	if cut != nil {
 		s.dispatch(key, cut)
 	}
+	s.mu.Unlock()
 
 	select {
 	case r := <-p.done:
@@ -254,26 +254,41 @@ func (s *Server) Submit(ctx context.Context, model string, input *tensor.Tensor)
 // flushTimer is the MaxDelay deadline for a group generation.
 func (s *Server) flushTimer(key groupKey, gen uint64) {
 	s.mu.Lock()
-	batch := s.former.Expire(key, gen)
-	if batch == nil {
-		// Already flushed (by size or Close), or a later incarnation.
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	// A nil batch was already flushed (by size or Close), or the group is a
+	// later incarnation.
+	if batch := s.former.Expire(key, gen); batch != nil {
+		s.dispatch(key, batch)
+	}
+}
+
+// dispatch starts a cut batch on a new goroutine when an execution slot is
+// free, and parks it at the slot gate otherwise. The caller holds s.mu and
+// never executes the batch itself.
+func (s *Server) dispatch(key groupKey, batch []*pending) {
+	task := func() { s.execute(key, batch) }
+	w, granted := s.slots.Acquire(sched.ClassStandard, 0)
+	if !granted {
+		w.Value = task
 		return
 	}
 	s.dispatchers.Add(1)
-	s.mu.Unlock()
-	s.dispatch(key, batch)
+	go s.run(task)
 }
 
-// dispatch hands a cut batch to the worker pool, executing inline when the
-// pool's queue is saturated — the flushing goroutine then becomes the
-// worker, which is exactly the backpressure we want instead of unbounded
-// goroutine growth.
-func (s *Server) dispatch(key groupKey, batch []*pending) {
+// run executes task in its slot, then hands the slot to the oldest parked
+// batch and executes that on the same goroutine, until nothing is parked.
+func (s *Server) run(task func()) {
 	defer s.dispatchers.Done()
-	task := func() { s.execute(key, batch) }
-	if !s.pool.TrySubmit(task) {
+	for {
 		task()
+		s.mu.Lock()
+		next := s.slots.Release()
+		s.mu.Unlock()
+		if next == nil {
+			return
+		}
+		task = next.Value
 	}
 }
 
@@ -344,24 +359,17 @@ func (s *Server) fail(model string, claimed []*pending, err error) {
 // reads 0.
 func (s *Server) Load() int64 { return s.load.Load() }
 
-// Close flushes every pending batch, waits for in-flight work, and shuts
-// the worker pool down. Requests admitted before Close still complete;
-// Submit afterwards returns ErrClosed. Close is idempotent.
+// Close flushes every pending batch and waits for in-flight work. Requests
+// admitted before Close still complete; Submit afterwards returns
+// ErrClosed. Close is idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.dispatchers.Wait()
-		s.pool.Close()
-		return
+	if !s.closed {
+		s.closed = true
+		for key, batch := range s.former.Drain() {
+			s.dispatch(key, batch)
+		}
 	}
-	s.closed = true
-	cuts := s.former.Drain()
-	s.dispatchers.Add(len(cuts))
 	s.mu.Unlock()
-	for key, batch := range cuts {
-		s.dispatch(key, batch)
-	}
 	s.dispatchers.Wait()
-	s.pool.Close()
 }

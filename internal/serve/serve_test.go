@@ -583,6 +583,66 @@ func TestLoadTracksSubmitCompleteExactly(t *testing.T) {
 	}
 }
 
+// TestWorkersBoundConcurrentBatches holds Workers to what it bounds: with
+// one slot, batches cut while it is busy park, then run one at a time in
+// the order they were cut — none runs inline on the goroutine that cut it.
+// The loader blocks, and the model cache loads distinct keys outside its
+// lock, so concurrent loader calls are concurrent batch executions.
+func TestWorkersBoundConcurrentBatches(t *testing.T) {
+	load, _ := testLoader(t)
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var running, peak int
+	var started []string
+	loader := func(key string) (*infer.Plan, error) {
+		mu.Lock()
+		running++
+		peak = max(peak, running)
+		started = append(started, key)
+		mu.Unlock()
+		<-release
+		mu.Lock()
+		running--
+		mu.Unlock()
+		return load(key)
+	}
+	s := NewServer(loader, Options{Workers: 1, MaxBatch: 1, QueueCap: 16})
+	defer s.Close()
+
+	const n = 5
+	cut := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range cut {
+		cut[i] = fmt.Sprintf("m%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Submit(context.Background(), cut[i], testInput(uint64(i))); err != nil {
+				t.Errorf("submit %s: %v", cut[i], err)
+			}
+		}()
+		// MaxBatch 1 cuts each request in the critical section that admits
+		// it, so waiting for each admission fixes the cut order.
+		waitFor(t, func() bool { return s.Load() == int64(i+1) })
+	}
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(started) > 0
+	})
+	// Give a batch executing past the bound the time to reach the loader.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+
+	if peak != 1 {
+		t.Fatalf("%d batches executed at once with Workers 1", peak)
+	}
+	if fmt.Sprint(started) != fmt.Sprint(cut) {
+		t.Fatalf("batches started in order %v, cut in order %v", started, cut)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

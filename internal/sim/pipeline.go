@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -9,45 +10,16 @@ import (
 	"drainnas/internal/latmeter"
 	"drainnas/internal/route"
 	"drainnas/internal/sched"
+	"drainnas/internal/serve"
+	"drainnas/internal/tensor"
 )
-
-// Policy selects how the simulated router places a request on a replica.
-type Policy int
-
-// The simulated placement policies (the deterministic subset of
-// internal/route's policy set; affinity degenerates to a static partition
-// under a fixed fleet, so round-robin and least-loaded are the interesting
-// capacity-planning shapes).
-const (
-	PolicyRoundRobin Policy = iota
-	PolicyLeastLoaded
-)
-
-// String names the policy as accepted by -policy.
-func (p Policy) String() string {
-	if p == PolicyLeastLoaded {
-		return "least-loaded"
-	}
-	return "round-robin"
-}
-
-// ParsePolicy maps the flag name to a policy; empty means round-robin.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "round-robin", "rr":
-		return PolicyRoundRobin, nil
-	case "least-loaded", "ll":
-		return PolicyLeastLoaded, nil
-	default:
-		return PolicyRoundRobin, fmt.Errorf("sim: unknown policy %q (want round-robin or least-loaded)", s)
-	}
-}
 
 // Config describes the simulated deployment: the same knobs cmd/servd and
 // cmd/router expose, plus the per-model service models that stand in for
 // plan execution.
 type Config struct {
-	// Replicas is the fleet size; Workers the per-replica execution pool.
+	// Replicas is the fleet size; Workers bounds the batches executing at
+	// once on each replica, as serve.Options.Workers does.
 	Replicas int
 	Workers  int
 
@@ -58,8 +30,11 @@ type Config struct {
 	MaxDelay time.Duration
 	QueueCap int
 
-	// Policy places requests on replicas.
-	Policy Policy
+	// Policy names the route.Policy that places requests on replicas, as
+	// accepted by route.PolicyByName (empty = round-robin). Each Run builds
+	// a fresh instance, so no placement state carries from one run to the
+	// next.
+	Policy string
 
 	// AdmitRate / AdmitBurst configure router token-bucket admission
 	// (tokens per second / bucket size, a burst below 1 is raised to 1
@@ -124,24 +99,34 @@ type groupKey struct {
 	h, w  int
 }
 
-type batchSim struct {
-	model string
-	reqs  []Arrival
-}
-
-// replicaSim models one serve.Server: bounded admission, the batch former
-// serve.Server runs, a bounded worker pool executing service-model
-// durations.
+// replicaSim models one serve.Server: bounded admission, and the batch
+// former and execution-slot gate serve.Server runs, with service-model
+// durations standing in for plan execution. It is the route.Replica the
+// placement policy picks from.
 type replicaSim struct {
-	id       string
-	load     int // admitted-but-unfinished (QueueCap's denominator)
-	former   *sched.Former[groupKey, Arrival]
-	busy     int
-	backlog  []*batchSim // cut batches waiting for a worker, FIFO
+	id     string
+	load   int // admitted-but-unfinished (QueueCap's denominator)
+	former *sched.Former[groupKey, Arrival]
+	// slots is serve.Server's gate of Workers execution slots; a parked
+	// waiter's Value is a cut batch.
+	slots    *sched.Gate[[]Arrival]
 	requests uint64
 	batches  uint64
 	sizeSum  uint64
 	busyMS   float64
+}
+
+// ID implements route.Replica.
+func (r *replicaSim) ID() string { return r.id }
+
+// InFlight implements route.Replica: the admitted-but-unfinished count, as
+// serve.Server.Load reports it.
+func (r *replicaSim) InFlight() int64 { return int64(r.load) }
+
+// Submit implements route.Replica. The event loop feeds a simulated
+// replica directly, so it is never called.
+func (r *replicaSim) Submit(context.Context, string, *tensor.Tensor) (serve.Response, error) {
+	return serve.Response{}, fmt.Errorf("sim: %s is simulated and takes no Submit", r.id)
 }
 
 // cluster is the whole simulated deployment plus its accounting.
@@ -154,8 +139,9 @@ type cluster struct {
 	bucket sched.Bucket
 	gate   *sched.Gate[Arrival]
 
+	policy route.Policy
 	reps   []*replicaSim
-	rrNext int
+	fleet  []route.Replica // reps, as the policy sees them
 }
 
 // Run simulates the arrival stream through the configured cluster and
@@ -163,6 +149,10 @@ type cluster struct {
 // must be present in cfg.Models.
 func Run(cfg Config, arrivals []Arrival) (Report, error) {
 	cfg = cfg.withDefaults()
+	policy, err := route.PolicyByName(cfg.Policy)
+	if err != nil {
+		return Report{}, err
+	}
 	for _, a := range arrivals {
 		if _, ok := cfg.Models[a.Model]; !ok {
 			return Report{}, fmt.Errorf("sim: arrival references model %q with no service model", a.Model)
@@ -179,12 +169,16 @@ func Run(cfg Config, arrivals []Arrival) (Report, error) {
 		res:    newCollector(),
 		bucket: sched.NewBucket(cfg.AdmitRate, cfg.AdmitBurst, 0),
 		gate:   sched.NewGate[Arrival](slots, cfg.Sched),
+		policy: policy,
 	}
 	for i := 0; i < cfg.Replicas; i++ {
-		c.reps = append(c.reps, &replicaSim{
+		rep := &replicaSim{
 			id:     fmt.Sprintf("replica-%d", i),
 			former: sched.NewFormer[groupKey, Arrival](cfg.MaxBatch),
-		})
+			slots:  sched.NewGate[[]Arrival](cfg.Workers, sched.FCFS),
+		}
+		c.reps = append(c.reps, rep)
+		c.fleet = append(c.fleet, rep)
 	}
 
 	for _, a := range arrivals {
@@ -214,21 +208,9 @@ func (c *cluster) arrive(r Arrival) {
 	c.place(r)
 }
 
-// place picks a replica by policy and joins its batcher.
+// place lets the policy pick a replica and joins its batcher.
 func (c *cluster) place(r Arrival) {
-	var rep *replicaSim
-	switch c.cfg.Policy {
-	case PolicyLeastLoaded:
-		rep = c.reps[0]
-		for _, cand := range c.reps[1:] {
-			if cand.load < rep.load {
-				rep = cand
-			}
-		}
-	default:
-		rep = c.reps[c.rrNext%len(c.reps)]
-		c.rrNext++
-	}
+	rep := c.reps[c.policy.Pick(r.Model, c.fleet)]
 
 	if rep.load >= c.cfg.QueueCap {
 		c.res.rejected(r)
@@ -243,58 +225,54 @@ func (c *cluster) place(r Arrival) {
 	if fresh {
 		c.loop.After(c.cfg.MaxDelay, func() {
 			if batch := rep.former.Expire(key, gen); batch != nil {
-				c.cut(rep, key.model, batch)
+				c.cut(rep, batch)
 			}
 		})
 	}
 	if batch != nil {
-		c.cut(rep, key.model, batch)
+		c.cut(rep, batch)
 	}
 }
 
-// cut hands a formed batch to the worker pool (or the backlog when every
-// worker is busy — the pool-saturation backpressure).
-func (c *cluster) cut(rep *replicaSim, model string, reqs []Arrival) {
-	b := &batchSim{model: model, reqs: reqs}
-	if rep.busy < c.cfg.Workers {
-		c.start(rep, b)
-	} else {
-		rep.backlog = append(rep.backlog, b)
+// cut starts a formed batch when one of the replica's execution slots is
+// free and parks it at the slot gate otherwise.
+func (c *cluster) cut(rep *replicaSim, batch []Arrival) {
+	if w, granted := rep.slots.Acquire(sched.ClassStandard, 0); !granted {
+		w.Value = batch
+		return
 	}
+	c.start(rep, batch)
 }
 
 // start begins one stacked forward: its duration comes from the model's
-// service coefficients under the calibration scales.
-func (c *cluster) start(rep *replicaSim, b *batchSim) {
-	rep.busy++
-	sm := c.cfg.Models[b.model].Scaled(c.cfg.WorkScale, c.cfg.OverheadScale)
-	durMS := sm.BatchMS(len(b.reqs))
+// service coefficients under the calibration scales. Every request of a
+// batch carries the batch's model key.
+func (c *cluster) start(rep *replicaSim, batch []Arrival) {
+	sm := c.cfg.Models[batch[0].Model].Scaled(c.cfg.WorkScale, c.cfg.OverheadScale)
+	durMS := sm.BatchMS(len(batch))
 	rep.busyMS += durMS
-	c.loop.After(time.Duration(durMS*float64(time.Millisecond)), func() { c.complete(rep, b) })
+	c.loop.After(time.Duration(durMS*float64(time.Millisecond)), func() { c.complete(rep, batch) })
 }
 
-// complete delivers a finished batch: per-request latencies, accounting,
-// gate releases, and the next backlog batch if one is waiting.
-func (c *cluster) complete(rep *replicaSim, b *batchSim) {
-	rep.busy--
+// complete delivers a finished batch: its slot passes to the oldest parked
+// batch, then per-request latencies, accounting and gate releases.
+func (c *cluster) complete(rep *replicaSim, batch []Arrival) {
+	if next := rep.slots.Release(); next != nil {
+		c.start(rep, next.Value)
+	}
 	rep.batches++
-	rep.sizeSum += uint64(len(b.reqs))
+	rep.sizeSum += uint64(len(batch))
 	now := c.loop.Now()
 	net := time.Duration(c.cfg.NetworkMS * float64(time.Millisecond))
-	for _, r := range b.reqs {
+	for _, r := range batch {
 		lat := now - r.At + net
-		c.res.completed(r, b.model, len(b.reqs), lat)
+		c.res.completed(r, len(batch), lat)
 		if c.cfg.OnComplete != nil {
-			c.cfg.OnComplete(b.model, lat)
+			c.cfg.OnComplete(r.Model, lat)
 		}
 	}
-	rep.load -= len(b.reqs)
-	c.releaseGate(len(b.reqs))
-	if len(rep.backlog) > 0 && rep.busy < c.cfg.Workers {
-		next := rep.backlog[0]
-		rep.backlog = rep.backlog[1:]
-		c.start(rep, next)
-	}
+	rep.load -= len(batch)
+	c.releaseGate(len(batch))
 }
 
 // releaseGate returns n dispatch slots one at a time, placing the waiter
@@ -355,14 +333,14 @@ func (c *collector) arrived(a Arrival)   { c.overall.arrived++; c.class(a).arriv
 func (c *collector) throttled(a Arrival) { c.overall.throttled++; c.class(a).throttled++ }
 func (c *collector) rejected(a Arrival)  { c.overall.rejected++; c.class(a).rejected++ }
 
-func (c *collector) completed(a Arrival, model string, batch int, lat time.Duration) {
+func (c *collector) completed(a Arrival, batch int, lat time.Duration) {
 	ms := float64(lat) / float64(time.Millisecond)
 	c.overall.completed++
 	c.overall.latMS = append(c.overall.latMS, ms)
 	cb := c.class(a)
 	cb.completed++
 	cb.latMS = append(cb.latMS, ms)
-	mb := c.model(model)
+	mb := c.model(a.Model)
 	mb.completed++
 	mb.latMS = append(mb.latMS, ms)
 	c.batchSum += uint64(batch)

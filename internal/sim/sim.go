@@ -9,15 +9,18 @@
 // A simulated request flows through the same stages a real one does:
 //
 //	arrival → admission (token bucket + SLO scheduling gate)
-//	        → replica placement (round-robin / least-loaded)
+//	        → replica placement (round-robin / least-loaded / affinity)
 //	        → batch formation (MaxDelay / MaxBatch, per model and chip size)
+//	        → execution slots (Workers per replica, parked batches in cut order)
 //	        → plan execution (latmeter service models, fp32 and "@int8")
 //	        → response
 //
-// Admission, the gate and batch formation are the live tiers' own objects
-// (sched.Bucket, sched.Gate, sched.Former) called with virtual time.
-// Placement, QueueCap rejection and the worker pool with its backlog are
-// modelled here; tenant fairness and hedged retries are not simulated.
+// Every decision but one is the live tiers' own code: admission, the
+// router's gate, batch formation and each replica's execution slots are
+// sched.Bucket, sched.Gate and sched.Former called with virtual time, and
+// placement is the router's route.Policy picking over simulated replicas.
+// Only QueueCap rejection is modelled here; replica churn, tenant fairness
+// and hedged retries are not simulated.
 //
 // Everything runs off a virtual clock (Loop): events are processed in
 // (time, schedule-order) sequence, all randomness comes from seeded

@@ -46,7 +46,7 @@ func TestSimDeterminism(t *testing.T) {
 	cfg := Config{
 		Replicas: 2, Workers: 2, MaxInFlight: 64, Sched: route.Priority,
 		AdmitRate: 500, AdmitBurst: 50, Models: testModels(),
-		Policy: PolicyLeastLoaded, Horizon: 2 * time.Second, NetworkMS: 0.2,
+		Policy: route.PolicyLeastLoaded, Horizon: 2 * time.Second, NetworkMS: 0.2,
 	}
 	run := func(seed uint64) (string, string) {
 		arr, err := testWorkload(seed).Arrivals()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -210,11 +211,7 @@ func TraceArrivals(events []TraceEvent) ([]Arrival, error) {
 	}
 	// Stable: equal-time events keep file order, matching the recorder's
 	// observation order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].At < out[j-1].At; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out, nil
 }
 

@@ -156,6 +156,24 @@ func TestReplaySortsTraceStably(t *testing.T) {
 	if _, err := TraceArrivals(bad); err == nil {
 		t.Fatal("an invalid event replayed")
 	}
+
+	// Two concatenated recordings arrive unsorted; a large reversed file
+	// must sort in n log n, not the quadratic time an insertion sort takes.
+	// Events come in equal-time pairs whose H marks file order.
+	const n = 100000
+	reversed := make([]TraceEvent, n)
+	for i := range reversed {
+		reversed[i] = TraceEvent{TMS: float64((n - 1 - i) / 2), Model: "paper", C: 1, H: 1 + i%2, W: 1}
+	}
+	arr, err = TraceArrivals(reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range arr {
+		if a.At != time.Duration(i/2)*time.Millisecond || a.H != 1+i%2 {
+			t.Fatalf("reversed trace: arrival %d = %+v, want at %dms with H %d", i, a, i/2, 1+i%2)
+		}
+	}
 }
 
 // FuzzTraceDecode hammers the JSONL reader with arbitrary bytes: it must

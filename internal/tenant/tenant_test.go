@@ -1,8 +1,10 @@
 package tenant
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -24,6 +26,22 @@ const twoTenants = `{"tenants": [
 	{"name": "beta", "key": "beta-secret-key"}
 ]}`
 
+// badKeyFiles are key files ParseKeyFile must reject, each with a
+// substring of the error it must give.
+var badKeyFiles = []struct {
+	name, body, wantErr string
+}{
+	{"garbage", "{", "parsing"},
+	{"empty", `{"tenants": []}`, "no tenants"},
+	{"unnamed", `{"tenants": [{"key": "long-enough-key"}]}`, "no name"},
+	{"dup name", `{"tenants": [{"name":"a","key":"key-one-xx"},{"name":"a","key":"key-two-xx"}]}`, "duplicate"},
+	{"short key", `{"tenants": [{"name":"a","key":"short"}]}`, "shorter"},
+	{"dup key", `{"tenants": [{"name":"a","key":"same-key-here"},{"name":"b","key":"same-key-here"}]}`, "duplicates"},
+	{"negative weight", `{"tenants": [{"name":"a","key":"long-enough-key","weight":-1}]}`, "negative weight"},
+}
+
+const burstlessTenant = `{"tenants": [{"name":"a","key":"long-enough-key","rate_rps":0.001,"burst":0}]}`
+
 func TestParseKeyFile(t *testing.T) {
 	tenants, err := ParseKeyFile([]byte(twoTenants))
 	if err != nil {
@@ -41,18 +59,7 @@ func TestParseKeyFile(t *testing.T) {
 		t.Fatalf("beta defaults %+v", beta)
 	}
 
-	bad := []struct {
-		name, body, wantErr string
-	}{
-		{"garbage", "{", "parsing"},
-		{"empty", `{"tenants": []}`, "no tenants"},
-		{"unnamed", `{"tenants": [{"key": "long-enough-key"}]}`, "no name"},
-		{"dup name", `{"tenants": [{"name":"a","key":"key-one-xx"},{"name":"a","key":"key-two-xx"}]}`, "duplicate"},
-		{"short key", `{"tenants": [{"name":"a","key":"short"}]}`, "shorter"},
-		{"dup key", `{"tenants": [{"name":"a","key":"same-key-here"},{"name":"b","key":"same-key-here"}]}`, "duplicates"},
-		{"negative weight", `{"tenants": [{"name":"a","key":"long-enough-key","weight":-1}]}`, "negative weight"},
-	}
-	for _, tc := range bad {
+	for _, tc := range badKeyFiles {
 		if _, err := ParseKeyFile([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err %v, want substring %q", tc.name, err, tc.wantErr)
 		}
@@ -61,7 +68,7 @@ func TestParseKeyFile(t *testing.T) {
 	// A rate-limited tenant written without a burst can still send: its
 	// first request is admitted, its second finds the bucket dry.
 	dir := t.TempDir()
-	auth, err := LoadAuthenticator(writeKeyFile(t, dir, `{"tenants": [{"name":"a","key":"long-enough-key","rate_rps":0.001,"burst":0}]}`), time.Minute, nil)
+	auth, err := LoadAuthenticator(writeKeyFile(t, dir, burstlessTenant), time.Minute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,4 +168,52 @@ func TestLoadAuthenticatorErrors(t *testing.T) {
 	if _, err := LoadAuthenticator(path, 0, nil); err == nil {
 		t.Fatal("invalid key file accepted")
 	}
+}
+
+// FuzzParseKeyFile feeds the key-file parser arbitrary bytes: it must never
+// panic, every file it accepts must hold the invariants authentication
+// relies on (non-empty unique names, unique keys of at least minKeyLen
+// bytes, positive weights), and writing the accepted tenants back out must
+// parse to the same tenants.
+func FuzzParseKeyFile(f *testing.F) {
+	for _, seed := range []string{twoTenants, quotaTenants, burstlessTenant} {
+		f.Add([]byte(seed))
+	}
+	for _, tc := range badKeyFiles {
+		f.Add([]byte(tc.body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tenants, err := ParseKeyFile(data)
+		if err != nil {
+			return
+		}
+		if len(tenants) == 0 {
+			t.Fatal("accepted a key file without tenants")
+		}
+		names := make(map[string]bool, len(tenants))
+		keys := make(map[string]bool, len(tenants))
+		for _, tn := range tenants {
+			if tn.Name == "" || names[tn.Name] {
+				t.Fatalf("accepted an empty or duplicate name %q", tn.Name)
+			}
+			if len(tn.Key) < minKeyLen || keys[tn.Key] {
+				t.Fatalf("%s: accepted a short or duplicate key %q", tn.Name, tn.Key)
+			}
+			if !(tn.Weight > 0) {
+				t.Fatalf("%s: accepted weight %v", tn.Name, tn.Weight)
+			}
+			names[tn.Name], keys[tn.Key] = true, true
+		}
+		out, err := json.Marshal(keyFile{Tenants: tenants})
+		if err != nil {
+			t.Fatalf("marshalling accepted tenants: %v", err)
+		}
+		again, err := ParseKeyFile(out)
+		if err != nil {
+			t.Fatalf("re-parsing %s: %v", out, err)
+		}
+		if !reflect.DeepEqual(again, tenants) {
+			t.Fatalf("round trip changed the tenants:\n got  %+v\n want %+v", again, tenants)
+		}
+	})
 }
