@@ -155,8 +155,10 @@ selectors:
 # (same accept/reject, same values, bit-exact floats), the serving-trace
 # decoder must reject or round-trip whatever it is fed, the trial-journal
 # reader must report a bad tail where cutting the input leaves a clean
-# journal and round-trip every entry it recovers, and every tenant key file
-# the parser accepts must hold its name/key/weight invariants and round-trip.
+# journal and round-trip every entry it recovers, every tenant key file
+# the parser accepts must hold its name/key/weight invariants and round-trip,
+# and every scan request the scan handler would admit must ask for a tile,
+# chip, stride and grid inside the synthesis bounds and round-trip.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/onnxsize
@@ -166,15 +168,17 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzReadJournal -fuzztime=$(FUZZTIME) ./internal/nas
 	$(GO) test -run='^$$' -fuzz=FuzzParseKeyFile -fuzztime=$(FUZZTIME) ./internal/tenant
+	$(GO) test -run='^$$' -fuzz=FuzzScanRequest -fuzztime=$(FUZZTIME) ./internal/api
 
 # Kernel benchmark selections: the micro-kernel alone and the deployed model's
 # convolution shapes (front32 at 5x100x100, batch 1 and 8; their backward at
 # 32x32 batch 16, what NAS trains, and 100x100 batch 8), the conv/training
 # ablations, one surrogate-sweep trial measurement (core.Measure over the
-# enumerated PaperSpace, with allocs/op), and the compiled-inference path on
-# a 32x32 chip and at the deployment size.
+# enumerated PaperSpace, with allocs/op), the watershed synthesis a scan's
+# first tile waits on (Nebraska 640², with allocs/op), and the
+# compiled-inference path on a 32x32 chip and at the deployment size.
 KBENCH_TENSOR = ^(BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkConvBackwardShapes)$$
-KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure)$$
+KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure|BenchmarkWatershedSynthesis)$$
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$

@@ -434,8 +434,8 @@ func BenchmarkAblation_SuccessiveHalving(b *testing.B) {
 }
 
 // BenchmarkTileSegmentation measures the region-tile workflow: synthesize
-// a watershed raster, compute its hydrography, and segment chips — the
-// paper's data-preparation pipeline.
+// a watershed raster (terrain, channels, roads, crossings and the rendered
+// bands) and segment chips — the paper's data-preparation pipeline.
 func BenchmarkTileSegmentation(b *testing.B) {
 	var nPos, nNeg int
 	for i := 0; i < b.N; i++ {
@@ -446,4 +446,16 @@ func BenchmarkTileSegmentation(b *testing.B) {
 	}
 	b.ReportMetric(float64(nPos), "positives")
 	b.ReportMetric(float64(nNeg), "negatives")
+}
+
+// BenchmarkWatershedSynthesis measures what a scan's first tile waits on:
+// geodata.GenerateWatershed for the scan benchmark's first job (Nebraska,
+// 640², seed 1), with allocations, since the terrain and band rasters
+// dominate a scan's set-up memory.
+func BenchmarkWatershedSynthesis(b *testing.B) {
+	region, _ := geodata.RegionByName("Nebraska")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		geodata.GenerateWatershed(region, 640, 1)
+	}
 }

@@ -12,6 +12,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -42,8 +43,10 @@ type run struct {
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
+// trajectory holds the earlier runs as raw JSON, so appending a run leaves
+// their bytes as they were written.
 type trajectory struct {
-	Runs []run `json:"runs"`
+	Runs []json.RawMessage `json:"runs"`
 }
 
 func main() {
@@ -87,25 +90,49 @@ func main() {
 		fatalf("no benchmark lines found on stdin")
 	}
 
-	var traj trajectory
-	if raw, err := os.ReadFile(*out); err == nil {
-		if err := json.Unmarshal(raw, &traj); err != nil {
-			fatalf("existing %s is not a trajectory file: %v", *out, err)
-		}
-	} else if !os.IsNotExist(err) {
+	raw, err := os.ReadFile(*out)
+	if err != nil && !os.IsNotExist(err) {
 		fatalf("reading %s: %v", *out, err)
 	}
-	traj.Runs = append(traj.Runs, rec)
-
-	enc, err := json.MarshalIndent(&traj, "", "  ")
+	enc, n, err := appendRun(raw, rec)
 	if err != nil {
-		fatalf("encoding: %v", err)
+		fatalf("existing %s: %v", *out, err)
 	}
-	if err := os.WriteFile(*out, append(enc, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(*out, enc, 0o644); err != nil {
 		fatalf("writing %s: %v", *out, err)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: recorded %d benchmarks as run %d of %s\n",
-		len(rec.Benchmarks), len(traj.Runs), *out)
+		len(rec.Benchmarks), n, *out)
+}
+
+// appendRun adds rec to the trajectory file contents raw (empty for a new
+// file) and returns the new contents and the run count. It writes without
+// HTML escaping, so earlier runs keep their bytes: a "->" in a note stays
+// "->" and a note stored as "-\u003e" stays that way.
+func appendRun(raw []byte, rec run) ([]byte, int, error) {
+	var traj trajectory
+	if len(raw) > 0 {
+		if err := json.Unmarshal(raw, &traj); err != nil {
+			return nil, 0, fmt.Errorf("not a trajectory file: %v", err)
+		}
+	}
+	r, err := encode(rec)
+	if err != nil {
+		return nil, 0, err
+	}
+	traj.Runs = append(traj.Runs, r)
+	enc, err := encode(&traj)
+	return enc, len(traj.Runs), err
+}
+
+// encode writes v as indented JSON without HTML escaping.
+func encode(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(v)
+	return buf.Bytes(), err
 }
 
 // parseBenchLine decodes one testing.B result line:

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseBenchLine(t *testing.T) {
 	br, ok := parseBenchLine(
@@ -43,5 +46,29 @@ func TestParseBenchLineRejectsGarbage(t *testing.T) {
 		if _, ok := parseBenchLine(line, ""); ok {
 			t.Fatalf("parsed garbage line %q", line)
 		}
+	}
+}
+
+func TestAppendRunKeepsEarlierRuns(t *testing.T) {
+	rec := run{GoVersion: "go1", GemmKernel: "k", Note: "a -> b", Benchmarks: []benchResult{{Name: "X", Iters: 1, NsPerOp: 2}}}
+	first, n, err := appendRun(nil, rec)
+	if err != nil || n != 1 {
+		t.Fatalf("new file: n=%d err=%v", n, err)
+	}
+	if !strings.Contains(string(first), `"note": "a -> b"`) {
+		t.Fatalf("note escaped:\n%s", first)
+	}
+	// An earlier run stored with an escaped '>' keeps its bytes.
+	old := strings.Replace(string(first), "a -> b", `a -\u003e b`, 1)
+	second, n, err := appendRun([]byte(old), rec)
+	if err != nil || n != 2 {
+		t.Fatalf("append: n=%d err=%v", n, err)
+	}
+	head := strings.TrimSuffix(old, "\n  ]\n}\n")
+	if !strings.HasPrefix(string(second), head) {
+		t.Fatalf("earlier run rewritten:\n%s\nwant prefix:\n%s", second, head)
+	}
+	if _, _, err := appendRun([]byte("[]"), rec); err == nil {
+		t.Fatal("a JSON array was accepted as a trajectory")
 	}
 }

@@ -1,6 +1,7 @@
 package geodata
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -29,6 +30,69 @@ func TestFractalFieldRangeAndDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical fields")
+	}
+}
+
+// At evaluates the noise field at a continuous coordinate, in [0, 1): the
+// point formula addRow evaluates a row at a time.
+func (v valueNoise) At(x, y float64) float64 {
+	x0 := math.Floor(x)
+	y0 := math.Floor(y)
+	tx := smoothstep(x - x0)
+	ty := smoothstep(y - y0)
+	ix, iy := int64(x0), int64(y0)
+	v00 := v.hash2(ix, iy)
+	v10 := v.hash2(ix+1, iy)
+	v01 := v.hash2(ix, iy+1)
+	v11 := v.hash2(ix+1, iy+1)
+	top := v00 + (v10-v00)*tx
+	bot := v01 + (v11-v01)*tx
+	return top + (bot-top)*ty
+}
+
+// pointFractalField is FractalField evaluated cell by cell from At, the
+// way it was before rows reused lattice corners: the oracle for the rows.
+func pointFractalField(seed uint64, size int, baseFreq float64, octaves int, persistence float64) []float64 {
+	n := valueNoise{seed: seed}
+	out := make([]float64, size*size)
+	inv := baseFreq / float64(size)
+	for y := 0; y < size; y++ {
+		fy := float64(y) * inv
+		for x := 0; x < size; x++ {
+			sum, amp, norm, freq := 0.0, 1.0, 0.0, 1.0
+			for o := 0; o < octaves; o++ {
+				sum += amp * n.At(float64(x)*inv*freq, fy*freq)
+				norm += amp
+				amp *= persistence
+				freq *= 2
+			}
+			if norm != 0 {
+				out[y*size+x] = sum / norm
+			}
+		}
+	}
+	return out
+}
+
+// TestFractalFieldMatchesPointNoise holds FractalField's row-parallel
+// evaluation bit for bit to the point formula, for the base frequencies,
+// octaves and persistences synthesis uses.
+func TestFractalFieldMatchesPointNoise(t *testing.T) {
+	for _, size := range []int{1, 17, 64, 129, 301} {
+		for _, p := range []struct {
+			freq        float64
+			octaves     int
+			persistence float64
+		}{{4, 6, 0.45}, {3, 5, 0.7}, {5, 3, 0.5}, {6, 3, 0.5}, {2.5, 0, 0.5}} {
+			seed := uint64(size)*31 + uint64(p.octaves)
+			got := FractalField(seed, size, p.freq, p.octaves, p.persistence)
+			want := pointFractalField(seed, size, p.freq, p.octaves, p.persistence)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("size %d %+v: cell %d = %v, point formula %v", size, p, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -99,6 +163,90 @@ func TestRaiseRoadLiftsElevation(t *testing.T) {
 	}
 }
 
+// fullDistanceField is the exhaustive sweep distanceField replaced: every
+// cell's distance to every segment, kept here as the oracle for the window.
+func fullDistanceField(size int, line polyline) []float64 {
+	out := make([]float64, size*size)
+	for y := 0; y < size; y++ {
+		for x := 0; x < size; x++ {
+			best := math.Inf(1)
+			for s := 0; s+1 < len(line); s++ {
+				d := distanceToSegment(float64(x), float64(y), line[s].X, line[s].Y, line[s+1].X, line[s+1].Y)
+				if d < best {
+					best = d
+				}
+			}
+			out[y*size+x] = best
+		}
+	}
+	return out
+}
+
+// TestDistanceFieldWindowExact holds the windowed distance field to the
+// exhaustive sweep wherever CarveChannel or RaiseRoad would act on a cell:
+// there the distance is identical, and everywhere else both give a weight
+// below the 1e-4 cut-off. Lines are the generators' own meanders and roads,
+// free and pinned to a crossing at or past the raster edge (so the
+// generators' clamps hold whole stretches of the line on the border), plus
+// hand-made lines that leave the raster.
+func TestDistanceFieldWindowExact(t *testing.T) {
+	rng := tensor.NewRNG(29)
+	type profile struct {
+		name   string
+		reach  float64
+		weight func(d float64) float64
+	}
+	var profiles []profile
+	for _, sigma := range []float64{1.2, 2.5} {
+		profiles = append(profiles, profile{
+			name:   fmt.Sprintf("channel σ=%v", sigma),
+			reach:  channelReach(sigma),
+			weight: func(d float64) float64 { return gaussian(d, sigma) },
+		})
+	}
+	for _, crown := range []float64{1.5, 2.5} {
+		for _, shoulder := range []float64{1.5, 3} {
+			profiles = append(profiles, profile{
+				name:   fmt.Sprintf("road crown=%v shoulder=%v", crown, shoulder),
+				reach:  roadReach(crown, shoulder),
+				weight: func(d float64) float64 { return roadWeight(d, crown, shoulder) },
+			})
+		}
+	}
+
+	for _, size := range []int{17, 64, 137} {
+		edge := float64(size - 1)
+		var lines []polyline
+		for i := 0; i < 4; i++ {
+			lines = append(lines, meander(rng, size, 0, 0, false), straightRoad(rng, size, 0, 0, false))
+		}
+		for _, at := range [][2]float64{{0, 0}, {edge, edge}, {-5, edge / 2}, {edge + 5, edge / 2}} {
+			lines = append(lines, meander(rng, size, at[0], at[1], true), straightRoad(rng, size, at[0], at[1], true))
+		}
+		lines = append(lines,
+			polyline{{X: -8, Y: -3}, {X: edge + 6, Y: edge + 9}},
+			polyline{{X: edge / 3, Y: -20}, {X: edge / 3, Y: -1}},
+			polyline{{X: 2, Y: 2}, {X: 2, Y: 2}},
+		)
+		tr := NewTerrain(size)
+		for li, line := range lines {
+			oracle := fullDistanceField(size, line)
+			for _, p := range profiles {
+				got := tr.distanceField(line, p.reach)
+				for i, want := range oracle {
+					if p.weight(want) >= 1e-4 {
+						if got[i] != want {
+							t.Fatalf("size %d line %d %s: cell %d distance %v, sweep %v", size, li, p.name, i, got[i], want)
+						}
+					} else if w := p.weight(got[i]); w >= 1e-4 {
+						t.Fatalf("size %d line %d %s: cell %d weight %v where the sweep's is below 1e-4", size, li, p.name, i, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestStampCrossingSagsEmbankment(t *testing.T) {
 	tr := NewTerrain(32)
 	tr.RaiseRoad(polyline{{X: 0, Y: 16}, {X: 31, Y: 16}}, 2, 2, 2)
@@ -123,10 +271,10 @@ func TestFlowAccumulationOnTiltedPlane(t *testing.T) {
 			tr.Elev[y*size+x] = float64(x)
 		}
 	}
-	tr.FlowAccumulation()
+	acc := tr.FlowAccumulation()
 	// Low-edge cells accumulate their entire row.
 	for y := 0; y < size; y++ {
-		if got := tr.FlowAcc[y*size]; got != float64(size) {
+		if got := acc[y*size]; got != float64(size) {
 			t.Fatalf("row %d low-edge accumulation %v, want %v", y, got, size)
 		}
 	}
@@ -140,8 +288,11 @@ func TestFlowAccumulationMassConservation(t *testing.T) {
 		tr := NewTerrain(size)
 		field := FractalField(seed, size, 3, 4, 0.5)
 		copy(tr.Elev, field)
-		tr.FlowAccumulation()
-		for _, a := range tr.FlowAcc {
+		acc := tr.FlowAccumulation()
+		if len(acc) != size*size {
+			return false
+		}
+		for _, a := range acc {
 			if a < 1 || a > float64(size*size) {
 				return false
 			}

@@ -56,30 +56,31 @@ func (g *Grid) ChipID(x, y int) int { return y*g.W + x }
 // CellOrigin returns the tile-space top-left corner of cell (x, y).
 func (g *Grid) CellOrigin(x, y int) (x0, y0 int) { return x * g.Stride, y * g.Stride }
 
-// ChipAt crops cell (x, y) into a labeled chip: Label is 1 when the window
-// contains a stamped crossing (the scan's ground truth). The crop is a pure
-// copy of the tile bands — no RNG, no shared mutable state — so concurrent
-// scans over one grid see identical bytes.
-func (g *Grid) ChipAt(x, y int) Chip {
+// CellTensor crops cell (x, y) straight into a (1, channels, S, S) model
+// input; channels must be 5 (DEM+R+G+B+NIR) or 7 (adding NDVI+NDWI),
+// matching Corpus.Tensors' band selection. The crop is a pure copy of the
+// tile bands — no RNG, no shared mutable state — so concurrent scans over
+// one grid see identical bytes.
+func (g *Grid) CellTensor(x, y, channels int) *tensor.Tensor {
 	if x < 0 || x >= g.W || y < 0 || y >= g.H {
 		panic(fmt.Sprintf("geodata: grid cell (%d,%d) outside %dx%d", x, y, g.W, g.H))
+	}
+	if channels != 5 && channels != 7 {
+		panic(fmt.Sprintf("geodata: chip supports 5 or 7 channels, got %d", channels))
 	}
 	size := g.Tile.Terrain.Size
 	chip := g.ChipSize
 	x0, y0 := g.CellOrigin(x, y)
-	bands := make([]float32, NumBands*chip*chip)
-	for b := 0; b < NumBands; b++ {
+	out := tensor.New(1, channels, chip, chip)
+	data := out.Data()
+	for b := 0; b < channels; b++ {
 		src := g.Tile.Bands[b*size*size : (b+1)*size*size]
-		dst := bands[b*chip*chip : (b+1)*chip*chip]
+		dst := data[b*chip*chip : (b+1)*chip*chip]
 		for r := 0; r < chip; r++ {
 			copy(dst[r*chip:(r+1)*chip], src[(y0+r)*size+x0:(y0+r)*size+x0+chip])
 		}
 	}
-	label := 0
-	if g.CellHasCrossing(x, y) {
-		label = 1
-	}
-	return Chip{Region: g.Tile.Region.Name, Label: label, Size: chip, Bands: bands}
+	return out
 }
 
 // CellHasCrossing reports whether any stamped crossing falls inside cell
@@ -106,17 +107,4 @@ func (g *Grid) TruthCrossings() int {
 		}
 	}
 	return n
-}
-
-// Tensor lays the chip out as a (1, channels, S, S) input tensor; channels
-// must be 5 (DEM+R+G+B+NIR) or 7 (adding NDVI+NDWI), matching
-// Corpus.Tensors' band selection.
-func (c Chip) Tensor(channels int) *tensor.Tensor {
-	if channels != 5 && channels != 7 {
-		panic(fmt.Sprintf("geodata: chip supports 5 or 7 channels, got %d", channels))
-	}
-	plane := c.Size * c.Size
-	x := tensor.New(1, channels, c.Size, c.Size)
-	copy(x.Data(), c.Bands[:channels*plane])
-	return x
 }

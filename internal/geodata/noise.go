@@ -13,6 +13,7 @@ package geodata
 import (
 	"math"
 
+	"drainnas/internal/parallel"
 	"drainnas/internal/tensor"
 )
 
@@ -37,51 +38,65 @@ func (v valueNoise) hash2(x, y int64) float64 {
 // smoothstep is the C¹ interpolation weight 3t² - 2t³.
 func smoothstep(t float64) float64 { return t * t * (3 - 2*t) }
 
-// At evaluates the noise field at a continuous coordinate, in [0, 1).
-func (v valueNoise) At(x, y float64) float64 {
-	x0 := math.Floor(x)
+// addRow adds one octave along a raster row: dst[px] += amp·noise(px·inv·freq, y),
+// where noise blends the four lattice corners around the point with
+// smoothstep weights. The lattice row is fixed along a raster row and a
+// lattice cell spans many pixels, so the corner hashes are reused until x
+// enters the next cell.
+func (v valueNoise) addRow(dst []float64, inv, freq, y, amp float64) {
 	y0 := math.Floor(y)
-	tx := smoothstep(x - x0)
 	ty := smoothstep(y - y0)
-	ix, iy := int64(x0), int64(y0)
-	v00 := v.hash2(ix, iy)
-	v10 := v.hash2(ix+1, iy)
-	v01 := v.hash2(ix, iy+1)
-	v11 := v.hash2(ix+1, iy+1)
-	top := v00 + (v10-v00)*tx
-	bot := v01 + (v11-v01)*tx
-	return top + (bot-top)*ty
-}
-
-// Fractal sums `octaves` octaves of value noise with per-octave gain
-// (persistence) and lacunarity 2, normalized to [0, 1].
-func (v valueNoise) Fractal(x, y float64, octaves int, persistence float64) float64 {
-	sum, amp, norm := 0.0, 1.0, 0.0
-	freq := 1.0
-	for o := 0; o < octaves; o++ {
-		sum += amp * v.At(x*freq, y*freq)
-		norm += amp
-		amp *= persistence
-		freq *= 2
+	iy := int64(y0)
+	var ix int64
+	var v00, v10, v01, v11 float64
+	for px := range dst {
+		x := float64(px) * inv * freq
+		x0 := math.Floor(x)
+		tx := smoothstep(x - x0)
+		if px == 0 || int64(x0) != ix {
+			ix = int64(x0)
+			v00 = v.hash2(ix, iy)
+			v10 = v.hash2(ix+1, iy)
+			v01 = v.hash2(ix, iy+1)
+			v11 = v.hash2(ix+1, iy+1)
+		}
+		top := v00 + (v10-v00)*tx
+		bot := v01 + (v11-v01)*tx
+		dst[px] += amp * (top + (bot-top)*ty)
 	}
-	if norm == 0 {
-		return 0
-	}
-	return sum / norm
 }
 
 // FractalField fills a size×size grid with fractal noise at the given base
-// frequency (lattice cells across the grid).
+// frequency (lattice cells across the grid): `octaves` octaves of value
+// noise with per-octave gain (persistence) and lacunarity 2, normalized to
+// [0, 1]. Every cell depends only on its own coordinates, so the rows are
+// filled in bands on all cores with the same bytes a serial fill gives.
 func FractalField(seed uint64, size int, baseFreq float64, octaves int, persistence float64) []float64 {
 	n := valueNoise{seed: seed}
 	out := make([]float64, size*size)
 	inv := baseFreq / float64(size)
-	for y := 0; y < size; y++ {
-		fy := float64(y) * inv
-		for x := 0; x < size; x++ {
-			out[y*size+x] = n.Fractal(float64(x)*inv, fy, octaves, persistence)
-		}
+	norm, gain := 0.0, 1.0
+	for o := 0; o < octaves; o++ {
+		norm += gain
+		gain *= persistence
 	}
+	parallel.ForChunked(size, 0, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			row := out[y*size : (y+1)*size]
+			fy := float64(y) * inv
+			amp, freq := 1.0, 1.0
+			for o := 0; o < octaves; o++ {
+				n.addRow(row, inv, freq, fy*freq, amp)
+				amp *= persistence
+				freq *= 2
+			}
+			if norm != 0 {
+				for px := range row {
+					row[px] /= norm
+				}
+			}
+		}
+	})
 	return out
 }
 

@@ -16,6 +16,11 @@ import (
 // Reflectances follow the qualitative spectra the indices rely on:
 // vegetation is NIR-bright and RED-dark (NDVI high), open water is
 // GREEN-bright and NIR-dark (NDWI high), pavement is spectrally flat.
+//
+// The sensor noise is one RNG stream drawn in cell order, four deviates per
+// cell. A producer goroutine draws them a row band at a time into a few
+// recycled buffers while the caller's goroutine shades the bands already
+// drawn, so the bytes (and rng's final state) are those of a serial render.
 func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 	size := t.Size
 	n := size * size
@@ -27,9 +32,53 @@ func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 		span = 1
 	}
 
+	moistSeed, vegSeed := rng.Uint64(), rng.Uint64()
+	free := make(chan []float64, renderBuffers)
+	full := make(chan []float64, renderBuffers)
+	for k := 0; k < renderBuffers; k++ {
+		free <- make([]float64, 4*renderRows*size)
+	}
+	// The producer starts before shader fills the noise fields, so the
+	// first bands' deviates are drawn meanwhile.
+	go func() {
+		for y := 0; y < size; y += renderRows {
+			dev := (<-free)[:4*min(renderRows, size-y)*size]
+			for k := range dev {
+				dev[k] = rng.NormFloat64()
+			}
+			full <- dev
+		}
+		close(full)
+	}()
+	shade := shader(t, region, bands, lo, span, moistSeed, vegSeed)
+	i := 0
+	for dev := range full {
+		for k := 0; k < len(dev); k += 4 {
+			shade(i, dev[k:k+4])
+			i++
+		}
+		free <- dev
+	}
+	return bands
+}
+
+// renderRows and renderBuffers bound the sensor-noise deviates a raster
+// render holds: renderBuffers bands of renderRows rows, four per cell.
+const (
+	renderRows    = 16
+	renderBuffers = 3
+)
+
+// shader returns the per-cell render of RenderBands: cell i's seven band
+// values from the terrain, the land-cover noise fields and the cell's four
+// sensor-noise deviates (RED, GREEN, BLUE, NIR).
+func shader(t *Terrain, region Region, bands []float32, lo, span float64, moistSeed, vegSeed uint64) func(i int, dev []float64) {
+	size := t.Size
+	n := size * size
+
 	// Moisture: inverse normalized elevation plus channel proximity.
-	moistNoise := FractalField(rng.Uint64(), size, 5, 3, 0.5)
-	vegNoise := FractalField(rng.Uint64(), size, 6, 3, 0.5)
+	moistNoise := FractalField(moistSeed, size, 5, 3, 0.5)
+	vegNoise := FractalField(vegSeed, size, 6, 3, 0.5)
 
 	dem := bands[BandDEM*n : (BandDEM+1)*n]
 	red := bands[BandRed*n : (BandRed+1)*n]
@@ -40,7 +89,7 @@ func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 	ndwi := bands[BandNDWI*n : (BandNDWI+1)*n]
 
 	sensorNoise := 0.015
-	for i := 0; i < n; i++ {
+	return func(i int, dev []float64) {
 		elevN := (t.Elev[i] - lo) / span
 		dem[i] = float32(elevN)
 
@@ -81,10 +130,10 @@ func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 			dzdy := t.Elev[i+size] - t.Elev[i]
 			shade = clamp01(0.85 + 0.1*(dzdx-dzdy))
 		}
-		r = clamp01(r*shade + rng.NormFloat64()*sensorNoise)
-		g = clamp01(g*shade + rng.NormFloat64()*sensorNoise)
-		b = clamp01(b*shade + rng.NormFloat64()*sensorNoise)
-		nr = clamp01(nr*shade + rng.NormFloat64()*sensorNoise)
+		r = clamp01(r*shade + dev[0]*sensorNoise)
+		g = clamp01(g*shade + dev[1]*sensorNoise)
+		b = clamp01(b*shade + dev[2]*sensorNoise)
+		nr = clamp01(nr*shade + dev[3]*sensorNoise)
 
 		red[i] = float32(r)
 		green[i] = float32(g)
@@ -93,7 +142,6 @@ func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 		ndvi[i] = float32(NDVI(nr, r))
 		ndwi[i] = float32(NDWI(g, nr))
 	}
-	return bands
 }
 
 // NDVI computes the Normalized Difference Vegetation Index (equation 1):

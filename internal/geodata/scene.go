@@ -101,10 +101,8 @@ func clampF(v, lo, hi float64) float64 {
 	return v
 }
 
-// BuildScene synthesizes a terrain of the given kind for a region. The
-// returned terrain has elevation, masks and (for statistics) no flow
-// accumulation computed; callers that need the drainage network can invoke
-// FlowAccumulation themselves.
+// BuildScene synthesizes a terrain of the given kind for a region: elevation
+// and masks. Callers that need the drainage network call FlowAccumulation.
 func BuildScene(region Region, kind SceneKind, size int, rng *tensor.RNG) *Terrain {
 	t := NewTerrain(size)
 	// Fractal base with a gentle regional gradient so water has somewhere

@@ -7,15 +7,13 @@ import (
 )
 
 // Terrain is a square digital elevation model with helper fields produced
-// during synthesis: per-cell flow accumulation and masks marking carved
-// channels, road embankments and crossing structures.
+// during synthesis: masks marking carved channels, road embankments and
+// crossing structures. Flow accumulation is derived on demand
+// (FlowAccumulation), since nothing rendered from the terrain reads it.
 type Terrain struct {
 	Size int
 	// Elev holds elevations in meters, row-major.
 	Elev []float64
-	// FlowAcc holds D8 flow accumulation (number of upstream cells), filled
-	// by FlowAccumulation.
-	FlowAcc []float64
 	// ChannelMask / RoadMask / CrossingMask are in [0, 1] membership weights.
 	ChannelMask  []float64
 	RoadMask     []float64
@@ -31,7 +29,6 @@ func NewTerrain(size int) *Terrain {
 	return &Terrain{
 		Size:         size,
 		Elev:         make([]float64, n),
-		FlowAcc:      make([]float64, n),
 		ChannelMask:  make([]float64, n),
 		RoadMask:     make([]float64, n),
 		CrossingMask: make([]float64, n),
@@ -47,11 +44,12 @@ var d8Offsets = [8]struct {
 	{1, 1, math.Sqrt2}, {1, -1, math.Sqrt2}, {-1, 1, math.Sqrt2}, {-1, -1, math.Sqrt2},
 }
 
-// FlowAccumulation computes D8 flow accumulation: each cell drains to its
-// steepest-descent neighbor, and accumulation counts the number of cells
-// (including itself) draining through each cell. Cells are processed in
-// descending elevation order, which makes the single pass exact on a DAG.
-func (t *Terrain) FlowAccumulation() {
+// FlowAccumulation returns the D8 flow accumulation of the DEM, row-major:
+// each cell drains to its steepest-descent neighbor, and accumulation counts
+// the number of cells (including itself) draining through each cell. Cells
+// are processed in descending elevation order, which makes the single pass
+// exact on a DAG.
+func (t *Terrain) FlowAccumulation() []float64 {
 	size := t.Size
 	n := size * size
 	order := make([]int, n)
@@ -60,8 +58,9 @@ func (t *Terrain) FlowAccumulation() {
 	}
 	sort.Slice(order, func(a, b int) bool { return t.Elev[order[a]] > t.Elev[order[b]] })
 
-	for i := range t.FlowAcc {
-		t.FlowAcc[i] = 1
+	acc := make([]float64, n)
+	for i := range acc {
+		acc[i] = 1
 	}
 	for _, idx := range order {
 		x, y := idx%size, idx/size
@@ -80,9 +79,10 @@ func (t *Terrain) FlowAccumulation() {
 			}
 		}
 		if best >= 0 {
-			t.FlowAcc[best] += t.FlowAcc[idx]
+			acc[best] += acc[idx]
 		}
 	}
+	return acc
 }
 
 // polyline is a sequence of continuous points tracing a channel or road.
@@ -101,23 +101,54 @@ func distanceToSegment(px, py, ax, ay, bx, by float64) float64 {
 	return math.Hypot(px-cx, py-cy)
 }
 
-// distanceField computes, for every cell, the distance to the nearest
-// segment of the polyline. For the small chips used here an exact sweep is
-// cheap and simpler than a jump-flood approximation.
-func (t *Terrain) distanceField(line polyline) []float64 {
+// gaussianReach is how many σ from its axis a Gaussian profile keeps a
+// weight of at least 1e-4, the cut-off below which CarveChannel and
+// RaiseRoad leave a cell alone: exp(-r²/2) = 1e-4 at r = √(2 ln 10⁴).
+var gaussianReach = math.Sqrt(2 * math.Log(1e4))
+
+// channelReach and roadReach bound the distance at which a channel or road
+// profile still weighs at least 1e-4, plus one cell of slack for rounding.
+func channelReach(width float64) float64 { return width*gaussianReach + 1 }
+
+func roadReach(crownWidth, shoulderWidth float64) float64 {
+	return crownWidth + shoulderWidth*gaussianReach + 1
+}
+
+// roadWeight is the embankment profile at distance d from the road axis:
+// 1 on the crown, Gaussian shoulders beyond.
+func roadWeight(d, crownWidth, shoulderWidth float64) float64 {
+	if d <= crownWidth {
+		return 1
+	}
+	return gaussian(d-crownWidth, shoulderWidth)
+}
+
+// distanceField returns, for every cell, the distance to the nearest
+// segment of the polyline, but only where that distance can be below reach:
+// each segment measures just the cells of its bounding box grown by reach,
+// and every other cell stays +Inf. A cell within reach of the line is
+// within reach of its nearest segment, so it gets the same minimum an
+// exhaustive sweep over every segment would give it.
+func (t *Terrain) distanceField(line polyline, reach float64) []float64 {
 	size := t.Size
 	out := make([]float64, size*size)
-	for y := 0; y < size; y++ {
-		for x := 0; x < size; x++ {
-			best := math.Inf(1)
-			px, py := float64(x), float64(y)
-			for s := 0; s+1 < len(line); s++ {
-				d := distanceToSegment(px, py, line[s].X, line[s].Y, line[s+1].X, line[s+1].Y)
-				if d < best {
-					best = d
+	inf := math.Inf(1)
+	for i := range out {
+		out[i] = inf
+	}
+	for s := 0; s+1 < len(line); s++ {
+		ax, ay, bx, by := line[s].X, line[s].Y, line[s+1].X, line[s+1].Y
+		x0 := max(0, int(math.Floor(min(ax, bx)-reach)))
+		x1 := min(size-1, int(math.Ceil(max(ax, bx)+reach)))
+		y0 := max(0, int(math.Floor(min(ay, by)-reach)))
+		y1 := min(size-1, int(math.Ceil(max(ay, by)+reach)))
+		for y := y0; y <= y1; y++ {
+			row := out[y*size : (y+1)*size]
+			for x := x0; x <= x1; x++ {
+				if d := distanceToSegment(float64(x), float64(y), ax, ay, bx, by); d < row[x] {
+					row[x] = d
 				}
 			}
-			out[y*size+x] = best
 		}
 	}
 	return out
@@ -127,8 +158,11 @@ func (t *Terrain) distanceField(line polyline) []float64 {
 // cross-section of the given width (σ, cells) and depth (meters), and adds
 // the membership weight to ChannelMask.
 func (t *Terrain) CarveChannel(line polyline, width, depth float64) {
-	dist := t.distanceField(line)
+	dist := t.distanceField(line, channelReach(width))
 	for i, d := range dist {
+		if math.IsInf(d, 1) {
+			continue // out of reach: the weight is 0
+		}
 		w := gaussian(d, width)
 		if w < 1e-4 {
 			continue
@@ -141,14 +175,12 @@ func (t *Terrain) CarveChannel(line polyline, width, depth float64) {
 // RaiseRoad lifts the DEM along the polyline to form an embankment with a
 // flat crown: full height within crownWidth, Gaussian shoulders beyond.
 func (t *Terrain) RaiseRoad(line polyline, crownWidth, shoulderWidth, height float64) {
-	dist := t.distanceField(line)
+	dist := t.distanceField(line, roadReach(crownWidth, shoulderWidth))
 	for i, d := range dist {
-		var w float64
-		if d <= crownWidth {
-			w = 1
-		} else {
-			w = gaussian(d-crownWidth, shoulderWidth)
+		if math.IsInf(d, 1) {
+			continue // out of reach: the weight is 0
 		}
+		w := roadWeight(d, crownWidth, shoulderWidth)
 		if w < 1e-4 {
 			continue
 		}

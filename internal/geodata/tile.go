@@ -21,9 +21,8 @@ type Tile struct {
 
 // GenerateTile synthesizes a size×size watershed with several meandering
 // channels, several roads, and a crossing stamped at every road–channel
-// intersection. The terrain's flow accumulation is computed so the drainage
-// network is extractable (DrainageDensity), mirroring the paper's
-// HRDEM-derived hydrography.
+// intersection. The drainage network stays extractable from the DEM
+// (DrainageDensity), mirroring the paper's HRDEM-derived hydrography.
 func GenerateTile(region Region, size, nChannels, nRoads int, rng *tensor.RNG) *Tile {
 	if size < 32 {
 		panic(fmt.Sprintf("geodata: tile size %d too small", size))
@@ -64,7 +63,6 @@ func GenerateTile(region Region, size, nChannels, nRoads int, rng *tensor.RNG) *
 			}
 		}
 	}
-	t.FlowAccumulation()
 	tile.Bands = RenderBands(t, region, rng)
 	return tile
 }
@@ -156,15 +154,16 @@ func (t *Tile) ExtractChips(chipSize, nNeg int, rng *tensor.RNG) (positives, neg
 // DrainageDensity returns the fraction of tile cells whose flow
 // accumulation meets the threshold — the extracted drainage network of the
 // DEM, as a hydrography summary statistic for validating the synthesized
-// network.
+// network. Each call runs FlowAccumulation over the whole tile.
 func (t *Tile) DrainageDensity(threshold float64) float64 {
+	acc := t.Terrain.FlowAccumulation()
 	cells := 0
-	for _, a := range t.Terrain.FlowAcc {
+	for _, a := range acc {
 		if a >= threshold {
 			cells++
 		}
 	}
-	return float64(cells) / float64(len(t.Terrain.FlowAcc))
+	return float64(cells) / float64(len(acc))
 }
 
 func clampInt(v, lo, hi int) int {

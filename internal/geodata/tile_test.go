@@ -153,19 +153,25 @@ func TestFlowAccumulationConcentratesOnChannels(t *testing.T) {
 	// off-channel mean: water follows the carved drainage.
 	tile := testTile(t, 9)
 	tr := tile.Terrain
+	acc := tr.FlowAccumulation()
 	var onSum, offSum float64
 	var onN, offN int
 	for i, m := range tr.ChannelMask {
 		if m > 0.5 {
-			onSum += tr.FlowAcc[i]
+			onSum += acc[i]
 			onN++
 		} else if m == 0 {
-			offSum += tr.FlowAcc[i]
+			offSum += acc[i]
 			offN++
 		}
 	}
 	if onN == 0 || offN == 0 {
 		t.Fatal("degenerate masks")
+	}
+	// Every cell counts itself, so an all-zero accumulation (which would
+	// pass the ratio below) is a broken FlowAccumulation.
+	if offSum <= 0 {
+		t.Fatalf("off-channel accumulation sums to %v", offSum)
 	}
 	// D8 without pit filling fragments long flow paths, so require a 1.5x
 	// concentration rather than a strict multiple.

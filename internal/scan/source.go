@@ -35,7 +35,7 @@ func NewSource(req api.ScanRequest) (*Source, error) {
 
 // ChipTensor crops cell c into a model input tensor.
 func (s *Source) ChipTensor(c Cell) *tensor.Tensor {
-	return s.Grid.ChipAt(c.X, c.Y).Tensor(s.Channels)
+	return s.Grid.CellTensor(c.X, c.Y, s.Channels)
 }
 
 // Truth is the ground-truth crossing-cell count.
