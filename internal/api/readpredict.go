@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -101,9 +104,10 @@ const (
 // differently-cased key, a duplicate, a number float32 cannot hold, a
 // syntax error, the end of the bytes — and the caller then gives the same
 // bytes to encoding/json, so what is accepted, what is rejected and with
-// which message are encoding/json's by construction. Numbers go through
-// strconv.ParseFloat(s, 32) and base64 through base64.StdEncoding, the
-// calls encoding/json makes, so accepted values are bit-identical too.
+// which message are encoding/json's by construction. A number is read as
+// strconv.ParseFloat(s, 32) reads it, and base64 through
+// base64.StdEncoding, the calls encoding/json makes, so accepted values
+// are bit-identical too.
 // Like json.Decoder, it stops at the object's closing brace.
 func (d *decodedPredict) scan(b []byte) bool {
 	req := &d.req
@@ -276,43 +280,131 @@ func intArray(b []byte, i int, dst []int) (_ []int, next int, ok bool) {
 	}
 }
 
-// numberEnd returns the index after the JSON number literal at b[i], or -1
-// when the bytes there are not one. strconv.ParseFloat alone will not do:
-// it also takes "inf", hex floats, underscores and a bare leading point.
-func numberEnd(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
-		i++
+// number scans the JSON number literal at b[i] in one pass and returns
+// the index after it, or -1 when the bytes there are not one
+// (strconv.ParseFloat alone will not do: it also takes "inf", hex floats,
+// underscores and a bare leading point). On the way it gathers the
+// literal's digits into a mantissa m and its decimal exponent e, and
+// when m < 10^15 and |e| ≤ 22 it also returns the value, exactly as
+// strconv.ParseFloat(s, 32) rounds it, and says so with exact. Then m and
+// 10^|e| are exact float64s, so one multiply or divide rounds the decimal
+// once, to float64 (Clinger's fast path). float32's values and the
+// midpoints between them are float64s too, so the decimal and its float64
+// rounding lie between the same two of them, and rounding on to float32
+// picks the float32 nearest the decimal — unless the float64 landed on a
+// midpoint itself, where the decimal's side is lost and the literal is
+// left to strconv. A nonzero fast-path value lies in [1e-22, 1e37], where
+// float32 is normal and cannot overflow, so a midpoint is a float64 whose
+// 29 bits below float32's precision are 1000…0.
+func number(b []byte, i int) (f float32, end int, exact bool) {
+	if i == len(b) {
+		return 0, -1, false
 	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if i = skipDigits(b, i); i < 0 {
-		return -1
+	// Half the values of a chip are negative and most integer parts are
+	// "0", so the sign is taken without a branch and the leading-zero test
+	// looks at the digit only when there are two: a mispredicted branch
+	// per number costs as much as the rest of the scan.
+	neg := 0
+	if b[i] == '-' {
+		neg = 1
 	}
+	i += neg
+	start := i
+	var m uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	if i == start || i > start+1 && b[start] == '0' {
+		return 0, -1, false
+	}
+	nd, e := i-start, 0 // the literal is ±m·10^e, m of nd digits
 	if i < len(b) && b[i] == '.' {
-		if i = skipDigits(b, i+1); i < 0 {
-			return -1
+		frac := i + 1
+		if i = frac; i+16 <= len(b) {
+			v, n := digitRun(b, i)
+			m = m*uint64pow10[n] + v
+			i += n
 		}
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			m = m*10 + uint64(b[i]-'0')
+		}
+		if i == frac {
+			return 0, -1, false
+		}
+		nd += i - frac
+		e = frac - i
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if eneg || i < len(b) && b[i] == '+' {
 			i++
 		}
-		i = skipDigits(b, i)
+		start, x := i, 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if x < 1e6 {
+				x = x*10 + int(b[i]-'0')
+			}
+		}
+		if i == start {
+			return 0, -1, false
+		}
+		if eneg {
+			x = -x
+		}
+		e += x
 	}
-	return i
+	// Past 19 digits m has wrapped; below that, m < 10^15 is "at most 15
+	// significant digits".
+	if nd > 19 || m >= 1e15 || e < -22 || e > 22 {
+		return 0, i, false
+	}
+	x := float64(int64(m)) // m < 10^15: the signed conversion is one instruction
+	if e >= 0 {
+		x *= float64pow10[e]
+	} else {
+		x /= float64pow10[-e]
+	}
+	if math.Float64bits(x)&(1<<29-1) == 1<<28 {
+		return 0, i, false
+	}
+	return math.Float32frombits(math.Float32bits(float32(x)) | uint32(neg)<<31), i, true
 }
 
-// skipDigits returns the index after the run of digits at b[i], or -1 when
-// there is none.
-func skipDigits(b []byte, i int) int {
-	start := i
-	for i < len(b) && b[i]-'0' <= 9 {
-		i++
-	}
-	if i == start {
-		return -1
-	}
-	return i
+// float64pow10 holds the powers of ten a float64 holds exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// uint64pow10 scales a mantissa past a run of up to 16 digits.
+var uint64pow10 = [...]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
+	1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+}
+
+// digitRun reads the run of decimal digits that starts b[i:i+16] — its
+// value and its length n, at most 16 — from two 8-byte loads and no
+// branch on the data (Lemire, "Number Parsing at a Gigabyte per Second").
+// XOR '0' leaves a digit byte holding its value, and adding 0x76 sets the
+// high bit of exactly the bytes above 9, so the lowest flagged byte ends
+// the run; a carry out of a flagged byte can only flag bytes after it.
+// The second word counts only when the first is all digits.
+func digitRun(b []byte, i int) (v uint64, n int) {
+	x0 := binary.LittleEndian.Uint64(b[i:]) ^ 0x3030303030303030
+	x1 := binary.LittleEndian.Uint64(b[i+8:]) ^ 0x3030303030303030
+	n0 := bits.TrailingZeros64(((x0+0x7676767676767676)|x0)&0x8080808080808080) >> 3
+	n1 := bits.TrailingZeros64(((x1+0x7676767676767676)|x1)&0x8080808080808080) >> 3
+	n1 &= -(n0 >> 3)
+	return eightDigits(x0<<(64-8*n0))*uint64pow10[n1] + eightDigits(x1<<(64-8*n1)), n0 + n1
+}
+
+// eightDigits is the value of the eight digit bytes in x, the first in
+// the low byte; a run shorter than eight is shifted up under zeros first.
+// Neighbouring digits, then pairs, then quads are combined by multiplies.
+func eightDigits(x uint64) uint64 {
+	x = x*10 + x>>8
+	return ((x&0x000000FF000000FF)*(100+1000000<<32) + (x>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32 & 0xFFFFFFFF
 }
 
 // floatArray scans an array of JSON numbers into a float32 slice sized
@@ -331,15 +423,22 @@ func floatArray(b []byte, i int) (_ []float32, next int, ok bool) {
 		return dst, i + 1, true
 	}
 	for {
-		end := numberEnd(b, i)
+		f, end, exact := number(b, i)
 		if end < 0 || !valueEnds(b, end) {
 			return nil, i, false
 		}
-		f, err := strconv.ParseFloat(string(b[i:end]), 32)
-		if err != nil {
-			return nil, i, false
+		if !exact {
+			f64, err := strconv.ParseFloat(string(b[i:end]), 32)
+			if err != nil {
+				return nil, i, false
+			}
+			f = float32(f64)
 		}
-		dst = append(dst, float32(f))
+		dst = append(dst, f)
+		if end+1 < len(b) && b[end] == ',' && b[end+1] > ' ' { // compact JSON: the next number
+			i = end + 1
+			continue
+		}
 		var more bool
 		if i, more, ok = afterElement(b, end); !more {
 			return dst, i, ok

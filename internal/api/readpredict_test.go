@@ -131,6 +131,8 @@ var predictSeeds = []string{
 	`{"data":[1_0]}`,
 	`{"data":[Inf,NaN]}`,
 	`{"data":[-0,0.0,-0.0e0,1E+2,1e-2]}`,
+	`{"data":[1.83448864845559e-03,7.34046057004889e-06,1.96299845020353e+35,2.18492285455461e+20]}`,
+	`{"data":[123456789012345,1234567890123456,1e22,1e23,1e-22,-1e-23,0.000123456789012345,1e-45,9937053619069047e-20,816690516333170e23]}`,
 	`{"data":[1,]}`,
 	`{"data":[,1]}`,
 	`{"data":[]}`,
@@ -176,8 +178,10 @@ func FuzzReadPredict(f *testing.F) {
 }
 
 // TestReadPredictScansCommonBodies pins that the bodies clients really
-// send stay on the single-pass path: a regression to the encoding/json
-// fallback would keep every other test green and cost 3x.
+// send stay on the single-pass path, with every number on the exact fast
+// path and no allocation per number: a regression to the encoding/json
+// fallback, to strconv, or to an allocating number would keep every other
+// test green and cost 3x.
 func TestReadPredictScansCommonBodies(t *testing.T) {
 	x := tensor.RandNormal(tensor.NewRNG(3), 1, 5, 8, 8)
 	hop, err := PredictFromTensor("front@int8", "batch", x)
@@ -197,6 +201,34 @@ func TestReadPredictScansCommonBodies(t *testing.T) {
 		if !d.scan(body) {
 			t.Errorf("scanner handed %.80q to encoding/json", body)
 		}
+	}
+
+	// A chip at the deployment size, its values encoded as bench/ posts them.
+	chip, err := json.Marshal(tensor.RandNormal(tensor.NewRNG(1), 1, 5, 100, 100).Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 64)
+	for i := 1; i < len(chip); {
+		_, end, _ := number(chip, i)
+		if !checkNumber(t, buf, string(chip[i:end])) {
+			t.Fatalf("%q took the strconv fallback", chip[i:end])
+		}
+		i = end + 1
+	}
+	body := []byte(`{"model":"front32","shape":[5,100,100],"slo":"interactive","data":` + string(chip) + "}")
+	r := predictHTTP(nil)
+	r.ContentLength = int64(len(body))
+	var rb replayBody
+	allocs := testing.AllocsPerRun(5, func() {
+		rb.Reset(body)
+		r.Body = &rb
+		if _, _, err := ReadPredict(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 6 {
+		t.Fatalf("ReadPredict on a 5x100x100 chip: %v allocations, want 6", allocs)
 	}
 }
 
