@@ -157,8 +157,10 @@ selectors:
 # reader must report a bad tail where cutting the input leaves a clean
 # journal and round-trip every entry it recovers, every tenant key file
 # the parser accepts must hold its name/key/weight invariants and round-trip,
-# and every scan request the scan handler would admit must ask for a tile,
-# chip, stride and grid inside the synthesis bounds and round-trip.
+# every scan request the scan handler would admit must ask for a tile,
+# chip, stride and grid inside the synthesis bounds and round-trip, and the
+# slot gate must grant what the reference stride scheduler grants for any
+# operation sequence the fuzz bytes decode to.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/onnxsize
@@ -169,6 +171,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadJournal -fuzztime=$(FUZZTIME) ./internal/nas
 	$(GO) test -run='^$$' -fuzz=FuzzParseKeyFile -fuzztime=$(FUZZTIME) ./internal/tenant
 	$(GO) test -run='^$$' -fuzz=FuzzScanRequest -fuzztime=$(FUZZTIME) ./internal/api
+	$(GO) test -run='^$$' -fuzz=FuzzGate -fuzztime=$(FUZZTIME) ./internal/sched
 
 # Kernel benchmark selections: the micro-kernel alone and the deployed model's
 # convolution shapes (front32 at 5x100x100, batch 1 and 8; their backward at

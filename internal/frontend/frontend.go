@@ -207,7 +207,7 @@ func New(t Tier, cfg Config) http.Handler {
 		sc := scanStats.Snapshot()
 		sec := Sections{Scan: &sc}
 		if edge != nil {
-			tn, fair := edge.Stats().Snapshot(), edge.Fair().SnapshotFair()
+			tn, fair := edge.Stats().Snapshot(), edge.Fair().Stats()
 			sec.Tenant, sec.Fair = &tn, &fair
 		}
 		return t.Stats(sec)
@@ -239,7 +239,7 @@ func New(t Tier, cfg Config) http.Handler {
 			Service: t.Name(),
 			Serving: t.Serving(),
 			Tenants: edge.Stats().Snapshot(),
-			Fair:    edge.Fair().SnapshotFair(),
+			Fair:    edge.Fair().Stats(),
 		}
 	}).Register(mux)
 

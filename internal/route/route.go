@@ -96,7 +96,7 @@ type Router struct {
 	clock       Clock
 	stats       *metrics.RouterStats
 	bucket      *TokenBucket
-	g           *gate
+	g           *Gate
 	est         *latencyEstimator
 
 	mu       sync.RWMutex
@@ -135,7 +135,7 @@ func New(opts Options, replicas ...Replica) *Router {
 		clock:       opts.Clock,
 		stats:       opts.Stats,
 		bucket:      bucket,
-		g:           newGate(opts.MaxInFlight, opts.Sched),
+		g:           NewGate(opts.MaxInFlight, opts.Sched),
 		est:         newLatencyEstimator(opts.EstimateSeedMS),
 		replicas:    append([]Replica(nil), replicas...),
 	}
@@ -179,7 +179,7 @@ func (r *Router) RemoveReplica(id string) bool {
 
 // Waiting reports how many admitted requests are parked at the scheduling
 // gate (0 when MaxInFlight is unlimited).
-func (r *Router) Waiting() int { return r.g.waiting() }
+func (r *Router) Waiting() int { return r.g.Waiting() }
 
 // Close stops admission and waits for in-flight requests to finish. It is
 // idempotent and does not close the replicas.
@@ -219,11 +219,11 @@ func (r *Router) SubmitClass(ctx context.Context, class SLOClass, model string, 
 	}
 
 	enq := r.clock.Now()
-	if err := r.g.acquire(ctx, class, r.est.estimateMS(model)); err != nil {
+	if err := r.g.Acquire(ctx, "", 1, class, r.est.estimateMS(model)); err != nil {
 		r.stats.Failed(cls)
 		return Response{}, err
 	}
-	defer r.g.release()
+	defer r.g.Release()
 	r.stats.QueueWait(cls, r.clock.Now().Sub(enq))
 
 	resp, err := r.dispatch(ctx, model, input)

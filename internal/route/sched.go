@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"drainnas/internal/api"
 	"drainnas/internal/metrics"
 	"drainnas/internal/sched"
 )
@@ -60,30 +61,35 @@ func ParseSchedMode(s string) (SchedMode, error) {
 	}
 }
 
-// gate is the router's dispatch gate: the shared sched.Gate behind a mutex,
-// each parked request blocked on a ready channel that is closed when the
-// core grants it a slot. A nil gate is unlimited.
-type gate struct {
+// Gate is the blocking slot gate both serving tiers admit through: a
+// sched.Gate behind a mutex, each parked request blocked on a ready channel
+// that is closed when the core grants it a slot. The router runs it with
+// one unnamed flow in -sched order; the tenant tier runs it with each
+// tenant as a flow of its key-file weight, in Priority order. A nil Gate is
+// unlimited. All methods are safe for concurrent use.
+type Gate struct {
 	mu   sync.Mutex
 	core *sched.Gate[chan struct{}]
 }
 
-func newGate(capacity int, mode SchedMode) *gate {
+// NewGate builds a gate of capacity slots whose flows queue in mode order;
+// capacity <= 0 returns nil (unlimited).
+func NewGate(capacity int, mode SchedMode) *Gate {
 	if capacity <= 0 {
 		return nil
 	}
-	return &gate{core: sched.NewGate[chan struct{}](capacity, mode)}
+	return &Gate{core: sched.NewGate[chan struct{}](capacity, mode)}
 }
 
-// acquire blocks until the request is granted a dispatch slot in scheduler
-// order, or ctx ends. A grant that races a cancellation is handed on to the
-// next waiter, never lost.
-func (g *gate) acquire(ctx context.Context, class SLOClass, estMS float64) error {
+// Acquire blocks until the request is granted a slot — weighted-fair across
+// flows, in the gate's mode within a flow — or ctx ends. A grant that races
+// a cancellation is handed on to the next waiter, never lost.
+func (g *Gate) Acquire(ctx context.Context, flow string, weight float64, class SLOClass, estMS float64) error {
 	if g == nil {
 		return nil
 	}
 	g.mu.Lock()
-	w, granted := g.core.Acquire(class, estMS)
+	w, granted := g.core.Acquire(flow, weight, class, estMS)
 	if granted {
 		g.mu.Unlock()
 		return nil
@@ -104,8 +110,8 @@ func (g *gate) acquire(ctx context.Context, class SLOClass, estMS float64) error
 	}
 }
 
-// release returns a slot and wakes the waiter the core grants it to.
-func (g *gate) release() {
+// Release returns a slot and wakes the waiter the core grants it to.
+func (g *Gate) Release() {
 	if g == nil {
 		return
 	}
@@ -116,14 +122,31 @@ func (g *gate) release() {
 	g.mu.Unlock()
 }
 
-// waiting reports how many requests are parked at the gate.
-func (g *gate) waiting() int {
+// Waiting reports how many requests are parked at the gate.
+func (g *Gate) Waiting() int {
 	if g == nil {
 		return 0
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.core.Waiting()
+}
+
+// Stats is the gate's slice of a stats or dashboard document (zero-valued
+// for a nil gate): slots, holders, parked requests and each backlogged
+// flow's depth.
+func (g *Gate) Stats() api.FairStats {
+	if g == nil {
+		return api.FairStats{}
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return api.FairStats{
+		Capacity: g.core.Capacity(),
+		InUse:    g.core.InUse(),
+		Waiting:  g.core.Waiting(),
+		Depths:   g.core.Depths(),
+	}
 }
 
 // latencyEstimator supplies the SJF scheduler's per-model latency estimate:

@@ -17,11 +17,11 @@ import (
 func TestGateCancelEagerlyRemovesWaiters(t *testing.T) {
 	for _, mode := range []SchedMode{FCFS, Priority, SJF} {
 		t.Run(mode.String(), func(t *testing.T) {
-			g := newGate(2, mode)
+			g := NewGate(2, mode)
 			// Saturate the gate: both slots taken, never released (the
 			// "every slot stuck on a hung replica" scenario).
 			for i := 0; i < 2; i++ {
-				if err := g.acquire(context.Background(), ClassStandard, 0); err != nil {
+				if err := g.Acquire(context.Background(), "", 1, ClassStandard, 0); err != nil {
 					t.Fatalf("filling slot %d: %v", i, err)
 				}
 			}
@@ -32,14 +32,14 @@ func TestGateCancelEagerlyRemovesWaiters(t *testing.T) {
 			for i := 0; i < waiters; i++ {
 				class := SLOClass(i % 3)
 				est := float64(i % 7)
-				go func() { errs <- g.acquire(ctx, class, est) }()
+				go func() { errs <- g.Acquire(ctx, "", 1, class, est) }()
 			}
 			// Quiescence wait: every waiter parked in the heap before the
 			// cancellation storm.
 			deadline := time.Now().Add(10 * time.Second)
-			for g.waiting() < waiters {
+			for g.Waiting() < waiters {
 				if time.Now().After(deadline) {
-					t.Fatalf("only %d/%d waiters parked", g.waiting(), waiters)
+					t.Fatalf("only %d/%d waiters parked", g.Waiting(), waiters)
 				}
 				time.Sleep(100 * time.Microsecond)
 			}
@@ -52,7 +52,7 @@ func TestGateCancelEagerlyRemovesWaiters(t *testing.T) {
 			}
 
 			// No release ever ran; the heap must still be empty.
-			if n := g.waiting(); n != 0 {
+			if n := g.Waiting(); n != 0 {
 				t.Fatalf("waiting() = %d after canceling every waiter, want 0", n)
 			}
 			g.mu.Lock()
@@ -67,8 +67,8 @@ func TestGateCancelEagerlyRemovesWaiters(t *testing.T) {
 
 			// The gate still works once the hung slots free up.
 			done := make(chan error, 1)
-			go func() { done <- g.acquire(context.Background(), ClassInteractive, 0) }()
-			g.release()
+			go func() { done <- g.Acquire(context.Background(), "", 1, ClassInteractive, 0) }()
+			g.Release()
 			if err := <-done; err != nil {
 				t.Fatalf("acquire after release: %v", err)
 			}
@@ -81,18 +81,18 @@ func TestGateCancelEagerlyRemovesWaiters(t *testing.T) {
 // its cancellation firing and it taking the gate lock must pass the slot to
 // the next waiter rather than leak it.
 func TestGateGrantRacingCancelHandsSlotOn(t *testing.T) {
-	g := newGate(1, FCFS)
-	if err := g.acquire(context.Background(), ClassStandard, 0); err != nil {
+	g := NewGate(1, FCFS)
+	if err := g.Acquire(context.Background(), "", 1, ClassStandard, 0); err != nil {
 		t.Fatalf("filling slot: %v", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	first := make(chan error, 1)
-	go func() { first <- g.acquire(ctx, ClassStandard, 0) }()
+	go func() { first <- g.Acquire(ctx, "", 1, ClassStandard, 0) }()
 	awaitWaiting(t, g, 1)
 
 	// Grant, then cancel before the waiter can observe the grant.
-	g.release() // grants the waiter: in-use back to 1, heap empty
+	g.Release() // grants the waiter: in-use back to 1, heap empty
 	cancel()
 	if err := <-first; err != nil && err != context.Canceled {
 		t.Fatalf("first waiter: %v", err)
@@ -102,26 +102,26 @@ func TestGateGrantRacingCancelHandsSlotOn(t *testing.T) {
 	// select race), exactly one slot's worth of capacity must exist: a
 	// second acquire succeeds after at most one release.
 	second := make(chan error, 1)
-	go func() { second <- g.acquire(context.Background(), ClassStandard, 0) }()
+	go func() { second <- g.Acquire(context.Background(), "", 1, ClassStandard, 0) }()
 	select {
 	case err := <-second:
 		if err != nil {
 			t.Fatalf("second acquire: %v", err)
 		}
 	case <-time.After(50 * time.Millisecond):
-		g.release()
+		g.Release()
 		if err := <-second; err != nil {
 			t.Fatalf("second acquire after release: %v", err)
 		}
 	}
 }
 
-func awaitWaiting(t *testing.T, g *gate, n int) {
+func awaitWaiting(t *testing.T, g *Gate, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for g.waiting() < n {
+	for g.Waiting() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("gate never reached %d waiters (have %d)", n, g.waiting())
+			t.Fatalf("gate never reached %d waiters (have %d)", n, g.Waiting())
 		}
 		time.Sleep(100 * time.Microsecond)
 	}

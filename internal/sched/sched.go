@@ -1,11 +1,12 @@
 // Package sched holds the three scheduling decisions of the serving stack
-// as plain state machines: token-bucket admission (Bucket), scheduler-order
-// slot granting (Heap, Gate) and micro-batch formation (Former). Each takes
-// the current time or the triggering event as an argument and returns a
-// decision; none owns a clock, a lock, a goroutine or a timer, and none is
-// safe for concurrent use. The live tiers wrap them in their own locking
-// and timers (route.TokenBucket and the router's dispatch gate,
-// tenant.FairQueue, serve.Server); internal/sim drives the very same
+// as plain state machines: token-bucket admission (Bucket), slot granting
+// (Gate: weighted-fair stride scheduling across named flows, Mode order
+// within one) and micro-batch formation (Former). Each takes the current
+// time or the triggering event as an argument and returns a decision; none
+// owns a clock, a lock, a goroutine or a timer, and none is safe for
+// concurrent use. The live tiers wrap them in their own locking and timers
+// (route.TokenBucket, route.Gate — which the router and the tenant tier
+// both block on — and serve.Server); internal/sim drives the very same
 // objects from its event loop, so a simulated run takes the decisions the
 // deployed code would.
 package sched

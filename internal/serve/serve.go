@@ -267,7 +267,7 @@ func (s *Server) flushTimer(key groupKey, gen uint64) {
 // never executes the batch itself.
 func (s *Server) dispatch(key groupKey, batch []*pending) {
 	task := func() { s.execute(key, batch) }
-	w, granted := s.slots.Acquire(sched.ClassStandard, 0)
+	w, granted := s.slots.Acquire("", 1, sched.ClassStandard, 0)
 	if !granted {
 		w.Value = task
 		return

@@ -201,7 +201,7 @@ func (c *cluster) arrive(r Arrival) {
 		return
 	}
 	// The SJF estimate is the model's batch-1 service prediction.
-	if w, granted := c.gate.Acquire(r.Class, c.cfg.Models[r.Model].BatchMS(1)); !granted {
+	if w, granted := c.gate.Acquire("", 1, r.Class, c.cfg.Models[r.Model].BatchMS(1)); !granted {
 		w.Value = r
 		return
 	}
@@ -237,7 +237,7 @@ func (c *cluster) place(r Arrival) {
 // cut starts a formed batch when one of the replica's execution slots is
 // free and parks it at the slot gate otherwise.
 func (c *cluster) cut(rep *replicaSim, batch []Arrival) {
-	if w, granted := rep.slots.Acquire(sched.ClassStandard, 0); !granted {
+	if w, granted := rep.slots.Acquire("", 1, sched.ClassStandard, 0); !granted {
 		w.Value = batch
 		return
 	}

@@ -23,7 +23,7 @@ func (*rewindBody) Close() error { return nil }
 // paper's 5×100×100 chip. Inside the timed region: Tier.Wrap end to end —
 // authenticate, quota, read and decode the body (api.ReadPredict; the one
 // decode of the request, which a real handler behind the tier then gets
-// for free), fair-queue acquire and release on an idle gate, the audit
+// for free), fair-gate acquire and release on an idle gate, the audit
 // line (to io.Discard) and the stats update — around a handler that does
 // nothing. Outside: building the request, any socket.
 func BenchmarkTierWrapNoop(b *testing.B) {

@@ -10,21 +10,6 @@ import (
 	"drainnas/internal/httpx"
 )
 
-// FairSnapshot is the fair gate's slice of a dashboard frame. The struct
-// itself is a /v1/ wire type and therefore lives in internal/api; the
-// alias keeps the gate's snapshot surface on its historical name.
-type FairSnapshot = api.FairStats
-
-// SnapshotFair captures the gate state (zero-valued for a nil gate).
-func (q *FairQueue) SnapshotFair() FairSnapshot {
-	return FairSnapshot{
-		Capacity: q.Capacity(),
-		InUse:    q.InUse(),
-		Waiting:  q.Waiting(),
-		Depths:   q.Depths(),
-	}
-}
-
 // DashboardSnapshot is one live-dashboard frame: what the serving mux is
 // doing (queue depth, batch shapes, latency), the per-tenant edge counters,
 // and the fair gate's backlog, stamped with the emitting service. Defined

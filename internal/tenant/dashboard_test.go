@@ -28,16 +28,14 @@ func newDashboardServer(t *testing.T, withTier bool) (*httptest.Server, *Tier) {
 	stats := &metrics.ServingStats{}
 	snapshot := func() DashboardSnapshot {
 		var tenants metrics.TenantSnapshot
-		var fair FairSnapshot
 		if tier != nil {
 			tenants = tier.Stats().Snapshot()
-			fair = tier.Fair().SnapshotFair()
 		}
 		return DashboardSnapshot{
 			Service: "test",
 			Serving: stats.Snapshot(),
 			Tenants: tenants,
-			Fair:    fair,
+			Fair:    tier.Fair().Stats(),
 		}
 	}
 	mux := http.NewServeMux()

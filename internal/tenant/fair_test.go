@@ -2,56 +2,68 @@ package tenant
 
 import (
 	"context"
-	"sync"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"drainnas/internal/api"
 	"drainnas/internal/route"
+	"drainnas/internal/route/routetest"
+	"drainnas/internal/sched"
 )
 
-// grantRecorder drives a capacity-1 FairQueue deterministically: every
-// granted waiter appends its label to the order slice and releases its
-// slot, which hands the slot to the scheduler's next pick. With one slot,
-// the append order IS the grant order.
-type grantRecorder struct {
-	mu    sync.Mutex
-	order []string
+// arrival is one request parked at the fair gate: the tenant it queues
+// under, the tenant's key-file weight, its SLO class and the label its
+// grant is recorded by.
+type arrival struct {
+	tenant string
+	weight float64
+	class  sched.Class
+	label  string
 }
 
-func (g *grantRecorder) run(t *testing.T, q *FairQueue, tenantName, label string, weight float64, class route.SLOClass, wg *sync.WaitGroup) {
-	t.Helper()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := q.Acquire(context.Background(), tenantName, weight, class); err != nil {
-			t.Errorf("%s: acquire: %v", label, err)
-			return
-		}
-		g.mu.Lock()
-		g.order = append(g.order, label)
-		g.mu.Unlock()
-		q.Release()
-	}()
-}
-
-// waitBacklog spins until the gate holds n waiters.
-func waitBacklog(t *testing.T, q *FairQueue, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for q.Waiting() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog stuck at %d, want %d", q.Waiting(), n)
-		}
-		time.Sleep(time.Millisecond)
+// standard is n standard-class arrivals of one tenant, all labeled label.
+func standard(tenant string, weight float64, label string, n int) []arrival {
+	out := make([]arrival, n)
+	for i := range out {
+		out[i] = arrival{tenant, weight, sched.ClassStandard, label}
 	}
+	return out
+}
+
+// grantOrder drives the core of the tier's gate (one slot, Priority order
+// within a tenant, as Tier runs it) with no goroutines: holder takes the
+// slot on the uncontended path, every arrival parks in the order given,
+// and then each grant hands its slot straight back, so the labels come out
+// in grant order. The slot must be free once the backlog drains.
+func grantOrder(t *testing.T, holder string, arrivals []arrival) []string {
+	t.Helper()
+	g := sched.NewGate[string](1, sched.Priority)
+	if _, ok := g.Acquire(holder, 1, sched.ClassStandard, 0); !ok {
+		t.Fatal("holder parked on an idle gate")
+	}
+	for _, a := range arrivals {
+		w, ok := g.Acquire(a.tenant, a.weight, a.class, 0)
+		if ok {
+			t.Fatalf("%s granted while the slot is held", a.label)
+		}
+		w.Value = a.label
+	}
+	var order []string
+	for w := g.Release(); w != nil; w = g.Release() {
+		order = append(order, w.Value)
+	}
+	if len(order) != len(arrivals) || g.InUse() != 0 || g.Waiting() != 0 {
+		t.Fatalf("%d grants for %d arrivals, in use %d, waiting %d after the drain",
+			len(order), len(arrivals), g.InUse(), g.Waiting())
+	}
+	return order
 }
 
 func countIn(order []string, label string, firstN int) int {
-	if firstN > len(order) {
-		firstN = len(order)
-	}
 	n := 0
-	for _, o := range order[:firstN] {
+	for _, o := range order[:min(firstN, len(order))] {
 		if o == label {
 			n++
 		}
@@ -59,10 +71,12 @@ func countIn(order []string, label string, firstN int) int {
 	return n
 }
 
-// TestFairQueueFloodIsolation is the acceptance pin from the issue: two
-// tenants at equal weight, one flooding at 10x the compliant tenant's
-// demand, and the compliant tenant's goodput within a fixed grant budget
-// must stay >= 90% of its solo baseline.
+// TestFairQueueFloodIsolation is the tier's isolation pin: two tenants at
+// equal weight, one flooding at 10x the compliant tenant's demand, and the
+// compliant tenant's goodput within a fixed grant budget must stay >= 90%
+// of its solo baseline. The flooder holds the slot and queues its whole
+// backlog first; the grants then alternate until the compliant tenant is
+// served.
 func TestFairQueueFloodIsolation(t *testing.T) {
 	const (
 		compliantReqs = 20
@@ -70,78 +84,41 @@ func TestFairQueueFloodIsolation(t *testing.T) {
 		grantBudget   = 2 * compliantReqs
 	)
 
-	// Solo baseline: the compliant tenant alone, behind a held slot.
-	solo := func() int {
-		q := NewFairQueue(1)
-		if err := q.Acquire(context.Background(), "blocker", 1, route.ClassStandard); err != nil {
-			t.Fatal(err)
-		}
-		rec := &grantRecorder{}
-		var wg sync.WaitGroup
-		for i := 0; i < compliantReqs; i++ {
-			rec.run(t, q, "compliant", "compliant", 1, route.ClassStandard, &wg)
-		}
-		waitBacklog(t, q, compliantReqs)
-		q.Release()
-		wg.Wait()
-		return countIn(rec.order, "compliant", grantBudget)
-	}()
-	if solo != compliantReqs {
-		t.Fatalf("solo baseline %d, want all %d requests inside the budget", solo, compliantReqs)
+	solo := grantOrder(t, "blocker", standard("compliant", 1, "C", compliantReqs))
+	if got, want := strings.Join(solo, ""), strings.Repeat("C", compliantReqs); got != want {
+		t.Fatalf("solo grants %s, want %s", got, want)
 	}
 
-	// Mixed: the flooder already holds the slot and has a 10x backlog.
-	q := NewFairQueue(1)
-	if err := q.Acquire(context.Background(), "flood", 1, route.ClassStandard); err != nil {
-		t.Fatal(err)
+	mixed := grantOrder(t, "flood", append(standard("flood", 1, "F", floodReqs),
+		standard("compliant", 1, "C", compliantReqs)...))
+	want := strings.Repeat("CF", compliantReqs) + strings.Repeat("F", floodReqs-compliantReqs)
+	if got := strings.Join(mixed, ""); got != want {
+		t.Fatalf("mixed grants\n got  %s\n want %s", got, want)
 	}
-	rec := &grantRecorder{}
-	var wg sync.WaitGroup
-	for i := 0; i < floodReqs; i++ {
-		rec.run(t, q, "flood", "flood", 1, route.ClassStandard, &wg)
-	}
-	for i := 0; i < compliantReqs; i++ {
-		rec.run(t, q, "compliant", "compliant", 1, route.ClassStandard, &wg)
-	}
-	waitBacklog(t, q, floodReqs+compliantReqs)
-	q.Release()
-	wg.Wait()
-
-	if len(rec.order) != floodReqs+compliantReqs {
-		t.Fatalf("recorded %d grants, want %d", len(rec.order), floodReqs+compliantReqs)
-	}
-	mixed := countIn(rec.order, "compliant", grantBudget)
-	if mixed*10 < solo*9 {
+	soloN, mixedN := countIn(solo, "C", grantBudget), countIn(mixed, "C", grantBudget)
+	if mixedN*10 < soloN*9 {
 		t.Fatalf("flood broke isolation: compliant completed %d of %d in the first %d grants (solo baseline %d, need >= 90%%)",
-			mixed, compliantReqs, grantBudget, solo)
-	}
-	if got := q.InUse(); got != 0 {
-		t.Fatalf("slots leaked: in use %d", got)
+			mixedN, compliantReqs, grantBudget, soloN)
 	}
 }
 
 // TestFairQueueWeightedShares pins the stride arithmetic: weight 3 vs
-// weight 1 splits a contention interval 3:1.
+// weight 1, arriving interleaved, split a contention interval 3:1 in this
+// exact order (1/3 strides round, so the pattern is not a plain HHHL).
 func TestFairQueueWeightedShares(t *testing.T) {
 	const each = 40
-	q := NewFairQueue(1)
-	if err := q.Acquire(context.Background(), "blocker", 1, route.ClassStandard); err != nil {
-		t.Fatal(err)
-	}
-	rec := &grantRecorder{}
-	var wg sync.WaitGroup
+	var arrivals []arrival
 	for i := 0; i < each; i++ {
-		rec.run(t, q, "heavy", "heavy", 3, route.ClassStandard, &wg)
-		rec.run(t, q, "light", "light", 1, route.ClassStandard, &wg)
+		arrivals = append(arrivals, arrival{"heavy", 3, sched.ClassStandard, "H"},
+			arrival{"light", 1, sched.ClassStandard, "L"})
 	}
-	waitBacklog(t, q, 2*each)
-	q.Release()
-	wg.Wait()
-
-	// While both stay backlogged — the first 40 grants — heavy should take
-	// ~3/4 of the slots. One grant of slack for stride boundary effects.
-	heavy := countIn(rec.order, "heavy", each)
-	if heavy < 29 || heavy > 31 {
+	order := grantOrder(t, "blocker", arrivals)
+	const want = "HLHHLHHHHLHHLHHHLHHHHLHHHLHHHLHHHLHHHLHHLHHHLHHHLHHHLHLLLLLLLLLLLLLLLLLLLLLLLLLL"
+	if got := strings.Join(order, ""); got != want {
+		t.Fatalf("grants\n got  %s\n want %s", got, want)
+	}
+	// While both stay backlogged — the first 40 grants — heavy takes ~3/4.
+	if heavy := countIn(order, "H", each); heavy < 29 || heavy > 31 {
 		t.Fatalf("heavy won %d of first %d grants, want ~30 (3:1 split)", heavy, each)
 	}
 }
@@ -150,49 +127,39 @@ func TestFairQueueWeightedShares(t *testing.T) {
 // inside one tenant's queue, interactive beats standard beats batch
 // regardless of arrival order.
 func TestFairQueueSLOOrderWithinTenant(t *testing.T) {
-	q := NewFairQueue(1)
-	if err := q.Acquire(context.Background(), "blocker", 1, route.ClassStandard); err != nil {
-		t.Fatal(err)
-	}
-	rec := &grantRecorder{}
-	var wg sync.WaitGroup
-	// Enqueue one at a time so arrival order is deterministic: batch first,
-	// interactive last.
-	arrivals := []struct {
-		label string
-		class route.SLOClass
-	}{
-		{"batch-1", route.ClassBatch},
-		{"batch-2", route.ClassBatch},
-		{"standard-1", route.ClassStandard},
-		{"interactive-1", route.ClassInteractive},
-	}
-	for i, a := range arrivals {
-		rec.run(t, q, "acme", a.label, 1, a.class, &wg)
-		waitBacklog(t, q, i+1)
-	}
-	q.Release()
-	wg.Wait()
-
+	order := grantOrder(t, "blocker", []arrival{
+		{"acme", 1, sched.ClassBatch, "batch-1"},
+		{"acme", 1, sched.ClassBatch, "batch-2"},
+		{"acme", 1, sched.ClassStandard, "standard-1"},
+		{"acme", 1, sched.ClassInteractive, "interactive-1"},
+	})
 	want := []string{"interactive-1", "standard-1", "batch-1", "batch-2"}
-	for i, label := range want {
-		if rec.order[i] != label {
-			t.Fatalf("grant order %v, want %v", rec.order, want)
-		}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("grant order %v, want %v", order, want)
 	}
 }
 
-// TestFairQueueCancelWhileQueued: a canceled waiter leaves the queue
-// without consuming or leaking a slot.
+// TestFairQueueCancelWhileQueued: a canceled waiter leaves the blocking
+// gate without consuming or leaking a slot, and the gate's stats show it
+// while it is parked.
 func TestFairQueueCancelWhileQueued(t *testing.T) {
-	q := NewFairQueue(1)
-	if err := q.Acquire(context.Background(), "a", 1, route.ClassStandard); err != nil {
+	tier, _ := newTestTier(t, routetest.NewFakeClock(), 1)
+	q := tier.Fair()
+	if err := q.Acquire(context.Background(), "a", 1, route.ClassStandard, 0); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() { errc <- q.Acquire(ctx, "b", 1, route.ClassStandard) }()
-	waitBacklog(t, q, 1)
+	go func() { errc <- q.Acquire(ctx, "b", 1, route.ClassStandard, 0) }()
+	for deadline := time.Now().Add(5 * time.Second); q.Waiting() != 1; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never parked")
+		}
+	}
+	want := api.FairStats{Capacity: 1, InUse: 1, Waiting: 1, Depths: map[string]int{"b": 1}}
+	if got := q.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
 	cancel()
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("canceled acquire returned %v", err)
@@ -202,56 +169,60 @@ func TestFairQueueCancelWhileQueued(t *testing.T) {
 	}
 	// The slot is still usable by the next request.
 	q.Release()
-	if err := q.Acquire(context.Background(), "c", 1, route.ClassStandard); err != nil {
+	if err := q.Acquire(context.Background(), "c", 1, route.ClassStandard, 0); err != nil {
 		t.Fatal(err)
 	}
 	q.Release()
-	if q.InUse() != 0 {
-		t.Fatalf("in use %d after drain", q.InUse())
+	if got := q.Stats(); got.InUse != 0 || got.Waiting != 0 || len(got.Depths) != 0 {
+		t.Fatalf("stats %+v after drain", got)
 	}
 }
 
-// TestFairQueueNilIsUnlimited: the disabled gate admits everything and
-// reports empty stats.
+// TestFairQueueNilIsUnlimited: a tier without fair slots has no gate, and
+// the nil gate admits everything and reports empty stats.
 func TestFairQueueNilIsUnlimited(t *testing.T) {
-	var q *FairQueue
-	if q != NewFairQueue(0) {
-		t.Fatal("capacity 0 should disable the gate")
+	tier, _ := newTestTier(t, routetest.NewFakeClock(), 0)
+	q := tier.Fair()
+	if q != nil {
+		t.Fatal("inflight 0 should disable the gate")
 	}
 	for i := 0; i < 100; i++ {
-		if err := q.Acquire(context.Background(), "x", 1, route.ClassBatch); err != nil {
+		if err := q.Acquire(context.Background(), "x", 1, route.ClassBatch, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	q.Release()
-	if q.Waiting() != 0 || q.InUse() != 0 || q.Capacity() != 0 || q.Depths() != nil {
-		t.Fatal("nil gate should report zeroes")
+	if q.Waiting() != 0 {
+		t.Fatal("nil gate reports waiters")
 	}
-	if snap := q.SnapshotFair(); snap.Capacity != 0 || snap.Depths != nil {
+	if snap := q.Stats(); !reflect.DeepEqual(snap, api.FairStats{}) {
 		t.Fatalf("nil gate snapshot %+v", snap)
 	}
 }
 
-// TestFairQueueDepths: backlog attribution per tenant.
+// TestFairQueueDepths: backlog attribution per tenant, and the grant order
+// that drains it — b has banked no stride, so it goes first.
 func TestFairQueueDepths(t *testing.T) {
-	q := NewFairQueue(1)
-	if err := q.Acquire(context.Background(), "a", 1, route.ClassStandard); err != nil {
-		t.Fatal(err)
+	g := sched.NewGate[string](1, sched.Priority)
+	g.Acquire("a", 1, sched.ClassStandard, 0)
+	for _, name := range []string{"a", "b", "b"} {
+		w, _ := g.Acquire(name, 1, sched.ClassStandard, 0)
+		w.Value = name
 	}
-	rec := &grantRecorder{}
-	var wg sync.WaitGroup
-	rec.run(t, q, "a", "a", 1, route.ClassStandard, &wg)
-	rec.run(t, q, "b", "b", 1, route.ClassStandard, &wg)
-	rec.run(t, q, "b", "b", 1, route.ClassStandard, &wg)
-	waitBacklog(t, q, 3)
-	d := q.Depths()
-	if d["a"] != 1 || d["b"] != 2 {
+	if d := g.Depths(); !reflect.DeepEqual(d, map[string]int{"a": 1, "b": 2}) {
 		t.Fatalf("depths %v, want a:1 b:2", d)
 	}
-	snap := q.SnapshotFair()
-	if snap.Capacity != 1 || snap.InUse != 1 || snap.Waiting != 3 {
-		t.Fatalf("snapshot %+v", snap)
+	if g.Capacity() != 1 || g.InUse() != 1 || g.Waiting() != 3 {
+		t.Fatalf("capacity/in use/waiting %d/%d/%d, want 1/1/3", g.Capacity(), g.InUse(), g.Waiting())
 	}
-	q.Release()
-	wg.Wait()
+	var order string
+	for w := g.Release(); w != nil; w = g.Release() {
+		order += w.Value
+	}
+	if order != "bab" {
+		t.Fatalf("grant order %s, want bab", order)
+	}
+	if d := g.Depths(); len(d) != 0 {
+		t.Fatalf("depths %v after the drain", d)
+	}
 }

@@ -15,11 +15,12 @@ import (
 )
 
 // Tier is the assembled edge middleware: Authenticator → per-tenant
-// route.TokenBucket → FairQueue → wrapped handler, with per-tenant metrics
-// and one structured audit line per authenticated (or rejected) request.
+// route.TokenBucket → route.Gate (one weighted flow per tenant) → wrapped
+// handler, with per-tenant metrics and one structured audit line per
+// authenticated (or rejected) request.
 type Tier struct {
 	auth    *Authenticator
-	fair    *FairQueue
+	fair    *route.Gate
 	stats   *metrics.TenantStats
 	clock   route.Clock
 	service string
@@ -67,7 +68,7 @@ func NewTier(opts TierOptions) *Tier {
 	}
 	return &Tier{
 		auth:    opts.Auth,
-		fair:    NewFairQueue(opts.Inflight),
+		fair:    route.NewGate(opts.Inflight, route.Priority),
 		stats:   opts.Stats,
 		clock:   clock,
 		service: service,
@@ -91,9 +92,9 @@ func LoadTier(path string, recheck time.Duration, inflight int, service string) 
 }
 
 // Fair exposes the fair gate for stats/dashboard snapshots. Nil-safe (both
-// a nil Tier and a disabled gate return nil, and FairQueue methods accept
+// a nil Tier and a disabled gate return nil, and route.Gate methods accept
 // nil) so the front ends need no guards when the tier is off.
-func (t *Tier) Fair() *FairQueue {
+func (t *Tier) Fair() *route.Gate {
 	if t == nil {
 		return nil
 	}
@@ -230,7 +231,7 @@ func (t *Tier) Wrap(h http.Handler) http.Handler {
 		// is the request's own, not a wait behind other tenants.
 		class, r := requestClass(r)
 		start := t.clock.Now()
-		if err := t.fair.Acquire(r.Context(), tn.Name, tn.Weight, class); err != nil {
+		if err := t.fair.Acquire(r.Context(), tn.Name, tn.Weight, class, 0); err != nil {
 			wait := t.clock.Now().Sub(start)
 			t.stats.Failed(tn.Name, wait, wait)
 			t.audit(r, w, tn.Name, "admit", http.StatusServiceUnavailable)

@@ -215,8 +215,8 @@ func TestTierRecordsFailures(t *testing.T) {
 		t.Fatalf("counters %+v, want 1 failed", snap)
 	}
 	// The fair gate's slot was released.
-	if tier.Fair().InUse() != 0 {
-		t.Fatalf("slot leaked: %d in use", tier.Fair().InUse())
+	if tier.Fair().Stats().InUse != 0 {
+		t.Fatalf("slot leaked: %d in use", tier.Fair().Stats().InUse)
 	}
 }
 

@@ -3,9 +3,10 @@
 // token-bucket quotas, and weighted-fair queue admission so a noisy tenant
 // cannot starve the others. It composes as HTTP middleware over the
 // existing servd/router muxes (Tier.Wrap), reusing the shared envelope in
-// internal/httpx (codes unauthorized and quota_exceeded), the token bucket
-// and SLO classes in internal/route, the waiter heap in internal/sched, and
-// the capped per-tenant counters in internal/metrics. A small live
+// internal/httpx (codes unauthorized and quota_exceeded), the token bucket,
+// SLO classes and blocking slot gate in internal/route (the gate the router
+// dispatches through, run here with one stride-scheduled flow per tenant),
+// and the capped per-tenant counters in internal/metrics. A small live
 // dashboard (Server-Sent Events) streams queue depth, batch shapes and
 // per-tenant latency.
 //
@@ -14,7 +15,7 @@
 //	API key (Authorization: Bearer …, or X-API-Key)
 //	  → Authenticator (constant-time compare, hot reload)
 //	  → per-tenant route.TokenBucket (quota_exceeded beyond rate/burst)
-//	  → FairQueue (stride scheduling over per-tenant queues, weighted;
+//	  → route.Gate (stride scheduling across tenants by weight;
 //	    SLO-class priority within a tenant)
 //	  → the wrapped handler (servd/router /v1/predict)
 //
@@ -27,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -56,8 +58,9 @@ const minKeyLen = 8
 
 // ParseKeyFile decodes and validates a key file: unique non-empty tenant
 // names, unique keys of at least minKeyLen bytes, and positive weights
-// (defaulted to 1). A burst below 1 is left as written: sched.NewBucket
-// raises it when the tenant's bucket is built.
+// (defaulted to 1) whose stride 1/weight is finite. A burst below 1 is
+// left as written: sched.NewBucket raises it when the tenant's bucket is
+// built.
 func ParseKeyFile(data []byte) ([]Tenant, error) {
 	var kf keyFile
 	if err := json.Unmarshal(data, &kf); err != nil {
@@ -89,6 +92,12 @@ func ParseKeyFile(data []byte) ([]Tenant, error) {
 		}
 		if tn.Weight == 0 {
 			tn.Weight = 1
+		}
+		if math.IsInf(1/tn.Weight, 0) {
+			// The fair gate charges a grant 1/weight: an infinite stride
+			// would drag the gate's virtual time to +Inf and every tenant's
+			// pass with it, leaving grants in arrival order.
+			return nil, fmt.Errorf("tenant: %s: weight %v too small (1/weight overflows)", tn.Name, tn.Weight)
 		}
 		out = append(out, tn)
 	}

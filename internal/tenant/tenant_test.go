@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,6 +39,7 @@ var badKeyFiles = []struct {
 	{"short key", `{"tenants": [{"name":"a","key":"short"}]}`, "shorter"},
 	{"dup key", `{"tenants": [{"name":"a","key":"same-key-here"},{"name":"b","key":"same-key-here"}]}`, "duplicates"},
 	{"negative weight", `{"tenants": [{"name":"a","key":"long-enough-key","weight":-1}]}`, "negative weight"},
+	{"infinite stride", `{"tenants": [{"name":"tiny","key":"long-enough-key","weight":1e-320}]}`, "tiny: weight 1e-320 too small"},
 }
 
 const burstlessTenant = `{"tenants": [{"name":"a","key":"long-enough-key","rate_rps":0.001,"burst":0}]}`
@@ -173,8 +175,9 @@ func TestLoadAuthenticatorErrors(t *testing.T) {
 // FuzzParseKeyFile feeds the key-file parser arbitrary bytes: it must never
 // panic, every file it accepts must hold the invariants authentication
 // relies on (non-empty unique names, unique keys of at least minKeyLen
-// bytes, positive weights), and writing the accepted tenants back out must
-// parse to the same tenants.
+// bytes, positive weights whose stride 1/weight the fair gate charges is
+// finite), and writing the accepted tenants back out must parse to the
+// same tenants.
 func FuzzParseKeyFile(f *testing.F) {
 	for _, seed := range []string{twoTenants, quotaTenants, burstlessTenant} {
 		f.Add([]byte(seed))
@@ -199,8 +202,8 @@ func FuzzParseKeyFile(f *testing.F) {
 			if len(tn.Key) < minKeyLen || keys[tn.Key] {
 				t.Fatalf("%s: accepted a short or duplicate key %q", tn.Name, tn.Key)
 			}
-			if !(tn.Weight > 0) {
-				t.Fatalf("%s: accepted weight %v", tn.Name, tn.Weight)
+			if stride := 1 / tn.Weight; !(stride > 0) || math.IsInf(stride, 0) {
+				t.Fatalf("%s: accepted weight %v (stride %v)", tn.Name, tn.Weight, stride)
 			}
 			names[tn.Name], keys[tn.Key] = true, true
 		}
