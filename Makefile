@@ -158,9 +158,11 @@ selectors:
 # journal and round-trip every entry it recovers, every tenant key file
 # the parser accepts must hold its name/key/weight invariants and round-trip,
 # every scan request the scan handler would admit must ask for a tile,
-# chip, stride and grid inside the synthesis bounds and round-trip, and the
+# chip, stride and grid inside the synthesis bounds and round-trip, the
 # slot gate must grant what the reference stride scheduler grants for any
-# operation sequence the fuzz bytes decode to.
+# operation sequence the fuzz bytes decode to, and the bulk normal fill must
+# return the NormFloat64 loop's bits and final generator state for any seed,
+# pending spare and length.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/onnxsize
@@ -172,16 +174,19 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseKeyFile -fuzztime=$(FUZZTIME) ./internal/tenant
 	$(GO) test -run='^$$' -fuzz=FuzzScanRequest -fuzztime=$(FUZZTIME) ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzGate -fuzztime=$(FUZZTIME) ./internal/sched
+	$(GO) test -run='^$$' -fuzz=FuzzNormFloat64s -fuzztime=$(FUZZTIME) ./internal/tensor
 
 # Kernel benchmark selections: the micro-kernel alone and the deployed model's
 # convolution shapes (front32 at 5x100x100, batch 1 and 8; their backward at
 # 32x32 batch 16, what NAS trains, and 100x100 batch 8), the conv/training
 # ablations, one surrogate-sweep trial measurement (core.Measure over the
 # enumerated PaperSpace, with allocs/op), the watershed synthesis a scan's
-# first tile waits on (Nebraska 640², with allocs/op), and the
-# compiled-inference path on a 32x32 chip and at the deployment size.
-KBENCH_TENSOR = ^(BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkConvBackwardShapes)$$
-KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure|BenchmarkWatershedSynthesis)$$
+# first tile waits on (Nebraska 640², with allocs/op), a million normal
+# deviates in bulk beside the per-element NormFloat64 loop, building the two
+# stock ResNet-18 variants (weight init, what every NAS fold pays first), and
+# the compiled-inference path on a 32x32 chip and at the deployment size.
+KBENCH_TENSOR = ^(BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkConvBackwardShapes|BenchmarkNormFloat64s)$$
+KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure|BenchmarkWatershedSynthesis|BenchmarkFigure1_ModelBuild)$$
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$

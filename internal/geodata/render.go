@@ -43,9 +43,7 @@ func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 	go func() {
 		for y := 0; y < size; y += renderRows {
 			dev := (<-free)[:4*min(renderRows, size-y)*size]
-			for k := range dev {
-				dev[k] = rng.NormFloat64()
-			}
+			rng.NormFloat64s(dev)
 			full <- dev
 		}
 		close(full)

@@ -282,3 +282,73 @@ func TestParamsCountMatchesLayerSum(t *testing.T) {
 		t.Fatalf("param tensor count = %d, want 62", len(m.Params()))
 	}
 }
+
+// TestModelInitMatchesScalarDraws rebuilds every weight of three networks from
+// per-value NormFloat64/Uniform draws in cfg.Layers order — Kaiming normal
+// for the convolutions, the uniform fan-in bound for the classifier — and
+// requires New's parameters to equal them bit for bit and both generators to
+// end in the same state: front32 (the paper's Table 4 front), the stock
+// ResNet-18 and an odd-width network. It pins the bulk normal fill across
+// layers: the spare a conv of odd size leaves pending for the next, and the
+// classifier's uniform draws that follow the last fill.
+func TestModelInitMatchesScalarDraws(t *testing.T) {
+	front32 := Config{Channels: 5, Batch: 16, KernelSize: 3, Stride: 2, Padding: 1,
+		PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 32, NumClasses: 2}
+	// Width 3 and a 5×5 stem make odd weight counts, so fills start and
+	// end with a spare pending.
+	odd := Config{Channels: 7, Batch: 4, KernelSize: 5, Stride: 1, Padding: 2, InitialOutputFeature: 3, NumClasses: 3}
+	for _, cfg := range []Config{front32, StockResNet18(5, 8), odd} {
+		built, ref := tensor.NewRNG(13), tensor.NewRNG(13)
+		m, err := New(cfg, built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string][]float32{}
+		for _, l := range cfg.Layers() {
+			switch l.Kind {
+			case LayerConv:
+				std := math.Sqrt(2.0 / float64(l.InC*l.K*l.K))
+				w := make([]float32, l.OutC*l.InC*l.K*l.K)
+				for i := range w {
+					w[i] = float32(ref.NormFloat64() * std)
+				}
+				want[l.Node+".weight"] = w
+			case LayerFC:
+				bound := 1.0 / math.Sqrt(float64(l.InC))
+				for _, p := range []struct {
+					name string
+					n    int
+				}{{".weight", l.OutC * l.InC}, {".bias", l.OutC}} {
+					v := make([]float32, p.n)
+					for i := range v {
+						v[i] = float32(ref.Uniform(-bound, bound))
+					}
+					want[l.Node+p.name] = v
+				}
+			}
+		}
+		matched := 0
+		for _, p := range m.Params() {
+			w, ok := want[p.Name]
+			if !ok {
+				continue // BatchNorm's scale and shift draw nothing
+			}
+			matched++
+			got := p.Data.Data()
+			if len(got) != len(w) {
+				t.Fatalf("%s: %d values, reference has %d", p.Name, len(got), len(w))
+			}
+			for i := range w {
+				if math.Float32bits(got[i]) != math.Float32bits(w[i]) {
+					t.Fatalf("%s[%d] = %v, scalar draws give %v", p.Name, i, got[i], w[i])
+				}
+			}
+		}
+		if matched != len(want) {
+			t.Fatalf("%d of %d drawn tensors found among the parameters", matched, len(want))
+		}
+		if b, r := built.Uint64(), ref.Uint64(); b != r {
+			t.Fatalf("generator after New draws %#x, after the scalar draws %#x", b, r)
+		}
+	}
+}
