@@ -34,10 +34,11 @@ examples-smoke:
 	[ "$$last" = "$$want" ] || { echo "quickstart ends with '$$last', want '$$want'"; exit 1; }; \
 	grep -qxF "$$want" README.md || { echo "README no longer quotes '$$want'"; exit 1; }
 
-# The packages with dedicated concurrency suites. `race-all` widens this to
+# The packages with dedicated concurrency suites, and core, whose sweep and
+# NSGA-II measure trials on worker goroutines. `race-all` widens this to
 # every internal package (slower; the numeric packages dominate).
 race:
-	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./internal/frontend/... ./cmd/servd/... ./cmd/router/...
+	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./internal/frontend/... ./internal/core/... ./cmd/servd/... ./cmd/router/...
 
 race-all:
 	$(GO) test -race ./internal/...
@@ -180,13 +181,15 @@ fuzz:
 # convolution shapes (front32 at 5x100x100, batch 1 and 8; their backward at
 # 32x32 batch 16, what NAS trains, and 100x100 batch 8), the conv/training
 # ablations, one surrogate-sweep trial measurement (core.Measure over the
-# enumerated PaperSpace, with allocs/op), the watershed synthesis a scan's
+# enumerated PaperSpace, with allocs/op), the whole 1,717-trial surrogate
+# sweep (core.Run: NAS phase, measurement on every core, Pareto front), the
+# watershed synthesis a scan's
 # first tile waits on (Nebraska 640², with allocs/op), a million normal
 # deviates in bulk beside the per-element NormFloat64 loop, building the two
 # stock ResNet-18 variants (weight init, what every NAS fold pays first), and
 # the compiled-inference path on a 32x32 chip and at the deployment size.
 KBENCH_TENSOR = ^(BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkConvBackwardShapes|BenchmarkNormFloat64s)$$
-KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure|BenchmarkWatershedSynthesis|BenchmarkFigure1_ModelBuild)$$
+KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure|BenchmarkTable3_ObjectiveRanges|BenchmarkWatershedSynthesis|BenchmarkFigure1_ModelBuild)$$
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$

@@ -114,7 +114,8 @@ func BenchmarkTable2_PredictorAccuracy(b *testing.B) {
 
 // BenchmarkTable3_ObjectiveRanges runs the full 1,717-trial pipeline and
 // reports the objective ranges (paper: acc 76.19-96.13 %, lat 8.13-249.56
-// ms, mem 11.18-44.69 MB).
+// ms, mem 11.18-44.69 MB). Its ns/op is one whole surrogate sweep, the
+// kernel trajectory's (make bench-kernels) end-to-end row for core.Run.
 func BenchmarkTable3_ObjectiveRanges(b *testing.B) {
 	var mins, maxs []float64
 	for i := 0; i < b.N; i++ {

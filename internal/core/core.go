@@ -16,6 +16,7 @@ import (
 	"drainnas/internal/latmeter"
 	"drainnas/internal/nas"
 	"drainnas/internal/onnxsize"
+	"drainnas/internal/parallel"
 	"drainnas/internal/pareto"
 	"drainnas/internal/resnet"
 )
@@ -53,7 +54,8 @@ type Options struct {
 	// InputSize for latency prediction; defaults to
 	// latmeter.DefaultInputSize.
 	InputSize int
-	// Workers is trial-level parallelism (<= 0: GOMAXPROCS).
+	// Workers is trial-level parallelism (<= 0: GOMAXPROCS), for the NAS
+	// phase and for measuring its valid outcomes.
 	Workers int
 	// SimulateAttrition drops the paper-calibrated 11 trials so a full grid
 	// yields 1,717 valid outcomes.
@@ -92,17 +94,43 @@ func Run(opts Options) (*Result, error) {
 		Progress:          opts.Progress,
 	})
 
-	res := &Result{RawTrials: len(results)}
-	for _, r := range nas.Succeeded(results) {
-		trial, err := Measure(r.Config, r.Accuracy, opts.InputSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: measuring trial %d (%s): %w", r.ID, r.Config.Key(), err)
-		}
-		res.Trials = append(res.Trials, trial)
+	valid := nas.Succeeded(results)
+	trials, bad, err := measureAll(len(valid), opts.Workers, func(i int) (Trial, error) {
+		return Measure(valid[i].Config, valid[i].Accuracy, opts.InputSize)
+	})
+	if err != nil {
+		r := valid[bad]
+		return nil, fmt.Errorf("core: measuring trial %d (%s): %w", r.ID, r.Config.Key(), err)
 	}
+	res := &Result{RawTrials: len(results), Trials: trials}
 	res.FrontIdx = pareto.NonDominated(res.Points(), Objectives)
 	sortFront(res)
 	return res, nil
+}
+
+// measureAll runs measure(i) for every i in [0, n) on up to workers
+// goroutines and returns the trials indexed like a serial loop over i. On
+// failure it returns the lowest failing index and its error — the one that
+// serial loop would have stopped at, whichever worker failed first.
+func measureAll(n, workers int, measure func(i int) (Trial, error)) ([]Trial, int, error) {
+	if n == 0 {
+		return nil, 0, nil // a sweep with no valid trial keeps nil Trials
+	}
+	trials := make([]Trial, n)
+	errs := make([]error, n)
+	parallel.ForChunked(n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if trials[i], errs[i] = measure(i); errs[i] != nil {
+				return // later indices of this chunk cannot be the lowest
+			}
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, i, err
+		}
+	}
+	return trials, 0, nil
 }
 
 // Measure attaches the latency, memory and energy objectives to one
@@ -141,7 +169,7 @@ func measure(cfg resnet.Config, accuracy float64, inputSize int, precision strin
 	}
 	pred := latmeter.PredictGraph(g)
 	t.LatencyMS, t.LatStdMS, t.PerDevice = pred.MeanMS, pred.StdMS, pred.PerDevice
-	t.EnergyMJ = latmeter.PredictEnergyGraph(g).MeanMJ
+	t.EnergyMJ = pred.MeanEnergyMJ
 	return t, nil
 }
 

@@ -30,7 +30,8 @@ type NSGA2Options struct {
 	InputSize int
 	// Seed drives all randomness.
 	Seed uint64
-	// Workers is evaluation parallelism per generation.
+	// Workers is evaluation parallelism per generation, for accuracy and
+	// for measuring the generation's new individuals.
 	Workers int
 	// Precisions lists the deployment precisions the search may assign to
 	// an architecture ("fp32", "int8"). Default is fp32 only, which keeps
@@ -120,15 +121,20 @@ func NSGA2(opts NSGA2Options) (*NSGA2Result, error) {
 	accCache := make(map[resnet.Config]float64)
 	cache := make(map[individual]Trial)
 	evaluate := func(inds []individual) ([]Trial, error) {
-		out := make([]Trial, len(inds))
+		// The uncached individuals, first occurrence first, and the configs
+		// among them with no accuracy yet.
+		var miss []individual
 		var accMiss []resnet.Config
-		seen := make(map[resnet.Config]bool)
+		seen := make(map[individual]bool)
+		seenCfg := make(map[resnet.Config]bool)
 		for _, ind := range inds {
-			if _, ok := cache[ind]; ok {
+			if _, ok := cache[ind]; ok || seen[ind] {
 				continue
 			}
-			if _, ok := accCache[ind.cfg]; !ok && !seen[ind.cfg] {
-				seen[ind.cfg] = true
+			seen[ind] = true
+			miss = append(miss, ind)
+			if _, ok := accCache[ind.cfg]; !ok && !seenCfg[ind.cfg] {
+				seenCfg[ind.cfg] = true
 				accMiss = append(accMiss, ind.cfg)
 			}
 		}
@@ -145,16 +151,20 @@ func NSGA2(opts NSGA2Options) (*NSGA2Result, error) {
 		for i, cfg := range accMiss {
 			accCache[cfg] = accs[i]
 		}
+		// Measurement fans out like accuracy; the cache is written only
+		// once every worker is done.
+		trials, _, err := measureAll(len(miss), opts.Workers, func(i int) (Trial, error) {
+			return measure(miss[i].cfg, accCache[miss[i].cfg], opts.InputSize, miss[i].prec)
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, ind := range miss {
+			cache[ind] = trials[i]
+		}
+		out := make([]Trial, len(inds))
 		for i, ind := range inds {
-			t, ok := cache[ind]
-			if !ok {
-				var err error
-				if t, err = measure(ind.cfg, accCache[ind.cfg], opts.InputSize, ind.prec); err != nil {
-					return nil, err
-				}
-				cache[ind] = t
-			}
-			out[i] = t
+			out[i] = cache[ind]
 		}
 		return out, nil
 	}

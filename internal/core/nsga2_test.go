@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"drainnas/internal/nas"
@@ -84,24 +86,39 @@ func TestNSGA2FrontIsNonDominatedAndSorted(t *testing.T) {
 	}
 }
 
+// TestNSGA2Deterministic runs the same seeded search at 1 and 4 workers,
+// and twice at 4: the budget, the front and every evaluated trial agree to
+// the bit.
 func TestNSGA2Deterministic(t *testing.T) {
-	run := func() *NSGA2Result {
+	run := func(workers int) *NSGA2Result {
 		res, err := NSGA2(NSGA2Options{
 			Evaluator:  surrogateEval(),
-			Population: 12, Generations: 4, Seed: 77, Workers: 4,
+			Population: 12, Generations: 4, Seed: 77, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// AllTrials comes out of a map; order it by raw config.
+		sort.Slice(res.AllTrials, func(i, j int) bool {
+			return fmt.Sprintf("%+v", res.AllTrials[i].Config) < fmt.Sprintf("%+v", res.AllTrials[j].Config)
+		})
 		return res
 	}
-	a, b := run(), run()
-	if a.Evaluated != b.Evaluated || len(a.Front) != len(b.Front) {
-		t.Fatalf("nondeterministic: %d/%d vs %d/%d", a.Evaluated, len(a.Front), b.Evaluated, len(b.Front))
-	}
-	for i := range a.Front {
-		if a.Front[i].Config != b.Front[i].Config {
-			t.Fatal("front configs differ between runs")
+	a := run(1)
+	for _, b := range []*NSGA2Result{run(4), run(4)} {
+		if a.Evaluated != b.Evaluated || len(a.Front) != len(b.Front) || len(a.AllTrials) != len(b.AllTrials) {
+			t.Fatalf("nondeterministic: %d/%d/%d vs %d/%d/%d", a.Evaluated, len(a.Front), len(a.AllTrials),
+				b.Evaluated, len(b.Front), len(b.AllTrials))
+		}
+		for i := range a.Front {
+			if !sameTrial(a.Front[i], b.Front[i]) {
+				t.Fatalf("front member %d differs:\n%+v\n%+v", i, a.Front[i], b.Front[i])
+			}
+		}
+		for i := range a.AllTrials {
+			if !sameTrial(a.AllTrials[i], b.AllTrials[i]) {
+				t.Fatalf("evaluated trial %d differs:\n%+v\n%+v", i, a.AllTrials[i], b.AllTrials[i])
+			}
 		}
 	}
 }

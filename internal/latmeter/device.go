@@ -33,31 +33,39 @@ type Device struct {
 	PoolEff float64
 }
 
+// devices is the predictor table in Table 2 order. Devices hands out
+// copies; the one-pass PredictGraph reads it in place.
+var devices = [...]Device{
+	{
+		Name: "cortexA76cpu", HW: "Pixel4 / CortexA76 CPU", Framework: "TFLite v2.1",
+		CompGFLOPS: 130, DRAMGBs: 0.72, CacheGBs: 9, OverheadUS: 45, PoolEff: 0.05,
+	},
+	{
+		Name: "adreno640gpu", HW: "Mi9 / Adreno 640 GPU", Framework: "TFLite v2.1",
+		CompGFLOPS: 330, DRAMGBs: 3.2, CacheGBs: 24, OverheadUS: 70, PoolEff: 0.08,
+	},
+	{
+		Name: "adreno630gpu", HW: "Pixel3XL / Adreno 630 GPU", Framework: "TFLite v2.1",
+		CompGFLOPS: 290, DRAMGBs: 2.8, CacheGBs: 20, OverheadUS: 78, PoolEff: 0.08,
+	},
+	{
+		Name: "myriadvpu", HW: "Intel Movidius NCS2 / Myriad VPU", Framework: "OpenVINO 2019R2",
+		CompGFLOPS: 215, DRAMGBs: 2.1, CacheGBs: 13, OverheadUS: 110, PoolEff: 0.06,
+	},
+}
+
+// NumDevices is how many predictors Devices returns.
+const NumDevices = len(devices)
+
 // Devices returns the paper's four predictors in Table 2 order.
 func Devices() []Device {
-	return []Device{
-		{
-			Name: "cortexA76cpu", HW: "Pixel4 / CortexA76 CPU", Framework: "TFLite v2.1",
-			CompGFLOPS: 130, DRAMGBs: 0.72, CacheGBs: 9, OverheadUS: 45, PoolEff: 0.05,
-		},
-		{
-			Name: "adreno640gpu", HW: "Mi9 / Adreno 640 GPU", Framework: "TFLite v2.1",
-			CompGFLOPS: 330, DRAMGBs: 3.2, CacheGBs: 24, OverheadUS: 70, PoolEff: 0.08,
-		},
-		{
-			Name: "adreno630gpu", HW: "Pixel3XL / Adreno 630 GPU", Framework: "TFLite v2.1",
-			CompGFLOPS: 290, DRAMGBs: 2.8, CacheGBs: 20, OverheadUS: 78, PoolEff: 0.08,
-		},
-		{
-			Name: "myriadvpu", HW: "Intel Movidius NCS2 / Myriad VPU", Framework: "OpenVINO 2019R2",
-			CompGFLOPS: 215, DRAMGBs: 2.1, CacheGBs: 13, OverheadUS: 110, PoolEff: 0.06,
-		},
-	}
+	d := devices
+	return d[:]
 }
 
 // DeviceByName looks a predictor up by its nn-Meter name.
 func DeviceByName(name string) (Device, error) {
-	for _, d := range Devices() {
+	for _, d := range devices {
 		if d.Name == name {
 			return d, nil
 		}
@@ -78,22 +86,46 @@ func weightBytes(k Kernel) float64 {
 	}
 }
 
-// actBytes returns the kernel's activation traffic (cache-resident stream).
-func actBytes(k Kernel) float64 {
-	return k.Bytes() - weightBytes(k)
+// kernelTerms are the device-independent inputs of one kernel's roofline,
+// derived once per kernel however many devices price it.
+type kernelTerms struct {
+	flops  float64
+	bytes  float64 // Kernel.Bytes: all traffic, what energy charges for
+	weight float64 // streamed from DRAM
+	act    float64 // bytes − weight: the cache-resident stream
+	pool   bool    // runs at the device's derated pooling throughput
+}
+
+func termsOf(k Kernel) kernelTerms {
+	t := kernelTerms{flops: k.FLOPs(), bytes: k.Bytes(), weight: weightBytes(k),
+		pool: k.Type == KMaxPool || k.Type == KGlobalAvgPool}
+	t.act = t.bytes - t.weight
+	return t
+}
+
+// kernelMS is the roofline of one kernel on the device in milliseconds.
+func (d *Device) kernelMS(t kernelTerms) float64 {
+	comp := d.CompGFLOPS
+	if t.pool {
+		comp *= d.PoolEff
+	}
+	tComp := t.flops / (comp * 1e9) * 1e3
+	tMem := (t.weight/(d.DRAMGBs*1e9) + t.act/(d.CacheGBs*1e9)) * 1e3
+	return math.Max(tComp, tMem) + d.OverheadUS/1e3
+}
+
+// scaledMS is one kernel's share of a graph's latency: the work term scaled
+// by the graph's precision CostScale, the dispatch overhead not. Every graph
+// total adds these up in kernel order, so all of them agree to the bit.
+func (d *Device) scaledMS(t kernelTerms, scale float64) float64 {
+	overhead := d.OverheadUS / 1e3
+	return (d.kernelMS(t)-overhead)*scale + overhead
 }
 
 // KernelLatencyMS predicts one kernel's latency on the device in
 // milliseconds.
 func (d Device) KernelLatencyMS(k Kernel) float64 {
-	comp := d.CompGFLOPS
-	if k.Type == KMaxPool || k.Type == KGlobalAvgPool {
-		comp *= d.PoolEff
-	}
-	tComp := k.FLOPs() / (comp * 1e9) * 1e3
-	tMem := (weightBytes(k)/(d.DRAMGBs*1e9) + actBytes(k)/(d.CacheGBs*1e9)) * 1e3
-	t := math.Max(tComp, tMem) + d.OverheadUS/1e3
-	return t
+	return d.kernelMS(termsOf(k))
 }
 
 // LatencyMS predicts the whole graph's latency in milliseconds. A graph
@@ -101,14 +133,10 @@ func (d Device) KernelLatencyMS(k Kernel) float64 {
 // per-kernel dispatch overhead stays fixed — quantization speeds up the
 // arithmetic, not the scheduler.
 func (d Device) LatencyMS(g Graph) float64 {
-	scale := g.CostScale
-	if scale <= 0 {
-		scale = 1
-	}
-	overhead := d.OverheadUS / 1e3
+	scale := g.scale()
 	total := 0.0
 	for _, k := range g.Kernels {
-		total += (d.KernelLatencyMS(k)-overhead)*scale + overhead
+		total += d.scaledMS(termsOf(k), scale)
 	}
 	return total
 }

@@ -26,37 +26,33 @@ var powerProfiles = map[string]devicePower{
 	"myriadvpu":    {BusyPowerW: 1.5, NanoJPerByte: 0.15, IdlePowerW: 0.3},
 }
 
-// EnergyMJ estimates one inference's energy on the device in millijoules.
-func (d Device) EnergyMJ(g Graph) float64 {
-	p, ok := powerProfiles[d.Name]
-	if !ok {
-		p = devicePower{BusyPowerW: 2.5, NanoJPerByte: 0.15, IdlePowerW: 0.4}
+// powerOf returns the device's energy coefficients; an unknown device gets
+// a generic mobile profile.
+func powerOf(d *Device) devicePower {
+	if p, ok := powerProfiles[d.Name]; ok {
+		return p
 	}
-	latencySec := d.LatencyMS(g) / 1e3
+	return devicePower{BusyPowerW: 2.5, NanoJPerByte: 0.15, IdlePowerW: 0.4}
+}
+
+// powers holds powerOf for each entry of devices.
+var powers = func() (p [NumDevices]devicePower) {
+	for i := range devices {
+		p[i] = powerOf(&devices[i])
+	}
+	return p
+}()
+
+// energyMJ is the energy model: busy and idle power over the inference's
+// latency plus the DRAM cost of its traffic, in millijoules.
+func (p devicePower) energyMJ(latencyMS, totalBytes float64) float64 {
+	latencySec := latencyMS / 1e3
 	compute := (p.BusyPowerW + p.IdlePowerW) * latencySec // joules
-	memory := g.TotalBytes() * p.NanoJPerByte * 1e-9      // joules
+	memory := totalBytes * p.NanoJPerByte * 1e-9          // joules
 	return (compute + memory) * 1e3
 }
 
-// EnergyPrediction aggregates per-device energy like Prediction does for
-// latency.
-type EnergyPrediction struct {
-	PerDevice map[string]float64
-	MeanMJ    float64
-}
-
-// PredictEnergyGraph estimates per-inference energy for a decomposed graph
-// on all devices; callers may adjust the graph first (e.g. Graph.Int8 for an
-// int8 deployment).
-func PredictEnergyGraph(g Graph) EnergyPrediction {
-	devices := Devices()
-	p := EnergyPrediction{PerDevice: make(map[string]float64, len(devices))}
-	sum := 0.0
-	for _, d := range devices {
-		e := d.EnergyMJ(g)
-		p.PerDevice[d.Name] = e
-		sum += e
-	}
-	p.MeanMJ = sum / float64(len(devices))
-	return p
+// EnergyMJ estimates one inference's energy on the device in millijoules.
+func (d Device) EnergyMJ(g Graph) float64 {
+	return powerOf(&d).energyMJ(d.LatencyMS(g), g.TotalBytes())
 }

@@ -133,6 +133,14 @@ func (g Graph) Int8() Graph {
 	return g
 }
 
+// scale is the graph's CostScale with 0 read as 1.
+func (g Graph) scale() float64 {
+	if g.CostScale <= 0 {
+		return 1
+	}
+	return g.CostScale
+}
+
 // TotalFLOPs sums FLOPs over the graph.
 func (g Graph) TotalFLOPs() float64 {
 	s := 0.0

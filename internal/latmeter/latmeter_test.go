@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"drainnas/internal/nas"
 	"drainnas/internal/resnet"
 	"drainnas/internal/tensor"
 )
@@ -213,6 +214,77 @@ func TestPredictionStatsConsistent(t *testing.T) {
 	}
 }
 
+// TestPredictGraphMatchesPerDevice holds the one-pass PredictGraph to the
+// per-device methods it replaced, with == and not a tolerance: over every raw
+// configuration of the paper's space, at the deployment input and at 32, in
+// fp32 and int8, each latency equals Device.LatencyMS, each energy
+// Device.EnergyMJ, and mean and std the formulas over those latencies.
+func TestPredictGraphMatchesPerDevice(t *testing.T) {
+	configs := nas.PaperSpace().EnumerateAll(nas.PaperInputCombos())
+	if len(configs) != 1728 {
+		t.Fatalf("%d configs, want 1,728", len(configs))
+	}
+	devs := Devices()
+	const n = float64(NumDevices)
+	checked := 0
+	for _, size := range []int{DefaultInputSize, 32} {
+		for _, cfg := range configs {
+			fp32, err := Decompose(cfg, size)
+			if err != nil {
+				continue
+			}
+			for _, g := range []Graph{fp32, fp32.Int8()} {
+				p := PredictGraph(g)
+				sum, energy := 0.0, 0.0
+				for i, d := range devs {
+					ms, mj := d.LatencyMS(g), d.EnergyMJ(g)
+					if p.PerDevice[d.Name] != ms || p.EnergyMJ[i] != mj {
+						t.Fatalf("%s @%d scale %v on %s: pass %v ms / %v mJ, LatencyMS %v / EnergyMJ %v",
+							cfg.Key(), size, g.CostScale, d.Name, p.PerDevice[d.Name], p.EnergyMJ[i], ms, mj)
+					}
+					sum += ms
+					energy += mj
+				}
+				mean := sum / n
+				ss := 0.0
+				for _, d := range devs {
+					diff := d.LatencyMS(g) - mean
+					ss += diff * diff
+				}
+				if p.MeanMS != mean || p.StdMS != math.Sqrt(ss/n) || p.MeanEnergyMJ != energy/n {
+					t.Fatalf("%s @%d scale %v: mean/std/energy %v/%v/%v, want %v/%v/%v", cfg.Key(), size,
+						g.CostScale, p.MeanMS, p.StdMS, p.MeanEnergyMJ, mean, math.Sqrt(ss/n), energy/n)
+				}
+				checked++
+			}
+		}
+	}
+	// Some stems collapse a 32-pixel input; most do not.
+	t.Logf("checked %d", checked)
+	if checked < 2*1728+1728 {
+		t.Fatalf("only %d graphs priced", checked)
+	}
+}
+
+// TestPerDevicePricingDoesNotAllocate: router, capsim and the simulators
+// price graphs through these methods, and none of them pays an allocation.
+func TestPerDevicePricingDoesNotAllocate(t *testing.T) {
+	g, err := Decompose(resnet.StockResNet18(5, 8), DefaultInputSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Devices()[0]
+	sink := 0.0
+	if allocs := testing.AllocsPerRun(10, func() {
+		sink += d.LatencyMS(g) + d.KernelLatencyMS(g.Kernels[0]) + d.Service(g).PerItemMS
+	}); allocs != 0 {
+		t.Fatalf("LatencyMS/KernelLatencyMS/Service allocate %.0f times", allocs)
+	}
+	if sink <= 0 {
+		t.Fatal("no latency")
+	}
+}
+
 func TestBreakdownSumsToTotal(t *testing.T) {
 	cfg := resnet.StockResNet18(5, 8)
 	names, lats, err := Breakdown(cfg, 100, "cortexA76cpu")
@@ -335,35 +407,41 @@ func TestKernelTypeString(t *testing.T) {
 }
 
 func TestEnergyModelOrderings(t *testing.T) {
-	energy := func(cfg resnet.Config) EnergyPrediction {
+	energy := func(cfg resnet.Config) Prediction {
 		t.Helper()
 		g, err := Decompose(cfg, DefaultInputSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return PredictEnergyGraph(g)
+		return PredictGraph(g)
 	}
 	small, stock := energy(smallConfig()), energy(resnet.StockResNet18(5, 8))
-	if small.MeanMJ <= 0 || stock.MeanMJ <= 0 {
+	if small.MeanEnergyMJ <= 0 || stock.MeanEnergyMJ <= 0 {
 		t.Fatal("non-positive energy")
 	}
 	// Smaller/faster models must use less energy on every device.
-	for _, d := range Devices() {
-		if small.PerDevice[d.Name] >= stock.PerDevice[d.Name] {
+	cpu, vpu := -1, -1
+	for i, d := range Devices() {
+		if small.EnergyMJ[i] >= stock.EnergyMJ[i] {
 			t.Fatalf("%s: small %.2f mJ not below stock %.2f mJ",
-				d.Name, small.PerDevice[d.Name], stock.PerDevice[d.Name])
+				d.Name, small.EnergyMJ[i], stock.EnergyMJ[i])
+		}
+		switch d.Name {
+		case "cortexA76cpu":
+			cpu = i
+		case "myriadvpu":
+			vpu = i
 		}
 	}
 	// Energy scale sanity: a mobile inference costs tens to a few hundred
 	// millijoules, not microjoules or joules.
-	if stock.MeanMJ < 5 || stock.MeanMJ > 2000 {
-		t.Fatalf("stock energy %.2f mJ implausible", stock.MeanMJ)
+	if stock.MeanEnergyMJ < 5 || stock.MeanEnergyMJ > 2000 {
+		t.Fatalf("stock energy %.2f mJ implausible", stock.MeanEnergyMJ)
 	}
 	// The VPU is the most efficient device per inference on the stock model
 	// relative to the CPU (that's its reason to exist).
-	if stock.PerDevice["myriadvpu"] >= stock.PerDevice["cortexA76cpu"] {
-		t.Fatalf("VPU %.2f mJ not below CPU %.2f mJ",
-			stock.PerDevice["myriadvpu"], stock.PerDevice["cortexA76cpu"])
+	if stock.EnergyMJ[vpu] >= stock.EnergyMJ[cpu] {
+		t.Fatalf("VPU %.2f mJ not below CPU %.2f mJ", stock.EnergyMJ[vpu], stock.EnergyMJ[cpu])
 	}
 }
 

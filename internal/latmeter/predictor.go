@@ -13,15 +13,20 @@ const DefaultInputSize = 100
 
 // Prediction holds the four per-device latencies for one model plus the
 // aggregate the paper reports ('latency' = mean, 'lat_std' = standard
-// deviation across the four predictors).
+// deviation across the four predictors), and the per-inference energy the
+// same latencies imply.
 type Prediction struct {
 	PerDevice map[string]float64
 	MeanMS    float64
 	StdMS     float64
+	// EnergyMJ is Device.EnergyMJ of each predictor, in Devices() order;
+	// MeanEnergyMJ is their mean.
+	EnergyMJ     [NumDevices]float64
+	MeanEnergyMJ float64
 }
 
-// Predict decomposes the configuration and predicts latency on every
-// device.
+// Predict decomposes the configuration and predicts latency and energy on
+// every device.
 func Predict(cfg resnet.Config, inputSize int) (Prediction, error) {
 	if inputSize <= 0 {
 		inputSize = DefaultInputSize
@@ -33,22 +38,36 @@ func Predict(cfg resnet.Config, inputSize int) (Prediction, error) {
 	return PredictGraph(g), nil
 }
 
-// PredictGraph predicts latency of an already-decomposed graph on every
-// device.
+// PredictGraph predicts latency and energy of an already-decomposed graph
+// on every device in one walk over its kernels: each kernel's FLOPs and
+// traffic are derived once and priced on all four devices, and energy reads
+// those latencies. Every figure equals its Device.LatencyMS/EnergyMJ
+// counterpart to the bit.
 func PredictGraph(g Graph) Prediction {
-	devices := Devices()
-	p := Prediction{PerDevice: make(map[string]float64, len(devices))}
-	sum := 0.0
-	for _, d := range devices {
-		ms := d.LatencyMS(g)
-		p.PerDevice[d.Name] = ms
-		sum += ms
+	var lat [NumDevices]float64
+	scale := g.scale()
+	bytes := 0.0
+	for _, k := range g.Kernels {
+		t := termsOf(k)
+		bytes += t.bytes
+		for i := range devices {
+			lat[i] += devices[i].scaledMS(t, scale)
+		}
 	}
-	n := float64(len(devices))
+	p := Prediction{PerDevice: make(map[string]float64, NumDevices)}
+	sum, energy := 0.0, 0.0
+	for i := range devices {
+		p.PerDevice[devices[i].Name] = lat[i]
+		sum += lat[i]
+		p.EnergyMJ[i] = powers[i].energyMJ(lat[i], bytes)
+		energy += p.EnergyMJ[i]
+	}
+	const n = float64(NumDevices)
 	p.MeanMS = sum / n
+	p.MeanEnergyMJ = energy / n
 	ss := 0.0
-	for _, d := range devices {
-		diff := p.PerDevice[d.Name] - p.MeanMS
+	for _, ms := range lat {
+		diff := ms - p.MeanMS
 		ss += diff * diff
 	}
 	// Population standard deviation across the four predictors, matching

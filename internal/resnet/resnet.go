@@ -6,6 +6,7 @@ package resnet
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"drainnas/internal/nn"
@@ -102,9 +103,20 @@ func (c Config) Canonical() Config {
 // suitable as a map key and as a seed component.
 func (c Config) Key() string {
 	c = c.Canonical()
-	return fmt.Sprintf("ch%d_b%d_k%d_s%d_p%d_pool%d_kp%d_sp%d_f%d",
-		c.Channels, c.Batch, c.KernelSize, c.Stride, c.Padding,
-		c.PoolChoice, c.KernelSizePool, c.StridePool, c.InitialOutputFeature)
+	// fmt's "ch%d_b%d_k%d_s%d_p%d_pool%d_kp%d_sp%d_f%d", without fmt: the
+	// sweep keys every trial, and formatting was a visible share of it.
+	var buf [128]byte
+	b := append(buf[:0], "ch"...)
+	b = strconv.AppendInt(b, int64(c.Channels), 10)
+	b = strconv.AppendInt(append(b, "_b"...), int64(c.Batch), 10)
+	b = strconv.AppendInt(append(b, "_k"...), int64(c.KernelSize), 10)
+	b = strconv.AppendInt(append(b, "_s"...), int64(c.Stride), 10)
+	b = strconv.AppendInt(append(b, "_p"...), int64(c.Padding), 10)
+	b = strconv.AppendInt(append(b, "_pool"...), int64(c.PoolChoice), 10)
+	b = strconv.AppendInt(append(b, "_kp"...), int64(c.KernelSizePool), 10)
+	b = strconv.AppendInt(append(b, "_sp"...), int64(c.StridePool), 10)
+	b = strconv.AppendInt(append(b, "_f"...), int64(c.InitialOutputFeature), 10)
+	return string(b)
 }
 
 // StageWidths returns the channel widths of the four residual stages.

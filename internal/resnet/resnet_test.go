@@ -1,6 +1,7 @@
 package resnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,56 @@ func TestKeyIsInjectiveOnSearchAxes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// keyConfigs is every raw configuration of the paper's search space (six
+// input combinations × 288 architectures) plus fields no search produces:
+// zero, negative and many-digit values.
+func keyConfigs() []Config {
+	var cfgs []Config
+	for _, ch := range []int{5, 7} {
+		for _, b := range []int{8, 16, 32} {
+			for _, k := range []int{3, 7} {
+				for _, s := range []int{1, 2} {
+					for _, p := range []int{1, 2, 3} {
+						for _, pc := range []int{0, 1} {
+							for _, kp := range []int{2, 3} {
+								for _, sp := range []int{1, 2} {
+									for _, f := range []int{32, 48, 64} {
+										cfgs = append(cfgs, Config{Channels: ch, Batch: b, KernelSize: k,
+											Stride: s, Padding: p, PoolChoice: pc, KernelSizePool: kp,
+											StridePool: sp, InitialOutputFeature: f, NumClasses: 2})
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return append(cfgs,
+		Config{},
+		Config{Channels: -5, Batch: -16, KernelSize: -3, Stride: -1, Padding: -2,
+			PoolChoice: 1, KernelSizePool: -3, StridePool: -2, InitialOutputFeature: -64},
+		Config{Channels: 12345, Batch: 1 << 40, KernelSize: math.MaxInt, Stride: math.MinInt,
+			Padding: 100, PoolChoice: -7, KernelSizePool: 9999, StridePool: 10, InitialOutputFeature: 1000000})
+}
+
+func TestKeyMatchesSprintf(t *testing.T) {
+	cfgs := keyConfigs()
+	if len(cfgs) != 1728+3 {
+		t.Fatalf("%d configs, want the paper's 1,728 plus 3", len(cfgs))
+	}
+	for _, c := range cfgs {
+		k := c.Canonical()
+		want := fmt.Sprintf("ch%d_b%d_k%d_s%d_p%d_pool%d_kp%d_sp%d_f%d",
+			k.Channels, k.Batch, k.KernelSize, k.Stride, k.Padding,
+			k.PoolChoice, k.KernelSizePool, k.StridePool, k.InitialOutputFeature)
+		if got := c.Key(); got != want {
+			t.Fatalf("%+v: Key() = %q, want %q", c, got, want)
+		}
 	}
 }
 

@@ -18,8 +18,8 @@
 package surrogate
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"drainnas/internal/resnet"
 	"drainnas/internal/tensor"
@@ -145,14 +145,28 @@ func (m Model) Mean(cfg resnet.Config) float64 {
 // independent evaluation noise, exactly as in the paper's data (Table 4
 // contains such near-duplicate rows with different accuracies).
 func (m Model) trialRNG(cfg resnet.Config) *tensor.RNG {
+	var buf [128]byte
+	key := trialKey(buf[:0], cfg)
 	h := m.Seed
-	key := fmt.Sprintf("%dch%db%dk%ds%dp%dpc%dkp%dsp%df", cfg.Channels, cfg.Batch,
-		cfg.KernelSize, cfg.Stride, cfg.Padding, cfg.PoolChoice,
-		cfg.KernelSizePool, cfg.StridePool, cfg.InitialOutputFeature)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint64(key[i])) * 0x100000001B3
 	}
 	return tensor.NewRNG(h)
+}
+
+// trialKey appends the raw configuration as fmt's
+// "%dch%db%dk%ds%dp%dpc%dkp%dsp%df" would print it, the bytes trialRNG
+// hashes, without fmt's cost on every trial.
+func trialKey(b []byte, cfg resnet.Config) []byte {
+	b = append(strconv.AppendInt(b, int64(cfg.Channels), 10), "ch"...)
+	b = append(strconv.AppendInt(b, int64(cfg.Batch), 10), 'b')
+	b = append(strconv.AppendInt(b, int64(cfg.KernelSize), 10), 'k')
+	b = append(strconv.AppendInt(b, int64(cfg.Stride), 10), 's')
+	b = append(strconv.AppendInt(b, int64(cfg.Padding), 10), 'p')
+	b = append(strconv.AppendInt(b, int64(cfg.PoolChoice), 10), "pc"...)
+	b = append(strconv.AppendInt(b, int64(cfg.KernelSizePool), 10), "kp"...)
+	b = append(strconv.AppendInt(b, int64(cfg.StridePool), 10), "sp"...)
+	return append(strconv.AppendInt(b, int64(cfg.InitialOutputFeature), 10), 'f')
 }
 
 // Accuracy returns the trial's simulated 5-fold mean accuracy in percent:

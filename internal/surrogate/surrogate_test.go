@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -257,5 +258,51 @@ func TestSurrogateMonotoneTrends(t *testing.T) {
 	b32.Batch = 32
 	if !(m.Mean(b16) > m.Mean(base) && m.Mean(base) > m.Mean(b32)) {
 		t.Fatal("batch ordering b16 > b8 > b32 broken")
+	}
+}
+
+// TestTrialKeyMatchesSprintf holds the bytes trialRNG hashes to the
+// fmt.Sprintf format they replaced, over every raw configuration of the
+// paper's space and fields no search produces (zero, negative, many digits):
+// a changed byte would reseed every trial's noise.
+func TestTrialKeyMatchesSprintf(t *testing.T) {
+	var cfgs []resnet.Config
+	for _, ch := range []int{5, 7} {
+		for _, b := range []int{8, 16, 32} {
+			for _, k := range []int{3, 7} {
+				for _, s := range []int{1, 2} {
+					for _, p := range []int{1, 2, 3} {
+						for _, pc := range []int{0, 1} {
+							for _, kp := range []int{2, 3} {
+								for _, sp := range []int{1, 2} {
+									for _, f := range []int{32, 48, 64} {
+										cfgs = append(cfgs, resnet.Config{Channels: ch, Batch: b, KernelSize: k,
+											Stride: s, Padding: p, PoolChoice: pc, KernelSizePool: kp,
+											StridePool: sp, InitialOutputFeature: f, NumClasses: 2})
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(cfgs) != 1728 {
+		t.Fatalf("%d configs, want 1,728", len(cfgs))
+	}
+	cfgs = append(cfgs,
+		resnet.Config{},
+		resnet.Config{Channels: -5, Batch: -16, KernelSize: -3, Stride: -1, Padding: -2,
+			PoolChoice: 1, KernelSizePool: -3, StridePool: -2, InitialOutputFeature: -64},
+		resnet.Config{Channels: 12345, Batch: 1 << 40, KernelSize: math.MaxInt, Stride: math.MinInt,
+			Padding: 100, PoolChoice: -7, KernelSizePool: 9999, StridePool: 10, InitialOutputFeature: 1000000})
+	for _, c := range cfgs {
+		want := fmt.Sprintf("%dch%db%dk%ds%dp%dpc%dkp%dsp%df", c.Channels, c.Batch,
+			c.KernelSize, c.Stride, c.Padding, c.PoolChoice,
+			c.KernelSizePool, c.StridePool, c.InitialOutputFeature)
+		if got := string(trialKey(nil, c)); got != want {
+			t.Fatalf("%+v: trialKey = %q, want %q", c, got, want)
+		}
 	}
 }
