@@ -9,10 +9,12 @@ FUZZTIME ?= 5s
 ci: vet build test examples-smoke selectors race crash-resume fuzz bench-smoke obs-smoke router-smoke tenant-smoke scan-smoke quant-parity sim-replay repro-check
 
 # bench/ is its own module (no dependencies, so this runs offline); it is
-# frozen, and vetting it here keeps it compiling against the library.
+# frozen, and vetting it here keeps it compiling against the library. Every
+# .go file in the tree, bench/ included, must be gofmt-clean.
 vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l lists files to format:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...

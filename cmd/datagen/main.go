@@ -32,7 +32,7 @@ func main() {
 	corpus := geodata.GenerateCorpus(geodata.CorpusOptions{
 		ChipSize: *chipSize, Scale: *scale, Seed: *seed,
 	})
-	fmt.Println(corpus.Table1(nil))
+	fmt.Println(corpus.Table1())
 	fmt.Printf("balance: %.1f%% positive\n", 100*corpus.Balance())
 
 	if *stats {

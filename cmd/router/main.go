@@ -113,7 +113,9 @@ func main() {
 // first request. Each model is seeded in both precisions — the fp32 key
 // from its cost graph directly, and the "@int8" key from the same graph
 // under latmeter's int8 cost scale — so a quantized request is ordered by
-// its cheaper cost from the first dispatch. An empty device name disables
+// its cheaper cost from the first dispatch. Both are the batch-1 service
+// time, Service(g).BatchMS(1), the number the simulator ranks SJF by. An
+// empty device name disables
 // seeding (estimates then start at 0 and come entirely from the measured
 // EWMA).
 func seedEstimates(device, modelDir string, inputSize int) (map[string]float64, error) {
@@ -142,8 +144,8 @@ func seedEstimates(device, modelDir string, inputSize int) (map[string]float64, 
 			log.Printf("router: not seeding %s: %v", key, err)
 			continue
 		}
-		seeds[key] = dev.LatencyMS(g)
-		seeds[infer.ModelKey(key, infer.PrecisionInt8)] = dev.LatencyMS(g.Int8())
+		seeds[key] = dev.Service(g).BatchMS(1)
+		seeds[infer.ModelKey(key, infer.PrecisionInt8)] = dev.Service(g.Int8()).BatchMS(1)
 	}
 	return seeds, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os/exec"
@@ -10,6 +11,7 @@ import (
 	"drainnas/internal/frontend"
 	"drainnas/internal/fronttest"
 	"drainnas/internal/httpx"
+	"drainnas/internal/latmeter"
 	"drainnas/internal/route"
 	"drainnas/internal/serve"
 )
@@ -165,7 +167,8 @@ func TestRouterEchoesRemotePrecision(t *testing.T) {
 
 // TestSeedEstimatesIncludeInt8Keys pins the precision-aware SJF seeding:
 // every deployed model gets an estimate in both precisions, with the int8
-// form strictly cheaper by the cost scale.
+// form strictly cheaper by the cost scale, and each seed is bit for bit the
+// batch-1 service time the simulator ranks SJF by.
 func TestSeedEstimatesIncludeInt8Keys(t *testing.T) {
 	dir := t.TempDir()
 	fronttest.WriteModels(t, dir)
@@ -184,6 +187,24 @@ func TestSeedEstimatesIncludeInt8Keys(t *testing.T) {
 		}
 		if !(q < f) {
 			t.Fatalf("%s: int8 seed %.4f not below fp32 %.4f", name, q, f)
+		}
+		plan, err := serve.DirLoader(dir)(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := plan.CostGraph(32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev, err := latmeter.DeviceByName("cortexA76cpu")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := dev.Service(g).BatchMS(1); math.Float64bits(f) != math.Float64bits(want) {
+			t.Errorf("%s: fp32 seed %v, simulator service time %v", name, f, want)
+		}
+		if want := dev.Service(g.Int8()).BatchMS(1); math.Float64bits(q) != math.Float64bits(want) {
+			t.Errorf("%s: int8 seed %v, simulator service time %v", name, q, want)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func main() {
 	const channels = 5
 	fmt.Println("synthesizing corpus (32px chips, Table 1 counts / 150)...")
 	corpus := geodata.GenerateCorpus(geodata.CorpusOptions{ChipSize: 32, Scale: 150, Seed: 42})
-	fmt.Print(corpus.Table1(nil))
+	fmt.Print(corpus.Table1())
 	x, labels := corpus.Tensors(channels)
 	data := dataset.New(x, labels)
 

@@ -35,12 +35,6 @@ type Trial struct {
 	PerDevice map[string]float64 `json:"per_device_ms"`
 	MemoryMB  float64            `json:"memory_mb"` // ONNX export size
 	EnergyMJ  float64            `json:"energy_mj"` // mean per-inference energy
-	// Precision is the arithmetic the measurements assume ("fp32" or
-	// "int8"); PrecisionBits is the same fact as a numeric Pareto axis.
-	// Empty/zero (e.g. journals persisted before quantization existed)
-	// means fp32.
-	Precision     string `json:"precision,omitempty"`
-	PrecisionBits int    `json:"precision_bits,omitempty"`
 }
 
 // Options configures a pipeline run.
@@ -60,8 +54,6 @@ type Options struct {
 	// SimulateAttrition drops the paper-calibrated 11 trials so a full grid
 	// yields 1,717 valid outcomes.
 	SimulateAttrition bool
-	// Progress, when non-nil, receives (done, total) during the NAS phase.
-	Progress func(done, total int)
 }
 
 // Result is the full pipeline output.
@@ -91,7 +83,6 @@ func Run(opts Options) (*Result, error) {
 	results := nas.Experiment(configs, opts.Evaluator, nas.ExperimentOptions{
 		Workers:           opts.Workers,
 		SimulateAttrition: opts.SimulateAttrition,
-		Progress:          opts.Progress,
 	})
 
 	valid := nas.Succeeded(results)
@@ -134,17 +125,10 @@ func measureAll(n, workers int, measure func(i int) (Trial, error)) ([]Trial, in
 }
 
 // Measure attaches the latency, memory and energy objectives to one
-// configuration whose accuracy is already known, deployed in fp32.
+// configuration whose accuracy is already known. It lowers the
+// configuration once and reads every objective off that one layer list:
+// the kernel graph for latency and energy, the export for memory.
 func Measure(cfg resnet.Config, accuracy float64, inputSize int) (Trial, error) {
-	return measure(cfg, accuracy, inputSize, PrecisionFP32)
-}
-
-// measure lowers the configuration once and reads every objective off that
-// one layer list: the kernel graph for latency and energy, the export for
-// memory. An int8 deployment is the same graph at latmeter's int8 cost
-// scale, memory at the packed-weight ratio and accuracy derated by the
-// parity-harness-calibrated drop.
-func measure(cfg resnet.Config, accuracy float64, inputSize int, precision string) (Trial, error) {
 	if inputSize <= 0 {
 		inputSize = latmeter.DefaultInputSize
 	}
@@ -152,36 +136,18 @@ func measure(cfg resnet.Config, accuracy float64, inputSize int, precision strin
 	if err != nil {
 		return Trial{}, err
 	}
-	g := latmeter.Lower(layers)
-	t := Trial{
+	pred := latmeter.PredictGraph(latmeter.Lower(layers))
+	return Trial{
 		Config: cfg, Accuracy: accuracy,
-		MemoryMB:  float64(onnxsize.SizeBytesOf(cfg, layers)) / 1e6,
-		Precision: PrecisionFP32, PrecisionBits: 32,
-	}
-	if precision == PrecisionInt8 {
-		g = g.Int8()
-		t.Accuracy -= int8AccuracyDropPct(cfg)
-		if t.Accuracy < 0 {
-			t.Accuracy = 0
-		}
-		t.MemoryMB *= Int8MemoryScale
-		t.Precision, t.PrecisionBits = PrecisionInt8, 8
-	}
-	pred := latmeter.PredictGraph(g)
-	t.LatencyMS, t.LatStdMS, t.PerDevice = pred.MeanMS, pred.StdMS, pred.PerDevice
-	t.EnergyMJ = pred.MeanEnergyMJ
-	return t, nil
+		LatencyMS: pred.MeanMS, LatStdMS: pred.StdMS, PerDevice: pred.PerDevice,
+		MemoryMB: float64(onnxsize.SizeBytesOf(cfg, layers)) / 1e6,
+		EnergyMJ: pred.MeanEnergyMJ,
+	}, nil
 }
 
 // Points exposes the trials as Pareto points in objective order
 // (accuracy, latency, memory); point IDs index Trials.
-func (r *Result) Points() []pareto.Point {
-	pts := make([]pareto.Point, len(r.Trials))
-	for i, t := range r.Trials {
-		pts[i] = pareto.Point{ID: i, Values: []float64{t.Accuracy, t.LatencyMS, t.MemoryMB}}
-	}
-	return pts
-}
+func (r *Result) Points() []pareto.Point { return trialPoints(r.Trials) }
 
 // NonDominated returns the Pareto-optimal trials (Table 4's rows), sorted
 // by descending accuracy.

@@ -12,10 +12,9 @@ import (
 	"drainnas/internal/tensor"
 )
 
-// NSGA2Options configures the direct multi-objective search.
+// NSGA2Options configures the direct multi-objective search over
+// nas.PaperSpace().
 type NSGA2Options struct {
-	// Space defaults to nas.PaperSpace().
-	Space nas.Space
 	// Combo selects the input combination to search within.
 	Combo nas.InputCombo
 	// Evaluator scores candidate accuracy; required.
@@ -23,33 +22,16 @@ type NSGA2Options struct {
 	// Population size (default 24) and Generations (default 12).
 	Population  int
 	Generations int
-	// MutationRate is the per-child probability of an extra axis mutation
-	// on top of crossover (default 0.3).
-	MutationRate float64
-	// InputSize for latency prediction (default latmeter's).
-	InputSize int
 	// Seed drives all randomness.
 	Seed uint64
 	// Workers is evaluation parallelism per generation, for accuracy and
 	// for measuring the generation's new individuals.
 	Workers int
-	// Precisions lists the deployment precisions the search may assign to
-	// an architecture ("fp32", "int8"). Default is fp32 only, which keeps
-	// the classic 3-objective behavior bit-for-bit. With more than one
-	// entry each individual is a (config, precision) pair, objectives grow
-	// a fourth axis (precision bits, minimized), and int8 individuals carry
-	// the int8 cost model's latency, energy and size. Accuracy evaluation is shared
-	// across precisions of the same config — the expensive part of the
-	// budget is spent once.
-	Precisions []string
 }
 
-// individual is one NSGA-II population member: an architecture plus the
-// precision it would deploy at.
-type individual struct {
-	cfg  resnet.Config
-	prec string
-}
+// mutationRate is the per-child probability of an extra axis mutation on
+// top of crossover.
+const mutationRate = 0.3
 
 // NSGA2Result reports the search outcome.
 type NSGA2Result struct {
@@ -76,9 +58,7 @@ func NSGA2(opts NSGA2Options) (*NSGA2Result, error) {
 	if opts.Evaluator == nil {
 		return nil, fmt.Errorf("core: NSGA2Options.Evaluator is required")
 	}
-	if opts.Space.RawSize() == 0 {
-		opts.Space = nas.PaperSpace()
-	}
+	space := nas.PaperSpace()
 	if opts.Combo == (nas.InputCombo{}) {
 		opts.Combo = nas.InputCombo{Channels: 7, Batch: 16}
 	}
@@ -90,93 +70,51 @@ func NSGA2(opts NSGA2Options) (*NSGA2Result, error) {
 	if gens <= 0 {
 		gens = 12
 	}
-	mut := opts.MutationRate
-	if mut <= 0 {
-		mut = 0.3
-	}
 	rng := tensor.NewRNG(opts.Seed ^ 0x45A2)
 
-	precs := opts.Precisions
-	if len(precs) == 0 {
-		precs = []string{PrecisionFP32}
-	}
-	for _, p := range precs {
-		if p != PrecisionFP32 && p != PrecisionInt8 {
-			return nil, fmt.Errorf("core: unknown precision %q", p)
-		}
-	}
-	// An fp32-only search keeps the paper's 3 objectives (and the classic
-	// behavior, draw for draw); any search that deploys int8 gains the
-	// precision-bits axis.
-	objs := Objectives
-	points := trialPoints
-	if len(precs) > 1 || precs[0] != PrecisionFP32 {
-		objs = QuantObjectives
-		points = quantTrialPoints
-	}
-
-	// Accuracy is cached per raw config — fp32 and int8 forms of the same
-	// architecture share the expensive evaluation — while measured trials
-	// are cached per (config, precision) pair.
-	accCache := make(map[resnet.Config]float64)
-	cache := make(map[individual]Trial)
-	evaluate := func(inds []individual) ([]Trial, error) {
-		// The uncached individuals, first occurrence first, and the configs
-		// among them with no accuracy yet.
-		var miss []individual
-		var accMiss []resnet.Config
-		seen := make(map[individual]bool)
-		seenCfg := make(map[resnet.Config]bool)
-		for _, ind := range inds {
-			if _, ok := cache[ind]; ok || seen[ind] {
+	cache := make(map[resnet.Config]Trial)
+	evaluate := func(cfgs []resnet.Config) ([]Trial, error) {
+		// The uncached configs, first occurrence first.
+		var miss []resnet.Config
+		seen := make(map[resnet.Config]bool)
+		for _, cfg := range cfgs {
+			if _, ok := cache[cfg]; ok || seen[cfg] {
 				continue
 			}
-			seen[ind] = true
-			miss = append(miss, ind)
-			if _, ok := accCache[ind.cfg]; !ok && !seenCfg[ind.cfg] {
-				seenCfg[ind.cfg] = true
-				accMiss = append(accMiss, ind.cfg)
-			}
+			seen[cfg] = true
+			miss = append(miss, cfg)
 		}
-		accs := make([]float64, len(accMiss))
-		errs := make([]error, len(accMiss))
-		parallel.Map(len(accMiss), opts.Workers, func(i int) {
-			accs[i], errs[i] = opts.Evaluator.Evaluate(accMiss[i])
+		accs := make([]float64, len(miss))
+		errs := make([]error, len(miss))
+		parallel.Map(len(miss), opts.Workers, func(i int) {
+			accs[i], errs[i] = opts.Evaluator.Evaluate(miss[i])
 		})
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
 			}
 		}
-		for i, cfg := range accMiss {
-			accCache[cfg] = accs[i]
-		}
 		// Measurement fans out like accuracy; the cache is written only
 		// once every worker is done.
 		trials, _, err := measureAll(len(miss), opts.Workers, func(i int) (Trial, error) {
-			return measure(miss[i].cfg, accCache[miss[i].cfg], opts.InputSize, miss[i].prec)
+			return Measure(miss[i], accs[i], 0)
 		})
 		if err != nil {
 			return nil, err
 		}
-		for i, ind := range miss {
-			cache[ind] = trials[i]
+		for i, cfg := range miss {
+			cache[cfg] = trials[i]
 		}
-		out := make([]Trial, len(inds))
-		for i, ind := range inds {
-			out[i] = cache[ind]
+		out := make([]Trial, len(cfgs))
+		for i, cfg := range cfgs {
+			out[i] = cache[cfg]
 		}
 		return out, nil
 	}
 
-	// Initial population; precisions round-robin so both forms seed the
-	// front without spending extra randomness.
-	parents := make([]individual, pop)
+	parents := make([]resnet.Config, pop)
 	for i := range parents {
-		parents[i] = individual{
-			cfg:  opts.Space.RandomConfig(opts.Combo, rng),
-			prec: precs[i%len(precs)],
-		}
+		parents[i] = space.RandomConfig(opts.Combo, rng)
 	}
 	parentTrials, err := evaluate(parents)
 	if err != nil {
@@ -184,7 +122,7 @@ func NSGA2(opts NSGA2Options) (*NSGA2Result, error) {
 	}
 
 	for g := 0; g < gens; g++ {
-		ranks, crowd := rankAndCrowd(parentTrials, points, objs)
+		ranks, crowd := rankAndCrowd(parentTrials)
 		tournament := func() int {
 			a, b := rng.Intn(len(parents)), rng.Intn(len(parents))
 			if ranks[a] < ranks[b] {
@@ -198,23 +136,14 @@ func NSGA2(opts NSGA2Options) (*NSGA2Result, error) {
 			}
 			return b
 		}
-		offspring := make([]individual, pop)
+		offspring := make([]resnet.Config, pop)
 		for i := range offspring {
 			pa, pb := tournament(), tournament()
-			child := opts.Space.Crossover(parents[pa].cfg, parents[pb].cfg, rng)
-			if rng.Float64() < mut {
-				child = opts.Space.Mutate(child, rng)
+			child := space.Crossover(parents[pa], parents[pb], rng)
+			if rng.Float64() < mutationRate {
+				child = space.Mutate(child, rng)
 			}
-			prec := parents[pa].prec
-			if len(precs) > 1 {
-				if rng.Intn(2) == 1 {
-					prec = parents[pb].prec
-				}
-				if rng.Float64() < mut {
-					prec = precs[rng.Intn(len(precs))]
-				}
-			}
-			offspring[i] = individual{cfg: child, prec: prec}
+			offspring[i] = child
 		}
 		offspringTrials, err := evaluate(offspring)
 		if err != nil {
@@ -222,9 +151,9 @@ func NSGA2(opts NSGA2Options) (*NSGA2Result, error) {
 		}
 
 		// Environmental selection over the merged population.
-		merged := append(append([]individual{}, parents...), offspring...)
+		merged := append(append([]resnet.Config{}, parents...), offspring...)
 		mergedTrials := append(append([]Trial{}, parentTrials...), offspringTrials...)
-		sel := environmentalSelect(mergedTrials, pop, points, objs)
+		sel := environmentalSelect(mergedTrials, pop)
 		parents = parents[:0]
 		parentTrials = parentTrials[:0]
 		for _, idx := range sel {
@@ -233,13 +162,12 @@ func NSGA2(opts NSGA2Options) (*NSGA2Result, error) {
 		}
 	}
 
-	res := &NSGA2Result{Evaluated: len(accCache)}
+	res := &NSGA2Result{Evaluated: len(cache)}
 	for _, t := range cache {
 		res.AllTrials = append(res.AllTrials, t)
 	}
 	// Final front from the last population.
-	pts := points(parentTrials)
-	for _, i := range pareto.NonDominated(pts, objs) {
+	for _, i := range pareto.NonDominated(trialPoints(parentTrials), Objectives) {
 		res.Front = append(res.Front, parentTrials[i])
 	}
 	sort.Slice(res.Front, func(a, b int) bool { return res.Front[a].Accuracy > res.Front[b].Accuracy })
@@ -255,11 +183,10 @@ func trialPoints(trials []Trial) []pareto.Point {
 	return pts
 }
 
-// rankAndCrowd computes each member's front rank and crowding distance
-// under the given objective projection.
-func rankAndCrowd(trials []Trial, points func([]Trial) []pareto.Point, objs []pareto.Direction) (ranks []int, crowd []float64) {
-	pts := points(trials)
-	fronts := pareto.Fronts(pts, objs)
+// rankAndCrowd computes each member's front rank and crowding distance.
+func rankAndCrowd(trials []Trial) (ranks []int, crowd []float64) {
+	pts := trialPoints(trials)
+	fronts := pareto.Fronts(pts, Objectives)
 	ranks = make([]int, len(trials))
 	crowd = make([]float64, len(trials))
 	for r, front := range fronts {
@@ -273,9 +200,9 @@ func rankAndCrowd(trials []Trial, points func([]Trial) []pareto.Point, objs []pa
 }
 
 // environmentalSelect keeps the best `keep` members by (rank, crowding).
-func environmentalSelect(trials []Trial, keep int, points func([]Trial) []pareto.Point, objs []pareto.Direction) []int {
-	pts := points(trials)
-	fronts := pareto.Fronts(pts, objs)
+func environmentalSelect(trials []Trial, keep int) []int {
+	pts := trialPoints(trials)
+	fronts := pareto.Fronts(pts, Objectives)
 	var selected []int
 	for _, front := range fronts {
 		if len(selected)+len(front) <= keep {
@@ -309,17 +236,12 @@ func environmentalSelect(trials []Trial, keep int, points func([]Trial) []pareto
 	return selected
 }
 
-// dedupeTrials removes trials with identical canonical configurations at
-// the same precision — the fp32 and int8 forms of one architecture are
-// distinct front members.
+// dedupeTrials removes trials with identical canonical configurations.
 func dedupeTrials(trials []Trial) []Trial {
 	seen := make(map[string]bool, len(trials))
 	var out []Trial
 	for _, t := range trials {
 		key := t.Config.Key()
-		if t.Precision == PrecisionInt8 {
-			key += "@int8"
-		}
 		if seen[key] {
 			continue
 		}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"sort"
+	"strconv"
 	"testing"
 
 	"drainnas/internal/nas"
@@ -142,5 +145,65 @@ func TestNSGA2RespectsCombo(t *testing.T) {
 		if t2.Config.Channels != 5 || t2.Config.Batch != 32 {
 			t.Fatalf("trial escaped the input combo: %+v", t2.Config)
 		}
+	}
+}
+
+// searchPin is the seed-77 fp32 search rendered by describeSearch, captured
+// at the commit before NSGA-II lost its int8 precision axis: the fp32 path
+// must keep drawing the same random numbers and measuring the same bits.
+const searchPin = "testdata/nsga2_seed77.pin"
+
+// describeSearch renders a search result one trial per line, floats in
+// their shortest round-tripping form: the budget, the front in its
+// reported order, then every evaluated trial ordered by raw config (Key()
+// ties on pool-less configs).
+func describeSearch(res *NSGA2Result) []byte {
+	var b bytes.Buffer
+	line := func(t Trial) {
+		f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+		fmt.Fprintf(&b, "%+v acc=%s lat=%s std=%s mem=%s energy=%s", t.Config,
+			f(t.Accuracy), f(t.LatencyMS), f(t.LatStdMS), f(t.MemoryMB), f(t.EnergyMJ))
+		devs := make([]string, 0, len(t.PerDevice))
+		for d := range t.PerDevice {
+			devs = append(devs, d)
+		}
+		sort.Strings(devs)
+		for _, d := range devs {
+			fmt.Fprintf(&b, " %s=%s", d, f(t.PerDevice[d]))
+		}
+		b.WriteByte('\n')
+	}
+	all := append([]Trial(nil), res.AllTrials...)
+	sort.Slice(all, func(i, j int) bool {
+		return fmt.Sprintf("%+v", all[i].Config) < fmt.Sprintf("%+v", all[j].Config)
+	})
+	fmt.Fprintf(&b, "evaluated %d\nfront %d\n", res.Evaluated, len(res.Front))
+	for _, t := range res.Front {
+		line(t)
+	}
+	fmt.Fprintf(&b, "all %d\n", len(all))
+	for _, t := range all {
+		line(t)
+	}
+	return b.Bytes()
+}
+
+// TestNSGA2DefaultPrecisionStaysThreeObjective pins the 3-objective fp32
+// search to the bits captured in searchPin: its front, every evaluated
+// trial and the budget.
+func TestNSGA2DefaultPrecisionStaysThreeObjective(t *testing.T) {
+	res, err := NSGA2(NSGA2Options{
+		Evaluator:  surrogateEval(),
+		Population: 12, Generations: 4, Seed: 77,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(searchPin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := describeSearch(res); !bytes.Equal(got, want) {
+		t.Errorf("%s differs from the captured search\n--- got\n%s--- want\n%s", searchPin, got, want)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"drainnas/internal/tensor"
 )
 
-// CorpusOptions configures corpus generation.
+// CorpusOptions configures corpus generation over the StudyRegions.
 type CorpusOptions struct {
 	// ChipSize is the square chip side in pixels.
 	ChipSize int
@@ -18,8 +18,6 @@ type CorpusOptions struct {
 	Scale int
 	// Seed makes generation reproducible.
 	Seed uint64
-	// Regions defaults to StudyRegions when nil.
-	Regions []Region
 }
 
 // Corpus is the generated chip collection.
@@ -50,10 +48,6 @@ func GenerateCorpus(opts CorpusOptions) *Corpus {
 	if opts.Scale <= 0 {
 		opts.Scale = 1
 	}
-	regions := opts.Regions
-	if regions == nil {
-		regions = StudyRegions
-	}
 
 	type job struct {
 		region Region
@@ -62,7 +56,7 @@ func GenerateCorpus(opts CorpusOptions) *Corpus {
 	}
 	var jobs []job
 	seq := 0
-	for _, r := range regions {
+	for _, r := range StudyRegions {
 		nTrue := scaledCount(r.TrueSamples, opts.Scale)
 		nFalse := scaledCount(r.FalseSamples, opts.Scale)
 		for i := 0; i < nTrue; i++ {
@@ -112,15 +106,12 @@ func (c *Corpus) Balance() float64 {
 }
 
 // Table1 renders the corpus inventory in the layout of the paper's Table 1.
-func (c *Corpus) Table1(regions []Region) string {
-	if regions == nil {
-		regions = StudyRegions
-	}
+func (c *Corpus) Table1() string {
 	counts := c.CountByRegion()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %-10s %6s %6s %6s\n", "Location", "DEM res", "True", "False", "Total")
 	totT, totF := 0, 0
-	for _, r := range regions {
+	for _, r := range StudyRegions {
 		v := counts[r.Name]
 		fmt.Fprintf(&b, "%-14s %-10s %6d %6d %6d\n",
 			r.Name, fmt.Sprintf("%.2gm", r.DEMResolution), v[0], v[1], v[0]+v[1])

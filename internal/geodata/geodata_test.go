@@ -445,7 +445,7 @@ func TestChipStats(t *testing.T) {
 
 func TestTable1Rendering(t *testing.T) {
 	c := GenerateCorpus(CorpusOptions{ChipSize: 8, Scale: 1000, Seed: 3})
-	s := c.Table1(nil)
+	s := c.Table1()
 	for _, want := range []string{"Nebraska", "Illinois", "North Dakota", "California", "All"} {
 		if !containsStr(s, want) {
 			t.Fatalf("Table1 missing %q:\n%s", want, s)

@@ -496,7 +496,7 @@ func TestServiceModelDecomposesLatency(t *testing.T) {
 		if sm.PerItemMS <= 0 || sm.PerBatchMS <= 0 {
 			t.Fatalf("%s: degenerate service model %+v", d.Name, sm)
 		}
-		// BatchMS(1) reproduces the batch-1 prediction exactly.
+		// BatchMS(1) reproduces the batch-1 prediction to within rounding.
 		if lat := d.LatencyMS(g); math.Abs(sm.BatchMS(1)-lat) > 1e-9*lat {
 			t.Fatalf("%s: BatchMS(1)=%.6f, LatencyMS=%.6f", d.Name, sm.BatchMS(1), lat)
 		}

@@ -18,7 +18,8 @@ type ServiceModel struct {
 
 // Service decomposes the graph's batch-1 latency prediction on the device
 // into the per-item and per-batch coefficients: ServiceModel.BatchMS(1)
-// equals Device.LatencyMS(g) exactly.
+// equals Device.LatencyMS(g) to within rounding (splitting off the overhead
+// and adding it back can move the last bit).
 func (d Device) Service(g Graph) ServiceModel {
 	overhead := d.OverheadUS / 1e3 * float64(len(g.Kernels))
 	work := d.LatencyMS(g) - overhead

@@ -8,17 +8,10 @@ import (
 	"drainnas/internal/tensor"
 )
 
-// HyperbandOptions configures a Hyperband run.
+// HyperbandOptions configures a Hyperband run over PaperSpace().
 type HyperbandOptions struct {
-	// Space defaults to PaperSpace().
-	Space Space
 	// Combo fixes the input combination.
 	Combo InputCombo
-	// Eta is the halving factor (default 3, as in the paper by Li et al.).
-	Eta int
-	// MinBudget is the smallest fidelity any bracket starts at (default
-	// 1/9 with eta 3).
-	MinBudget float64
 	// Seed drives candidate sampling.
 	Seed uint64
 	// Workers is per-round parallelism.
@@ -40,6 +33,13 @@ type HyperbandResult struct {
 	TotalBudget float64
 }
 
+// Hyperband runs hyperbandSMax+1 brackets at halving factor hyperbandEta
+// (3, as in Li et al.): their first rungs sit at budgets 1/9, 1/3 and 1.
+const (
+	hyperbandEta  = 3
+	hyperbandSMax = 2
+)
+
 // Hyperband (Li et al., 2018) hedges successive halving's
 // budget-vs-breadth trade-off by running several brackets: an aggressive
 // one starting many candidates at tiny budget, through a conservative one
@@ -49,39 +49,24 @@ func Hyperband(eval BudgetedEvaluator, opts HyperbandOptions) (HyperbandResult, 
 	if eval == nil {
 		return HyperbandResult{}, fmt.Errorf("nas: Hyperband needs an evaluator")
 	}
-	if opts.Space.RawSize() == 0 {
-		opts.Space = PaperSpace()
-	}
+	space := PaperSpace()
 	if opts.Combo == (InputCombo{}) {
 		opts.Combo = InputCombo{Channels: 7, Batch: 16}
 	}
-	eta := opts.Eta
-	if eta < 2 {
-		eta = 3
-	}
-	minBudget := opts.MinBudget
-	if minBudget <= 0 || minBudget >= 1 {
-		minBudget = 1.0 / float64(eta*eta)
-	}
-	// sMax brackets: budget rungs minBudget * eta^k up to 1.
-	sMax := int(math.Floor(math.Log(1/minBudget) / math.Log(float64(eta))))
 	rng := tensor.NewRNG(opts.Seed ^ 0x4B1D)
 
 	var res HyperbandResult
 	res.Best = TrialResult{Accuracy: -1}
-	for s := sMax; s >= 0; s-- {
-		// Bracket s: n candidates at budget minBudget*eta^(sMax-s).
-		n := int(math.Ceil(float64(sMax+1) / float64(s+1) * math.Pow(float64(eta), float64(s))))
-		budget := math.Pow(float64(eta), float64(-s))
-		if budget > 1 {
-			budget = 1
-		}
+	for s := hyperbandSMax; s >= 0; s-- {
+		// Bracket s: n candidates at budget eta^-s.
+		n := int(math.Ceil(float64(hyperbandSMax+1) / float64(s+1) * math.Pow(hyperbandEta, float64(s))))
+		budget := math.Pow(hyperbandEta, float64(-s))
 		configs := make([]resnet.Config, n)
 		for i := range configs {
-			configs[i] = opts.Space.RandomConfig(opts.Combo, rng)
+			configs[i] = space.RandomConfig(opts.Combo, rng)
 		}
 		sh, err := SuccessiveHalving(configs, eval, SHOptions{
-			Eta: eta, MinBudget: budget, Workers: opts.Workers,
+			Eta: hyperbandEta, MinBudget: budget, Workers: opts.Workers,
 		})
 		if err != nil {
 			return HyperbandResult{}, err

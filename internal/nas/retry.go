@@ -13,30 +13,30 @@ import (
 // (fmt.Errorf("...: %w", nas.ErrTransient)) when the failure is an
 // environmental flake — an OOM-killed worker, a lost connection — rather
 // than a property of the configuration. RetryEvaluator retries only
-// transient failures by default; an invalid architecture fails the same way
-// every time and retrying it just burns budget.
+// transient failures; an invalid architecture fails the same way every time
+// and retrying it just burns budget.
 var ErrTransient = errors.New("transient trial failure")
 
 // IsTransient reports whether err is marked transient.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
+// Retry backoff: the first retry waits retryBaseDelay, each later one twice
+// the last, capped at retryMaxDelay.
+const (
+	retryBaseDelay = 100 * time.Millisecond
+	retryMaxDelay  = 5 * time.Second
+)
+
 // RetryEvaluator wraps an Evaluator with bounded retry and exponential
 // backoff, absorbing the transient failures an hours-long sweep will
-// inevitably hit so they don't land in the journal as failed trials.
-// The zero knobs choose sane defaults; the struct is safe for the
-// concurrent use an experiment gives it as long as Inner is.
+// inevitably hit so they don't land in the journal as failed trials. Only
+// IsTransient errors are retried. The struct is safe for the concurrent
+// use an experiment gives it as long as Inner is.
 type RetryEvaluator struct {
 	Inner Evaluator
 	// MaxAttempts is the total number of tries per trial (first attempt
 	// included); values < 2 mean a single attempt, i.e. no retry.
 	MaxAttempts int
-	// BaseDelay seeds the exponential backoff (doubled per retry); default
-	// 100ms. MaxDelay caps it; default 5s.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Retryable decides which errors warrant another attempt; nil selects
-	// IsTransient.
-	Retryable func(error) bool
 	// OnRetry, when non-nil, observes each retry before its backoff sleep —
 	// the hook a sweep uses to count retries in metrics. It is called from
 	// worker goroutines and must be safe for concurrent use.
@@ -52,31 +52,19 @@ func (e RetryEvaluator) Evaluate(cfg resnet.Config) (float64, error) {
 	if attempts < 2 {
 		return e.Inner.Evaluate(cfg)
 	}
-	base := e.BaseDelay
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	maxDelay := e.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 5 * time.Second
-	}
-	retryable := e.Retryable
-	if retryable == nil {
-		retryable = IsTransient
-	}
 	sleep := e.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}
 	var lastErr error
-	delay := base
+	delay := retryBaseDelay
 	for attempt := 1; attempt <= attempts; attempt++ {
 		acc, err := e.Inner.Evaluate(cfg)
 		if err == nil {
 			return acc, nil
 		}
 		lastErr = err
-		if attempt == attempts || !retryable(err) {
+		if attempt == attempts || !IsTransient(err) {
 			break
 		}
 		if e.OnRetry != nil {
@@ -84,8 +72,8 @@ func (e RetryEvaluator) Evaluate(cfg resnet.Config) (float64, error) {
 		}
 		sleep(delay)
 		delay *= 2
-		if delay > maxDelay {
-			delay = maxDelay
+		if delay > retryMaxDelay {
+			delay = retryMaxDelay
 		}
 	}
 	return 0, lastErr

@@ -3,6 +3,7 @@ package nas
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -16,14 +17,12 @@ func testConfig() resnet.Config {
 
 func TestRetryEvaluatorAbsorbsTransientFaults(t *testing.T) {
 	base := SurrogateEvaluator{Model: surrogate.Default()}
-	flaky := &FlakyEvaluator{Inner: base, FailFirst: 2}
+	flaky := &FlakyEvaluator{Inner: base, FailFirst: 7}
 	var delays []time.Duration
 	retries := 0
 	re := RetryEvaluator{
 		Inner:       flaky,
-		MaxAttempts: 4,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    15 * time.Millisecond,
+		MaxAttempts: 8,
 		OnRetry:     func(int, error) { retries++ },
 		Sleep:       func(d time.Duration) { delays = append(delays, d) },
 	}
@@ -36,15 +35,17 @@ func TestRetryEvaluatorAbsorbsTransientFaults(t *testing.T) {
 	if acc != want {
 		t.Fatalf("accuracy %v, want %v", acc, want)
 	}
-	if flaky.Attempts(cfg) != 3 {
-		t.Fatalf("attempts %d, want 3 (2 faults + 1 success)", flaky.Attempts(cfg))
+	if flaky.Attempts(cfg) != 8 {
+		t.Fatalf("attempts %d, want 8 (7 faults + 1 success)", flaky.Attempts(cfg))
 	}
-	if retries != 2 {
-		t.Fatalf("OnRetry fired %d times, want 2", retries)
+	if retries != 7 {
+		t.Fatalf("OnRetry fired %d times, want 7", retries)
 	}
-	// Exponential backoff, capped: 10ms then min(20ms, cap 15ms).
-	if len(delays) != 2 || delays[0] != 10*time.Millisecond || delays[1] != 15*time.Millisecond {
-		t.Fatalf("backoff delays %v", delays)
+	// Exponential backoff from 100ms, doubling until the 5s cap.
+	ms := time.Millisecond
+	wantDelays := []time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 3200 * ms, 5 * time.Second}
+	if !reflect.DeepEqual(delays, wantDelays) {
+		t.Fatalf("backoff delays %v, want %v", delays, wantDelays)
 	}
 }
 

@@ -177,20 +177,23 @@ func TestHedgeNoGoroutineLeak(t *testing.T) {
 	})
 }
 
-// TestHedgeRespectsMaxAttempts pins that an exhausted attempt budget stops
-// hedging: MaxAttempts=1 with a hedge deadline configured never launches a
-// second attempt, and the caller's cancellation is the only way out of a
-// hung primary.
+// TestHedgeRespectsMaxAttempts pins that the two-attempt budget caps
+// hedging: with error retry and a hedge deadline both on, a primary that
+// fails retryably spends the budget on its retry, so when the deadline
+// passes with the retry hung, the third replica sees no hedge and the
+// caller's cancellation is the only way out.
 func TestHedgeRespectsMaxAttempts(t *testing.T) {
 	clock := routetest.NewFakeClock()
-	reps, fakes := fakeFleet(clock, "r0", "r1")
-	fakes[0].Hang = func(int, string) bool { return true }
-	fakes[0].Received = make(chan string, 1)
+	reps, fakes := fakeFleet(clock, "r0", "r1", "r2")
+	fakes[0].Err = func(int, string) error { return errors.New("transient replica fault") }
+	fakes[1].Hang = func(int, string) bool { return true }
+	fakes[1].Received = make(chan string, 1)
+	fakes[2].Received = make(chan string, 1)
 	r := route.New(route.Options{
-		Clock:       clock,
-		Policy:      staticPolicy{},
-		HedgeAfter:  50 * time.Millisecond,
-		MaxAttempts: 1,
+		Clock:        clock,
+		Policy:       staticPolicy{},
+		HedgeAfter:   50 * time.Millisecond,
+		RetryOnError: true,
 	}, reps...)
 	defer r.Close()
 
@@ -200,14 +203,21 @@ func TestHedgeRespectsMaxAttempts(t *testing.T) {
 		_, err := r.Submit(ctx, "m", testInput())
 		done <- err
 	}()
-	<-fakes[0].Received
-	clock.Advance(50 * time.Millisecond) // deadline passes; budget says no hedge
-	if n := fakes[1].CallCount(); n != 0 {
-		t.Fatalf("r1 saw %d calls with MaxAttempts=1", n)
-	}
+	// The retry reaching r1 means the router has spent both attempts and
+	// waits on its select; the deadline it then sees must launch nothing.
+	<-fakes[1].Received
+	clock.Advance(50 * time.Millisecond)
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Submit: %v, want context.Canceled", err)
 	}
-	waitUntil(t, "primary canceled", func() bool { return fakes[0].CanceledCount() == 1 })
+	if snap := r.Stats().Snapshot(); snap.HedgesLaunched != 0 || snap.Retries != 1 {
+		t.Fatalf("snapshot = %+v, want hedges=0 retries=1", snap)
+	}
+	select {
+	case <-fakes[2].Received:
+		t.Fatal("r2 saw a hedge beyond the two-attempt budget")
+	default:
+	}
+	waitUntil(t, "retry canceled", func() bool { return fakes[1].CanceledCount() == 1 })
 }

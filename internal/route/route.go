@@ -51,13 +51,11 @@ type Options struct {
 	// HedgeAfter launches one hedge attempt on a different replica if the
 	// primary has not answered within this duration. 0 disables hedging.
 	HedgeAfter time.Duration
-	// MaxAttempts caps total attempts per request (primary + hedges +
-	// error retries). Default 2 when HedgeAfter > 0 or RetryOnError is
-	// set, else 1.
-	MaxAttempts int
 	// RetryOnError redispatches immediately to an untried replica when an
 	// attempt fails with a retryable error (anything but not-found and the
-	// caller's own cancellation), within the MaxAttempts budget.
+	// caller's own cancellation). A request gets two attempts in all when
+	// hedging or error retry is on, so a hedge and a retry share the one
+	// extra attempt.
 	RetryOnError bool
 	// Rate and Burst configure token-bucket admission (tokens/second and
 	// bucket capacity). Rate <= 0 disables admission control.
@@ -66,9 +64,6 @@ type Options struct {
 	// latmeter predictions computed from each model's compiled plan. A
 	// measured EWMA overrides the seed as traffic flows.
 	EstimateSeedMS map[string]float64
-	// Stats receives routing counters; a fresh RouterStats is created when
-	// nil.
-	Stats *metrics.RouterStats
 	// Clock drives bucket refill, hedge timers and latency measurement
 	// (default SystemClock; tests inject a fake).
 	Clock Clock
@@ -113,15 +108,9 @@ func New(opts Options, replicas ...Replica) *Router {
 	if opts.Clock == nil {
 		opts.Clock = SystemClock
 	}
-	if opts.Stats == nil {
-		opts.Stats = &metrics.RouterStats{}
-	}
-	if opts.MaxAttempts <= 0 {
-		if opts.HedgeAfter > 0 || opts.RetryOnError {
-			opts.MaxAttempts = 2
-		} else {
-			opts.MaxAttempts = 1
-		}
+	maxAttempts := 1
+	if opts.HedgeAfter > 0 || opts.RetryOnError {
+		maxAttempts = 2
 	}
 	var bucket *TokenBucket
 	if opts.Rate > 0 {
@@ -130,10 +119,10 @@ func New(opts Options, replicas ...Replica) *Router {
 	return &Router{
 		policy:      opts.Policy,
 		hedgeAfter:  opts.HedgeAfter,
-		maxAttempts: opts.MaxAttempts,
+		maxAttempts: maxAttempts,
 		retryErr:    opts.RetryOnError,
 		clock:       opts.Clock,
-		stats:       opts.Stats,
+		stats:       &metrics.RouterStats{},
 		bucket:      bucket,
 		g:           NewGate(opts.MaxInFlight, opts.Sched),
 		est:         newLatencyEstimator(opts.EstimateSeedMS),
@@ -246,7 +235,7 @@ type attemptResult struct {
 }
 
 // dispatch runs the hedged attempt state machine: place the primary by
-// policy, arm the hedge deadline, launch at most MaxAttempts-1 extra
+// policy, arm the hedge deadline, launch at most maxAttempts-1 extra
 // attempts (a hedge when the deadline fires, an immediate retry when an
 // attempt fails retryably), first success wins, and every losing attempt's
 // context is canceled on return — the deferred cancels are what guarantee a

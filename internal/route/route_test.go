@@ -348,7 +348,7 @@ func TestErrorRetry(t *testing.T) {
 		t.Fatalf("all-fail Submit: %v, want first error %v", err, boom)
 	}
 	if n := fakes[0].CallCount() + fakes[1].CallCount(); n != 4 {
-		t.Fatalf("total attempts = %d, want 4 (2 per request, MaxAttempts=2)", n)
+		t.Fatalf("total attempts = %d, want 4 (2 per request, the retry budget)", n)
 	}
 }
 

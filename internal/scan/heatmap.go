@@ -24,8 +24,8 @@ type HeatMap struct {
 func NewHeatMap(w, h int, threshold float64) *HeatMap {
 	return &HeatMap{
 		W: w, H: h, Threshold: threshold,
-		Score: make([]float64, w*h),
-		Known: make([]bool, w*h),
+		Score:  make([]float64, w*h),
+		Known:  make([]bool, w*h),
 		Failed: make([]bool, w*h),
 	}
 }

@@ -431,4 +431,3 @@ func TestHTTPTenantQuotaThrottlesTiles(t *testing.T) {
 		t.Fatalf("quota throttling failed tiles: %+v", final)
 	}
 }
-
