@@ -152,7 +152,9 @@ selectors:
 	check '$(SBENCH_HOP)' ./cmd/servd
 
 # Short fuzz smoke runs: the container decoder and the runtime loader must
-# reject arbitrary input without panicking, the int8 quantizer must
+# reject arbitrary input without panicking (and a small plan the loader
+# accepts must quantize and run a forward at both precisions, failing with
+# an error or not at all), the int8 quantizer must
 # round-trip arbitrary (value, scale) pairs within its saturation bounds,
 # the predict-body scanner must agree with encoding/json on arbitrary bytes
 # (same accept/reject, same values, bit-exact floats), the serving-trace

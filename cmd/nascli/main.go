@@ -18,6 +18,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -159,6 +160,35 @@ func (e delayEvaluator) Evaluate(cfg resnet.Config) (float64, error) {
 	return e.inner.Evaluate(cfg)
 }
 
+// memoEvaluator remembers every successful evaluation by configuration, so
+// the evolution strategy's fitness calls and the sweep that follows share
+// one evaluation per distinct configuration. Both backends are
+// deterministic per configuration, so a remembered accuracy is the one a
+// second evaluation would return. Failures are not remembered: the sweep's
+// retries still reach the backend. Safe for concurrent use.
+type memoEvaluator struct {
+	inner nas.Evaluator
+	mu    sync.Mutex
+	acc   map[resnet.Config]float64
+}
+
+func (e *memoEvaluator) Evaluate(cfg resnet.Config) (float64, error) {
+	e.mu.Lock()
+	acc, ok := e.acc[cfg]
+	e.mu.Unlock()
+	if ok {
+		return acc, nil
+	}
+	acc, err := e.inner.Evaluate(cfg)
+	if err != nil {
+		return 0, err
+	}
+	e.mu.Lock()
+	e.acc[cfg] = acc
+	e.mu.Unlock()
+	return acc, nil
+}
+
 func main() {
 	var (
 		enumerate  = flag.Bool("enumerate", false, "print the search space (Figure 2) and exit")
@@ -227,7 +257,8 @@ func main() {
 		runMultiFidelity(*strategy, filtered, eval, *workers)
 		return
 	}
-	configs, err := selectConfigs(space, *strategy, filtered, eval, *budgetN, *limit)
+	memo := &memoEvaluator{inner: eval, acc: map[resnet.Config]float64{}}
+	configs, err := selectConfigs(space, *strategy, filtered, memo, *budgetN, *limit)
 	if err != nil {
 		log.Fatalf("nascli: %v", err)
 	}
@@ -264,7 +295,7 @@ func main() {
 
 	stats := &metrics.SweepStats{}
 	stats.Begin(len(configs), len(reused))
-	runEval := eval
+	var runEval nas.Evaluator = memo
 	if *trialDelay > 0 {
 		runEval = delayEvaluator{inner: runEval, d: *trialDelay}
 	}

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,6 +51,53 @@ func TestSelectConfigsLimitAppliesToEveryStrategy(t *testing.T) {
 	}
 	if len(configs) != 40 {
 		t.Fatalf("random without limit produced %d configs", len(configs))
+	}
+}
+
+// countingEvaluator counts backend evaluations per configuration.
+type countingEvaluator struct {
+	inner nas.Evaluator
+	mu    sync.Mutex
+	calls map[resnet.Config]int
+}
+
+func (e *countingEvaluator) Evaluate(cfg resnet.Config) (float64, error) {
+	e.mu.Lock()
+	e.calls[cfg]++
+	e.mu.Unlock()
+	return e.inner.Evaluate(cfg)
+}
+
+// TestEvolutionEvaluatesEachConfigOnce: the evolution strategy scores its
+// population through the same memo the sweep then runs on, so a run pays
+// one backend evaluation per distinct configuration — a k-fold training
+// run each with -backend=train — and the trials keep the accuracies a
+// fresh evaluation gives.
+func TestEvolutionEvaluatesEachConfigOnce(t *testing.T) {
+	counter := &countingEvaluator{inner: surrogateEval(), calls: map[resnet.Config]int{}}
+	memo := &memoEvaluator{inner: counter, acc: map[resnet.Config]float64{}}
+	combos := []nas.InputCombo{{Channels: 5, Batch: 8}}
+	configs, err := selectConfigs(nas.PaperSpace(), "evolution", combos, memo, 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := nas.Experiment(configs, memo, nas.ExperimentOptions{Workers: 2})
+	// Selection also scores raw configurations that UniqueConfigs folds
+	// away (pool parameters of a pool-less stem), so the backend may see
+	// more configurations than the sweep runs, but none twice.
+	for cfg, n := range counter.calls {
+		if n != 1 {
+			t.Fatalf("config %+v evaluated %d times", cfg, n)
+		}
+	}
+	for _, r := range results {
+		if counter.calls[r.Config] != 1 {
+			t.Fatalf("trial %+v: %d evaluations", r.Config, counter.calls[r.Config])
+		}
+		want, err := surrogateEval().Evaluate(r.Config)
+		if err != nil || r.Status != nas.TrialSucceeded || r.Accuracy != want {
+			t.Fatalf("trial %+v: got %v (%s), want %v (err %v)", r.Config, r.Accuracy, r.Status, want, err)
+		}
 	}
 }
 

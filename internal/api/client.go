@@ -203,14 +203,6 @@ func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 	return out, err
 }
 
-// Stats fetches the tier's /v1/stats document raw; decode into ServdStats
-// or RouterStats as appropriate.
-func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
-	var out json.RawMessage
-	err := c.doRetry(ctx, http.MethodGet, "/v1/stats", nil, &out)
-	return out, err
-}
-
 // StartScan submits a scan job. Never retried: job creation is not
 // idempotent, and a retry after an ambiguous failure could start two
 // scans.

@@ -12,7 +12,9 @@ import (
 // FuzzLoad feeds arbitrary byte streams to the plan loader. Malformed,
 // truncated or hostile containers must surface as errors, never as panics,
 // and any container LoadPlan accepts must yield a plan with a sane input
-// contract.
+// contract. An accepted plan small enough to run at 1×C×16×16 is then
+// quantized and both precisions run a forward: each step may fail, none
+// may panic.
 func FuzzLoad(f *testing.F) {
 	cfg := resnet.Config{
 		Channels: 1, Batch: 1, KernelSize: 3, Stride: 2, Padding: 1,
@@ -36,6 +38,7 @@ func FuzzLoad(f *testing.F) {
 	mutated := append([]byte{}, valid...)
 	mutated[len(mutated)/2] ^= 0xff
 	f.Add(mutated)
+	f.Add(subnormalStemContainer(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plan, err := LoadPlan(bytes.NewReader(data))
@@ -45,8 +48,31 @@ func FuzzLoad(f *testing.F) {
 		if plan == nil {
 			t.Fatal("nil plan without error")
 		}
-		if plan.InputChannels() <= 0 {
-			t.Fatalf("accepted container with %d input channels", plan.InputChannels())
+		c := plan.InputChannels()
+		if c <= 0 {
+			t.Fatalf("accepted container with %d input channels", c)
+		}
+		// Bound the work: hostile channel counts or widths must not turn
+		// one input into gigabytes of calibration arenas.
+		if c > 8 {
+			return
+		}
+		shapes, err := plan.shapes(1, 16, 16)
+		if err != nil {
+			return
+		}
+		total := 0
+		for _, sh := range shapes {
+			n := numel(sh)
+			if total += n; n < 0 || total > 1<<20 {
+				return
+			}
+		}
+		qplan, qerr := plan.QuantizeSynthetic(16)
+		x := tensor.RandNormal(tensor.NewRNG(1), 1, 1, c, 16, 16)
+		plan.Forward(x)
+		if qerr == nil {
+			qplan.Forward(x)
 		}
 	})
 }

@@ -173,6 +173,54 @@ func TestQuantizeSyntheticCalibration(t *testing.T) {
 	}
 }
 
+// subnormalStemContainer exports a fresh 5-channel width-8 model whose stem
+// conv weights are all zero but one, set to the smallest subnormal float32:
+// every activation the stem feeds observes a max-abs whose quotient by
+// QActMax underflows, the calibration case ActScale must not turn into a
+// zero scale.
+func subnormalStemContainer(tb testing.TB) []byte {
+	tb.Helper()
+	cfg := resnet.Config{
+		Channels: 5, Batch: 1, KernelSize: 3, Stride: 2, Padding: 1,
+		PoolChoice: 0, InitialOutputFeature: 8, NumClasses: 2,
+	}
+	m, err := resnet.New(cfg, tensor.NewRNG(3))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := m.Params()[0].Data.Data()
+	clear(w)
+	w[0] = math.SmallestNonzeroFloat32
+	var buf bytes.Buffer
+	if _, err := onnxsize.Export(m, &buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestQuantizeSubnormalActivationsForward: a plan whose calibrated ranges
+// underflow still quantizes, and its int8 forward returns finite logits
+// instead of panicking on a zero activation scale.
+func TestQuantizeSubnormalActivationsForward(t *testing.T) {
+	plan, err := LoadPlan(bytes.NewReader(subnormalStemContainer(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qplan, err := plan.QuantizeSynthetic(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logits, err := qplan.Forward(tensor.RandNormal(tensor.NewRNG(9), 1, 2, 5, 32, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range logits.Data() {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			t.Fatalf("non-finite logit %v", v)
+		}
+	}
+}
+
 // TestQuantizedSteadyStateZeroAlloc holds the int8 path to the same arena
 // acceptance bar as the float path: once a session has seen a shape, further
 // forwards of that shape allocate nothing.

@@ -296,7 +296,7 @@ func (p *Plan) forwardQuantized(x *tensor.Tensor, ar *arena) (*tensor.Tensor, er
 		}
 		switch op.kind {
 		case opConv:
-			op.qconv.ForwardInto(ar.qvals[op.out], nil, in, ins[0], ins[2], ins[3])
+			op.qconv.ForwardInto(ar.qvals[op.out], in, ins[0], ins[2], ins[3])
 		case opRelu:
 			tensor.QReLUInto(ar.qvals[op.out], in)
 		case opMaxPool:

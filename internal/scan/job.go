@@ -54,14 +54,6 @@ func NewManager(stats *metrics.ScanStats, maxRunning int) *Manager {
 	}
 }
 
-// Stats exposes the manager's metrics sink (nil-safe for a nil manager).
-func (m *Manager) Stats() *metrics.ScanStats {
-	if m == nil {
-		return nil
-	}
-	return m.stats
-}
-
 // StartOptions carries the per-job context Start needs beyond the request.
 type StartOptions struct {
 	// Backend serves the job's tiles (required).

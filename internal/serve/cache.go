@@ -100,13 +100,6 @@ func (e *cacheEntry) load(loader func(string) (*infer.Plan, error)) {
 	e.plan, e.err = loader(e.key)
 }
 
-// Len returns the number of cached entries.
-func (c *ModelCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // CacheStats is a point-in-time copy of the cache counters.
 type CacheStats struct {
 	Len       int    `json:"len" prom:"drainnas_model_cache_resident" help:"Resident model runtimes."`

@@ -176,12 +176,12 @@ func (j *convCall) run(b, grp int) {
 	mr, nr := gemmMR, gemmNR
 	pLo, pHi, rtLo, rtHi := j.grid.cell(b, grp, pa.rowTiles)
 	panel := g.kdim() * nr
-	block := getScratch((pHi - pLo) * panel)
+	block := scratchF32.get((pHi - pLo) * panel)
 	packPanels(block, j.in, g, pLo*nr, pHi*nr, nr)
 	// The accumulator tile comes from the scratch pool rather than a local
 	// array: microKernel is a func variable, so escape analysis would move a
 	// local to the heap on every call.
-	cbuf := getScratch(mr * nr)
+	cbuf := scratchF32.get(mr * nr)
 	if j.grid.rowOuter {
 		for rt := rtLo; rt < rtHi; rt++ {
 			for p := pLo; p < pHi; p++ {
@@ -195,8 +195,8 @@ func (j *convCall) run(b, grp int) {
 			}
 		}
 	}
-	putScratch(cbuf)
-	putScratch(block)
+	scratchF32.put(cbuf)
+	scratchF32.put(block)
 }
 
 // tile multiplies row tile rt of the weight pack by packed panel bp (global
@@ -263,12 +263,12 @@ func (j *convCall) runNaive(s int) {
 	g, wp := &j.g, j.wp
 	px := g.pixels()
 	size := g.c * g.h * g.w
-	col := getScratch(wp.k * px)
+	col := scratchF32.get(wp.k * px)
 	Im2Col(j.in[s*size:(s+1)*size], g.c, g.h, g.w, g.kh, g.kw, g.stride, g.padY, col)
 	res := j.out[s*wp.m*px : (s+1)*wp.m*px]
 	metrics.Kernel.NaiveCall()
 	matmulNaive(res, px, wp.src, wp.lda, col, px, wp.m, wp.k, px, false)
-	putScratch(col)
+	scratchF32.put(col)
 	if j.bias == nil && !j.relu {
 		return
 	}

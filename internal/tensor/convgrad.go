@@ -93,7 +93,7 @@ func weightGrad(gw, in, gout []float32, oc int, g *convGeom) {
 	kx0, kw := aliveTaps(g.padX, g.kw, g.w, g.ow, g.stride)
 	cut.kh, cut.kw, cut.padY, cut.padX = kh, kw, g.padY-ky0, g.padX-kx0
 	if cut.kdim() < g.kdim() {
-		job.gw = getScratch(oc * cut.kdim())
+		job.gw = scratchF32.get(oc * cut.kdim())
 		clear(job.gw)
 	}
 	job.grid = planGrid((cut.kdim()+nr-1)/nr, rowTiles, 4*job.kc*nr, true)
@@ -107,7 +107,7 @@ func weightGrad(gw, in, gout []float32, oc int, g *convGeom) {
 				dst[kx] += v
 			}
 		}
-		putScratch(job.gw)
+		scratchF32.put(job.gw)
 	}
 }
 
@@ -118,9 +118,9 @@ func (j *gradWCall) run(b, grp int) {
 	mr, nr := gemmMR, gemmNR
 	pLo, pHi, rtLo, rtHi := j.grid.cell(b, grp, (j.oc+mr-1)/mr)
 	kdim, total := g.kdim(), g.n*g.pixels()
-	rowBlock := getScratch((rtHi - rtLo) * j.kc * mr)
-	tapBlock := getScratch((pHi - pLo) * j.kc * nr)
-	cbuf := getScratch(mr * nr)
+	rowBlock := scratchF32.get((rtHi - rtLo) * j.kc * mr)
+	tapBlock := scratchF32.get((pHi - pLo) * j.kc * nr)
+	cbuf := scratchF32.get(mr * nr)
 	for k0 := 0; k0 < total; k0 += j.kc {
 		kc := min(j.kc, total-k0)
 		packGradRows(rowBlock, j.gout, g, j.oc, rtLo*mr, rtHi*mr, k0, kc, mr)
@@ -138,9 +138,9 @@ func (j *gradWCall) run(b, grp int) {
 			}
 		}
 	}
-	putScratch(cbuf)
-	putScratch(tapBlock)
-	putScratch(rowBlock)
+	scratchF32.put(cbuf)
+	scratchF32.put(tapBlock)
+	scratchF32.put(rowBlock)
 }
 
 // packGradRows packs output channels [rLo, rHi) — whole row tiles, zero past

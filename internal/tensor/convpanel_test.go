@@ -84,14 +84,14 @@ func poisonScratchPool() {
 	for class := scratchMinClass; class <= 18; class++ {
 		var held [][]float32
 		for i := 0; i < 4; i++ {
-			buf := getScratch(1 << class)
+			buf := scratchF32.get(1 << class)
 			for j := range buf {
 				buf[j] = nan
 			}
 			held = append(held, buf)
 		}
 		for _, buf := range held {
-			putScratch(buf)
+			scratchF32.put(buf)
 		}
 	}
 }
@@ -270,7 +270,7 @@ func TestConvDriverMatchesOracle(t *testing.T) {
 
 // TestQuantizedConvRandomGeometry is the int8 twin: the driver against the
 // exact integer replay (qconvRef, built on the test-only QIm2ColRows) over
-// the same geometry, both epilogues, one and three workers. Integer
+// the same geometry, with and without ReLU, one and three workers. Integer
 // arithmetic leaves no tolerance: every output must match.
 func TestQuantizedConvRandomGeometry(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
@@ -282,32 +282,17 @@ func TestQuantizedConvRandomGeometry(t *testing.T) {
 		bias := RandNormal(rng, 0.1, oc).data
 		size := g.n * g.c * g.h * g.w
 		in := randQ8(r, size, QActMax)
-		outScale := float32(0.05)
-		if i%3 == 0 {
-			outScale = 0 // float output
-		}
-		qc := NewQuantizedConv(weight, bias, tc.stride, tc.pad, i%2 == 0, 0.02, outScale)
-		wantQ, wantF := qconvRef(qc, in, g.n, g.h, g.w)
+		qc := NewQuantizedConv(weight, bias, tc.stride, tc.pad, i%2 == 0, 0.02, 0.05)
+		want := qconvRef(qc, in, g.n, g.h, g.w)
 		for _, workers := range []int{1, 3} {
 			prev := parallel.DefaultWorkers
 			parallel.DefaultWorkers = workers
-			var gotQ []int8
-			var gotF []float32
-			if outScale == 0 {
-				gotF = make([]float32, g.n*oc*g.pixels())
-			} else {
-				gotQ = make([]int8, g.n*oc*g.pixels())
-			}
-			qc.ForwardInto(gotQ, gotF, in, g.n, g.h, g.w)
+			got := make([]int8, g.n*oc*g.pixels())
+			qc.ForwardInto(got, in, g.n, g.h, g.w)
 			parallel.DefaultWorkers = prev
-			for j := range gotQ {
-				if gotQ[j] != wantQ[j] {
-					t.Fatalf("%v oc=%d workers=%d: int8 out[%d] = %d, want %d", tc, oc, workers, j, gotQ[j], wantQ[j])
-				}
-			}
-			for j := range gotF {
-				if gotF[j] != wantF[j] {
-					t.Fatalf("%v oc=%d workers=%d: float out[%d] = %v, want %v", tc, oc, workers, j, gotF[j], wantF[j])
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("%v oc=%d workers=%d: int8 out[%d] = %d, want %d", tc, oc, workers, j, got[j], want[j])
 				}
 			}
 		}
@@ -361,7 +346,7 @@ func TestConvBitwiseBatchWorkerInvariance(t *testing.T) {
 				out := New(n, tc.oc, oh, ow)
 				pc.ForwardInto(out, x)
 				outQ := make([]int8, n*outSize)
-				qc.ForwardInto(outQ, nil, inQ[first*size:(first+n)*size], n, tc.h, tc.w)
+				qc.ForwardInto(outQ, inQ[first*size:(first+n)*size], n, tc.h, tc.w)
 				return out.data, outQ
 			}
 			refF := make([]float32, 0, pool*outSize)

@@ -117,7 +117,7 @@ type packedA struct {
 // newPackedA sizes the panels of an m×k matrix; the caller fills them.
 func newPackedA(m, k int) packedA {
 	pa := packedA{m: m, k: k, rowTiles: (m + gemmMR - 1) / gemmMR, kBlocks: (k + gemmKC - 1) / gemmKC}
-	pa.buf = getScratch(pa.rowTiles * pa.kBlocks * gemmKC * gemmMR)
+	pa.buf = scratchF32.get(pa.rowTiles * pa.kBlocks * gemmKC * gemmMR)
 	return pa
 }
 
@@ -152,7 +152,7 @@ func packA(a []float32, lda, m, k int) packedA {
 	return pa
 }
 
-func (pa packedA) release() { putScratch(pa.buf) }
+func (pa packedA) release() { scratchF32.put(pa.buf) }
 
 // weightPack defers and caches the A-panel packing of a matrix that many
 // multiplies share — the weight matrix of a convolution, which every batch

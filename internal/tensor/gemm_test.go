@@ -158,24 +158,24 @@ func TestScratchPoolClasses(t *testing.T) {
 	// A too-small pooled buffer must never be dropped: each size class only
 	// hands out buffers that satisfy the request, and returning a buffer
 	// keeps it available for its class.
-	big := getScratch(5000)
-	putScratch(big)
-	small := getScratch(100) // different class; must not steal/drop big's slot
-	putScratch(small)
-	again := getScratch(5000)
+	big := scratchF32.get(5000)
+	scratchF32.put(big)
+	small := scratchF32.get(100) // different class; must not steal/drop big's slot
+	scratchF32.put(small)
+	again := scratchF32.get(5000)
 	if cap(again) < 5000 {
 		t.Fatalf("pooled capacity %d < 5000", cap(again))
 	}
-	putScratch(again)
+	scratchF32.put(again)
 	for _, n := range []int{1, 63, 64, 65, 4095, 4096, 4097} {
-		buf := getScratch(n)
+		buf := scratchF32.get(n)
 		if len(buf) != n {
-			t.Fatalf("getScratch(%d) returned len %d", n, len(buf))
+			t.Fatalf("scratchF32.get(%d) returned len %d", n, len(buf))
 		}
-		putScratch(buf)
+		scratchF32.put(buf)
 	}
-	if getScratch(0) != nil {
-		t.Fatal("getScratch(0) must be nil")
+	if scratchF32.get(0) != nil {
+		t.Fatal("scratchF32.get(0) must be nil")
 	}
 }
 

@@ -144,17 +144,6 @@ func AxpyInPlace(a *Tensor, alpha float32, b *Tensor) *Tensor {
 	return a
 }
 
-// Apply returns f applied elementwise.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.shape...)
-	forEach(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = f(a.data[i])
-		}
-	})
-	return out
-}
-
 // ReLU returns max(x, 0) elementwise.
 func ReLU(a *Tensor) *Tensor {
 	out := New(a.shape...)

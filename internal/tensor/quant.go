@@ -36,13 +36,11 @@ func MaxAbs(xs []float32) float32 {
 }
 
 // ActScale converts an observed activation max-abs into the symmetric
-// per-tensor scale: maxAbs/QActMax, or 1 when the observed range is
-// degenerate (all-zero calibration values must not produce a zero divisor).
+// per-tensor scale: maxAbs/QActMax, or 1 when that is not a usable scale —
+// all-zero calibration values, an infinite range, or a range so small the
+// quotient underflows to zero or to a subnormal whose reciprocal overflows.
 func ActScale(maxAbs float32) float32 {
-	if !(maxAbs > 0) || math.IsInf(float64(maxAbs), 0) {
-		return 1
-	}
-	return maxAbs / QActMax
+	return sanitizeScale(maxAbs / QActMax)
 }
 
 // sanitizeScale guards the quantization helpers against adversarial scales

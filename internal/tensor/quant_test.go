@@ -6,7 +6,9 @@ import (
 )
 
 func TestActScaleDegenerate(t *testing.T) {
-	for _, m := range []float32{0, -1, float32(math.NaN()), float32(math.Inf(1))} {
+	// 1e-44/QActMax underflows to 0 and 1e-42/QActMax to a subnormal whose
+	// reciprocal overflows: neither may reach a divisor.
+	for _, m := range []float32{0, -1, float32(math.NaN()), float32(math.Inf(1)), 1e-44, 1e-42} {
 		if s := ActScale(m); s != 1 {
 			t.Errorf("ActScale(%v) = %v, want 1", m, s)
 		}

@@ -14,10 +14,10 @@ import (
 // weights per output channel (bounded to ±QWeightMax for the AVX2 kernel's
 // saturation-free guarantee), precomputes the +128 activation-offset
 // compensation, and folds the input/weight/output scales plus the bias into
-// a per-channel requantize (or dequantize) epilogue fused with the optional
-// ReLU. The weight panels pack lazily on first use and are kept for the
-// value's lifetime, so a steady-state forward allocates nothing beyond
-// pooled scratch.
+// a per-channel requantize epilogue fused with the optional ReLU. The
+// weight panels pack lazily on first use and are kept for the value's
+// lifetime, so a steady-state forward allocates nothing beyond pooled
+// scratch.
 //
 // A QuantizedConv is immutable after construction and safe for concurrent
 // use.
@@ -30,36 +30,25 @@ type QuantizedConv struct {
 	oc, c, kh, kw int
 	stride, pad   int
 	relu          bool
-	floatOut      bool
 
 	once sync.Once
 	qa   packedQA
-
-	// Degenerate-spatial fast path (1×1 output whose receptive field covers
-	// the whole input): the im2col matrix is mostly zero padding, so the
-	// forward instead runs a pruned GEMV over just the valid taps. Built
-	// lazily for the first qualifying (h, w); see buildDegenerate.
-	degenOnce      sync.Once
-	degenQA        packedQA
-	degenComp      []int32
-	degenH, degenW int
 }
 
 // NewQuantizedConv builds the int8 form of a convolution with float weight
 // (OC, C, KH, KW), optional bias (nil or length OC), stride, padding and an
 // optional fused ReLU. inScale is the symmetric scale of the s8 input
-// activations. outScale > 0 selects int8 output — the epilogue requantizes
-// to the given output scale — while outScale ≤ 0 selects float32 output
-// (the dequantizing tail op of a quantized plan).
+// activations and outScale that of the s8 output the epilogue requantizes
+// to; a scale that is not a usable positive float degrades to 1, as in
+// QuantizeInto.
 //
 // The fused epilogue evaluates, per output channel o and int32 accumulator
 // acc:
 //
 //	v = mult[o]·(acc − comp[o]) + add[o]
 //
-// with mult[o] = inScale·wScale[o]/outScale and add[o] = bias[o]/outScale
-// for int8 output (v is then rounded and clamped, ReLU as a 0 lower clamp),
-// or mult[o] = inScale·wScale[o] and add[o] = bias[o] for float output.
+// with mult[o] = inScale·wScale[o]/outScale and add[o] = bias[o]/outScale;
+// v is then rounded and clamped, ReLU as a 0 lower clamp.
 func NewQuantizedConv(weight *Tensor, bias []float32, stride, pad int, relu bool, inScale, outScale float32) *QuantizedConv {
 	oc, c, kh, kw := dims4("NewQuantizedConv weight", weight)
 	if bias != nil && len(bias) != oc {
@@ -68,7 +57,7 @@ func NewQuantizedConv(weight *Tensor, bias []float32, stride, pad int, relu bool
 	if stride <= 0 || pad < 0 {
 		panic(fmt.Sprintf("tensor: NewQuantizedConv stride=%d pad=%d", stride, pad))
 	}
-	inScale = sanitizeScale(inScale)
+	inScale, outScale = sanitizeScale(inScale), sanitizeScale(outScale)
 	kdim := c * kh * kw
 	qw, wScales := QuantizeWeightsPerChannel(weight.Data(), oc, kdim)
 
@@ -79,8 +68,7 @@ func NewQuantizedConv(weight *Tensor, bias []float32, stride, pad int, relu bool
 		add:  make([]float32, oc),
 		oc:   oc, c: c, kh: kh, kw: kw,
 		stride: stride, pad: pad,
-		relu:     relu,
-		floatOut: outScale <= 0,
+		relu: relu,
 	}
 	for o := 0; o < oc; o++ {
 		sum := int32(0)
@@ -93,11 +81,7 @@ func NewQuantizedConv(weight *Tensor, bias []float32, stride, pad int, relu bool
 		if bias != nil {
 			b = bias[o]
 		}
-		if qc.floatOut {
-			qc.mult[o], qc.add[o] = m, b
-		} else {
-			qc.mult[o], qc.add[o] = m/outScale, b/outScale
-		}
+		qc.mult[o], qc.add[o] = m/outScale, b/outScale
 	}
 	return qc
 }
@@ -107,20 +91,14 @@ func (qc *QuantizedConv) OutSize(h, w int) (oh, ow int) {
 	return ConvOut(h, qc.kh, qc.stride, qc.pad), ConvOut(w, qc.kw, qc.stride, qc.pad)
 }
 
-// ForwardInto convolves the s8 input (n, C, h, w flat) into exactly one of
-// outQ (int8 mode) or outF (float32 mode), both flat (n, OC, OH, OW)
-// buffers the caller sized from OutSize. It allocates nothing beyond pooled
-// scratch. The lowering is the float driver's (convpanel.go): one GEMM over
-// the whole batch's output pixels, column blocks packed straight from the
-// images, so a batch-1 forward still spreads over every core and a sample's
-// output is the same bytes in any batch.
-func (qc *QuantizedConv) ForwardInto(outQ []int8, outF []float32, in []int8, n, h, w int) {
-	if (outQ == nil) == (outF == nil) {
-		panic("tensor: QuantizedConv wants exactly one of outQ/outF")
-	}
-	if qc.floatOut != (outF != nil) {
-		panic("tensor: QuantizedConv output buffer kind does not match its epilogue mode")
-	}
+// ForwardInto convolves the s8 input (n, C, h, w flat) into the s8 output
+// out, a flat (n, OC, OH, OW) buffer the caller sized from OutSize. It
+// allocates nothing beyond pooled scratch. The lowering is the float
+// driver's (convpanel.go): one GEMM over the whole batch's output pixels,
+// column blocks packed straight from the images, so a batch-1 forward still
+// spreads over every core and a sample's output is the same bytes in any
+// batch.
+func (qc *QuantizedConv) ForwardInto(out, in []int8, n, h, w int) {
 	if len(in) != n*qc.c*h*w {
 		panic(fmt.Sprintf("tensor: QuantizedConv input length %d, want %d", len(in), n*qc.c*h*w))
 	}
@@ -128,34 +106,19 @@ func (qc *QuantizedConv) ForwardInto(outQ []int8, outF []float32, in []int8, n, 
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("tensor: QuantizedConv produces empty output for input %dx%d", h, w))
 	}
-	want := n * qc.oc * oh * ow
-	if (outQ != nil && len(outQ) != want) || (outF != nil && len(outF) != want) {
-		panic(fmt.Sprintf("tensor: QuantizedConv output length mismatch, want %d", want))
+	if want := n * qc.oc * oh * ow; len(out) != want {
+		panic(fmt.Sprintf("tensor: QuantizedConv output length %d, want %d", len(out), want))
 	}
 	qc.once.Do(func() { qc.qa = packQA(qc.qw, qc.oc, qc.c*qc.kh*qc.kw) })
 
 	job := qconvCall{
-		qc: qc, outQ: outQ, outF: outF, in: in, qa: &qc.qa, comp: qc.comp,
+		qc: qc, out: out, in: in,
 		g: convGeom{
 			n: n, c: qc.c, h: h, w: w, kh: qc.kh, kw: qc.kw,
 			stride: qc.stride, padY: qc.pad, padX: qc.pad, oh: oh, ow: ow,
 		},
 	}
-	// Degenerate spatial case: a single output position whose receptive
-	// field covers the whole input (the deep tail of a PaperSpace backbone,
-	// where 3×3 convs run on 1×1 or 2×2 maps). Its columns would be mostly
-	// zero padding; the pruned weight pack holds just the valid taps, and
-	// against it the layer is a 1×1 convolution over C·h·w channels of a
-	// one-pixel image — the same driver with a 9× shorter K for a 3×3 on 1×1.
-	pointwise := qc.kh == 1 && qc.kw == 1 && qc.pad == 0
-	if !pointwise && oh == 1 && ow == 1 && qc.kh >= qc.pad+h && qc.kw >= qc.pad+w {
-		qc.degenOnce.Do(func() { qc.buildDegenerate(h, w) })
-		if qc.degenH == h && qc.degenW == w {
-			job.qa, job.comp = &qc.degenQA, qc.degenComp
-			job.g = convGeom{n: n, c: qc.c * h * w, h: 1, w: 1, kh: 1, kw: 1, stride: 1, oh: 1, ow: 1}
-		}
-	}
-	qa := job.qa
+	qa := &qc.qa
 	job.grid = planPanelGrid((n*oh*ow+qNR-1)/qNR, qa.rowTiles, len(qa.buf), qa.kQuads*qNR*4)
 	if parallel.DefaultWorkers == 1 || job.grid.blocks*job.grid.rowGroups == 1 {
 		// Serial grid: direct method calls keep the steady-state inference
@@ -172,25 +135,19 @@ func (qc *QuantizedConv) ForwardInto(outQ []int8, outF []float32, in []int8, n, 
 }
 
 // qconvCall carries one ForwardInto invocation so the per-cell body can be
-// a method (direct-callable on the serial path). qa and comp travel beside
-// qc because the degenerate path's pruned weight pack carries its own
-// offset compensation.
+// a method (direct-callable on the serial path).
 type qconvCall struct {
-	qc   *QuantizedConv
-	outQ []int8
-	outF []float32
-	in   []int8
-	qa   *packedQA
-	comp []int32
-	g    convGeom
-	grid panelGrid
+	qc      *QuantizedConv
+	out, in []int8
+	g       convGeom
+	grid    panelGrid
 }
 
 // run executes grid cell (column block b, row group grp): pack the block's
 // panels from the images, run the micro-kernel over its row tiles, and
-// merge each int32 tile through the fused requantize / dequantize epilogue.
+// merge each int32 tile through the fused requantize epilogue.
 func (j *qconvCall) run(b, grp int) {
-	qa := j.qa
+	qa := &j.qc.qa
 	pLo, pHi, rtLo, rtHi := j.grid.cell(b, grp, qa.rowTiles)
 	panel := qa.kQuads * qNR * 4
 	block := scratchU8.get((pHi - pLo) * panel)
@@ -221,7 +178,8 @@ func (j *qconvCall) run(b, grp int) {
 // panel p) and merges the int32 tile through the epilogue into the
 // (sample, channel, pixel) addresses the panel's columns stand for.
 func (j *qconvCall) tile(rt, p int, bp []uint8, cbuf []int32) {
-	qc, qa, g := j.qc, j.qa, &j.g
+	qc, g := j.qc, &j.g
+	qa := &qc.qa
 	qKernel(qa.buf[rt*qa.kQuads*qMR*4:], bp, cbuf, qa.kQuads)
 	rows := qa.m - rt*qMR
 	if rows > qMR {
@@ -237,31 +195,20 @@ func (j *qconvCall) tile(rt, p int, bp []uint8, cbuf []int32) {
 		lane := col - p*qNR
 		for r := 0; r < rows; r++ {
 			o := rt*qMR + r
-			mult, addend, co := qc.mult[o], qc.add[o], j.comp[o]
+			mult, addend, co := qc.mult[o], qc.add[o], qc.comp[o]
 			trow := cbuf[r*qNR+lane : r*qNR+lane+n]
 			off := (s*qa.m+o)*px + pix
+			dst := j.out[off : off+n]
 			// The clamps are min/max, not branches: after a ReLU-bound layer
 			// half the values are negative, and a compare-and-jump per value
 			// mispredicts on every other one.
-			if qc.floatOut {
-				dst := j.outF[off : off+n]
-				lo := float32(math.Inf(-1))
-				if qc.relu {
-					lo = 0
-				}
-				for jj, acc := range trow {
-					dst[jj] = max(mult*float32(acc-co)+addend, lo)
-				}
-			} else {
-				dst := j.outQ[off : off+n]
-				lo := float64(-QActMax)
-				if qc.relu {
-					lo = 0
-				}
-				for jj, acc := range trow {
-					v := math.RoundToEven(float64(mult*float32(acc-co) + addend))
-					dst[jj] = int8(min(max(v, lo), QActMax))
-				}
+			lo := float64(-QActMax)
+			if qc.relu {
+				lo = 0
+			}
+			for jj, acc := range trow {
+				v := math.RoundToEven(float64(mult*float32(acc-co) + addend))
+				dst[jj] = int8(min(max(v, lo), QActMax))
 			}
 		}
 		col += n
@@ -342,36 +289,4 @@ func packQPanels(dst []uint8, in []int8, g *convGeom, lo, hi int, masks []int32)
 			}
 		}
 	}
-}
-
-// buildDegenerate packs the pruned weight matrix for 1×1-output forwards on
-// an h×w input fully covered by the receptive field: column (ch, sy, sx) of
-// the pruned matrix is original tap (ch, sy+pad, sx+pad) — exactly the taps
-// whose im2col entries are not structurally zero — with the +128 offset
-// compensation recomputed over the kept taps. The pack binds to the first
-// qualifying (h, w); other shapes fall back to the generic path.
-func (qc *QuantizedConv) buildDegenerate(h, w int) {
-	kdim := qc.c * qc.kh * qc.kw
-	dk := qc.c * h * w
-	dw := make([]int8, qc.oc*dk)
-	comp := make([]int32, qc.oc)
-	for o := 0; o < qc.oc; o++ {
-		row := qc.qw[o*kdim : (o+1)*kdim]
-		drow := dw[o*dk : (o+1)*dk]
-		i, sum := 0, int32(0)
-		for ch := 0; ch < qc.c; ch++ {
-			for sy := 0; sy < h; sy++ {
-				for sx := 0; sx < w; sx++ {
-					q := row[(ch*qc.kh+sy+qc.pad)*qc.kw+sx+qc.pad]
-					drow[i] = q
-					i++
-					sum += int32(q)
-				}
-			}
-		}
-		comp[o] = 128 * sum
-	}
-	qc.degenQA = packQA(dw, qc.oc, dk)
-	qc.degenComp = comp
-	qc.degenH, qc.degenW = h, w
 }
