@@ -165,9 +165,11 @@ selectors:
 # every scan request the scan handler would admit must ask for a tile,
 # chip, stride and grid inside the synthesis bounds and round-trip, the
 # slot gate must grant what the reference stride scheduler grants for any
-# operation sequence the fuzz bytes decode to, and the bulk normal fill must
+# operation sequence the fuzz bytes decode to, the bulk normal fill must
 # return the NormFloat64 loop's bits and final generator state for any seed,
-# pending spare and length.
+# pending spare and length, and the separable max pool must return the
+# tap-by-tap pool's bits (NaN for NaN) for any plane size, window, stride,
+# padding and float32 or int8 bit patterns.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/onnxsize
@@ -180,10 +182,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzScanRequest -fuzztime=$(FUZZTIME) ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzGate -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzNormFloat64s -fuzztime=$(FUZZTIME) ./internal/tensor
+	$(GO) test -run='^$$' -fuzz=FuzzMaxPoolPlane -fuzztime=$(FUZZTIME) ./internal/tensor
 
-# Kernel benchmark selections: the micro-kernel alone and the deployed model's
-# convolution shapes (front32 at 5x100x100, batch 1 and 8; their backward at
-# 32x32 batch 16, what NAS trains, and 100x100 batch 8), the conv/training
+# Kernel benchmark selections: the micro-kernel alone, the deployed model's
+# convolution shapes with its stage entries, projections and the PaperSpace
+# stems (front32 at 5x100x100, batch 1 and 8), its max pool (fp32 and int8,
+# batch 1 and 8), the convolutions' backward (at 32x32 batch 16, what NAS
+# trains, and 100x100 batch 8), the conv/training
 # ablations, one surrogate-sweep trial measurement (core.Measure over the
 # enumerated PaperSpace, with allocs/op), the whole 1,717-trial surrogate
 # sweep (core.Run: NAS phase, measurement on every core, Pareto front), the
@@ -192,12 +197,12 @@ fuzz:
 # deviates in bulk beside the per-element NormFloat64 loop, building the two
 # stock ResNet-18 variants (weight init, what every NAS fold pays first), and
 # the compiled-inference path on a 32x32 chip and at the deployment size.
-KBENCH_TENSOR = ^(BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkConvBackwardShapes|BenchmarkNormFloat64s)$$
+KBENCH_TENSOR = ^(BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkMaxPoolPlane|BenchmarkConvBackwardShapes|BenchmarkNormFloat64s)$$
 KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure|BenchmarkTable3_ObjectiveRanges|BenchmarkWatershedSynthesis|BenchmarkFigure1_ModelBuild)$$
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$
-IBENCH        = ^(BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8))$$
+IBENCH        = ^(BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8)|BenchmarkFront32Ops)$$
 
 # Appends one run record (ns/op + GFLOP/s per shape, plus machine/kernel
 # metadata) to the checked-in BENCH_kernels.json trajectory; KERNEL_NOTE is
@@ -210,8 +215,9 @@ bench-kernels:
 
 # Compiled-plan inference trajectory: fp32 and int8 forwards at batch 1 and
 # batch 8, with -benchmem so allocs/op and B/op land in the record (the
-# arena claim is "steady-state allocs ≈ 0"), and front32 at 5x100x100, fp32
-# and int8, batch 1/4/8, in ms per sample.
+# arena claim is "steady-state allocs ≈ 0"), front32 at 5x100x100, fp32
+# and int8, batch 1/4/8, in ms per sample, and its fp32 forward op by op
+# (ms per forward per kind of op, batch 1 and 8).
 bench-infer:
 	$(GO) test -run='^$$' -bench '$(IBENCH)' -benchmem ./internal/infer \
 	  | $(GO) run ./cmd/benchjson -out BENCH_infer.json

@@ -2,7 +2,9 @@ package infer
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
 	"drainnas/internal/onnxsize"
 	"drainnas/internal/resnet"
@@ -132,9 +134,9 @@ var front32Config = resnet.Config{
 	InitialOutputFeature: 32, NumClasses: 2,
 }
 
-// benchFront32 times warm-session forwards of front32 at 5×100×100 and
-// reports the per-sample time, the number a batch has to beat.
-func benchFront32(b *testing.B, int8 bool, batch int) {
+// front32Plan compiles front32 with the weights of seed 7, quantized for
+// 100² chips when int8 is set.
+func front32Plan(b *testing.B, int8 bool) *Plan {
 	m, err := resnet.New(front32Config, tensor.NewRNG(7))
 	if err != nil {
 		b.Fatal(err)
@@ -152,7 +154,13 @@ func benchFront32(b *testing.B, int8 bool, batch int) {
 			b.Fatal(err)
 		}
 	}
-	sess := plan.NewSession()
+	return plan
+}
+
+// benchFront32 times warm-session forwards of front32 at 5×100×100 and
+// reports the per-sample time, the number a batch has to beat.
+func benchFront32(b *testing.B, int8 bool, batch int) {
+	sess := front32Plan(b, int8).NewSession()
 	x := tensor.RandNormal(tensor.NewRNG(9), 1, batch, front32Config.Channels, 100, 100)
 	if _, err := sess.Forward(x); err != nil {
 		b.Fatal(err)
@@ -173,3 +181,54 @@ func BenchmarkFront32FP32Batch8(b *testing.B) { benchFront32(b, false, 8) }
 func BenchmarkFront32Int8Batch1(b *testing.B) { benchFront32(b, true, 1) }
 func BenchmarkFront32Int8Batch4(b *testing.B) { benchFront32(b, true, 4) }
 func BenchmarkFront32Int8Batch8(b *testing.B) { benchFront32(b, true, 8) }
+
+// BenchmarkFront32Ops times an fp32 front32 forward at 5×100×100 op by op,
+// through a warm session, and reports the milliseconds per forward each
+// kind of op takes: the stem conv, the other stride-2 convs (stage entries
+// and projections), the stride-1 convs, the convs that run a residual join
+// in their epilogue, the max pool, the joins left to run on their own, and
+// the head (global pool and classifier).
+func BenchmarkFront32Ops(b *testing.B) {
+	plan := front32Plan(b, false)
+	for _, batch := range []int{1, 8} {
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			sess := plan.NewSession()
+			x := tensor.RandNormal(tensor.NewRNG(9), 1, batch, front32Config.Channels, 100, 100)
+			if _, err := sess.Forward(x); err != nil {
+				b.Fatal(err)
+			}
+			ar := sess.arenas[arenaKey{n: batch, h: 100, w: 100}]
+			kinds := make([]string, len(plan.ops))
+			for idx, op := range plan.ops {
+				switch {
+				case idx == 0:
+					kinds[idx] = "stem"
+				case op.kind == opConv && op.joinOut != 0:
+					kinds[idx] = "conv_join"
+				case op.kind == opConv && op.conv.Stride() == 2:
+					kinds[idx] = "conv_s2"
+				case op.kind == opConv:
+					kinds[idx] = "conv_s1"
+				case op.kind == opMaxPool:
+					kinds[idx] = "maxpool"
+				case op.kind == opAdd:
+					kinds[idx] = "join"
+				default:
+					kinds[idx] = "head"
+				}
+			}
+			spent := map[string]time.Duration{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for idx := range plan.ops {
+					t0 := time.Now()
+					plan.step(ar, x, idx)
+					spent[kinds[idx]] += time.Since(t0)
+				}
+			}
+			for kind, d := range spent {
+				b.ReportMetric(d.Seconds()*1e3/float64(b.N), kind+"_ms")
+			}
+		})
+	}
+}

@@ -41,6 +41,16 @@ type planOp struct {
 	kernel, stride, pad int                // opMaxPool
 	relu                bool               // opAdd: trailing ReLU fused into the join
 
+	// A residual join run by the epilogue of the conv that produces its
+	// last operand (fuseJoins). On that opConv, joinOut is the join's output
+	// value — 0 for none, as no op writes value 0 — and joinIn its other
+	// operand; the opAdd stays in ops, marked fused. fp32 sessions that
+	// recycle their arenas run the pair as one op; everything else (shapes,
+	// the cost graph, calibration, Quantize, int8 plans) sees the op list as
+	// compiled.
+	joinIn, joinOut int
+	fused           bool
+
 	// Int8 payloads, set by Plan.Quantize. Quantized ops keep conv too: the
 	// cost graph and shape inference read geometry from it either way.
 	qconv  *tensor.QuantizedConv // opConv
@@ -321,8 +331,44 @@ func Compile(dec *onnxsize.Decoded) (*Plan, error) {
 			p.lastUse[op.in2] = idx
 		}
 	}
+	p.fuseJoins()
 	metrics.Infer.PlanCompiled()
 	return p, nil
+}
+
+// fuseJoins hands each residual join (Add→ReLU) to the epilogue of the conv
+// that produces whichever of its operands comes second — conv2 of an
+// identity block, the projection (down.conv) of a downsampling one — when
+// the join is the only op reading that conv's output. The conv then writes
+// (acc + bias) + other, which is the join's a + b bit for bit (float
+// addition commutes), and the join's sweep over three tensors goes away.
+func (p *Plan) fuseJoins() {
+	producer := make([]int, p.numVals)
+	readers := make([]int, p.numVals)
+	for idx := range p.ops {
+		op := &p.ops[idx]
+		producer[op.out] = idx
+		readers[op.in]++
+		if op.in2 >= 0 {
+			readers[op.in2]++
+		}
+	}
+	for idx := range p.ops {
+		add := &p.ops[idx]
+		if add.kind != opAdd || !add.relu || add.in == add.in2 {
+			continue
+		}
+		last, other := add.in, add.in2
+		if add.in2 > 0 && (add.in == 0 || producer[add.in2] > producer[add.in]) {
+			last, other = add.in2, add.in
+		}
+		conv := &p.ops[producer[last]]
+		if conv.kind != opConv || readers[last] != 1 {
+			continue
+		}
+		conv.joinIn, conv.joinOut = other, add.out
+		add.fused = true
+	}
 }
 
 // compiler bundles read-only access to the decoded container during Compile.

@@ -37,6 +37,9 @@ type arenaKey struct{ n, h, w int }
 // output never aliases an input.
 type arena struct {
 	vals []*tensor.Tensor // per value id; vals[0] stays nil (caller input)
+	// fused arenas run each fused join in its conv's epilogue (fuseJoins);
+	// the conv's own output value then has no buffer.
+	fused bool
 	// 4-D views over the FC input/output buffers, prebuilt so the pointwise
 	// conv path needs no per-call reshaping. Indexed by op position.
 	fcIn  []*tensor.Tensor
@@ -98,36 +101,49 @@ func (s *Session) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		return p.forwardQuantized(x, ar)
 	}
 	for idx := range p.ops {
-		op := &p.ops[idx]
-		in := ar.vals[op.in]
-		if op.in == 0 {
-			in = x
-		}
-		out := ar.vals[op.out]
-		switch op.kind {
-		case opConv:
-			op.conv.ForwardInto(out, in)
-		case opRelu:
-			tensor.ReLUInto(out, in)
-		case opMaxPool:
-			tensor.MaxPool2DInto(out, in, op.kernel, op.stride, op.pad)
-		case opAdd:
-			in2 := ar.vals[op.in2]
-			if op.in2 == 0 {
-				in2 = x
-			}
-			if op.relu {
-				tensor.AddReLUInto(out, in, in2)
-			} else {
-				tensor.AddInto(out, in, in2)
-			}
-		case opGlobalAvgPool:
-			tensor.GlobalAvgPool2DInto(out, in)
-		case opFC:
-			op.conv.ForwardInto(ar.fcOut[idx], ar.fcIn[idx])
-		}
+		p.step(ar, x, idx)
 	}
 	return ar.vals[p.outVal], nil
+}
+
+// step executes op idx of an fp32 plan over the arena; x is the caller's
+// input, value 0.
+func (p *Plan) step(ar *arena, x *tensor.Tensor, idx int) {
+	op := &p.ops[idx]
+	in, out := ar.value(op.in, x), ar.vals[op.out]
+	switch op.kind {
+	case opConv:
+		if ar.fused && op.joinOut != 0 {
+			op.conv.ForwardInto(ar.vals[op.joinOut], in, ar.value(op.joinIn, x))
+		} else {
+			op.conv.ForwardInto(out, in, nil)
+		}
+	case opRelu:
+		tensor.ReLUInto(out, in)
+	case opMaxPool:
+		tensor.MaxPool2DInto(out, in, op.kernel, op.stride, op.pad)
+	case opAdd:
+		switch {
+		case ar.fused && op.fused:
+			// Its conv's epilogue wrote it.
+		case op.relu:
+			tensor.AddReLUInto(out, in, ar.value(op.in2, x))
+		default:
+			tensor.AddInto(out, in, ar.value(op.in2, x))
+		}
+	case opGlobalAvgPool:
+		tensor.GlobalAvgPool2DInto(out, in)
+	case opFC:
+		op.conv.ForwardInto(ar.fcOut[idx], ar.fcIn[idx], nil)
+	}
+}
+
+// value returns value v of a pass over the arena whose input is x.
+func (ar *arena) value(v int, x *tensor.Tensor) *tensor.Tensor {
+	if v == 0 {
+		return x
+	}
+	return ar.vals[v]
 }
 
 // Classify runs Forward and returns the argmax class per sample.
@@ -234,7 +250,10 @@ func (s *slabs[T]) put(sl []T) { s.free = append(s.free, sl) }
 // input shape). An fp32 plan's values are all float tensors; an int8 plan
 // keeps s8 slabs up to the dequantizing head (global pool and FC), whose
 // outputs are float. Without recycle every value keeps a slab of its own,
-// so calibration can read them all after the pass.
+// so calibration can read them all after the pass; with it an fp32 arena is
+// fused: a conv that runs its residual join writes the join's output, whose
+// slab is drawn at the conv while the conv's input and the join's other
+// operand are still live, so it aliases neither.
 func (p *Plan) buildArena(key arenaKey, recycle bool) (*arena, error) {
 	shapes, err := p.shapes(key.n, key.h, key.w)
 	if err != nil {
@@ -246,6 +265,7 @@ func (p *Plan) buildArena(key arenaKey, recycle bool) (*arena, error) {
 		fcOut: make([]*tensor.Tensor, len(p.ops)),
 	}
 	quantized := p.Precision() == PrecisionInt8
+	ar.fused = recycle && !quantized
 	if quantized {
 		ar.qvals = make([][]int8, p.numVals)
 		ar.qdims = shapes
@@ -256,9 +276,14 @@ func (p *Plan) buildArena(key arenaKey, recycle bool) (*arena, error) {
 	for idx := range p.ops {
 		op := &p.ops[idx]
 		in, out := shapes[op.in], shapes[op.out]
-		if quantized && op.kind != opGlobalAvgPool && op.kind != opFC {
+		switch {
+		case quantized && op.kind != opGlobalAvgPool && op.kind != opFC:
 			ar.qvals[op.out] = freeQ.get(numel(out))
-		} else {
+		case ar.fused && op.joinOut != 0:
+			ar.vals[op.joinOut] = tensor.FromSlice(freeF.get(numel(out)), out...)
+		case ar.fused && op.fused:
+			// Drawn at its conv.
+		default:
 			ar.vals[op.out] = tensor.FromSlice(freeF.get(numel(out)), out...)
 		}
 		if op.kind == opFC {
@@ -274,7 +299,7 @@ func (p *Plan) buildArena(key arenaKey, recycle bool) (*arena, error) {
 			}
 			if quantized && ar.qvals[v] != nil {
 				freeQ.put(ar.qvals[v])
-			} else {
+			} else if ar.vals[v] != nil { // nil: a fused conv's own output
 				freeF.put(ar.vals[v].Data())
 			}
 		}
@@ -311,7 +336,7 @@ func (p *Plan) forwardQuantized(x *tensor.Tensor, ar *arena) (*tensor.Tensor, er
 			tensor.QGlobalAvgPoolFloatInto(ar.vals[op.out].Data(), in, ins[0], ins[1], ins[2], ins[3], op.ratio)
 		case opFC:
 			// The float classifier head, exactly as in the fp32 path.
-			op.conv.ForwardInto(ar.fcOut[idx], ar.fcIn[idx])
+			op.conv.ForwardInto(ar.fcOut[idx], ar.fcIn[idx], nil)
 		}
 	}
 	return ar.vals[p.outVal], nil

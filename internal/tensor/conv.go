@@ -97,23 +97,25 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 	if bias != nil {
 		b = bias.data
 	}
-	convInto(out, input, wp, b, false, kh, kw, stride, pad)
+	convInto(out, input, wp, b, false, nil, kh, kw, stride, pad)
 	wp.release()
 	return out
 }
 
 // convInto is the convolution driver shared by Conv2D (per-call pack) and
 // PackedConv (persistent pack): one GEMM per layer per batch, its columns
-// packed straight from the input images (see convpanel.go), with bias and an
-// optional ReLU fused into the store of each finished tile so activations
-// are written exactly once. Shapes must already be validated by the caller.
+// packed straight from the input images (see convpanel.go), with bias, an
+// optional ReLU and an optional residual join (join, out's shape, added
+// before a second ReLU) fused into the store of each finished tile so
+// activations are written exactly once. Shapes must already be validated by
+// the caller.
 //
 // Whether a layer is tiled depends on its shape alone: one sample's
 // M·K·OH·OW against gemmSerialCutoff. A layer below it runs the naive
 // kernel sample by sample, whatever the batch folds to — the two kernels
 // round differently, so letting batch size or worker count pick between
 // them would make a sample's logits depend on the company it keeps.
-func convInto(out, input *Tensor, wp *weightPack, bias []float32, relu bool, kh, kw, stride, pad int) {
+func convInto(out, input *Tensor, wp *weightPack, bias []float32, relu bool, join *Tensor, kh, kw, stride, pad int) {
 	job := convCall{
 		out: out.data, in: input.data, wp: wp, bias: bias, relu: relu,
 		g: convGeom{
@@ -121,6 +123,9 @@ func convInto(out, input *Tensor, wp *weightPack, bias []float32, relu bool, kh,
 			kh: kh, kw: kw, stride: stride, padY: pad, padX: pad,
 			oh: out.shape[2], ow: out.shape[3],
 		},
+	}
+	if join != nil {
+		job.join = join.data
 	}
 	g := &job.g
 	cellsI, cellsJ := g.n, 1
@@ -159,6 +164,7 @@ type convCall struct {
 	wp      *weightPack
 	bias    []float32
 	relu    bool
+	join    []float32 // residual join operand, laid out as out; nil for none
 	g       convGeom
 	naive   bool
 	grid    panelGrid
@@ -180,8 +186,9 @@ func (j *convCall) run(b, grp int) {
 	packPanels(block, j.in, g, pLo*nr, pHi*nr, nr)
 	// The accumulator tile comes from the scratch pool rather than a local
 	// array: microKernel is a func variable, so escape analysis would move a
-	// local to the heap on every call.
-	cbuf := scratchF32.get(mr * nr)
+	// local to the heap on every call. Its spare row is room for storeTile,
+	// which reads all sixteen lanes of a row from wherever a stretch starts.
+	cbuf := scratchF32.get((mr + 1) * nr)
 	if j.grid.rowOuter {
 		for rt := rtLo; rt < rtHi; rt++ {
 			for p := pLo; p < pHi; p++ {
@@ -200,9 +207,9 @@ func (j *convCall) run(b, grp int) {
 }
 
 // tile multiplies row tile rt of the weight pack by packed panel bp (global
-// panel p) and stores the finished tile: out = max(acc + bias, 0), or
-// acc + bias without the ReLU. A panel's columns are consecutive pixels, so
-// each row of the tile lands as one contiguous store per sample it touches.
+// panel p) and stores the finished tile through the epilogue (store). A
+// panel's columns are consecutive pixels, so each row of the tile lands as
+// one contiguous store per sample it touches.
 func (j *convCall) tile(rt, p int, bp, cbuf []float32) {
 	g, pa := &j.g, &j.wp.pa
 	mr, nr := gemmMR, gemmNR
@@ -225,35 +232,66 @@ func (j *convCall) tile(rt, p int, bp, cbuf []float32) {
 	for col < end {
 		s, pix, n := g.stretch(col, end)
 		lane := col - p*nr
-		for ir := 0; ir < rows; ir++ {
-			o := rt*mr + ir
-			if src := cbuf[ir*nr+lane : ir*nr+lane+n]; j.lattice.step <= 1 {
-				j.store(j.out[(s*pa.m+o)*px+pix:], src, o)
-			} else {
-				j.lattice.scatter(j.out, s*pa.m+o, pix, g.ow, src)
+		at := (s*pa.m+rt*mr)*px + pix
+		switch {
+		case j.lattice.step > 1:
+			for ir := 0; ir < rows; ir++ {
+				j.lattice.scatter(j.out, s*pa.m+rt*mr+ir, pix, g.ow, cbuf[ir*nr+lane:ir*nr+lane+n])
+			}
+		case forwardAVX2 && nr == 16:
+			bias, join := &noBias[0], (*float32)(nil)
+			if j.bias != nil {
+				bias = &j.bias[rt*mr]
+			}
+			if j.join != nil {
+				join = &j.join[at]
+			}
+			storeTile(&j.out[at], &cbuf[lane], join, bias, px, rows, n, j.relu)
+		default:
+			for ir := 0; ir < rows; ir++ {
+				j.store(j.out[at+ir*px:], cbuf[ir*nr+lane:ir*nr+lane+n], j.joinRow(at+ir*px), rt*mr+ir)
 			}
 		}
 		col += n
 	}
 }
 
-// store is the fused epilogue: dst = max(src + bias[o], 0) for output
-// channel o, or src + bias[o] without the ReLU. The max is the builtin, not
-// a compare and branch — half of a layer's pre-activations are negative.
-func (j *convCall) store(dst, src []float32, o int) {
+// noBias is the bias storeTile reads for a layer without one.
+var noBias [gemmMaxTile]float32
+
+// joinRow returns the join operand from index at of the output on, or nil
+// without a join.
+func (j *convCall) joinRow(at int) []float32 {
+	if j.join == nil {
+		return nil
+	}
+	return j.join[at:]
+}
+
+// store is the fused epilogue of output channel o: v = src + bias[o], then
+// the conv's ReLU, max(v, 0), which takes −0 to +0; then, with a join
+// operand jn, v + jn[i] and the residual join's ReLU, v < 0 → 0, which
+// leaves −0 as it is. It is the epilogue of naive layers and of hosts
+// without AVX2, and storeTile's oracle: storeTile does the same arithmetic
+// eight lanes at a time, each ReLU a compare and a mask, so neither a
+// branch nor the builtin's seven-instruction max sits on a lane.
+func (j *convCall) store(dst, src, jn []float32, o int) {
 	var bv float32
 	if j.bias != nil {
 		bv = j.bias[o]
 	}
 	dst = dst[:len(src)]
-	if j.relu {
-		for i, v := range src {
-			dst[i] = max(v+bv, 0)
+	for i, v := range src {
+		v += bv
+		if j.relu {
+			v = max(v, 0)
 		}
-	} else {
-		for i, v := range src {
-			dst[i] = v + bv
+		if jn != nil {
+			if v += jn[i]; v < 0 {
+				v = 0
+			}
 		}
+		dst[i] = v
 	}
 }
 
@@ -269,12 +307,12 @@ func (j *convCall) runNaive(s int) {
 	metrics.Kernel.NaiveCall()
 	matmulNaive(res, px, wp.src, wp.lda, col, px, wp.m, wp.k, px, false)
 	scratchF32.put(col)
-	if j.bias == nil && !j.relu {
+	if j.bias == nil && !j.relu && j.join == nil {
 		return
 	}
 	for o := 0; o < wp.m; o++ {
 		row := res[o*px : (o+1)*px]
-		j.store(row, row, o)
+		j.store(row, row, j.joinRow((s*wp.m+o)*px), o)
 	}
 }
 
@@ -357,7 +395,13 @@ func packPanels(dst, in []float32, g *convGeom, lo, hi, nr int) {
 // channel, next tap) is that tap's turn next. The one row with no later
 // turn is a channel's last tap, so there a run not at lane 0 moves lane by
 // lane; so does a run too close to either end of the batch tensor for a
-// 16-value read, and every run of a strided convolution.
+// 16-value read.
+//
+// For stride 2 under AVX2, packRowsS2 moves a run's sixteen even values of
+// each channel in one step (four loads, two shuffles) and, storing through
+// a lane mask, writes the run's own lanes and nothing past them, so it
+// serves a run wherever it sits; it needs a 32-value read. Without AVX2,
+// and at other strides, a strided run moves lane by lane.
 func packPanel(dst, in []float32, g *convGeom, runs []colRun, nr int) {
 	hw, taps := g.h*g.w, g.kh*g.kw
 	for ky := 0; ky < g.kh; ky++ {
@@ -379,6 +423,9 @@ func packPanel(dst, in []float32, g *convGeom, runs []colRun, nr int) {
 				case g.stride == 1 && nr == 16 && (t < taps-1 || r.lane == 0) &&
 					off >= 0 && off+(g.c-1)*hw+16 <= len(in):
 					copyRows16(d, in[off:], taps*nr, hw, g.c, ^mask&(1<<r.n-1))
+				case g.stride == 2 && nr == 16 && forwardAVX2 &&
+					off >= 0 && off+(g.c-1)*hw+32 <= len(in):
+					packRowsS2(&d[0], &in[off], taps*nr, hw, g.c, 1<<r.n-1, mask)
 				default:
 					for ch := 0; ch < g.c; ch++ {
 						row := d[ch*taps*nr : ch*taps*nr+r.n]

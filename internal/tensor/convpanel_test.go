@@ -253,7 +253,7 @@ func TestConvDriverMatchesOracle(t *testing.T) {
 				poisonScratchPool()
 				got := New(g.n, oc, g.oh, g.ow)
 				got.Fill(float32(math.NaN()))
-				pc.ForwardInto(got, input)
+				pc.ForwardInto(got, input, nil)
 				parallel.DefaultWorkers = prev
 				if d := maxKernelDiff(got, want); !(d <= parityTol(g.kdim())) {
 					t.Fatalf("%v oc=%d relu=%v workers=%d kernel=%s: max blended diff %g", tc, oc, relu, workers, gemmKernelName, d)
@@ -344,7 +344,7 @@ func TestConvBitwiseBatchWorkerInvariance(t *testing.T) {
 				defer func() { parallel.DefaultWorkers = prev }()
 				x := FromSlice(samples.data[first*size:(first+n)*size], n, tc.c, tc.h, tc.w)
 				out := New(n, tc.oc, oh, ow)
-				pc.ForwardInto(out, x)
+				pc.ForwardInto(out, x, nil)
 				outQ := make([]int8, n*outSize)
 				qc.ForwardInto(outQ, inQ[first*size:(first+n)*size], n, tc.h, tc.w)
 				return out.data, outQ

@@ -78,10 +78,13 @@ func (pc *PackedConv) Weights() *Tensor { return pc.weight }
 func (pc *PackedConv) Bias() []float32 { return pc.bias }
 
 // ForwardInto convolves input (N, C, H, W) into the caller-provided out
-// (N, OC, OH, OW), applying the fused bias/ReLU epilogue. out must not alias
-// input. It allocates nothing beyond pooled scratch, so a steady-state
+// (N, OC, OH, OW), applying the fused bias/ReLU epilogue. A non-nil join, of
+// out's shape, is a residual join fused into the same epilogue: out =
+// conv(input) + join, then a ReLU that maps v < 0 to 0 — bit for bit the
+// convolution into a tensor of its own followed by AddReLUInto. out must not
+// alias input. It allocates nothing beyond pooled scratch, so a steady-state
 // caller that reuses its output tensors runs allocation-free.
-func (pc *PackedConv) ForwardInto(out, input *Tensor) {
+func (pc *PackedConv) ForwardInto(out, input, join *Tensor) {
 	n, c, h, w := dims4("PackedConv input", input)
 	on, oc, oh, ow := dims4("PackedConv out", out)
 	if c != pc.c {
@@ -94,5 +97,8 @@ func (pc *PackedConv) ForwardInto(out, input *Tensor) {
 	if eh <= 0 || ew <= 0 {
 		panic(fmt.Sprintf("tensor: PackedConv produces empty output for input %dx%d", h, w))
 	}
-	convInto(out, input, pc.wp, pc.bias, pc.relu, pc.kh, pc.kw, pc.stride, pc.pad)
+	if join != nil && !join.SameShape(out) {
+		panic(fmt.Sprintf("tensor: PackedConv join shape %v, want %v", join.shape, out.shape))
+	}
+	convInto(out, input, pc.wp, pc.bias, pc.relu, join, pc.kh, pc.kw, pc.stride, pc.pad)
 }

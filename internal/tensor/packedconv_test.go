@@ -50,7 +50,7 @@ func TestPackedConvMatchesConv2D(t *testing.T) {
 		pc := NewPackedConv(w, biasSlice, tc.stride, tc.pad, false)
 		oh, ow := pc.OutSize(tc.h, tc.w)
 		got := New(tc.n, tc.oc, oh, ow)
-		pc.ForwardInto(got, x)
+		pc.ForwardInto(got, x, nil)
 		if d := maxAbsDiff(want.Data(), got.Data()); d > 1e-5 {
 			t.Errorf("case %+v: packed conv diverges from Conv2D by %g", tc, d)
 		}
@@ -59,7 +59,7 @@ func TestPackedConvMatchesConv2D(t *testing.T) {
 		for i := range got.Data() {
 			got.Data()[i] = 999
 		}
-		pc.ForwardInto(got, x)
+		pc.ForwardInto(got, x, nil)
 		if d := maxAbsDiff(want.Data(), got.Data()); d > 1e-5 {
 			t.Errorf("case %+v: packed conv not idempotent into dirty buffer (diff %g)", tc, d)
 		}
@@ -78,7 +78,7 @@ func TestPackedConvFusedReLU(t *testing.T) {
 	pc := NewPackedConv(w, bias.Data(), 2, 1, true)
 	oh, ow := pc.OutSize(14, 14)
 	got := New(2, 6, oh, ow)
-	pc.ForwardInto(got, x)
+	pc.ForwardInto(got, x, nil)
 	if d := maxAbsDiff(want.Data(), got.Data()); d > 1e-5 {
 		t.Fatalf("fused ReLU diverges from two-pass reference by %g", d)
 	}
@@ -112,7 +112,7 @@ func TestPackedConvAsFullyConnected(t *testing.T) {
 
 	pc := NewPackedConv(w.Reshape(out, in, 1, 1), bias.Data(), 1, 0, false)
 	got := New(n, out)
-	pc.ForwardInto(got.Reshape(n, out, 1, 1), x.Reshape(n, in, 1, 1))
+	pc.ForwardInto(got.Reshape(n, out, 1, 1), x.Reshape(n, in, 1, 1), nil)
 	if d := maxAbsDiff(want.Data(), got.Data()); d > 1e-5 {
 		t.Fatalf("FC-as-pointwise diverges from the naive reference by %g", d)
 	}
@@ -128,7 +128,7 @@ func TestPackedConvConcurrent(t *testing.T) {
 	pc := NewPackedConv(w, nil, 1, 1, true)
 	oh, ow := pc.OutSize(16, 16)
 	ref := New(2, 8, oh, ow)
-	pc.ForwardInto(ref, x)
+	pc.ForwardInto(ref, x, nil)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -137,7 +137,7 @@ func TestPackedConvConcurrent(t *testing.T) {
 			defer wg.Done()
 			out := New(2, 8, oh, ow)
 			for i := 0; i < 20; i++ {
-				pc.ForwardInto(out, x)
+				pc.ForwardInto(out, x, nil)
 			}
 			if d := maxAbsDiff(ref.Data(), out.Data()); d != 0 {
 				t.Errorf("concurrent forward diverged by %g", d)

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 
 	"drainnas/internal/parallel"
 )
@@ -103,40 +104,124 @@ func (j *maxPoolJob) run(p int) {
 
 // maxPoolPlane pools one H×W plane into its OH×OW output with MaxPool2D's
 // semantics — padding taps are left out of the max, a window with no valid
-// tap yields 0 — for both element types of the inference path. Output
-// pixels whose window lies wholly inside the plane (all but a frame of
-// ⌈pad/stride⌉ or so) read it with no bounds tests; the frame keeps the
-// tap-by-tap loop. The running maximum is the max builtin, not a compare and
-// branch: on activations the branch is a coin toss. (On the two inputs where
-// the builtin and MaxPool2D's v > best disagree, it returns NaN for a window
-// holding one and +0 for a window of mixed zeros.)
+// tap yields 0 — for both element types of the inference path.
+//
+// The window max is separable, and it is taken in two passes over
+// independent lanes: for each output row, the column max over the window's
+// rows at every input column the row needs, then for each output pixel the
+// max of its window's columns. A window's max is the builtin max over its
+// taps, which is a max over a set — NaN when any tap is NaN, and of equal
+// zeros +0 when any is +0, in whatever order — so the passes return bit for
+// bit what a tap-by-tap chain returns. The chain was the cost: the float32
+// builtin is a seven-instruction sequence, and each output of a 3×3 window
+// waited on eight of them in a row. In the passes every max runs beside
+// its neighbours', and with AVX2 eight float32 lanes go at once.
 func maxPoolPlane[T int8 | float32](dst, plane []T, h, w, oh, ow, kernel, stride, pad int) {
-	oyLo, oyHi := poolInterior(h, oh, kernel, stride, pad)
+	// Output columns go in chunks whose input columns fit buf; a window
+	// wider than the chunk budget (a degenerate geometry) takes a buffer of
+	// its own. The slack covers the row pass's read past its last value.
+	var buf [poolChunk + 16]T
+	chunk, col := (poolChunk-kernel)/stride+1, buf[:]
+	if kernel > poolChunk {
+		chunk, col = 1, make([]T, kernel+16)
+	}
 	oxLo, oxHi := poolInterior(w, ow, kernel, stride, pad)
 	for oy := 0; oy < oh; oy++ {
 		row := dst[oy*ow : (oy+1)*ow]
-		if oy < oyLo || oy >= oyHi {
-			for ox := range row {
-				row[ox] = maxPoolBorder(plane, h, w, oy, ox, kernel, stride, pad)
-			}
+		ylo, yhi := poolSpan(oy, h, kernel, stride, pad)
+		if ylo >= yhi {
+			clear(row)
 			continue
 		}
-		for ox := 0; ox < oxLo; ox++ {
-			row[ox] = maxPoolBorder(plane, h, w, oy, ox, kernel, stride, pad)
-		}
-		top := (oy*stride-pad)*w - pad
-		for ox := oxLo; ox < oxHi; ox++ {
-			win := plane[top+ox*stride:]
-			best := win[0]
-			for ky := 0; ky < kernel; ky++ {
-				for _, v := range win[ky*w : ky*w+kernel] {
-					best = max(best, v)
-				}
+		for a := 0; a < ow; a += chunk {
+			b := min(a+chunk, ow)
+			xlo, _ := poolSpan(a, w, kernel, stride, pad)
+			_, xhi := poolSpan(b-1, w, kernel, stride, pad)
+			if xlo >= xhi {
+				clear(row[a:b])
+				continue
 			}
-			row[ox] = best
+			poolColumns(col[:xhi-xlo], plane[ylo*w+xlo:], w, yhi-ylo)
+			// Outputs [ia, ib) have their whole window inside the row.
+			ia := min(max(oxLo, a), b)
+			ib := min(max(oxHi, ia), b)
+			poolEdge(row, col, a, ia, xlo, w, kernel, stride, pad)
+			if ia < ib {
+				poolRow(row[ia:ib], col[ia*stride-pad-xlo:], kernel, stride)
+			}
+			poolEdge(row, col, ib, b, xlo, w, kernel, stride, pad)
 		}
-		for ox := oxHi; ox < ow; ox++ {
-			row[ox] = maxPoolBorder(plane, h, w, oy, ox, kernel, stride, pad)
+	}
+}
+
+// poolEdge pools outputs [from, to) of a row, windows that reach into the
+// padding, from the folded columns (col[0] is input column xlo).
+func poolEdge[T int8 | float32](row, col []T, from, to, xlo, w, kernel, stride, pad int) {
+	for ox := from; ox < to; ox++ {
+		lo, hi := poolSpan(ox, w, kernel, stride, pad)
+		row[ox] = 0
+		if lo < hi {
+			row[ox] = slices.Max(col[lo-xlo : hi-xlo])
+		}
+	}
+}
+
+// poolChunk is the most input columns maxPoolPlane folds at once.
+const poolChunk = 256
+
+// poolColumns is the column pass: m[x] = max over r < rows of src[r·w + x].
+func poolColumns[T int8 | float32](m, src []T, w, rows int) {
+	i := 0
+	if forwardAVX2 && len(m) >= 8 {
+		switch d := any(&m[0]).(type) {
+		case *float32:
+			i = len(m) &^ 7
+			poolColsF32(d, any(&src[0]).(*float32), i, rows, w)
+		case *int8:
+			if i = len(m) &^ 31; i > 0 {
+				poolColsI8(d, any(&src[0]).(*int8), i, rows, w)
+			}
+		}
+	}
+	if i == len(m) {
+		return
+	}
+	m = m[i:]
+	copy(m, src[i:])
+	for r := 1; r < rows; r++ {
+		row := src[r*w+i:]
+		row = row[:len(m)]
+		for x, v := range row {
+			m[x] = max(m[x], v)
+		}
+	}
+}
+
+// poolRow is the row pass over outputs whose windows lie wholly inside the
+// folded columns: dst[i] = max over kx < kernel of m[i·stride + kx]. m
+// runs at least one value past the last window (poolRowF32's over-read).
+func poolRow[T int8 | float32](dst, m []T, kernel, stride int) {
+	i := 0
+	if n := len(dst) &^ 7; n > 0 && forwardAVX2 && stride <= 2 {
+		if d, ok := any(&dst[0]).(*float32); ok {
+			poolRowF32(d, any(&m[0]).(*float32), n, kernel, stride)
+			i = n
+		}
+	}
+	switch kernel {
+	case 2:
+		for ; i < len(dst); i++ {
+			win := m[i*stride : i*stride+2]
+			dst[i] = max(win[0], win[1])
+		}
+	case 3:
+		for ; i < len(dst); i++ {
+			win := m[i*stride : i*stride+3]
+			dst[i] = max(win[0], win[1], win[2])
+		}
+	default:
+		for ; i < len(dst); i++ {
+			dst[i] = slices.Max(m[i*stride : i*stride+kernel])
 		}
 	}
 }
@@ -158,29 +243,12 @@ func poolInterior(size, out, kernel, stride, pad int) (lo, hi int) {
 	return lo, hi
 }
 
-// maxPoolBorder pools one output pixel whose window reaches into the
-// padding, testing every tap.
-func maxPoolBorder[T int8 | float32](plane []T, h, w, oy, ox, kernel, stride, pad int) T {
-	var best T
-	found := false
-	for ky := 0; ky < kernel; ky++ {
-		sy := oy*stride - pad + ky
-		if sy < 0 || sy >= h {
-			continue
-		}
-		for kx := 0; kx < kernel; kx++ {
-			sx := ox*stride - pad + kx
-			if sx < 0 || sx >= w {
-				continue
-			}
-			if v := plane[sy*w+sx]; found {
-				best = max(best, v)
-			} else {
-				best, found = v, true
-			}
-		}
-	}
-	return best
+// poolSpan returns the input positions [lo, hi) that output position o's
+// window covers along an axis of the given size, padding left out; lo ≥ hi
+// when the window lies wholly in the padding.
+func poolSpan(o, size, kernel, stride, pad int) (lo, hi int) {
+	lo = o*stride - pad
+	return max(lo, 0), min(lo+kernel, size)
 }
 
 // MaxPool2DBackward routes each output gradient to the input position that

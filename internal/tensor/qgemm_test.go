@@ -219,7 +219,7 @@ func TestQuantizedConvTracksFloatOracle(t *testing.T) {
 	pc := NewPackedConv(weight, bias, 1, 1, false)
 	oh, ow := pc.OutSize(h, w)
 	ref := New(n, oc, oh, ow)
-	pc.ForwardInto(ref, input)
+	pc.ForwardInto(ref, input, nil)
 
 	inScale := ActScale(MaxAbs(input.Data()))
 	in := make([]int8, input.Dim(0)*c*h*w)
