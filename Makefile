@@ -36,11 +36,13 @@ examples-smoke:
 	[ "$$last" = "$$want" ] || { echo "quickstart ends with '$$last', want '$$want'"; exit 1; }; \
 	grep -qxF "$$want" README.md || { echo "README no longer quotes '$$want'"; exit 1; }
 
-# The packages with dedicated concurrency suites, and core, whose sweep and
-# NSGA-II measure trials on worker goroutines. `race-all` widens this to
-# every internal package (slower; the numeric packages dominate).
+# The packages with dedicated concurrency suites; core, whose sweep and
+# NSGA-II measure trials on worker goroutines; and the packages whose state
+# those workers hold — latmeter's price tables, onnxsize's size tables and
+# the memo table under both. `race-all` widens this to every internal
+# package (slower; the numeric packages dominate).
 race:
-	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./internal/frontend/... ./internal/core/... ./cmd/servd/... ./cmd/router/...
+	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./internal/frontend/... ./internal/core/... ./internal/latmeter/... ./internal/onnxsize/... ./internal/memo/... ./cmd/servd/... ./cmd/router/...
 
 race-all:
 	$(GO) test -race ./internal/...

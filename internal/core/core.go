@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"drainnas/internal/latmeter"
 	"drainnas/internal/nas"
@@ -127,20 +128,47 @@ func measureAll(n, workers int, measure func(i int) (Trial, error)) ([]Trial, in
 // Measure attaches the latency, memory and energy objectives to one
 // configuration whose accuracy is already known. It lowers the
 // configuration once and reads every objective off that one layer list:
-// the kernel graph for latency and energy, the export for memory.
+// the kernel graph for latency and energy, the export for memory. The
+// lowering reuses a pooled measurer's buffers and prices each kernel from
+// its table, so every caller — Run's and NSGA2's workers included — takes
+// this one path.
 func Measure(cfg resnet.Config, accuracy float64, inputSize int) (Trial, error) {
+	m := measurers.Get().(*measurer)
+	defer measurers.Put(m)
+	return m.measure(cfg, accuracy, inputSize)
+}
+
+// measurer is the state one goroutine measures with: the layer and kernel
+// buffers every trial lowers into, and the tables its kernels' prices and
+// its layers' export sizes are looked up in. Each distinct kernel and
+// layer is priced once per measurer.
+type measurer struct {
+	layers  []resnet.Layer
+	kernels []latmeter.Kernel
+	pricer  *latmeter.Pricer
+	sizer   *onnxsize.Sizer
+}
+
+var measurers = sync.Pool{New: func() any {
+	return &measurer{pricer: latmeter.NewPricer(), sizer: onnxsize.NewSizer()}
+}}
+
+func (m *measurer) measure(cfg resnet.Config, accuracy float64, inputSize int) (Trial, error) {
 	if inputSize <= 0 {
 		inputSize = latmeter.DefaultInputSize
 	}
-	layers, err := cfg.LayersAt(inputSize)
+	layers, err := cfg.AppendLayersAt(m.layers[:0], inputSize)
 	if err != nil {
 		return Trial{}, err
 	}
-	pred := latmeter.PredictGraph(latmeter.Lower(layers))
+	m.layers = layers
+	g := latmeter.LowerTo(m.kernels, layers)
+	m.kernels = g.Kernels
+	pred := m.pricer.Predict(g)
 	return Trial{
 		Config: cfg, Accuracy: accuracy,
 		LatencyMS: pred.MeanMS, LatStdMS: pred.StdMS, PerDevice: pred.PerDevice,
-		MemoryMB: float64(onnxsize.SizeBytesOf(cfg, layers)) / 1e6,
+		MemoryMB: float64(m.sizer.SizeBytesOf(cfg, layers)) / 1e6,
 		EnergyMJ: pred.MeanEnergyMJ,
 	}, nil
 }

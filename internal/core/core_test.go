@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"drainnas/internal/nas"
@@ -362,18 +363,57 @@ func TestEnergyFrontContainsThreeObjectiveFront(t *testing.T) {
 	}
 }
 
-// TestMeasureLowersOnce bounds what one trial's measurement allocates: the
-// layer list, its kernel graph, the export size walk and the per-device
-// latency map. Energy is read off the same one-pass prediction, so it adds
-// nothing; three lowerings per trial once cost 483.
+// TestMeasureLowersOnce bounds what one trial's measurement allocates: only
+// its answer, the per-device latency map. The layer list and kernel graph
+// go into the measurer's buffers and every kernel and layer is priced from
+// its tables; three lowerings per trial once cost 483 allocations, one
+// lowering into fresh lists 6. The test holds one measurer rather than
+// calling Measure because under the race detector sync.Pool drops a share
+// of Puts on purpose, so Measure there sometimes builds a fresh measurer;
+// BenchmarkSweepMeasure reports Measure's allocations in normal builds.
 func TestMeasureLowersOnce(t *testing.T) {
 	cfg := resnet.StockResNet18(5, 8)
+	m := measurers.Get().(*measurer)
+	defer measurers.Put(m)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Measure(cfg, 90, 0); err != nil {
+		if _, err := m.measure(cfg, 90, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8 {
-		t.Errorf("Measure allocates %.0f times per trial, want at most 8", allocs)
+	if allocs > 2 {
+		t.Errorf("Measure allocates %.0f times per trial, want at most 2", allocs)
 	}
+}
+
+// TestMeasureConcurrent measures all 1,728 PaperSpace configurations from 7
+// goroutines at once through Measure, each starting at a different offset
+// so they fill and read the pooled measurers' tables in different orders,
+// and holds every trial to a serial loop's. Under -race (make race) it also
+// shows the measurers are never shared between goroutines.
+func TestMeasureConcurrent(t *testing.T) {
+	configs := nas.PaperSpace().EnumerateAll(nas.PaperInputCombos())
+	serial := make([]Trial, len(configs))
+	for i, cfg := range configs {
+		var err error
+		if serial[i], err = Measure(cfg, 90, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 7
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for n := range configs {
+				i := (n + g*len(configs)/goroutines) % len(configs)
+				trial, err := Measure(configs[i], 90, 0)
+				if err != nil || !sameTrial(trial, serial[i]) {
+					t.Errorf("goroutine %d, config %d (%s): %+v %v, serial loop %+v", g, i, configs[i].Key(), trial, err, serial[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

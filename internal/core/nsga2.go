@@ -177,8 +177,11 @@ func NSGA2(opts NSGA2Options) (*NSGA2Result, error) {
 
 func trialPoints(trials []Trial) []pareto.Point {
 	pts := make([]pareto.Point, len(trials))
+	vals := make([]float64, 3*len(trials)) // one backing array for every point
 	for i, t := range trials {
-		pts[i] = pareto.Point{ID: i, Values: []float64{t.Accuracy, t.LatencyMS, t.MemoryMB}}
+		v := vals[3*i : 3*i+3 : 3*i+3]
+		v[0], v[1], v[2] = t.Accuracy, t.LatencyMS, t.MemoryMB
+		pts[i] = pareto.Point{ID: i, Values: v}
 	}
 	return pts
 }

@@ -1,6 +1,10 @@
 package latmeter
 
-import "drainnas/internal/resnet"
+import (
+	"slices"
+
+	"drainnas/internal/resnet"
+)
 
 // Decompose lowers a ResNet configuration into the fused kernel graph an
 // edge runtime would execute for batch-1 inference on an
@@ -25,15 +29,24 @@ var kernelTypes = [...]KernelType{
 
 // Lower turns a layer list from Config.LayersAt into the kernel graph: every
 // fused layer is one schedulable kernel, in order.
-func Lower(layers []resnet.Layer) Graph {
-	ks := make([]Kernel, len(layers))
-	for i, l := range layers {
+func Lower(layers []resnet.Layer) Graph { return LowerTo(nil, layers) }
+
+// LowerTo is Lower writing the kernels over buf's storage; with room for
+// len(layers) kernels it allocates nothing.
+func LowerTo(buf []Kernel, layers []resnet.Layer) Graph {
+	ks := slices.Grow(buf[:0], len(layers))[:len(layers)]
+	for i := range layers {
+		l := &layers[i]
+		n := l.Names()
 		typ := kernelTypes[l.Kind]
-		if l.Kind == resnet.LayerConv && l.Act == "" {
+		if l.Kind == resnet.LayerConv && n.Act == "" {
 			typ = KConvBN
 		}
-		ks[i] = Kernel{Type: typ, Name: l.Name,
-			InC: l.InC, OutC: l.OutC, HW: l.In, OutHW: l.Out, K: l.K, S: l.S}
+		// Field by field: a Kernel literal is built on the stack and then
+		// copied, and a sweep lowers tens of thousands of graphs.
+		k := &ks[i]
+		k.Type, k.Name = typ, n.Name
+		k.InC, k.OutC, k.HW, k.OutHW, k.K, k.S = l.InC, l.OutC, l.In, l.Out, l.K, l.S
 	}
 	return Graph{Kernels: ks, InputSize: layers[0].In}
 }

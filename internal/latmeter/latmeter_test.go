@@ -2,6 +2,7 @@ package latmeter
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -530,5 +531,82 @@ func TestServiceModelDecomposesLatency(t *testing.T) {
 	}
 	if id := fp.Scaled(0, -1); id != fp {
 		t.Fatalf("Scaled(0,-1) = %+v, want identity %+v", id, fp)
+	}
+}
+
+// samePrediction reports whether two predictions agree in every field,
+// floats compared by bit pattern.
+func samePrediction(a, b Prediction) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if len(a.PerDevice) != len(b.PerDevice) || !same(a.MeanMS, b.MeanMS) || !same(a.StdMS, b.StdMS) ||
+		!same(a.MeanEnergyMJ, b.MeanEnergyMJ) {
+		return false
+	}
+	for name, ms := range a.PerDevice {
+		if other, ok := b.PerDevice[name]; !ok || !same(ms, other) {
+			return false
+		}
+	}
+	for i := range a.EnergyMJ {
+		if !same(a.EnergyMJ[i], b.EnergyMJ[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPricerMatchesPredictGraph runs one Pricer over every graph below in
+// turn, so most of its kernels come out of its table, and holds each of its
+// predictions to a fresh PredictGraph bit for bit: the paper's space at the
+// deployment input and at 32 in fp32 and int8 (which bypasses the table),
+// a network too wide for a table key (16,384 channels in stage 4) and an
+// input too large for one.
+func TestPricerMatchesPredictGraph(t *testing.T) {
+	wide := smallConfig()
+	wide.InitialOutputFeature = 2048
+	var graphs []Graph
+	for _, size := range []int{DefaultInputSize, 32} {
+		for _, cfg := range append(nas.PaperSpace().EnumerateAll(nas.PaperInputCombos()), wide) {
+			if g, err := Decompose(cfg, size); err == nil {
+				graphs = append(graphs, g, g.Int8())
+			}
+		}
+	}
+	huge, err := Decompose(smallConfig(), 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs = append(graphs, huge)
+	p := NewPricer()
+	for i, g := range graphs {
+		if got, want := p.Predict(g), PredictGraph(g); !samePrediction(got, want) {
+			t.Fatalf("graph %d (input %d, scale %v): table-priced %+v, fresh %+v", i, g.InputSize, g.CostScale, got, want)
+		}
+	}
+}
+
+// TestLoweringIntoBuffersDoesNotAllocate: a sweep lowers every trial into
+// the same layer and kernel buffers, and once they have grown neither step
+// allocates. The graph is Decompose's.
+func TestLoweringIntoBuffersDoesNotAllocate(t *testing.T) {
+	cfg := resnet.StockResNet18(5, 8)
+	var layers []resnet.Layer
+	var g Graph
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if layers, err = cfg.AppendLayersAt(layers[:0], DefaultInputSize); err != nil {
+			t.Fatal(err)
+		}
+		g = LowerTo(g.Kernels, layers)
+	})
+	if allocs != 0 {
+		t.Errorf("building the layer list and kernel graph into reused buffers allocates %.0f times", allocs)
+	}
+	want, err := Decompose(cfg, DefaultInputSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g, want) {
+		t.Fatalf("LowerTo gives %+v, Decompose %+v", g, want)
 	}
 }

@@ -135,7 +135,16 @@ func ExperimentContext(ctx context.Context, configs []resnet.Config, eval Evalua
 
 // Succeeded filters an experiment's results to its valid outcomes.
 func Succeeded(results []TrialResult) []TrialResult {
-	var out []TrialResult
+	n := 0
+	for i := range results {
+		if results[i].Status == TrialSucceeded {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]TrialResult, 0, n)
 	for _, r := range results {
 		if r.Status == TrialSucceeded {
 			out = append(out, r)

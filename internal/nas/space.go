@@ -70,7 +70,10 @@ func PaperInputCombos() []InputCombo {
 // Enumerate lists every raw configuration of the space for one input
 // combination, in a fixed lexicographic axis order.
 func (s Space) Enumerate(combo InputCombo) []resnet.Config {
-	var out []resnet.Config
+	return s.appendEnumerate(make([]resnet.Config, 0, s.RawSize()), combo)
+}
+
+func (s Space) appendEnumerate(out []resnet.Config, combo InputCombo) []resnet.Config {
 	for _, k := range s.KernelSizes {
 		for _, st := range s.Strides {
 			for _, p := range s.Paddings {
@@ -97,9 +100,9 @@ func (s Space) Enumerate(combo InputCombo) []resnet.Config {
 // EnumerateAll lists the raw configurations across all input combinations:
 // the paper's 6 × 288 = 1,728 raw trials.
 func (s Space) EnumerateAll(combos []InputCombo) []resnet.Config {
-	var out []resnet.Config
+	out := make([]resnet.Config, 0, s.RawSize()*len(combos))
 	for _, c := range combos {
-		out = append(out, s.Enumerate(c)...)
+		out = s.appendEnumerate(out, c)
 	}
 	return out
 }
@@ -137,7 +140,8 @@ const attritionSeed uint64 = 3
 // trials fail is not knowable from the paper; only the count is calibrated.
 func Attrition(idx int, cfg resnet.Config) bool {
 	h := attritionSeed ^ (uint64(idx)+1)*0x9E3779B97F4A7C15
-	key := cfg.Key()
+	var buf [128]byte
+	key := cfg.AppendKey(buf[:0])
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint64(key[i])) * 0x100000001B3
 	}

@@ -15,6 +15,7 @@ import (
 	"io"
 	"math/bits"
 
+	"drainnas/internal/memo"
 	"drainnas/internal/nn"
 	"drainnas/internal/resnet"
 	"drainnas/internal/tensor"
@@ -98,45 +99,45 @@ func (e *exporter) tensor(node, suffix string, dims ...int) {
 	}
 }
 
-// layers exports a layer list: each fused layer as the runtime's unfused
-// ops (Conv, BatchNormalization, Relu, MaxPool, Add, GlobalAveragePool,
-// Gemm) with every parameter tensor including BatchNorm running statistics,
-// as a real ONNX export does.
-func (e *exporter) layers(layers []resnet.Layer) {
-	for _, l := range layers {
-		switch l.Kind {
-		case resnet.LayerConv:
-			e.node("Conv", l.Node, attr{"kernel", l.K}, attr{"stride", l.S}, attr{"pad", l.P})
-			e.tensor(l.Node, ".weight", l.OutC, l.InC, l.K, l.K)
-			e.node("BatchNormalization", l.BN, attr{"epsilon_e9", 10000})
-			for _, suffix := range [...]string{".gamma", ".beta", ".running_mean", ".running_var"} {
-				e.tensor(l.BN, suffix, l.OutC)
-			}
-		case resnet.LayerMaxPool:
-			// The pad attribute is explicit so the runtime reads the real
-			// padding instead of guessing it back from the kernel size.
-			e.node("MaxPool", l.Node, attr{"kernel", l.K}, attr{"stride", l.S}, attr{"pad", l.P})
-		case resnet.LayerAdd:
-			e.node("Add", l.Node)
-		case resnet.LayerGlobalAvgPool:
-			e.node("GlobalAveragePool", l.Node)
-		case resnet.LayerFC:
-			e.node("Gemm", l.Node)
-			e.tensor(l.Node, ".weight", l.OutC, l.InC)
-			e.tensor(l.Node, ".bias", l.OutC)
+// layer exports one fused layer as the runtime's unfused ops (Conv,
+// BatchNormalization, Relu, MaxPool, Add, GlobalAveragePool, Gemm) with
+// every parameter tensor including BatchNorm running statistics, as a real
+// ONNX export does.
+func (e *exporter) layer(l *resnet.Layer) {
+	n := l.Names()
+	switch l.Kind {
+	case resnet.LayerConv:
+		e.node("Conv", n.Node, attr{"kernel", l.K}, attr{"stride", l.S}, attr{"pad", l.P})
+		e.tensor(n.Node, ".weight", l.OutC, l.InC, l.K, l.K)
+		e.node("BatchNormalization", n.BN, attr{"epsilon_e9", 10000})
+		for _, suffix := range [...]string{".gamma", ".beta", ".running_mean", ".running_var"} {
+			e.tensor(n.BN, suffix, l.OutC)
 		}
-		if l.Act != "" {
-			e.node("Relu", l.Act)
-		}
+	case resnet.LayerMaxPool:
+		// The pad attribute is explicit so the runtime reads the real
+		// padding instead of guessing it back from the kernel size.
+		e.node("MaxPool", n.Node, attr{"kernel", l.K}, attr{"stride", l.S}, attr{"pad", l.P})
+	case resnet.LayerAdd:
+		e.node("Add", n.Node)
+	case resnet.LayerGlobalAvgPool:
+		e.node("GlobalAveragePool", n.Node)
+	case resnet.LayerFC:
+		e.node("Gemm", n.Node)
+		e.tensor(n.Node, ".weight", l.OutC, l.InC)
+		e.tensor(n.Node, ".bias", l.OutC)
+	}
+	if n.Act != "" {
+		e.node("Relu", n.Act)
 	}
 }
 
-// graphName carries only architectural identity: batch size is a runtime
-// choice and must not perturb the serialized size.
-func graphName(cfg resnet.Config) string {
+// appendGraphName appends the graph's name, which carries only
+// architectural identity: batch size is a runtime choice and must not
+// perturb the serialized size.
+func appendGraphName(dst []byte, cfg resnet.Config) []byte {
 	arch := cfg.Canonical()
 	arch.Batch = 1
-	return "resnet18-" + arch.Key()
+	return arch.AppendKey(append(dst, "resnet18-"...))
 }
 
 // BuildGraphSpec lowers a ResNet configuration to its exported graph.
@@ -144,8 +145,12 @@ func BuildGraphSpec(cfg resnet.Config) (GraphSpec, error) {
 	if err := cfg.Validate(); err != nil {
 		return GraphSpec{}, err
 	}
-	g := GraphSpec{Name: graphName(cfg)}
-	(&exporter{spec: &g}).layers(cfg.Layers())
+	var name [128]byte
+	g := GraphSpec{Name: string(appendGraphName(name[:0], cfg))}
+	e := exporter{spec: &g}
+	for _, l := range cfg.Layers() {
+		e.layer(&l)
+	}
 	return g, nil
 }
 
@@ -278,11 +283,89 @@ func SizeBytes(cfg resnet.Config) (int64, error) {
 }
 
 // SizeBytesOf is SizeBytes for a caller that already holds cfg's layer list.
+// It is a fresh Sizer's SizeBytesOf, so every layer is sized afresh.
 func SizeBytesOf(cfg resnet.Config, layers []resnet.Layer) int64 {
+	var s Sizer
+	return s.SizeBytesOf(cfg, layers)
+}
+
+// layerSize is what one layer adds to the export: its bytes and its node
+// and initializer counts.
+type layerSize struct {
+	bytes          int64
+	nodes, tensors int
+}
+
+func sizeOf(l *resnet.Layer) layerSize {
 	var e exporter
-	e.layers(layers)
-	return int64(len(magic)) + stringSize(len(graphName(cfg))) +
-		uvarintSize(e.nodes) + uvarintSize(e.tensors) + e.size
+	e.layer(l)
+	return layerSize{e.size, e.nodes, e.tensors}
+}
+
+// sizeKey packs what the exporter reads of a layer into one word: its kind
+// and role (which fix its names), 7 bits each of kernel side, stride and
+// padding and 13 of each channel count. ok is false for a layer too large
+// to pack.
+func sizeKey(l *resnet.Layer) (key uint64, ok bool) {
+	const channels, small = 1 << 13, 1 << 7
+	if uint(l.Kind) >= 8 || uint(l.Block+1) >= 16 || uint(l.K) >= small || uint(l.S) >= small ||
+		uint(l.P) >= small || uint(l.InC) >= channels || uint(l.OutC) >= channels {
+		return 0, false
+	}
+	key = uint64(l.Kind) | uint64(l.Block+1)<<3 | uint64(l.K)<<7 | uint64(l.S)<<14 |
+		uint64(l.P)<<21 | uint64(l.InC)<<28 | uint64(l.OutC)<<41
+	if l.Opens {
+		key |= 1 << 54
+	}
+	if l.Shortcut {
+		key |= 1 << 55
+	}
+	return key, true
+}
+
+// maxSizes bounds a Sizer's table: a full table starts over.
+const maxSizes = 1 << 12
+
+// Sizer computes export sizes layer by layer. One made by NewSizer
+// remembers each distinct layer's share of the file, so a sweep sizing
+// thousands of configurations built from a few hundred distinct layers
+// walks each layer's nodes and tensors once; the zero Sizer remembers
+// nothing. The sizes are integers, so any grouping sums to the same total.
+// A Sizer is not safe for concurrent use.
+type Sizer struct {
+	sizes *memo.Table[layerSize]
+}
+
+// NewSizer returns a Sizer with an empty size table.
+func NewSizer() *Sizer {
+	return &Sizer{sizes: memo.New[layerSize](maxSizes)}
+}
+
+func (s *Sizer) size(l *resnet.Layer) layerSize {
+	key, ok := sizeKey(l)
+	if !ok || s.sizes == nil {
+		return sizeOf(l)
+	}
+	ls, hit := s.sizes.Get(key)
+	if !hit {
+		ls = sizeOf(l)
+		s.sizes.Put(key, ls)
+	}
+	return ls
+}
+
+// SizeBytesOf is SizeBytes for a caller that already holds cfg's layer list.
+func (s *Sizer) SizeBytesOf(cfg resnet.Config, layers []resnet.Layer) int64 {
+	var total layerSize
+	for i := range layers {
+		ls := s.size(&layers[i])
+		total.bytes += ls.bytes
+		total.nodes += ls.nodes
+		total.tensors += ls.tensors
+	}
+	var name [128]byte
+	return int64(len(magic)) + stringSize(len(appendGraphName(name[:0], cfg))) +
+		uvarintSize(total.nodes) + uvarintSize(total.tensors) + total.bytes
 }
 
 // uvarintSize is the length of binary.PutUvarint's encoding of v.

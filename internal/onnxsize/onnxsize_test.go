@@ -332,3 +332,24 @@ func TestSizeMBUnits(t *testing.T) {
 		t.Fatal("SizeMB must be bytes/1e6")
 	}
 }
+
+// TestSizerMatchesSizeBytes runs one Sizer over every configuration below
+// in turn, so most of its layers come out of its table, and holds each size
+// to a fresh SizeBytes: the paper's 1,728 configurations, the stock
+// ResNet-18 and a network too wide for a table key (16,384 channels in
+// stage 4).
+func TestSizerMatchesSizeBytes(t *testing.T) {
+	wide := narrowConfig()
+	wide.InitialOutputFeature = 2048
+	cfgs := append(nas.PaperSpace().EnumerateAll(nas.PaperInputCombos()), resnet.StockResNet18(7, 8), wide)
+	s := NewSizer()
+	for _, cfg := range cfgs {
+		want, err := SizeBytes(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.SizeBytesOf(cfg, cfg.Layers()); got != want {
+			t.Fatalf("%s: table-sized %d bytes, SizeBytes %d", cfg.Key(), got, want)
+		}
+	}
+}

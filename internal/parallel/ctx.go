@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // MapCtx runs fn(i) for every i in [0, n) like Map, but stops handing out
@@ -11,11 +12,13 @@ import (
 // an in-flight fn, it only withholds the remainder. It returns nil when all
 // n iterations ran, and ctx.Err() when cancellation cut the loop short.
 //
-// Because the hand-out channel is unbuffered, "claimed" and "running" are
+// A worker claims the next index from a shared counter only after seeing
+// ctx still live, and runs what it claims, so "claimed" and "running" are
 // the same thing: after MapCtx returns, every index it handed out has
 // finished, and no other index was started. That is the contract a
 // checkpointing caller (a NAS sweep journaling each trial) needs to know
-// exactly which units of work completed.
+// exactly which units of work completed. Claiming costs one atomic add, not
+// a channel hand-off, so cheap iterations do not queue behind a scheduler.
 func MapCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -30,36 +33,23 @@ func MapCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 		}
 		return nil
 	}
-	next := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range next {
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				fn(i)
 			}
 		}()
 	}
-	handedOut := 0
-	for i := 0; i < n; i++ {
-		// A non-blocking Done check first: when ctx is already cancelled,
-		// the select below could still randomly pick the send case.
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case next <- i:
-			handedOut++
-		case <-ctx.Done():
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	close(next)
 	wg.Wait()
-	if handedOut < n {
+	if next.Load() < int64(n) { // indices below the counter all ran
 		return ctx.Err()
 	}
 	return nil

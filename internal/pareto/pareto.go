@@ -58,11 +58,32 @@ func Dominates(a, b Point, dirs []Direction) bool {
 }
 
 // NonDominated returns the indices (into points) of the Pareto-optimal set,
-// computed by pairwise comparison. O(n²·m) but simple and branch-predictable;
-// used as the reference implementation and for small inputs.
+// in ascending order. One pass culls: a point a kept point dominates is
+// out, and kept points the new one dominates are dropped, so the kept set
+// stays about the size of the front. Every culled point was seen
+// dominated; each kept one is then checked against all points, because
+// NaN objectives make dominance intransitive and a dropped point may have
+// been a kept one's only dominator.
 func NonDominated(points []Point, dirs []Direction) []int {
-	var front []int
+	var kept []int
+next:
 	for i := range points {
+		for _, k := range kept {
+			if Dominates(points[k], points[i], dirs) {
+				continue next
+			}
+		}
+		w := 0
+		for _, k := range kept {
+			if !Dominates(points[i], points[k], dirs) {
+				kept[w] = k
+				w++
+			}
+		}
+		kept = append(kept[:w], i)
+	}
+	front := kept[:0]
+	for _, i := range kept {
 		dominated := false
 		for j := range points {
 			if i != j && Dominates(points[j], points[i], dirs) {

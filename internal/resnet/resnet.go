@@ -102,11 +102,16 @@ func (c Config) Canonical() Config {
 // Key returns a stable string identity for the canonical configuration,
 // suitable as a map key and as a seed component.
 func (c Config) Key() string {
+	var buf [128]byte
+	return string(c.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's text to dst.
+func (c Config) AppendKey(dst []byte) []byte {
 	c = c.Canonical()
 	// fmt's "ch%d_b%d_k%d_s%d_p%d_pool%d_kp%d_sp%d_f%d", without fmt: the
 	// sweep keys every trial, and formatting was a visible share of it.
-	var buf [128]byte
-	b := append(buf[:0], "ch"...)
+	b := append(dst, "ch"...)
 	b = strconv.AppendInt(b, int64(c.Channels), 10)
 	b = strconv.AppendInt(append(b, "_b"...), int64(c.Batch), 10)
 	b = strconv.AppendInt(append(b, "_k"...), int64(c.KernelSize), 10)
@@ -115,8 +120,7 @@ func (c Config) Key() string {
 	b = strconv.AppendInt(append(b, "_pool"...), int64(c.PoolChoice), 10)
 	b = strconv.AppendInt(append(b, "_kp"...), int64(c.KernelSizePool), 10)
 	b = strconv.AppendInt(append(b, "_sp"...), int64(c.StridePool), 10)
-	b = strconv.AppendInt(append(b, "_f"...), int64(c.InitialOutputFeature), 10)
-	return string(b)
+	return strconv.AppendInt(append(b, "_f"...), int64(c.InitialOutputFeature), 10)
 }
 
 // StageWidths returns the channel widths of the four residual stages.
@@ -147,22 +151,23 @@ func New(cfg Config, rng *tensor.RNG) (*Model, error) {
 	}
 	m := &Model{Config: cfg, Stem: nn.NewSequential("stem"), Head: nn.NewSequential("head")}
 	for _, l := range cfg.Layers() {
+		n := l.Names()
 		switch {
 		case l.Opens:
 			// nn.BasicBlock builds the block's other layers — second conv,
 			// projection, join — from the same three numbers.
-			m.Stages = append(m.Stages, nn.NewBasicBlock(blockTable[l.Block].block, rng, l.InC, l.OutC, l.S))
+			m.Stages = append(m.Stages, nn.NewBasicBlock(n.Block, rng, l.InC, l.OutC, l.S))
 		case l.Block >= 0:
 		case l.Kind == LayerConv:
 			m.Stem.Layers = append(m.Stem.Layers,
-				nn.NewConv2d(l.Node, rng, l.InC, l.OutC, l.K, l.S, l.P),
-				nn.NewBatchNorm2d(l.BN, l.OutC), nn.NewReLU(l.Act))
+				nn.NewConv2d(n.Node, rng, l.InC, l.OutC, l.K, l.S, l.P),
+				nn.NewBatchNorm2d(n.BN, l.OutC), nn.NewReLU(n.Act))
 		case l.Kind == LayerMaxPool:
-			m.Stem.Add(nn.NewMaxPool2d(l.Node, l.K, l.S, l.P))
+			m.Stem.Add(nn.NewMaxPool2d(n.Node, l.K, l.S, l.P))
 		case l.Kind == LayerGlobalAvgPool:
-			m.Head.Add(nn.NewGlobalAvgPool(l.Node))
+			m.Head.Add(nn.NewGlobalAvgPool(n.Node))
 		case l.Kind == LayerFC:
-			m.Head.Add(nn.NewLinear(l.Node, rng, l.InC, l.OutC))
+			m.Head.Add(nn.NewLinear(n.Node, rng, l.InC, l.OutC))
 		}
 	}
 	m.net = nn.NewSequential("resnet18", m.Stem)
@@ -232,16 +237,16 @@ func (m *Model) Describe() string {
 			fmt.Fprintf(&b, "  layer%d: 2 x BasicBlock(%d ch, first stride %d)\n", l.Block/2+1, l.OutC, l.S)
 		case l.Block >= 0:
 		case l.Kind == LayerConv:
-			fmt.Fprintf(&b, "  %s: %dx%d s=%d p=%d -> %d ch, BN, ReLU\n", l.Name, l.K, l.K, l.S, l.P, l.OutC)
+			fmt.Fprintf(&b, "  %s: %dx%d s=%d p=%d -> %d ch, BN, ReLU\n", l.Names().Name, l.K, l.K, l.S, l.P, l.OutC)
 			if c.PoolChoice == 0 {
 				fmt.Fprintf(&b, "  maxpool: (none)\n")
 			}
 		case l.Kind == LayerMaxPool:
-			fmt.Fprintf(&b, "  %s: %dx%d s=%d\n", l.Name, l.K, l.K, l.S)
+			fmt.Fprintf(&b, "  %s: %dx%d s=%d\n", l.Names().Name, l.K, l.K, l.S)
 		case l.Kind == LayerGlobalAvgPool:
-			fmt.Fprintf(&b, "  %s: global -> (N, %d)\n", l.Name, l.OutC)
+			fmt.Fprintf(&b, "  %s: global -> (N, %d)\n", l.Names().Name, l.OutC)
 		case l.Kind == LayerFC:
-			fmt.Fprintf(&b, "  %s: %d -> %d\n", l.Name, l.InC, l.OutC)
+			fmt.Fprintf(&b, "  %s: %d -> %d\n", l.Names().Name, l.InC, l.OutC)
 		}
 	}
 	fmt.Fprintf(&b, "  parameters: %d\n", m.NumParams())

@@ -363,7 +363,7 @@ func TestModelInitMatchesScalarDraws(t *testing.T) {
 				for i := range w {
 					w[i] = float32(ref.NormFloat64() * std)
 				}
-				want[l.Node+".weight"] = w
+				want[l.Names().Node+".weight"] = w
 			case LayerFC:
 				bound := 1.0 / math.Sqrt(float64(l.InC))
 				for _, p := range []struct {
@@ -374,7 +374,7 @@ func TestModelInitMatchesScalarDraws(t *testing.T) {
 					for i := range v {
 						v[i] = float32(ref.Uniform(-bound, bound))
 					}
-					want[l.Node+p.name] = v
+					want[l.Names().Node+p.name] = v
 				}
 			}
 		}

@@ -138,24 +138,24 @@ func (m Model) Mean(cfg resnet.Config) float64 {
 	return acc
 }
 
-// trialRNG derives the deterministic noise stream of one trial. The hash
-// covers the raw configuration — including pool parameters that are
+// trialSeed derives the seed of one trial's deterministic noise stream.
+// The hash covers the raw configuration — including pool parameters that are
 // irrelevant when PoolChoice is 0 — because NNI trains every raw trial
 // independently: two trials that build identical networks still receive
 // independent evaluation noise, exactly as in the paper's data (Table 4
 // contains such near-duplicate rows with different accuracies).
-func (m Model) trialRNG(cfg resnet.Config) *tensor.RNG {
+func (m Model) trialSeed(cfg resnet.Config) uint64 {
 	var buf [128]byte
 	key := trialKey(buf[:0], cfg)
 	h := m.Seed
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint64(key[i])) * 0x100000001B3
 	}
-	return tensor.NewRNG(h)
+	return h
 }
 
 // trialKey appends the raw configuration as fmt's
-// "%dch%db%dk%ds%dp%dpc%dkp%dsp%df" would print it, the bytes trialRNG
+// "%dch%db%dk%ds%dp%dpc%dkp%dsp%df" would print it, the bytes trialSeed
 // hashes, without fmt's cost on every trial.
 func trialKey(b []byte, cfg resnet.Config) []byte {
 	b = append(strconv.AppendInt(b, int64(cfg.Channels), 10), "ch"...)
@@ -173,7 +173,7 @@ func trialKey(b []byte, cfg resnet.Config) []byte {
 // the linear mean plus per-trial noise, with a deterministic low tail of
 // convergence failures, clamped to a plausible band.
 func (m Model) Accuracy(cfg resnet.Config) float64 {
-	rng := m.trialRNG(cfg)
+	rng := tensor.NewRNG(m.trialSeed(cfg)) // stays on the stack: no allocation per trial
 	acc := m.Mean(cfg)
 	noise := rng.NormFloat64() * m.NoiseStd
 	// Clip noise at 2.5σ: a 5-fold mean cannot stray arbitrarily.

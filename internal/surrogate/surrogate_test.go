@@ -261,7 +261,7 @@ func TestSurrogateMonotoneTrends(t *testing.T) {
 	}
 }
 
-// TestTrialKeyMatchesSprintf holds the bytes trialRNG hashes to the
+// TestTrialKeyMatchesSprintf holds the bytes trialSeed hashes to the
 // fmt.Sprintf format they replaced, over every raw configuration of the
 // paper's space and fields no search produces (zero, negative, many digits):
 // a changed byte would reseed every trial's noise.
