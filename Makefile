@@ -126,7 +126,7 @@ quant-parity:
 # bends the reproduction — accuracy model, cost model, export size — fails
 # here by name.
 REPRO_RUN  = ReproCheck
-REPRO_PKGS = ./internal/core ./internal/latmeter
+REPRO_PKGS = ./internal/core ./internal/latmeter ./cmd/nascli
 repro-check:
 	$(GO) test -count=1 -run '$(REPRO_RUN)' $(REPRO_PKGS)
 
@@ -208,12 +208,15 @@ IBENCH        = ^(BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkComp
 
 # Appends one run record (ns/op + GFLOP/s per shape, plus machine/kernel
 # metadata) to the checked-in BENCH_kernels.json trajectory; KERNEL_NOTE is
-# stored with the run and names the change it measures.
+# stored with the run and names the change it measures. It reaches the
+# recipe through the environment, so quotes in the note are data, not shell
+# syntax.
 KERNEL_NOTE ?=
+export KERNEL_NOTE
 bench-kernels:
 	{ $(GO) test -run='^$$' -bench '$(KBENCH_TENSOR)' ./internal/tensor && \
 	  $(GO) test -run='^$$' -bench '$(KBENCH_ROOT)' . ; } \
-	  | $(GO) run ./cmd/benchjson -out BENCH_kernels.json -note '$(KERNEL_NOTE)'
+	  | $(GO) run ./cmd/benchjson -out BENCH_kernels.json -note "$$KERNEL_NOTE"
 
 # Compiled-plan inference trajectory: fp32 and int8 forwards at batch 1 and
 # batch 8, with -benchmem so allocs/op and B/op land in the record (the

@@ -1,8 +1,11 @@
-// Command nascli runs the NAS experiment: enumerate the search space
+// Command nascli runs the paper's offline experiments. Without a
+// subcommand it runs the NAS experiment: enumerate the search space
 // (-enumerate, the textual Figure 2), run the full surrogate-backed sweep
 // (default), or run real training on a miniature corpus (-backend=train).
+// The subcommands latpred, paretoviz, datagen and trainer print the
+// paper's other tables and figures; nascli -h lists them.
 //
-// Trials stream to a JSON-lines journal as they complete, so an
+// Sweep trials stream to a JSON-lines journal as they complete, so an
 // interrupted sweep keeps everything it finished: SIGINT stops handing out
 // trials, drains the in-flight ones, flushes the journal and exits 130;
 // rerunning with -resume reuses the journaled successes and completes the
@@ -18,6 +21,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -30,27 +34,104 @@ import (
 	"drainnas/internal/surrogate"
 )
 
+// subcommands are nascli's experiments besides the sweep; each parses its
+// own arguments.
+var subcommands = []struct {
+	name, summary string
+	run           func(args []string)
+}{
+	{"latpred", "predict one configuration's latency per device; -validate reproduces Table 2", latpred},
+	{"paretoviz", "run the full sweep and print Tables 3-5, Figures 3-4 and front quality", paretoviz},
+	{"datagen", "synthesize the corpus and print its Table 1 inventory", datagen},
+	{"trainer", "train one configuration end to end; -describe prints Figure 1", trainer},
+}
+
+// main runs the subcommand named by the first argument, or the sweep when
+// the first argument is a flag or absent. Every failure exits through
+// log.Fatal: the subcommand's name, the message, exit status 1.
+func main() {
+	log.SetFlags(0)
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintln(out, "Usage: nascli [flags]               run the NAS sweep\n       nascli <subcommand> [flags]\n\nSubcommands:")
+		for _, c := range subcommands {
+			fmt.Fprintf(out, "  %-10s %s\n", c.name, c.summary)
+		}
+		fmt.Fprintln(out, "\nSweep flags:")
+		flag.PrintDefaults()
+	}
+	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
+		for _, c := range subcommands {
+			if c.name == os.Args[1] {
+				log.SetPrefix(c.name + ": ")
+				c.run(os.Args[2:])
+				return
+			}
+		}
+		fmt.Fprintf(os.Stderr, "nascli: unknown subcommand %q\n", os.Args[1])
+		flag.Usage()
+		os.Exit(2)
+	}
+	log.SetPrefix("nascli: ")
+	sweep()
+}
+
+// paperSurrogate is the calibrated accuracy backend of the paper's sweep.
+var paperSurrogate = nas.SurrogateEvaluator{Model: surrogate.Default()}
+
+// stemFlags registers the flags that set a network's input channels and
+// stem on fs, with def's values as their defaults, and returns the config
+// they parse into.
+func stemFlags(fs *flag.FlagSet, def resnet.Config, channelsUsage string) *resnet.Config {
+	cfg := def
+	fs.IntVar(&cfg.Channels, "channels", def.Channels, channelsUsage)
+	fs.IntVar(&cfg.KernelSize, "kernel", def.KernelSize, "stem kernel size")
+	fs.IntVar(&cfg.Stride, "stride", def.Stride, "stem stride")
+	fs.IntVar(&cfg.Padding, "padding", def.Padding, "stem padding")
+	fs.IntVar(&cfg.PoolChoice, "pool", def.PoolChoice, "stem max-pool choice (0/1)")
+	fs.IntVar(&cfg.KernelSizePool, "pool-kernel", def.KernelSizePool, "stem pool kernel")
+	fs.IntVar(&cfg.StridePool, "pool-stride", def.StridePool, "stem pool stride")
+	fs.IntVar(&cfg.InitialOutputFeature, "width", def.InitialOutputFeature, "initial output feature width")
+	return &cfg
+}
+
+// corpusOptions checks the corpus flags before anything prints or uses
+// them. GenerateCorpus quietly replaces a chip size or scale below 1 with
+// its default, so such a value is a usage error naming the flag (exit 2),
+// not a corpus other than the one the banner announces.
+func corpusOptions(fs *flag.FlagSet, sizeFlag string, size, scale int, seed uint64) geodata.CorpusOptions {
+	name, v := sizeFlag, size
+	if size >= 1 {
+		name, v = "scale", scale
+	}
+	if v < 1 {
+		fmt.Fprintf(fs.Output(), "invalid value %d for flag -%s: must be at least 1\n", v, name)
+		fs.Usage()
+		os.Exit(2)
+	}
+	return geodata.CorpusOptions{ChipSize: size, Scale: scale, Seed: seed}
+}
+
 // runMultiFidelity executes the successive-halving or Hyperband strategy,
 // which manage their own budgets, and prints the outcome.
 func runMultiFidelity(strategy string, combos []nas.InputCombo, eval nas.Evaluator, workers int) {
 	be, ok := eval.(nas.BudgetedEvaluator)
 	if !ok {
-		log.Fatalf("nascli: %s needs a budget-capable evaluator (surrogate backend)", strategy)
+		log.Fatalf("%s needs a budget-capable evaluator (surrogate backend)", strategy)
 	}
 	for _, combo := range combos {
 		switch strategy {
 		case "sh":
-			space := nas.PaperSpace()
-			sh, err := nas.SuccessiveHalving(space.Enumerate(combo), be, nas.SHOptions{Eta: 2, MinBudget: 0.25, Workers: workers})
+			sh, err := nas.SuccessiveHalving(nas.PaperSpace().Enumerate(combo), be, nas.SHOptions{Eta: 2, MinBudget: 0.25, Workers: workers})
 			if err != nil {
-				log.Fatalf("nascli: %v", err)
+				log.Fatal(err)
 			}
 			fmt.Printf("%dch/b%d successive halving: best %.2f%%  %s  (budget %.1f full evals vs 288 grid)\n",
 				combo.Channels, combo.Batch, sh.Survivors[0].Accuracy, sh.Survivors[0].Config.Key(), sh.TotalBudget)
 		case "hyperband":
 			hb, err := nas.Hyperband(be, nas.HyperbandOptions{Combo: combo, Seed: 1, Workers: workers})
 			if err != nil {
-				log.Fatalf("nascli: %v", err)
+				log.Fatal(err)
 			}
 			fmt.Printf("%dch/b%d hyperband: best %.2f%%  %s  (%d brackets, budget %.1f full evals)\n",
 				combo.Channels, combo.Batch, hb.Best.Accuracy, hb.Best.Config.Key(), len(hb.Brackets), hb.TotalBudget)
@@ -189,7 +270,8 @@ func (e *memoEvaluator) Evaluate(cfg resnet.Config) (float64, error) {
 	return acc, nil
 }
 
-func main() {
+// sweep runs the NAS experiment on the command line's flags.
+func sweep() {
 	var (
 		enumerate  = flag.Bool("enumerate", false, "print the search space (Figure 2) and exit")
 		backend    = flag.String("backend", "surrogate", "accuracy backend: surrogate | train")
@@ -224,12 +306,11 @@ func main() {
 		return
 	}
 	if *resume && *journal == "" {
-		log.Fatal("nascli: -resume needs -journal")
+		log.Fatal("-resume needs -journal")
 	}
 
-	combos := nas.PaperInputCombos()
 	var filtered []nas.InputCombo
-	for _, c := range combos {
+	for _, c := range nas.PaperInputCombos() {
 		if (*channels == 0 || c.Channels == *channels) && (*batch == 0 || c.Batch == *batch) {
 			filtered = append(filtered, c)
 		}
@@ -238,19 +319,18 @@ func main() {
 	var eval nas.Evaluator
 	switch *backend {
 	case "surrogate":
-		eval = nas.SurrogateEvaluator{Model: surrogate.Default()}
+		eval = paperSurrogate
 	case "train":
 		if *channels == 0 {
-			log.Fatal("nascli: -backend=train requires -channels=5 or 7 (one corpus per channel count)")
+			log.Fatal("-backend=train requires -channels=5 or 7 (one corpus per channel count)")
 		}
+		corpusOpts := corpusOptions(flag.CommandLine, "chip", *chip, *scale, 1)
 		fmt.Printf("generating corpus (chip %d, scale 1/%d)...\n", *chip, *scale)
-		corpus := geodata.GenerateCorpus(geodata.CorpusOptions{ChipSize: *chip, Scale: *scale, Seed: 1})
-		x, labels := corpus.Tensors(*channels)
-		eval = nas.TrainEvaluator{Data: dataset.New(x, labels), Opts: nas.TrainOptions{
+		eval = nas.TrainEvaluator{Data: dataset.New(geodata.GenerateCorpus(corpusOpts).Tensors(*channels)), Opts: nas.TrainOptions{
 			Epochs: *epochs, Folds: *folds, LR: 0.02, Momentum: 0.9, WeightDecay: 1e-4, Seed: 1,
 		}}
 	default:
-		log.Fatalf("nascli: unknown backend %q", *backend)
+		log.Fatalf("unknown backend %q", *backend)
 	}
 
 	if *strategy == "hyperband" || *strategy == "sh" {
@@ -260,7 +340,7 @@ func main() {
 	memo := &memoEvaluator{inner: eval, acc: map[resnet.Config]float64{}}
 	configs, err := selectConfigs(space, *strategy, filtered, memo, *budgetN, *limit)
 	if err != nil {
-		log.Fatalf("nascli: %v", err)
+		log.Fatal(err)
 	}
 
 	// Durability plumbing: streamed journal, prior entries on resume.
@@ -269,7 +349,7 @@ func main() {
 	if *journal != "" {
 		jw, prior, err = openJournal(*journal, *resume, *syncEvery)
 		if err != nil {
-			log.Fatalf("nascli: opening journal: %v", err)
+			log.Fatalf("opening journal: %v", err)
 		}
 	}
 	remaining, reused := nas.FilterCompleted(configs, prior)
@@ -283,15 +363,10 @@ func main() {
 	// through to the runtime's default handling (immediate death).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	sweepDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			fmt.Fprintln(os.Stderr, "\nnascli: interrupt — draining in-flight trials (press again to kill)")
-			stop()
-		case <-sweepDone:
-		}
-	}()
+	stopNotice := context.AfterFunc(ctx, func() {
+		fmt.Fprintln(os.Stderr, "\nnascli: interrupt — draining in-flight trials (press again to kill)")
+		stop()
+	})
 
 	stats := &metrics.SweepStats{}
 	stats.Begin(len(configs), len(reused))
@@ -329,7 +404,7 @@ func main() {
 	start := time.Now()
 	fresh, runErr := nas.ExperimentContext(ctx, remaining, runEval, opts)
 	elapsed := time.Since(start)
-	close(sweepDone)
+	stopNotice()
 	results := nas.MergeResults(configs, reused, fresh)
 
 	// The journal must land on disk before the run is declared good: a
@@ -337,7 +412,7 @@ func main() {
 	// as "journal written".
 	if jw != nil {
 		if cerr := jw.Close(); cerr != nil {
-			log.Fatalf("nascli: %v", cerr)
+			log.Fatal(cerr)
 		}
 	}
 
@@ -348,24 +423,22 @@ func main() {
 		os.Exit(130)
 	}
 	if runErr != nil {
-		log.Fatalf("nascli: %v", runErr)
+		log.Fatal(runErr)
 	}
 
-	ok := nas.Succeeded(results)
 	rate := 0.0
 	if elapsed > 0 {
 		rate = float64(len(fresh)) / elapsed.Seconds()
 	}
 	fmt.Printf("\nsweep complete: %d/%d trials succeeded in %s (%.1f fresh trials/s)\n",
-		len(ok), len(results), elapsed.Round(time.Millisecond), rate)
+		len(nas.Succeeded(results)), len(results), elapsed.Round(time.Millisecond), rate)
 	snap := stats.Snapshot()
 	fmt.Printf("counters: %s\n", snap)
 	if snap.Trials.Count > 0 {
 		fmt.Printf("trial wall time: p50 %.2fms  p95 %.2fms  p99 %.2fms  max %.2fms\n",
 			snap.Trials.P50MS, snap.Trials.P95MS, snap.Trials.P99MS, snap.Trials.MaxMS)
 	}
-	best, found := nas.BestByAccuracy(results)
-	if found {
+	if best, found := nas.BestByAccuracy(results); found {
 		fmt.Printf("best: %.2f%%  %s\n", best.Accuracy, best.Config.Key())
 	}
 	fmt.Println("\ntop 5 trials:")

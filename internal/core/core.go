@@ -5,7 +5,7 @@
 // the three objectives (accuracy ↑, latency ↓, memory ↓) by Pareto front
 // analysis.
 //
-// This is the library's primary public API; cmd/paretoviz, the examples and
+// This is the library's primary public API; nascli paretoviz, the examples and
 // the benchmark harness are thin layers over it.
 package core
 

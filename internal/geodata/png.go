@@ -27,7 +27,7 @@ const (
 )
 
 // ChipPNG writes a chip band composition to w as a PNG, for visual
-// inspection of the synthetic corpus (cmd/datagen -png).
+// inspection of the synthetic corpus (nascli datagen -png).
 func ChipPNG(c Chip, mode RenderMode, w io.Writer) error {
 	img := image.NewRGBA(image.Rect(0, 0, c.Size, c.Size))
 	n := c.Size * c.Size
