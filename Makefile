@@ -37,12 +37,13 @@ examples-smoke:
 	grep -qxF "$$want" README.md || { echo "README no longer quotes '$$want'"; exit 1; }
 
 # The packages with dedicated concurrency suites; core, whose sweep and
-# NSGA-II measure trials on worker goroutines; and the packages whose state
+# NSGA-II measure trials on worker goroutines; the packages whose state
 # those workers hold — latmeter's price tables, onnxsize's size tables and
-# the memo table under both. `race-all` widens this to every internal
-# package (slower; the numeric packages dominate).
+# the memo table under both; and geodata, whose synthesis fills noise rows,
+# carves lines and shades bands on every core. `race-all` widens this to
+# every internal package (slower; the numeric packages dominate).
 race:
-	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./internal/frontend/... ./internal/core/... ./internal/latmeter/... ./internal/onnxsize/... ./internal/memo/... ./cmd/servd/... ./cmd/router/...
+	$(GO) test -race ./internal/sched/... ./internal/serve/... ./internal/route/... ./internal/tenant/... ./internal/httpx/... ./internal/infer/... ./internal/parallel/... ./internal/metrics/... ./internal/tensor/... ./internal/scan/... ./internal/frontend/... ./internal/core/... ./internal/latmeter/... ./internal/onnxsize/... ./internal/memo/... ./internal/geodata/... ./cmd/servd/... ./cmd/router/...
 
 race-all:
 	$(GO) test -race ./internal/...
@@ -171,7 +172,10 @@ selectors:
 # return the NormFloat64 loop's bits and final generator state for any seed,
 # pending spare and length, and the separable max pool must return the
 # tap-by-tap pool's bits (NaN for NaN) for any plane size, window, stride,
-# padding and float32 or int8 bit patterns.
+# padding and float32 or int8 bit patterns, and the scan event stream
+# reader must end any byte stream in io.EOF or an error without panicking
+# and read back unchanged every event it decoded once json.Encoder has
+# written it again, as the scan handler writes its stream.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/onnxsize
@@ -185,6 +189,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGate -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzNormFloat64s -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzMaxPoolPlane -fuzztime=$(FUZZTIME) ./internal/tensor
+	$(GO) test -run='^$$' -fuzz=FuzzScanEventStream -fuzztime=$(FUZZTIME) ./internal/api
 
 # Kernel benchmark selections: the micro-kernel alone, the deployed model's
 # convolution shapes with its stage entries, projections and the PaperSpace
@@ -195,12 +200,14 @@ fuzz:
 # enumerated PaperSpace, with allocs/op), the whole 1,717-trial surrogate
 # sweep (core.Run: NAS phase, measurement on every core, Pareto front), the
 # watershed synthesis a scan's
-# first tile waits on (Nebraska 640², with allocs/op), a million normal
+# first tile waits on (Nebraska 640², with allocs/op), corpus synthesis
+# (GenerateCorpus at nas_search's 32-px chips and at 100-px chips, Table 1
+# ÷ 400, with allocs/op), a million normal
 # deviates in bulk beside the per-element NormFloat64 loop, building the two
 # stock ResNet-18 variants (weight init, what every NAS fold pays first), and
 # the compiled-inference path on a 32x32 chip and at the deployment size.
 KBENCH_TENSOR = ^(BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkMaxPoolPlane|BenchmarkConvBackwardShapes|BenchmarkNormFloat64s)$$
-KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure|BenchmarkTable3_ObjectiveRanges|BenchmarkWatershedSynthesis|BenchmarkFigure1_ModelBuild)$$
+KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure|BenchmarkTable3_ObjectiveRanges|BenchmarkWatershedSynthesis|BenchmarkCorpusSynthesis|BenchmarkFigure1_ModelBuild)$$
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$

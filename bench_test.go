@@ -6,6 +6,7 @@
 package drainnas
 
 import (
+	"fmt"
 	"testing"
 
 	"drainnas/internal/core"
@@ -458,5 +459,20 @@ func BenchmarkWatershedSynthesis(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		geodata.GenerateWatershed(region, 640, 1)
+	}
+}
+
+// BenchmarkCorpusSynthesis measures GenerateCorpus at the nas_search
+// benchmark's corpus (32-px chips, Table 1 ÷ 400: 26 chips, seed 1) and at
+// the paper's 100-px chips over the same counts, with allocations: chips
+// take the same synthesis paths a watershed does.
+func BenchmarkCorpusSynthesis(b *testing.B) {
+	for _, chip := range []int{32, 100} {
+		b.Run(fmt.Sprintf("chip%d", chip), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				geodata.GenerateCorpus(geodata.CorpusOptions{ChipSize: chip, Scale: 400, Seed: 1})
+			}
+		})
 	}
 }

@@ -60,6 +60,19 @@ func main() {
 		precision   = flag.String("precision", "", "precision selector for remote requests (fp32, int8)")
 	)
 	flag.Parse()
+	// GenerateCorpus quietly replaces a chip size or scale below 1 with its
+	// default, so such a value is a usage error naming the flag (exit 2),
+	// not a corpus other than the one asked for.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"chip", *chip}, {"scale", *scale}} {
+		if f.v < 1 {
+			fmt.Fprintf(flag.CommandLine.Output(), "invalid value %d for flag -%s: must be at least 1\n", f.v, f.name)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 
 	cfg := resnet.Config{
 		Channels: *channels, Batch: 8,

@@ -86,10 +86,14 @@ func runValidation(inputSize, samples int) {
 		keys = append(keys, cfg.Key())
 	}
 	fmt.Printf("validating 4 predictors over %d models x %d measurements\n\n", len(graphs), samples)
-	fmt.Printf("%-14s %-26s %-16s %s\n", "Hardware name", "Device", "Framework", "±10% Accuracy")
+	devWidth := 0
+	for _, d := range latmeter.Devices() {
+		devWidth = max(devWidth, len(d.HW))
+	}
+	fmt.Printf("%-14s %-*s %-16s %s\n", "Hardware name", devWidth, "Device", "Framework", "±10% Accuracy")
 	for _, d := range latmeter.Devices() {
 		res := latmeter.NewDeviceSimulator(d, 2023).Validate(graphs, keys, samples, 7)
-		fmt.Printf("%-14s %-26s %-16s %.2f%%\n", d.Name, d.HW, d.Framework, 100*res.Within10Pct)
+		fmt.Printf("%-14s %-*s %-16s %.2f%%\n", d.Name, devWidth, d.HW, d.Framework, 100*res.Within10Pct)
 	}
 	fmt.Println("\npaper Table 2: 99.00% / 99.10% / 99.00% / 83.40%")
 }

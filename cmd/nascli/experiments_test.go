@@ -13,8 +13,9 @@ import (
 // TestReproCheckPrintedTables holds each subcommand's stdout to a golden
 // file byte for byte. The goldens were captured from the standalone
 // latpred, paretoviz, datagen and trainer binaries these subcommands
-// replaced, so a difference is a change to a printed table, never a
-// reason to regenerate the golden.
+// replaced (latpred_validate's Device column has since been widened to
+// its longest device string, whitespace only), so a difference is a
+// change to a printed table, never a reason to regenerate the golden.
 func TestReproCheckPrintedTables(t *testing.T) {
 	bin := buildNascli(t)
 	for _, tc := range []struct {

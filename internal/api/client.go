@@ -233,6 +233,11 @@ type ScanEventStream struct {
 	dec  *json.Decoder
 }
 
+// newScanEventStream reads NDJSON events from body.
+func newScanEventStream(body io.ReadCloser) *ScanEventStream {
+	return &ScanEventStream{body: body, dec: json.NewDecoder(body)}
+}
+
 // Next returns the next event; io.EOF after the terminal event.
 func (s *ScanEventStream) Next() (ScanEvent, error) {
 	var ev ScanEvent
@@ -269,5 +274,5 @@ func (c *Client) ScanEvents(ctx context.Context, id string, from int) (*ScanEven
 		}()
 		return nil, decodeError(resp)
 	}
-	return &ScanEventStream{body: resp.Body, dec: json.NewDecoder(resp.Body)}, nil
+	return newScanEventStream(resp.Body), nil
 }

@@ -34,7 +34,7 @@ func TestFractalFieldRangeAndDeterminism(t *testing.T) {
 }
 
 // At evaluates the noise field at a continuous coordinate, in [0, 1): the
-// point formula addRow evaluates a row at a time.
+// point formula FractalField evaluates from cached lattice rows.
 func (v valueNoise) At(x, y float64) float64 {
 	x0 := math.Floor(x)
 	y0 := math.Floor(y)
@@ -50,8 +50,8 @@ func (v valueNoise) At(x, y float64) float64 {
 	return top + (bot-top)*ty
 }
 
-// pointFractalField is FractalField evaluated cell by cell from At, the
-// way it was before rows reused lattice corners: the oracle for the rows.
+// pointFractalField is FractalField evaluated cell by cell from At: the
+// oracle for the cached lattice rows.
 func pointFractalField(seed uint64, size int, baseFreq float64, octaves int, persistence float64) []float64 {
 	n := valueNoise{seed: seed}
 	out := make([]float64, size*size)
@@ -163,8 +163,8 @@ func TestRaiseRoadLiftsElevation(t *testing.T) {
 	}
 }
 
-// fullDistanceField is the exhaustive sweep distanceField replaced: every
-// cell's distance to every segment, kept here as the oracle for the window.
+// fullDistanceField is the exhaustive sweep the windowed rows replaced:
+// every cell's distance to every segment, kept here as the oracle.
 func fullDistanceField(size int, line polyline) []float64 {
 	out := make([]float64, size*size)
 	for y := 0; y < size; y++ {
@@ -182,7 +182,18 @@ func fullDistanceField(size int, line polyline) []float64 {
 	return out
 }
 
-// TestDistanceFieldWindowExact holds the windowed distance field to the
+// rowDistanceField is the distance field alongLine hands CarveChannel and
+// RaiseRoad, row band by row band: +Inf wherever it makes no call.
+func rowDistanceField(tr *Terrain, line polyline, reach float64) []float64 {
+	out := make([]float64, tr.Size*tr.Size)
+	for i := range out {
+		out[i] = math.Inf(1)
+	}
+	tr.alongLine(line, reach, func(i int, d float64) { out[i] = d })
+	return out
+}
+
+// TestDistanceFieldWindowExact holds the windowed row distances to the
 // exhaustive sweep wherever CarveChannel or RaiseRoad would act on a cell:
 // there the distance is identical, and everywhere else both give a weight
 // below the 1e-4 cut-off. Lines are the generators' own meanders and roads,
@@ -232,7 +243,7 @@ func TestDistanceFieldWindowExact(t *testing.T) {
 		for li, line := range lines {
 			oracle := fullDistanceField(size, line)
 			for _, p := range profiles {
-				got := tr.distanceField(line, p.reach)
+				got := rowDistanceField(tr, line, p.reach)
 				for i, want := range oracle {
 					if p.weight(want) >= 1e-4 {
 						if got[i] != want {

@@ -38,55 +38,103 @@ func (v valueNoise) hash2(x, y int64) float64 {
 // smoothstep is the C¹ interpolation weight 3t² - 2t³.
 func smoothstep(t float64) float64 { return t * t * (3 - 2*t) }
 
-// addRow adds one octave along a raster row: dst[px] += amp·noise(px·inv·freq, y),
-// where noise blends the four lattice corners around the point with
-// smoothstep weights. The lattice row is fixed along a raster row and a
-// lattice cell spans many pixels, so the corner hashes are reused until x
-// enters the next cell.
-func (v valueNoise) addRow(dst []float64, inv, freq, y, amp float64) {
-	y0 := math.Floor(y)
-	ty := smoothstep(y - y0)
-	iy := int64(y0)
-	var ix int64
-	var v00, v10, v01, v11 float64
-	for px := range dst {
+// latticeColumns is the x side of one octave, shared by every raster row:
+// each pixel's lattice column and its smoothstep weight.
+type latticeColumns struct {
+	ix []int64
+	tx []float64
+}
+
+// columns returns the lattice columns of a size-pixel row sampled at
+// x = px·inv·freq.
+func columns(size int, inv, freq float64) latticeColumns {
+	c := latticeColumns{ix: make([]int64, size), tx: make([]float64, size)}
+	for px := range c.ix {
 		x := float64(px) * inv * freq
 		x0 := math.Floor(x)
-		tx := smoothstep(x - x0)
-		if px == 0 || int64(x0) != ix {
-			ix = int64(x0)
-			v00 = v.hash2(ix, iy)
-			v10 = v.hash2(ix+1, iy)
-			v01 = v.hash2(ix, iy+1)
-			v11 = v.hash2(ix+1, iy+1)
-		}
-		top := v00 + (v10-v00)*tx
-		bot := v01 + (v11-v01)*tx
-		dst[px] += amp * (top + (bot-top)*ty)
+		c.ix[px] = int64(x0)
+		c.tx[px] = smoothstep(x - x0)
 	}
+	return c
+}
+
+// blend sets dst[px] to the noise along lattice row iy, blended across x:
+// hash(ix, iy) + (hash(ix+1, iy) - hash(ix, iy))·tx. A lattice cell spans
+// many pixels, so its two corner hashes are reused until x enters the next
+// cell.
+func (v valueNoise) blend(dst []float64, c latticeColumns, iy int64) {
+	var ix int64
+	var h0, h1 float64
+	for px := range dst {
+		if px == 0 || c.ix[px] != ix {
+			ix = c.ix[px]
+			h0, h1 = v.hash2(ix, iy), v.hash2(ix+1, iy)
+		}
+		dst[px] = h0 + (h1-h0)*c.tx[px]
+	}
+}
+
+// latticeRow caches one octave's x-blended values on the lattice rows
+// above (top) and below (bot) the raster rows in lattice row iy, so every
+// raster row in that lattice row pays one y-lerp per pixel.
+type latticeRow struct {
+	iy       int64
+	top, bot []float64
+}
+
+// at makes the cache hold lattice row iy. Raster rows advance downward, so
+// moving to the next lattice row reuses the old bot as the new top.
+func (r *latticeRow) at(v valueNoise, c latticeColumns, iy int64) {
+	switch {
+	case r.top == nil:
+		r.top, r.bot = make([]float64, len(c.ix)), make([]float64, len(c.ix))
+		v.blend(r.top, c, iy)
+	case iy == r.iy:
+		return
+	case iy == r.iy+1:
+		r.top, r.bot = r.bot, r.top
+	default:
+		v.blend(r.top, c, iy)
+	}
+	v.blend(r.bot, c, iy+1)
+	r.iy = iy
 }
 
 // FractalField fills a size×size grid with fractal noise at the given base
 // frequency (lattice cells across the grid): `octaves` octaves of value
 // noise with per-octave gain (persistence) and lacunarity 2, normalized to
-// [0, 1]. Every cell depends only on its own coordinates, so the rows are
+// [0, 1]. A pixel's lattice column and x weight do not depend on its row,
+// so they are computed once per octave; raster rows in one lattice row
+// share its x-blended values, cached per octave, and pay one y-lerp per
+// pixel. Every cell depends only on its own coordinates, so the rows are
 // filled in bands on all cores with the same bytes a serial fill gives.
 func FractalField(seed uint64, size int, baseFreq float64, octaves int, persistence float64) []float64 {
 	n := valueNoise{seed: seed}
 	out := make([]float64, size*size)
 	inv := baseFreq / float64(size)
 	norm, gain := 0.0, 1.0
-	for o := 0; o < octaves; o++ {
+	cols := make([]latticeColumns, octaves)
+	for o, freq := 0, 1.0; o < octaves; o, freq = o+1, freq*2 {
 		norm += gain
 		gain *= persistence
+		cols[o] = columns(size, inv, freq)
 	}
 	parallel.ForChunked(size, 0, func(y0, y1 int) {
+		rows := make([]latticeRow, octaves)
 		for y := y0; y < y1; y++ {
 			row := out[y*size : (y+1)*size]
 			fy := float64(y) * inv
 			amp, freq := 1.0, 1.0
 			for o := 0; o < octaves; o++ {
-				n.addRow(row, inv, freq, fy*freq, amp)
+				ly := fy * freq
+				ly0 := math.Floor(ly)
+				ty := smoothstep(ly - ly0)
+				r := &rows[o]
+				r.at(n, cols[o], int64(ly0))
+				top, bot := r.top, r.bot[:len(row)]
+				for px, t := range top[:len(row)] {
+					row[px] += amp * (t + (bot[px]-t)*ty)
+				}
 				amp *= persistence
 				freq *= 2
 			}

@@ -2,7 +2,9 @@ package geodata
 
 import (
 	"math"
+	"sync"
 
+	"drainnas/internal/parallel"
 	"drainnas/internal/tensor"
 )
 
@@ -19,8 +21,10 @@ import (
 //
 // The sensor noise is one RNG stream drawn in cell order, four deviates per
 // cell. A producer goroutine draws them a row band at a time into a few
-// recycled buffers while the caller's goroutine shades the bands already
-// drawn, so the bytes (and rng's final state) are those of a serial render.
+// recycled buffers while parallel.DefaultWorkers consumers each shade a
+// whole band already drawn. A cell's shade reads only the terrain, the
+// noise fields and its own deviates, so the bytes (and rng's final state)
+// are those of a serial render.
 func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 	size := t.Size
 	n := size * size
@@ -33,9 +37,14 @@ func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 	}
 
 	moistSeed, vegSeed := rng.Uint64(), rng.Uint64()
-	free := make(chan []float64, renderBuffers)
-	full := make(chan []float64, renderBuffers)
-	for k := 0; k < renderBuffers; k++ {
+	nBands := (size + renderRows - 1) / renderRows
+	workers := min(parallel.DefaultWorkers, nBands)
+	// Every buffer is in exactly one of: free, full, the producer's hands
+	// or a consumer's, so neither channel's sends ever block.
+	nBuf := min(renderBuffers+workers, nBands)
+	free := make(chan []float64, nBuf)
+	full := make(chan band, nBuf)
+	for k := 0; k < nBuf; k++ {
 		free <- make([]float64, 4*renderRows*size)
 	}
 	// The producer starts before shader fills the noise fields, so the
@@ -44,24 +53,38 @@ func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 		for y := 0; y < size; y += renderRows {
 			dev := (<-free)[:4*min(renderRows, size-y)*size]
 			rng.NormFloat64s(dev)
-			full <- dev
+			full <- band{y * size, dev}
 		}
 		close(full)
 	}()
 	shade := shader(t, region, bands, lo, span, moistSeed, vegSeed)
-	i := 0
-	for dev := range full {
-		for k := 0; k < len(dev); k += 4 {
-			shade(i, dev[k:k+4])
-			i++
-		}
-		free <- dev
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for b := range full {
+				for k, i := 0, b.first; k < len(b.dev); k, i = k+4, i+1 {
+					shade(i, b.dev[k:k+4])
+				}
+				free <- b.dev
+			}
+		}()
 	}
+	wg.Wait()
 	return bands
 }
 
+// band is one row band of sensor-noise deviates: four per cell, from cell
+// first on.
+type band struct {
+	first int
+	dev   []float64
+}
+
 // renderRows and renderBuffers bound the sensor-noise deviates a raster
-// render holds: renderBuffers bands of renderRows rows, four per cell.
+// render holds: renderBuffers bands of renderRows rows, four per cell, for
+// the producer to draw ahead, plus the one band each consumer shades.
 const (
 	renderRows    = 16
 	renderBuffers = 3

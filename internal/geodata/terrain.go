@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"drainnas/internal/parallel"
 )
 
 // Terrain is a square digital elevation model with helper fields produced
@@ -123,70 +125,116 @@ func roadWeight(d, crownWidth, shoulderWidth float64) float64 {
 	return gaussian(d-crownWidth, shoulderWidth)
 }
 
-// distanceField returns, for every cell, the distance to the nearest
-// segment of the polyline, but only where that distance can be below reach:
-// each segment measures just the cells of its bounding box grown by reach,
-// and every other cell stays +Inf. A cell within reach of the line is
-// within reach of its nearest segment, so it gets the same minimum an
-// exhaustive sweep over every segment would give it.
-func (t *Terrain) distanceField(line polyline, reach float64) []float64 {
-	size := t.Size
-	out := make([]float64, size*size)
-	inf := math.Inf(1)
-	for i := range out {
-		out[i] = inf
-	}
+// reachSegment is one polyline segment with the cell window it can act
+// on: its bounding box grown by reach, clipped to the raster.
+type reachSegment struct {
+	ax, ay, bx, by float64
+	x0, x1, y0, y1 int
+}
+
+// reachSegments returns the line's segments with their windows, in line
+// order, and the raster rows [ylo, yhi) that some window covers.
+func reachSegments(line polyline, reach float64, size int) (segs []reachSegment, ylo, yhi int) {
+	ylo, yhi = size, 0
 	for s := 0; s+1 < len(line); s++ {
 		ax, ay, bx, by := line[s].X, line[s].Y, line[s+1].X, line[s+1].Y
-		x0 := max(0, int(math.Floor(min(ax, bx)-reach)))
-		x1 := min(size-1, int(math.Ceil(max(ax, bx)+reach)))
-		y0 := max(0, int(math.Floor(min(ay, by)-reach)))
-		y1 := min(size-1, int(math.Ceil(max(ay, by)+reach)))
-		for y := y0; y <= y1; y++ {
-			row := out[y*size : (y+1)*size]
-			for x := x0; x <= x1; x++ {
-				if d := distanceToSegment(float64(x), float64(y), ax, ay, bx, by); d < row[x] {
-					row[x] = d
-				}
+		seg := reachSegment{
+			ax: ax, ay: ay, bx: bx, by: by,
+			x0: max(0, int(math.Floor(min(ax, bx)-reach))),
+			x1: min(size-1, int(math.Ceil(max(ax, bx)+reach))),
+			y0: max(0, int(math.Floor(min(ay, by)-reach))),
+			y1: min(size-1, int(math.Ceil(max(ay, by)+reach))),
+		}
+		segs = append(segs, seg)
+		if seg.x0 <= seg.x1 && seg.y0 <= seg.y1 {
+			ylo, yhi = min(ylo, seg.y0), max(yhi, seg.y1+1)
+		}
+	}
+	return segs, ylo, yhi
+}
+
+// distanceRow sets row[x] to cell (x, y)'s distance to the nearest segment
+// whose window holds the cell, +Inf where no window does, over the span
+// [lo, hi) of x that the windows covering row y reach; row outside the
+// span is left as it was, and the span is empty when no window covers y.
+// A cell within reach of the line is within reach of its nearest segment,
+// so it gets the same minimum an exhaustive sweep over every segment would
+// give it.
+func distanceRow(row []float64, y int, segs []reachSegment) (lo, hi int) {
+	lo, hi = len(row), 0
+	for _, s := range segs {
+		if s.y0 <= y && y <= s.y1 && s.x0 <= s.x1 {
+			lo, hi = min(lo, s.x0), max(hi, s.x1+1)
+		}
+	}
+	if lo >= hi {
+		return 0, 0
+	}
+	inf := math.Inf(1)
+	for x := lo; x < hi; x++ {
+		row[x] = inf
+	}
+	fy := float64(y)
+	for _, s := range segs {
+		if y < s.y0 || y > s.y1 {
+			continue
+		}
+		for x := s.x0; x <= s.x1; x++ {
+			if d := distanceToSegment(float64(x), fy, s.ax, s.ay, s.bx, s.by); d < row[x] {
+				row[x] = d
 			}
 		}
 	}
-	return out
+	return lo, hi
+}
+
+// alongLine calls apply(i, d) for every cell i closer than reach to the
+// line, d being its distance to the nearest segment; a profile weighs
+// below its 1e-4 cut-off at reach and beyond, so no other cell changes.
+// The rows the windows cover are measured a row at a time into a row
+// buffer, in bands on all cores, so apply must touch cell i only; each
+// cell sees one call, with the distance a serial sweep gives.
+func (t *Terrain) alongLine(line polyline, reach float64, apply func(i int, d float64)) {
+	size := t.Size
+	segs, ylo, yhi := reachSegments(line, reach, size)
+	parallel.ForChunked(yhi-ylo, 0, func(r0, r1 int) {
+		dist := make([]float64, size)
+		for y := ylo + r0; y < ylo+r1; y++ {
+			lo, hi := distanceRow(dist, y, segs)
+			for x, d := range dist[lo:hi] {
+				if d < reach { // +Inf outside every window
+					apply(y*size+lo+x, d)
+				}
+			}
+		}
+	})
 }
 
 // CarveChannel lowers the DEM along the polyline with a Gaussian
 // cross-section of the given width (σ, cells) and depth (meters), and adds
 // the membership weight to ChannelMask.
 func (t *Terrain) CarveChannel(line polyline, width, depth float64) {
-	dist := t.distanceField(line, channelReach(width))
-	for i, d := range dist {
-		if math.IsInf(d, 1) {
-			continue // out of reach: the weight is 0
-		}
+	t.alongLine(line, channelReach(width), func(i int, d float64) {
 		w := gaussian(d, width)
 		if w < 1e-4 {
-			continue
+			return
 		}
 		t.Elev[i] -= depth * w
 		t.ChannelMask[i] = math.Max(t.ChannelMask[i], w)
-	}
+	})
 }
 
 // RaiseRoad lifts the DEM along the polyline to form an embankment with a
 // flat crown: full height within crownWidth, Gaussian shoulders beyond.
 func (t *Terrain) RaiseRoad(line polyline, crownWidth, shoulderWidth, height float64) {
-	dist := t.distanceField(line, roadReach(crownWidth, shoulderWidth))
-	for i, d := range dist {
-		if math.IsInf(d, 1) {
-			continue // out of reach: the weight is 0
-		}
+	t.alongLine(line, roadReach(crownWidth, shoulderWidth), func(i int, d float64) {
 		w := roadWeight(d, crownWidth, shoulderWidth)
 		if w < 1e-4 {
-			continue
+			return
 		}
 		t.Elev[i] += height * w
 		t.RoadMask[i] = math.Max(t.RoadMask[i], w)
-	}
+	})
 }
 
 // StampCrossing records a culvert-style drainage crossing at (cx, cy): the
