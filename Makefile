@@ -123,9 +123,13 @@ quant-parity:
 # Reproduction pin: the full surrogate sweep must attempt 1,728 trials, keep
 # 1,717 and end in exactly the five non-dominated solutions EXPERIMENTS.md
 # tabulates (kernel 3, stride 2, width 32, the 11.21 MB memory floor), and
-# the latency predictors must hold Table 2's share within ±10 %. Whatever
-# bends the reproduction — accuracy model, cost model, export size — fails
-# here by name.
+# the latency predictors must hold Table 2's share within ±10 %, and
+# nascli's printed tables must match their goldens byte for byte
+# (TestReproCheckPrintedTables), including trainer_epoch1: one epoch of
+# `nascli trainer` at scale 600, which prints its training report and
+# nothing else while no deployment flag is set. Whatever bends the
+# reproduction — accuracy model, cost model, export size — fails here by
+# name.
 REPRO_RUN  = ReproCheck
 REPRO_PKGS = ./internal/core ./internal/latmeter ./cmd/nascli
 repro-check:

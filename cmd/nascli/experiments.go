@@ -271,7 +271,8 @@ func writeSamplePNGs(corpus *geodata.Corpus, dir string) error {
 
 // trainer trains one ResNet configuration end to end on the synthetic
 // drainage-crossing corpus and reports train/validation accuracy, or with
-// -describe prints the architecture (the textual Figure 1).
+// -describe prints the architecture (the textual Figure 1). With -out,
+// -load or -url it then runs the deployment drill on the trained model.
 func trainer(args []string) {
 	fs := flag.NewFlagSet("trainer", flag.ExitOnError)
 	cfg := stemFlags(fs, resnet.Config{
@@ -287,7 +288,9 @@ func trainer(args []string) {
 		seed     = fs.Uint64("seed", 7, "seed")
 		describe = fs.Bool("describe", false, "print the architecture and exit")
 	)
+	deploy := deploymentFlags(fs)
 	fs.Parse(args)
+	drill := deploy.wanted(fs)
 
 	rng := tensor.NewRNG(*seed)
 	model, err := resnet.New(*cfg, rng)
@@ -327,6 +330,10 @@ func trainer(args []string) {
 	// detector is judged on recall and AUC, not accuracy alone.
 	rep := report.Evaluate(positiveScores(model, val, cfg.Batch), val.Labels, 0.5)
 	fmt.Printf("validation report: %s\n", rep)
+
+	if drill {
+		deploy.run(model, *cfg, *chip, train, val)
+	}
 }
 
 // positiveScores collects the softmax probability of the positive class

@@ -3,7 +3,9 @@
 // (-enumerate, the textual Figure 2), run the full surrogate-backed sweep
 // (default), or run real training on a miniature corpus (-backend=train).
 // The subcommands latpred, paretoviz, datagen and trainer print the
-// paper's other tables and figures; nascli -h lists them.
+// paper's other tables and figures, and trainer -out/-load/-url exports
+// the model it trained and drills it as an edge deployment; nascli -h
+// lists them.
 //
 // Sweep trials stream to a JSON-lines journal as they complete, so an
 // interrupted sweep keeps everything it finished: SIGINT stops handing out
@@ -43,7 +45,7 @@ var subcommands = []struct {
 	{"latpred", "predict one configuration's latency per device; -validate reproduces Table 2", latpred},
 	{"paretoviz", "run the full sweep and print Tables 3-5, Figures 3-4 and front quality", paretoviz},
 	{"datagen", "synthesize the corpus and print its Table 1 inventory", datagen},
-	{"trainer", "train one configuration end to end; -describe prints Figure 1", trainer},
+	{"trainer", "train one configuration end to end; -describe prints Figure 1; -out, -load, -url export and serve it", trainer},
 }
 
 // main runs the subcommand named by the first argument, or the sweep when

@@ -1,7 +1,7 @@
 // Command servd serves exported model containers over HTTP with dynamic
 // micro-batching: the production-shaped front end for the Pareto-front
 // models the NAS pipeline selects. Containers live in a model directory
-// (one .dnnx file per model, written by cmd/deploy -out or any
+// (one .dnnx file per model, written by nascli trainer -out or any
 // onnxsize.Export caller); requests are admitted into internal/serve's
 // bounded queue, batched per (model, spatial size), and executed at most
 // -workers batches at a time through the compiled inference plans.

@@ -75,8 +75,7 @@ func TestNormalizeStandardizes(t *testing.T) {
 }
 
 func TestNormalizeZeroStdChannel(t *testing.T) {
-	x := tensor.New(2, 1, 2, 2)
-	x.Fill(3)
+	x := tensor.Full(3, 2, 1, 2, 2)
 	d := New(x, []int{0, 1})
 	stats := d.ComputeStats()
 	d.Normalize(stats) // must not divide by zero

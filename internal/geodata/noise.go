@@ -12,6 +12,7 @@ package geodata
 
 import (
 	"math"
+	"sync"
 
 	"drainnas/internal/parallel"
 	"drainnas/internal/tensor"
@@ -45,17 +46,14 @@ type latticeColumns struct {
 	tx []float64
 }
 
-// columns returns the lattice columns of a size-pixel row sampled at
-// x = px·inv·freq.
-func columns(size int, inv, freq float64) latticeColumns {
-	c := latticeColumns{ix: make([]int64, size), tx: make([]float64, size)}
+// fill sets the lattice columns of a row sampled at x = px·inv·freq.
+func (c latticeColumns) fill(inv, freq float64) {
 	for px := range c.ix {
 		x := float64(px) * inv * freq
 		x0 := math.Floor(x)
 		c.ix[px] = int64(x0)
 		c.tx[px] = smoothstep(x - x0)
 	}
-	return c
 }
 
 // blend sets dst[px] to the noise along lattice row iy, blended across x:
@@ -76,9 +74,11 @@ func (v valueNoise) blend(dst []float64, c latticeColumns, iy int64) {
 
 // latticeRow caches one octave's x-blended values on the lattice rows
 // above (top) and below (bot) the raster rows in lattice row iy, so every
-// raster row in that lattice row pays one y-lerp per pixel.
+// raster row in that lattice row pays one y-lerp per pixel. It holds
+// nothing until its first at.
 type latticeRow struct {
 	iy       int64
+	held     bool
 	top, bot []float64
 }
 
@@ -86,18 +86,71 @@ type latticeRow struct {
 // moving to the next lattice row reuses the old bot as the new top.
 func (r *latticeRow) at(v valueNoise, c latticeColumns, iy int64) {
 	switch {
-	case r.top == nil:
-		r.top, r.bot = make([]float64, len(c.ix)), make([]float64, len(c.ix))
-		v.blend(r.top, c, iy)
-	case iy == r.iy:
+	case r.held && iy == r.iy:
 		return
-	case iy == r.iy+1:
+	case r.held && iy == r.iy+1:
 		r.top, r.bot = r.bot, r.top
 	default:
 		v.blend(r.top, c, iy)
 	}
 	v.blend(r.bot, c, iy+1)
-	r.iy = iy
+	r.iy, r.held = iy, true
+}
+
+// scratch is one goroutine's synthesis buffers: a FractalField's lattice
+// columns or one band's lattice rows, a band of alongLine's distance rows,
+// one of RenderBands' deviate bands. Each is borrowed from scratchPool for
+// one call or band and given back, so generating a corpus allocates them
+// about once per worker instead of once per call and band. A borrowed
+// buffer holds whatever its last user left in it.
+type scratch struct {
+	f    []float64
+	ix   []int64
+	cols []latticeColumns
+	rows []latticeRow
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func (s *scratch) put() { scratchPool.Put(s) }
+
+// floats returns n of s's float64s.
+func (s *scratch) floats(n int) []float64 {
+	if cap(s.f) < n {
+		s.f = make([]float64, n)
+	}
+	return s.f[:n]
+}
+
+// columns returns the lattice columns of octaves octaves of a size-pixel
+// row, octave o sampled at x = px·inv·2^o.
+func (s *scratch) columns(octaves, size int, inv float64) []latticeColumns {
+	if cap(s.ix) < octaves*size {
+		s.ix = make([]int64, octaves*size)
+	}
+	tx := s.floats(octaves * size)
+	s.cols = s.cols[:0]
+	for o, freq := 0, 1.0; o < octaves; o, freq = o+1, freq*2 {
+		c := latticeColumns{ix: s.ix[o*size : (o+1)*size], tx: tx[o*size : (o+1)*size]}
+		c.fill(inv, freq)
+		s.cols = append(s.cols, c)
+	}
+	return s.cols
+}
+
+// latticeRows returns octaves empty lattice-row caches for size-pixel rows.
+func (s *scratch) latticeRows(octaves, size int) []latticeRow {
+	f := s.floats(2 * octaves * size)
+	s.rows = s.rows[:0]
+	for o := 0; o < 2*octaves; o += 2 {
+		s.rows = append(s.rows, latticeRow{
+			top: f[o*size : (o+1)*size : (o+1)*size],
+			bot: f[(o+1)*size : (o+2)*size : (o+2)*size],
+		})
+	}
+	return s.rows
 }
 
 // FractalField fills a size×size grid with fractal noise at the given base
@@ -113,14 +166,17 @@ func FractalField(seed uint64, size int, baseFreq float64, octaves int, persiste
 	out := make([]float64, size*size)
 	inv := baseFreq / float64(size)
 	norm, gain := 0.0, 1.0
-	cols := make([]latticeColumns, octaves)
-	for o, freq := 0, 1.0; o < octaves; o, freq = o+1, freq*2 {
+	for range octaves {
 		norm += gain
 		gain *= persistence
-		cols[o] = columns(size, inv, freq)
 	}
+	cs := getScratch()
+	defer cs.put()
+	cols := cs.columns(octaves, size, inv)
 	parallel.ForChunked(size, 0, func(y0, y1 int) {
-		rows := make([]latticeRow, octaves)
+		s := getScratch()
+		defer s.put()
+		rows := s.latticeRows(octaves, size)
 		for y := y0; y < y1; y++ {
 			row := out[y*size : (y+1)*size]
 			fy := float64(y) * inv

@@ -21,10 +21,11 @@ import (
 //
 // The sensor noise is one RNG stream drawn in cell order, four deviates per
 // cell. A producer goroutine draws them a row band at a time into a few
-// recycled buffers while parallel.DefaultWorkers consumers each shade a
-// whole band already drawn. A cell's shade reads only the terrain, the
-// noise fields and its own deviates, so the bytes (and rng's final state)
-// are those of a serial render.
+// recycled buffers, borrowed from scratchPool, while
+// parallel.DefaultWorkers consumers each shade a whole band already drawn.
+// A cell's shade reads only the terrain, the noise fields and its own
+// deviates, so the bytes (and rng's final state) are those of a serial
+// render.
 func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 	size := t.Size
 	n := size * size
@@ -42,18 +43,19 @@ func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 	// Every buffer is in exactly one of: free, full, the producer's hands
 	// or a consumer's, so neither channel's sends ever block.
 	nBuf := min(renderBuffers+workers, nBands)
-	free := make(chan []float64, nBuf)
+	free := make(chan *scratch, nBuf)
 	full := make(chan band, nBuf)
 	for k := 0; k < nBuf; k++ {
-		free <- make([]float64, 4*renderRows*size)
+		free <- getScratch()
 	}
 	// The producer starts before shader fills the noise fields, so the
 	// first bands' deviates are drawn meanwhile.
 	go func() {
 		for y := 0; y < size; y += renderRows {
-			dev := (<-free)[:4*min(renderRows, size-y)*size]
+			buf := <-free
+			dev := buf.floats(4 * min(renderRows, size-y) * size)
 			rng.NormFloat64s(dev)
-			full <- band{y * size, dev}
+			full <- band{y * size, dev, buf}
 		}
 		close(full)
 	}()
@@ -67,19 +69,23 @@ func RenderBands(t *Terrain, region Region, rng *tensor.RNG) []float32 {
 				for k, i := 0, b.first; k < len(b.dev); k, i = k+4, i+1 {
 					shade(i, b.dev[k:k+4])
 				}
-				free <- b.dev
+				free <- b.buf
 			}
 		}()
 	}
 	wg.Wait()
+	for k := 0; k < nBuf; k++ {
+		(<-free).put()
+	}
 	return bands
 }
 
 // band is one row band of sensor-noise deviates: four per cell, from cell
-// first on.
+// first on, held in buf.
 type band struct {
 	first int
 	dev   []float64
+	buf   *scratch
 }
 
 // renderRows and renderBuffers bound the sensor-noise deviates a raster

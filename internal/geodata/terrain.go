@@ -191,14 +191,16 @@ func distanceRow(row []float64, y int, segs []reachSegment) (lo, hi int) {
 // alongLine calls apply(i, d) for every cell i closer than reach to the
 // line, d being its distance to the nearest segment; a profile weighs
 // below its 1e-4 cut-off at reach and beyond, so no other cell changes.
-// The rows the windows cover are measured a row at a time into a row
-// buffer, in bands on all cores, so apply must touch cell i only; each
+// The rows the windows cover are measured a row at a time into a pooled
+// row buffer, in bands on all cores, so apply must touch cell i only; each
 // cell sees one call, with the distance a serial sweep gives.
 func (t *Terrain) alongLine(line polyline, reach float64, apply func(i int, d float64)) {
 	size := t.Size
 	segs, ylo, yhi := reachSegments(line, reach, size)
 	parallel.ForChunked(yhi-ylo, 0, func(r0, r1 int) {
-		dist := make([]float64, size)
+		s := getScratch()
+		defer s.put()
+		dist := s.floats(size)
 		for y := ylo + r0; y < ylo+r1; y++ {
 			lo, hi := distanceRow(dist, y, segs)
 			for x, d := range dist[lo:hi] {

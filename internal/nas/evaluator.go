@@ -128,10 +128,10 @@ func (e TrainEvaluator) trainOneFold(cfg resnet.Config, fold dataset.Fold, opts 
 }
 
 // Trainer is the paper's training protocol for one model, and the one SGD
-// loop TrainEvaluator's folds, nascli trainer and cmd/deploy all run: the
-// learning rate on a cosine from opts.LR down to opts.LR/10 across
-// opts.Epochs, SGD with opts.Momentum and opts.WeightDecay, and every
-// step's gradient clipped to norm 5.
+// loop TrainEvaluator's folds and nascli trainer run: the learning rate on
+// a cosine from opts.LR down to opts.LR/10 across opts.Epochs, SGD with
+// opts.Momentum and opts.WeightDecay, and every step's gradient clipped to
+// norm 5.
 type Trainer struct {
 	model *resnet.Model
 	opt   *nn.SGD

@@ -305,9 +305,9 @@ func TestTrainEvaluatorRejectsEmptyFold(t *testing.T) {
 
 // TestTrainEvaluatorPin holds the exact float64 bits TrainEvaluator.Evaluate
 // returns for three PaperSpace stems on a 26-chip corpus, captured before
-// the SGD epoch was shared with nascli trainer and cmd/deploy. Any change to
-// the training protocol or to its RNG draw order (weight init, then one
-// Batches shuffle per epoch) moves at least one of them. The forwards
+// the SGD epoch was shared with nascli trainer. Any change to the training
+// protocol or to its RNG draw order (weight init, then one Batches shuffle
+// per epoch) moves at least one of them. The forwards
 // behind the accuracies are only reproducible bit for bit on the kernel
 // they were captured with.
 func TestTrainEvaluatorPin(t *testing.T) {

@@ -37,9 +37,10 @@ func clampWorkers(workers, n int) int {
 }
 
 // ForChunked splits [0, n) into `workers` near-equal contiguous ranges and
-// executes body(lo, hi) for each range on its own goroutine. The split gives
-// the first (n % workers) chunks one extra element, so chunk sizes differ by
-// at most one.
+// executes body(lo, hi) for each range: the last on the calling goroutine,
+// which would otherwise only wait, every other on its own goroutine. The
+// split gives the first (n % workers) chunks one extra element, so chunk
+// sizes differ by at most one.
 func ForChunked(n, workers int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -52,9 +53,9 @@ func ForChunked(n, workers int, body func(lo, hi int)) {
 	base := n / workers
 	extra := n % workers
 	var wg sync.WaitGroup
-	wg.Add(workers)
+	wg.Add(workers - 1)
 	lo := 0
-	for w := 0; w < workers; w++ {
+	for w := 0; w < workers-1; w++ {
 		size := base
 		if w < extra {
 			size++
@@ -66,6 +67,7 @@ func ForChunked(n, workers int, body func(lo, hi int)) {
 		}(lo, hi)
 		lo = hi
 	}
+	body(lo, n)
 	wg.Wait()
 }
 

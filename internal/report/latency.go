@@ -11,8 +11,8 @@ import (
 // LatencyBars renders a metrics.HistogramSnapshot as an ASCII latency
 // distribution: one proportional bar per occupied log-spaced bucket plus a
 // quantile summary line. It is the terminal-side view of the same histogram
-// servd exports on /metrics, shared by cmd/deploy -load and the nascli sweep
-// summary.
+// servd exports on /metrics, shared by nascli trainer -load and the nascli
+// sweep summary.
 func LatencyBars(title string, snap metrics.HistogramSnapshot, width int) string {
 	if width < 10 {
 		width = 40

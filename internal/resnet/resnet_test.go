@@ -3,6 +3,7 @@ package resnet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -63,7 +64,7 @@ func TestForwardShapes(t *testing.T) {
 		if y.Dim(0) != 2 || y.Dim(1) != cfg.NumClasses {
 			t.Fatalf("cfg %s: output shape %v", cfg.Key(), y.Shape())
 		}
-		if y.HasNaN() {
+		if slices.ContainsFunc(y.Data(), func(v float32) bool { return math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) }) {
 			t.Fatalf("cfg %s: NaN in output", cfg.Key())
 		}
 	}

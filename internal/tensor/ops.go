@@ -100,45 +100,11 @@ func AddInPlace(a, b *Tensor) *Tensor {
 	return a
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	binaryCheck("Sub", a, b)
-	out := New(a.shape...)
-	forEach(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = a.data[i] - b.data[i]
-		}
-	})
-	return out
-}
-
-// Scale returns s * a.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := New(a.shape...)
-	forEach(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = a.data[i] * s
-		}
-	})
-	return out
-}
-
 // ScaleInPlace multiplies a by s in place and returns a.
 func ScaleInPlace(a *Tensor, s float32) *Tensor {
 	forEach(len(a.data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a.data[i] *= s
-		}
-	})
-	return a
-}
-
-// AxpyInPlace computes a += alpha*b in place (the BLAS axpy) and returns a.
-func AxpyInPlace(a *Tensor, alpha float32, b *Tensor) *Tensor {
-	binaryCheck("AxpyInPlace", a, b)
-	forEach(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a.data[i] += alpha * b.data[i]
 		}
 	})
 	return a
@@ -178,36 +144,6 @@ func (t *Tensor) Sum() float64 {
 		s += float64(v)
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
-// Max returns the maximum element. It panics on an empty tensor.
-func (t *Tensor) Max() float32 {
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. It panics on an empty tensor.
-func (t *Tensor) Min() float32 {
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Norm2 returns the Euclidean norm of the flattened tensor.

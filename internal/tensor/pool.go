@@ -336,45 +336,3 @@ func GlobalAvgPool2DBackward(gradOut *Tensor, inShape []int) *Tensor {
 	})
 	return gradIn
 }
-
-// AvgPool2D applies average pooling (count includes padding positions, the
-// count_include_pad=false convention: only valid taps are averaged).
-func AvgPool2D(input *Tensor, kernel, stride, pad int) *Tensor {
-	n, c, h, w := dims4("AvgPool2D input", input)
-	oh := ConvOut(h, kernel, stride, pad)
-	ow := ConvOut(w, kernel, stride, pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: AvgPool2D produces empty output for input %dx%d k=%d s=%d p=%d", h, w, kernel, stride, pad))
-	}
-	out := New(n, c, oh, ow)
-	parallel.Map(n*c, 0, func(p int) {
-		plane := input.data[p*h*w : (p+1)*h*w]
-		dst := out.data[p*oh*ow : (p+1)*oh*ow]
-		i := 0
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				sum := float32(0)
-				cnt := 0
-				for ky := 0; ky < kernel; ky++ {
-					sy := oy*stride - pad + ky
-					if sy < 0 || sy >= h {
-						continue
-					}
-					for kx := 0; kx < kernel; kx++ {
-						sx := ox*stride - pad + kx
-						if sx < 0 || sx >= w {
-							continue
-						}
-						sum += plane[sy*w+sx]
-						cnt++
-					}
-				}
-				if cnt > 0 {
-					dst[i] = sum / float32(cnt)
-				}
-				i++
-			}
-		}
-	})
-	return out
-}

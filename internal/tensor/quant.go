@@ -66,17 +66,6 @@ func QuantizeInto(dst []int8, src []float32, scale float32) {
 	}
 }
 
-// DequantizeInto reconstructs dst[i] = scale·src[i]. Lengths must match.
-func DequantizeInto(dst []float32, src []int8, scale float32) {
-	if len(dst) != len(src) {
-		panic("tensor: DequantizeInto length mismatch")
-	}
-	scale = sanitizeScale(scale)
-	for i, q := range src {
-		dst[i] = scale * float32(q)
-	}
-}
-
 // quantizeOne rounds a pre-scaled value to the clamped int8 grid.
 func quantizeOne(v float32) int8 {
 	r := math.RoundToEven(float64(v))

@@ -112,12 +112,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Split derives an independent generator; useful for giving each parallel
-// worker or each dataset region its own stream.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xD1B54A32D192ED03)
-}
-
 // RandNormal fills a new tensor with N(0, std²) values.
 func RandNormal(r *RNG, std float64, shape ...int) *Tensor {
 	t := New(shape...)

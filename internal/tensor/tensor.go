@@ -11,7 +11,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"drainnas/internal/parallel"
 )
@@ -155,33 +154,6 @@ func (t *Tensor) Zero() {
 	for i := range t.data {
 		t.data[i] = 0
 	}
-}
-
-// Fill sets all elements to v in place.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
-// CopyFrom copies o's data into t. Shapes must match exactly.
-func (t *Tensor) CopyFrom(o *Tensor) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %v vs %v", t.shape, o.shape))
-	}
-	copy(t.data, o.data)
-}
-
-// HasNaN reports whether any element is NaN or infinite, a cheap sanity
-// check after a training step.
-func (t *Tensor) HasNaN() bool {
-	for _, v := range t.data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return true
-		}
-	}
-	return false
 }
 
 func cloneShape(shape []int) []int {
