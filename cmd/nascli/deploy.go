@@ -49,7 +49,7 @@ func deploymentFlags(fs *flag.FlagSet) *deployment {
 	fs.IntVar(&d.maxBatch, "load-max-batch", 8, "serving MaxBatch during the load drive")
 	fs.DurationVar(&d.maxDelay, "load-max-delay", 2*time.Millisecond, "serving MaxDelay during the load drive")
 	fs.IntVar(&d.queueCap, "load-queue", 256, "serving queue capacity during the load drive")
-	fs.StringVar(&d.url, "url", "", "drive a running servd/router tier at this base URL instead of an in-process server (the tier must already serve -model)")
+	fs.StringVar(&d.url, "url", "", "with -load: drive a running servd/router tier at this base URL instead of an in-process server (the tier must already serve -model)")
 	fs.StringVar(&d.model, "model", "", "model key to request in remote mode (default: the trained config's key)")
 	fs.StringVar(&d.apiKey, "api-key", "", "API key for a remote tier running with -keys")
 	fs.StringVar(&d.slo, "slo", "", "SLO class for remote requests through a router (batch, standard, interactive)")
@@ -58,15 +58,21 @@ func deploymentFlags(fs *flag.FlagSet) *deployment {
 }
 
 // wanted reports whether any flag on the parsed fs asks for the drill. A
-// load drive without clients would never hand out its requests, so it is
-// a usage error (exit 2) before anything prints.
+// load drive without clients would never hand out its requests, and a
+// remote tier is only contacted by a load drive, so either is a usage
+// error (exit 2) before anything prints.
 func (d *deployment) wanted(fs *flag.FlagSet) bool {
-	if d.requests > 0 && d.clients < 1 {
+	switch {
+	case d.requests > 0 && d.clients < 1:
 		fmt.Fprintf(fs.Output(), "invalid value %d for flag -load-clients: must be at least 1 with -load\n", d.clients)
-		fs.Usage()
-		os.Exit(2)
+	case d.url != "" && d.requests < 1:
+		fmt.Fprintf(fs.Output(), "invalid value %q for flag -url: needs -load above 0\n", d.url)
+	default:
+		return d.out != "" || d.requests > 0
 	}
-	return d.out != "" || d.requests > 0 || d.url != ""
+	fs.Usage()
+	os.Exit(2)
+	return false
 }
 
 // run exports model (trained on inputs standardized like splits), checks

@@ -76,7 +76,8 @@ func TestReproCheckPrintedTables(t *testing.T) {
 // corpus refuses one with exit status 2, names the flag, and prints
 // nothing on stdout — no banner announcing a corpus it would not make.
 // trainer refuses a load drive without clients, which would never hand
-// out its requests, the same way.
+// out its requests, and a -url without -load, which would never contact
+// the tier, the same way.
 func TestCorpusFlagsBelowOneAreUsageErrors(t *testing.T) {
 	bin := buildNascli(t)
 	for _, tc := range []struct {
@@ -89,6 +90,7 @@ func TestCorpusFlagsBelowOneAreUsageErrors(t *testing.T) {
 		{"-chip", []string{"trainer", "-chip", "0"}},
 		{"-scale", []string{"trainer", "-scale", "-1"}},
 		{"-load-clients", []string{"trainer", "-load", "3", "-load-clients", "0"}},
+		{"-url", []string{"trainer", "-url", "http://127.0.0.1:1"}},
 		{"-chip", []string{"-backend", "train", "-channels", "5", "-chip", "0"}},
 		{"-scale", []string{"-backend", "train", "-channels", "5", "-scale", "0"}},
 	} {
