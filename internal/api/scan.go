@@ -47,7 +47,9 @@ type ScanRequest struct {
 	Seed uint64 `json:"seed"`
 	// Order is the tile walk: "row-major" (default) or "hilbert".
 	Order string `json:"order,omitempty"`
-	// Window bounds in-flight tiles (the sliding window; default 8).
+	// Window bounds in-flight tiles (the sliding window; default 8). The
+	// walk's first tile runs alone; once it has been answered, up to
+	// Window tiles are in flight.
 	Window int `json:"window,omitempty"`
 	// MaxRetries bounds per-tile retries of retryable serving errors
 	// (queue_full, throttled, transport); default 3.

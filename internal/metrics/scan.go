@@ -12,9 +12,10 @@ import (
 // other stats sinks.
 type ScanStats struct {
 	mu sync.Mutex
-	// c is the snapshot's counters; Snapshot fills in TileLatency.
+	// c is the snapshot's counters; Snapshot fills in the histograms.
 	c           ScanSnapshot
 	tileLatency Histogram
+	firstTile   Histogram
 }
 
 // locked runs f under the lock; a nil sink runs nothing.
@@ -60,6 +61,11 @@ func (s *ScanStats) Tile(latency time.Duration, retries int, crossing bool) {
 	})
 }
 
+// FirstTile records one job's time from its start to its first tile event.
+func (s *ScanStats) FirstTile(d time.Duration) {
+	s.locked(func() { s.firstTile.Observe(d) })
+}
+
 // TileFailed records a tile that exhausted its retries.
 func (s *ScanStats) TileFailed(retries int) {
 	s.locked(func() {
@@ -81,6 +87,7 @@ type ScanSnapshot struct {
 	Crossings    uint64 `json:"crossings" prom:"drainnas_scan_crossings_total" help:"Tiles scored as drainage crossings."`
 
 	TileLatency HistogramSnapshot `json:"tile_latency" prom:"drainnas_scan_tile_latency_seconds" help:"Per-tile end-to-end latency."`
+	FirstTile   HistogramSnapshot `json:"first_tile" prom:"drainnas_scan_first_tile_seconds" help:"Per-job time from the scan's start to its first tile event."`
 }
 
 // Snapshot returns a consistent copy of the counters.
@@ -88,6 +95,7 @@ func (s *ScanStats) Snapshot() (snap ScanSnapshot) {
 	s.locked(func() {
 		snap = s.c
 		snap.TileLatency = s.tileLatency.Snapshot()
+		snap.FirstTile = s.firstTile.Snapshot()
 	})
 	return snap
 }

@@ -19,6 +19,8 @@ func TestScanStatsLifecycle(t *testing.T) {
 	s.Tile(2*time.Millisecond, 0, true)
 	s.Tile(4*time.Millisecond, 2, false)
 	s.TileFailed(3)
+	s.FirstTile(40 * time.Millisecond)
+	s.FirstTile(80 * time.Millisecond)
 
 	snap := s.Snapshot()
 	if snap.JobsStarted != 3 || snap.JobsCompleted != 1 || snap.JobsCanceled != 1 || snap.JobsFailed != 1 {
@@ -33,6 +35,9 @@ func TestScanStatsLifecycle(t *testing.T) {
 	if snap.TileLatency.Count != 2 || snap.TileLatency.Max != 4*time.Millisecond {
 		t.Fatalf("latency histogram %+v", snap.TileLatency)
 	}
+	if f := snap.FirstTile; f.Count != 2 || f.Min != 40*time.Millisecond || f.Max != 80*time.Millisecond {
+		t.Fatalf("first-tile histogram %+v", f)
+	}
 }
 
 func TestScanStatsNilSafe(t *testing.T) {
@@ -41,7 +46,8 @@ func TestScanStatsNilSafe(t *testing.T) {
 	s.JobFinished("done")
 	s.Tile(time.Millisecond, 1, true)
 	s.TileFailed(1)
-	if snap := s.Snapshot(); snap.Tiles != 0 || snap.JobsStarted != 0 {
+	s.FirstTile(time.Millisecond)
+	if snap := s.Snapshot(); snap.Tiles != 0 || snap.JobsStarted != 0 || snap.FirstTile.Count != 0 {
 		t.Fatalf("nil stats snapshot not empty: %+v", snap)
 	}
 }
@@ -75,6 +81,7 @@ func TestScanSnapshotWriteProm(t *testing.T) {
 	s := &ScanStats{}
 	s.JobStarted()
 	s.Tile(3*time.Millisecond, 1, true)
+	s.FirstTile(45 * time.Millisecond)
 	s.JobFinished("done")
 
 	var buf bytes.Buffer
@@ -90,6 +97,8 @@ func TestScanSnapshotWriteProm(t *testing.T) {
 		"drainnas_scan_tiles_total 1",
 		"drainnas_scan_crossings_total 1",
 		"drainnas_scan_tile_latency_seconds",
+		"drainnas_scan_first_tile_seconds_count 1",
+		"drainnas_scan_first_tile_seconds_sum 0.045",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

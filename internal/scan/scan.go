@@ -36,7 +36,8 @@ type Config struct {
 const retryBackoff = 5 * time.Millisecond
 
 // Run executes one whole-watershed scan: walk the grid in the requested
-// order, keep at most Req.Window tiles in flight, retry transient serving
+// order, classify the walk's first tile alone and then keep at most
+// Req.Window tiles in flight, retry transient serving
 // rejections per tile, and emit every event strictly in walk order through
 // emit (called sequentially from one goroutine; each event carries the
 // job document as of that event). Run returns the terminal job document:
@@ -90,11 +91,16 @@ func Run(ctx context.Context, cfg Config, emit func(api.ScanEvent, api.ScanJob))
 
 	results := make(chan tileOut)
 	sem := make(chan struct{}, req.Window)
+	firstIn := make(chan struct{}) // closed once walk cell 0 has reported
 	var admitErr error
 
 	// Dispatcher: acquire a window slot, pass the per-tile admission gate,
 	// launch the tile worker. Stops at cancellation; close(results) after
 	// every launched worker reported keeps the collector's range honest.
+	// The walk's first tile runs alone: a window's worth of tiles landing
+	// at once would put it in a full batch that shares the cores with the
+	// next one, so the first answer would wait on two batches. The window
+	// opens once it has reported, and its burst still fills whole batches.
 	go func() {
 		var wg sync.WaitGroup
 		defer func() {
@@ -125,6 +131,15 @@ func Run(ctx context.Context, cfg Config, emit func(api.ScanEvent, api.ScanJob))
 					results <- o
 				})
 			}(pos, c)
+			if pos == 0 {
+				select {
+				case <-firstIn:
+				case <-runCtx.Done():
+				}
+				if runCtx.Err() != nil {
+					return
+				}
+			}
 		}
 	}()
 
@@ -140,11 +155,14 @@ func Run(ctx context.Context, cfg Config, emit func(api.ScanEvent, api.ScanJob))
 	}
 	var fatal error
 	for r := range results {
+		if r.err != nil && fatal == nil {
+			fatal = r.err
+			cancel()
+		}
+		if r.pos == 0 {
+			close(firstIn)
+		}
 		if r.err != nil {
-			if fatal == nil {
-				fatal = r.err
-				cancel()
-			}
 			continue
 		}
 		buffer[r.pos] = r.tile
@@ -168,7 +186,11 @@ func Run(ctx context.Context, cfg Config, emit func(api.ScanEvent, api.ScanJob))
 				}
 				cfg.Stats.Tile(time.Duration(tile.LatencyMS*float64(time.Millisecond)), tile.Retries, crossing)
 			}
-			job.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+			elapsed := time.Since(start)
+			job.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
+			if next == 1 {
+				cfg.Stats.FirstTile(elapsed)
+			}
 			t := tile
 			emitEv(api.ScanEvent{Type: api.ScanEventTile, Tile: &t})
 			if (next%progressEvery == 0 && next < job.TotalTiles) || next == job.TotalTiles {

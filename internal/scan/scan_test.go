@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -388,4 +390,176 @@ func TestPositiveScore(t *testing.T) {
 	if s := PositiveScore([]float32{10}); s != 0 {
 		t.Fatalf("single logit scores %f, want 0", s)
 	}
+}
+
+// rampProbe records, through its classify backendFunc, how many calls are
+// in flight and whether any call started while walk cell 0's call was
+// still open. Once walk cell 0 has returned, every call blocks until the
+// count first reaches want, so a full window is seen on any scheduler.
+type rampProbe struct {
+	first []float32 // walk cell 0's chip
+	want  int
+	// onFirst, when set, answers walk cell 0's call instead of the
+	// heuristic.
+	onFirst func(ctx context.Context) (Result, error)
+
+	mu          sync.Mutex
+	calls       int
+	inFlight    int
+	maxInFlight int
+	firstDone   bool
+	early       int // calls that started before walk cell 0's returned
+	filled      bool
+	full        chan struct{}
+}
+
+func newRampProbe(t *testing.T, req api.ScanRequest, src *Source) *rampProbe {
+	t.Helper()
+	cells, err := Walk(req.Order, src.Grid.W, src.Grid.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rampProbe{first: src.ChipTensor(cells[0]).Data(), want: req.Window, full: make(chan struct{})}
+}
+
+func (p *rampProbe) classify(ctx context.Context, model string, input *tensor.Tensor) (Result, error) {
+	isFirst := slices.Equal(input.Data(), p.first)
+	p.mu.Lock()
+	p.calls++
+	if !isFirst && !p.firstDone {
+		p.early++
+	}
+	p.inFlight++
+	p.maxInFlight = max(p.maxInFlight, p.inFlight)
+	if p.firstDone && p.inFlight == p.want && !p.filled {
+		p.filled = true
+		close(p.full)
+	}
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.inFlight--
+		if isFirst {
+			p.firstDone = true
+		}
+		p.mu.Unlock()
+	}()
+	if isFirst {
+		if p.onFirst != nil {
+			return p.onFirst(ctx)
+		}
+		time.Sleep(2 * time.Millisecond) // long enough for a racing start to overlap
+	} else if p.want > 1 {
+		select {
+		case <-p.full:
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
+		case <-time.After(10 * time.Second):
+			return Result{}, errors.New("window never filled")
+		}
+	}
+	s := HeuristicScore(input)
+	return Result{Logits: scoreLogits(s), BatchSize: 1}, nil
+}
+
+// TestRunFirstTileAlone: the walk's first tile is classified alone, and
+// only after it returned does the window open to Req.Window tiles in
+// flight. The stream stays gapless and in walk order, a cancellation or a
+// fatal error while tile 0 is held submits nothing else, and Window 1 is
+// the plain sequential scan.
+func TestRunFirstTileAlone(t *testing.T) {
+	setup := func(t *testing.T, window int) (api.ScanRequest, *Source, *rampProbe) {
+		req := testReq(t)
+		req.Window = window
+		src, err := NewSource(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req, src, newRampProbe(t, req, src)
+	}
+	run := func(ctx context.Context, req api.ScanRequest, src *Source, p *rampProbe) (api.ScanJob, []api.ScanEvent, metrics.ScanSnapshot) {
+		stats := &metrics.ScanStats{}
+		var events []api.ScanEvent
+		job := Run(ctx, Config{Req: req, Model: req.Model, Backend: backendFunc(p.classify), Stats: stats, Source: src},
+			func(ev api.ScanEvent, _ api.ScanJob) { events = append(events, ev) })
+		return job, events, stats.Snapshot()
+	}
+
+	for _, window := range []int{4, 1} {
+		t.Run(fmt.Sprintf("window %d", window), func(t *testing.T) {
+			req, src, p := setup(t, window)
+			job, events, snap := run(context.Background(), req, src, p)
+			if job.State != api.ScanStateDone || job.DoneTiles != job.TotalTiles {
+				t.Fatalf("state %s (%s), %d/%d tiles", job.State, job.Error, job.DoneTiles, job.TotalTiles)
+			}
+			if p.early != 0 {
+				t.Fatalf("%d calls started before walk cell 0's call returned", p.early)
+			}
+			if p.maxInFlight != window {
+				t.Fatalf("max in flight %d, want the window %d", p.maxInFlight, window)
+			}
+			if p.calls != job.TotalTiles {
+				t.Fatalf("%d calls for %d tiles", p.calls, job.TotalTiles)
+			}
+			wantID := 0
+			for i, ev := range events {
+				if ev.Seq != i {
+					t.Fatalf("event %d has seq %d", i, ev.Seq)
+				}
+				if ev.Type == api.ScanEventTile {
+					if ev.Tile.ID != wantID {
+						t.Fatalf("tile event out of order: got id %d, want %d", ev.Tile.ID, wantID)
+					}
+					wantID++
+				}
+			}
+			if wantID != job.TotalTiles {
+				t.Fatalf("%d tile events, want %d", wantID, job.TotalTiles)
+			}
+			if snap.FirstTile.Count != 1 {
+				t.Fatalf("first-tile histogram count %d, want 1 per job", snap.FirstTile.Count)
+			}
+		})
+	}
+
+	t.Run("cancel while tile 0 is held", func(t *testing.T) {
+		req, src, p := setup(t, 4)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		p.onFirst = func(ctx context.Context) (Result, error) {
+			cancel()
+			<-ctx.Done()
+			return Result{}, ctx.Err()
+		}
+		job, events, snap := run(ctx, req, src, p)
+		if job.State != api.ScanStateCanceled {
+			t.Fatalf("state %s, want canceled", job.State)
+		}
+		for _, ev := range events {
+			if ev.Type == api.ScanEventTile {
+				t.Fatalf("tile event %d emitted from a scan canceled at tile 0", ev.Tile.ID)
+			}
+		}
+		if len(events) == 0 || events[len(events)-1].Type != api.ScanEventDone {
+			t.Fatal("canceled run must still emit the terminal event")
+		}
+		if p.calls != 1 || snap.FirstTile.Count != 0 {
+			t.Fatalf("%d calls and %d first-tile observations, want 1 and 0", p.calls, snap.FirstTile.Count)
+		}
+	})
+
+	t.Run("fatal error on tile 0", func(t *testing.T) {
+		req, src, p := setup(t, 4)
+		p.onFirst = func(context.Context) (Result, error) { return Result{}, serve.ErrModelNotFound }
+		job, events, _ := run(context.Background(), req, src, p)
+		if job.State != api.ScanStateFailed || job.Error == "" {
+			t.Fatalf("state %s (%q), want failed with an error", job.State, job.Error)
+		}
+		if p.calls != 1 {
+			t.Fatalf("%d tiles submitted after a fatal error on tile 0, want none", p.calls-1)
+		}
+		if len(events) != 1 || events[0].Type != api.ScanEventDone {
+			t.Fatalf("events %+v, want only the terminal event", events)
+		}
+	})
 }

@@ -9,9 +9,10 @@ import (
 
 // ScanWorkload describes a whole-watershed scan as a capsim arrival
 // stream: one model scanned tile by tile under one SLO class, paced the
-// way internal/scan's bounded sliding window paces it — the first Window
-// tiles arrive together, then one tile per Pace as completions free
-// window slots. Unlike the random workloads it uses no RNG: a spatial
+// way internal/scan's bounded sliding window paces it — the walk's first
+// tile arrives alone, the window's Window tiles arrive together one Pace
+// later (once it has been answered), then one tile per Pace as completions
+// free window slots. Window 1 is one tile per Pace throughout. Unlike the random workloads it uses no RNG: a spatial
 // scan is maximally correlated load, the exact opposite of Poisson
 // traffic, which is what makes it worth simulating against the same
 // batcher and router configuration.
@@ -20,8 +21,9 @@ type ScanWorkload struct {
 	Class  route.SLOClass
 	Tiles  int
 	Window int
-	// Pace is the assumed per-tile completion interval once the window is
-	// full (roughly the backend's batch-1 service time).
+	// Pace is the assumed per-tile completion interval: the first tile's
+	// service time, and the interval once the window is full (roughly the
+	// backend's batch-1 service time).
 	Pace time.Duration
 	// C, S are the chip channels and side (metadata in traces, like
 	// Client.C/H/W).
@@ -43,7 +45,11 @@ func (s ScanWorkload) Arrivals() ([]Arrival, error) {
 	out := make([]Arrival, 0, s.Tiles)
 	for i := 0; i < s.Tiles; i++ {
 		var at time.Duration
-		if i >= window {
+		switch {
+		case i == 0:
+		case i <= window:
+			at = s.Pace
+		default:
 			at = time.Duration(i-window+1) * s.Pace
 		}
 		out = append(out, Arrival{At: at, Model: s.Model, Class: s.Class, C: s.C, H: s.S, W: s.S})
