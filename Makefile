@@ -156,7 +156,8 @@ selectors:
 	check '$(IBENCH)' ./internal/infer && \
 	check '$(SBENCH_API)' ./internal/api && \
 	check '$(SBENCH_TIER)' ./internal/tenant && \
-	check '$(SBENCH_HOP)' ./cmd/servd
+	check '$(SBENCH_HOP)' ./cmd/servd && \
+	check '$(SBENCH_SCAN)' ./internal/scan
 
 # Short fuzz smoke runs: the container decoder and the runtime loader must
 # reject arbitrary input without panicking (and a small plan the loader
@@ -215,6 +216,7 @@ KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|Benchm
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$
+SBENCH_SCAN   = ^BenchmarkScanFirstTile$$
 IBENCH        = ^(BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8)|BenchmarkFront32Ops)$$
 
 # Appends one run record (ns/op + GFLOP/s per shape, plus machine/kernel
@@ -241,17 +243,22 @@ bench-infer:
 # Request-path ladder, one rung per serving layer with the model stubbed
 # out: predict-body decode (the single-pass scanner on a JSON number array
 # and on data_b64, beside the encoding/json decode it replaced), the tenant
-# tier around a no-op handler, and the router→servd hop over loopback.
+# tier around a no-op handler, and the router→servd hop over loopback; then
+# eight whole scan jobs in process with the real model (time to first tile,
+# tiles/s after it).
 # SERVE_NOTE is stored with the run and says what each timed region holds.
 SERVE_NOTE = ReadPredict*: body bytes in memory -> api.PredictRequest (read + decode; not Tensor(), no socket), \
 Stdlib = the json.Decoder decode both handlers ran before. TierWrapNoop: Tier.Wrap end to end (auth, quota, \
 ReadPredict, idle fair gate, audit line, stats) around an empty handler. HTTPReplicaLoopback/hop: HTTPReplica.Submit \
 (PredictFromTensor + api.Client.Predict: json.Marshal + POST over kept-alive loopback) + frontend.New over servd: access log, ReadPredict, Tensor(), \
-serve.Submit at max-batch 1 on a width-1 ResNet, answer encode + decode; /stub is that serve.Submit alone. Chips are 5xSxS.
+serve.Submit at max-batch 1 on a width-1 ResNet, answer encode + decode; /stub is that serve.Submit alone. Chips are 5xSxS. \
+ScanFirstTile: one scan.Run job (Nebraska 640, chip 100, stride 36, window 16, hilbert; synthesis included) over serve.Server \
+defaults on front32 fp32; first_tile_ms = Run start -> first tile event, tiles_per_s over the tiles after it.
 bench-serve:
 	{ $(GO) test -run='^$$' -bench '$(SBENCH_API)' -benchmem ./internal/api && \
 	  $(GO) test -run='^$$' -bench '$(SBENCH_TIER)' -benchmem ./internal/tenant && \
-	  $(GO) test -run='^$$' -bench '$(SBENCH_HOP)' -benchmem ./cmd/servd ; } \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_HOP)' -benchmem ./cmd/servd && \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_SCAN)' -benchtime=8x -benchmem ./internal/scan ; } \
 	  | $(GO) run ./cmd/benchjson -out BENCH_serve.json -note '$(SERVE_NOTE)'
 
 # CI stage: build the benchmarks and run each selected kernel benchmark once
@@ -263,6 +270,7 @@ bench-smoke:
 	  $(GO) test -run='^$$' -bench '$(IBENCH)' -benchtime=1x -benchmem ./internal/infer && \
 	  $(GO) test -run='^$$' -bench '$(SBENCH_API)' -benchtime=1x -benchmem ./internal/api && \
 	  $(GO) test -run='^$$' -bench '$(SBENCH_TIER)' -benchtime=1x -benchmem ./internal/tenant && \
-	  $(GO) test -run='^$$' -bench '$(SBENCH_HOP)' -benchtime=1x -benchmem ./cmd/servd ; } \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_HOP)' -benchtime=1x -benchmem ./cmd/servd && \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_SCAN)' -benchtime=1x -benchmem ./internal/scan ; } \
 	  | $(GO) run ./cmd/benchjson -out .bench_smoke.json -note ci-smoke
 	rm -f .bench_smoke.json
