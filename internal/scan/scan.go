@@ -37,10 +37,10 @@ const retryBackoff = 5 * time.Millisecond
 
 // Run executes one whole-watershed scan: walk the grid in the requested
 // order, classify the walk's first tile alone and then keep at most
-// Req.Window tiles in flight, retry transient serving
-// rejections per tile, and emit every event strictly in walk order through
-// emit (called sequentially from one goroutine; each event carries the
-// job document as of that event). Run returns the terminal job document:
+// Req.Window tiles in flight, retry transient serving rejections per
+// tile, and emit every event strictly in walk order through emit (called
+// sequentially from one goroutine; each event carries the job document
+// as of that event). Run returns the terminal job document:
 // done when every tile was classified, canceled when ctx expired mid-scan
 // (in-flight tiles drain first), failed on a fatal serving error or an
 // unbuildable source.

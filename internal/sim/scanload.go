@@ -11,11 +11,12 @@ import (
 // stream: one model scanned tile by tile under one SLO class, paced the
 // way internal/scan's bounded sliding window paces it — the walk's first
 // tile arrives alone, the window's Window tiles arrive together one Pace
-// later (once it has been answered), then one tile per Pace as completions
-// free window slots. Window 1 is one tile per Pace throughout. Unlike the random workloads it uses no RNG: a spatial
-// scan is maximally correlated load, the exact opposite of Poisson
-// traffic, which is what makes it worth simulating against the same
-// batcher and router configuration.
+// later (once it has been answered), then one tile per Pace as
+// completions free window slots; Window 1 is one tile per Pace
+// throughout. Unlike the random workloads it uses no RNG: a spatial scan
+// is maximally correlated load, the exact opposite of Poisson traffic,
+// which is what makes it worth simulating against the same batcher and
+// router configuration.
 type ScanWorkload struct {
 	Model  string
 	Class  route.SLOClass
