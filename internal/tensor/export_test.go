@@ -36,3 +36,10 @@ func ObserveScratch(fn func(bytes int)) (restore func()) {
 	scratchObserver = fn
 	return func() { scratchObserver = nil }
 }
+
+// forceWinograd runs every 3×3 stride-1 pad-1 convolution the AVX2 kernel
+// runs on the Winograd path, whatever its size, until restore runs.
+func forceWinograd() (restore func()) {
+	winoAnyShape = true
+	return func() { winoAnyShape = false }
+}

@@ -43,6 +43,28 @@ func poolRowF32(dst, m *float32, n, kernel, stride int)
 //go:noescape
 func storeTile(dst, src, join, bias *float32, dstStride, rows, n int, relu bool)
 
+// winoInput is the Winograd input transform (winograd.go) of up to eight
+// tiles of one tile row, every channel. src + off is column x0, row y0 of
+// channel 0, the top left of the first tile's 4×4 patch; the patch of tile
+// t starts 2t columns on, channel ch ch·hw further, and row r of the patch
+// is read where bit r of rows is set and is zero where it is clear. Of a
+// patch row's eighteen columns [x0, x0+18) those at [x0+lo, x0+hi) are read,
+// the rest are zero. Point ξ of channel ch lands at dst[ξ·xiStride +
+// 16·ch + t] for the n tiles t < n; nothing else is written.
+//
+//go:noescape
+func winoInput(dst, src *float32, off, w, hw, chans, xiStride, lo, hi, n, rows int)
+
+// winoOutput is the Winograd output transform and the conv epilogue of rows
+// output channels, up to eight tiles of one tile row: channel r reads point
+// ξ of tile t at m[96ξ + 16r + t], bias[r] and, when join is not nil,
+// join[r·ohw:] as dst is laid out, and writes the tiles' 2×2 outputs to
+// dst[r·ohw:] with store's arithmetic — the first cols values of output row
+// 0 and, when pairs is 2, of row 1, ow further on.
+//
+//go:noescape
+func winoOutput(dst, m, join, bias *float32, ohw, ow, rows, cols, pairs int, relu bool)
+
 // forwardAVX2 selects the kernels above; init sets it where the GEMM kernel
 // runs (AVX2 and FMA).
 var forwardAVX2 bool

@@ -19,3 +19,11 @@ func poolRowF32(dst, m *float32, n, kernel, stride int) { panic("tensor: no AVX2
 func storeTile(dst, src, join, bias *float32, dstStride, rows, n int, relu bool) {
 	panic("tensor: no AVX2 kernels off amd64")
 }
+
+func winoInput(dst, src *float32, off, w, hw, chans, xiStride, lo, hi, n, rows int) {
+	panic("tensor: no AVX2 kernels off amd64")
+}
+
+func winoOutput(dst, m, join, bias *float32, ohw, ow, rows, cols, pairs int, relu bool) {
+	panic("tensor: no AVX2 kernels off amd64")
+}

@@ -18,6 +18,7 @@ type PackedConv struct {
 	weight *Tensor // (OC, C, KH, KW); retained to keep wp.src reachable
 	bias   []float32
 	wp     *weightPack
+	wino   *winoPack // 3×3 stride-1 pad-1 only: the Winograd filters
 
 	oc, c, kh, kw int
 	stride, pad   int
@@ -40,12 +41,16 @@ func NewPackedConv(weight *Tensor, bias []float32, stride, pad int, relu bool) *
 	}
 	kdim := c * kh * kw
 	wmat := weight.Reshape(oc, kdim)
-	return &PackedConv{
+	pc := &PackedConv{
 		weight: weight, bias: bias,
 		wp: newWeightPack(wmat.data, kdim, oc, kdim),
 		oc: oc, c: c, kh: kh, kw: kw,
 		stride: stride, pad: pad, relu: relu,
 	}
+	if kh == 3 && kw == 3 && stride == 1 && pad == 1 {
+		pc.wino = newWinoPack(weight.data, oc, c)
+	}
+	return pc
 }
 
 // OutChannels returns the output channel count.
@@ -67,6 +72,13 @@ func (pc *PackedConv) Pad() int { return pc.pad }
 
 // HasReLU reports whether a ReLU epilogue is fused into the convolution.
 func (pc *PackedConv) HasReLU() bool { return pc.relu }
+
+// Winograd reports whether an H×W input runs on the Winograd F(2×2, 3×3)
+// path (winograd.go) rather than the direct one. The answer depends on the
+// layer's shape and the host's kernel alone, never on the batch.
+func (pc *PackedConv) Winograd(h, w int) bool {
+	return pc.wino != nil && winoTakes(pc.c, h, w)
+}
 
 // Weights returns the (OC, C, KH, KW) weight tensor. Callers must treat it
 // as read-only; the PTQ pass (internal/infer) reads it to derive the int8
@@ -99,6 +111,10 @@ func (pc *PackedConv) ForwardInto(out, input, join *Tensor) {
 	}
 	if join != nil && !join.SameShape(out) {
 		panic(fmt.Sprintf("tensor: PackedConv join shape %v, want %v", join.shape, out.shape))
+	}
+	if pc.Winograd(h, w) {
+		winoInto(out, input, pc.wino, pc.bias, pc.relu, join)
+		return
 	}
 	convInto(out, input, pc.wp, pc.bias, pc.relu, join, pc.kh, pc.kw, pc.stride, pc.pad)
 }
