@@ -180,7 +180,11 @@ selectors:
 # padding and float32 or int8 bit patterns, and the scan event stream
 # reader must end any byte stream in io.EOF or an error without panicking
 # and read back unchanged every event it decoded once json.Encoder has
-# written it again, as the scan handler writes its stream.
+# written it again, as the scan handler writes its stream, and the Winograd
+# convolution must land within its stated bound of the direct one, never
+# panic, and give a non-finite output wherever the direct one does, for any
+# channel counts from 1 to 24, map from 1x1 to 17x17, batch of 1 to 3, ReLU
+# and residual join on or off, and float32 bit patterns.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/onnxsize
@@ -195,6 +199,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzNormFloat64s -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzMaxPoolPlane -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzScanEventStream -fuzztime=$(FUZZTIME) ./internal/api
+	$(GO) test -run='^$$' -fuzz=FuzzWinogradConv -fuzztime=$(FUZZTIME) ./internal/tensor
 
 # Kernel benchmark selections: the micro-kernel alone, the deployed model's
 # convolution shapes with its stage entries, projections and the PaperSpace
@@ -235,10 +240,15 @@ bench-kernels:
 # batch 8, with -benchmem so allocs/op and B/op land in the record (the
 # arena claim is "steady-state allocs ≈ 0"), front32 at 5x100x100, fp32
 # and int8, batch 1/4/8, in ms per sample, and its fp32 forward op by op
-# (ms per forward per kind of op, batch 1 and 8).
+# (ms per forward per kind of op, batch 1 and 8; the Winograd convs under
+# kinds of their own). INFER_NOTE is stored with the run, as KERNEL_NOTE
+# is with bench-kernels, and reaches the recipe through the environment the
+# same way.
+INFER_NOTE ?=
+export INFER_NOTE
 bench-infer:
 	$(GO) test -run='^$$' -bench '$(IBENCH)' -benchmem ./internal/infer \
-	  | $(GO) run ./cmd/benchjson -out BENCH_infer.json
+	  | $(GO) run ./cmd/benchjson -out BENCH_infer.json -note "$$INFER_NOTE"
 
 # Request-path ladder, one rung per serving layer with the model stubbed
 # out: predict-body decode (the single-pass scanner on a JSON number array

@@ -186,8 +186,10 @@ func BenchmarkFront32Int8Batch8(b *testing.B) { benchFront32(b, true, 8) }
 // through a warm session, and reports the milliseconds per forward each
 // kind of op takes: the stem conv, the other stride-2 convs (stage entries
 // and projections), the stride-1 convs, the convs that run a residual join
-// in their epilogue, the max pool, the joins left to run on their own, and
-// the head (global pool and classifier).
+// in their epilogue — each of those two on the Winograd path (conv_wino,
+// conv_wino_join) or the direct one (conv_s1, conv_join) — the max pool,
+// the joins left to run on their own, and the head (global pool and
+// classifier).
 func BenchmarkFront32Ops(b *testing.B) {
 	plan := front32Plan(b, false)
 	for _, batch := range []int{1, 8} {
@@ -200,13 +202,19 @@ func BenchmarkFront32Ops(b *testing.B) {
 			ar := sess.arenas[arenaKey{n: batch, h: 100, w: 100}]
 			kinds := make([]string, len(plan.ops))
 			for idx, op := range plan.ops {
+				in := ar.value(op.in, x)
+				wino := op.kind == opConv && op.conv.Winograd(in.Dim(2), in.Dim(3))
 				switch {
 				case idx == 0:
 					kinds[idx] = "stem"
+				case op.kind == opConv && op.joinOut != 0 && wino:
+					kinds[idx] = "conv_wino_join"
 				case op.kind == opConv && op.joinOut != 0:
 					kinds[idx] = "conv_join"
 				case op.kind == opConv && op.conv.Stride() == 2:
 					kinds[idx] = "conv_s2"
+				case wino:
+					kinds[idx] = "conv_wino"
 				case op.kind == opConv:
 					kinds[idx] = "conv_s1"
 				case op.kind == opMaxPool:
