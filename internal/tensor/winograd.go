@@ -109,13 +109,15 @@ func (wp *winoPack) panels() {
 		wp.kc = (wp.c + wp.kBlocks - 1) / wp.kBlocks
 		wp.buf = make([]float32, wp.rowTiles*winoPoints*wp.kBlocks*wp.kc*mr)
 		var u [winoPoints]float32
+		xiStride := wp.slot(0, 1, 0)
 		for o := 0; o < wp.oc; o++ {
 			rt, ir := o/mr, o%mr
 			for ch := 0; ch < wp.c; ch++ {
 				winoFilter(&u, wp.src[(o*wp.c+ch)*9:(o*wp.c+ch)*9+9])
-				kb, kk := ch/wp.kc, ch%wp.kc
-				for xi, v := range u {
-					wp.buf[wp.slot(rt, xi, kb)+kk*mr+ir] = v
+				at := wp.slot(rt, 0, ch/wp.kc) + ch%wp.kc*mr + ir
+				for _, v := range u {
+					wp.buf[at] = v
+					at += xiStride
 				}
 			}
 		}
