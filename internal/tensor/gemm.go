@@ -4,8 +4,10 @@ package tensor
 //
 // Every float multiply in the package — a convolution forward, both halves
 // of its backward, a fully connected head as a 1×1 convolution — runs on one
-// driver, convInto and its panel packers (convpanel.go, convgrad.go). What it
-// shares lives here:
+// driver, convInto and its panel packers (convpanel.go, convgrad.go); the
+// one exception, the Winograd forward's sixteen transform-domain GEMMs
+// (winograd.go), walks tiles in place of pixels on the same parts. What
+// they share lives here:
 //
 //   - the micro-kernel, selected at init: an AVX2+FMA 6×16 assembly kernel
 //     on capable amd64 hardware (see gemm_amd64.s), otherwise a pure-Go 4×4

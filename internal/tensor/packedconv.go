@@ -9,7 +9,10 @@ import "fmt"
 // convolution epilogue. It is the execution unit of compiled inference plans
 // (internal/infer), where the same weights run on every request: with a
 // per-call Conv2D the sync.Once pack amortizes only across one batch, while
-// a PackedConv amortizes it across the process lifetime.
+// a PackedConv amortizes it across the process lifetime. A 3×3 stride-1
+// pad-1 convolution runs on Winograd F(2×2, 3×3) instead wherever the
+// shape rule admits it (see Winograd and winograd.go), its filters
+// transformed on the first such call and kept the same way.
 //
 // A PackedConv is immutable after construction and safe for concurrent use.
 // The weight tensor (and bias slice) must not be modified afterwards — the
@@ -48,7 +51,7 @@ func NewPackedConv(weight *Tensor, bias []float32, stride, pad int, relu bool) *
 		stride: stride, pad: pad, relu: relu,
 	}
 	if kh == 3 && kw == 3 && stride == 1 && pad == 1 {
-		pc.wino = newWinoPack(weight.data, oc, c)
+		pc.wino = &winoPack{src: weight.data, oc: oc, c: c}
 	}
 	return pc
 }

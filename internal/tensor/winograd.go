@@ -95,10 +95,6 @@ type winoPack struct {
 	kc       int // channels per block, the last may have fewer; a slot's k extent
 }
 
-func newWinoPack(src []float32, oc, c int) *winoPack {
-	return &winoPack{src: src, oc: oc, c: c}
-}
-
 // panels transforms and packs the filters on first use. The buffer is the
 // plan's for good, so it comes from the heap, not the scratch pools.
 func (wp *winoPack) panels() {
