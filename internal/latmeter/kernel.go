@@ -111,9 +111,11 @@ func (k Kernel) Bytes() float64 {
 // GEMM beat the AVX2 float kernel (BENCH_infer.json run 2:
 // quantized/compiled ns/op = 0.58 at batch 1 and 0.64 at batch 8; 0.6
 // splits the difference). It no longer matches the measurement: in
-// BENCH_infer.json run 9, front32 at 5×100×100 runs int8/fp32 = 1.52 per
-// sample at batch 1 and 1.62 at batch 8, so int8 is slower, not 1.67×
-// faster. Re-fitting it, or deleting the int8 tier, is ROADMAP item 2; the
+// BENCH_infer.json run 11, with the fp32 plans' stride-1 3×3 convolutions
+// on Winograd F(2×2, 3×3), front32 at 5×100×100 runs int8/fp32 = 1.79 per
+// sample at batch 1 and 2.33 at batch 8 (1.45 and 2.01 for the direct fp32
+// path of run 10, its parent, on the same box), so int8 is slower, not
+// 1.67× faster. Re-fitting it, or deleting the int8 tier, is ROADMAP item 2; the
 // value stays until then because the router's SJF seeds, capsim and
 // scan -device read it. Dispatch overhead is precision-independent, so the
 // scale applies to kernel work only — see Device.LatencyMS.
