@@ -51,9 +51,9 @@ const (
 	// winoMinC is the rule's channel threshold. Below eight input channels
 	// (the PaperSpace stems have five or seven) each of the sixteen
 	// multiplies is a few k steps long, the transforms weigh as much as the
-	// multiplies, and BenchmarkConvPlanShapes measured 1.0–1.45× over the
-	// direct path, inside its run-to-run spread; from eight on it measured
-	// 1.6× and up (DESIGN §8).
+	// multiplies, and the paired runs behind DESIGN §8's table measured
+	// 1.0–1.45× over the direct path, inside the box's run-to-run spread;
+	// from eight on they measured about 1.6× and up.
 	winoMinC = 8
 )
 
