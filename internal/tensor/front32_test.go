@@ -16,32 +16,31 @@ import (
 
 // TestConvScratchBoundedByColumnBlock runs the deployed model shape (front32,
 // the paper's Table 4 front) at 5×100×100 in a batch of eight, both
-// precisions, and the stock ResNet-18 in fp32 the same way, and watches
+// precisions, and the stock ResNet-18 in fp32 at 5×192×192, and watches
 // every scratch request the forward makes. None may scale with a whole
 // sample's lowered columns or channels: the largest thing a convolution
 // takes from the pools is one packed column block per worker, inside the
 // block budget — where a materialised im2col of one stage-1 sample alone
 // (288 taps × 625 pixels of float32) would be 720 KB, and a Winograd block
-// of the stock model's 512 channels uncut (16 points × 512 × 16 lanes of
-// float32) 512 KiB.
-//
-// The stock model's 3×3 convolutions over 512 channels run on 4×4 maps,
-// under the Winograd rule's, so they stay direct, and a single direct
-// column panel of theirs (4,608 taps × 16 lanes of float32, 288 KiB) is
-// already over the budget: the stock plan is held to that panel instead.
+// of 512 channels uncut (16 points × 512 × 16 lanes of float32) 512 KiB.
+// At 192² the stock model's 512-channel 3×3 convolutions run on 6×6 maps,
+// so they take the Winograd path; at 100² their 4×4 maps keep them direct,
+// where a single column panel of theirs (4,608 taps × 16 lanes, 288 KiB)
+// is over the budget by itself.
 func TestConvScratchBoundedByColumnBlock(t *testing.T) {
 	cfg, plan, qplan := front32Plans(t)
 	x := tensor.RandNormal(tensor.NewRNG(9), 1, 8, cfg.Channels, 100, 100)
 	stock := stockPlan(t)
+	xs := tensor.RandNormal(tensor.NewRNG(9), 1, 8, cfg.Channels, 192, 192)
 	// The stock plan's first forward packs its weights for good, from the
 	// same pools; the forward watched is its second.
-	if _, err := stock.NewSession().Forward(x); err != nil {
+	if _, err := stock.NewSession().Forward(xs); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		p     *infer.Plan
-		bound int
-	}{{plan, tensor.ConvBlockBytes}, {qplan, tensor.ConvBlockBytes}, {stock, 4 * 512 * 9 * 16}} {
+		p *infer.Plan
+		x *tensor.Tensor
+	}{{plan, x}, {qplan, x}, {stock, xs}} {
 		p := c.p
 		var largest, requests atomic.Int64
 		restore := tensor.ObserveScratch(func(n int) {
@@ -53,7 +52,7 @@ func TestConvScratchBoundedByColumnBlock(t *testing.T) {
 				}
 			}
 		})
-		_, err := p.NewSession().Forward(x)
+		_, err := p.NewSession().Forward(c.x)
 		restore()
 		if err != nil {
 			t.Fatal(err)
@@ -61,8 +60,8 @@ func TestConvScratchBoundedByColumnBlock(t *testing.T) {
 		if requests.Load() == 0 {
 			t.Fatalf("%s: the forward made no scratch request; the observer is not wired", p.Precision())
 		}
-		if got := largest.Load(); got > int64(c.bound) {
-			t.Fatalf("%s: largest scratch request %d bytes, over the %d-byte column block budget", p.Precision(), got, c.bound)
+		if got := largest.Load(); got > tensor.ConvBlockBytes {
+			t.Fatalf("%s: largest scratch request %d bytes, over the %d-byte column block budget", p.Precision(), got, tensor.ConvBlockBytes)
 		}
 	}
 }
