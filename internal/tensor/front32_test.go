@@ -161,3 +161,51 @@ func TestCompiledPlanLogitsPinned(t *testing.T) {
 		check()
 	}
 }
+
+// TestStockInt8LogitsPinned holds the quantized stock ResNet-18 (weight seed
+// 7, calibrated by QuantizeSynthetic(100)) to the bits of its logits at
+// 5×100×100 in batches of one and eight. Its layers reach what front32's
+// int8 pin does not: the 7×7 stride-2 stem, the 128- to 512-channel k-quads
+// and the 4×4 maps, whose runs start and end within a panel's read of the
+// batch's edges. The plan is compiled under the active fp32 kernel, which
+// calibrates it, so the pin is keyed by that kernel's name as the front32
+// one is; the int8 kernels are exact, so which of them runs does not move
+// a bit.
+func TestStockInt8LogitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the pinned bits are amd64's: other ports may fuse multiply-adds in the Go kernels")
+	}
+	if tensor.RaceEnabled {
+		t.Skip("bits, not races: the plain run pins them")
+	}
+	hash := func() uint64 {
+		qplan, err := stockPlan(t).QuantizeSynthetic(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, batch := range []int{1, 8} {
+			x := tensor.RandNormal(tensor.NewRNG(uint64(100+batch)), 1, batch, 5, 100, 100)
+			logits, err := qplan.NewSession().Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range logits.Data() {
+				b := math.Float32bits(v)
+				h.Write([]byte{byte(b), byte(b >> 8), byte(b >> 16), byte(b >> 24)})
+			}
+		}
+		return h.Sum64()
+	}
+	want := map[string]uint64{"avx2-6x16": 0x87477860c4637fe9, "scalar-4x4": 0xcd37bc05c48eddf4}
+	check := func() {
+		if got := hash(); got != want[tensor.GemmKernelName()] {
+			t.Errorf("%s: stock int8 logits hash %#x, pinned %#x", tensor.GemmKernelName(), got, want[tensor.GemmKernelName()])
+		}
+	}
+	check()
+	if tensor.GemmKernelName() != "scalar-4x4" {
+		defer tensor.ForceScalarKernel()()
+		check()
+	}
+}
