@@ -184,7 +184,13 @@ selectors:
 # convolution must land within its stated bound of the direct one, never
 # panic, and give a non-finite output wherever the direct one does, for any
 # channel counts from 1 to 24, map from 1x1 to 17x17, batch of 1 to 3, ReLU
-# and residual join on or off, and float32 bit patterns.
+# and residual join on or off, and float32 bit patterns, and the int8
+# convolution must equal its integer reference byte for byte at one worker
+# and at five, and its AVX2 pack, requantize epilogue, quantizer and
+# residual add their Go loops, for any batch of 1 to 3, channel counts from
+# 1 to 24, map from 1x1 to 20x20, kernel 1, 3 or 7, stride 1 or 2, padding
+# up to 3, ReLU on or off, and float32 bit patterns for the values and
+# scales.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) ./internal/onnxsize
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/onnxsize
@@ -200,10 +206,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMaxPoolPlane -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzScanEventStream -fuzztime=$(FUZZTIME) ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzWinogradConv -fuzztime=$(FUZZTIME) ./internal/tensor
+	$(GO) test -run='^$$' -fuzz=FuzzQuantizedConv -fuzztime=$(FUZZTIME) ./internal/tensor
 
 # Kernel benchmark selections: the micro-kernel alone, the deployed model's
 # convolution shapes with its stage entries, projections and the PaperSpace
-# stems (front32 at 5x100x100, batch 1 and 8), its max pool (fp32 and int8,
+# stems (front32 at 5x100x100, batch 1 and 8; fp32 and, in the /int8
+# rows, int8), its max pool (fp32 and int8,
 # batch 1 and 8), the convolutions' backward (at 32x32 batch 16, what NAS
 # trains, and 100x100 batch 8), the conv/training
 # ablations, one surrogate-sweep trial measurement (core.Measure over the
@@ -222,7 +230,7 @@ SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkRead
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$
 SBENCH_SCAN   = ^BenchmarkScanFirstTile$$
-IBENCH        = ^(BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8)|BenchmarkFront32Ops)$$
+IBENCH        = ^(BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8)|BenchmarkStock(FP32|Int8)Batch1|BenchmarkFront32Ops)$$
 
 # Appends one run record (ns/op + GFLOP/s per shape, plus machine/kernel
 # metadata) to the checked-in BENCH_kernels.json trajectory; KERNEL_NOTE is
@@ -239,7 +247,8 @@ bench-kernels:
 # Compiled-plan inference trajectory: fp32 and int8 forwards at batch 1 and
 # batch 8, with -benchmem so allocs/op and B/op land in the record (the
 # arena claim is "steady-state allocs ≈ 0"), front32 at 5x100x100, fp32
-# and int8, batch 1/4/8, in ms per sample, and its fp32 forward op by op
+# and int8, batch 1/4/8, in ms per sample, the stock ResNet-18 at the same
+# size, fp32 and int8 at batch 1, and front32's fp32 forward op by op
 # (ms per forward per kind of op, batch 1 and 8; the Winograd convs under
 # kinds of their own). INFER_NOTE is stored with the run, as KERNEL_NOTE
 # is with bench-kernels, and reaches the recipe through the environment the

@@ -136,8 +136,12 @@ var front32Config = resnet.Config{
 
 // front32Plan compiles front32 with the weights of seed 7, quantized for
 // 100² chips when int8 is set.
-func front32Plan(b *testing.B, int8 bool) *Plan {
-	m, err := resnet.New(front32Config, tensor.NewRNG(7))
+func front32Plan(b *testing.B, int8 bool) *Plan { return modelPlan(b, front32Config, int8) }
+
+// modelPlan compiles the model of cfg with the weights of seed 7, quantized
+// for 100² chips when int8 is set.
+func modelPlan(b *testing.B, cfg resnet.Config, int8 bool) *Plan {
+	m, err := resnet.New(cfg, tensor.NewRNG(7))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -159,9 +163,12 @@ func front32Plan(b *testing.B, int8 bool) *Plan {
 
 // benchFront32 times warm-session forwards of front32 at 5×100×100 and
 // reports the per-sample time, the number a batch has to beat.
-func benchFront32(b *testing.B, int8 bool, batch int) {
-	sess := front32Plan(b, int8).NewSession()
-	x := tensor.RandNormal(tensor.NewRNG(9), 1, batch, front32Config.Channels, 100, 100)
+func benchFront32(b *testing.B, int8 bool, batch int) { benchModel(b, front32Config, int8, batch) }
+
+// benchModel is benchFront32 for the model of cfg.
+func benchModel(b *testing.B, cfg resnet.Config, int8 bool, batch int) {
+	sess := modelPlan(b, cfg, int8).NewSession()
+	x := tensor.RandNormal(tensor.NewRNG(9), 1, batch, cfg.Channels, 100, 100)
 	if _, err := sess.Forward(x); err != nil {
 		b.Fatal(err)
 	}
@@ -181,6 +188,13 @@ func BenchmarkFront32FP32Batch8(b *testing.B) { benchFront32(b, false, 8) }
 func BenchmarkFront32Int8Batch1(b *testing.B) { benchFront32(b, true, 1) }
 func BenchmarkFront32Int8Batch4(b *testing.B) { benchFront32(b, true, 4) }
 func BenchmarkFront32Int8Batch8(b *testing.B) { benchFront32(b, true, 8) }
+
+// The stock ResNet-18 (width 64, 7×7 stride-2 stem) at 5×100×100, the
+// other model predict_closed serves at both precisions: its int8 forward
+// runs the stem, the 128- to 512-channel convolutions and the 4×4 maps
+// that front32 does not have.
+func BenchmarkStockFP32Batch1(b *testing.B) { benchModel(b, resnet.StockResNet18(5, 16), false, 1) }
+func BenchmarkStockInt8Batch1(b *testing.B) { benchModel(b, resnet.StockResNet18(5, 16), true, 1) }
 
 // BenchmarkFront32Ops times an fp32 front32 forward at 5×100×100 op by op,
 // through a warm session, and reports the milliseconds per forward each

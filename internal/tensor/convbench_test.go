@@ -35,10 +35,13 @@ var planShapes = []struct {
 
 // BenchmarkConvPlanShapes runs each shape through a warm PackedConv
 // (weights packed, bias and ReLU fused, output reused) — the call a compiled
-// plan makes per layer — alone and in a batch of eight.
+// plan makes per layer — alone and in a batch of eight, and then the same
+// through a warm QuantizedConv on the input quantized (the /int8 rows, in
+// GOP/s on the same direct count of multiply-adds).
 func BenchmarkConvPlanShapes(b *testing.B) {
 	for _, s := range planShapes {
 		for _, batch := range []int{1, 8} {
+			ops := 2 * float64(batch*s.outSide*s.outSide) * float64(s.oc) * float64(s.c*s.kernel*s.kernel)
 			b.Run(fmt.Sprintf("%s/batch%d", s.name, batch), func(b *testing.B) {
 				r := NewRNG(7)
 				x := RandNormal(r, 1, batch, s.c, s.side, s.side)
@@ -49,8 +52,22 @@ func BenchmarkConvPlanShapes(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					pc.ForwardInto(out, x, nil)
 				}
-				flops := 2 * float64(batch*s.outSide*s.outSide) * float64(s.oc) * float64(s.c*s.kernel*s.kernel)
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+				b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+			})
+			b.Run(fmt.Sprintf("%s/batch%d/int8", s.name, batch), func(b *testing.B) {
+				r := NewRNG(7)
+				xf := RandNormal(r, 1, batch, s.c, s.side, s.side).Data()
+				inScale := ActScale(MaxAbs(xf))
+				x := make([]int8, len(xf))
+				QuantizeInto(x, xf, inScale)
+				qc := NewQuantizedConv(RandNormal(r, 0.05, s.oc, s.c, s.kernel, s.kernel), RandNormal(r, 0.1, s.oc).Data(), s.stride, s.pad, true, inScale, 0.05)
+				out := make([]int8, batch*s.oc*s.outSide*s.outSide)
+				qc.ForwardInto(out, x, batch, s.side, s.side)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					qc.ForwardInto(out, x, batch, s.side, s.side)
+				}
+				b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gops")
 			})
 		}
 	}

@@ -43,3 +43,12 @@ func forceWinograd() (restore func()) {
 	winoAnyShape = true
 	return func() { winoAnyShape = false }
 }
+
+// forceGoQuant runs the int8 forward's pack, requantize epilogue, QAddInto
+// and QuantizeInto as their Go loops, the AVX2 kernels' oracles, until
+// restore runs. Not safe to call while kernels are running.
+func forceGoQuant() (restore func()) {
+	prev := qForwardAVX2
+	qForwardAVX2 = false
+	return func() { qForwardAVX2 = prev }
+}

@@ -16,8 +16,8 @@ import (
 
 // TestConvScratchBoundedByColumnBlock runs the deployed model shape (front32,
 // the paper's Table 4 front) at 5×100×100 in a batch of eight, both
-// precisions, and the stock ResNet-18 in fp32 at 5×192×192, and watches
-// every scratch request the forward makes. None may scale with a whole
+// precisions, the stock ResNet-18 in fp32 at 5×192×192 and in int8 at
+// 5×100×100, and watches every scratch request the forward makes. None may scale with a whole
 // sample's lowered columns or channels: the largest thing a convolution
 // takes from the pools is one packed column block per worker, inside the
 // block budget — where a materialised im2col of one stage-1 sample alone
@@ -26,21 +26,30 @@ import (
 // At 192² the stock model's 512-channel 3×3 convolutions run on 6×6 maps,
 // so they take the Winograd path; at 100² their 4×4 maps keep them direct,
 // where a single column panel of theirs (4,608 taps × 16 lanes, 288 KiB)
-// is over the budget by itself.
+// is over the budget by itself. In int8 the same panel is 4,608 taps × 16
+// lanes of one byte, 72 KiB, and the quad packer must keep its blocks
+// inside the budget too.
 func TestConvScratchBoundedByColumnBlock(t *testing.T) {
 	cfg, plan, qplan := front32Plans(t)
 	x := tensor.RandNormal(tensor.NewRNG(9), 1, 8, cfg.Channels, 100, 100)
 	stock := stockPlan(t)
 	xs := tensor.RandNormal(tensor.NewRNG(9), 1, 8, cfg.Channels, 192, 192)
-	// The stock plan's first forward packs its weights for good, from the
-	// same pools; the forward watched is its second.
+	qstock, err := stock.QuantizeSynthetic(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stock plans' first forwards pack their weights for good, from the
+	// same pools; the forward watched is their second.
 	if _, err := stock.NewSession().Forward(xs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qstock.NewSession().Forward(x); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		p *infer.Plan
 		x *tensor.Tensor
-	}{{plan, x}, {qplan, x}, {stock, xs}} {
+	}{{plan, x}, {qplan, x}, {stock, xs}, {qstock, x}} {
 		p := c.p
 		var largest, requests atomic.Int64
 		restore := tensor.ObserveScratch(func(n int) {

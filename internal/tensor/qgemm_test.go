@@ -174,6 +174,16 @@ func TestQuantizedConvMatchesIntegerReference(t *testing.T) {
 		// 1×1 output whose receptive field does NOT cover the input (stride
 		// overshoot).
 		{"conv3x3-s9-on-9x9", 4, 3, 3, 3, 9, 0, false, 1, 9, 9},
+		// Runs that start mid-panel: stride-2 output rows of 6 pixels.
+		{"conv3x3-s2-runs-mid-panel", 7, 6, 3, 3, 2, 1, true, 2, 10, 11},
+		// Panels that cross samples: 25-pixel samples in a batch of three.
+		{"conv3x3-panels-cross-samples", 5, 9, 3, 3, 1, 1, false, 3, 5, 5},
+		// Runs whose 16-byte tap reads would end past the input.
+		{"pointwise-ends-within-16", 6, 3, 1, 1, 1, 0, false, 1, 5, 5},
+		{"conv3x3-ends-within-16", 5, 4, 3, 3, 1, 1, true, 2, 6, 7},
+		// Runs whose 32-byte stride-2 reads would end past the input.
+		{"pointwise-s2-ends-within-32", 6, 3, 1, 1, 2, 0, false, 2, 9, 9},
+		{"conv7x7-s2-ends-within-32", 4, 3, 7, 7, 2, 3, true, 1, 12, 12},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

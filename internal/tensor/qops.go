@@ -13,7 +13,8 @@ import (
 // clamped below at 0 (fused ReLU). ra and rb are the precomputed scale
 // ratios sa/so and sb/so that re-express both addends on the output scale —
 // the residual Add of a quantized plan, where the two branches generally
-// carry different activation scales. dst may alias a or b.
+// carry different activation scales. dst may alias a or b. Under AVX2,
+// qaddBlocks does sixteen values a step and the loop only the tail.
 func QAddInto(dst, a, b []int8, ra, rb float32, relu bool) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic(fmt.Sprintf("tensor: QAddInto length mismatch %d %d %d", len(dst), len(a), len(b)))
@@ -22,7 +23,12 @@ func QAddInto(dst, a, b []int8, ra, rb float32, relu bool) {
 	if relu {
 		lo = 0
 	}
-	for i := range dst {
+	i := 0
+	if n := len(dst) &^ 15; qForwardAVX2 && n > 0 {
+		qaddBlocks(&dst[0], &a[0], &b[0], n, ra, rb, float32(lo))
+		i = n
+	}
+	for ; i < len(dst); i++ {
 		v := math.RoundToEven(float64(ra*float32(a[i]) + rb*float32(b[i])))
 		if v < lo {
 			v = lo

@@ -56,13 +56,20 @@ func sanitizeScale(scale float32) float32 {
 
 // QuantizeInto quantizes src into dst: dst[i] = clamp(round(src[i]/scale))
 // in [-QActMax, QActMax]. Lengths must match. NaN inputs quantize to 0.
+// Under AVX2, quantizeBlocks does sixteen values a step and the loop only
+// the tail.
 func QuantizeInto(dst []int8, src []float32, scale float32) {
 	if len(dst) != len(src) {
 		panic("tensor: QuantizeInto length mismatch")
 	}
 	inv := 1 / sanitizeScale(scale)
-	for i, v := range src {
-		dst[i] = quantizeOne(v * inv)
+	i := 0
+	if n := len(src) &^ 15; qForwardAVX2 && n > 0 {
+		quantizeBlocks(&dst[0], &src[0], n, inv)
+		i = n
+	}
+	for ; i < len(src); i++ {
+		dst[i] = quantizeOne(src[i] * inv)
 	}
 }
 

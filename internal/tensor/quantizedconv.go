@@ -155,8 +155,10 @@ func (j *qconvCall) run(b, grp int) {
 	packQPanels(block, j.in, &j.g, pLo*qNR, pHi*qNR, masks)
 	scratchI32.put(masks)
 	// The tile accumulator comes from the scratch pool: qKernel is a func
-	// variable, so a local array would escape on every call.
-	cbuf := scratchI32.get(qMR * qNR)
+	// variable, so a local array would escape on every call. Its spare row
+	// is room for qstoreTile, which reads all sixteen lanes of a row from
+	// wherever a stretch starts.
+	cbuf := scratchI32.get((qMR + 1) * qNR)
 	if j.grid.rowOuter {
 		for rt := rtLo; rt < rtHi; rt++ {
 			for p := pLo; p < pHi; p++ {
@@ -190,28 +192,38 @@ func (j *qconvCall) tile(rt, p int, bp []uint8, cbuf []int32) {
 	if total := g.n * px; end > total {
 		end = total
 	}
+	lo := float32(-QActMax)
+	if qc.relu {
+		lo = 0
+	}
 	for col < end {
 		s, pix, n := g.stretch(col, end)
 		lane := col - p*qNR
-		for r := 0; r < rows; r++ {
-			o := rt*qMR + r
-			mult, addend, co := qc.mult[o], qc.add[o], qc.comp[o]
-			trow := cbuf[r*qNR+lane : r*qNR+lane+n]
-			off := (s*qa.m+o)*px + pix
-			dst := j.out[off : off+n]
-			// The clamps are min/max, not branches: after a ReLU-bound layer
-			// half the values are negative, and a compare-and-jump per value
-			// mispredicts on every other one.
-			lo := float64(-QActMax)
-			if qc.relu {
-				lo = 0
-			}
-			for jj, acc := range trow {
-				v := math.RoundToEven(float64(mult*float32(acc-co) + addend))
-				dst[jj] = int8(min(max(v, lo), QActMax))
+		at := (s*qa.m+rt*qMR)*px + pix
+		if qForwardAVX2 {
+			o := rt * qMR
+			qstoreTile(&j.out[at], &cbuf[lane], &qc.comp[o], &qc.mult[o], &qc.add[o], px, rows, n, lo)
+		} else {
+			for r := 0; r < rows; r++ {
+				j.storeRow(j.out[at+r*px:at+r*px+n], cbuf[r*qNR+lane:r*qNR+lane+n], rt*qMR+r, float64(lo))
 			}
 		}
 		col += n
+	}
+}
+
+// storeRow is the fused requantize epilogue of output channel o with the
+// lower clamp lo (0 under ReLU): the path without AVX2 and qstoreTile's
+// oracle, which rounds at the same points eight lanes at a time.
+func (j *qconvCall) storeRow(dst []int8, src []int32, o int, lo float64) {
+	qc := j.qc
+	mult, addend, co := qc.mult[o], qc.add[o], qc.comp[o]
+	// The clamps are min/max, not branches: after a ReLU-bound layer half
+	// the values are negative, and a compare-and-jump per value mispredicts
+	// on every other one.
+	for i, acc := range src {
+		v := math.RoundToEven(float64(mult*float32(acc-co) + addend))
+		dst[i] = int8(min(max(v, lo), QActMax))
 	}
 }
 
@@ -223,10 +235,43 @@ func (j *qconvCall) tile(rt, p int, bp []uint8, cbuf []int32) {
 // caller-provided scratch of kh·kw values.
 //
 // Packing is the per-forward cost of the int8 path (weights pack once,
-// activations on every call), so the loop works a whole k-quad at a time:
-// the four taps of a column land as one dword store, with the +128 offset
-// folded in as a single 32-bit XOR, instead of four stride-4 byte stores.
+// activations on every call). Under AVX2, packQRun moves each column run:
+// per k-quad, four 16-byte tap reads (32-byte at stride 2, evens kept),
+// padding lanes cleared by a mask, interleaved into dwords and offset in
+// one XOR, stored through a lane mask that writes the run's own lanes and
+// nothing past them. The run that ends the batch inside a panel also
+// writes the panel's remaining lanes, as 0x80. Without AVX2, at strides
+// above 2, and for an input too short for one 32-byte read, the Go loop
+// packQPanelsGo packs instead.
 func packQPanels(dst []uint8, in []int8, g *convGeom, lo, hi int, masks []int32) {
+	if !qForwardAVX2 || g.stride > 2 || len(in) < 32 {
+		packQPanelsGo(dst, in, g, lo, hi, masks)
+		return
+	}
+	const nr = qNR
+	panel := (g.kdim() + 3) / 4 * nr * 4
+	end := min(hi, g.n*g.pixels())
+	var r colRun
+	for wk := g.walk(lo, end, nr); wk.next(&r); {
+		for ky := 0; ky < g.kh; ky++ {
+			for kx := 0; kx < g.kw; kx++ {
+				masks[ky*g.kw+kx] = int32(g.tapMask(&r, ky, kx))
+			}
+		}
+		store := r.n
+		if end < hi && r.col+r.n == end-lo {
+			store = nr - r.lane
+		}
+		packQRun(&dst[r.col/nr*panel+r.lane*4], &in[0], len(in)-16*g.stride, g.tapOffset(&r, 0, 0),
+			g.h*g.w, g.w-g.kw, g.kw, &masks[0], g.kh*g.kw, g.c, g.stride, store)
+	}
+}
+
+// packQPanelsGo is packQPanels as a Go loop, a whole k-quad at a time: the
+// four taps of a column land as one dword store, with the +128 offset
+// folded in as a single 32-bit XOR. It is the path without AVX2 and
+// packQRun's oracle.
+func packQPanelsGo(dst []uint8, in []int8, g *convGeom, lo, hi int, masks []int32) {
 	const nr = qNR
 	kQuads := (g.kdim() + 3) / 4
 	panel := kQuads * nr * 4
