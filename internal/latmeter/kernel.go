@@ -107,19 +107,19 @@ func (k Kernel) Bytes() float64 {
 }
 
 // Int8CostScale is the compute-time coefficient of int8 execution relative
-// to float32 on the modeled CPUs. It was calibrated when the packed int8
-// GEMM beat the AVX2 float kernel (BENCH_infer.json run 2:
-// quantized/compiled ns/op = 0.58 at batch 1 and 0.64 at batch 8; 0.6
-// splits the difference). It no longer matches the measurement: in
-// BENCH_infer.json run 11, with the fp32 plans' stride-1 3×3 convolutions
-// on Winograd F(2×2, 3×3), front32 at 5×100×100 runs int8/fp32 = 1.79 per
-// sample at batch 1 and 2.33 at batch 8 (1.45 and 2.01 for the direct fp32
-// path of run 10, its parent, on the same box), so int8 is slower, not
-// 1.67× faster. Re-fitting it, or deleting the int8 tier, is ROADMAP item 2; the
-// value stays until then because the router's SJF seeds, capsim and
-// scan -device read it. Dispatch overhead is precision-independent, so the
-// scale applies to kernel work only — see Device.LatencyMS.
-const Int8CostScale = 0.6
+// to float32 on the modeled CPUs, fitted to the compiled plans' measured
+// per-sample ratio at the deployment size once the int8 forward's pack,
+// requantize epilogue, residual add and quantizer ran on AVX2: front32 at
+// 5×100×100, Front32Int8/Front32FP32 = 0.676 at batch 1 and 0.881 at
+// batch 8, the medians of five alternating parent/change pairs whose last
+// is BENCH_infer.json run 13 (2.971/3.833 and 2.368/2.773 ms per sample).
+// 0.78 splits the difference, as the first fit (0.6, from run 2's 0.58 and
+// 0.64) did; in between, the int8 kernels' Go-side pack and epilogue had
+// made int8 slower than fp32 (1.79 and 2.33 in run 11). The router's SJF
+// seeds, capsim and scan -device read it. Dispatch overhead is
+// precision-independent, so the scale applies to kernel work only — see
+// Device.LatencyMS.
+const Int8CostScale = 0.78
 
 // Graph is an ordered kernel sequence for one model.
 type Graph struct {
