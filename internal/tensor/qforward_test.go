@@ -130,8 +130,8 @@ func TestQStoreTileMatchesGo(t *testing.T) {
 		}
 		j := &qconvCall{qc: qc}
 		qstoreTile(&got[3], &cbuf[lane], &qc.comp[0], &qc.mult[0], &qc.add[0], stride, rows, n, lo)
-		for r := 0; r < rows; r++ {
-			j.storeRow(want[3+r*stride:3+r*stride+n], cbuf[r*qNR+lane:r*qNR+lane+n], r, float64(lo))
+		for row := 0; row < rows; row++ {
+			j.storeRow(want[3+row*stride:3+row*stride+n], cbuf[row*qNR+lane:row*qNR+lane+n], row, float64(lo))
 		}
 		if !bytes.Equal(i8bytes(got), i8bytes(want)) {
 			t.Fatalf("rows=%d n=%d lane=%d relu=%v:\navx2 %v\ngo   %v", rows, n, lane, qc.relu, got, want)
@@ -208,7 +208,7 @@ func TestPackQPanelsMatchesGo(t *testing.T) {
 		{1, 2, 40, 40, 3, 1, 0},   // no padding
 		{3, 7, 13, 13, 7, 1, 3},   // 7×7 stride 1
 		{1, 11, 8, 8, 3, 2, 1},    // k = 99: a quad of k padding
-		{2, 130, 3, 3, 1, 1, 0},   // channels past a byte of quads
+		{2, 130, 3, 3, 1, 1, 0},   // k = 130: two taps of k padding
 		{1, 5, 100, 100, 7, 2, 3}, // the stock stem at the deployment size
 	}
 	for i := 0; i < 40; i++ {
