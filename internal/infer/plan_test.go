@@ -187,8 +187,11 @@ func TestPoolPadZeroHonored(t *testing.T) {
 			bn.Data()[ch*plane+i] = (conv.Data()[ch*plane+i]-mean[ch])*inv*g[ch] + b[ch]
 		}
 	}
-	pooled, _ := tensor.MaxPool2D(tensor.ReLU(bn), 3, 2, 0)
-	gap := tensor.GlobalAvgPool2D(pooled)
+	tensor.ReLUInto(bn, bn)
+	pooled := tensor.New(1, 2, tensor.ConvOut(bn.Dim(2), 3, 2, 0), tensor.ConvOut(bn.Dim(3), 3, 2, 0))
+	tensor.MaxPool2DInto(pooled, bn, 3, 2, 0)
+	gap := tensor.New(1, 2)
+	tensor.GlobalAvgPool2DInto(gap, pooled)
 	fcW := dec.Weights["fc.weight"] // (out 2, in 2)
 	want := tensor.New(1, 2)
 	for j := 0; j < 2; j++ {
@@ -415,8 +418,8 @@ func TestSessionArenaReusedAcrossShapes(t *testing.T) {
 
 // TestShapesMatchForward holds the plan's one shape inference to what a
 // forward pass really produces. Each fp32 value is recomputed from the
-// arena's own inputs by the tensor package's allocating operator, which
-// sizes its output itself; an int8 plan must hold exactly that many s8
+// arena's own inputs by the tensor package's operator, into a tensor sized
+// from the op's own geometry (Conv2D sizes its output itself); an int8 plan must hold exactly that many s8
 // elements per value, and a float head of that shape. Logits from the
 // keep-everything arena this reads must equal the ordinary recycling
 // session's bit for bit.
@@ -483,13 +486,17 @@ func TestShapesMatchForward(t *testing.T) {
 					}
 					ref = tensor.Conv2D(in, op.conv.Weights(), bias, op.conv.Stride(), op.conv.Pad())
 				case opRelu:
-					ref = tensor.ReLU(in)
+					ref = tensor.New(in.Shape()...)
+					tensor.ReLUInto(ref, in)
 				case opMaxPool:
-					ref, _ = tensor.MaxPool2D(in, op.kernel, op.stride, op.pad)
+					ref = tensor.New(in.Dim(0), in.Dim(1), tensor.ConvOut(in.Dim(2), op.kernel, op.stride, op.pad), tensor.ConvOut(in.Dim(3), op.kernel, op.stride, op.pad))
+					tensor.MaxPool2DInto(ref, in, op.kernel, op.stride, op.pad)
 				case opAdd:
-					ref = tensor.Add(in, value(op.in2))
+					ref = tensor.New(in.Shape()...)
+					tensor.AddInto(ref, in, value(op.in2))
 				case opGlobalAvgPool:
-					ref = tensor.GlobalAvgPool2D(in)
+					ref = tensor.New(in.Dim(0), in.Dim(1))
+					tensor.GlobalAvgPool2DInto(ref, in)
 				case opFC:
 					ref = tensor.Conv2D(ar.fcIn[idx], op.conv.Weights(), nil, 1, 0).Reshape(tc.n, -1)
 				}

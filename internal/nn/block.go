@@ -26,7 +26,7 @@ type BasicBlock struct {
 
 	relu1 *ReLU
 
-	cachedPreAct *tensor.Tensor // main + shortcut, before the final ReLU
+	cachedOut *tensor.Tensor // ReLU(main + shortcut): > 0 exactly where the sum is
 }
 
 // NewBasicBlock builds a residual block mapping inC channels to outC with
@@ -60,21 +60,22 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		shortcut = b.DownConv.Forward(x, train)
 		shortcut = b.DownBN.Forward(shortcut, train)
 	}
-	sum := tensor.Add(main, shortcut)
+	out := tensor.New(main.Shape()...)
+	tensor.AddReLUInto(out, main, shortcut)
 	if train {
-		b.cachedPreAct = sum
+		b.cachedOut = out
 	} else {
-		b.cachedPreAct = nil
+		b.cachedOut = nil
 	}
-	return tensor.ReLU(sum)
+	return out
 }
 
 // Backward splits the gradient between the main and shortcut branches.
 func (b *BasicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if b.cachedPreAct == nil {
+	if b.cachedOut == nil {
 		panic(fmt.Sprintf("nn: %s Backward without a training Forward", b.name))
 	}
-	g := tensor.ReLUBackward(grad, b.cachedPreAct)
+	g := tensor.ReLUBackward(grad, b.cachedOut)
 
 	// Main branch, reverse order.
 	gm := b.BN2.Backward(g)
@@ -89,7 +90,8 @@ func (b *BasicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		gs = b.DownBN.Backward(gs)
 		gs = b.DownConv.Backward(gs)
 	}
-	return tensor.AddInPlace(gm, gs)
+	tensor.AddInto(gm, gm, gs)
+	return gm
 }
 
 // Params returns all learnable parameters of the block.

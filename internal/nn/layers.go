@@ -22,7 +22,9 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		r.cachedInput = nil
 	}
-	return tensor.ReLU(x)
+	out := tensor.New(x.Shape()...)
+	tensor.ReLUInto(out, x)
+	return out
 }
 
 // Backward masks the gradient by the sign of the cached input.
@@ -39,13 +41,14 @@ func (r *ReLU) Params() []*Param { return nil }
 // Name returns the layer name.
 func (r *ReLU) Name() string { return r.name }
 
-// MaxPool2d is a square max-pooling layer.
+// MaxPool2d is a square max-pooling layer. It pools with
+// tensor.MaxPool2DInto, as the compiled plans do, and sends each gradient to
+// the first window tap, in row-major order, that equals the pooled value.
 type MaxPool2d struct {
 	name                string
 	Kernel, Stride, Pad int
 
-	cachedArgmax []int32
-	cachedShape  []int
+	cachedInput, cachedOutput *tensor.Tensor
 }
 
 // NewMaxPool2d constructs a max-pool layer.
@@ -56,24 +59,25 @@ func NewMaxPool2d(name string, kernel, stride, pad int) *MaxPool2d {
 	return &MaxPool2d{name: name, Kernel: kernel, Stride: stride, Pad: pad}
 }
 
-// Forward pools and records argmax positions for backward.
+// Forward pools x, keeping input and output for backward when training.
 func (m *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out, arg := tensor.MaxPool2D(x, m.Kernel, m.Stride, m.Pad)
+	checkShape(m.name, x, -1, -1, -1, -1)
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	out := tensor.New(n, c, tensor.ConvOut(h, m.Kernel, m.Stride, m.Pad), tensor.ConvOut(w, m.Kernel, m.Stride, m.Pad))
+	tensor.MaxPool2DInto(out, x, m.Kernel, m.Stride, m.Pad)
+	m.cachedInput, m.cachedOutput = nil, nil
 	if train {
-		m.cachedArgmax = arg
-		m.cachedShape = x.Shape()
-	} else {
-		m.cachedArgmax = nil
+		m.cachedInput, m.cachedOutput = x, out
 	}
 	return out
 }
 
-// Backward routes gradients to the recorded max positions.
+// Backward routes each gradient to its window's max tap.
 func (m *MaxPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if m.cachedArgmax == nil {
+	if m.cachedInput == nil {
 		panic(fmt.Sprintf("nn: %s Backward without a training Forward", m.name))
 	}
-	return tensor.MaxPool2DBackward(grad, m.cachedArgmax, m.cachedShape)
+	return tensor.MaxPool2DBackward(grad, m.cachedInput, m.cachedOutput, m.Kernel, m.Stride, m.Pad)
 }
 
 // Params returns nil; pooling has no parameters.
@@ -94,12 +98,15 @@ func NewGlobalAvgPool(name string) *GlobalAvgPool { return &GlobalAvgPool{name: 
 
 // Forward averages spatial planes.
 func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	checkShape(g.name, x, -1, -1, -1, -1)
 	if train {
 		g.cachedShape = x.Shape()
 	} else {
 		g.cachedShape = nil
 	}
-	return tensor.GlobalAvgPool2D(x)
+	out := tensor.New(x.Dim(0), x.Dim(1))
+	tensor.GlobalAvgPool2DInto(out, x)
+	return out
 }
 
 // Backward spreads gradients uniformly over the spatial planes.

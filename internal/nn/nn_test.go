@@ -390,6 +390,25 @@ func TestSequentialComposesAndBackprops(t *testing.T) {
 	}
 }
 
+// TestMaxPool2dAllPaddingWindowSendsNoGradient pools a 2×2 input through a
+// 2×2 window with padding 2 and stride 1: 16 of the 25 windows lie wholly in
+// the padding and output a constant 0, so their gradient reaches no input.
+// The 9 others route theirs to the window's max.
+func TestMaxPool2dAllPaddingWindowSendsNoGradient(t *testing.T) {
+	pool := NewMaxPool2d("p", 2, 1, 2)
+	y := pool.Forward(tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2), true)
+	if y.Dim(2) != 5 || y.Dim(3) != 5 {
+		t.Fatalf("output shape %v, want 5x5", y.Shape())
+	}
+	gx := pool.Backward(tensor.Ones(y.Shape()...))
+	want := []float32{1, 2, 2, 4}
+	for i, v := range gx.Data() {
+		if v != want[i] {
+			t.Fatalf("input gradient %v, want %v (input[0] takes only the window that sees nothing else)", gx.Data(), want)
+		}
+	}
+}
+
 func TestTinyNetworkLearnsSeparableTask(t *testing.T) {
 	// End-to-end sanity: a small conv net must learn to separate
 	// bright-center vs bright-corner 8×8 images.

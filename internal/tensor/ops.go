@@ -12,21 +12,8 @@ func binaryCheck(op string, a, b *Tensor) {
 	}
 }
 
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	binaryCheck("Add", a, b)
-	out := New(a.shape...)
-	forEach(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = a.data[i] + b.data[i]
-		}
-	})
-	return out
-}
-
 // AddInto writes a + b into dst elementwise. dst may alias a or b; all
-// three must share a shape. It is the allocation-free variant of Add for
-// callers that own their output buffers (compiled inference plans).
+// three must share a shape.
 func AddInto(dst, a, b *Tensor) {
 	binaryCheck("AddInto", a, b)
 	binaryCheck("AddInto dst", dst, a)
@@ -46,9 +33,9 @@ func addRange(dst, a, b []float32, lo, hi int) {
 	}
 }
 
-// AddReLUInto writes max(a + b, 0) into dst elementwise — the fused
-// residual-join epilogue (Add followed by ReLU) done in one pass. dst may
-// alias a or b.
+// AddReLUInto writes max(a + b, 0) into dst elementwise — a residual
+// join and its ReLU in one pass. dst may alias a or b. Where the sum is −0
+// or NaN it stays so; dst > 0 exactly where a + b > 0.
 func AddReLUInto(dst, a, b *Tensor) {
 	binaryCheck("AddReLUInto", a, b)
 	binaryCheck("AddReLUInto dst", dst, a)
@@ -69,7 +56,8 @@ func addReLURange(dst, a, b []float32, lo, hi int) {
 	}
 }
 
-// ReLUInto writes max(a, 0) into dst elementwise. dst may alias a.
+// ReLUInto writes max(a, 0) into dst elementwise, leaving −0 and NaN as
+// they are. dst may alias a.
 func ReLUInto(dst, a *Tensor) {
 	binaryCheck("ReLUInto", dst, a)
 	if n := len(a.data); serialRange(n) {
@@ -89,17 +77,6 @@ func reLURange(dst, a []float32, lo, hi int) {
 	}
 }
 
-// AddInPlace accumulates b into a and returns a.
-func AddInPlace(a, b *Tensor) *Tensor {
-	binaryCheck("AddInPlace", a, b)
-	forEach(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a.data[i] += b.data[i]
-		}
-	})
-	return a
-}
-
 // ScaleInPlace multiplies a by s in place and returns a.
 func ScaleInPlace(a *Tensor, s float32) *Tensor {
 	forEach(len(a.data), func(lo, hi int) {
@@ -108,19 +85,6 @@ func ScaleInPlace(a *Tensor, s float32) *Tensor {
 		}
 	})
 	return a
-}
-
-// ReLU returns max(x, 0) elementwise.
-func ReLU(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	forEach(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := a.data[i]; v > 0 {
-				out.data[i] = v
-			}
-		}
-	})
-	return out
 }
 
 // ReLUBackward returns grad masked by (input > 0): the gradient of ReLU.

@@ -74,7 +74,8 @@ func TestPackedConvFusedReLU(t *testing.T) {
 	w := RandUniform(r, -1, 1, 6, 3, 3, 3)
 	bias := RandUniform(r, -1, 1, 6)
 
-	want := ReLU(Conv2D(x, w, bias, 2, 1))
+	want := Conv2D(x, w, bias, 2, 1)
+	ReLUInto(want, want)
 	pc := NewPackedConv(w, bias.Data(), 2, 1, true)
 	oh, ow := pc.OutSize(14, 14)
 	got := New(2, 6, oh, ow)
@@ -147,50 +148,59 @@ func TestPackedConvConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestIntoOpsMatchAllocatingOps holds the elementwise and pooling *Into
+// ops — the only implementation of each that training and the plans run —
+// to plain loops and to the tap-by-tap pool.
 func TestIntoOpsMatchAllocatingOps(t *testing.T) {
 	r := NewRNG(15)
 	a := RandUniform(r, -1, 1, 2, 3, 5, 7)
 	b := RandUniform(r, -1, 1, 2, 3, 5, 7)
+	sum, sumReLU, reLU := New(a.Shape()...), New(a.Shape()...), New(a.Shape()...)
+	for i, v := range a.data {
+		sum.data[i] = v + b.data[i]
+		sumReLU.data[i] = max(v+b.data[i], 0)
+		reLU.data[i] = max(v, 0)
+	}
 
 	dst := New(2, 3, 5, 7)
 	AddInto(dst, a, b)
-	if d := maxAbsDiff(Add(a, b).Data(), dst.Data()); d != 0 {
+	if d := maxAbsDiff(sum.Data(), dst.Data()); d != 0 {
 		t.Errorf("AddInto diverges by %g", d)
 	}
 	AddReLUInto(dst, a, b)
-	if d := maxAbsDiff(ReLU(Add(a, b)).Data(), dst.Data()); d != 0 {
+	if d := maxAbsDiff(sumReLU.Data(), dst.Data()); d != 0 {
 		t.Errorf("AddReLUInto diverges by %g", d)
 	}
 	ReLUInto(dst, a)
-	if d := maxAbsDiff(ReLU(a).Data(), dst.Data()); d != 0 {
+	if d := maxAbsDiff(reLU.Data(), dst.Data()); d != 0 {
 		t.Errorf("ReLUInto diverges by %g", d)
 	}
 	// Aliased destination: dst == a is the in-place residual join.
 	aCopy := New(a.Shape()...)
 	copy(aCopy.Data(), a.Data())
 	AddReLUInto(aCopy, aCopy, b)
-	if d := maxAbsDiff(ReLU(Add(a, b)).Data(), aCopy.Data()); d != 0 {
+	if d := maxAbsDiff(sumReLU.Data(), aCopy.Data()); d != 0 {
 		t.Errorf("aliased AddReLUInto diverges by %g", d)
 	}
 
 	x := RandUniform(r, -1, 1, 2, 4, 11, 9)
-	wantPool, _ := MaxPool2D(x, 3, 2, 0)
-	gotPool := New(wantPool.Shape()...)
-	MaxPool2DInto(gotPool, x, 3, 2, 0)
-	if d := maxAbsDiff(wantPool.Data(), gotPool.Data()); d != 0 {
-		t.Errorf("MaxPool2DInto (pad 0) diverges by %g", d)
-	}
-	wantPool1, _ := MaxPool2D(x, 3, 2, 1)
-	gotPool1 := New(wantPool1.Shape()...)
-	MaxPool2DInto(gotPool1, x, 3, 2, 1)
-	if d := maxAbsDiff(wantPool1.Data(), gotPool1.Data()); d != 0 {
-		t.Errorf("MaxPool2DInto (pad 1) diverges by %g", d)
+	for _, pad := range []int{0, 1} {
+		if d := maxAbsDiff(maxPoolRef(x, 3, 2, pad).Data(), maxPool(x, 3, 2, pad).Data()); d != 0 {
+			t.Errorf("MaxPool2DInto (pad %d) diverges by %g", pad, d)
+		}
 	}
 
-	wantGAP := GlobalAvgPool2D(x)
+	wantGAP := New(2, 4)
+	for p := range wantGAP.data {
+		s := 0.0
+		for _, v := range x.data[p*11*9 : (p+1)*11*9] {
+			s += float64(v)
+		}
+		wantGAP.data[p] = float32(s / (11 * 9))
+	}
 	gotGAP := New(2, 4)
 	GlobalAvgPool2DInto(gotGAP, x)
-	if d := maxAbsDiff(wantGAP.Data(), gotGAP.Data()); d != 0 {
+	if d := maxAbsDiff(wantGAP.Data(), gotGAP.Data()); d > 1e-7 {
 		t.Errorf("GlobalAvgPool2DInto diverges by %g", d)
 	}
 }

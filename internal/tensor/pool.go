@@ -7,104 +7,66 @@ import (
 	"drainnas/internal/parallel"
 )
 
-// MaxPool2D applies max pooling over (N, C, H, W) input and returns the
-// pooled output together with the flat argmax index (into the per-plane H*W
-// space) of each output element, which the backward pass needs.
-func MaxPool2D(input *Tensor, kernel, stride, pad int) (*Tensor, []int32) {
-	n, c, h, w := dims4("MaxPool2D input", input)
-	oh := ConvOut(h, kernel, stride, pad)
-	ow := ConvOut(w, kernel, stride, pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: MaxPool2D produces empty output for input %dx%d k=%d s=%d p=%d", h, w, kernel, stride, pad))
-	}
-	out := New(n, c, oh, ow)
-	argmax := make([]int32, n*c*oh*ow)
-	parallel.Map(n*c, 0, func(p int) {
-		plane := input.data[p*h*w : (p+1)*h*w]
-		dst := out.data[p*oh*ow : (p+1)*oh*ow]
-		arg := argmax[p*oh*ow : (p+1)*oh*ow]
-		i := 0
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := float32(0)
-				bestIdx := int32(-1)
-				for ky := 0; ky < kernel; ky++ {
-					sy := oy*stride - pad + ky
-					if sy < 0 || sy >= h {
-						continue
-					}
-					for kx := 0; kx < kernel; kx++ {
-						sx := ox*stride - pad + kx
-						if sx < 0 || sx >= w {
-							continue
-						}
-						v := plane[sy*w+sx]
-						if bestIdx < 0 || v > best {
-							best = v
-							bestIdx = int32(sy*w + sx)
-						}
-					}
-				}
-				// A window fully inside padding (possible only with extreme
-				// parameters) contributes zero.
-				if bestIdx < 0 {
-					best = 0
-					bestIdx = 0
-				}
-				dst[i] = best
-				arg[i] = bestIdx
-				i++
-			}
-		}
-	})
-	return out, argmax
-}
-
-// MaxPool2DInto is the inference-path variant of MaxPool2D: it pools into a
-// caller-provided (N, C, OH, OW) output and skips the argmax bookkeeping
-// only the backward pass needs, so a steady-state forward allocates nothing.
+// MaxPool2DInto max-pools the (N, C, H, W) input into the caller-provided
+// (N, C, OH, OW) output: padding taps are left out of the max, and a window
+// wholly in the padding yields 0. It is the one max pool: training's
+// MaxPool2d, fp32 plans and, through QMaxPool2DInto, int8 plans run its
+// plane job. A steady-state forward allocates nothing.
 func MaxPool2DInto(out, input *Tensor, kernel, stride, pad int) {
 	n, c, h, w := dims4("MaxPool2DInto input", input)
-	on, ocn, oh, ow := dims4("MaxPool2DInto out", out)
-	eh := ConvOut(h, kernel, stride, pad)
-	ew := ConvOut(w, kernel, stride, pad)
-	if eh <= 0 || ew <= 0 {
-		panic(fmt.Sprintf("tensor: MaxPool2DInto produces empty output for input %dx%d k=%d s=%d p=%d", h, w, kernel, stride, pad))
+	job := newMaxPoolJob("MaxPool2DInto", out.data, input.data, n*c, h, w, kernel, stride, pad)
+	if on, ocn, oh, ow := dims4("MaxPool2DInto out", out); on != n || ocn != c || oh != job.oh || ow != job.ow {
+		panic(fmt.Sprintf("tensor: MaxPool2DInto out shape %v, want [%d %d %d %d]", out.shape, n, c, job.oh, job.ow))
 	}
-	if on != n || ocn != c || oh != eh || ow != ew {
-		panic(fmt.Sprintf("tensor: MaxPool2DInto out shape %v, want [%d %d %d %d]", out.shape, n, c, eh, ew))
-	}
-	// As in convInto: the serial case calls the plane body directly instead
-	// of building a closure for parallel.Map, keeping the steady-state
-	// compiled-inference forward allocation-free.
-	job := maxPoolJob{out: out, input: input, kernel: kernel, stride: stride, pad: pad, h: h, w: w, oh: oh, ow: ow}
-	if parallel.DefaultWorkers == 1 || n*c == 1 {
-		for p := 0; p < n*c; p++ {
-			job.run(p)
-		}
-	} else {
-		pjob := job
-		parallel.Map(n*c, 0, pjob.run)
-	}
+	job.runPlanes(n * c)
 }
 
-// maxPoolJob carries MaxPool2DInto's per-plane state so the hot loop can be
-// a method rather than a closure (closures handed to parallel.Map always
-// heap-allocate; a method value only escapes on the parallel branch).
-type maxPoolJob struct {
-	out, input          *Tensor
+// maxPoolJob carries a max pool's per-plane state, for float32 and int8
+// planes alike, so the hot loop can be a method rather than a closure
+// (closures handed to parallel.Map always heap-allocate; a method value
+// only escapes on the parallel branch).
+type maxPoolJob[T int8 | float32] struct {
+	out, in             []T
 	kernel, stride, pad int
 	h, w, oh, ow        int
 }
 
-func (j *maxPoolJob) run(p int) {
-	maxPoolPlane(j.out.data[p*j.oh*j.ow:(p+1)*j.oh*j.ow], j.input.data[p*j.h*j.w:(p+1)*j.h*j.w],
+// newMaxPoolJob checks that in holds planes H×W planes and out their pooled
+// OH×OW planes, and returns the job that pools them; op names the caller in
+// the panic.
+func newMaxPoolJob[T int8 | float32](op string, out, in []T, planes, h, w, kernel, stride, pad int) maxPoolJob[T] {
+	oh, ow := ConvOut(h, kernel, stride, pad), ConvOut(w, kernel, stride, pad)
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("tensor: %s produces empty output for input %dx%d k=%d s=%d p=%d", op, h, w, kernel, stride, pad))
+	}
+	if len(in) != planes*h*w || len(out) != planes*oh*ow {
+		panic(fmt.Sprintf("tensor: %s buffer lengths %d/%d, want %d/%d", op, len(in), len(out), planes*h*w, planes*oh*ow))
+	}
+	return maxPoolJob[T]{out: out, in: in, kernel: kernel, stride: stride, pad: pad, h: h, w: w, oh: oh, ow: ow}
+}
+
+// runPlanes pools every plane, split across parallel.DefaultWorkers. As in
+// convInto, the serial case calls the plane body directly instead of
+// building a closure for parallel.Map, keeping the steady-state
+// compiled-inference forward allocation-free.
+func (j *maxPoolJob[T]) runPlanes(planes int) {
+	if parallel.DefaultWorkers == 1 || planes == 1 {
+		for p := 0; p < planes; p++ {
+			j.run(p)
+		}
+		return
+	}
+	pj := *j
+	parallel.Map(planes, 0, pj.run)
+}
+
+func (j *maxPoolJob[T]) run(p int) {
+	maxPoolPlane(j.out[p*j.oh*j.ow:(p+1)*j.oh*j.ow], j.in[p*j.h*j.w:(p+1)*j.h*j.w],
 		j.h, j.w, j.oh, j.ow, j.kernel, j.stride, j.pad)
 }
 
-// maxPoolPlane pools one H×W plane into its OH×OW output with MaxPool2D's
-// semantics — padding taps are left out of the max, a window with no valid
-// tap yields 0 — for both element types of the inference path.
+// maxPoolPlane pools one H×W plane into its OH×OW output with
+// MaxPool2DInto's semantics, for both element types.
 //
 // The window max is separable, and it is taken in two passes over
 // independent lanes: for each output row, the column max over the window's
@@ -251,47 +213,48 @@ func poolSpan(o, size, kernel, stride, pad int) (lo, hi int) {
 	return max(lo, 0), min(lo+kernel, size)
 }
 
-// MaxPool2DBackward routes each output gradient to the input position that
-// produced the max, as recorded in argmax by MaxPool2D.
-func MaxPool2DBackward(gradOut *Tensor, argmax []int32, inShape []int) *Tensor {
-	n, c := inShape[0], inShape[1]
-	h, w := inShape[2], inShape[3]
-	_, _, oh, ow := dims4("MaxPool2DBackward gradOut", gradOut)
+// MaxPool2DBackward returns the input gradient of the pool that
+// MaxPool2DInto took of input into output with the same kernel, stride and
+// padding. Each output's gradient goes to the first tap of its window, in
+// row-major order, that equals the pooled value (a NaN output's to the first
+// NaN tap): the tap a scan for the first strict maximum picks. A window
+// wholly in the padding pooled to a constant 0, and its gradient goes
+// nowhere.
+func MaxPool2DBackward(gradOut, input, output *Tensor, kernel, stride, pad int) *Tensor {
+	n, c, h, w := dims4("MaxPool2DBackward input", input)
+	on, ocn, oh, ow := dims4("MaxPool2DBackward output", output)
+	if on != n || ocn != c || oh != ConvOut(h, kernel, stride, pad) || ow != ConvOut(w, kernel, stride, pad) {
+		panic(fmt.Sprintf("tensor: MaxPool2DBackward output shape %v does not pool input %v (k=%d s=%d p=%d)", output.shape, input.shape, kernel, stride, pad))
+	}
+	binaryCheck("MaxPool2DBackward", gradOut, output)
 	gradIn := New(n, c, h, w)
 	parallel.Map(n*c, 0, func(p int) {
+		plane := input.data[p*h*w : (p+1)*h*w]
+		pooled := output.data[p*oh*ow : (p+1)*oh*ow]
 		gsrc := gradOut.data[p*oh*ow : (p+1)*oh*ow]
-		arg := argmax[p*oh*ow : (p+1)*oh*ow]
 		gdst := gradIn.data[p*h*w : (p+1)*h*w]
-		for i, g := range gsrc {
-			gdst[arg[i]] += g
+		for i, v := range pooled {
+			ylo, yhi := poolSpan(i/ow, h, kernel, stride, pad)
+			xlo, xhi := poolSpan(i%ow, w, kernel, stride, pad)
+		taps:
+			for y := ylo; y < yhi; y++ {
+				for x := xlo; x < xhi; x++ {
+					// With a NaN output no tap equals it, and only NaN taps
+					// are unequal to themselves.
+					if t := plane[y*w+x]; t == v || t != t {
+						gdst[y*w+x] += gsrc[i]
+						break taps
+					}
+				}
+			}
 		}
 	})
 	return gradIn
 }
 
-// GlobalAvgPool2D averages each (H, W) plane of an (N, C, H, W) tensor,
-// returning (N, C). This is ResNet's terminal adaptive average pooling with
-// output size 1×1.
-func GlobalAvgPool2D(input *Tensor) *Tensor {
-	n, c, h, w := dims4("GlobalAvgPool2D input", input)
-	out := New(n, c)
-	inv := 1.0 / float64(h*w)
-	forEach(n*c, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			plane := input.data[p*h*w : (p+1)*h*w]
-			s := 0.0
-			for _, v := range plane {
-				s += float64(v)
-			}
-			out.data[p] = float32(s * inv)
-		}
-	})
-	return out
-}
-
 // GlobalAvgPool2DInto averages each (H, W) plane of input into the
-// caller-provided (N, C) output — the allocation-free variant of
-// GlobalAvgPool2D for compiled inference plans.
+// caller-provided (N, C) output: ResNet's terminal adaptive average pooling
+// with output size 1×1, for training and the compiled plans alike.
 func GlobalAvgPool2DInto(out, input *Tensor) {
 	n, c, h, w := dims4("GlobalAvgPool2DInto input", input)
 	if out.NDim() != 2 || out.shape[0] != n || out.shape[1] != c {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"drainnas/internal/parallel"
 )
 
 func TestMaxPool2DBasic(t *testing.T) {
@@ -14,19 +16,33 @@ func TestMaxPool2DBasic(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	out, arg := MaxPool2D(in, 2, 2, 0)
+	out := maxPool(in, 2, 2, 0)
 	want := []float32{6, 8, 14, 16}
 	for i, v := range out.Data() {
 		if v != want[i] {
 			t.Fatalf("MaxPool=%v want %v", out.Data(), want)
 		}
 	}
-	wantArg := []int32{5, 7, 13, 15}
-	for i, v := range arg {
-		if v != wantArg[i] {
-			t.Fatalf("argmax=%v want %v", arg, wantArg)
-		}
+}
+
+// maxPool pools x through MaxPool2DInto into a tensor of its own.
+func maxPool(x *Tensor, kernel, stride, pad int) *Tensor {
+	n, c, h, w := dims4("maxPool", x)
+	out := New(n, c, ConvOut(h, kernel, stride, pad), ConvOut(w, kernel, stride, pad))
+	MaxPool2DInto(out, x, kernel, stride, pad)
+	return out
+}
+
+// maxPoolRef pools x plane by plane through maxPoolPlaneRef, the tap-by-tap
+// oracle.
+func maxPoolRef(x *Tensor, kernel, stride, pad int) *Tensor {
+	n, c, h, w := dims4("maxPoolRef", x)
+	oh, ow := ConvOut(h, kernel, stride, pad), ConvOut(w, kernel, stride, pad)
+	out := New(n, c, oh, ow)
+	for p := 0; p < n*c; p++ {
+		maxPoolPlaneRef(out.data[p*oh*ow:(p+1)*oh*ow], x.data[p*h*w:(p+1)*h*w], h, w, oh, ow, kernel, stride, pad)
 	}
+	return out
 }
 
 func TestMaxPool2DStride1Pad1(t *testing.T) {
@@ -34,7 +50,7 @@ func TestMaxPool2DStride1Pad1(t *testing.T) {
 		1, 2,
 		3, 4,
 	}, 1, 1, 2, 2)
-	out, _ := MaxPool2D(in, 3, 1, 1)
+	out := maxPool(in, 3, 1, 1)
 	// Every 3×3 window clipped to the image contains 4 → all outputs are 4
 	// except corners which still include 4. With k=3,s=1,p=1 on 2×2 → 2×2 out.
 	if out.Dim(2) != 2 || out.Dim(3) != 2 {
@@ -47,9 +63,9 @@ func TestMaxPool2DStride1Pad1(t *testing.T) {
 	}
 }
 
-// TestMaxPoolIntoMatchesMaxPool2D holds the inference-path pools — float and
-// int8, which share one interior/border kernel — to the training op bit for
-// bit: windows wholly inside the plane, frames of every width (pad 0, pad at
+// TestMaxPoolIntoMatchesMaxPool2D holds the two pools — float and int8,
+// which share one plane job — to the tap-by-tap reference bit for bit, at
+// one worker and at five: windows wholly inside the plane, frames of every width (pad 0, pad at
 // and above kernel/2, windows that see nothing but padding), non-square
 // planes, kernels larger than the input, and stride above the kernel.
 func TestMaxPoolIntoMatchesMaxPool2D(t *testing.T) {
@@ -67,40 +83,44 @@ func TestMaxPoolIntoMatchesMaxPool2D(t *testing.T) {
 		{12, 10, 2, 3, 0}, // stride above the kernel
 		{6, 17, 5, 2, 2},
 	}
+	prev := parallel.DefaultWorkers
+	defer func() { parallel.DefaultWorkers = prev }()
 	rng := NewRNG(77)
 	const n, c = 2, 3
-	for _, tc := range cases {
-		// Integer-valued data, so the same planes run through both types.
-		x := New(n, c, tc.h, tc.w)
-		q := make([]int8, len(x.data))
-		for i := range q {
-			q[i] = int8(rng.Intn(9) - 4)
-			x.data[i] = float32(q[i])
-		}
-		want, _ := MaxPool2D(x, tc.kernel, tc.stride, tc.pad)
-		got := New(want.Shape()...)
-		got.Fill(99)
-		MaxPool2DInto(got, x, tc.kernel, tc.stride, tc.pad)
-		gotQ := make([]int8, len(want.data))
-		QMaxPool2DInto(gotQ, q, n, c, tc.h, tc.w, tc.kernel, tc.stride, tc.pad)
-		for i, w := range want.data {
-			if math.Float32bits(got.data[i]) != math.Float32bits(w) {
-				t.Fatalf("%+v: MaxPool2DInto[%d] = %v, MaxPool2D %v", tc, i, got.data[i], w)
+	for _, workers := range []int{1, 5} {
+		parallel.DefaultWorkers = workers
+		for _, tc := range cases {
+			// Integer-valued data, so the same planes run through both types.
+			x := New(n, c, tc.h, tc.w)
+			q := make([]int8, len(x.data))
+			for i := range q {
+				q[i] = int8(rng.Intn(9) - 4)
+				x.data[i] = float32(q[i])
 			}
-			if float32(gotQ[i]) != w {
-				t.Fatalf("%+v: QMaxPool2DInto[%d] = %d, MaxPool2D %v", tc, i, gotQ[i], w)
+			want := maxPoolRef(x, tc.kernel, tc.stride, tc.pad)
+			got := New(want.Shape()...)
+			got.Fill(99)
+			MaxPool2DInto(got, x, tc.kernel, tc.stride, tc.pad)
+			gotQ := make([]int8, len(want.data))
+			QMaxPool2DInto(gotQ, q, n, c, tc.h, tc.w, tc.kernel, tc.stride, tc.pad)
+			for i, w := range want.data {
+				if math.Float32bits(got.data[i]) != math.Float32bits(w) {
+					t.Fatalf("%+v workers=%d: MaxPool2DInto[%d] = %v, reference %v", tc, workers, i, got.data[i], w)
+				}
+				if float32(gotQ[i]) != w {
+					t.Fatalf("%+v workers=%d: QMaxPool2DInto[%d] = %d, reference %v", tc, workers, i, gotQ[i], w)
+				}
 			}
 		}
-	}
-	// Real-valued planes through the float path alone.
-	for _, tc := range cases {
-		x := RandNormal(rng, 1, n, c, tc.h, tc.w)
-		want, _ := MaxPool2D(x, tc.kernel, tc.stride, tc.pad)
-		got := New(want.Shape()...)
-		MaxPool2DInto(got, x, tc.kernel, tc.stride, tc.pad)
-		for i, w := range want.data {
-			if math.Float32bits(got.data[i]) != math.Float32bits(w) {
-				t.Fatalf("%+v: MaxPool2DInto[%d] = %v, MaxPool2D %v", tc, i, got.data[i], w)
+		// Real-valued planes through the float path alone.
+		for _, tc := range cases {
+			x := RandNormal(rng, 1, n, c, tc.h, tc.w)
+			want := maxPoolRef(x, tc.kernel, tc.stride, tc.pad)
+			got := maxPool(x, tc.kernel, tc.stride, tc.pad)
+			for i, w := range want.data {
+				if math.Float32bits(got.data[i]) != math.Float32bits(w) {
+					t.Fatalf("%+v workers=%d: MaxPool2DInto[%d] = %v, reference %v", tc, workers, i, got.data[i], w)
+				}
 			}
 		}
 	}
@@ -113,9 +133,9 @@ func TestMaxPool2DBackwardRouting(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	out, arg := MaxPool2D(in, 2, 2, 0)
+	out := maxPool(in, 2, 2, 0)
 	gout := Ones(out.Shape()...)
-	gin := MaxPool2DBackward(gout, arg, in.Shape())
+	gin := MaxPool2DBackward(gout, in, out, 2, 2, 0)
 	// Gradient lands exactly on the max positions.
 	sum := gin.Sum()
 	if sum != 4 {
@@ -134,9 +154,9 @@ func TestMaxPoolGradientMassConserved(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)
 		in := RandNormal(r, 1, 2, 3, 8, 8)
-		out, arg := MaxPool2D(in, 2, 2, 0)
+		out := maxPool(in, 2, 2, 0)
 		gout := RandNormal(r, 1, out.Shape()...)
-		gin := MaxPool2DBackward(gout, arg, in.Shape())
+		gin := MaxPool2DBackward(gout, in, out, 2, 2, 0)
 		return math.Abs(gin.Sum()-gout.Sum()) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -149,7 +169,8 @@ func TestGlobalAvgPool2D(t *testing.T) {
 		1, 2, 3, 4, // plane (0,0): mean 2.5
 		10, 10, 10, 10, // plane (0,1): mean 10
 	}, 1, 2, 2, 2)
-	out := GlobalAvgPool2D(in)
+	out := New(1, 2)
+	GlobalAvgPool2DInto(out, in)
 	if out.Dim(0) != 1 || out.Dim(1) != 2 {
 		t.Fatalf("shape %v", out.Shape())
 	}

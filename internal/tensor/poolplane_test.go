@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"drainnas/internal/parallel"
 )
 
 // maxPoolPlaneRef is the tap-by-tap pool the separable maxPoolPlane
@@ -152,14 +155,72 @@ func TestMaxPoolPlaneMatchesReference(t *testing.T) {
 	}
 }
 
+// maxPoolBackwardRef scatters one plane's pooled gradient through a
+// tap-by-tap argmax: each window's first valid tap, replaced by every later
+// tap that is greater (NaN ranking above every number), so of equal taps
+// the first in row-major order wins. A window with no valid tap routes
+// nowhere.
+func maxPoolBackwardRef(gdst, gsrc, plane []float32, h, w, oh, ow, kernel, stride, pad int) {
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			best := -1
+			for ky := 0; ky < kernel; ky++ {
+				sy := oy*stride - pad + ky
+				for kx := 0; kx < kernel && sy >= 0 && sy < h; kx++ {
+					sx := ox*stride - pad + kx
+					if sx < 0 || sx >= w {
+						continue
+					}
+					v := plane[sy*w+sx]
+					if best < 0 || v > plane[best] || (v != v && plane[best] == plane[best]) {
+						best = sy*w + sx
+					}
+				}
+			}
+			if best >= 0 {
+				gdst[best] += gsrc[oy*ow+ox]
+			}
+		}
+	}
+}
+
+// checkPoolBackward pools plane through MaxPool2DInto, sends the gradients
+// 1, 2, 3, … back through MaxPool2DBackward, and fails on the first input
+// gradient that differs from maxPoolBackwardRef's. The sums are integers
+// far below 2^24, so they are exact in any order.
+func checkPoolBackward(t *testing.T, plane []float32, h, w, kernel, stride, pad int) {
+	t.Helper()
+	oh, ow := ConvOut(h, kernel, stride, pad), ConvOut(w, kernel, stride, pad)
+	if oh <= 0 || ow <= 0 {
+		return
+	}
+	x := FromSlice(plane, 1, 1, h, w)
+	gout := New(1, 1, oh, ow)
+	for i := range gout.data {
+		gout.data[i] = float32(i + 1)
+	}
+	got := MaxPool2DBackward(gout, x, maxPool(x, kernel, stride, pad), kernel, stride, pad)
+	want := make([]float32, h*w)
+	maxPoolBackwardRef(want, gout.data, plane, h, w, oh, ow, kernel, stride, pad)
+	for i, v := range want {
+		if got.data[i] != v {
+			t.Fatalf("%dx%d k=%d s=%d p=%d: gradIn[%d] (%d,%d) = %v, argmax reference %v",
+				h, w, kernel, stride, pad, i, i/w, i%w, got.data[i], v)
+		}
+	}
+}
+
 // FuzzMaxPoolPlane decodes a plane size, window, stride, padding (0 to
 // kernel+1: a container's attributes are unsigned) and raw float32 and int8
 // bit patterns from the fuzz bytes, and holds maxPoolPlane to the
-// tap-by-tap reference on both.
+// tap-by-tap reference on both; MaxPool2DBackward to the argmax reference
+// on the float plane and on its ReLU, whose zeros tie; and QMaxPool2DInto,
+// over three planes, to the reference at one worker and at five.
 func FuzzMaxPoolPlane(f *testing.F) {
 	f.Add([]byte{50, 50, 3, 2, 1})
 	f.Add([]byte{7, 8, 2, 1, 0, 0xff, 0xc0, 0, 0, 0x80, 0, 0, 0})
 	f.Add([]byte{3, 4, 5, 3, 4, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{1, 1, 1, 0, 3, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
@@ -184,6 +245,38 @@ func FuzzMaxPoolPlane(f *testing.F) {
 		}
 		checkPoolPlane(t, fp, h, w, kernel, stride, pad)
 		checkPoolPlane(t, q, h, w, kernel, stride, pad)
+
+		checkPoolBackward(t, fp, h, w, kernel, stride, pad)
+		relu := New(h * w)
+		ReLUInto(relu, FromSlice(fp, h*w))
+		checkPoolBackward(t, relu.data, h, w, kernel, stride, pad)
+
+		oh, ow := ConvOut(h, kernel, stride, pad), ConvOut(w, kernel, stride, pad)
+		if oh <= 0 || ow <= 0 {
+			return
+		}
+		// The fuzzed plane, a plane of -128 and the fuzzed plane reversed.
+		planes := make([]int8, 3*h*w)
+		for i, v := range q {
+			planes[i], planes[h*w+i], planes[3*h*w-1-i] = v, -128, v
+		}
+		want := make([]int8, 3*oh*ow)
+		for p := 0; p < 3; p++ {
+			maxPoolPlaneRef(want[p*oh*ow:(p+1)*oh*ow], planes[p*h*w:(p+1)*h*w], h, w, oh, ow, kernel, stride, pad)
+		}
+		prev := parallel.DefaultWorkers
+		defer func() { parallel.DefaultWorkers = prev }()
+		for _, workers := range []int{1, 5} {
+			parallel.DefaultWorkers = workers
+			got := make([]int8, len(want))
+			for i := range got {
+				got[i] = 7
+			}
+			QMaxPool2DInto(got, planes, 1, 3, h, w, kernel, stride, pad)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%dx%d k=%d s=%d p=%d workers=%d: QMaxPool2DInto %v, reference %v", h, w, kernel, stride, pad, workers, got, want)
+			}
+		}
 	})
 }
 

@@ -54,22 +54,13 @@ func QReLUInto(dst, src []int8) {
 }
 
 // QMaxPool2DInto pools the s8 (N, C, H, W) input into the (N, C, OH, OW)
-// output with the float MaxPool2DInto semantics: padding taps are excluded
-// from the max, and a window with no valid taps yields 0. Quantization is
-// monotone, so pooling the s8 values directly matches pooling in float and
-// the op needs no rescaling — input and output share a scale.
+// output on MaxPool2DInto's plane job, with its semantics and its split of
+// the planes across workers. Quantization is monotone, so pooling the s8
+// values directly matches pooling in float and the op needs no rescaling —
+// input and output share a scale.
 func QMaxPool2DInto(out, in []int8, n, c, h, w, kernel, stride, pad int) {
-	oh := ConvOut(h, kernel, stride, pad)
-	ow := ConvOut(w, kernel, stride, pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: QMaxPool2DInto produces empty output for input %dx%d k=%d s=%d p=%d", h, w, kernel, stride, pad))
-	}
-	if len(in) != n*c*h*w || len(out) != n*c*oh*ow {
-		panic(fmt.Sprintf("tensor: QMaxPool2DInto buffer lengths %d/%d, want %d/%d", len(in), len(out), n*c*h*w, n*c*oh*ow))
-	}
-	for p := 0; p < n*c; p++ {
-		maxPoolPlane(out[p*oh*ow:(p+1)*oh*ow], in[p*h*w:(p+1)*h*w], h, w, oh, ow, kernel, stride, pad)
-	}
+	job := newMaxPoolJob("QMaxPool2DInto", out, in, n*c, h, w, kernel, stride, pad)
+	job.runPlanes(n * c)
 }
 
 // QGlobalAvgPoolFloatInto averages each s8 (H, W) plane into a float32

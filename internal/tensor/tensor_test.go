@@ -60,8 +60,10 @@ func TestReshapePanicsOnMismatch(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{10, 20, 30, 40}, 2, 2)
-	if got := Add(a, b).Data(); got[3] != 44 {
-		t.Fatalf("Add: %v", got)
+	sum := New(2, 2)
+	AddInto(sum, a, b)
+	if got := sum.Data(); got[3] != 44 {
+		t.Fatalf("AddInto: %v", got)
 	}
 	if got := Sub(b, a).Data(); got[0] != 9 {
 		t.Fatalf("Sub: %v", got)
@@ -77,11 +79,12 @@ func TestElementwiseOps(t *testing.T) {
 
 func TestReLUAndBackward(t *testing.T) {
 	x := FromSlice([]float32{-1, 0, 2, -3}, 4)
-	y := ReLU(x)
+	y := New(4)
+	ReLUInto(y, x)
 	want := []float32{0, 0, 2, 0}
 	for i, v := range y.Data() {
 		if v != want[i] {
-			t.Fatalf("ReLU: %v", y.Data())
+			t.Fatalf("ReLUInto: %v", y.Data())
 		}
 	}
 	g := FromSlice([]float32{1, 1, 1, 1}, 4)
