@@ -177,7 +177,9 @@ selectors:
 # return the NormFloat64 loop's bits and final generator state for any seed,
 # pending spare and length, and the separable max pool must return the
 # tap-by-tap pool's bits (NaN for NaN) for any plane size, window, stride,
-# padding and float32 or int8 bit patterns, and the scan event stream
+# padding and float32 or int8 bit patterns, at one worker and at five for
+# int8, and its backward must route every gradient where a first-maximum
+# argmax does (ties and all-padding windows included), and the scan event stream
 # reader must end any byte stream in io.EOF or an error without panicking
 # and read back unchanged every event it decoded once json.Encoder has
 # written it again, as the scan handler writes its stream, and the Winograd
@@ -213,8 +215,8 @@ fuzz:
 # stems (front32 at 5x100x100, batch 1 and 8; fp32 and, in the /int8
 # rows, int8), its max pool (fp32 and int8,
 # batch 1 and 8), the convolutions' backward (at 32x32 batch 16, what NAS
-# trains, and 100x100 batch 8), the conv/training
-# ablations, one surrogate-sweep trial measurement (core.Measure over the
+# trains, and 100x100 batch 8), the conv ablation, the training step
+# without and with the stem max pool (with allocs/op), one surrogate-sweep trial measurement (core.Measure over the
 # enumerated PaperSpace, with allocs/op), the whole 1,717-trial surrogate
 # sweep (core.Run: NAS phase, measurement on every core, Pareto front), the
 # watershed synthesis a scan's
@@ -225,7 +227,7 @@ fuzz:
 # stock ResNet-18 variants (weight init, what every NAS fold pays first), and
 # the compiled-inference path on a 32x32 chip and at the deployment size.
 KBENCH_TENSOR = ^(BenchmarkGEMMKernelOnly|BenchmarkConvPlanShapes|BenchmarkMaxPoolPlane|BenchmarkConvBackwardShapes|BenchmarkNormFloat64s)$$
-KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkSweepMeasure|BenchmarkTable3_ObjectiveRanges|BenchmarkWatershedSynthesis|BenchmarkCorpusSynthesis|BenchmarkFigure1_ModelBuild)$$
+KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|BenchmarkTrainingStepPooled|BenchmarkSweepMeasure|BenchmarkTable3_ObjectiveRanges|BenchmarkWatershedSynthesis|BenchmarkCorpusSynthesis|BenchmarkFigure1_ModelBuild)$$
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$

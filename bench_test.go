@@ -314,16 +314,33 @@ func BenchmarkAblation_ConvParallelism(b *testing.B) {
 // the paper's best non-dominated architecture on a synthetic batch — the
 // unit of work the NAS training backend repeats.
 func BenchmarkTrainingStep(b *testing.B) {
-	cfg := resnet.Config{Channels: 5, Batch: 8, KernelSize: 3, Stride: 2, Padding: 1,
-		PoolChoice: 0, InitialOutputFeature: 32, NumClasses: 2}
+	benchTrainingStep(b, resnet.Config{Channels: 5, Batch: 8, KernelSize: 3, Stride: 2, Padding: 1,
+		PoolChoice: 0, InitialOutputFeature: 32, NumClasses: 2})
+}
+
+// BenchmarkTrainingStepPooled is the same step through the stem of the
+// nas_search candidates with a pool: 3×3/2 conv, 3×3/2 max pool, width 32,
+// batch 16, so the pool's forward and backward are in the step.
+func BenchmarkTrainingStepPooled(b *testing.B) {
+	benchTrainingStep(b, resnet.Config{Channels: 5, Batch: 16, KernelSize: 3, Stride: 2, Padding: 1,
+		PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 32, NumClasses: 2})
+}
+
+// benchTrainingStep times training steps of cfg on one synthetic batch of
+// 32×32 chips with alternating labels.
+func benchTrainingStep(b *testing.B, cfg resnet.Config) {
 	rng := tensor.NewRNG(1)
 	model, err := resnet.New(cfg, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
 	x := tensor.RandNormal(rng, 1, cfg.Batch, cfg.Channels, 32, 32)
-	labels := []int{0, 1, 0, 1, 0, 1, 0, 1}
+	labels := make([]int, cfg.Batch)
+	for i := range labels {
+		labels[i] = i % 2
+	}
 	opt := nn.NewSGD(model.Params(), 0.01, 0.9, 1e-4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		logits := model.Forward(x, true)
