@@ -217,9 +217,9 @@ func poolSpan(o, size, kernel, stride, pad int) (lo, hi int) {
 // MaxPool2DInto took of input into output with the same kernel, stride and
 // padding. Each output's gradient goes to the first tap of its window, in
 // row-major order, that equals the pooled value (a NaN output's to the first
-// NaN tap): the tap a scan for the first strict maximum picks. A window
-// wholly in the padding pooled to a constant 0, and its gradient goes
-// nowhere.
+// NaN tap). Without NaN that is the tap a scan for the first strict maximum
+// picks. A window wholly in the padding pooled to a constant 0, and its
+// gradient goes nowhere.
 func MaxPool2DBackward(gradOut, input, output *Tensor, kernel, stride, pad int) *Tensor {
 	n, c, h, w := dims4("MaxPool2DBackward input", input)
 	on, ocn, oh, ow := dims4("MaxPool2DBackward output", output)
