@@ -232,7 +232,7 @@ SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkRead
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$
 SBENCH_SCAN   = ^BenchmarkScanFirstTile$$
-IBENCH        = ^(BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8)|BenchmarkStock(FP32|Int8)Batch1|BenchmarkFront32Ops)$$
+IBENCH        = ^(BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8)|BenchmarkStock(FP32|Int8)Batch1|BenchmarkFront32Ops|BenchmarkColdLoad)$$
 
 # Appends one run record (ns/op + GFLOP/s per shape, plus machine/kernel
 # metadata) to the checked-in BENCH_kernels.json trajectory; KERNEL_NOTE is

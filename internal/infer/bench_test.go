@@ -138,9 +138,8 @@ var front32Config = resnet.Config{
 // 100² chips when int8 is set.
 func front32Plan(b *testing.B, int8 bool) *Plan { return modelPlan(b, front32Config, int8) }
 
-// modelPlan compiles the model of cfg with the weights of seed 7, quantized
-// for 100² chips when int8 is set.
-func modelPlan(b *testing.B, cfg resnet.Config, int8 bool) *Plan {
+// modelContainer exports the model of cfg with the weights of seed 7.
+func modelContainer(b *testing.B, cfg resnet.Config) []byte {
 	m, err := resnet.New(cfg, tensor.NewRNG(7))
 	if err != nil {
 		b.Fatal(err)
@@ -149,7 +148,13 @@ func modelPlan(b *testing.B, cfg resnet.Config, int8 bool) *Plan {
 	if _, err := onnxsize.Export(m, &buf); err != nil {
 		b.Fatal(err)
 	}
-	plan, err := LoadPlan(&buf)
+	return buf.Bytes()
+}
+
+// modelPlan compiles the model of cfg with the weights of seed 7, quantized
+// for 100² chips when int8 is set.
+func modelPlan(b *testing.B, cfg resnet.Config, int8 bool) *Plan {
+	plan, err := LoadPlan(bytes.NewReader(modelContainer(b, cfg)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -195,6 +200,46 @@ func BenchmarkFront32Int8Batch8(b *testing.B) { benchFront32(b, true, 8) }
 // that front32 does not have.
 func BenchmarkStockFP32Batch1(b *testing.B) { benchModel(b, resnet.StockResNet18(5, 16), false, 1) }
 func BenchmarkStockInt8Batch1(b *testing.B) { benchModel(b, resnet.StockResNet18(5, 16), true, 1) }
+
+// BenchmarkColdLoad times bringing up each model key predict_closed serves,
+// from its container in memory (weights of seed 7) to the answer of its
+// first 5×100×100 forward: LoadPlan (decode and Compile), for the @int8
+// keys QuantizeSynthetic(32) as the serving loader calls it (calibration
+// forwards, weight quantization), then the forward, whose first use packs
+// every weight panel. ms/op is the whole bring-up; B/op (-benchmem) what it
+// allocates.
+func BenchmarkColdLoad(b *testing.B) {
+	for _, key := range []struct {
+		name string
+		cfg  resnet.Config
+		int8 bool
+	}{
+		{"front32", front32Config, false},
+		{"front32@int8", front32Config, true},
+		{"stock64", resnet.StockResNet18(5, 16), false},
+		{"stock64@int8", resnet.StockResNet18(5, 16), true},
+	} {
+		b.Run(key.name, func(b *testing.B) {
+			blob := modelContainer(b, key.cfg)
+			x := tensor.RandNormal(tensor.NewRNG(9), 1, 1, key.cfg.Channels, 100, 100)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan, err := LoadPlan(bytes.NewReader(blob))
+				if err == nil && key.int8 {
+					plan, err = plan.QuantizeSynthetic(32)
+				}
+				if err == nil {
+					_, err = plan.Forward(x)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
+	}
+}
 
 // BenchmarkFront32Ops times an fp32 front32 forward at 5×100×100 op by op,
 // through a warm session, and reports the milliseconds per forward each

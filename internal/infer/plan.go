@@ -9,6 +9,7 @@ import (
 
 	"drainnas/internal/metrics"
 	"drainnas/internal/onnxsize"
+	"drainnas/internal/parallel"
 	"drainnas/internal/tensor"
 )
 
@@ -164,20 +165,19 @@ func Compile(dec *onnxsize.Decoded) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The weights are copied before folding: Compile leaves its input
-			// untouched.
-			wf := make([]float32, len(w))
-			copy(wf, w)
-			var bias []float32
-
+			var scale, bias []float32
 			j := i + 1
 			if j < len(nodes) && nodes[j].OpType == "BatchNormalization" {
-				bias, err = c.foldBN(nodes[j], wf, oc, kdim)
+				scale, bias, err = c.foldBN(nodes[j], oc)
 				if err != nil {
 					return nil, err
 				}
 				j++
 			}
+			// The folded weights are a copy: Compile leaves its input
+			// untouched.
+			wf := make([]float32, len(w))
+			scaleRows(wf, w, scale, kdim)
 			relu := false
 			if !isDown && j < len(nodes) && nodes[j].OpType == "Relu" {
 				relu = true
@@ -397,43 +397,56 @@ func (c *compiler) tensorOf(name string, wantLen int) ([]float32, error) {
 	return v, nil
 }
 
-// foldBN folds a BatchNormalization node into the preceding conv's weights
-// (in place, wf is the conv's private copy) and returns the resulting bias:
-// w' = w·γ/√(σ²+ε) per output channel, b' = β − γ·μ/√(σ²+ε). The scale and
-// shift are formed in float64, as the training stack's eval-mode BatchNorm
-// forms them.
-func (c *compiler) foldBN(node onnxsize.NodeSpec, wf []float32, oc, kdim int) ([]float32, error) {
+// foldBN reads a BatchNormalization node as the per-output-channel scale
+// and bias it folds into the preceding conv: w' = w·γ/√(σ²+ε),
+// b' = β − γ·μ/√(σ²+ε). The scale and shift are formed in float64, as the
+// training stack's eval-mode BatchNorm forms them.
+func (c *compiler) foldBN(node onnxsize.NodeSpec, oc int) (scale, bias []float32, err error) {
 	gamma, err := c.tensorOf(node.Name+".gamma", oc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	beta, err := c.tensorOf(node.Name+".beta", oc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mean, err := c.tensorOf(node.Name+".running_mean", oc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	variance, err := c.tensorOf(node.Name+".running_var", oc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eps := float64(node.Attrs["epsilon_e9"]) * 1e-9
 	if eps <= 0 {
 		eps = 1e-5
 	}
-	bias := make([]float32, oc)
+	scale, bias = make([]float32, oc), make([]float32, oc)
 	for ch := 0; ch < oc; ch++ {
 		invSD := 1.0 / math.Sqrt(float64(variance[ch])+eps)
-		scale := float32(float64(gamma[ch]) * invSD)
-		row := wf[ch*kdim : (ch+1)*kdim]
-		for i := range row {
-			row[i] *= scale
-		}
+		scale[ch] = float32(float64(gamma[ch]) * invSD)
 		bias[ch] = float32(float64(beta[ch]) - float64(gamma[ch])*float64(mean[ch])*invSD)
 	}
-	return bias, nil
+	return scale, bias, nil
+}
+
+// scaleRows writes dst = src with row ch of kdim values multiplied by
+// scale[ch] — a plain copy when scale is nil — in one pass, rows split
+// across the worker pool.
+func scaleRows(dst, src, scale []float32, kdim int) {
+	parallel.ForChunked(len(src)/kdim, 0, func(lo, hi int) {
+		if scale == nil {
+			copy(dst[lo*kdim:hi*kdim], src[lo*kdim:hi*kdim])
+			return
+		}
+		for ch := lo; ch < hi; ch++ {
+			s, out := scale[ch], dst[ch*kdim:(ch+1)*kdim]
+			for i, v := range src[ch*kdim : (ch+1)*kdim] {
+				out[i] = v * s
+			}
+		}
+	})
 }
 
 // Name returns the compiled graph's name.

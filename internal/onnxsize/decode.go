@@ -13,12 +13,17 @@ import (
 // fp32), a node with more than 64 attributes or an attribute above 2^20 is
 // rejected as corrupt rather than attempted. The bounds are far above
 // anything the exporter produces and exist to keep hostile containers from
-// driving huge allocations or integer overflow; for the same reason no
-// buffer is sized from a declared count before the bytes behind it arrive.
+// driving huge allocations or integer overflow; for the same reason a
+// declared count sizes no buffer past what the container has already
+// delivered (see readPayload).
 const (
 	maxInitializerElems = 1 << 28
 	maxNodeAttrs        = 64
 	maxAttrValue        = 1 << 20
+
+	// payloadPrealloc is the elements any payload may size before its bytes
+	// arrive (4 MiB of fp32).
+	payloadPrealloc = 1 << 20
 )
 
 // Decoded is a parsed export container.
@@ -91,6 +96,7 @@ func Decode(r io.Reader) (*Decoded, error) {
 	if nInits > 1<<20 {
 		return nil, fmt.Errorf("onnxsize: implausible initializer count %d", nInits)
 	}
+	read := 0 // payload elements decoded so far
 	for i := uint64(0); i < nInits; i++ {
 		var init InitializerSpec
 		if init.Name, err = readString(br); err != nil {
@@ -129,15 +135,11 @@ func Decode(r io.Reader) (*Decoded, error) {
 			return nil, fmt.Errorf("onnxsize: initializer %s payload %d bytes, dims imply %d",
 				init.Name, payload, numel*4)
 		}
-		raw, err := io.ReadAll(io.LimitReader(br, int64(payload)))
+		vals, err := readPayload(br, int(numel), max(payloadPrealloc, read))
 		if err != nil {
 			return nil, fmt.Errorf("onnxsize: initializer %s payload: %w", init.Name, err)
 		}
-		if uint64(len(raw)) != payload {
-			return nil, fmt.Errorf("onnxsize: initializer %s payload: %w", init.Name, io.ErrUnexpectedEOF)
-		}
-		vals := make([]float32, numel)
-		tensor.F32FromLE(vals, raw)
+		read += len(vals)
 		out.Graph.Initializers = append(out.Graph.Initializers, init)
 		out.Weights[init.Name] = vals
 	}
@@ -146,6 +148,32 @@ func Decode(r io.Reader) (*Decoded, error) {
 		return nil, fmt.Errorf("onnxsize: trailing data after container")
 	}
 	return out, nil
+}
+
+// readPayload reads numel little-endian float32 values from r straight
+// into the returned slice. The slice starts at min(numel, prealloc)
+// elements — Decode passes the larger of payloadPrealloc and the elements
+// the container has delivered so far, so a payload is sized up front only
+// as far as real bytes stand behind it, and a model whose layers widen as
+// they go (every ResNet) never grows one. A slice that falls short doubles,
+// capped at numel, once its values have arrived. A payload that ends early
+// is io.ErrUnexpectedEOF.
+func readPayload(r io.Reader, numel, prealloc int) ([]float32, error) {
+	vals := make([]float32, min(numel, prealloc))
+	for got := 0; ; {
+		if err := tensor.ReadF32LE(r, vals[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got = len(vals); got == numel {
+			return vals, nil
+		}
+		grown := make([]float32, min(numel, 2*got))
+		copy(grown, vals)
+		vals = grown
+	}
 }
 
 func readString(br *bufio.Reader) (string, error) {

@@ -3,7 +3,10 @@ package onnxsize
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,5 +149,64 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
 		t.Fatalf("short payload allocated %d MiB before failing", grew>>20)
+	}
+}
+
+// TestDecodeShortPayloadAllocationBounded holds the chunked payload read to
+// its bound: a header claiming 2^28 elements with a few payload bytes behind
+// it fails with io.ErrUnexpectedEOF having allocated no more than the
+// preallocation and slack.
+func TestDecodeShortPayloadAllocationBounded(t *testing.T) {
+	b := binary.AppendUvarint([]byte(magic), 1)
+	b = append(b, 'g')
+	b = binary.AppendUvarint(b, 0) // nodes
+	b = binary.AppendUvarint(b, 1) // initializers
+	b = binary.AppendUvarint(b, 1)
+	b = append(b, 'w')
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, maxInitializerElems)
+	b = binary.AppendUvarint(b, 4*maxInitializerElems)
+	b = append(b, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("2^28-element payload with 10 bytes behind it: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	const ceiling = 4*payloadPrealloc + 1<<20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > ceiling {
+		t.Fatalf("short payload allocated %d bytes, ceiling %d", grew, ceiling)
+	}
+}
+
+// TestDecodePayloadGrowsPastPreallocation decodes a first initializer
+// larger than the preallocation, which the reader must grow into, and
+// checks every value.
+func TestDecodePayloadGrowsPastPreallocation(t *testing.T) {
+	const numel = 2*payloadPrealloc + 3
+	vals := make([]float32, numel)
+	for i := range vals {
+		vals[i] = float32(i) - 0.5
+	}
+	b := binary.AppendUvarint([]byte(magic), 1)
+	b = append(b, 'g')
+	b = binary.AppendUvarint(b, 0)
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, 1)
+	b = append(b, 'w')
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, numel)
+	b = binary.AppendUvarint(b, 4*numel)
+	b = tensor.AppendF32LE(b, vals)
+	dec, err := Decode(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dec.Weights["w"], vals) {
+		t.Fatal("payload grown past the preallocation decoded to different values")
+	}
+	if _, err := Decode(bytes.NewReader(b[:len(b)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("payload one byte short: err %v, want io.ErrUnexpectedEOF", err)
 	}
 }

@@ -321,8 +321,7 @@ func inputGrad(gin, w, gout []float32, oc int, g *convGeom) {
 // output channel, so the weights are read once, front to back.
 func packGradWeights(phases []gradPhase, w []float32, oc int, g *convGeom) {
 	mr, s, taps := gemmMR, g.stride, g.kh*g.kw
-	// One worker below the cutoff: the fan-out would cost more than the pack.
-	parallel.ForChunked(oc, min(parallel.DefaultWorkers, 1+oc*g.kdim()/gemmSerialCutoff), func(oLo, oHi int) {
+	parallel.ForChunked(oc, packWorkers(oc*g.kdim()), func(oLo, oHi int) {
 		for o := oLo; o < oHi; o++ {
 			for p := range phases {
 				ph, pa := &phases[p], &phases[p].pack.pa

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"drainnas/internal/metrics"
+	"drainnas/internal/parallel"
 )
 
 const (
@@ -41,6 +42,12 @@ const (
 	// the goroutine fan-out dominates at this size too).
 	gemmSerialCutoff = 1 << 15
 )
+
+// packWorkers is the worker count for one pass over elems weights — a
+// pack, a transform, a quantization: one worker per gemmSerialCutoff of
+// them, at most DefaultWorkers, so a small layer's pass (training repacks
+// its weights every step) never pays the fan-out.
+func packWorkers(elems int) int { return min(parallel.DefaultWorkers, 1+elems/gemmSerialCutoff) }
 
 // Micro-kernel configuration, fixed at init (gemm_amd64.go upgrades it when
 // the CPU supports AVX2+FMA). A kernel computes or continues the product of
@@ -123,20 +130,26 @@ func newPackedA(m, k int) packedA {
 	return pa
 }
 
+// packA packs the m×k matrix a (row stride lda) into row-tile panels, the
+// row tiles split across packWorkers(m·k) workers.
 func packA(a []float32, lda, m, k int) packedA {
 	pa := newPackedA(m, k)
-	mr, rowTiles, kBlocks, slot := gemmMR, pa.rowTiles, pa.kBlocks, gemmKC*gemmMR
-	for rt := 0; rt < rowTiles; rt++ {
-		rows := m - rt*mr
-		if rows > mr {
-			rows = mr
-		}
+	if workers := packWorkers(m * k); workers == 1 {
+		pa.pack(a, lda, 0, pa.rowTiles)
+	} else {
+		parallel.ForChunked(pa.rowTiles, workers, func(lo, hi int) { pa.pack(a, lda, lo, hi) })
+	}
+	return pa
+}
+
+// pack fills row tiles [lo, hi) from a.
+func (pa packedA) pack(a []float32, lda, lo, hi int) {
+	mr, kBlocks, slot := gemmMR, pa.kBlocks, gemmKC*gemmMR
+	for rt := lo; rt < hi; rt++ {
+		rows := min(pa.m-rt*mr, mr)
 		for kb := 0; kb < kBlocks; kb++ {
 			k0 := kb * gemmKC
-			kcLen := k - k0
-			if kcLen > gemmKC {
-				kcLen = gemmKC
-			}
+			kcLen := min(pa.k-k0, gemmKC)
 			dst := pa.buf[(rt*kBlocks+kb)*slot:]
 			for ir := 0; ir < rows; ir++ {
 				src := a[(rt*mr+ir)*lda+k0:]
@@ -151,7 +164,6 @@ func packA(a []float32, lda, m, k int) packedA {
 			}
 		}
 	}
-	return pa
 }
 
 func (pa packedA) release() { scratchF32.put(pa.buf) }

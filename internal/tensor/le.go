@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"encoding/binary"
+	"io"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // AppendF32LE appends vals to dst as little-endian IEEE-754 binary32 — the
@@ -26,4 +28,34 @@ func F32FromLE(dst []float32, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
+}
+
+// hostLittleEndian reports whether a float32's memory is its little-endian
+// encoding; a test clears it to run ReadF32LE's portable path.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// ReadF32LE fills dst from the next 4*len(dst) bytes of r, little-endian
+// IEEE-754 binary32 (F32FromLE's layout), with io.ReadFull's errors: io.EOF
+// when r had no bytes, io.ErrUnexpectedEOF when it ran out part way. On a
+// little-endian host that layout is dst's memory, so the bytes are read
+// straight into it; elsewhere they pass through a 64 KiB buffer and
+// F32FromLE.
+func ReadF32LE(r io.Reader, dst []float32) error {
+	if hostLittleEndian {
+		_, err := io.ReadFull(r, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 4*len(dst)))
+		return err
+	}
+	buf := make([]byte, 4*min(len(dst), 16<<10))
+	for read := 0; read < len(dst); {
+		n := min(len(dst)-read, len(buf)/4)
+		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+			if err == io.EOF && read > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		F32FromLE(dst[read:read+n], buf)
+		read += n
+	}
+	return nil
 }

@@ -36,7 +36,7 @@ func qstoreTile(dst *int8, src, comp *int32, mult, add *float32, dstStride, rows
 //go:noescape
 func qaddBlocks(dst, a, b *int8, n int, ra, rb, lo float32)
 
-// quantizeBlocks is QuantizeInto's loop over n values, n a positive
+// quantizeBlocks is quantizeRow's loop over n values, n a positive
 // multiple of 16, with the reciprocal scale inv.
 //
 //go:noescape

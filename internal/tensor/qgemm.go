@@ -23,6 +23,9 @@ package tensor
 // lives in registers across the whole k loop (|acc| ≤ k·2·32130 keeps far
 // inside int32 for any shape this package produces), and the per-quad
 // operand reads — 64 B of packed B, 16 B of packed A — stream sequentially.
+
+import "drainnas/internal/parallel"
+
 const (
 	// qMR×qNR is the micro-tile: 4 output channels × 16 columns, eight YMM
 	// int32 accumulators in the AVX2 kernel.
@@ -84,10 +87,10 @@ type packedQA struct {
 	kQuads   int
 }
 
-// packQA packs the m×k row-major s8 matrix w. The buffer is plainly
-// allocated, not pooled: weight packs are built once per conv lifetime
-// (QuantizedConv caches them behind a sync.Once), never released into a
-// pool.
+// packQA packs the m×k row-major s8 matrix w, the row tiles split across
+// packWorkers(m·k) workers. The buffer is plainly allocated, not pooled:
+// weight packs are built once per conv lifetime (QuantizedConv caches them
+// behind a sync.Once), never released into a pool.
 func packQA(w []int8, m, k int) packedQA {
 	rowTiles := (m + qMR - 1) / qMR
 	kQuads := (k + 3) / 4
@@ -99,18 +102,17 @@ func packQA(w []int8, m, k int) packedQA {
 		rowTiles: rowTiles,
 		kQuads:   kQuads,
 	}
-	for rt := 0; rt < rowTiles; rt++ {
-		rows := m - rt*qMR
-		if rows > qMR {
-			rows = qMR
-		}
-		dst := pa.buf[rt*slot : (rt+1)*slot]
-		for r := 0; r < rows; r++ {
-			src := w[(rt*qMR+r)*k : (rt*qMR+r)*k+k]
-			for kk, v := range src {
-				dst[(kk/4)*qMR*4+r*4+kk%4] = v
+	parallel.ForChunked(rowTiles, packWorkers(m*k), func(lo, hi int) {
+		for rt := lo; rt < hi; rt++ {
+			rows := min(m-rt*qMR, qMR)
+			dst := pa.buf[rt*slot : (rt+1)*slot]
+			for r := 0; r < rows; r++ {
+				src := w[(rt*qMR+r)*k : (rt*qMR+r)*k+k]
+				for kk, v := range src {
+					dst[(kk/4)*qMR*4+r*4+kk%4] = v
+				}
 			}
 		}
-	}
+	})
 	return pa
 }

@@ -2,7 +2,10 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"drainnas/internal/parallel"
 )
 
 func TestActScaleDegenerate(t *testing.T) {
@@ -111,4 +114,208 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 			t.Fatalf("out-of-range v=%g quantized to %d, want saturation at ±%d (scale %g)", v, q[0], QActMax, eff)
 		}
 	})
+}
+
+// maxAbsRef is MaxAbs as a plain branchy loop: NaNs skipped, infinities
+// saturating.
+func maxAbsRef(xs []float32) float32 {
+	m := float32(0)
+	for _, v := range xs {
+		if v < 0 {
+			v = -v
+		}
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// quantizeWeightsRef is QuantizeWeightsPerChannel as one serial loop with
+// its own rounding and the ±QWeightMax clamp applied to every row.
+func quantizeWeightsRef(w []float32, oc, kdim int) ([]int8, []float32) {
+	q, scales := make([]int8, len(w)), make([]float32, oc)
+	for o := 0; o < oc; o++ {
+		row := w[o*kdim : (o+1)*kdim]
+		m := maxAbsRef(row)
+		s := float32(1)
+		if m > 0 && !math.IsInf(float64(m), 0) {
+			s = m / QWeightMax
+		}
+		scales[o] = s
+		inv := 1 / s
+		for i, v := range row {
+			r := math.RoundToEven(float64(v * inv))
+			switch {
+			case math.IsNaN(r):
+				r = 0
+			case r > QWeightMax:
+				r = QWeightMax
+			case r < -QWeightMax:
+				r = -QWeightMax
+			}
+			q[o*kdim+i] = int8(r)
+		}
+	}
+	return q, scales
+}
+
+// weightRefRows is a matrix of kdim-wide rows that test the edges of the
+// weight quantizer: NaN first, in the middle and last; ±0 and all-zero
+// rows (scale 1); ±Inf rows, whose scale is 1 and whose finite values clamp
+// at ±QWeightMax, not ±QActMax; halfway values at scales 1 and 2; rows whose
+// max-abs makes the scale subnormal or zero; and random rows.
+func weightRefRows(kdim int) (w []float32, oc int) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	rng := NewRNG(23)
+	var rows [][]float32
+	row := func(fill func(i int) float32) {
+		r := make([]float32, kdim)
+		for i := range r {
+			r[i] = fill(i)
+		}
+		rows = append(rows, r)
+	}
+	random := func(i int) float32 { return float32(rng.NormFloat64()) * 0.3 }
+	row(func(i int) float32 { return []float32{nan, random(i)}[min(i, 1)] })
+	row(func(i int) float32 {
+		if i == kdim/2 {
+			return nan
+		}
+		return random(i)
+	})
+	row(func(i int) float32 {
+		if i == kdim-1 {
+			return nan
+		}
+		return random(i)
+	})
+	row(func(i int) float32 { return nan })
+	row(func(i int) float32 { return [2]float32{0, negZero}[i%2] })
+	row(func(i int) float32 { return 0 })
+	row(func(i int) float32 { return [4]float32{inf, 100, -250, 0.4}[i%4] })
+	row(func(i int) float32 { return [4]float32{-inf, nan, 70, -64}[i%4] })
+	row(func(i int) float32 { return [6]float32{63, 0.5, 1.5, -2.5, 62.5, -0.5}[i%6] })
+	row(func(i int) float32 { return [6]float32{126, 1, 3, -5, 125, -127}[i%6] })
+	row(func(i int) float32 { return [3]float32{1e-38, -7e-39, 3e-39}[i%3] })
+	row(func(i int) float32 { return [3]float32{1e-44, -5e-45, 0}[i%3] })
+	row(func(i int) float32 { return [2]float32{3e38, -1e38}[i%2] })
+	for len(rows) < 16 {
+		row(random)
+	}
+	for _, r := range rows {
+		w = append(w, r...)
+	}
+	return w, len(rows)
+}
+
+func TestMaxAbsMatchesReference(t *testing.T) {
+	for _, kdim := range []int{1, 3, 4, 5, 37, 64} {
+		w, oc := weightRefRows(kdim)
+		for o := 0; o < oc; o++ {
+			row := w[o*kdim : (o+1)*kdim]
+			if got, want := MaxAbs(row), maxAbsRef(row); math.Float32bits(got) != math.Float32bits(want) {
+				t.Errorf("kdim %d row %d: MaxAbs = %v, want %v", kdim, o, got, want)
+			}
+		}
+	}
+	if got := MaxAbs(nil); math.Float32bits(got) != 0 {
+		t.Errorf("MaxAbs(nil) = %v, want +0", got)
+	}
+}
+
+// TestQuantizeWeightsMatchesReference holds QuantizeWeightsPerChannel to
+// the serial reference byte for byte, on the edge rows and on a matrix big
+// enough to split across workers, at one worker and at five.
+func TestQuantizeWeightsMatchesReference(t *testing.T) {
+	prev := parallel.DefaultWorkers
+	defer func() { parallel.DefaultWorkers = prev }()
+	rng := NewRNG(29)
+	big := RandNormal(rng, 0.05, 67, 2053).Data()
+	big[5*2053+17] = float32(math.NaN())
+	big[66*2053] = float32(math.Inf(-1))
+	type matrix struct {
+		w        []float32
+		oc, kdim int
+	}
+	cases := []matrix{{big, 67, 2053}}
+	for _, kdim := range []int{1, 5, 15, 16, 17, 37, 64} {
+		w, oc := weightRefRows(kdim)
+		cases = append(cases, matrix{w, oc, kdim})
+	}
+	for _, workers := range []int{1, 5} {
+		parallel.DefaultWorkers = workers
+		for _, c := range cases {
+			q, scales := QuantizeWeightsPerChannel(c.w, c.oc, c.kdim)
+			wantQ, wantScales := quantizeWeightsRef(c.w, c.oc, c.kdim)
+			for o := range scales {
+				if math.Float32bits(scales[o]) != math.Float32bits(wantScales[o]) {
+					t.Fatalf("workers %d %dx%d: scale[%d] = %v, want %v", workers, c.oc, c.kdim, o, scales[o], wantScales[o])
+				}
+			}
+			for i := range q {
+				if q[i] != wantQ[i] {
+					t.Fatalf("workers %d %dx%d: q[%d] (row %d, w %v) = %d, want %d",
+						workers, c.oc, c.kdim, i, i/c.kdim, c.w[i], q[i], wantQ[i])
+				}
+			}
+		}
+	}
+}
+
+// TestWeightPassesIndependentOfWorkers holds every one-time pass over a
+// layer's weights — the float A panels, the int8 panels, the Winograd
+// filters and the per-channel quantization — to the same bytes at one
+// worker and at five, on shapes whose rows are no multiple of either
+// micro-tile's rows and whose k is no multiple of gemmKC or of 4.
+func TestWeightPassesIndependentOfWorkers(t *testing.T) {
+	prev := parallel.DefaultWorkers
+	defer func() { parallel.DefaultWorkers = prev }()
+	defer disableScratchPool()()
+	const m, k, c = 67, 2053, 231 // k = c·9 − 26
+	parallel.DefaultWorkers = 5
+	if packWorkers(m*k) < 5 || packWorkers(m*c*9) < 5 {
+		t.Fatalf("shapes too small to split five ways: %d and %d workers", packWorkers(m*k), packWorkers(m*c*9))
+	}
+	rng := NewRNG(31)
+	w := RandNormal(rng, 0.1, m, k).Data()
+	w9 := RandNormal(rng, 0.1, m, c*9).Data()
+	type result struct {
+		pa     []float32
+		qa     []int8
+		wino   []float32
+		q      []int8
+		scales []float32
+	}
+	run := func(workers int) result {
+		parallel.DefaultWorkers = workers
+		q, scales := QuantizeWeightsPerChannel(w, m, k)
+		wp := &winoPack{src: w9, oc: m, c: c}
+		wp.panels()
+		return result{
+			pa: packA(w, k, m, k).buf, qa: packQA(q, m, k).buf,
+			wino: wp.buf, q: q, scales: scales,
+		}
+	}
+	one, five := run(1), run(5)
+	f32Equal := func(name string, a, b []float32) {
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d vs %d values", name, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				t.Fatalf("%s[%d]: %v at one worker, %v at five", name, i, a[i], b[i])
+			}
+		}
+	}
+	f32Equal("packA", one.pa, five.pa)
+	f32Equal("winoPack", one.wino, five.wino)
+	f32Equal("scales", one.scales, five.scales)
+	if !slices.Equal(one.qa, five.qa) {
+		t.Fatal("packQA differs between one worker and five")
+	}
+	if !slices.Equal(one.q, five.q) {
+		t.Fatal("QuantizeWeightsPerChannel differs between one worker and five")
+	}
 }

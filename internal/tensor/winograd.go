@@ -95,8 +95,9 @@ type winoPack struct {
 	kc       int // channels per block, the last may have fewer; a slot's k extent
 }
 
-// panels transforms and packs the filters on first use. The buffer is the
-// plan's for good, so it comes from the heap, not the scratch pools.
+// panels transforms and packs the filters on first use, the row tiles
+// split across packWorkers workers. The buffer is the plan's for good, so
+// it comes from the heap, not the scratch pools.
 func (wp *winoPack) panels() {
 	wp.once.Do(func() {
 		mr := gemmMR
@@ -104,19 +105,21 @@ func (wp *winoPack) panels() {
 		wp.kBlocks = (wp.c + winoKC - 1) / winoKC
 		wp.kc = (wp.c + wp.kBlocks - 1) / wp.kBlocks
 		wp.buf = make([]float32, wp.rowTiles*winoPoints*wp.kBlocks*wp.kc*mr)
-		var u [winoPoints]float32
 		xiStride := wp.slot(0, 1, 0)
-		for o := 0; o < wp.oc; o++ {
-			rt, ir := o/mr, o%mr
-			for ch := 0; ch < wp.c; ch++ {
-				winoFilter(&u, wp.src[(o*wp.c+ch)*9:(o*wp.c+ch)*9+9])
-				at := wp.slot(rt, 0, ch/wp.kc) + ch%wp.kc*mr + ir
-				for _, v := range u {
-					wp.buf[at] = v
-					at += xiStride
+		parallel.ForChunked(wp.rowTiles, packWorkers(len(wp.src)), func(lo, hi int) {
+			var u [winoPoints]float32
+			for o := lo * mr; o < min(hi*mr, wp.oc); o++ {
+				rt, ir := o/mr, o%mr
+				for ch := 0; ch < wp.c; ch++ {
+					winoFilter(&u, wp.src[(o*wp.c+ch)*9:(o*wp.c+ch)*9+9])
+					at := wp.slot(rt, 0, ch/wp.kc) + ch%wp.kc*mr + ir
+					for _, v := range u {
+						wp.buf[at] = v
+						at += xiStride
+					}
 				}
 			}
-		}
+		})
 	})
 }
 
