@@ -365,9 +365,10 @@ func BenchmarkLatencyPrediction(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepMeasure is the per-trial cost of the surrogate sweep's
-// measurement phase: one core.Measure per op, cycling through the
-// enumerated PaperSpace so every stem, pool and width is in the mean.
+// BenchmarkSweepMeasure is the cost of one measurement: one core.Measure
+// per op, cycling through the enumerated PaperSpace so every stem, pool
+// and width is in the mean. A sweep pays it once per distinct inference
+// graph (360 for PaperSpace), not once per trial.
 func BenchmarkSweepMeasure(b *testing.B) {
 	configs := nas.PaperSpace().EnumerateAll(nas.PaperInputCombos())
 	b.ReportAllocs()

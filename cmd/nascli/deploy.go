@@ -142,8 +142,8 @@ func (d *deployment) run(model *resnet.Model, cfg resnet.Config, chip int, split
 		log.Fatal(err)
 	}
 	fmt.Printf("predicted edge-device latency at %dpx:\n", chip)
-	for _, dev := range latmeter.Devices() {
-		fmt.Printf("  %-14s %8.2f ms\n", dev.Name, pred.PerDevice[dev.Name])
+	for i, dev := range latmeter.Devices() {
+		fmt.Printf("  %-14s %8.2f ms\n", dev.Name, pred.PerDevice[i])
 	}
 	fmt.Printf("  mean %.2f ms  std %.2f ms\n", pred.MeanMS, pred.StdMS)
 

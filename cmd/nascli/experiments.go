@@ -52,8 +52,8 @@ func latpred(args []string) {
 	fmt.Printf("config: %s  (input %dx%d, %d kernels, %.2f GFLOPs, %.1f MB traffic)\n\n",
 		cfg.Key(), *inputSize, *inputSize, len(g.Kernels),
 		g.TotalFLOPs()/1e9, g.TotalBytes()/1e6)
-	for _, d := range latmeter.Devices() {
-		fmt.Printf("  %-14s %8.2f ms   (%s, %s)\n", d.Name, pred.PerDevice[d.Name], d.HW, d.Framework)
+	for i, d := range latmeter.Devices() {
+		fmt.Printf("  %-14s %8.2f ms   (%s, %s)\n", d.Name, pred.PerDevice[i], d.HW, d.Framework)
 	}
 	fmt.Printf("\n  mean %.2f ms   std %.2f ms\n", pred.MeanMS, pred.StdMS)
 

@@ -34,8 +34,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, d := range latmeter.Devices() {
-		s, l := pStock.PerDevice[d.Name], pLean.PerDevice[d.Name]
+	for i, d := range latmeter.Devices() {
+		s, l := pStock.PerDevice[i], pLean.PerDevice[i]
 		fmt.Printf("%-14s %14.2f %14.2f %7.2fx\n", d.Name, s, l, s/l)
 	}
 	fmt.Printf("%-14s %14.2f %14.2f %7.2fx\n", "mean", pStock.MeanMS, pLean.MeanMS, pStock.MeanMS/pLean.MeanMS)

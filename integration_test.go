@@ -145,10 +145,10 @@ func TestSurrogateAgreesWithLatencyOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	pStock, _ := latmeter.Predict(stock, 0)
-	for _, d := range latmeter.Devices() {
-		if pLean.PerDevice[d.Name] >= pStock.PerDevice[d.Name] {
+	for i, d := range latmeter.Devices() {
+		if pLean.PerDevice[i] >= pStock.PerDevice[i] {
 			t.Fatalf("%s: lean %.2f not faster than stock %.2f",
-				d.Name, pLean.PerDevice[d.Name], pStock.PerDevice[d.Name])
+				d.Name, pLean.PerDevice[i], pStock.PerDevice[i])
 		}
 	}
 	mLean, _ := onnxsize.SizeMB(lean)

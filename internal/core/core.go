@@ -29,13 +29,13 @@ var Objectives = []pareto.Direction{pareto.Maximize, pareto.Minimize, pareto.Min
 // Trial is one valid NAS outcome with all three objective measurements
 // attached — one row of the paper's experimental data.
 type Trial struct {
-	Config    resnet.Config      `json:"config"`
-	Accuracy  float64            `json:"accuracy"`   // percent, 5-fold mean
-	LatencyMS float64            `json:"latency_ms"` // mean over 4 predictors
-	LatStdMS  float64            `json:"lat_std_ms"` // std over 4 predictors
-	PerDevice map[string]float64 `json:"per_device_ms"`
-	MemoryMB  float64            `json:"memory_mb"` // ONNX export size
-	EnergyMJ  float64            `json:"energy_mj"` // mean per-inference energy
+	Config    resnet.Config     `json:"config"`
+	Accuracy  float64           `json:"accuracy"`   // percent, 5-fold mean
+	LatencyMS float64           `json:"latency_ms"` // mean over 4 predictors
+	LatStdMS  float64           `json:"lat_std_ms"` // std over 4 predictors
+	PerDevice latmeter.DeviceMS `json:"per_device_ms"`
+	MemoryMB  float64           `json:"memory_mb"` // ONNX export size
+	EnergyMJ  float64           `json:"energy_mj"` // mean per-inference energy
 }
 
 // Options configures a pipeline run.
@@ -63,12 +63,16 @@ type Result struct {
 	Trials []Trial
 	// RawTrials counts all attempted trials including failures.
 	RawTrials int
+	// Graphs counts the distinct inference networks (resnet.Config.Graph)
+	// among Trials: each was measured once.
+	Graphs int
 	// FrontIdx indexes Trials: the non-dominated set.
 	FrontIdx []int
 }
 
 // Run executes the pipeline: NAS sweep → latency prediction → memory
-// measurement → Pareto analysis.
+// measurement → Pareto analysis. Each distinct inference network among the
+// valid trials is measured once.
 func Run(opts Options) (*Result, error) {
 	if opts.Evaluator == nil {
 		return nil, fmt.Errorf("core: Options.Evaluator is required")
@@ -87,17 +91,57 @@ func Run(opts Options) (*Result, error) {
 	})
 
 	valid := nas.Succeeded(results)
-	trials, bad, err := measureAll(len(valid), opts.Workers, func(i int) (Trial, error) {
-		return Measure(valid[i].Config, valid[i].Accuracy, opts.InputSize)
-	})
+	graph := func(i int) int { return opts.Space.GraphIndex(opts.Combos, valid[i].ID) }
+	trial := func(i int) (resnet.Config, float64) { return valid[i].Config, valid[i].Accuracy }
+	trials, graphs, bad, err := measureGraphs(len(valid), len(configs), graph, trial, opts.InputSize, opts.Workers)
 	if err != nil {
 		r := valid[bad]
 		return nil, fmt.Errorf("core: measuring trial %d (%s): %w", r.ID, r.Config.Key(), err)
 	}
-	res := &Result{RawTrials: len(results), Trials: trials}
+	res := &Result{RawTrials: len(results), Graphs: graphs, Trials: trials}
 	res.FrontIdx = pareto.NonDominated(res.Points(), Objectives)
 	sortFront(res)
 	return res, nil
+}
+
+// measureGraphs measures n configurations, trial(i) giving the i-th and
+// its accuracy, each distinct network among them once. graph(i) numbers
+// the i-th's network below numbers; equal numbers must mean equal
+// resnet.Config.Graph. The networks are measured through measureAll in
+// first-occurrence order, each as its first configuration, and every
+// configuration's trial is its network's measurement with its own Config
+// and Accuracy. It returns the trials indexed like i and how many networks
+// it measured; on failure, the lowest failing i — a failing network fails
+// at its first configuration, so that is where a serial loop over i stops.
+func measureGraphs(n, numbers int, graph func(i int) int, trial func(i int) (resnet.Config, float64),
+	inputSize, workers int) (trials []Trial, graphs, bad int, err error) {
+	if n == 0 {
+		return nil, 0, 0, nil // a sweep with no valid trial keeps nil Trials
+	}
+	seen := make([]int32, numbers) // a number → 1 + its index in first, or 0
+	of := make([]int32, n)         // i → its network's index in first
+	var first []int                // each network's first configuration
+	for i := range of {
+		g := &seen[graph(i)]
+		if *g == 0 {
+			first = append(first, i)
+			*g = int32(len(first))
+		}
+		of[i] = *g - 1
+	}
+	measured, bad, err := measureAll(len(first), workers, func(g int) (Trial, error) {
+		cfg, acc := trial(first[g])
+		return Measure(cfg, acc, inputSize)
+	})
+	if err != nil {
+		return nil, 0, first[bad], err
+	}
+	trials = make([]Trial, n)
+	for i, g := range of {
+		trials[i] = measured[g]
+		trials[i].Config, trials[i].Accuracy = trial(i)
+	}
+	return trials, len(first), 0, nil
 }
 
 // measureAll runs measure(i) for every i in [0, n) on up to workers
@@ -202,25 +246,34 @@ func (r *Result) ObjectiveRanges() (mins, maxs []float64) {
 
 // Baselines evaluates the stock ResNet-18 on every input combination
 // (Table 5): accuracy from the evaluator, latency and memory from the
-// predictors.
+// predictors, measured once per channel count (the paper's six
+// combinations are two networks).
 func Baselines(combos []nas.InputCombo, eval nas.Evaluator, inputSize int) ([]Trial, error) {
 	if combos == nil {
 		combos = nas.PaperInputCombos()
 	}
-	var out []Trial
-	for _, c := range combos {
-		cfg := resnet.StockResNet18(c.Channels, c.Batch)
-		acc, err := eval.Evaluate(cfg)
-		if err != nil {
+	configs := make([]resnet.Config, len(combos))
+	accs := make([]float64, len(combos))
+	for i, c := range combos {
+		configs[i] = resnet.StockResNet18(c.Channels, c.Batch)
+		var err error
+		if accs[i], err = eval.Evaluate(configs[i]); err != nil {
 			return nil, fmt.Errorf("core: baseline %dch b%d: %w", c.Channels, c.Batch, err)
 		}
-		trial, err := Measure(cfg, acc, inputSize)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, trial)
 	}
-	return out, nil
+	// A combination's network is numbered by the first combination that
+	// builds the same one.
+	graph := func(i int) int {
+		for j := range configs[:i] {
+			if configs[j].Graph() == configs[i].Graph() {
+				return j
+			}
+		}
+		return i
+	}
+	trial := func(i int) (resnet.Config, float64) { return configs[i], accs[i] }
+	trials, _, _, err := measureGraphs(len(combos), len(combos), graph, trial, inputSize, 1)
+	return trials, err
 }
 
 // EnergyObjectives extends the paper's three objectives with mean

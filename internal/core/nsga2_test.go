@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"drainnas/internal/latmeter"
 	"drainnas/internal/nas"
 	"drainnas/internal/pareto"
 )
@@ -163,13 +164,14 @@ func describeSearch(res *NSGA2Result) []byte {
 		f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 		fmt.Fprintf(&b, "%+v acc=%s lat=%s std=%s mem=%s energy=%s", t.Config,
 			f(t.Accuracy), f(t.LatencyMS), f(t.LatStdMS), f(t.MemoryMB), f(t.EnergyMJ))
-		devs := make([]string, 0, len(t.PerDevice))
-		for d := range t.PerDevice {
-			devs = append(devs, d)
+		devs := latmeter.Devices()
+		byName := make([]int, len(devs))
+		for i := range byName {
+			byName[i] = i
 		}
-		sort.Strings(devs)
-		for _, d := range devs {
-			fmt.Fprintf(&b, " %s=%s", d, f(t.PerDevice[d]))
+		sort.Slice(byName, func(i, j int) bool { return devs[byName[i]].Name < devs[byName[j]].Name })
+		for _, i := range byName {
+			fmt.Fprintf(&b, " %s=%s", devs[i].Name, f(t.PerDevice[i]))
 		}
 		b.WriteByte('\n')
 	}

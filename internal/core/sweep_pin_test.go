@@ -21,7 +21,8 @@ const sweepPin = "testdata/sweep.pin"
 
 // hashTrials feeds every field of every trial to h: the configuration's
 // fields, each float as its bit pattern and PerDevice in
-// latmeter.Devices() order.
+// latmeter.Devices() order. The digests were captured when PerDevice was a
+// map, so each device is still written as present in it.
 func hashTrials(h hash.Hash, trials []Trial) {
 	var buf [8]byte
 	f64 := func(v float64) {
@@ -34,10 +35,9 @@ func hashTrials(h hash.Hash, trials []Trial) {
 		f64(t.LatencyMS)
 		f64(t.LatStdMS)
 		fmt.Fprintf(h, "%d|", len(t.PerDevice))
-		for _, d := range latmeter.Devices() {
-			ms, ok := t.PerDevice[d.Name]
-			fmt.Fprintf(h, "%s:%t|", d.Name, ok)
-			f64(ms)
+		for i, d := range latmeter.Devices() {
+			fmt.Fprintf(h, "%s:true|", d.Name)
+			f64(t.PerDevice[i])
 		}
 		f64(t.MemoryMB)
 		f64(t.EnergyMJ)

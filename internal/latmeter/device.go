@@ -65,10 +65,8 @@ func Devices() []Device {
 
 // DeviceByName looks a predictor up by its nn-Meter name.
 func DeviceByName(name string) (Device, error) {
-	for _, d := range devices {
-		if d.Name == name {
-			return d, nil
-		}
+	if i := deviceIndex(name); i >= 0 {
+		return devices[i], nil
 	}
 	return Device{}, fmt.Errorf("latmeter: unknown device %q", name)
 }

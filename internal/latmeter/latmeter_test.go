@@ -1,6 +1,8 @@
 package latmeter
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -239,9 +241,9 @@ func TestPredictGraphMatchesPerDevice(t *testing.T) {
 				sum, energy := 0.0, 0.0
 				for i, d := range devs {
 					ms, mj := d.LatencyMS(g), d.EnergyMJ(g)
-					if p.PerDevice[d.Name] != ms || p.EnergyMJ[i] != mj {
+					if p.PerDevice[i] != ms || p.EnergyMJ[i] != mj {
 						t.Fatalf("%s @%d scale %v on %s: pass %v ms / %v mJ, LatencyMS %v / EnergyMJ %v",
-							cfg.Key(), size, g.CostScale, d.Name, p.PerDevice[d.Name], p.EnergyMJ[i], ms, mj)
+							cfg.Key(), size, g.CostScale, d.Name, p.PerDevice[i], p.EnergyMJ[i], ms, mj)
 					}
 					sum += ms
 					energy += mj
@@ -538,17 +540,11 @@ func TestServiceModelDecomposesLatency(t *testing.T) {
 // floats compared by bit pattern.
 func samePrediction(a, b Prediction) bool {
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if len(a.PerDevice) != len(b.PerDevice) || !same(a.MeanMS, b.MeanMS) || !same(a.StdMS, b.StdMS) ||
-		!same(a.MeanEnergyMJ, b.MeanEnergyMJ) {
+	if !same(a.MeanMS, b.MeanMS) || !same(a.StdMS, b.StdMS) || !same(a.MeanEnergyMJ, b.MeanEnergyMJ) {
 		return false
 	}
-	for name, ms := range a.PerDevice {
-		if other, ok := b.PerDevice[name]; !ok || !same(ms, other) {
-			return false
-		}
-	}
 	for i := range a.EnergyMJ {
-		if !same(a.EnergyMJ[i], b.EnergyMJ[i]) {
+		if !same(a.PerDevice[i], b.PerDevice[i]) || !same(a.EnergyMJ[i], b.EnergyMJ[i]) {
 			return false
 		}
 	}
@@ -608,5 +604,64 @@ func TestLoweringIntoBuffersDoesNotAllocate(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g, want) {
 		t.Fatalf("LowerTo gives %+v, Decompose %+v", g, want)
+	}
+}
+
+// TestDeviceMSJSONMatchesMap holds DeviceMS's JSON to the bytes of the
+// map from device name to latency it replaced, for latencies spanning
+// every float format encoding/json uses, and reads them back unchanged:
+// the zero value is null both ways, a NaN is an error, and so is an
+// unknown device.
+func TestDeviceMSJSONMatchesMap(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	values := []float64{0, -0.0, 1, 12.5, 1e-6, 9.99e-7, 1e-9, 5e-324, 1e20, 1e21, 3.4e38, -2.5e-8, 31.852263846320596}
+	for n := 0; n < 200; n++ {
+		var d DeviceMS
+		byName := map[string]float64{}
+		for i, dev := range Devices() {
+			v := values[rng.Intn(len(values))]
+			if n%2 == 1 {
+				v = math.Ldexp(rng.Float64(), rng.Intn(160)-80)
+			}
+			d[i], byName[dev.Name] = v, v
+		}
+		if d == (DeviceMS{}) {
+			continue
+		}
+		got, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(byName)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("DeviceMS %v encodes to\n%s\nthe map to\n%s", d, got, want)
+		}
+		var back DeviceMS
+		if err := json.Unmarshal(got, &back); err != nil || back != d {
+			t.Fatalf("%s read back as %v (%v), want %v", got, back, err, d)
+		}
+	}
+
+	type row struct {
+		PerDevice DeviceMS `json:"per_device_ms"`
+	}
+	var nilMap struct {
+		PerDevice map[string]float64 `json:"per_device_ms"`
+	}
+	got, _ := json.Marshal(row{})
+	want, _ := json.Marshal(nilMap)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("zero DeviceMS encodes to %s, a nil map to %s", got, want)
+	}
+	back := row{PerDevice: DeviceMS{1, 2, 3, 4}}
+	if err := json.Unmarshal(got, &back); err != nil || back.PerDevice != (DeviceMS{}) {
+		t.Fatalf("%s read back as %v (%v), want zero", got, back.PerDevice, err)
+	}
+
+	if _, err := json.Marshal(DeviceMS{1, math.NaN(), 3, 4}); err == nil {
+		t.Fatal("a NaN latency encoded without error")
+	}
+	if err := json.Unmarshal([]byte(`{"pentium":3}`), &back.PerDevice); err == nil {
+		t.Fatal("an unknown device decoded without error")
 	}
 }

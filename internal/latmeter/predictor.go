@@ -17,7 +17,7 @@ const DefaultInputSize = 100
 // deviation across the four predictors), and the per-inference energy the
 // same latencies imply.
 type Prediction struct {
-	PerDevice map[string]float64
+	PerDevice DeviceMS
 	MeanMS    float64
 	StdMS     float64
 	// EnergyMJ is Device.EnergyMJ of each predictor, in Devices() order;
@@ -125,10 +125,9 @@ func (p *Pricer) Predict(g Graph) Prediction {
 			lat[d] += pr.ms[d]
 		}
 	}
-	pred := Prediction{PerDevice: make(map[string]float64, NumDevices)}
+	pred := Prediction{PerDevice: lat}
 	sum, energy := 0.0, 0.0
 	for i := range devices {
-		pred.PerDevice[devices[i].Name] = lat[i]
 		sum += lat[i]
 		pred.EnergyMJ[i] = powers[i].energyMJ(lat[i], bytes)
 		energy += pred.EnergyMJ[i]

@@ -64,6 +64,44 @@ func TestUniqueConfigsCollapsesNoPool(t *testing.T) {
 	}
 }
 
+// TestGraphIndexNumbersGraphs: over the paper's 1,728 configurations,
+// GraphIndex gives two of them the same number exactly when they have the
+// same resnet.Config.Graph — 360 networks. In a space that lists a value
+// twice, with combinations whose channel counts repeat out of order, equal
+// numbers still mean equal graphs.
+func TestGraphIndexNumbersGraphs(t *testing.T) {
+	check := func(sp Space, combos []InputCombo, exact bool) int {
+		t.Helper()
+		configs := sp.EnumerateAll(combos)
+		byNumber := map[int]resnet.Config{}
+		byGraph := map[resnet.Config]int{}
+		for id, cfg := range configs {
+			n := sp.GraphIndex(combos, id)
+			if n < 0 || n >= len(configs) {
+				t.Fatalf("config %d (%+v): number %d outside [0, %d)", id, cfg, n, len(configs))
+			}
+			if g, ok := byNumber[n]; ok && g != cfg.Graph() {
+				t.Fatalf("config %d (%+v): number %d is also graph %+v", id, cfg, n, g)
+			}
+			byNumber[n] = cfg.Graph()
+			if m, ok := byGraph[cfg.Graph()]; exact && ok && m != n {
+				t.Fatalf("config %d (%+v): numbered %d and %d", id, cfg, m, n)
+			}
+			byGraph[cfg.Graph()] = n
+		}
+		return len(byGraph)
+	}
+	if n := check(PaperSpace(), PaperInputCombos(), true); n != 360 {
+		t.Fatalf("paper space: %d graphs, want 360", n)
+	}
+	odd := Space{
+		KernelSizes: []int{3, 3, 7}, Strides: []int{2}, Paddings: []int{1, 2},
+		PoolChoices: []int{1, 0}, KernelSizePools: []int{2, 3, 2}, StridePools: []int{2, 1},
+		InitialFeatures: []int{8, 16}, NumClasses: 2,
+	}
+	check(odd, []InputCombo{{5, 16}, {7, 8}, {5, 8}, {7, 32}}, false)
+}
+
 func TestEnumerateDeterministicOrder(t *testing.T) {
 	sp := PaperSpace()
 	a := sp.Enumerate(InputCombo{5, 8})

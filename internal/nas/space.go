@@ -107,6 +107,33 @@ func (s Space) EnumerateAll(combos []InputCombo) []resnet.Config {
 	return out
 }
 
+// GraphIndex numbers the inference networks of EnumerateAll(combos)
+// without looking at a configuration: the one at index id builds network
+// GraphIndex(combos, id), a number below len(combos) * RawSize(). Equal
+// numbers mean equal resnet.Config.Graph, since the number leaves out what
+// Graph clears — the combination's batch size, and the pool kernel and
+// stride of a stem without a pool. (An axis that lists a value twice gives
+// one network two numbers.)
+func (s Space) GraphIndex(combos []InputCombo, id int) int {
+	raw := s.RawSize()
+	c, local := id/raw, id%raw
+	for first := range combos[:c] {
+		if combos[first].Channels == combos[c].Channels {
+			c = first
+			break
+		}
+	}
+	// appendEnumerate's innermost axes are pool kernel, pool stride and
+	// width: one pool choice spans len(KernelSizePools) * len(StridePools)
+	// * len(InitialFeatures) configurations.
+	widths := len(s.InitialFeatures)
+	pools := len(s.KernelSizePools) * len(s.StridePools) * widths
+	if s.PoolChoices[local/pools%len(s.PoolChoices)] == 0 {
+		local += local%widths - local%pools // pool kernel and stride → their first values
+	}
+	return c*raw + local
+}
+
 // UniqueConfigs removes configurations that build identical networks (the
 // no-pool duplicates, via resnet.Config.Canonical), preserving first-seen
 // order.

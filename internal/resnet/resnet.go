@@ -99,6 +99,16 @@ func (c Config) Canonical() Config {
 	return c
 }
 
+// Graph returns the identity of the inference network the configuration
+// exports: Canonical with Batch cleared, since batch size shapes training
+// only. Latency, memory and energy are functions of Graph, so two
+// configurations with the same Graph measure alike; accuracy is not.
+func (c Config) Graph() Config {
+	c = c.Canonical()
+	c.Batch = 0
+	return c
+}
+
 // Key returns a stable string identity for the canonical configuration,
 // suitable as a map key and as a seed component.
 func (c Config) Key() string {

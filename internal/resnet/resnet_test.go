@@ -122,6 +122,45 @@ func TestCanonicalCollapsesNoPoolVariants(t *testing.T) {
 	}
 }
 
+// TestGraphClearsWhatNoExportCarries: Graph drops batch size and a
+// pool-less stem's pool kernel and stride, and keeps every other field.
+func TestGraphClearsWhatNoExportCarries(t *testing.T) {
+	a := Config{Channels: 5, Batch: 8, KernelSize: 3, Stride: 2, Padding: 1,
+		PoolChoice: 0, KernelSizePool: 2, StridePool: 1, InitialOutputFeature: 32, NumClasses: 2}
+	b := a
+	b.Batch, b.KernelSizePool, b.StridePool = 32, 3, 2
+	if a.Graph() != b.Graph() {
+		t.Fatalf("batch and a pool-less stem's pool fields reach the graph: %+v vs %+v", a.Graph(), b.Graph())
+	}
+	want := a
+	want.Batch, want.KernelSizePool, want.StridePool = 0, 0, 0
+	if a.Graph() != want {
+		t.Fatalf("Graph() = %+v, want %+v", a.Graph(), want)
+	}
+	pooled := StockResNet18(7, 16)
+	want = pooled
+	want.Batch = 0
+	if pooled.Graph() != want {
+		t.Fatalf("Graph() of a pooled stem = %+v, want %+v", pooled.Graph(), want)
+	}
+	for _, other := range []func(c *Config){
+		func(c *Config) { c.Channels = 5 },
+		func(c *Config) { c.KernelSize = 3 },
+		func(c *Config) { c.Stride = 1 },
+		func(c *Config) { c.Padding = 1 },
+		func(c *Config) { c.KernelSizePool = 2 },
+		func(c *Config) { c.StridePool = 1 },
+		func(c *Config) { c.InitialOutputFeature = 48 },
+		func(c *Config) { c.NumClasses = 3 },
+	} {
+		c := pooled
+		other(&c)
+		if c.Graph() == pooled.Graph() {
+			t.Fatalf("%+v and %+v share a graph", c, pooled)
+		}
+	}
+}
+
 func TestKeyIsInjectiveOnSearchAxes(t *testing.T) {
 	// Property: distinct canonical configs have distinct keys.
 	f := func(k1, s1, p1, f1, k2, s2, p2, f2 uint8) bool {
