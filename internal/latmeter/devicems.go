@@ -3,69 +3,27 @@ package latmeter
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
 )
 
 // DeviceMS is one model's latency on each predictor, in Devices() order:
 // index i is Devices()[i]. It is a value, so copying a measurement copies
 // its latencies and nothing is shared.
 //
-// Its JSON is the object a map from device name to latency encodes to:
-// names sorted, each latency as encoding/json writes a float64, and null for
-// the zero value, which no measured model has.
+// Its JSON is the object a map from device name to latency encodes to, and
+// null for the zero value, which no measured model has.
 type DeviceMS [NumDevices]float64
 
-// byName is the device indices in the order encoding/json sorts map keys.
-var byName = func() [NumDevices]int {
-	var idx [NumDevices]int
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx[:], func(a, b int) bool { return devices[idx[a]].Name < devices[idx[b]].Name })
-	return idx
-}()
-
-// MarshalJSON writes {"<name>":<ms>,...} with names sorted, or null for
-// the zero value. NaN and ±Inf are errors, as they are for encoding/json.
+// MarshalJSON writes what encoding/json writes for the map from device
+// name to latency, or null for the zero value.
 func (d DeviceMS) MarshalJSON() ([]byte, error) {
 	if d == (DeviceMS{}) {
 		return []byte("null"), nil
 	}
-	b := make([]byte, 0, 32*NumDevices)
-	for n, i := range byName {
-		ms := d[i]
-		if math.IsNaN(ms) || math.IsInf(ms, 0) {
-			return nil, fmt.Errorf("latmeter: %s latency %v is not a JSON number", devices[i].Name, ms)
-		}
-		sep := byte(',')
-		if n == 0 {
-			sep = '{'
-		}
-		b = append(append(append(b, sep, '"'), devices[i].Name...), '"', ':')
-		b = appendJSONFloat(b, ms)
+	byDevice := make(map[string]float64, NumDevices)
+	for i, ms := range d {
+		byDevice[devices[i].Name] = ms
 	}
-	return append(b, '}'), nil
-}
-
-// appendJSONFloat appends f as encoding/json writes a float64: the shortest
-// decimal that round-trips, in exponent form only below 1e-6 or from 1e21,
-// with a one-digit negative exponent unpadded.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
+	return json.Marshal(byDevice)
 }
 
 // UnmarshalJSON reads what MarshalJSON writes: an object keyed by device
