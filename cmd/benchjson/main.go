@@ -1,9 +1,10 @@
 // Command benchjson turns `go test -bench` text (read from stdin) into a
 // JSON benchmark trajectory. Each invocation appends one run record — with
-// timestamp, toolchain, CPU model, GOMAXPROCS, the active GEMM kernel, and
-// every parsed benchmark's ns/op plus custom metrics (gflops, MB/s, ...) —
-// to the `runs` array of the output file, so the checked-in file accumulates
-// the performance history across commits instead of overwriting it.
+// timestamp, toolchain, CPU model, GOMAXPROCS, the active float and int8
+// GEMM kernels, and every parsed benchmark's ns/op plus custom metrics
+// (gflops, MB/s, ...) — to the `runs` array of the output file, so the
+// checked-in file accumulates the performance history across commits
+// instead of overwriting it.
 //
 // Usage:
 //
@@ -34,13 +35,16 @@ type benchResult struct {
 }
 
 type run struct {
-	Timestamp  string        `json:"timestamp"`
-	GoVersion  string        `json:"go"`
-	CPU        string        `json:"cpu,omitempty"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	GemmKernel string        `json:"gemm_kernel"`
-	Note       string        `json:"note,omitempty"`
-	Benchmarks []benchResult `json:"benchmarks"`
+	Timestamp  string `json:"timestamp"`
+	GoVersion  string `json:"go"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GemmKernel string `json:"gemm_kernel"`
+	// QGemmKernel is the int8 micro-kernel, which an int8 row's number
+	// depends on as the fp32 rows' depend on GemmKernel.
+	QGemmKernel string        `json:"qgemm_kernel"`
+	Note        string        `json:"note,omitempty"`
+	Benchmarks  []benchResult `json:"benchmarks"`
 }
 
 // trajectory holds the earlier runs as raw JSON, so appending a run leaves
@@ -56,11 +60,12 @@ func main() {
 	flag.Parse()
 
 	rec := run{
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GemmKernel: tensor.GemmKernelName(),
-		Note:       *note,
+		Timestamp:   time.Now().UTC().Format(time.RFC3339),
+		GoVersion:   runtime.Version(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		GemmKernel:  tensor.GemmKernelName(),
+		QGemmKernel: tensor.QGemmKernelName(),
+		Note:        *note,
 	}
 	if *kernel != "" {
 		rec.GemmKernel = *kernel

@@ -50,10 +50,14 @@ func TestParseBenchLineRejectsGarbage(t *testing.T) {
 }
 
 func TestAppendRunKeepsEarlierRuns(t *testing.T) {
-	rec := run{GoVersion: "go1", GemmKernel: "k", Note: "a -> b", Benchmarks: []benchResult{{Name: "X", Iters: 1, NsPerOp: 2}}}
+	rec := run{GoVersion: "go1", GemmKernel: "k", QGemmKernel: "q", Note: "a -> b", Benchmarks: []benchResult{{Name: "X", Iters: 1, NsPerOp: 2}}}
 	first, n, err := appendRun(nil, rec)
 	if err != nil || n != 1 {
 		t.Fatalf("new file: n=%d err=%v", n, err)
+	}
+	if !strings.Contains(string(first), `"gemm_kernel": "k",
+      "qgemm_kernel": "q",`) {
+		t.Fatalf("kernels not recorded side by side:\n%s", first)
 	}
 	if !strings.Contains(string(first), `"note": "a -> b"`) {
 		t.Fatalf("note escaped:\n%s", first)

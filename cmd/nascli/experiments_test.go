@@ -49,8 +49,8 @@ func TestReproCheckPrintedTables(t *testing.T) {
 		{"trainer_epoch1", []string{"trainer", "-epochs", "1", "-scale", "600", "-chip", "32", "-width", "8"}, true},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
-			if k := tensor.GemmKernelName(); tc.trains && k != "avx2-6x16" {
-				t.Skipf("golden captured on the avx2-6x16 kernel, this process runs %s", k)
+			if k := tensor.GemmArithmetic(); tc.trains && k != "fused-6x16" {
+				t.Skipf("golden captured under the fused-6x16 arithmetic, this process runs %s", tensor.GemmKernelName())
 			}
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
 			if err != nil {

@@ -412,8 +412,8 @@ func TestParsePrecisionAndModelKey(t *testing.T) {
 // of its own): the input scale, every residual join's and the global pool's
 // scale ratios, and the logits the plan gives one fixed batch. Any
 // activation scale that moves moves one of those. The float forwards behind
-// the scales are only reproducible bit for bit on the kernel they were
-// captured with. Re-captured when the training FC head moved onto the
+// the scales are only reproducible bit for bit under the kernel arithmetic
+// they were captured with, which every 6×16 kernel shares. Re-captured when the training FC head moved onto the
 // convolution driver: exportModel's SGD steps run through the head's
 // backward, so the trained weights moved; the containers trained before
 // that move still hash to the earlier pin, 7a47bbb9…. Re-captured again when
@@ -421,13 +421,13 @@ func TestParsePrecisionAndModelKey(t *testing.T) {
 // calibration runs the fp32 forward, so the activation scales moved by its
 // rounding (the pin before was ec1a5720…).
 const (
-	quantizedPlanPin       = "12d0022658390a12e8a50eebe4615e38f53dceae74244f2fae5e2175999a64de"
-	quantizedPlanPinKernel = "avx2-6x16"
+	quantizedPlanPin      = "12d0022658390a12e8a50eebe4615e38f53dceae74244f2fae5e2175999a64de"
+	quantizedPlanPinArith = "fused-6x16"
 )
 
 func TestQuantizedPlanPin(t *testing.T) {
-	if k := tensor.GemmKernelName(); k != quantizedPlanPinKernel {
-		t.Skipf("pin captured on the %s kernel, this process runs %s", quantizedPlanPinKernel, k)
+	if k := tensor.GemmArithmetic(); k != quantizedPlanPinArith {
+		t.Skipf("pin captured under the %s arithmetic, this process runs %s", quantizedPlanPinArith, tensor.GemmKernelName())
 	}
 	h := sha256.New()
 	for i, cfg := range []resnet.Config{

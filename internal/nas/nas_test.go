@@ -346,11 +346,11 @@ func TestTrainEvaluatorRejectsEmptyFold(t *testing.T) {
 // the SGD epoch was shared with nascli trainer. Any change to the training
 // protocol or to its RNG draw order (weight init, then one Batches shuffle
 // per epoch) moves at least one of them. The forwards
-// behind the accuracies are only reproducible bit for bit on the kernel
-// they were captured with.
+// behind the accuracies are only reproducible bit for bit under the kernel
+// arithmetic they were captured with, which every 6×16 kernel shares.
 func TestTrainEvaluatorPin(t *testing.T) {
-	if k := tensor.GemmKernelName(); k != "avx2-6x16" {
-		t.Skipf("pin captured on the avx2-6x16 kernel, this process runs %s", k)
+	if k := tensor.GemmArithmetic(); k != "fused-6x16" {
+		t.Skipf("pin captured under the fused-6x16 arithmetic, this process runs %s", tensor.GemmKernelName())
 	}
 	corpus := geodata.GenerateCorpus(geodata.CorpusOptions{ChipSize: 32, Scale: 400, Seed: 1})
 	x, labels := corpus.Tensors(5)

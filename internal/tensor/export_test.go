@@ -12,11 +12,46 @@ func forceScalarKernel() (restore func()) {
 	return func() { gemmMR, gemmNR, microKernel, gemmKernelName = mr, nr, k, name }
 }
 
+// forceAVX2Kernels switches the float and int8 GEMMs to their AVX2 kernels
+// and returns a restore func, or returns nil where the host has no AVX2
+// kernel. An AVX-512 host selects wider kernels at init; this keeps the
+// AVX2 ones, which every AVX2-only host ships, under test there. Not safe
+// to call while kernels are running.
+func forceAVX2Kernels() (restore func()) {
+	if avx2Kernel == nil {
+		return nil
+	}
+	mr, nr, k, name := gemmMR, gemmNR, microKernel, gemmKernelName
+	qk, qname := qKernel, qKernelName
+	gemmMR, gemmNR, microKernel, gemmKernelName = 6, 16, avx2Kernel, "avx2-6x16"
+	qKernel, qKernelName = qavx2Kernel, "avx2-4x16"
+	return func() {
+		gemmMR, gemmNR, microKernel, gemmKernelName = mr, nr, k, name
+		qKernel, qKernelName = qk, qname
+	}
+}
+
+// EachKernel runs fn under every float micro-kernel the host has: the
+// selected one; the AVX2 one, with the AVX2 int8 kernel, where the host
+// selected wider ones; and the scalar one.
+func EachKernel(fn func()) {
+	fn()
+	if gemmKernelName != "avx2-6x16" {
+		if restore := forceAVX2Kernels(); restore != nil {
+			func() {
+				defer restore()
+				fn()
+			}()
+		}
+	}
+	if gemmKernelName != "scalar-4x4" {
+		defer forceScalarKernel()()
+		fn()
+	}
+}
+
 // RaceEnabled is raceEnabled for the external tests.
 const RaceEnabled = raceEnabled
-
-// ForceScalarKernel is forceScalarKernel for the external tests.
-func ForceScalarKernel() (restore func()) { return forceScalarKernel() }
 
 // disableScratchPool makes every scratch request allocate fresh (and every
 // return drop), so pooled runs can be compared against unpooled ones.

@@ -21,8 +21,7 @@ func packRowsS2(dst, src *float32, dstStride, srcStride, rows int, store, keep u
 //go:noescape
 func poolColsF32(dst, src *float32, n, rows, stride int)
 
-// poolColsI8 is poolColsF32 for int8 values; n is a positive multiple of
-// 32.
+// poolColsI8 is poolColsF32 for int8 values, for any n of at least 32.
 //
 //go:noescape
 func poolColsI8(dst, src *int8, n, rows, stride int)
@@ -34,6 +33,12 @@ func poolColsI8(dst, src *int8, n, rows, stride int)
 //
 //go:noescape
 func poolRowF32(dst, m *float32, n, kernel, stride int)
+
+// poolRowI8 is poolRowF32 for int8 values, for any n of at least 16. At
+// stride 2 it reads one value past the last it uses, m[2n + kernel − 2].
+//
+//go:noescape
+func poolRowI8(dst, m *int8, n, kernel, stride int)
 
 // storeTile is the conv epilogue of rows output channels, lanes [0, n) of
 // each, n ≤ 16: row r reads src[16r:], bias[r] and, when join is not nil,

@@ -248,31 +248,114 @@ storeout:
 	RET
 
 // func poolColsI8(dst, src *int8, n, rows, stride int)
+//
+// Thirty-two columns per group, starting at column i: Y0 folds row r's
+// thirty-two bytes at src[r·stride + i] with VPMAXSB. Groups step by
+// thirty-two; where n is not a multiple of thirty-two the last group
+// starts at n − 32 and recomputes columns the group before it stored, to
+// the same values.
 TEXT ·poolColsI8(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
 	MOVQ rows+24(FP), BX
 	MOVQ stride+32(FP), DX
+	LEAQ -32(CX), R12
+	XORQ R10, R10
 
 qcolgroup:
-	VMOVDQU (SI), Y0
-	LEAQ    (SI)(DX*1), R8
+	LEAQ    (SI)(R10*1), R8
+	VMOVDQU (R8), Y0
 	MOVQ    BX, R9
 	DECQ    R9
 	JZ      qcolstore
 
 qcolrow:
-	VPMAXSB (R8), Y0, Y0
 	ADDQ    DX, R8
+	VPMAXSB (R8), Y0, Y0
 	DECQ    R9
 	JNZ     qcolrow
 
 qcolstore:
-	VMOVDQU Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $32, CX
-	JNZ     qcolgroup
+	VMOVDQU Y0, (DI)(R10*1)
+	ADDQ    $32, R10
+	CMPQ    R10, CX
+	JGE     qcoldone
+	CMPQ    R10, R12
+	JLE     qcolgroup
+	MOVQ    R12, R10
+	JMP     qcolgroup
+
+qcoldone:
+	VZEROUPPER
+	RET
+
+// func poolRowI8(dst, m *int8, n, kernel, stride int)
+//
+// Sixteen outputs per group, i the group's first: X0 folds tap kx of each
+// with VPMAXSB, at stride 1 the sixteen bytes at m[i + kx], at stride 2
+// the even bytes of the thirty-two at m[2i + kx] (each word masked to its
+// low byte, then packed). Groups step by sixteen; where n is not a multiple
+// of sixteen the last group starts at n − 16 and recomputes outputs the
+// group before it stored, to the same values.
+TEXT ·poolRowI8(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ m+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ kernel+24(FP), BX
+	MOVQ stride+32(FP), DX
+	LEAQ -16(CX), R12
+	XORQ R10, R10
+
+	// X14 = 0x00ff in every word, to keep the even bytes.
+	VPCMPEQW X14, X14, X14
+	VPSRLW   $8, X14, X14
+
+qrowgroup:
+	MOVQ  R10, R8
+	IMULQ DX, R8
+	ADDQ  SI, R8
+	MOVQ  BX, R9
+	CMPQ  DX, $1
+	JNE   qrow2
+
+	VMOVDQU (R8), X0
+	DECQ    R9
+	JZ      qrowstore
+
+qrow1tap:
+	INCQ    R8
+	VPMAXSB (R8), X0, X0
+	DECQ    R9
+	JNZ     qrow1tap
+	JMP     qrowstore
+
+qrow2:
+	VPAND     (R8), X14, X0
+	VPAND     16(R8), X14, X1
+	VPACKUSWB X1, X0, X0
+	DECQ      R9
+	JZ        qrowstore
+
+qrow2tap:
+	INCQ      R8
+	VPAND     (R8), X14, X1
+	VPAND     16(R8), X14, X2
+	VPACKUSWB X2, X1, X1
+	VPMAXSB   X1, X0, X0
+	DECQ      R9
+	JNZ       qrow2tap
+
+qrowstore:
+	VMOVDQU X0, (DI)(R10*1)
+	ADDQ    $16, R10
+	CMPQ    R10, CX
+	JGE     qrowdone
+	CMPQ    R10, R12
+	JLE     qrowgroup
+	MOVQ    R12, R10
+	JMP     qrowgroup
+
+qrowdone:
 	VZEROUPPER
 	RET

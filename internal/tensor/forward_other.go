@@ -16,6 +16,8 @@ func poolColsI8(dst, src *int8, n, rows, stride int) { panic("tensor: no AVX2 ke
 
 func poolRowF32(dst, m *float32, n, kernel, stride int) { panic("tensor: no AVX2 kernels off amd64") }
 
+func poolRowI8(dst, m *int8, n, kernel, stride int) { panic("tensor: no AVX2 kernels off amd64") }
+
 func storeTile(dst, src, join, bias *float32, dstStride, rows, n int, relu bool) {
 	panic("tensor: no AVX2 kernels off amd64")
 }

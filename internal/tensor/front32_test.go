@@ -121,13 +121,15 @@ func front32Plans(t *testing.T) (cfg resnet.Config, fp32, int8 *infer.Plan) {
 // TestCompiledPlanLogitsPinned holds the forward to the bits it produced
 // before the backward pass moved onto the panel driver (commit 0abf5d2): the
 // hash of front32's logits, fp32 and int8, at 32² and 100² chips in batches
-// of one and eight, under the AVX2 kernel and under the scalar one. The
-// backward shares convCall, the packers and the grid planner with the
-// forward; whatever it changes there must leave these alone, or the serving
-// workloads move. A deliberate change to the forward's arithmetic re-pins:
-// the AVX2 value was re-pinned when the stride-1 3×3 convolutions moved onto
-// the Winograd path, which runs under the AVX2 kernel only (the int8 half
-// moves with it, through the activation scales its calibration observes);
+// of one and eight, under every kernel the host has (tensor.EachKernel).
+// The pins key on the kernel's arithmetic: the AVX2 and AVX-512 kernels run
+// the same fused chain and share the fused 6×16 value. The backward shares
+// convCall, the packers and the grid planner with the forward; whatever it
+// changes there must leave these alone, or the serving workloads move. A
+// deliberate change to the forward's arithmetic re-pins: the fused value
+// was re-pinned when the stride-1 3×3 convolutions moved onto the Winograd
+// path, which runs under the 6×16 kernels only (the int8 half moves with
+// it, through the activation scales its calibration observes);
 // the scalar value is the one pinned at 0abf5d2.
 func TestCompiledPlanLogitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -158,17 +160,12 @@ func TestCompiledPlanLogitsPinned(t *testing.T) {
 		}
 		return h.Sum64()
 	}
-	want := map[string]uint64{"avx2-6x16": 0x6f640369ca0b7e50, "scalar-4x4": 0xfe82e45352599d9b}
-	check := func() {
-		if got := hash(); got != want[tensor.GemmKernelName()] {
-			t.Errorf("%s: logits hash %#x, pinned %#x", tensor.GemmKernelName(), got, want[tensor.GemmKernelName()])
+	want := map[string]uint64{"fused-6x16": 0x6f640369ca0b7e50, "scalar-4x4": 0xfe82e45352599d9b}
+	tensor.EachKernel(func() {
+		if got := hash(); got != want[tensor.GemmArithmetic()] {
+			t.Errorf("%s: logits hash %#x, pinned %#x", tensor.GemmKernelName(), got, want[tensor.GemmArithmetic()])
 		}
-	}
-	check()
-	if tensor.GemmKernelName() != "scalar-4x4" {
-		defer tensor.ForceScalarKernel()()
-		check()
-	}
+	})
 }
 
 // TestStockInt8LogitsPinned holds the quantized stock ResNet-18 (weight seed
@@ -177,9 +174,9 @@ func TestCompiledPlanLogitsPinned(t *testing.T) {
 // int8 pin does not: the 7×7 stride-2 stem, the 128- to 512-channel k-quads
 // and the 4×4 maps, whose runs start and end within a panel's read of the
 // batch's edges. The plan is compiled under the active fp32 kernel, which
-// calibrates it, so the pin is keyed by that kernel's name as the front32
-// one is; the int8 kernels are exact, so which of them runs does not move
-// a bit.
+// calibrates it, so the pin is keyed by that kernel's arithmetic as the
+// front32 one is; the int8 kernels are exact, so which of them runs does
+// not move a bit.
 func TestStockInt8LogitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the pinned bits are amd64's: other ports may fuse multiply-adds in the Go kernels")
@@ -206,15 +203,10 @@ func TestStockInt8LogitsPinned(t *testing.T) {
 		}
 		return h.Sum64()
 	}
-	want := map[string]uint64{"avx2-6x16": 0x87477860c4637fe9, "scalar-4x4": 0xcd37bc05c48eddf4}
-	check := func() {
-		if got := hash(); got != want[tensor.GemmKernelName()] {
-			t.Errorf("%s: stock int8 logits hash %#x, pinned %#x", tensor.GemmKernelName(), got, want[tensor.GemmKernelName()])
+	want := map[string]uint64{"fused-6x16": 0x87477860c4637fe9, "scalar-4x4": 0xcd37bc05c48eddf4}
+	tensor.EachKernel(func() {
+		if got := hash(); got != want[tensor.GemmArithmetic()] {
+			t.Errorf("%s/%s: stock int8 logits hash %#x, pinned %#x", tensor.GemmKernelName(), tensor.QGemmKernelName(), got, want[tensor.GemmArithmetic()])
 		}
-	}
-	check()
-	if tensor.GemmKernelName() != "scalar-4x4" {
-		defer tensor.ForceScalarKernel()()
-		check()
-	}
+	})
 }

@@ -9,11 +9,12 @@ package tensor
 // (winograd.go), walks tiles in place of pixels on the same parts. What
 // they share lives here:
 //
-//   - the micro-kernel, selected at init: an AVX2+FMA 6×16 assembly kernel
-//     on capable amd64 hardware (see gemm_amd64.s), otherwise a pure-Go 4×4
-//     register-tiled kernel. Both accumulate one gemmMR×gemmNR tile into a
-//     small contiguous buffer; the driver merges it into the output, which
-//     keeps edge handling out of the hot loop entirely.
+//   - the micro-kernel, selected at init: a 6×16 assembly kernel on capable
+//     amd64 hardware (AVX-512 where the host has it, else AVX2+FMA; see
+//     gemm_amd64.s), otherwise a pure-Go 4×4 register-tiled kernel. All
+//     accumulate one gemmMR×gemmNR tile into a small contiguous buffer;
+//     the driver merges it into the output, which keeps edge handling out
+//     of the hot loop entirely.
 //   - packA, which packs the weights into row panels of gemmMR rows, laid
 //     out k-major so the micro-kernel reads one contiguous gemmMR-wide
 //     column per k step, the k dimension cut into gemmKC-sized blocks.
@@ -50,20 +51,38 @@ const (
 func packWorkers(elems int) int { return min(parallel.DefaultWorkers, 1+elems/gemmSerialCutoff) }
 
 // Micro-kernel configuration, fixed at init (gemm_amd64.go upgrades it when
-// the CPU supports AVX2+FMA). A kernel computes or continues the product of
-// one packed A panel block and one packed B panel block into the contiguous
-// mr×nr tile buffer cbuf: acc=false starts a fresh tile, acc=true resumes
-// one mid-way through the k-block loop.
+// the CPU supports AVX2+FMA, and again when it supports AVX-512). A kernel
+// computes or continues the product of one packed A panel block and one
+// packed B panel block into the contiguous mr×nr tile buffer cbuf:
+// acc=false starts a fresh tile, acc=true resumes one mid-way through the
+// k-block loop.
 var (
 	gemmMR                                                      = 4
 	gemmNR                                                      = 4
 	microKernel    func(a, b, cbuf []float32, kc int, acc bool) = kernelScalar4x4
 	gemmKernelName                                              = "scalar-4x4"
+	// avx2Kernel is the AVX2 kernel where the host has one, selected or
+	// not: an AVX-512 host runs a wider kernel but keeps this one, which
+	// every AVX2-only host ships, under test.
+	avx2Kernel func(a, b, cbuf []float32, kc int, acc bool)
 )
 
 // GemmKernelName identifies the micro-kernel selected for this process
-// ("avx2-6x16" or "scalar-4x4"), for stats endpoints and benchmark records.
+// ("avx512-6x16", "avx2-6x16" or "scalar-4x4"), for stats endpoints and
+// benchmark records.
 func GemmKernelName() string { return gemmKernelName }
+
+// GemmArithmetic names the arithmetic of the selected micro-kernel, which
+// is what fixes its results bit for bit: "fused-6x16" for every assembly
+// kernel — each output one fused multiply-add chain in k order — and
+// "scalar-4x4" for the portable kernel, which multiplies and adds
+// separately. Pins on float results key on it rather than on the kernel.
+func GemmArithmetic() string {
+	if gemmKernelName == "scalar-4x4" {
+		return "scalar-4x4"
+	}
+	return "fused-6x16"
+}
 
 // kernelScalar4x4 is the portable micro-kernel: a 4×4 accumulator tile held
 // in locals, two packed operand reads per k step, no stores inside the

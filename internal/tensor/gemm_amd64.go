@@ -2,13 +2,16 @@
 
 package tensor
 
-// AVX2+FMA micro-kernel selection. The assembly kernel (gemm_amd64.s)
-// computes a 6×16 float32 tile — 12 YMM accumulators, two YMM loads of the
-// packed B row and six broadcast loads of the packed A column per k step —
-// which is the classic occupancy-optimal shape for the 16-register AVX2
-// file. Feature detection is done directly with CPUID/XGETBV so the package
-// stays dependency-free; the OS must have enabled XMM+YMM state saving or
-// we stay on the scalar kernel.
+// Float micro-kernel selection. The AVX2+FMA assembly kernel
+// (gemm_amd64.s) computes a 6×16 float32 tile — 12 YMM accumulators, two
+// YMM loads of the packed B row and six broadcast loads of the packed A
+// column per k step — which is the classic occupancy-optimal shape for the
+// 16-register AVX2 file. Where the CPU has AVX512F and the OS saves the
+// ZMM state, the AVX-512 kernel takes the same packed operands and the
+// same 6×16 tile, one ZMM accumulator per row, and returns the AVX2
+// kernel's tile bit for bit. Feature detection is done directly with
+// CPUID/XGETBV so the package stays dependency-free; the OS must have
+// enabled XMM+YMM state saving or we stay on the scalar kernel.
 
 // gemmKernel6x16 computes cbuf (6×16, contiguous) = or += the product of a
 // packed A panel block (k-major, 6 wide) and a packed B panel block
@@ -16,6 +19,11 @@ package tensor
 //
 //go:noescape
 func gemmKernel6x16(a, b, cbuf *float32, kc, acc int)
+
+// gemmKernel6x16AVX512 is gemmKernel6x16 on ZMM registers, bit for bit.
+//
+//go:noescape
+func gemmKernel6x16AVX512(a, b, cbuf *float32, kc, acc int)
 
 // cpuidex executes CPUID with the given leaf and subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -28,8 +36,10 @@ func init() {
 		return
 	}
 	gemmMR, gemmNR = 6, 16
-	microKernel = kernelAVX2
-	gemmKernelName = "avx2-6x16"
+	microKernel, gemmKernelName, avx2Kernel = kernelAVX2, "avx2-6x16", kernelAVX2
+	if cpuHasAVX512(false) {
+		microKernel, gemmKernelName = kernelAVX512, "avx512-6x16"
+	}
 }
 
 func cpuHasAVX2FMA() bool {
@@ -56,10 +66,35 @@ func cpuHasAVX2FMA() bool {
 	return ebx7&avx2Bit != 0
 }
 
-func kernelAVX2(a, b, cbuf []float32, kc int, acc bool) {
-	ai := 0
-	if acc {
-		ai = 1
+// cpuHasAVX512 reports whether the CPU has AVX512F — and, with vnni,
+// AVX512_VNNI — and the OS saves the opmask and ZMM state on context
+// switch (XCR0 bits 1, 2, 5, 6 and 7).
+func cpuHasAVX512(vnni bool) bool {
+	if !cpuHasAVX2FMA() {
+		return false
 	}
-	gemmKernel6x16(&a[0], &b[0], &cbuf[0], kc, ai)
+	if xcr0, _ := xgetbv0(); xcr0&0xE6 != 0xE6 {
+		return false
+	}
+	const (
+		avx512fBit = 1 << 16 // CPUID.7.0:EBX
+		vnniBit    = 1 << 11 // CPUID.7.0:ECX
+	)
+	_, ebx7, ecx7, _ := cpuidex(7, 0)
+	return ebx7&avx512fBit != 0 && (!vnni || ecx7&vnniBit != 0)
+}
+
+func kernelAVX2(a, b, cbuf []float32, kc int, acc bool) {
+	gemmKernel6x16(&a[0], &b[0], &cbuf[0], kc, accFlag(acc))
+}
+
+func kernelAVX512(a, b, cbuf []float32, kc int, acc bool) {
+	gemmKernel6x16AVX512(&a[0], &b[0], &cbuf[0], kc, accFlag(acc))
+}
+
+func accFlag(acc bool) int {
+	if acc {
+		return 1
+	}
+	return 0
 }

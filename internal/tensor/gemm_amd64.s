@@ -96,6 +96,77 @@ done:
 	VZEROUPPER
 	RET
 
+// func gemmKernel6x16AVX512(a, b, cbuf *float32, kc, acc int)
+//
+// gemmKernel6x16 on AVX-512: Z0..Z5 hold the accumulator tile (row r in
+// Zr), Z6 the current packed-B row, Z7..Z12 the six broadcast packed-A
+// elements. Every output lane runs the AVX2 kernel's chain — the same
+// fused multiply-adds in the same k order, from zero or from cbuf — so the
+// tiles are bit for bit the AVX2 kernel's. The A element is broadcast into
+// a register rather than folded into the FMA as an embedded broadcast: the
+// memory operand is always the FMA's third source, and where both factors
+// are NaN the FMA returns its second source's payload, so only this operand
+// order returns the NaN the AVX2 kernel returns.
+TEXT ·gemmKernel6x16AVX512(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ cbuf+16(FP), DX
+	MOVQ kc+24(FP), CX
+	MOVQ acc+32(FP), AX
+
+	TESTQ AX, AX
+	JZ    zmmzero
+
+	VMOVUPS (DX), Z0
+	VMOVUPS 64(DX), Z1
+	VMOVUPS 128(DX), Z2
+	VMOVUPS 192(DX), Z3
+	VMOVUPS 256(DX), Z4
+	VMOVUPS 320(DX), Z5
+	JMP     zmmbody
+
+zmmzero:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+
+zmmbody:
+	TESTQ CX, CX
+	JZ    zmmdone
+	PCALIGN $64
+
+zmmloop:
+	VMOVUPS      (DI), Z6
+	VBROADCASTSS (SI), Z7
+	VBROADCASTSS 4(SI), Z8
+	VBROADCASTSS 8(SI), Z9
+	VBROADCASTSS 12(SI), Z10
+	VBROADCASTSS 16(SI), Z11
+	VBROADCASTSS 20(SI), Z12
+	VFMADD231PS  Z6, Z7, Z0
+	VFMADD231PS  Z6, Z8, Z1
+	VFMADD231PS  Z6, Z9, Z2
+	VFMADD231PS  Z6, Z10, Z3
+	VFMADD231PS  Z6, Z11, Z4
+	VFMADD231PS  Z6, Z12, Z5
+	ADDQ         $24, SI
+	ADDQ         $64, DI
+	DECQ         CX
+	JNZ          zmmloop
+
+zmmdone:
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	VMOVUPS Z2, 128(DX)
+	VMOVUPS Z3, 192(DX)
+	VMOVUPS Z4, 256(DX)
+	VMOVUPS Z5, 320(DX)
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

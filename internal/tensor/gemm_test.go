@@ -58,8 +58,8 @@ func maxKernelDiff(got, want *Tensor) float64 {
 
 // parityTol is the allowed blended error against the naive oracle. The
 // scalar kernel performs the identical multiply-then-add sequence in the
-// identical k order, so it must match bitwise (tolerance 0). The AVX2
-// kernel's fused multiply-adds skip roundings the oracle takes, a drift of
+// identical k order, so it must match bitwise (tolerance 0). The assembly
+// kernels' fused multiply-adds skip roundings the oracle takes, a drift of
 // O(k·eps); it gets a k-scaled tolerance that stays far below the O(1)
 // errors a real indexing bug produces.
 func parityTol(k int) float64 {
@@ -71,7 +71,7 @@ func parityTol(k int) float64 {
 
 // parityShapes are the edge sizes the packing layout must survive: 1,
 // MR/NR/KC boundaries ±1, and non-multiples of every tile parameter. MR and
-// NR cover both kernel shapes (4×4 scalar, 6×16 AVX2).
+// NR cover both kernel shapes (4×4 scalar, 6×16 assembly).
 var parityShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 31, 48, 63, 255, 256, 257}
 
 func TestGEMMParityAgainstNaive(t *testing.T) {
@@ -100,6 +100,12 @@ func TestGEMMParityAgainstNaive(t *testing.T) {
 		}
 	}
 	t.Run("active-kernel", run)
+	if gemmKernelName != "avx2-6x16" {
+		if restore := forceAVX2Kernels(); restore != nil {
+			t.Run("avx2-kernel", run)
+			restore()
+		}
+	}
 	t.Run("scalar-kernel", func(t *testing.T) {
 		restore := forceScalarKernel()
 		defer restore()

@@ -140,8 +140,9 @@ func poolColumns[T int8 | float32](m, src []T, w, rows int) {
 			i = len(m) &^ 7
 			poolColsF32(d, any(&src[0]).(*float32), i, rows, w)
 		case *int8:
-			if i = len(m) &^ 31; i > 0 {
-				poolColsI8(d, any(&src[0]).(*int8), i, rows, w)
+			if len(m) >= 32 {
+				poolColsI8(d, any(&src[0]).(*int8), len(m), rows, w)
+				return
 			}
 		}
 	}
@@ -161,13 +162,20 @@ func poolColumns[T int8 | float32](m, src []T, w, rows int) {
 
 // poolRow is the row pass over outputs whose windows lie wholly inside the
 // folded columns: dst[i] = max over kx < kernel of m[i·stride + kx]. m
-// runs at least one value past the last window (poolRowF32's over-read).
+// runs at least one value past the last window (the AVX2 row passes'
+// over-read).
 func poolRow[T int8 | float32](dst, m []T, kernel, stride int) {
 	i := 0
-	if n := len(dst) &^ 7; n > 0 && forwardAVX2 && stride <= 2 {
-		if d, ok := any(&dst[0]).(*float32); ok {
-			poolRowF32(d, any(&m[0]).(*float32), n, kernel, stride)
-			i = n
+	if forwardAVX2 && stride <= 2 && len(dst) >= 8 {
+		switch d := any(&dst[0]).(type) {
+		case *float32:
+			i = len(dst) &^ 7
+			poolRowF32(d, any(&m[0]).(*float32), i, kernel, stride)
+		case *int8:
+			if len(dst) >= 16 {
+				poolRowI8(d, any(&m[0]).(*int8), len(dst), kernel, stride)
+				return
+			}
 		}
 	}
 	switch kernel {

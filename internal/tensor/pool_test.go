@@ -67,7 +67,8 @@ func TestMaxPool2DStride1Pad1(t *testing.T) {
 // which share one plane job — to the tap-by-tap reference bit for bit, at
 // one worker and at five: windows wholly inside the plane, frames of every width (pad 0, pad at
 // and above kernel/2, windows that see nothing but padding), non-square
-// planes, kernels larger than the input, and stride above the kernel.
+// planes, kernels larger than the input, stride above the kernel, and rows
+// wide enough for the AVX2 int8 row pass's groups of sixteen.
 func TestMaxPoolIntoMatchesMaxPool2D(t *testing.T) {
 	cases := []struct{ h, w, kernel, stride, pad int }{
 		{50, 50, 3, 2, 1}, // the deployed stem pool
@@ -82,6 +83,9 @@ func TestMaxPoolIntoMatchesMaxPool2D(t *testing.T) {
 		{1, 1, 3, 1, 1},
 		{12, 10, 2, 3, 0}, // stride above the kernel
 		{6, 17, 5, 2, 2},
+		{5, 40, 3, 1, 1}, // int8 row groups of sixteen, a tail that overlaps
+		{6, 71, 3, 2, 1},
+		{4, 32, 2, 2, 0}, // one whole group
 	}
 	prev := parallel.DefaultWorkers
 	defer func() { parallel.DefaultWorkers = prev }()

@@ -221,6 +221,7 @@ func FuzzMaxPoolPlane(f *testing.F) {
 	f.Add([]byte{7, 8, 2, 1, 0, 0xff, 0xc0, 0, 0, 0x80, 0, 0, 0})
 	f.Add([]byte{3, 4, 5, 3, 4, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{1, 1, 1, 0, 3, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 58, 3, 1, 1, 0x80, 0x7f, 0xff, 0, 1, 0x81})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return

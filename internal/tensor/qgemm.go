@@ -36,16 +36,19 @@ const (
 // qKernel computes the qMR×qNR int32 tile cbuf = A_panel·B_panel over kq
 // k-quads. a is one packed weight row-tile (s8), b one packed activation
 // column panel (u8, +128 offset). Overwrites cbuf (no accumulate flavor:
-// the k loop is not blocked). Swapped to the AVX2 kernel at init on capable
-// hardware.
+// the k loop is not blocked). Swapped to the AVX2 or VNNI kernel at init on
+// capable hardware.
 var (
 	qKernel     func(a []int8, b []uint8, cbuf []int32, kq int) = qkernelScalar4x16
 	qKernelName                                                 = "scalar-4x16"
+	// qavx2Kernel is the AVX2 kernel where the host has one, as avx2Kernel
+	// is for the float GEMM.
+	qavx2Kernel func(a []int8, b []uint8, cbuf []int32, kq int)
 )
 
 // QGemmKernelName identifies the int8 micro-kernel selected for this
-// process ("avx2-4x16" or "scalar-4x16"), for stats endpoints and benchmark
-// records.
+// process ("avx512vnni-4x16", "avx2-4x16" or "scalar-4x16"), for stats
+// endpoints and benchmark records.
 func QGemmKernelName() string { return qKernelName }
 
 // qkernelScalar4x16 is the portable int8 micro-kernel and the reference the

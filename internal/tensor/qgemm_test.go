@@ -86,13 +86,14 @@ func TestQGemmPackedParity(t *testing.T) {
 	}
 }
 
-// TestQKernelScalarVsAVX2 checks the assembly kernel bit-for-bit against
+// TestQKernelScalarVsAVX2 checks the assembly kernels — the selected one
+// and, where the host selected VNNI, the AVX2 one — bit-for-bit against
 // the scalar reference on random packed operands. With weights bounded to
 // ±QWeightMax the saturating VPMADDUBSW chain is exact, so the tiles must
 // be identical, not merely close.
 func TestQKernelScalarVsAVX2(t *testing.T) {
-	if QGemmKernelName() == "scalar-4x16" {
-		t.Skip("AVX2 int8 kernel not selected on this host")
+	if qavx2Kernel == nil {
+		t.Skip("AVX2 int8 kernel not available on this host")
 	}
 	r := rand.New(rand.NewSource(97))
 	for _, kq := range []int{1, 2, 3, 7, 16, 63} {
@@ -102,12 +103,17 @@ func TestQKernelScalarVsAVX2(t *testing.T) {
 			b[i] = uint8(r.Intn(256))
 		}
 		want := make([]int32, qMR*qNR)
-		got := make([]int32, qMR*qNR)
 		qkernelScalar4x16(a, b, want, kq)
-		qKernel(a, b, got, kq)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("kq=%d: tile[%d] = %d (avx2), want %d (scalar)", kq, i, got[i], want[i])
+		for _, k := range []struct {
+			name string
+			run  func(a []int8, b []uint8, cbuf []int32, kq int)
+		}{{QGemmKernelName(), qKernel}, {"avx2-4x16", qavx2Kernel}} {
+			got := make([]int32, qMR*qNR)
+			k.run(a, b, got, kq)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("kq=%d: tile[%d] = %d (%s), want %d (scalar)", kq, i, got[i], k.name, want[i])
+				}
 			}
 		}
 	}
