@@ -157,6 +157,7 @@ selectors:
 	check '$(SBENCH_API)' ./internal/api && \
 	check '$(SBENCH_TIER)' ./internal/tenant && \
 	check '$(SBENCH_HOP)' ./cmd/servd && \
+	check '$(SBENCH_SERVE)' ./internal/serve && \
 	check '$(SBENCH_SCAN)' ./internal/scan
 
 # Short fuzz smoke runs: the container decoder and the runtime loader must
@@ -192,7 +193,9 @@ selectors:
 # residual add their Go loops, for any batch of 1 to 3, channel counts from
 # 1 to 24, map from 1x1 to 20x20, kernel 1, 3 or 7, stride 1 or 2, padding
 # up to 3, ReLU on or off, and float32 bit patterns for the values and
-# scales.
+# scales, and the scan event stream's ?from= resume parser must accept
+# exactly what strconv.Atoi reads as an int >= 0 (and the empty string, as
+# 0), with that value.
 #
 # Each target prints how many inputs it ran, and minimizes a new input in
 # one run: Go's default, up to 60 s per input, spent a 5 s -fuzztime
@@ -219,7 +222,8 @@ fuzz:
 	fuzz FuzzMaxPoolPlane ./internal/tensor && \
 	fuzz FuzzScanEventStream ./internal/api && \
 	fuzz FuzzWinogradConv ./internal/tensor && \
-	fuzz FuzzQuantizedConv ./internal/tensor
+	fuzz FuzzQuantizedConv ./internal/tensor && \
+	fuzz FuzzScanEventsFrom ./internal/scan
 
 # Kernel benchmark selections: the micro-kernel alone, the deployed model's
 # convolution shapes with its stage entries, projections and the PaperSpace
@@ -242,6 +246,7 @@ KBENCH_ROOT   = ^(BenchmarkAblation_ConvParallelism|BenchmarkTrainingStep|Benchm
 SBENCH_API    = ^(BenchmarkReadPredictJSON|BenchmarkReadPredictB64|BenchmarkReadPredictStdlib)$$
 SBENCH_TIER   = ^BenchmarkTierWrapNoop$$
 SBENCH_HOP    = ^BenchmarkHTTPReplicaLoopback$$
+SBENCH_SERVE  = ^BenchmarkSubmitLone$$
 SBENCH_SCAN   = ^BenchmarkScanFirstTile$$
 IBENCH        = ^(BenchmarkCompiledBatch1|BenchmarkQuantizedBatch1|BenchmarkCompiledBatch8|BenchmarkQuantizedBatch8|BenchmarkFront32(FP32|Int8)Batch(1|4|8)|BenchmarkStock(FP32|Int8)Batch1|BenchmarkFront32Ops|BenchmarkColdLoad)$$
 
@@ -275,21 +280,24 @@ bench-infer:
 # Request-path ladder, one rung per serving layer with the model stubbed
 # out: predict-body decode (the single-pass scanner on a JSON number array
 # and on data_b64, beside the encoding/json decode it replaced), the tenant
-# tier around a no-op handler, and the router→servd hop over loopback; then
-# eight whole scan jobs in process with the real model (time to first tile,
-# tiles/s after it).
+# tier around a no-op handler, the router→servd hop over loopback, and a
+# lone request through the batcher at its defaults; then eight whole scan
+# jobs in process with the real model (time to first tile, tiles/s after
+# it).
 # SERVE_NOTE is stored with the run and says what each timed region holds.
 SERVE_NOTE = ReadPredict*: body bytes in memory -> api.PredictRequest (read + decode; not Tensor(), no socket), \
 Stdlib = the json.Decoder decode both handlers ran before. TierWrapNoop: Tier.Wrap end to end (auth, quota, \
 ReadPredict, idle fair gate, audit line, stats) around an empty handler. HTTPReplicaLoopback/hop: HTTPReplica.Submit \
 (PredictFromTensor + api.Client.Predict: json.Marshal + POST over kept-alive loopback) + frontend.New over servd: access log, ReadPredict, Tensor(), \
 serve.Submit at max-batch 1 on a width-1 ResNet, answer encode + decode; /stub is that serve.Submit alone. Chips are 5xSxS. \
+SubmitLone: one serve.Submit at a time at default Options (batch 8, 2 ms MaxDelay) on a width-4 3x16x16 plan; queued_ms = mean Response.Queued. \
 ScanFirstTile: one scan.Run job (Nebraska 640, chip 100, stride 36, window 16, hilbert; synthesis included) over serve.Server \
 defaults on front32 fp32; first_tile_ms = Run start -> first tile event, tiles_per_s over the tiles after it.
 bench-serve:
 	{ $(GO) test -run='^$$' -bench '$(SBENCH_API)' -benchmem ./internal/api && \
 	  $(GO) test -run='^$$' -bench '$(SBENCH_TIER)' -benchmem ./internal/tenant && \
 	  $(GO) test -run='^$$' -bench '$(SBENCH_HOP)' -benchmem ./cmd/servd && \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_SERVE)' -benchmem ./internal/serve && \
 	  $(GO) test -run='^$$' -bench '$(SBENCH_SCAN)' -benchtime=8x -benchmem ./internal/scan ; } \
 	  | $(GO) run ./cmd/benchjson -out BENCH_serve.json -note '$(SERVE_NOTE)'
 
@@ -303,6 +311,7 @@ bench-smoke:
 	  $(GO) test -run='^$$' -bench '$(SBENCH_API)' -benchtime=1x -benchmem ./internal/api && \
 	  $(GO) test -run='^$$' -bench '$(SBENCH_TIER)' -benchtime=1x -benchmem ./internal/tenant && \
 	  $(GO) test -run='^$$' -bench '$(SBENCH_HOP)' -benchtime=1x -benchmem ./cmd/servd && \
+	  $(GO) test -run='^$$' -bench '$(SBENCH_SERVE)' -benchtime=1x -benchmem ./internal/serve && \
 	  $(GO) test -run='^$$' -bench '$(SBENCH_SCAN)' -benchtime=1x -benchmem ./internal/scan ; } \
 	  | $(GO) run ./cmd/benchjson -out .bench_smoke.json -note ci-smoke
 	rm -f .bench_smoke.json

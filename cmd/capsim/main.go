@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 		workers     = fs.Int("workers", 1, "batches executing at once per replica")
 		maxBatch    = fs.Int("max-batch", 8, "flush a batch at this many requests")
-		maxDelay    = fs.Duration("max-delay", 2*time.Millisecond, "flush a non-empty batch after this delay")
+		maxDelay    = fs.Duration("max-delay", 2*time.Millisecond, "the longest a request waits for company; a batch is cut at once while a worker is idle unless more of it is on the way (a scan's tiles)")
 		queueCap    = fs.Int("queue", 256, "per-replica admission queue capacity")
 		maxInFlight = fs.Int("max-inflight", 0, "router dispatch concurrency bound (0 = unlimited)")
 		schedName   = fs.String("sched", "fcfs", "gate scheduling: fcfs, priority or sjf")

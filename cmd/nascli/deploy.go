@@ -47,7 +47,7 @@ func deploymentFlags(fs *flag.FlagSet) *deployment {
 	fs.IntVar(&d.requests, "load", 0, "after deployment checks, drive the serving layer with this many requests (0 = skip)")
 	fs.IntVar(&d.clients, "load-clients", 8, "concurrent clients for the load drive")
 	fs.IntVar(&d.maxBatch, "load-max-batch", 8, "serving MaxBatch during the load drive")
-	fs.DurationVar(&d.maxDelay, "load-max-delay", 2*time.Millisecond, "serving MaxDelay during the load drive")
+	fs.DurationVar(&d.maxDelay, "load-max-delay", 2*time.Millisecond, "serving MaxDelay during the load drive: the longest a request waits for company")
 	fs.IntVar(&d.queueCap, "load-queue", 256, "serving queue capacity during the load drive")
 	fs.StringVar(&d.url, "url", "", "with -load: drive a running servd/router tier at this base URL instead of an in-process server (the tier must already serve -model)")
 	fs.StringVar(&d.model, "model", "", "model key to request in remote mode (default: the trained config's key)")

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"drainnas/internal/api"
 	"drainnas/internal/frontend"
@@ -120,9 +121,22 @@ func TestServdBinarySmoke(t *testing.T) {
 // process must exit 0 after draining.
 func TestServdGracefulShutdown(t *testing.T) {
 	// A large MaxBatch and long MaxDelay hold the request in the batching
-	// queue, so SIGTERM provably lands while it is in flight.
-	p := startServd(t, false, "-max-batch", "64", "-max-delay", "1s", "-drain", "20s")
-	body := fronttest.PredictBody(t, "tiny", "")
+	// queue, so SIGTERM provably lands while it is in flight. A predict on an
+	// idle server is cut at once, so a scan goes first: its later tiles say
+	// more of their batch is on the way, and a predict for the same model and
+	// chip size joins that held batch.
+	p := startServd(t, false, "-max-batch", "64", "-max-delay", "2s", "-drain", "20s")
+	resp, start := fronttest.Do(t, "POST", p.URL+"/v1/scan", "",
+		[]byte(`{"model":"wet","region":"Nebraska","tile_size":32,"chip_size":16,"seed":7,"window":2}`))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("scan start -> %d: %s", resp.StatusCode, start)
+	}
+	// Tile 0 answered, tiles 1 and 2 holding their batch.
+	waitServing(t, p.URL, func(s metrics.ServingSnapshot) bool { return s.Accepted == 3 && s.Completed == 1 })
+	body, err := json.Marshal(api.PredictRequest{Model: "wet", Shape: []int{5, 16, 16}, Data: make([]float32, 5*16*16)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := make(chan int, 1)
 	go func() {
 		resp, err := http.Post(p.URL+"/v1/predict", "application/json", bytes.NewReader(body))
@@ -139,17 +153,28 @@ func TestServdGracefulShutdown(t *testing.T) {
 		got <- resp.StatusCode
 	}()
 
-	// Wait until the request is provably admitted, then signal.
-	var stats api.ServdStats
-	for stats.Serving.Accepted == 0 {
-		_, doc := fronttest.Do(t, "GET", p.URL+"/v1/stats", "", nil)
-		if err := json.Unmarshal(doc, &stats); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Wait until the predict is provably admitted into the held batch, then
+	// signal.
+	waitServing(t, p.URL, func(s metrics.ServingSnapshot) bool { return s.Accepted == 4 && s.Completed == 1 })
 	p.Term(t)
 	if status := <-got; status != http.StatusOK {
 		t.Fatalf("in-flight predict across SIGTERM: status %d (0: transport error, <0: undecodable answer)", status)
+	}
+}
+
+// waitServing polls servd's /v1/stats until its serving counters satisfy
+// done.
+func waitServing(t *testing.T, url string, done func(metrics.ServingSnapshot) bool) {
+	t.Helper()
+	var stats api.ServdStats
+	for deadline := time.Now().Add(15 * time.Second); !done(stats.Serving); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("serving counters never got there: %+v", stats.Serving)
+		}
+		_, doc := fronttest.Do(t, "GET", url+"/v1/stats", "", nil)
+		if err := json.Unmarshal(doc, &stats); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ func Flags(fs *flag.FlagSet, addr, per string) (*Config, *serve.Options) {
 	fs.IntVar(&cfg.TenantInflight, "tenant-inflight", 0, "weighted-fair admission slots across tenants (0 = auth+quota only)")
 	fs.DurationVar(&cfg.DashboardInterval, "dashboard-interval", time.Second, "live dashboard push interval")
 	fs.IntVar(&so.MaxBatch, "max-batch", 8, per+"flush a batch at this many requests")
-	fs.DurationVar(&so.MaxDelay, "max-delay", 2*time.Millisecond, per+"flush a non-empty batch after this delay")
+	fs.DurationVar(&so.MaxDelay, "max-delay", 2*time.Millisecond, per+"the longest a request waits for company; a batch is cut at once while a worker is idle unless more of it is on the way (a scan's tiles)")
 	fs.IntVar(&so.QueueCap, "queue", 256, per+"bounded admission queue capacity")
 	fs.IntVar(&so.Workers, "workers", 0, per+"batches executing at once (0 = GOMAXPROCS)")
 	fs.IntVar(&so.CacheCap, "cache", 4, per+"resident model cache capacity")

@@ -315,28 +315,30 @@ var Table = []Group{
 		}},
 	}},
 
-	// One slot in a queue that holds what it admits for a minute.
+	// One slot in a queue that holds what it admits for a minute. A predict
+	// is cut at once on an idle server, so what fills the slot is a scan's
+	// second tile: it says more of its batch is on the way, and waits.
 	{Name: "QueueFull", Setup: Setup{Serve: serve.Options{MaxBatch: 64, MaxDelay: time.Minute, QueueCap: 1}}, Rows: []Row{
 		{"overflow answers queue_full with Retry-After", func(t *testing.T, s *Stack) {
-			body := PredictBody(t, "tiny", "")
-			ctx, release := context.WithCancel(context.Background())
-			parked := make(chan struct{})
-			go func() {
-				defer close(parked)
-				req, _ := http.NewRequestWithContext(ctx, "POST", s.URL+"/v1/predict", bytes.NewReader(body))
-				if resp, err := http.DefaultClient.Do(req); err == nil {
-					resp.Body.Close()
-				}
-			}()
-			defer func() { release(); <-parked }()
+			resp, body := Do(t, "POST", s.URL+"/v1/scan", "",
+				[]byte(`{"model":"wet","region":"Nebraska","tile_size":32,"chip_size":16,"seed":7,"window":2}`))
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("scan start -> %d: %s", resp.StatusCode, body)
+			}
+			var job api.ScanJob
+			if err := json.Unmarshal(body, &job); err != nil {
+				t.Fatal(err)
+			}
+			defer Do(t, "DELETE", s.URL+"/v1/scan/"+job.ID, "", nil)
+			// Tile 0 was answered and one later tile holds the only slot.
 			var st servingStats
-			for deadline := time.Now().Add(15 * time.Second); st.Serving.Accepted != 1; time.Sleep(5 * time.Millisecond) {
+			for deadline := time.Now().Add(15 * time.Second); st.Serving.Accepted != 2 || st.Serving.Completed != 1; time.Sleep(5 * time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatal("first request never queued")
+					t.Fatalf("no scan tile queued: %+v", st.Serving)
 				}
 				s.GetJSON(t, "/v1/stats", &st)
 			}
-			expect(t, s, "POST", "/v1/predict", string(body), api.CodeQueueFull)
+			expect(t, s, "POST", "/v1/predict", string(PredictBody(t, "tiny", "")), api.CodeQueueFull)
 		}},
 	}},
 

@@ -153,20 +153,28 @@ func lookup(w http.ResponseWriter, r *http.Request, m *Manager, edge *tenant.Tie
 	return j, true
 }
 
+// parseFrom reads the event stream's ?from= resume offset: absent or empty
+// is 0, anything else must be a non-negative decimal integer.
+func parseFrom(s string) (int, error) {
+	if s == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad from=%q: want a non-negative integer", s)
+	}
+	return n, nil
+}
+
 func handleEvents(w http.ResponseWriter, r *http.Request, m *Manager, edge *tenant.Tier) {
 	j, ok := lookup(w, r, m, edge)
 	if !ok {
 		return
 	}
-	from := 0
-	if s := r.URL.Query().Get("from"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			httpx.Error(w, http.StatusBadRequest, api.CodeBadInput,
-				fmt.Sprintf("bad from=%q: want a non-negative integer", s))
-			return
-		}
-		from = n
+	from, err := parseFrom(r.URL.Query().Get("from"))
+	if err != nil {
+		httpx.Error(w, http.StatusBadRequest, api.CodeBadInput, err.Error())
+		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {

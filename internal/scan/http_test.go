@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -430,4 +431,32 @@ func TestHTTPTenantQuotaThrottlesTiles(t *testing.T) {
 	if final.FailedTiles != 0 || final.DoneTiles != final.TotalTiles {
 		t.Fatalf("quota throttling failed tiles: %+v", final)
 	}
+}
+
+// FuzzScanEventsFrom holds the ?from= resume parser to its contract: the
+// empty string is 0, and any other string is accepted exactly when
+// strconv.Atoi reads it as an int >= 0, with that value.
+func FuzzScanEventsFrom(f *testing.F) {
+	for _, seed := range []string{"", "0", "49", "-1", "+7", "007", "bogus", " 1", "1e3", "9223372036854775807", "9223372036854775808", "-0"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := parseFrom(s)
+		if s == "" {
+			if n != 0 || err != nil {
+				t.Fatalf("parseFrom(\"\") = %d, %v; want 0, nil", n, err)
+			}
+			return
+		}
+		want, werr := strconv.Atoi(s)
+		if ok := werr == nil && want >= 0; ok != (err == nil) {
+			t.Fatalf("parseFrom(%q) = %d, %v; strconv.Atoi gives %d, %v", s, n, err, want, werr)
+		}
+		if err == nil && n != want {
+			t.Fatalf("parseFrom(%q) = %d, want %d", s, n, want)
+		}
+		if err != nil && (n != 0 || !strings.Contains(err.Error(), strconv.Quote(s))) {
+			t.Fatalf("parseFrom(%q) rejected with %d, %q: want 0 and an error naming the input", s, n, err)
+		}
+	})
 }

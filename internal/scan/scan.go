@@ -8,6 +8,7 @@ import (
 
 	"drainnas/internal/api"
 	"drainnas/internal/metrics"
+	"drainnas/internal/serve"
 )
 
 // Config assembles one scan run.
@@ -224,6 +225,12 @@ type tileOut struct {
 // outcome (or a fatal error) through report. Cancellation mid-tile reports
 // nothing: the tile never happened as far as the ordered stream goes.
 func runTile(ctx context.Context, cfg Config, src *Source, pos int, c Cell, report func(tileOut)) {
+	if pos > 0 && cfg.Req.Window > 1 {
+		// Walk cell 0 runs alone. A later tile rides with the window's burst
+		// or its refills, so it tells the batcher to wait for company; a
+		// window of one sends nothing until the tile returns.
+		ctx = serve.ExpectMore(ctx)
+	}
 	input := src.ChipTensor(c)
 	t0 := time.Now()
 	var res Result

@@ -563,3 +563,56 @@ func TestRunFirstTileAlone(t *testing.T) {
 		}
 	})
 }
+
+// TestRunLaterTilesExpectMore: walk cell 0, which runs alone, reaches the
+// backend without serve's ExpectMore mark, so the batcher cuts it at once;
+// every later tile carries the mark and waits for its batch to fill. A
+// window of one marks nothing: no tile has company on the way.
+func TestRunLaterTilesExpectMore(t *testing.T) {
+	for _, window := range []int{4, 1} {
+		t.Run(fmt.Sprintf("window %d", window), func(t *testing.T) {
+			req := testReq(t)
+			req.Window = window
+			src, err := NewSource(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells, err := Walk(req.Order, src.Grid.W, src.Grid.H)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := src.ChipTensor(cells[0]).Data()
+			var mu sync.Mutex
+			var firstHeld []bool
+			laterHeld, later := 0, 0
+			be := backendFunc(func(ctx context.Context, _ string, input *tensor.Tensor) (Result, error) {
+				held := serve.ExpectsMore(ctx)
+				mu.Lock()
+				if slices.Equal(input.Data(), first) {
+					firstHeld = append(firstHeld, held)
+				} else {
+					later++
+					if held {
+						laterHeld++
+					}
+				}
+				mu.Unlock()
+				return Result{Logits: scoreLogits(HeuristicScore(input)), BatchSize: 1}, nil
+			})
+			job, _ := runScan(t, context.Background(), req, be)
+			if job.State != api.ScanStateDone || job.DoneTiles != job.TotalTiles {
+				t.Fatalf("state %s (%s), %d/%d tiles", job.State, job.Error, job.DoneTiles, job.TotalTiles)
+			}
+			if fmt.Sprint(firstHeld) != "[false]" {
+				t.Fatalf("walk cell 0 reached the backend with marks %v, want one unmarked call", firstHeld)
+			}
+			want := later
+			if window == 1 {
+				want = 0
+			}
+			if later != job.TotalTiles-1 || laterHeld != want {
+				t.Fatalf("%d of %d later tiles marked, want %d", laterHeld, later, want)
+			}
+		})
+	}
+}

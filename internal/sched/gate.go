@@ -140,7 +140,7 @@ func (g *Gate[T]) flowFor(name string, weight float64) *flow[T] {
 // Release or Cancel.
 func (g *Gate[T]) Acquire(flowName string, weight float64, class Class, est float64) (handle *Waiter[T], granted bool) {
 	f := g.flowFor(flowName, weight)
-	if g.inUse < g.capacity && g.waiting == 0 {
+	if g.Free() {
 		g.grant(f)
 		return nil, true
 	}
@@ -198,6 +198,10 @@ func (g *Gate[T]) Cancel(handle *Waiter[T]) *Waiter[T] {
 	}
 	return g.Release()
 }
+
+// Free reports whether a slot is free and nobody is parked, so the next
+// Acquire is granted at once.
+func (g *Gate[T]) Free() bool { return g.inUse < g.capacity && g.waiting == 0 }
 
 // Waiting reports how many requests are parked at the gate.
 func (g *Gate[T]) Waiting() int { return g.waiting }

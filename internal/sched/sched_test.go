@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -343,9 +344,9 @@ func TestGateCancelNeedsNoRelease(t *testing.T) {
 	}
 }
 
-// TestFormerInvariants drives Former with a seeded random mix of Add,
-// matching and stale Expire, and Drain, against a plain model of what each
-// group should hold.
+// TestFormerInvariants drives Former with a seeded random mix of held and
+// unheld Add, matching and stale Expire, CutIdle and Drain, against a plain
+// model of what each group should hold.
 func TestFormerInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -356,6 +357,7 @@ func TestFormerInvariants(t *testing.T) {
 			type live struct {
 				items []int
 				gen   uint64
+				held  bool
 			}
 			type deadline struct {
 				key string
@@ -378,12 +380,13 @@ func TestFormerInvariants(t *testing.T) {
 
 			for step := 0; step < 5000; step++ {
 				key := fmt.Sprintf("k%d", rng.Intn(6))
-				switch op := rng.Intn(20); {
+				switch op := rng.Intn(23); {
 				case op < 12:
 					v := added
 					added++
 					m := model[key]
-					batch, gen, fresh := f.Add(key, v)
+					hold := rng.Intn(3) == 0
+					batch, gen, fresh := f.Add(key, v, hold)
 					if fresh != (m == nil) {
 						t.Fatalf("step %d: fresh=%v with live group=%v", step, fresh, m != nil)
 					}
@@ -399,13 +402,14 @@ func TestFormerInvariants(t *testing.T) {
 						t.Fatalf("step %d: joined generation %d, live one is %d", step, gen, m.gen)
 					}
 					m.items = append(m.items, v)
+					m.held = m.held || hold
 					if len(m.items) >= maxBatch {
 						deliver(step, "Add", batch, m.items)
 						delete(model, key)
 					} else if batch != nil {
 						t.Fatalf("step %d: Add cut %v at size %d < %d", step, batch, len(m.items), maxBatch)
 					}
-				case op < 19 && len(deadlines) > 0:
+				case op < 17 && len(deadlines) > 0:
 					// Fire a deadline armed at some point in the past: live for
 					// its own incarnation only, a no-op for any other.
 					d := deadlines[rng.Intn(len(deadlines))]
@@ -416,7 +420,28 @@ func TestFormerInvariants(t *testing.T) {
 					} else if got != nil {
 						t.Fatalf("step %d: stale Expire(%s, %d) cut %v", step, d.key, d.gen, got)
 					}
-				case op == 19:
+				case op < 22:
+					// An idle slot takes the oldest group nobody holds.
+					var want string
+					var oldest *live
+					for k, m := range model {
+						if !m.held && (oldest == nil || m.gen < oldest.gen) {
+							want, oldest = k, m
+						}
+					}
+					key, got := f.CutIdle()
+					if oldest == nil {
+						if got != nil {
+							t.Fatalf("step %d: CutIdle cut %s %v with every group held", step, key, got)
+						}
+						break
+					}
+					if key != want {
+						t.Fatalf("step %d: CutIdle cut %s, want %s (gen %d)", step, key, want, oldest.gen)
+					}
+					deliver(step, "CutIdle", got, oldest.items)
+					delete(model, want)
+				case op == 22:
 					for key, items := range f.Drain() {
 						m := model[key]
 						if m == nil {
@@ -446,6 +471,54 @@ func TestFormerInvariants(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFormerCutIdleOldestUnheld: CutIdle cuts live groups in generation
+// order, skips every group an item holds — one held item is enough, before
+// or after unheld ones — and leaves the cut incarnation's deadline a no-op,
+// including against the key's next incarnation.
+func TestFormerCutIdleOldestUnheld(t *testing.T) {
+	f := NewFormer[string, int](8)
+	_, genA, _ := f.Add("a", 1, true)
+	_, genB, _ := f.Add("b", 2, false)
+	f.Add("c", 3, false)
+	f.Add("b", 4, false)
+	f.Add("d", 5, false)
+	f.Add("d", 6, true)
+	f.Add("c", 7, false)
+
+	for _, want := range []struct {
+		key   string
+		items []int
+	}{{"b", []int{2, 4}}, {"c", []int{3, 7}}} {
+		key, batch := f.CutIdle()
+		if key != want.key || !slices.Equal(batch, want.items) {
+			t.Fatalf("CutIdle cut %s %v, want %s %v", key, batch, want.key, want.items)
+		}
+	}
+	if key, batch := f.CutIdle(); batch != nil {
+		t.Fatalf("CutIdle cut held group %s %v", key, batch)
+	}
+	if f.Len() != 2 {
+		t.Fatalf("%d live groups, want the two held ones", f.Len())
+	}
+
+	if batch := f.Expire("b", genB); batch != nil {
+		t.Fatalf("deadline of an idle-cut incarnation cut %v", batch)
+	}
+	_, genB2, fresh := f.Add("b", 8, false)
+	if !fresh || genB2 == genB {
+		t.Fatalf("b came back as fresh=%v gen %d (was %d)", fresh, genB2, genB)
+	}
+	if batch := f.Expire("b", genB); batch != nil {
+		t.Fatalf("stale deadline cut the next incarnation's %v", batch)
+	}
+	if key, batch := f.CutIdle(); key != "b" || !slices.Equal(batch, []int{8}) {
+		t.Fatalf("CutIdle cut %s %v, want b [8]", key, batch)
+	}
+	if batch := f.Expire("a", genA); !slices.Equal(batch, []int{1}) {
+		t.Fatalf("held group's own deadline cut %v, want [1]", batch)
 	}
 }
 

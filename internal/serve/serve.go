@@ -12,7 +12,10 @@
 //   - Server.Submit enqueues one request and blocks until its response,
 //     a typed rejection (ErrQueueFull, ErrClosed) or context cancellation.
 //   - Requests are grouped by (model, H, W) so each flush stacks into one
-//     forward pass; a per-group timer bounds added latency by MaxDelay.
+//     forward pass. A group is cut at once while an execution slot is idle,
+//     unless one of its requests said more of the group is on the way
+//     (ExpectMore); then it waits for MaxBatch, and a per-group timer bounds
+//     the wait by MaxDelay.
 //   - A ModelCache (LRU, deduplicated loads) of compiled plans lets one
 //     instance serve several Pareto-front models within a bounded
 //     weight-memory budget.
@@ -57,8 +60,11 @@ type Options struct {
 	// MaxBatch flushes a group as soon as it holds this many requests
 	// (default 8).
 	MaxBatch int
-	// MaxDelay flushes a non-empty group this long after its first request
-	// arrived, bounding the latency cost of batching (default 2ms).
+	// MaxDelay is the longest a request waits for company: a group whose
+	// requests said more is coming (ExpectMore), or that formed while every
+	// execution slot was busy, is cut this long after its first request
+	// arrived if nothing cut it sooner (default 2ms). A lone request on an
+	// idle server does not wait for it.
 	MaxDelay time.Duration
 	// QueueCap bounds the number of admitted-but-unfinished requests;
 	// Submit returns ErrQueueFull beyond it (default 256).
@@ -136,6 +142,24 @@ type result struct {
 type groupKey struct {
 	model string
 	h, w  int
+}
+
+// expectMoreKey is the context key ExpectMore sets.
+type expectMoreKey struct{}
+
+// ExpectMore marks ctx to say that more requests for the same model and
+// chip size are on their way: a request submitted under it holds its group,
+// which then waits for MaxBatch or MaxDelay instead of being cut at once on
+// an idle execution slot. A scan sets it on every tile after its first. The
+// mark stays in process; nothing sends it over the wire.
+func ExpectMore(ctx context.Context) context.Context {
+	return context.WithValue(ctx, expectMoreKey{}, true)
+}
+
+// ExpectsMore reports whether ctx carries ExpectMore's mark.
+func ExpectsMore(ctx context.Context) bool {
+	more, _ := ctx.Value(expectMoreKey{}).(bool)
+	return more
 }
 
 // Server is the batching inference server. Construct with NewServer,
@@ -226,15 +250,26 @@ func (s *Server) Submit(ctx context.Context, model string, input *tensor.Tensor)
 	}
 	s.load.Add(1)
 	s.opts.Stats.Enqueued(model)
-	cut, gen, fresh := s.former.Add(key, p)
-	if fresh {
-		// Exactly one MaxDelay timer per group incarnation (the group is
-		// gone once its batch is cut, so a later request starts a new
-		// incarnation + timer).
-		time.AfterFunc(s.opts.MaxDelay, func() { s.flushTimer(key, gen) })
-	}
+	cut, gen, fresh := s.former.Add(key, p, ExpectsMore(ctx))
 	if cut != nil {
 		s.dispatch(key, cut)
+	}
+	// Work conservation: while a slot is free, no group that nobody holds
+	// waits for company.
+	for s.slots.Free() {
+		k, batch := s.former.CutIdle()
+		if batch == nil {
+			break
+		}
+		s.dispatch(k, batch)
+	}
+	if fresh {
+		// Exactly one MaxDelay timer per group incarnation that was not cut
+		// at once (the group is gone once its batch is cut, so a later
+		// request starts a new incarnation + timer).
+		if live, ok := s.former.Gen(key); ok && live == gen {
+			time.AfterFunc(s.opts.MaxDelay, func() { s.flushTimer(key, gen) })
+		}
 	}
 	s.mu.Unlock()
 
@@ -276,20 +311,32 @@ func (s *Server) dispatch(key groupKey, batch []*pending) {
 	go s.run(task)
 }
 
-// run executes task in its slot, then hands the slot to the oldest parked
-// batch and executes that on the same goroutine, until nothing is parked.
+// run executes task in its slot, then executes on the same goroutine what
+// the slot passes to next, until the slot is left free.
 func (s *Server) run(task func()) {
 	defer s.dispatchers.Done()
-	for {
+	for task != nil {
 		task()
 		s.mu.Lock()
-		next := s.slots.Release()
+		task = s.next()
 		s.mu.Unlock()
-		if next == nil {
-			return
-		}
-		task = next.Value
 	}
+}
+
+// next releases a finished batch's slot and returns what runs in it next:
+// the oldest parked batch or, with nothing parked, the oldest group no
+// request holds, cut now. It returns nil when there is neither, and the
+// slot stays free. The caller holds s.mu.
+func (s *Server) next() func() {
+	if w := s.slots.Release(); w != nil {
+		return w.Value
+	}
+	key, batch := s.former.CutIdle()
+	if batch == nil {
+		return nil
+	}
+	s.slots.Acquire("", 1, sched.ClassStandard, 0) // granted: the slot just freed and nothing is parked
+	return func() { s.execute(key, batch) }
 }
 
 // execute claims the batch's live requests, runs them as one stacked

@@ -88,8 +88,8 @@ func TestSubmitServesAndMatchesDirectRuntime(t *testing.T) {
 func TestFlushOnMaxBatch(t *testing.T) {
 	loader, _ := testLoader(t)
 	stats := &metrics.ServingStats{}
-	// MaxDelay is far beyond the test deadline: only the size trigger can
-	// flush.
+	// MaxDelay is far beyond the test deadline and every request holds its
+	// group: only the size trigger can flush.
 	s := NewServer(loader, Options{MaxBatch: 4, MaxDelay: time.Minute, Stats: stats})
 	defer s.Close()
 
@@ -99,7 +99,7 @@ func TestFlushOnMaxBatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := s.Submit(context.Background(), "m", testInput(uint64(i)))
+			resp, err := s.Submit(ExpectMore(context.Background()), "m", testInput(uint64(i)))
 			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
@@ -135,13 +135,132 @@ func TestFlushOnMaxDelay(t *testing.T) {
 	loader, _ := testLoader(t)
 	s := NewServer(loader, Options{MaxBatch: 64, MaxDelay: 2 * time.Millisecond})
 	defer s.Close()
-	// A single request can never hit MaxBatch; only the deadline serves it.
-	resp, err := s.Submit(context.Background(), "m", testInput(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A single request that holds its group can never hit MaxBatch and is
+	// not cut on the idle slot; only the deadline serves it.
+	resp := submitWithin(t, 20*time.Second, s, ExpectMore(context.Background()), "m", testInput(1))
 	if resp.BatchSize != 1 {
 		t.Fatalf("batch size %d, want 1", resp.BatchSize)
+	}
+}
+
+// submitWithin runs Submit on its own goroutine and fails the test if it has
+// not returned within limit, so a request stuck behind a one-minute
+// MaxDelay fails fast instead of hanging the suite.
+func submitWithin(t *testing.T, limit time.Duration, s *Server, ctx context.Context, model string, in *tensor.Tensor) Response {
+	t.Helper()
+	type answer struct {
+		resp Response
+		err  error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		resp, err := s.Submit(ctx, model, in)
+		got <- answer{resp, err}
+	}()
+	select {
+	case a := <-got:
+		if a.err != nil {
+			t.Fatalf("submit %s: %v", model, a.err)
+		}
+		return a.resp
+	case <-time.After(limit):
+		t.Fatalf("submit %s still waiting after %v", model, limit)
+		return Response{}
+	}
+}
+
+// TestLoneRequestSkipsMaxDelay: a request that holds nothing, on a server
+// with every execution slot free, is cut at once — it does not wait out
+// MaxDelay — and no group is left behind for a timer.
+func TestLoneRequestSkipsMaxDelay(t *testing.T) {
+	loader, _ := testLoader(t)
+	s := NewServer(loader, Options{MaxBatch: 8, MaxDelay: time.Minute})
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		resp := submitWithin(t, 20*time.Second, s, context.Background(), "m", testInput(uint64(i)))
+		if resp.BatchSize != 1 || resp.Queued > 10*time.Second {
+			t.Fatalf("request %d: batch %d, queued %v under a one-minute MaxDelay", i, resp.BatchSize, resp.Queued)
+		}
+		if n := groupCount(s); n != 0 {
+			t.Fatalf("request %d: %d groups left after an idle cut", i, n)
+		}
+	}
+}
+
+// TestHeldRequestsFormOneBatch: MaxBatch requests that each hold their group
+// ride in one batch even though a slot is free the whole time they arrive.
+func TestHeldRequestsFormOneBatch(t *testing.T) {
+	loader, _ := testLoader(t)
+	stats := &metrics.ServingStats{}
+	s := NewServer(loader, Options{MaxBatch: 4, MaxDelay: time.Minute, Stats: stats})
+	defer s.Close()
+	held := ExpectMore(context.Background())
+	var wg sync.WaitGroup
+	sizes := make([]int, 4)
+	for i := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := s.Submit(held, "m", testInput(uint64(i)))
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+			}
+			sizes[i] = resp.BatchSize
+		}()
+		// One admission at a time, so each arrives at an idle server.
+		waitFor(t, func() bool { return s.Load() == int64(i+1) })
+	}
+	wg.Wait()
+	if fmt.Sprint(sizes) != "[4 4 4 4]" {
+		t.Fatalf("batch sizes %v, want one batch of 4", sizes)
+	}
+	if snap := stats.Snapshot(); snap.Batches != 1 {
+		t.Fatalf("%d batches, want 1", snap.Batches)
+	}
+}
+
+// TestFreedSlotCutsWaitingGroup: a request that arrives while the only slot
+// is busy waits in its group, and the slot, once freed with nothing
+// parked, cuts that group at once instead of leaving it to MaxDelay.
+func TestFreedSlotCutsWaitingGroup(t *testing.T) {
+	load, _ := testLoader(t)
+	release := make(chan struct{})
+	loader := func(key string) (*infer.Plan, error) {
+		if key == "slow" {
+			<-release
+		}
+		return load(key)
+	}
+	s := NewServer(loader, Options{Workers: 1, MaxBatch: 8, MaxDelay: time.Minute})
+	defer s.Close()
+
+	slow := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(context.Background(), "slow", testInput(1))
+		slow <- err
+	}()
+	waitFor(t, func() bool { return s.Load() == 1 && groupCount(s) == 0 })
+	fast := make(chan Response, 1)
+	go func() {
+		resp, err := s.Submit(context.Background(), "m", testInput(2))
+		if err != nil {
+			t.Errorf("submit m: %v", err)
+		}
+		fast <- resp
+	}()
+	// The slot is busy, so m's group waits.
+	waitFor(t, func() bool { return s.Load() == 2 && groupCount(s) == 1 })
+	close(release)
+	if err := <-slow; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case resp := <-fast:
+		if resp.BatchSize != 1 || resp.Queued > 10*time.Second {
+			t.Fatalf("batch %d, queued %v under a one-minute MaxDelay", resp.BatchSize, resp.Queued)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the freed slot left the waiting group to its MaxDelay timer")
 	}
 }
 
@@ -150,14 +269,14 @@ func TestQueueFullRejection(t *testing.T) {
 	stats := &metrics.ServingStats{}
 	s := NewServer(loader, Options{MaxBatch: 64, MaxDelay: time.Minute, QueueCap: 3, Stats: stats})
 
-	// Fill the queue with requests that cannot flush (size 64 batch, 1min
-	// delay), then overflow it.
+	// Fill the queue with requests that cannot flush (held, size 64 batch,
+	// 1min delay), then overflow it.
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Submit(context.Background(), "m", testInput(uint64(i))); err != nil {
+			if _, err := s.Submit(ExpectMore(context.Background()), "m", testInput(uint64(i))); err != nil {
 				t.Errorf("queued submit %d: %v", i, err)
 			}
 		}(i)
@@ -184,7 +303,9 @@ func TestContextCancellation(t *testing.T) {
 	s := NewServer(loader, Options{MaxBatch: 64, MaxDelay: 50 * time.Millisecond, Stats: stats})
 	defer s.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	// The request holds its group, so it waits for the 50ms flush and its
+	// 2ms deadline passes first.
+	ctx, cancel := context.WithTimeout(ExpectMore(context.Background()), 2*time.Millisecond)
 	defer cancel()
 	if _, err := s.Submit(ctx, "m", testInput(1)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err %v, want deadline exceeded", err)
@@ -406,11 +527,12 @@ func TestGroupsDoNotLeak(t *testing.T) {
 		t.Fatalf("pre-expired submissions touched stats: %+v", snap)
 	}
 
-	// Leg 2: requests canceled while queued. Each submitter blocks until its
-	// context is cut; the canceled pendings stay in their groups until Close
-	// cuts the batches, at which point the executor must claim nothing.
+	// Leg 2: requests canceled while queued. Each submitter holds its group
+	// and blocks until its context is cut; the canceled pendings stay in
+	// their groups until Close cuts the batches, at which point the executor
+	// must claim nothing.
 	const queued = 8
-	ctx, cancelQueued := context.WithCancel(context.Background())
+	ctx, cancelQueued := context.WithCancel(ExpectMore(context.Background()))
 	var wg sync.WaitGroup
 	errs := make([]error, queued)
 	for i := 0; i < queued; i++ {
@@ -475,7 +597,8 @@ func TestStaleTimerCannotFlushLaterIncarnation(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Submit(context.Background(), "m", testInput(1))
+		// Held, so the idle slot leaves the group to its timer.
+		_, err := s.Submit(ExpectMore(context.Background()), "m", testInput(1))
 		done <- err
 	}()
 	key := groupKey{model: "m", h: 16, w: 16}
@@ -529,15 +652,16 @@ func TestLoadTracksSubmitCompleteExactly(t *testing.T) {
 		t.Fatalf("fresh server Load() = %d, want 0", got)
 	}
 
-	// Queue requests that cannot flush (size-64 batch, 1-minute delay): Load
-	// must count each admission exactly once.
+	// Queue requests that cannot flush (held, size-64 batch, 1-minute
+	// delay): Load must count each admission exactly once.
 	const queued = 5
+	held := ExpectMore(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < queued; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Submit(context.Background(), "m", testInput(uint64(i))); err != nil {
+			if _, err := s.Submit(held, "m", testInput(uint64(i))); err != nil {
 				t.Errorf("queued submit %d: %v", i, err)
 			}
 		}(i)
@@ -551,7 +675,7 @@ func TestLoadTracksSubmitCompleteExactly(t *testing.T) {
 	}
 
 	// A canceled waiter decrements exactly once.
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(held)
 	cancelDone := make(chan error, 1)
 	go func() {
 		_, err := s.Submit(ctx, "m", testInput(99))

@@ -24,8 +24,11 @@ type Config struct {
 	Workers  int
 
 	// MaxBatch / MaxDelay / QueueCap are serve.Options' fields: a batch of
-	// one (model, H, W) flushes at MaxBatch requests or MaxDelay after its
-	// first, and each replica admits at most QueueCap unfinished requests.
+	// one (model, H, W) is cut at once while an execution slot is free and
+	// none of its arrivals holds it; otherwise it flushes at MaxBatch
+	// requests or MaxDelay after its first, MaxDelay being the longest a
+	// request waits for company. Each replica admits at most QueueCap
+	// unfinished requests.
 	MaxBatch int
 	MaxDelay time.Duration
 	QueueCap int
@@ -221,16 +224,26 @@ func (c *cluster) place(r Arrival) {
 	rep.requests++
 
 	key := groupKey{model: r.Model, h: r.H, w: r.W}
-	batch, gen, fresh := rep.former.Add(key, r)
-	if fresh {
-		c.loop.After(c.cfg.MaxDelay, func() {
-			if batch := rep.former.Expire(key, gen); batch != nil {
-				c.cut(rep, batch)
-			}
-		})
-	}
+	batch, gen, fresh := rep.former.Add(key, r, r.Hold)
 	if batch != nil {
 		c.cut(rep, batch)
+	}
+	for rep.slots.Free() {
+		_, batch := rep.former.CutIdle()
+		if batch == nil {
+			break
+		}
+		c.cut(rep, batch)
+	}
+	if fresh {
+		// One deadline per incarnation that was not cut at once, as in serve.
+		if live, ok := rep.former.Gen(key); ok && live == gen {
+			c.loop.After(c.cfg.MaxDelay, func() {
+				if batch := rep.former.Expire(key, gen); batch != nil {
+					c.cut(rep, batch)
+				}
+			})
+		}
 	}
 }
 
@@ -255,10 +268,13 @@ func (c *cluster) start(rep *replicaSim, batch []Arrival) {
 }
 
 // complete delivers a finished batch: its slot passes to the oldest parked
-// batch, then per-request latencies, accounting and gate releases.
+// batch or, with none parked, to the oldest group no arrival holds, as in
+// serve.Server; then per-request latencies, accounting and gate releases.
 func (c *cluster) complete(rep *replicaSim, batch []Arrival) {
 	if next := rep.slots.Release(); next != nil {
 		c.start(rep, next.Value)
+	} else if _, idle := rep.former.CutIdle(); idle != nil {
+		c.cut(rep, idle)
 	}
 	rep.batches++
 	rep.sizeSum += uint64(len(batch))

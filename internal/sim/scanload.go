@@ -13,7 +13,8 @@ import (
 // tile arrives alone, the window's Window tiles arrive together one Pace
 // later (once it has been answered), then one tile per Pace as
 // completions free window slots; Window 1 is one tile per Pace
-// throughout. Unlike the random workloads it uses no RNG: a spatial scan
+// throughout. As scan.Run marks its tiles, every tile but the first holds
+// its batch group, unless Window is 1. Unlike the random workloads it uses no RNG: a spatial scan
 // is maximally correlated load, the exact opposite of Poisson traffic,
 // which is what makes it worth simulating against the same batcher and
 // router configuration.
@@ -53,7 +54,7 @@ func (s ScanWorkload) Arrivals() ([]Arrival, error) {
 		default:
 			at = time.Duration(i-window+1) * s.Pace
 		}
-		out = append(out, Arrival{At: at, Model: s.Model, Class: s.Class, C: s.C, H: s.S, W: s.S})
+		out = append(out, Arrival{At: at, Model: s.Model, Class: s.Class, C: s.C, H: s.S, W: s.S, Hold: i > 0 && window > 1})
 	}
 	return out, nil
 }

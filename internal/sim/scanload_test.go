@@ -51,9 +51,18 @@ func TestScanWorkloadArrivals(t *testing.T) {
 			t.Fatalf("window 1: arrival %d at %v, want %v", i, a.At, want)
 		}
 	}
-	for _, a := range arr {
+	for i, a := range arr {
 		if a.Model != "paper" || a.Class != route.ClassBatch || a.C != 5 || a.H != 64 || a.W != 64 {
 			t.Fatalf("arrival metadata %+v", a)
+		}
+		// As scan.Run marks its tiles: the first runs alone, the rest hold.
+		if a.Hold != (i > 0) {
+			t.Fatalf("arrival %d hold %v, want %v", i, a.Hold, i > 0)
+		}
+	}
+	for i, a := range arr1 {
+		if a.Hold {
+			t.Fatalf("window 1: arrival %d holds with nothing behind it", i)
 		}
 	}
 	// Determinism: same description, same stream.

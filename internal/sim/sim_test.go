@@ -143,34 +143,70 @@ func TestSimBatchingAmortizes(t *testing.T) {
 }
 
 // TestSimSingleRequestLatency pins the arithmetic end to end: one request on
-// an idle replica waits out MaxDelay, then pays the batch-1 service time
-// plus network overhead.
+// an idle replica is cut at once and pays the batch-1 service time plus
+// network overhead; one that holds its group waits out MaxDelay first.
 func TestSimSingleRequestLatency(t *testing.T) {
-	arr := []Arrival{{At: 0, Model: "paper", Class: route.ClassStandard, C: 5, H: 128, W: 128}}
-	rep, err := Run(Config{MaxDelay: 2 * time.Millisecond, Models: testModels(), NetworkMS: 0.5}, arr)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	for _, tc := range []struct {
+		hold bool
+		want float64
+	}{
+		{false, 5.5}, // (1.0 + 1*4.0)ms service + 0.5ms network
+		{true, 7.5},  // MaxDelay 2ms + (1.0 + 1*4.0)ms service + 0.5ms network
+	} {
+		arr := []Arrival{{At: 0, Model: "paper", Class: route.ClassStandard, C: 5, H: 128, W: 128, Hold: tc.hold}}
+		rep, err := Run(Config{MaxDelay: 2 * time.Millisecond, Models: testModels(), NetworkMS: 0.5}, arr)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if math.Abs(rep.Latency.P50MS-tc.want) > 1e-6 {
+			t.Fatalf("single-request latency (hold %v) %.4fms, want %.4fms", tc.hold, rep.Latency.P50MS, tc.want)
+		}
 	}
-	// MaxDelay 2ms + (1.0 + 1*4.0)ms service + 0.5ms network = 7.5ms.
-	want := 7.5
-	if math.Abs(rep.Latency.P50MS-want) > 1e-6 {
-		t.Fatalf("single-request latency %.4fms, want %.4fms", rep.Latency.P50MS, want)
-	}
-	// A full batch cuts immediately: 8 simultaneous arrivals skip MaxDelay.
+	// A full batch cuts immediately: 8 simultaneous held arrivals skip
+	// MaxDelay.
 	var burst []Arrival
 	for i := 0; i < 8; i++ {
-		burst = append(burst, Arrival{At: 0, Model: "paper", Class: route.ClassStandard})
+		burst = append(burst, Arrival{At: 0, Model: "paper", Class: route.ClassStandard, Hold: true})
 	}
-	rep, err = Run(Config{MaxBatch: 8, MaxDelay: time.Second, Models: testModels()}, burst)
+	rep, err := Run(Config{MaxBatch: 8, MaxDelay: time.Second, Models: testModels()}, burst)
 	if err != nil {
 		t.Fatalf("run burst: %v", err)
 	}
-	want = 1.0 + 8*4.0 // no MaxDelay wait, no network
+	want := 1.0 + 8*4.0 // no MaxDelay wait, no network
 	if math.Abs(rep.Latency.P50MS-want) > 1e-6 {
 		t.Fatalf("full-batch latency %.4fms, want %.4fms", rep.Latency.P50MS, want)
 	}
 	if rep.MeanBatch != 8 {
 		t.Fatalf("mean batch %.2f, want 8", rep.MeanBatch)
+	}
+}
+
+// TestSimFreedSlotCutsWaitingGroup: an arrival that finds the only slot
+// busy waits in its group, and the slot, freed with nothing parked, cuts
+// that group at once, as serve.Server's does, instead of leaving it to
+// MaxDelay.
+func TestSimFreedSlotCutsWaitingGroup(t *testing.T) {
+	arr := []Arrival{
+		{At: 0, Model: "slow", C: 5, H: 64, W: 64},
+		{At: time.Millisecond, Model: "paper", C: 5, H: 64, W: 64},
+	}
+	models := testModels()
+	rep, err := Run(Config{Workers: 1, MaxDelay: time.Second, Models: models}, arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 2 || len(rep.Models) != 2 {
+		t.Fatalf("completed %d across %d models, want 2 across 2", rep.Completed, len(rep.Models))
+	}
+	slow, paper := models["slow"].BatchMS(1), models["paper"].BatchMS(1)
+	for _, m := range rep.Models {
+		want := slow
+		if m.Model == "paper" {
+			want = slow - 1 + paper // queued behind slow from t=1ms, then served
+		}
+		if math.Abs(m.Latency.P50MS-want) > 1e-6 {
+			t.Fatalf("%s latency %.4fms, want %.4fms", m.Model, m.Latency.P50MS, want)
+		}
 	}
 }
 
@@ -237,15 +273,16 @@ func TestSimSchedOrderAtGate(t *testing.T) {
 // TestSimNeverBatchesAcrossChipSizes is the regression test for the
 // simulator forming batches per model where serve.Server forms them per
 // (model, H, W): four simultaneous requests for one model, alternating two
-// chip sizes, fill a MaxBatch-4 batch only if sizes mix. They must instead
-// form two batches of two, each flushed by its own MaxDelay timer — and the
-// same four requests at one size still fill the batch.
+// chip sizes and each holding its group, fill a MaxBatch-4 batch only if
+// sizes mix. They must instead form two batches of two, each flushed by its
+// own MaxDelay timer — and the same four requests at one size still fill
+// the batch.
 func TestSimNeverBatchesAcrossChipSizes(t *testing.T) {
 	run := func(sizes [4]int) ReplicaReport {
 		t.Helper()
 		var arrivals []Arrival
 		for i, hw := range sizes {
-			arrivals = append(arrivals, Arrival{At: time.Duration(i) * time.Microsecond, Model: "paper", C: 5, H: hw, W: hw})
+			arrivals = append(arrivals, Arrival{At: time.Duration(i) * time.Microsecond, Model: "paper", C: 5, H: hw, W: hw, Hold: true})
 		}
 		rep, err := Run(Config{MaxBatch: 4, MaxDelay: 2 * time.Millisecond, Models: testModels()}, arrivals)
 		if err != nil {

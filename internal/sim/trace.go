@@ -16,7 +16,9 @@ import (
 
 // TraceEvent is one recorded arrival, one JSONL line in a -trace file:
 // when it arrived (milliseconds since the trace started), which serving key
-// it asked for (precision suffix included), its SLO class and chip shape.
+// it asked for (precision suffix included), its SLO class and chip shape,
+// and whether it held its batch group (Arrival.Hold; omitted when false, so
+// a recorded predict stream never carries it).
 // The payload itself is deliberately not recorded — replay synthesizes
 // deterministic data from a seed — so traces stay small and shareable.
 type TraceEvent struct {
@@ -26,6 +28,7 @@ type TraceEvent struct {
 	C     int     `json:"c"`
 	H     int     `json:"h"`
 	W     int     `json:"w"`
+	Hold  bool    `json:"hold,omitempty"`
 }
 
 // maxTraceDim bounds recorded chip dimensions; anything past it is a
@@ -206,7 +209,7 @@ func TraceArrivals(events []TraceEvent) ([]Arrival, error) {
 		}
 		out = append(out, Arrival{
 			At: ev.at(), Model: ev.Model, Class: class,
-			C: ev.C, H: ev.H, W: ev.W,
+			C: ev.C, H: ev.H, W: ev.W, Hold: ev.Hold,
 		})
 	}
 	// Stable: equal-time events keep file order, matching the recorder's
@@ -233,7 +236,7 @@ func EventsFromArrivals(arrivals []Arrival) []TraceEvent {
 		}
 		out = append(out, TraceEvent{
 			TMS:   float64(a.At) / float64(time.Millisecond),
-			Model: a.Model, SLO: a.Class.String(), C: c, H: h, W: w,
+			Model: a.Model, SLO: a.Class.String(), C: c, H: h, W: w, Hold: a.Hold,
 		})
 	}
 	return out

@@ -65,6 +65,37 @@ func TestTraceRoundTripIdentity(t *testing.T) {
 	}
 }
 
+// TestTraceCarriesHold: a scan's hold marks survive the file round-trip,
+// and an arrival that holds nothing writes no hold key, so a recorded
+// predict stream reads as it did before the mark existed.
+func TestTraceCarriesHold(t *testing.T) {
+	arr, err := ScanWorkload{Model: "paper", Tiles: 6, Window: 4, Pace: time.Millisecond, C: 5, S: 64}.Arrivals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, EventsFromArrivals(arr)); err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(buf.String(), "\n")
+	if strings.Contains(first, "hold") {
+		t.Fatalf("unheld arrival wrote %s", first)
+	}
+	events, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := TraceArrivals(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range arr {
+		if back[i] != arr[i] {
+			t.Fatalf("arrival %d: %+v after the round-trip, want %+v", i, back[i], arr[i])
+		}
+	}
+}
+
 // TestTraceWriterRecordsOffsets checks the live recorder: offsets start at
 // zero, events validate, and Close flushes.
 func TestTraceWriterRecordsOffsets(t *testing.T) {
@@ -183,6 +214,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte(`{"t_ms":1.5,"model":"paper@int8","slo":"batch","c":1,"h":1,"w":1}` + "\n"))
 	f.Add([]byte(`{"t_ms":-1,"model":"m","c":1,"h":1,"w":1}`))
 	f.Add([]byte(`{"t_ms":1e308,"model":"m","c":1,"h":1,"w":1}`))
+	f.Add([]byte(`{"t_ms":2,"model":"paper","slo":"batch","c":5,"h":64,"w":64,"hold":true}` + "\n"))
 	f.Add([]byte("\n\n{}\n"))
 	f.Add([]byte(`{"t_ms":0,"model":"` + strings.Repeat("a", 300) + `","c":1,"h":1,"w":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

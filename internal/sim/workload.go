@@ -53,11 +53,14 @@ func ParseDist(s string) (Dist, error) {
 // Arrival is one simulated request: when it arrives and what it asks for.
 // Model is the serving key (which may carry a precision suffix, "name@int8"
 // — precision affinity is just a different key, exactly as in servd).
+// Hold is serve.ExpectMore's mark: more of its batch group is on the way,
+// so the replica's batcher does not cut the group at once on an idle slot.
 type Arrival struct {
 	At      time.Duration
 	Model   string
 	Class   route.SLOClass
 	C, H, W int
+	Hold    bool
 }
 
 // ModelShare is one entry of a client's model mix.
