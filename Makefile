@@ -281,7 +281,8 @@ bench-infer:
 # out: predict-body decode (the single-pass scanner on a JSON number array
 # and on data_b64, beside the encoding/json decode it replaced), the tenant
 # tier around a no-op handler, the router→servd hop over loopback, and a
-# lone request through the batcher at its defaults; then eight whole scan
+# lone request through the batcher at its defaults over a plan too small to
+# cost anything; then eight whole scan
 # jobs in process with the real model (time to first tile, tiles/s after
 # it).
 # SERVE_NOTE is stored with the run and says what each timed region holds.
@@ -290,7 +291,7 @@ Stdlib = the json.Decoder decode both handlers ran before. TierWrapNoop: Tier.Wr
 ReadPredict, idle fair gate, audit line, stats) around an empty handler. HTTPReplicaLoopback/hop: HTTPReplica.Submit \
 (PredictFromTensor + api.Client.Predict: json.Marshal + POST over kept-alive loopback) + frontend.New over servd: access log, ReadPredict, Tensor(), \
 serve.Submit at max-batch 1 on a width-1 ResNet, answer encode + decode; /stub is that serve.Submit alone. Chips are 5xSxS. \
-SubmitLone: one serve.Submit at a time at default Options (batch 8, 2 ms MaxDelay) on a width-4 3x16x16 plan; queued_ms = mean Response.Queued. \
+SubmitLone: one serve.Submit at a time at default Options (batch 8, 2 ms MaxDelay) on a hand-built 1x1-conv + global pool + 2x2 FC plan over a 3x4x4 chip; queued_ms = mean Response.Queued. \
 ScanFirstTile: one scan.Run job (Nebraska 640, chip 100, stride 36, window 16, hilbert; synthesis included) over serve.Server \
 defaults on front32 fp32; first_tile_ms = Run start -> first tile event, tiles_per_s over the tiles after it.
 bench-serve:

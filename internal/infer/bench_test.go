@@ -139,14 +139,14 @@ var front32Config = resnet.Config{
 func front32Plan(b *testing.B, int8 bool) *Plan { return modelPlan(b, front32Config, int8) }
 
 // modelContainer exports the model of cfg with the weights of seed 7.
-func modelContainer(b *testing.B, cfg resnet.Config) []byte {
+func modelContainer(tb testing.TB, cfg resnet.Config) []byte {
 	m, err := resnet.New(cfg, tensor.NewRNG(7))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if _, err := onnxsize.Export(m, &buf); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -270,7 +270,7 @@ func BenchmarkFront32Ops(b *testing.B) {
 					kinds[idx] = "conv_wino_join"
 				case op.kind == opConv && op.joinOut != 0:
 					kinds[idx] = "conv_join"
-				case op.kind == opConv && op.conv.Stride() == 2:
+				case op.kind == opConv && op.stride == 2:
 					kinds[idx] = "conv_s2"
 				case wino:
 					kinds[idx] = "conv_wino"

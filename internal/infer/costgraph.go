@@ -39,12 +39,8 @@ func (p *Plan) CostGraph(inputSize int) (latmeter.Graph, error) {
 			HW: side(op.in), OutHW: side(op.out)}
 		switch op.kind {
 		case opConv:
-			kh, kw := op.conv.KernelSize()
-			if kh != kw {
-				return latmeter.Graph{}, fmt.Errorf("infer: op %s has non-square kernel %dx%d, cost model wants square", op.name, kh, kw)
-			}
-			k.Type, k.K, k.S = latmeter.KConvBN, kh, op.conv.Stride()
-			if op.conv.HasReLU() {
+			k.Type, k.K, k.S = latmeter.KConvBN, op.kernel, op.stride
+			if op.relu {
 				k.Type = latmeter.KConvBNReLU
 			}
 		case opRelu:

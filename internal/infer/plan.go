@@ -38,9 +38,12 @@ type planOp struct {
 	in2  int // second operand of opAdd (the shortcut); -1 otherwise
 	out  int
 
+	// The geometry Compile validated, which shapes and the cost graph read
+	// at both precisions. An int8 plan's opConv has no conv (qconv instead).
 	conv                *tensor.PackedConv // opConv, opFC
-	kernel, stride, pad int                // opMaxPool
-	relu                bool               // opAdd: trailing ReLU fused into the join
+	oc                  int                // opConv, opFC: output channels
+	kernel, stride, pad int                // opConv, opMaxPool
+	relu                bool               // opConv, opAdd: trailing ReLU fused into the epilogue
 
 	// A residual join run by the epilogue of the conv that produces its
 	// last operand (fuseJoins). On that opConv, joinOut is the join's output
@@ -52,8 +55,7 @@ type planOp struct {
 	joinIn, joinOut int
 	fused           bool
 
-	// Int8 payloads, set by Plan.Quantize. Quantized ops keep conv too: the
-	// cost graph and shape inference read geometry from it either way.
+	// Int8 payloads, set by Plan.Quantize.
 	qconv  *tensor.QuantizedConv // opConv
 	ra, rb float32               // opAdd: input scale ratios sa/so, sb/so
 	ratio  float32               // opGlobalAvgPool: dequantizing input scale
@@ -63,6 +65,9 @@ type planOp struct {
 // resolved once into an explicit op list with precomputed buffer indices,
 // BatchNorm folded into conv weights, ReLU fused into conv/add epilogues,
 // and every weight pre-shaped (and lazily panel-packed) in a PackedConv.
+// Each op carries its own geometry, read the same way at either precision.
+// An int8 plan (Quantize) holds its convs' weights only as packed int8
+// panels in QuantizedConvs; its one float weight is the classifier's.
 //
 // A Plan is immutable and safe to share between any number of goroutines;
 // per-goroutine execution state lives in Sessions (NewSession). The
@@ -188,6 +193,7 @@ func Compile(dec *onnxsize.Decoded) (*Plan, error) {
 			p.ops = append(p.ops, planOp{
 				kind: opConv, name: node.Name, in: src, in2: -1, out: out,
 				conv: tensor.NewPackedConv(tensor.FromSlice(wf, dims...), bias, s, pad, relu),
+				oc:   oc, kernel: k, stride: s, pad: pad, relu: relu,
 			})
 			if chans[src] < 0 {
 				chans[src] = dims[1]
@@ -299,6 +305,7 @@ func Compile(dec *onnxsize.Decoded) (*Plan, error) {
 			p.ops = append(p.ops, planOp{
 				kind: opFC, name: node.Name, in: cur, in2: -1, out: out,
 				conv: tensor.NewPackedConv(tensor.FromSlice(w, outF, inF, 1, 1), b, 1, 0, false),
+				oc:   outF,
 			})
 			cur = out
 			i++

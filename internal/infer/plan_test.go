@@ -419,8 +419,10 @@ func TestSessionArenaReusedAcrossShapes(t *testing.T) {
 // TestShapesMatchForward holds the plan's one shape inference to what a
 // forward pass really produces. Each fp32 value is recomputed from the
 // arena's own inputs by the tensor package's operator, into a tensor sized
-// from the op's own geometry (Conv2D sizes its output itself); an int8 plan must hold exactly that many s8
-// elements per value, and a float head of that shape. Logits from the
+// from the op's own geometry (Conv2D sizes its output itself, here over a
+// zero filter of the op's out channels, kernel, stride and pad: only the
+// shape is compared); an int8 plan must hold exactly that many s8 elements
+// per value, and a float head of that shape. Logits from the
 // keep-everything arena this reads must equal the ordinary recycling
 // session's bit for bit.
 func TestShapesMatchForward(t *testing.T) {
@@ -480,11 +482,7 @@ func TestShapesMatchForward(t *testing.T) {
 				var ref *tensor.Tensor
 				switch in := value(op.in); op.kind {
 				case opConv:
-					var bias *tensor.Tensor
-					if b := op.conv.Bias(); b != nil {
-						bias = tensor.FromSlice(b, len(b))
-					}
-					ref = tensor.Conv2D(in, op.conv.Weights(), bias, op.conv.Stride(), op.conv.Pad())
+					ref = tensor.Conv2D(in, tensor.New(op.oc, in.Dim(1), op.kernel, op.kernel), nil, op.stride, op.pad)
 				case opRelu:
 					ref = tensor.New(in.Shape()...)
 					tensor.ReLUInto(ref, in)
@@ -498,7 +496,7 @@ func TestShapesMatchForward(t *testing.T) {
 					ref = tensor.New(in.Dim(0), in.Dim(1))
 					tensor.GlobalAvgPool2DInto(ref, in)
 				case opFC:
-					ref = tensor.Conv2D(ar.fcIn[idx], op.conv.Weights(), nil, 1, 0).Reshape(tc.n, -1)
+					ref = tensor.Conv2D(ar.fcIn[idx], tensor.New(op.oc, in.Dim(1), 1, 1), nil, 1, 0).Reshape(tc.n, -1)
 				}
 				if !reflect.DeepEqual(ref.Shape(), inferred) {
 					t.Errorf("fp32 %+v op %s: operator produces %v, inferred %v", tc, op.name, ref.Shape(), inferred)

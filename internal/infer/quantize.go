@@ -10,15 +10,18 @@ import (
 
 // Post-training quantization pass: Plan.Quantize derives an int8 form of a
 // compiled float plan. Weights quantize per output channel from the
-// BN-folded values the PackedConvs already hold; activation scales come from
-// calibration — running representative inputs through the float plan and
-// reading each arena value's max-abs afterwards. The quantized plan is a
-// *Plan like any other (same Session machinery, same CostGraph), just with
-// integer op payloads and a latency cost scale.
+// BN-folded values the PackedConvs already hold (PackedConv.Quantize);
+// activation scales come from calibration — running representative inputs
+// through the float plan and reading each arena value's max-abs afterwards.
+// The quantized plan is a *Plan like any other (same Session machinery, same
+// CostGraph), just with integer op payloads and a latency cost scale.
 
 // Quantize returns the int8 form of the plan, calibrating activation ranges
-// on the given (N, C, H, W) sample batches. The receiver is unchanged and
-// the two plans share no mutable state. Requirements: at least one
+// on the given (N, C, H, W) sample batches. The receiver is unchanged. The
+// two plans share only the classifier's float PackedConv: each int8 conv
+// keeps its int8 weights and nothing of the float conv it was quantized
+// from, so the float plan, with the packs its calibration forwards built,
+// is collectable once the caller drops it. Requirements: at least one
 // calibration batch with the plan's channel count, and the exporter's head
 // shape — a global pool (where dequantization happens) optionally followed
 // by the classifier Gemm, which stays fp32. Everything Compile accepts
@@ -91,10 +94,7 @@ func (p *Plan) Quantize(calib []*tensor.Tensor) (*Plan, error) {
 			if op.out == p.outVal {
 				return nil, fmt.Errorf("infer: terminal conv %s cannot dequantize", op.name)
 			}
-			nop.qconv = tensor.NewQuantizedConv(
-				op.conv.Weights(), op.conv.Bias(),
-				op.conv.Stride(), op.conv.Pad(), op.conv.HasReLU(),
-				scale[op.in], scale[op.out])
+			nop.qconv, nop.conv = op.conv.Quantize(scale[op.in], scale[op.out]), nil
 		case opFC:
 			if op.out != p.outVal {
 				return nil, fmt.Errorf("infer: non-terminal FC %s unsupported in int8 plans", op.name)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -367,6 +368,95 @@ func TestQuantizedCostGraph(t *testing.T) {
 		f, q := dev.LatencyMS(fg), dev.LatencyMS(qg)
 		if !(q < f) {
 			t.Errorf("%s: int8 %.3fms not below fp32 %.3fms", dev.Name, q, f)
+		}
+	}
+}
+
+// TestQuantizedPlanHoldsNoFloatConv: Quantize leaves no float convolution
+// on an int8 plan's convs, so nothing of the calibrated fp32 plan but the
+// classifier head stays reachable from it.
+func TestQuantizedPlanHoldsNoFloatConv(t *testing.T) {
+	_, container := exportModel(t, resnet.Config{Channels: 5, Batch: 4, KernelSize: 7, Stride: 2, Padding: 3,
+		PoolChoice: 1, KernelSizePool: 3, StridePool: 2, InitialOutputFeature: 8, NumClasses: 2}, 61)
+	plan, err := LoadPlan(bytes.NewReader(container))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := plan.QuantizeSynthetic(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range q.ops {
+		switch {
+		case op.kind == opConv && (op.conv != nil || op.qconv == nil):
+			t.Errorf("int8 conv %s holds float conv %v, int8 conv %v", op.name, op.conv != nil, op.qconv != nil)
+		case op.kind == opFC && op.conv == nil:
+			t.Errorf("int8 plan's classifier %s lost its float conv", op.name)
+		}
+	}
+}
+
+// heapLive is the live heap after two collections, the second of which
+// empties the sync.Pools (sessions, scratch) the first only moved aside.
+func heapLive() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestPlanResidentBytes measures what a loaded plan keeps live, for the two
+// models predict_closed serves: each plan is loaded as the serving loader
+// loads it (LoadPlan, then QuantizeSynthetic(32) for int8), runs a batch-1
+// and a batch-8 forward at 5×100×100, and counts the live heap it adds. An
+// int8 plan keeps its int8 weights and the float classifier, so it is a
+// small fraction of both its container and its fp32 plan; an fp32 plan
+// keeps the folded weights and the packs its forwards built (2.8–2.9× the
+// container). The bounds are ratios, not MB, because the megabytes follow
+// the model's width and the host's kernel tier (panel padding, which convs
+// pack, Winograd panels), while a ratio to the same model's container and
+// fp32 plan compares like with like.
+func TestPlanResidentBytes(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		cfg  resnet.Config
+	}{{"front32", front32Config}, {"stock64", resnet.StockResNet18(5, 16)}} {
+		blob := modelContainer(t, m.cfg)
+		xs := []*tensor.Tensor{
+			tensor.RandNormal(tensor.NewRNG(9), 1, 1, m.cfg.Channels, 100, 100),
+			tensor.RandNormal(tensor.NewRNG(9), 1, 8, m.cfg.Channels, 100, 100),
+		}
+		resident := func(int8 bool) float64 {
+			base := heapLive()
+			plan, err := LoadPlan(bytes.NewReader(blob))
+			if err == nil && int8 {
+				plan, err = plan.QuantizeSynthetic(32)
+			}
+			for _, x := range xs {
+				if err == nil {
+					_, err = plan.Forward(x)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := heapLive() - base
+			// The container and the inputs were live at base, so they
+			// must be up to here too, or the plan is credited with them.
+			runtime.KeepAlive([]any{plan, blob, xs})
+			return float64(live)
+		}
+		fp32, q := resident(false), resident(true)
+		container := float64(len(blob))
+		t.Logf("%s: container %.1f MB, fp32 plan %.1f MB (%.2f×), int8 plan %.1f MB (%.2f× container, %.3f× fp32)",
+			m.name, container/1e6, fp32/1e6, fp32/container, q/1e6, q/container, q/fp32)
+		if q > 0.15*fp32 || q > 0.3*container {
+			t.Errorf("%s: int8 plan holds %.1f MB, want ≤ 0.15× its fp32 plan (%.1f MB) and ≤ 0.3× its container (%.1f MB)",
+				m.name, q/1e6, fp32/1e6, container/1e6)
+		}
+		if fp32 > 3*container {
+			t.Errorf("%s: fp32 plan holds %.1f MB, want ≤ 3× its container (%.1f MB)", m.name, fp32/1e6, container/1e6)
 		}
 	}
 }

@@ -170,21 +170,19 @@ func (p *Plan) shapes(n, h, w int) ([][]int, error) {
 		in := shapes[op.in]
 		var out []int
 		switch op.kind {
-		case opConv:
-			oh, ow := op.conv.OutSize(in[2], in[3])
-			if oh <= 0 || ow <= 0 {
-				return nil, fmt.Errorf("infer: input %dx%d too small for conv %s", h, w, op.name)
+		case opConv, opMaxPool:
+			ch, what := op.oc, "conv"
+			if op.kind == opMaxPool {
+				ch, what = in[1], "pool"
 			}
-			out = []int{in[0], op.conv.OutChannels(), oh, ow}
-		case opRelu:
-			out = in
-		case opMaxPool:
 			oh := tensor.ConvOut(in[2], op.kernel, op.stride, op.pad)
 			ow := tensor.ConvOut(in[3], op.kernel, op.stride, op.pad)
 			if oh <= 0 || ow <= 0 {
-				return nil, fmt.Errorf("infer: input %dx%d too small for pool %s", h, w, op.name)
+				return nil, fmt.Errorf("infer: input %dx%d too small for %s %s", h, w, what, op.name)
 			}
-			out = []int{in[0], in[1], oh, ow}
+			out = []int{in[0], ch, oh, ow}
+		case opRelu:
+			out = in
 		case opAdd:
 			in2 := shapes[op.in2]
 			if len(in) != len(in2) {
@@ -199,7 +197,7 @@ func (p *Plan) shapes(n, h, w int) ([][]int, error) {
 		case opGlobalAvgPool:
 			out = []int{in[0], in[1]}
 		case opFC:
-			out = []int{in[0], op.conv.OutChannels()}
+			out = []int{in[0], op.oc}
 		}
 		if numel(out) < 0 {
 			return nil, fmt.Errorf("infer: op %s output shape %v exceeds the arena bound", op.name, out)

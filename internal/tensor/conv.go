@@ -84,29 +84,28 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 	if bias != nil && (bias.NDim() != 1 || bias.shape[0] != oc) {
 		panic(fmt.Sprintf("tensor: Conv2D bias shape %v, want [%d]", bias.shape, oc))
 	}
-	oh := ConvOut(h, kh, stride, pad)
-	ow := ConvOut(w, kw, stride, pad)
+	shape := convShape{oc: oc, c: c, kh: kh, kw: kw, stride: stride, pad: pad}
+	oh, ow := shape.OutSize(h, w)
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("tensor: Conv2D produces empty output (%dx%d) for input %dx%d k=%dx%d s=%d p=%d", oh, ow, h, w, kh, kw, stride, pad))
 	}
 	out := New(n, oc, oh, ow)
 	kdim := c * kh * kw
-	wmat := weight.Reshape(oc, kdim)
-	wp := newWeightPack(wmat.data, kdim, oc, kdim)
+	wp := newWeightPack(weight.data, kdim, oc, kdim)
 	var b []float32
 	if bias != nil {
 		b = bias.data
 	}
-	convInto(out, input, wp, b, false, nil, kh, kw, stride, pad)
+	convInto(out, input, wp, b, &shape, nil)
 	wp.release()
 	return out
 }
 
 // convInto is the convolution driver shared by Conv2D (per-call pack) and
 // PackedConv (persistent pack): one GEMM per layer per batch, its columns
-// packed straight from the input images (see convpanel.go), with bias, an
-// optional ReLU and an optional residual join (join, out's shape, added
-// before a second ReLU) fused into the store of each finished tile so
+// packed straight from the input images (see convpanel.go), with bias, the
+// shape's optional ReLU and an optional residual join (join, out's shape,
+// added before a second ReLU) fused into the store of each finished tile so
 // activations are written exactly once. Shapes must already be validated by
 // the caller.
 //
@@ -115,14 +114,10 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 // kernel sample by sample, whatever the batch folds to — the two kernels
 // round differently, so letting batch size or worker count pick between
 // them would make a sample's logits depend on the company it keeps.
-func convInto(out, input *Tensor, wp *weightPack, bias []float32, relu bool, join *Tensor, kh, kw, stride, pad int) {
+func convInto(out, input *Tensor, wp *weightPack, bias []float32, shape *convShape, join *Tensor) {
 	job := convCall{
-		out: out.data, in: input.data, wp: wp, bias: bias, relu: relu,
-		g: convGeom{
-			n: input.shape[0], c: input.shape[1], h: input.shape[2], w: input.shape[3],
-			kh: kh, kw: kw, stride: stride, padY: pad, padX: pad,
-			oh: out.shape[2], ow: out.shape[3],
-		},
+		out: out.data, in: input.data, wp: wp, bias: bias, relu: shape.relu,
+		g: shape.geom(input.shape[0], input.shape[2], input.shape[3]),
 	}
 	if join != nil {
 		job.join = join.data

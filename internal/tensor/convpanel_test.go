@@ -283,7 +283,7 @@ func TestQuantizedConvRandomGeometry(t *testing.T) {
 		size := g.n * g.c * g.h * g.w
 		in := randQ8(r, size, QActMax)
 		qc := NewQuantizedConv(weight, bias, tc.stride, tc.pad, i%2 == 0, 0.02, 0.05)
-		want := qconvRef(qc, in, g.n, g.h, g.w)
+		want := qconvRef(qc, weight, in, g.n, g.h, g.w)
 		for _, workers := range []int{1, 3} {
 			prev := parallel.DefaultWorkers
 			parallel.DefaultWorkers = workers

@@ -146,7 +146,7 @@ func TestWeightPackReuse(t *testing.T) {
 		// convolution over it is the plain product.
 		b := RandNormal(rng, 1, 1, k, 1, n)
 		out := New(1, m, 1, n)
-		convInto(out, b, wp, nil, false, nil, 1, 1, 1, 0)
+		convInto(out, b, wp, nil, &convShape{oc: m, c: k, kh: 1, kw: 1, stride: 1}, nil)
 		want := naiveOracle(a, b.Reshape(k, n), m, k, n)
 		if d := maxKernelDiff(out.Reshape(m, n), want); d > parityTol(k) {
 			t.Fatalf("reuse %d: max blended diff %g", i, d)

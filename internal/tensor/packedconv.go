@@ -2,6 +2,46 @@ package tensor
 
 import "fmt"
 
+// convShape is the geometry of a convolution with fixed weights, shared by
+// its float (PackedConv) and int8 (QuantizedConv) forms: output and input
+// channels, filter extent, stride, padding, and whether a ReLU is fused into
+// the epilogue.
+type convShape struct {
+	oc, c, kh, kw int
+	stride, pad   int
+	relu          bool
+}
+
+// newConvShape validates a constructor's weight (OC, C, KH, KW), bias (nil
+// or length OC), stride and padding; who names the constructor in panics.
+func newConvShape(who string, weight *Tensor, bias []float32, stride, pad int, relu bool) convShape {
+	if weight.NDim() != 4 { // dims4's panic, without building its label on every call
+		panic(fmt.Sprintf("tensor: %s weight wants a 4-D tensor, got shape %v", who, weight.shape))
+	}
+	oc, c, kh, kw := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
+	if bias != nil && len(bias) != oc {
+		panic(fmt.Sprintf("tensor: %s bias length %d, want %d", who, len(bias), oc))
+	}
+	if stride <= 0 || pad < 0 {
+		panic(fmt.Sprintf("tensor: %s stride=%d pad=%d", who, stride, pad))
+	}
+	return convShape{oc: oc, c: c, kh: kh, kw: kw, stride: stride, pad: pad, relu: relu}
+}
+
+// OutSize returns the output spatial size for an H×W input.
+func (s *convShape) OutSize(h, w int) (oh, ow int) {
+	return ConvOut(h, s.kh, s.stride, s.pad), ConvOut(w, s.kw, s.stride, s.pad)
+}
+
+// geom is the lowering of the convolution over n H×W images.
+func (s *convShape) geom(n, h, w int) convGeom {
+	oh, ow := s.OutSize(h, w)
+	return convGeom{
+		n: n, c: s.c, h: h, w: w, kh: s.kh, kw: s.kw,
+		stride: s.stride, padY: s.pad, padX: s.pad, oh: oh, ow: ow,
+	}
+}
+
 // PackedConv is a convolution prepared once and executed many times: the
 // weight tensor is reshaped and validated at construction, its GEMM A-panels
 // are packed lazily on first use and then kept for the lifetime of the
@@ -12,20 +52,17 @@ import "fmt"
 // a PackedConv amortizes it across the process lifetime. A 3×3 stride-1
 // pad-1 convolution runs on Winograd F(2×2, 3×3) instead wherever the
 // shape rule admits it (see Winograd and winograd.go), its filters
-// transformed on the first such call and kept the same way.
+// transformed on the first such call and kept the same way. Quantize
+// derives its int8 form, which keeps nothing of the float one.
 //
 // A PackedConv is immutable after construction and safe for concurrent use.
 // The weight tensor (and bias slice) must not be modified afterwards — the
 // pack holds references, not copies, until first use packs the panels.
 type PackedConv struct {
-	weight *Tensor // (OC, C, KH, KW); retained to keep wp.src reachable
-	bias   []float32
-	wp     *weightPack
-	wino   *winoPack // 3×3 stride-1 pad-1 only: the Winograd filters
-
-	oc, c, kh, kw int
-	stride, pad   int
-	relu          bool
+	convShape
+	bias []float32
+	wp   *weightPack // wp.src is the (OC, C·KH·KW) row-major weight
+	wino *winoPack   // 3×3 stride-1 pad-1 only: the Winograd filters
 }
 
 // NewPackedConv prepares a convolution with fixed weight (OC, C, KH, KW),
@@ -35,46 +72,21 @@ type PackedConv struct {
 // same lowering nn.Linear trains on, with no per-call transpose or
 // repacking.
 func NewPackedConv(weight *Tensor, bias []float32, stride, pad int, relu bool) *PackedConv {
-	oc, c, kh, kw := dims4("NewPackedConv weight", weight)
-	if bias != nil && len(bias) != oc {
-		panic(fmt.Sprintf("tensor: NewPackedConv bias length %d, want %d", len(bias), oc))
-	}
-	if stride <= 0 || pad < 0 {
-		panic(fmt.Sprintf("tensor: NewPackedConv stride=%d pad=%d", stride, pad))
-	}
-	kdim := c * kh * kw
-	wmat := weight.Reshape(oc, kdim)
-	pc := &PackedConv{
-		weight: weight, bias: bias,
-		wp: newWeightPack(wmat.data, kdim, oc, kdim),
-		oc: oc, c: c, kh: kh, kw: kw,
-		stride: stride, pad: pad, relu: relu,
-	}
-	if kh == 3 && kw == 3 && stride == 1 && pad == 1 {
-		pc.wino = &winoPack{src: weight.data, oc: oc, c: c}
+	pc := &PackedConv{convShape: newConvShape("NewPackedConv", weight, bias, stride, pad, relu), bias: bias}
+	kdim := pc.c * pc.kh * pc.kw
+	pc.wp = newWeightPack(weight.data, kdim, pc.oc, kdim)
+	if pc.kh == 3 && pc.kw == 3 && stride == 1 && pad == 1 {
+		pc.wino = &winoPack{src: weight.data, oc: pc.oc, c: pc.c}
 	}
 	return pc
 }
 
-// OutChannels returns the output channel count.
-func (pc *PackedConv) OutChannels() int { return pc.oc }
-
-// OutSize returns the output spatial size for an H×W input.
-func (pc *PackedConv) OutSize(h, w int) (oh, ow int) {
-	return ConvOut(h, pc.kh, pc.stride, pc.pad), ConvOut(w, pc.kw, pc.stride, pc.pad)
+// Quantize returns the int8 form of the convolution (see NewQuantizedConv):
+// its weights quantized per output channel and packed, its input
+// activations at symmetric scale inScale and its output at outScale.
+func (pc *PackedConv) Quantize(inScale, outScale float32) *QuantizedConv {
+	return newQuantizedConv(pc.convShape, pc.wp.src, pc.bias, inScale, outScale)
 }
-
-// KernelSize returns the filter's spatial extent (KH, KW).
-func (pc *PackedConv) KernelSize() (kh, kw int) { return pc.kh, pc.kw }
-
-// Stride returns the convolution stride.
-func (pc *PackedConv) Stride() int { return pc.stride }
-
-// Pad returns the spatial zero-padding applied to each border.
-func (pc *PackedConv) Pad() int { return pc.pad }
-
-// HasReLU reports whether a ReLU epilogue is fused into the convolution.
-func (pc *PackedConv) HasReLU() bool { return pc.relu }
 
 // Winograd reports whether an H×W input runs on the Winograd F(2×2, 3×3)
 // path (winograd.go) rather than the direct one. The answer depends on the
@@ -82,15 +94,6 @@ func (pc *PackedConv) HasReLU() bool { return pc.relu }
 func (pc *PackedConv) Winograd(h, w int) bool {
 	return pc.wino != nil && winoTakes(pc.c, h, w)
 }
-
-// Weights returns the (OC, C, KH, KW) weight tensor. Callers must treat it
-// as read-only; the PTQ pass (internal/infer) reads it to derive the int8
-// form of a compiled plan.
-func (pc *PackedConv) Weights() *Tensor { return pc.weight }
-
-// Bias returns the bias slice (nil when the convolution has none), also
-// read-only.
-func (pc *PackedConv) Bias() []float32 { return pc.bias }
 
 // ForwardInto convolves input (N, C, H, W) into the caller-provided out
 // (N, OC, OH, OW), applying the fused bias/ReLU epilogue. A non-nil join, of
@@ -119,5 +122,5 @@ func (pc *PackedConv) ForwardInto(out, input, join *Tensor) {
 		winoInto(out, input, pc.wino, pc.bias, pc.relu, join)
 		return
 	}
-	convInto(out, input, pc.wp, pc.bias, pc.relu, join, pc.kh, pc.kw, pc.stride, pc.pad)
+	convInto(out, input, pc.wp, pc.bias, &pc.convShape, join)
 }

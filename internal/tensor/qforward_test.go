@@ -96,7 +96,7 @@ func TestQStoreTileMatchesGo(t *testing.T) {
 	for iter := 0; iter < 400; iter++ {
 		rows, n := 1+r.Intn(qMR), 1+r.Intn(qNR)
 		lane := r.Intn(qNR - n + 1)
-		qc := &QuantizedConv{comp: make([]int32, qMR), mult: make([]float32, qMR), add: make([]float32, qMR), relu: iter%2 == 0}
+		qc := &QuantizedConv{comp: make([]int32, qMR), mult: make([]float32, qMR), add: make([]float32, qMR), convShape: convShape{relu: iter%2 == 0}}
 		for o := 0; o < qMR; o++ {
 			qc.comp[o] = int32(r.Intn(1<<16) - 1<<15)
 			switch r.Intn(4) {
@@ -295,7 +295,7 @@ func FuzzQuantizedConv(f *testing.F) {
 		}
 
 		qc := NewQuantizedConv(weight, bias, stride, pad, relu, scales[0], scales[1])
-		want := qconvRef(qc, in, n, h, w)
+		want := qconvRef(qc, weight, in, n, h, w)
 		oh, ow := qc.OutSize(h, w)
 		got := make([]int8, n*oc*oh*ow)
 		for _, workers := range []int{1, 5} {

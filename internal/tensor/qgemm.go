@@ -92,8 +92,8 @@ type packedQA struct {
 
 // packQA packs the m×k row-major s8 matrix w, the row tiles split across
 // packWorkers(m·k) workers. The buffer is plainly allocated, not pooled:
-// weight packs are built once per conv lifetime (QuantizedConv caches them
-// behind a sync.Once), never released into a pool.
+// weight packs are built once per conv lifetime (NewQuantizedConv packs
+// them), never released into a pool.
 func packQA(w []int8, m, k int) packedQA {
 	rowTiles := (m + qMR - 1) / qMR
 	kQuads := (k + 3) / 4

@@ -120,17 +120,19 @@ func TestQKernelScalarVsAVX2(t *testing.T) {
 }
 
 // qconvRef computes the exact expected QuantizedConv output by replaying
-// its integer arithmetic naively: same quantized weights, naive int32
-// convolution, same epilogue formula.
-func qconvRef(qc *QuantizedConv, in []int8, n, h, w int) []int8 {
+// its integer arithmetic naively: the same quantized weights, requantized
+// here from the float weight qc was built from, a naive int32 convolution,
+// and the same epilogue formula.
+func qconvRef(qc *QuantizedConv, weight *Tensor, in []int8, n, h, w int) []int8 {
 	oh, ow := qc.OutSize(h, w)
 	c := qc.c
 	kdim := c * qc.kh * qc.kw
+	qw, _ := QuantizeWeightsPerChannel(weight.Data(), qc.oc, kdim)
 	out := make([]int8, n*qc.oc*oh*ow)
 	cols := make([]int8, kdim*oh*ow)
 	for s := 0; s < n; s++ {
 		QIm2ColRows(in[s*c*h*w:(s+1)*c*h*w], c, h, w, qc.kh, qc.kw, qc.stride, qc.pad, 0, oh, cols)
-		acc := qNaive(qc.qw, cols, oh*ow, qc.oc, kdim, oh*ow)
+		acc := qNaive(qw, cols, oh*ow, qc.oc, kdim, oh*ow)
 		for o := 0; o < qc.oc; o++ {
 			for i := 0; i < oh*ow; i++ {
 				v := qc.mult[o]*float32(acc[o*oh*ow+i]) + qc.add[o]
@@ -201,7 +203,7 @@ func TestQuantizedConvMatchesIntegerReference(t *testing.T) {
 			QuantizeInto(in, inF, inScale)
 
 			qc := NewQuantizedConv(weight, bias, tc.stride, tc.pad, tc.relu, inScale, 0.05)
-			want := qconvRef(qc, in, tc.n, tc.h, tc.w)
+			want := qconvRef(qc, weight, in, tc.n, tc.h, tc.w)
 
 			oh, ow := qc.OutSize(tc.h, tc.w)
 			check := func() {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 
 	"drainnas/internal/parallel"
 )
@@ -12,27 +11,21 @@ import (
 // QuantizedConv is the int8 execution unit of quantized inference plans:
 // the integer sibling of PackedConv. Construction quantizes the float
 // weights per output channel (bounded to ±QWeightMax for the AVX2 kernel's
-// saturation-free guarantee), precomputes the +128 activation-offset
-// compensation, and folds the input/weight/output scales plus the bias into
-// a per-channel requantize epilogue fused with the optional ReLU. The
-// weight panels pack lazily on first use and are kept for the value's
-// lifetime, so a steady-state forward allocates nothing beyond pooled
-// scratch.
+// saturation-free guarantee), packs them into the micro-kernel's panels,
+// precomputes the +128 activation-offset compensation, and folds the
+// input/weight/output scales plus the bias into a per-channel requantize
+// epilogue fused with the optional ReLU. The packed panels are the only
+// copy of the weights it keeps, and a steady-state forward allocates
+// nothing beyond pooled scratch.
 //
 // A QuantizedConv is immutable after construction and safe for concurrent
 // use.
 type QuantizedConv struct {
-	qw   []int8    // oc×kdim quantized weights, |q| ≤ QWeightMax
-	comp []int32   // per-oc u8-offset compensation: 128·Σ_k qw[o][k]
+	convShape
+	qa   packedQA  // the quantized weights, |q| ≤ QWeightMax, packed
+	comp []int32   // per-oc u8-offset compensation: 128·Σ_k q[o][k]
 	mult []float32 // per-oc epilogue multiplier (see below)
 	add  []float32 // per-oc epilogue addend (see below)
-
-	oc, c, kh, kw int
-	stride, pad   int
-	relu          bool
-
-	once sync.Once
-	qa   packedQA
 }
 
 // NewQuantizedConv builds the int8 form of a convolution with float weight
@@ -50,25 +43,22 @@ type QuantizedConv struct {
 // with mult[o] = inScale·wScale[o]/outScale and add[o] = bias[o]/outScale;
 // v is then rounded and clamped, ReLU as a 0 lower clamp.
 func NewQuantizedConv(weight *Tensor, bias []float32, stride, pad int, relu bool, inScale, outScale float32) *QuantizedConv {
-	oc, c, kh, kw := dims4("NewQuantizedConv weight", weight)
-	if bias != nil && len(bias) != oc {
-		panic(fmt.Sprintf("tensor: NewQuantizedConv bias length %d, want %d", len(bias), oc))
-	}
-	if stride <= 0 || pad < 0 {
-		panic(fmt.Sprintf("tensor: NewQuantizedConv stride=%d pad=%d", stride, pad))
-	}
+	return newQuantizedConv(newConvShape("NewQuantizedConv", weight, bias, stride, pad, relu), weight.data, bias, inScale, outScale)
+}
+
+// newQuantizedConv is NewQuantizedConv over a validated shape and its
+// (OC, C·KH·KW) row-major weight.
+func newQuantizedConv(shape convShape, weight, bias []float32, inScale, outScale float32) *QuantizedConv {
 	inScale, outScale = sanitizeScale(inScale), sanitizeScale(outScale)
-	kdim := c * kh * kw
-	qw, wScales := QuantizeWeightsPerChannel(weight.Data(), oc, kdim)
+	oc, kdim := shape.oc, shape.c*shape.kh*shape.kw
+	qw, wScales := QuantizeWeightsPerChannel(weight, oc, kdim)
 
 	qc := &QuantizedConv{
-		qw:   qw,
-		comp: make([]int32, oc),
-		mult: make([]float32, oc),
-		add:  make([]float32, oc),
-		oc:   oc, c: c, kh: kh, kw: kw,
-		stride: stride, pad: pad,
-		relu: relu,
+		convShape: shape,
+		qa:        packQA(qw, oc, kdim),
+		comp:      make([]int32, oc),
+		mult:      make([]float32, oc),
+		add:       make([]float32, oc),
 	}
 	for o := 0; o < oc; o++ {
 		sum := int32(0)
@@ -84,11 +74,6 @@ func NewQuantizedConv(weight *Tensor, bias []float32, stride, pad int, relu bool
 		qc.mult[o], qc.add[o] = m/outScale, b/outScale
 	}
 	return qc
-}
-
-// OutSize returns the output spatial size for an H×W input.
-func (qc *QuantizedConv) OutSize(h, w int) (oh, ow int) {
-	return ConvOut(h, qc.kh, qc.stride, qc.pad), ConvOut(w, qc.kw, qc.stride, qc.pad)
 }
 
 // ForwardInto convolves the s8 input (n, C, h, w flat) into the s8 output
@@ -109,15 +94,8 @@ func (qc *QuantizedConv) ForwardInto(out, in []int8, n, h, w int) {
 	if want := n * qc.oc * oh * ow; len(out) != want {
 		panic(fmt.Sprintf("tensor: QuantizedConv output length %d, want %d", len(out), want))
 	}
-	qc.once.Do(func() { qc.qa = packQA(qc.qw, qc.oc, qc.c*qc.kh*qc.kw) })
 
-	job := qconvCall{
-		qc: qc, out: out, in: in,
-		g: convGeom{
-			n: n, c: qc.c, h: h, w: w, kh: qc.kh, kw: qc.kw,
-			stride: qc.stride, padY: qc.pad, padX: qc.pad, oh: oh, ow: ow,
-		},
-	}
+	job := qconvCall{qc: qc, out: out, in: in, g: qc.geom(n, h, w)}
 	qa := &qc.qa
 	job.grid = planPanelGrid((n*oh*ow+qNR-1)/qNR, qa.rowTiles, len(qa.buf), qa.kQuads*qNR*4)
 	if parallel.DefaultWorkers == 1 || job.grid.blocks*job.grid.rowGroups == 1 {

@@ -260,8 +260,8 @@ func winoCheck(t testing.TB, pc *PackedConv, x, join *Tensor) float64 {
 		jd = join.data
 	}
 	pc.ForwardInto(got, x, join)
-	convInto(want, x, pc.wp, pc.bias, pc.relu, join, 3, 3, 1, 1)
-	scales := winoScales(x, pc.weight, pc.bias, jd)
+	convInto(want, x, pc.wp, pc.bias, &pc.convShape, join)
+	scales := winoScales(x, FromSlice(pc.wp.src, pc.oc, pc.c, 3, 3), pc.bias, jd)
 	worst := 0.0
 	for i, wv := range want.data {
 		gv := got.data[i]
